@@ -4,7 +4,8 @@ package cookieguard
 // paper's evaluation. Each benchmark regenerates its artifact end-to-end
 // (generate → crawl → analyze / evaluate) at a benchmark-friendly scale;
 // cmd/experiments runs the same code paths at full scale and prints the
-// paper-vs-measured rows recorded in EXPERIMENTS.md.
+// paper-vs-measured rows. The repository benchmark that performance
+// changes are judged by is described in bench/README.md.
 
 import (
 	"context"

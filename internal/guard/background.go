@@ -1,112 +1,37 @@
 package guard
 
+import "sync"
+
 // background is the extension's background.js analogue: the metadata
-// store mapping cookie names to their creator eTLD+1, serving snapshot
-// requests from the page wrapper over a message channel (the
-// contentScript.js relay hop).
+// store mapping cookie names to their creator eTLD+1. The page wrapper
+// queries it synchronously, one name at a time; the contentScript.js
+// relay hop in between is charged to the virtual clock
+// (Policy.PerOpOverheadMS), not modeled by a goroutine.
 type background struct {
-	msgs chan bgMsg
-	done chan struct{}
-}
-
-type bgMsgKind int
-
-const (
-	msgRecord bgMsgKind = iota
-	msgSnapshot
-	msgLookup
-)
-
-type bgMsg struct {
-	kind    bgMsgKind
-	name    string
-	creator string
-
-	snapReply   chan map[string]string
-	lookupReply chan lookupResult
-}
-
-type lookupResult struct {
-	creator string
-	exists  bool
+	mu       sync.Mutex
+	creators map[string]string // nil once closed
 }
 
 func newBackground() *background {
-	b := &background{msgs: make(chan bgMsg, 16), done: make(chan struct{})}
-	go b.loop()
-	return b
-}
-
-func (b *background) loop() {
-	creators := map[string]string{}
-	for {
-		select {
-		case m := <-b.msgs:
-			switch m.kind {
-			case msgRecord:
-				if _, exists := creators[m.name]; !exists {
-					creators[m.name] = m.creator
-				}
-			case msgSnapshot:
-				cp := make(map[string]string, len(creators))
-				for k, v := range creators {
-					cp[k] = v
-				}
-				m.snapReply <- cp
-			case msgLookup:
-				c, ok := creators[m.name]
-				m.lookupReply <- lookupResult{creator: c, exists: ok}
-			}
-		case <-b.done:
-			return
-		}
-	}
+	return &background{creators: map[string]string{}}
 }
 
 // record registers a cookie creation (first creator wins, matching the
-// extension's dataset semantics).
+// extension's dataset semantics). Records after close are dropped.
 func (b *background) record(name, creator string) {
-	select {
-	case b.msgs <- bgMsg{kind: msgRecord, name: name, creator: creator}:
-	case <-b.done:
+	b.mu.Lock()
+	if _, exists := b.creators[name]; !exists && b.creators != nil {
+		b.creators[name] = creator
 	}
+	b.mu.Unlock()
 }
 
-// snapshot returns a copy of the dataset (the "provide a current copy of
-// the dataset" message of §6.2).
-func (b *background) snapshot() map[string]string {
-	reply := make(chan map[string]string, 1)
-	select {
-	case b.msgs <- bgMsg{kind: msgSnapshot, snapReply: reply}:
-		// msgs is buffered, so the send can succeed after the loop has
-		// already exited; never wait on a reply without also watching
-		// done, or a racing close() strands this goroutine forever.
-		select {
-		case cp := <-reply:
-			return cp
-		case <-b.done:
-			return map[string]string{}
-		}
-	case <-b.done:
-		return map[string]string{}
-	}
-}
-
-// lookup fetches one cookie's creator.
+// lookup fetches one cookie's creator; after close nothing exists.
 func (b *background) lookup(name string) (string, bool) {
-	reply := make(chan lookupResult, 1)
-	select {
-	case b.msgs <- bgMsg{kind: msgLookup, name: name, lookupReply: reply}:
-		// See snapshot: the buffered send can outlive the loop.
-		select {
-		case r := <-reply:
-			return r.creator, r.exists
-		case <-b.done:
-			return "", false
-		}
-	case <-b.done:
-		return "", false
-	}
+	b.mu.Lock()
+	c, ok := b.creators[name]
+	b.mu.Unlock()
+	return c, ok
 }
 
 // creatorOf is lookup ignoring existence.
@@ -115,11 +40,9 @@ func (b *background) creatorOf(name string) string {
 	return c
 }
 
-// close terminates the background goroutine.
+// close drops the dataset; closing twice is harmless.
 func (b *background) close() {
-	select {
-	case <-b.done:
-	default:
-		close(b.done)
-	}
+	b.mu.Lock()
+	b.creators = nil
+	b.mu.Unlock()
 }

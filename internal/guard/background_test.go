@@ -1,32 +1,13 @@
 package guard
 
-// Regression tests for the background message loop's shutdown paths
-// (fixed in PR 2): msgs is buffered, so a send can succeed after the
-// loop has exited — a requester that then waited on its reply channel
-// alone would hang forever. Both request paths must select on done
-// alongside the reply.
+// Tests of the background creator store: first creator wins, operations
+// degrade to empty after close, and concurrent use is safe (CI runs
+// these under the race detector).
 
 import (
 	"sync"
 	"testing"
-	"time"
 )
-
-// withTimeout fails the test if f does not return within the deadline —
-// the hang these tests guard against.
-func withTimeout(t *testing.T, name string, f func()) {
-	t.Helper()
-	doneCh := make(chan struct{})
-	go func() {
-		defer close(doneCh)
-		f()
-	}()
-	select {
-	case <-doneCh:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("%s hung after background close", name)
-	}
-}
 
 func TestBackgroundRoundTrip(t *testing.T) {
 	b := newBackground()
@@ -45,51 +26,28 @@ func TestBackgroundRoundTrip(t *testing.T) {
 	if c := b.creatorOf("sess"); c != "site.example" {
 		t.Fatalf("creatorOf(sess) = %q", c)
 	}
-	snap := b.snapshot()
-	if len(snap) != 2 || snap["uid"] != "tracker.example" {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	// The snapshot is a copy: mutating it must not leak back.
-	snap["uid"] = "evil.example"
-	if c := b.creatorOf("uid"); c != "tracker.example" {
-		t.Fatalf("snapshot mutation leaked into the dataset: %q", c)
-	}
 }
 
-// TestBackgroundBufferedSendOutlivesLoop: after close, the buffered send
-// can still succeed even though no loop will ever reply; snapshot and
-// lookup must bail out via done instead of waiting on the reply forever.
-func TestBackgroundBufferedSendOutlivesLoop(t *testing.T) {
+// TestBackgroundDegradesAfterClose: after close every name reads as
+// unrecorded, records are dropped, and closing again is harmless.
+func TestBackgroundDegradesAfterClose(t *testing.T) {
 	b := newBackground()
+	b.record("uid", "tracker.example")
 	b.close()
-	// Give the loop goroutine a moment to observe done and exit, making
-	// the send-succeeds-into-dead-buffer window deterministic.
-	time.Sleep(10 * time.Millisecond)
 
-	withTimeout(t, "snapshot", func() {
-		if snap := b.snapshot(); len(snap) != 0 {
-			t.Errorf("snapshot after close = %v, want empty", snap)
-		}
-	})
-	withTimeout(t, "lookup", func() {
-		if _, ok := b.lookup("uid"); ok {
-			t.Error("lookup after close reported existence")
-		}
-	})
-	withTimeout(t, "record", func() {
-		// record is fire-and-forget but must not block once the 16-slot
-		// buffer fills with no loop draining it.
-		for i := 0; i < 64; i++ {
-			b.record("k", "v")
-		}
-	})
-	withTimeout(t, "double close", b.close)
+	if c, ok := b.lookup("uid"); ok || c != "" {
+		t.Fatalf("lookup after close = %q,%v; want \"\",false", c, ok)
+	}
+	b.record("k", "v")
+	if _, ok := b.lookup("k"); ok {
+		t.Fatal("record after close was kept")
+	}
+	b.close()
 }
 
-// TestBackgroundCloseRacesRequests: requests racing a concurrent close
-// must all return (empty results are fine; hangs and panics are not).
-// Chiefly meaningful under the race detector, which CI runs on this
-// package.
+// TestBackgroundCloseRacesRequests: records and lookups racing a
+// concurrent close must all return without a data race (empty results
+// are fine). Chiefly meaningful under the race detector.
 func TestBackgroundCloseRacesRequests(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b := newBackground()
@@ -101,8 +59,8 @@ func TestBackgroundCloseRacesRequests(t *testing.T) {
 				defer wg.Done()
 				<-start
 				b.record("uid", "tracker.example")
-				b.snapshot()
 				b.lookup("uid")
+				b.creatorOf("sess")
 			}()
 		}
 		wg.Add(1)
@@ -112,6 +70,6 @@ func TestBackgroundCloseRacesRequests(t *testing.T) {
 			b.close()
 		}()
 		close(start)
-		withTimeout(t, "racing requests", wg.Wait)
+		wg.Wait()
 	}
 }

@@ -6,10 +6,11 @@
 //
 //   - Background — the metadata store mapping each first-party cookie to
 //     the eTLD+1 of its creator, updated on every creation event from
-//     both JavaScript APIs and HTTP Set-Cookie headers, served over a
-//     message channel;
+//     both JavaScript APIs and HTTP Set-Cookie headers;
 //   - ContentRelay — the messaging hop between page world and background
-//     (contentScript.js), crossed once per cookie operation;
+//     (contentScript.js), crossed once per cookie operation. It is
+//     modeled on the virtual clock (Policy.PerOpOverheadMS), not by a
+//     goroutine: the page wrapper reads the store synchronously;
 //   - PageWrapper — the wrapped document.cookie / cookieStore surface
 //     (cookieGuard.js), installed as browser.CookieMiddleware.
 //
@@ -22,6 +23,7 @@
 package guard
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,7 +61,8 @@ type Policy struct {
 	Entities *entity.Map
 	// PerOpOverheadMS is the virtual cost of one page↔background
 	// message round trip, charged to the browser clock when bound
-	// (drives the Table 4 overhead measurements).
+	// (drives the Table 4 overhead measurements). This charge is the
+	// whole model of the ContentRelay hop; no message is really sent.
 	PerOpOverheadMS float64
 }
 
@@ -109,13 +112,14 @@ type Guard struct {
 	blocks []BlockEvent
 }
 
-// New creates a Guard with the given policy and starts its background
-// component.
+// New creates a Guard with the given policy and an empty background
+// store.
 func New(policy Policy) *Guard {
 	return &Guard{policy: policy, bg: newBackground()}
 }
 
-// Close shuts the background component down.
+// Close drops the background store; later operations see no recorded
+// creators and record none.
 func (g *Guard) Close() { g.bg.close() }
 
 // Middleware returns the PageWrapper: the cookie-API interceptor.
@@ -164,7 +168,7 @@ func (g *Guard) chargeOverhead() {
 // accessor resolves the acting principal's domain; ok=false means access
 // is denied outright (strict inline).
 func (g *Guard) accessor(ctx browser.AccessContext) (domain string, ok bool) {
-	if ctx.Inline || (ctx.ScriptURL == "" && ctx.Inline) {
+	if ctx.Inline {
 		if g.policy.Inline == InlineStrict {
 			return "", false
 		}
@@ -198,7 +202,7 @@ func (g *Guard) mayAccess(accessor, creator, site string) bool {
 	if creator == "" {
 		// Unattributed cookie (predates the guard or set by denied
 		// inline code): owned by the site.
-		return g.isSiteOwner(accessor, site) || accessor == site
+		return accessor == site
 	}
 	if accessor == creator {
 		return true
@@ -211,6 +215,11 @@ func (g *Guard) mayAccess(accessor, creator, site string) bool {
 type pageWrapper struct {
 	g    *Guard
 	next browser.CookieAPI
+
+	// Scratch space of filterDocCookie, reused across reads (a browser
+	// runs a page's scripts on one goroutine).
+	buf   []byte
+	names []string
 }
 
 func (p *pageWrapper) GetDocumentCookie(ctx browser.AccessContext) string {
@@ -226,21 +235,73 @@ func (p *pageWrapper) GetDocumentCookie(ctx browser.AccessContext) string {
 	if g.isSiteOwner(accessor, site) {
 		return raw
 	}
-	dataset := g.bg.snapshot()
+	out, filtered := p.filterDocCookie(raw, accessor, site)
+	if filtered {
+		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
+	}
+	return out
+}
+
+// filterDocCookie returns the pairs of the document.cookie string raw
+// that accessor may read on site, joined as document.cookie joins them,
+// and whether any pair was dropped. It walks raw once, appending kept
+// pairs to the wrapper's reused buffer, and returns raw itself when
+// nothing changed. A name that raw repeats (one name under two paths or
+// domains) falls back to filterDocCookieParsed.
+func (p *pageWrapper) filterDocCookie(raw, accessor, site string) (string, bool) {
+	g := p.g
+	buf, names := p.buf[:0], p.names[:0]
+	filtered := false
+	for rest := raw; rest != ""; {
+		part := rest
+		if i := strings.IndexByte(rest, ';'); i >= 0 {
+			part, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		part = strings.TrimSpace(part)
+		eq := strings.IndexByte(part, '=')
+		if eq <= 0 {
+			continue // empty or nameless segment
+		}
+		name := strings.TrimSpace(part[:eq])
+		if slices.Contains(names, name) {
+			return g.filterDocCookieParsed(raw, accessor, site)
+		}
+		names = append(names, name)
+		if !g.mayAccess(accessor, g.bg.creatorOf(name), site) {
+			filtered = true
+			continue
+		}
+		if len(buf) > 0 {
+			buf = append(buf, "; "...)
+		}
+		buf = append(buf, name...)
+		buf = append(buf, '=')
+		buf = append(buf, strings.TrimSpace(part[eq+1:])...)
+	}
+	p.buf, p.names = buf, names
+	if string(buf) == raw {
+		return raw, filtered
+	}
+	return string(buf), filtered
+}
+
+// filterDocCookieParsed is filterDocCookie by parsing raw and joining
+// the kept pairs: the reference the single-pass filter is checked
+// against, and the path for repeated names (the last value wins).
+func (g *Guard) filterDocCookieParsed(raw, accessor, site string) (string, bool) {
 	names, values := jsdsl.ParseCookieString(raw)
 	var kept []string
 	filtered := false
 	for _, n := range names {
-		if g.mayAccess(accessor, dataset[n], site) {
+		if g.mayAccess(accessor, g.bg.creatorOf(n), site) {
 			kept = append(kept, n+"="+values[n])
 		} else {
 			filtered = true
 		}
 	}
-	if filtered {
-		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
-	}
-	return strings.Join(kept, "; ")
+	return strings.Join(kept, "; "), filtered
 }
 
 func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
@@ -256,8 +317,7 @@ func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment st
 		return
 	}
 	site := ctx.PageDomain()
-	dataset := g.bg.snapshot()
-	creator, exists := dataset[name]
+	creator, exists := g.bg.lookup(name)
 	if !exists {
 		// Creation: record the accessor as creator and pass through.
 		g.bg.record(name, accessor)
@@ -285,8 +345,8 @@ func (p *pageWrapper) StoreGet(ctx browser.AccessContext, name string) (jsdsl.Co
 	}
 	site := ctx.PageDomain()
 	if !g.isSiteOwner(accessor, site) {
-		if !g.mayAccess(accessor, g.bg.creatorOf(name), site) {
-			g.logBlock(BlockEvent{Kind: BlockRead, Name: name, Accessor: accessor, Creator: g.bg.creatorOf(name)})
+		if creator := g.bg.creatorOf(name); !g.mayAccess(accessor, creator, site) {
+			g.logBlock(BlockEvent{Kind: BlockRead, Name: name, Accessor: accessor, Creator: creator})
 			return jsdsl.CookieRecord{}, false
 		}
 	}
@@ -306,11 +366,10 @@ func (p *pageWrapper) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecor
 	if g.isSiteOwner(accessor, site) {
 		return all
 	}
-	dataset := g.bg.snapshot()
 	var kept []jsdsl.CookieRecord
 	filtered := false
 	for _, rec := range all {
-		if g.mayAccess(accessor, dataset[rec.Name], site) {
+		if g.mayAccess(accessor, g.bg.creatorOf(rec.Name), site) {
 			kept = append(kept, rec)
 		} else {
 			filtered = true

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -231,5 +232,23 @@ func TestArtifactCacheEquivalence(t *testing.T) {
 		if pRecs[site] != rec {
 			t.Errorf("site %s: warm-cache record differs from uncached", site)
 		}
+	}
+}
+
+// TestGuardedRunLeaksNoGoroutine: a guarded Run builds one CookieGuard
+// per visit and never closes it, so a guard must own no goroutine.
+func TestGuardedRunLeaksNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := New(WithSites(40), WithWorkers(4), WithInteract(true), WithGuard(DefaultGuardPolicy()))
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Give the runtime a moment to retire the crawl's exited workers.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d over a guarded 40-site Run", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
