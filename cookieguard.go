@@ -694,10 +694,15 @@ func (p *Pipeline) runServed(ctx context.Context) (*Results, error) {
 			defer wg.Done()
 			for v := range logs {
 				sh.Observe(shard, v)
-				if n := observed.Add(1); n%int64(every) == 0 {
+				if observed.Add(1)%int64(every) == 0 {
 					pubMu.Lock()
+					// Read the count under pubMu, before the snapshot:
+					// publishes then carry non-decreasing counts, and every
+					// counted visit (Add follows Observe) is in the
+					// snapshot, so Done never exceeds its SitesTotal.
+					done := int(observed.Load())
 					snap := sh.Snapshot()
-					store.Publish(resultstore.Progress{Done: int(n), Total: total}, snap)
+					store.Publish(resultstore.Progress{Done: done, Total: total}, snap)
 					pubMu.Unlock()
 				}
 			}

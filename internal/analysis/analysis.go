@@ -105,13 +105,6 @@ type runState struct {
 	// vantage, persona) groups, which a real crawl never produces.
 	obsSeq int
 
-	// pairFirst records, per cookie pair, the canonically-first ensure
-	// (smallest (site, vantage, persona, observation, in-observation
-	// sequence)) — the ensure whose API the finalized PairInfo carries.
-	// Tracking it explicitly, instead of relying on map-creation order,
-	// is what keeps pair attribution observation-order-independent.
-	pairFirst map[CookieKey]pairClaim
-
 	// Per-observation scratch (valid between beginObservation and
 	// endObservation).
 	curSite, curVantage string
@@ -119,14 +112,16 @@ type runState struct {
 	curPers             *personaAgg
 	curStart            int // len(res.Events) at observation start
 	curEnsures          int // ensure-call sequence within the observation
-	curClaims           map[CookieKey]pairClaim
 }
 
 // evGroup is one observation's event range, in canonical-sort terms.
 type evGroup struct {
 	site, vantage, persona string
 	seq                    int // observation sequence (tie-break only)
-	start, end             int // indices into res.Events before canonicalization
+	// src is the event slice [start, end) indexes: nil for the state's
+	// own res.Events, or a folded source state's Events.
+	src        []Event
+	start, end int
 }
 
 // pairClaim is one candidate attribution of a cookie pair's API: where
@@ -135,7 +130,6 @@ type pairClaim struct {
 	site, vantage, persona string
 	obs                    int // observation sequence
 	seq                    int // ensure sequence within the observation
-	api                    instrument.API
 }
 
 // before reports whether claim a canonically precedes claim b: sorted by
@@ -171,11 +165,9 @@ func newRunState() *runState {
 				RequestFailures: map[string]int{},
 			},
 		},
-		vant:      map[string]*vantageAgg{},
-		pers:      map[string]*personaAgg{},
-		encMemo:   map[string][]string{},
-		pairFirst: map[CookieKey]pairClaim{},
-		curClaims: map[CookieKey]pairClaim{},
+		vant:    map[string]*vantageAgg{},
+		pers:    map[string]*personaAgg{},
+		encMemo: map[string][]string{},
 	}
 }
 
@@ -198,9 +190,8 @@ func (st *runState) persona(name string) *personaAgg {
 	return pa
 }
 
-// endObservation folds the observation's scratch into the run: its event
-// range becomes a canonical-sort group and its pair claims compete for
-// canonically-first attribution.
+// endObservation closes the observation: its event range becomes a
+// canonical-sort group.
 func (st *runState) endObservation() {
 	if end := len(st.res.Events); end > st.curStart {
 		st.groups = append(st.groups, evGroup{
@@ -208,30 +199,25 @@ func (st *runState) endObservation() {
 			seq: st.obsSeq, start: st.curStart, end: end,
 		})
 	}
-	for key, c := range st.curClaims {
-		if best, ok := st.pairFirst[key]; !ok || c.before(best) {
-			st.pairFirst[key] = c
-		}
-	}
-	clear(st.curClaims)
 	st.obsSeq++
 }
 
 // ensurePair returns (creating if needed) the pair's accumulator and
 // records the ensure as an attribution claim. Every pair-map touch of
-// the replay goes through here, so pairFirst sees every candidate.
+// the replay goes through here, so the pair's first claim sees every
+// candidate.
 func (st *runState) ensurePair(key CookieKey, api instrument.API) *PairInfo {
 	st.curEnsures++
-	if _, ok := st.curClaims[key]; !ok {
-		st.curClaims[key] = pairClaim{
-			site: st.curSite, vantage: st.curVantage, persona: st.curPersona,
-			obs: st.obsSeq, seq: st.curEnsures, api: api,
-		}
+	c := pairClaim{
+		site: st.curSite, vantage: st.curVantage, persona: st.curPersona,
+		obs: st.obsSeq, seq: st.curEnsures,
 	}
 	p := st.res.Pairs[key]
 	if p == nil {
-		p = newPairInfo(key, api)
+		p = &PairInfo{Key: key, API: api, first: c}
 		st.res.Pairs[key] = p
+	} else {
+		p.claim(c, api)
 	}
 	return p
 }
@@ -377,7 +363,10 @@ type actionAPIKey struct {
 	API  instrument.API
 }
 
-// PairInfo accumulates per-cookie-pair statistics.
+// PairInfo accumulates per-cookie-pair statistics. Its set fields are
+// nil until their first element (most pairs are never manipulated or
+// exfiltrated), so read them with len and range only; outside this
+// package they are read-only.
 type PairInfo struct {
 	Key CookieKey
 	API instrument.API
@@ -390,17 +379,29 @@ type PairInfo struct {
 	ExfilDomains      map[string]bool // script domains (Figure 2)
 	OverwriterDomains map[string]bool // Figure 8a
 	DeleterDomains    map[string]bool // Figure 8b
+
+	// first is the canonically-first ensure of the pair (smallest
+	// (site, vantage, persona, observation, in-observation sequence));
+	// API is always that ensure's API. Tracking it explicitly, instead
+	// of relying on map-creation order, is what keeps pair attribution
+	// observation-order-independent.
+	first pairClaim
 }
 
-func newPairInfo(key CookieKey, api instrument.API) *PairInfo {
-	return &PairInfo{
-		Key: key, API: api,
-		ExfilEntities: map[string]bool{}, DestEntities: map[string]bool{},
-		OverwriterEnt: map[string]bool{}, DeleterEnt: map[string]bool{},
-		ExfilDomains:      map[string]bool{},
-		OverwriterDomains: map[string]bool{},
-		DeleterDomains:    map[string]bool{},
+// claim makes c the pair's attribution if it canonically precedes the
+// current one.
+func (p *PairInfo) claim(c pairClaim, api instrument.API) {
+	if c.before(p.first) {
+		p.first, p.API = c, api
 	}
+}
+
+// setAdd inserts k into the set *m, allocating the set on first use.
+func setAdd(m *map[string]bool, k string) {
+	if *m == nil {
+		*m = map[string]bool{}
+	}
+	(*m)[k] = true
 }
 
 // Summary carries the §5.1/5.2/5.6/§8 headline statistics. The JSON
@@ -521,18 +522,19 @@ func finalizeState(st *runState) *Results {
 			}
 			return gi.seq < gj.seq
 		})
-		rebuilt := make([]Event, 0, len(res.Events))
+		n := 0
 		for _, g := range st.groups {
-			rebuilt = append(rebuilt, res.Events[g.start:g.end]...)
+			n += g.end - g.start
+		}
+		rebuilt := make([]Event, 0, n)
+		for _, g := range st.groups {
+			src := g.src
+			if src == nil {
+				src = res.Events
+			}
+			rebuilt = append(rebuilt, src[g.start:g.end]...)
 		}
 		res.Events = rebuilt
-	}
-	// Canonical pair attribution: the API of the canonically-first
-	// ensure, independent of the order observations arrived in.
-	for key, c := range st.pairFirst {
-		if p := res.Pairs[key]; p != nil {
-			p.API = c.api
-		}
 	}
 	s := &res.Summary
 	if s.SitesComplete > 0 {
@@ -704,8 +706,8 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 					ChangedPath:    ev.Path != cs.path && ev.Path != "",
 				}
 				res.Events = append(res.Events, e)
-				p.OverwriterEnt[a.Entities.EntityOf(actor)] = true
-				p.OverwriterDomains[actor] = true
+				setAdd(&p.OverwriterEnt, a.Entities.EntityOf(actor))
+				setAdd(&p.OverwriterDomains, actor)
 				siteActs[actionAPIKey{ActOverwriting, cs.api}] = true
 			}
 			cs.value = ev.Value
@@ -726,8 +728,8 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 					Site: site, Kind: ActDeleting, Cookie: key,
 					ActorScript: ev.ScriptURL, ActorDomain: actor, API: ev.API,
 				})
-				p.DeleterEnt[a.Entities.EntityOf(actor)] = true
-				p.DeleterDomains[actor] = true
+				setAdd(&p.DeleterEnt, a.Entities.EntityOf(actor))
+				setAdd(&p.DeleterDomains, actor)
 				siteActs[actionAPIKey{ActDeleting, cs.api}] = true
 			}
 			cs.live = false
@@ -882,10 +884,10 @@ func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 			actorEnt := a.Entities.EntityOf(actorDomain)
 			ownerEnt := a.Entities.EntityOf(c.key.Owner)
 			if actorEnt != ownerEnt {
-				p.ExfilEntities[actorEnt] = true
+				setAdd(&p.ExfilEntities, actorEnt)
 			}
-			p.DestEntities[a.Entities.EntityOf(destDomain)] = true
-			p.ExfilDomains[actorDomain] = true
+			setAdd(&p.DestEntities, a.Entities.EntityOf(destDomain))
+			setAdd(&p.ExfilDomains, actorDomain)
 			siteActs[actionAPIKey{ActExfiltration, c.api}] = true
 		}
 	}

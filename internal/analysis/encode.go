@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"sort"
 
 	"cookieguard/internal/instrument"
@@ -83,16 +85,7 @@ func (r *Results) SiteRows() []SiteRow {
 		return row
 	}
 	for site, acts := range r.SiteActions {
-		row := rowFor(site)
-		for k := range acts {
-			row.Actions = append(row.Actions, SiteAction{Action: k.Kind, API: k.API})
-		}
-		sort.Slice(row.Actions, func(i, j int) bool {
-			if row.Actions[i].Action != row.Actions[j].Action {
-				return row.Actions[i].Action < row.Actions[j].Action
-			}
-			return row.Actions[i].API < row.Actions[j].API
-		})
+		rowFor(site).Actions = sortedActions(acts)
 	}
 	for _, e := range r.Events {
 		row := rowFor(e.Site)
@@ -104,6 +97,173 @@ func (r *Results) SiteRows() []SiteRow {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Site < rows[j].Site })
 	return rows
+}
+
+// SiteRow returns one site's record, equal to its entry in SiteRows, and
+// whether the site has any record at all. It scans Events, so it holds
+// for any Results, in whatever order their Events are.
+func (r *Results) SiteRow(site string) (SiteRow, bool) {
+	acts, found := r.SiteActions[site]
+	row := SiteRow{Site: site, Actions: sortedActions(acts)}
+	for _, e := range r.Events {
+		if e.Site == site {
+			row.Events = append(row.Events, e)
+		}
+	}
+	return row, found || len(row.Events) > 0
+}
+
+// sortedActions flattens one site's action set, ordered by (action, API).
+func sortedActions(acts map[actionAPIKey]bool) []SiteAction {
+	if len(acts) == 0 {
+		return nil
+	}
+	out := make([]SiteAction, 0, len(acts))
+	for k := range acts {
+		out = append(out, SiteAction{Action: k.Kind, API: k.API})
+	}
+	slices.SortFunc(out, func(a, b SiteAction) int {
+		if c := cmp.Compare(a.Action, b.Action); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.API, b.API)
+	})
+	return out
+}
+
+// SiteListing encodes the per-site listing of a sequence of Results,
+// re-encoding only the rows whose inputs changed since the previous
+// Encode. A live crawl's snapshots differ from one to the next in a few
+// dozen sites, so a listing costs what changed, not the whole crawl.
+// The zero value is ready to use. Encode calls must not overlap;
+// cookieguard.Server serializes them through its encoding cache.
+type SiteListing struct {
+	gen  uint64
+	rows map[string]*listedRow
+}
+
+// listedRow is one site's cached encoding and the inputs it encodes.
+// The inputs are private copies: keeping a snapshot's Events would keep
+// every old snapshot alive.
+type listedRow struct {
+	gen     uint64       // the Encode call that last listed the site
+	events  []Event      // the site's canonical events
+	actions []SiteAction // the site's sorted actions
+	enc     []byte       // json.Marshal(SiteRow); never mutated once built
+}
+
+var (
+	listOpen  = []byte("[")
+	listSep   = []byte(",")
+	listClose = []byte("]")
+)
+
+// Encode returns r's listing as chunks whose concatenation equals
+// json.Marshal(r.SiteRows()). A row is reused when its site's events
+// and actions equal the cached ones, whatever Results they came from,
+// so any Results may be encoded in any order. The chunks are never
+// written again: a caller may still be sending one listing while the
+// next is built. Results whose Events are not grouped by site in
+// ascending order, or name a site missing from SiteActions, are encoded
+// whole as one chunk.
+func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
+	if !eventsGroupedBySite(r) {
+		b, err := json.Marshal(r.SiteRows())
+		return [][]byte{b}, err
+	}
+	sites := make([]string, 0, len(r.SiteActions))
+	for site := range r.SiteActions {
+		sites = append(sites, site)
+	}
+	slices.Sort(sites)
+
+	if l.rows == nil {
+		l.rows = make(map[string]*listedRow, len(sites))
+	}
+	l.gen++
+	chunks := make([][]byte, 0, 2*len(sites)+1)
+	chunks = append(chunks, listOpen)
+	evs, i := r.Events, 0
+	for k, site := range sites {
+		j := i
+		for j < len(evs) && evs[j].Site == site {
+			j++
+		}
+		enc, err := l.row(site, evs[i:j], r.SiteActions[site])
+		if err != nil {
+			return nil, err
+		}
+		if k > 0 {
+			chunks = append(chunks, listSep)
+		}
+		chunks = append(chunks, enc)
+		i = j
+	}
+	chunks = append(chunks, listClose)
+	if len(l.rows) > len(sites) {
+		for site, row := range l.rows {
+			if row.gen != l.gen {
+				delete(l.rows, site)
+			}
+		}
+	}
+	return chunks, nil
+}
+
+// row returns the site's row encoding, reusing the cached one when the
+// inputs are unchanged.
+func (l *SiteListing) row(site string, evs []Event, acts map[actionAPIKey]bool) ([]byte, error) {
+	row := l.rows[site]
+	if row == nil {
+		row = &listedRow{}
+		l.rows[site] = row
+	}
+	row.gen = l.gen
+	if row.enc != nil && slices.Equal(row.events, evs) && sameActions(row.actions, acts) {
+		return row.enc, nil
+	}
+	actions := sortedActions(acts)
+	enc, err := json.Marshal(SiteRow{Site: site, Actions: actions, Events: evs})
+	if err != nil {
+		return nil, err
+	}
+	row.events = append(row.events[:0], evs...)
+	row.actions, row.enc = actions, enc
+	return enc, nil
+}
+
+// sameActions reports whether the distinct actions list and the set
+// hold the same elements.
+func sameActions(list []SiteAction, set map[actionAPIKey]bool) bool {
+	if len(list) != len(set) {
+		return false
+	}
+	for _, a := range list {
+		if !set[actionAPIKey{a.Action, a.API}] {
+			return false
+		}
+	}
+	return true
+}
+
+// eventsGroupedBySite reports whether r's Events are grouped by site in
+// ascending order and every site they name is in SiteActions — the
+// shape finalizing leaves, under which SiteRows is SiteActions' sorted
+// sites, each with its contiguous event range.
+func eventsGroupedBySite(r *Results) bool {
+	for i := range r.Events {
+		site := r.Events[i].Site
+		if i > 0 && site == r.Events[i-1].Site {
+			continue
+		}
+		if i > 0 && site < r.Events[i-1].Site {
+			return false
+		}
+		if _, ok := r.SiteActions[site]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // RetentionTable is the crawl-retention rollup cookieguard.Server serves

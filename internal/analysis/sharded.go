@@ -6,32 +6,28 @@ import (
 	"cookieguard/internal/instrument"
 )
 
-// foldState accumulates src into dst by value: counters sum, sets union,
+// foldState accumulates src into dst: counters sum, sets union, and
 // event groups and attribution claims carry over with their observation
-// sequences offset past dst's. Nothing of src is retained by reference
-// beyond immutable strings, so dst stays independent of later src
-// mutation. Every fold operation is commutative across distinct (site,
-// vantage) keys, and finalizeState canonicalizes the one order-sensitive
-// structure (Events), so folding shards in any fixed order produces the
-// same finalized Results.
+// sequences offset past dst's. Events are not copied here: each group
+// keeps the slice header of src's Events it indexes, and finalizeState
+// copies the events once, straight into canonical order. That is safe
+// while src keeps observing, because Events only ever grows by append:
+// elements below the captured length are never written again. Nothing
+// else of src is retained by reference beyond immutable strings. Every
+// fold operation is commutative across distinct (site, vantage) keys,
+// and finalizeState canonicalizes the one order-sensitive structure
+// (Events), so folding shards in any fixed order produces the same
+// finalized Results.
 func foldState(dst, src *runState) {
 	obsBase := dst.obsSeq
-	evBase := len(dst.res.Events)
-	dst.res.Events = append(dst.res.Events, src.res.Events...)
 	for _, g := range src.groups {
 		g.seq += obsBase
-		g.start += evBase
-		g.end += evBase
+		if g.src == nil {
+			g.src = src.res.Events
+		}
 		dst.groups = append(dst.groups, g)
 	}
 	dst.obsSeq += src.obsSeq
-
-	for key, c := range src.pairFirst {
-		c.obs += obsBase
-		if best, ok := dst.pairFirst[key]; !ok || c.before(best) {
-			dst.pairFirst[key] = c
-		}
-	}
 
 	ds, ss := &dst.res.Summary, &src.res.Summary
 	ds.SitesTotal += ss.SitesTotal
@@ -50,18 +46,22 @@ func foldState(dst, src *runState) {
 	dst.indirectTrackers += src.indirectTrackers
 
 	for key, sp := range src.res.Pairs {
+		c := sp.first
+		c.obs += obsBase
 		dp := dst.res.Pairs[key]
 		if dp == nil {
-			dp = newPairInfo(key, sp.API)
+			dp = &PairInfo{Key: key, API: sp.API, first: c}
 			dst.res.Pairs[key] = dp
+		} else {
+			dp.claim(c, sp.API)
 		}
-		unionInto(dp.ExfilEntities, sp.ExfilEntities)
-		unionInto(dp.DestEntities, sp.DestEntities)
-		unionInto(dp.OverwriterEnt, sp.OverwriterEnt)
-		unionInto(dp.DeleterEnt, sp.DeleterEnt)
-		unionInto(dp.ExfilDomains, sp.ExfilDomains)
-		unionInto(dp.OverwriterDomains, sp.OverwriterDomains)
-		unionInto(dp.DeleterDomains, sp.DeleterDomains)
+		unionInto(&dp.ExfilEntities, sp.ExfilEntities)
+		unionInto(&dp.DestEntities, sp.DestEntities)
+		unionInto(&dp.OverwriterEnt, sp.OverwriterEnt)
+		unionInto(&dp.DeleterEnt, sp.DeleterEnt)
+		unionInto(&dp.ExfilDomains, sp.ExfilDomains)
+		unionInto(&dp.OverwriterDomains, sp.OverwriterDomains)
+		unionInto(&dp.DeleterDomains, sp.DeleterDomains)
 	}
 
 	for site, acts := range src.res.SiteActions {
@@ -112,9 +112,17 @@ func foldState(dst, src *runState) {
 	}
 }
 
-func unionInto(dst, src map[string]bool) {
+// unionInto adds src's elements to the set *dst, allocating it only
+// when src is non-empty.
+func unionInto(dst *map[string]bool, src map[string]bool) {
+	if len(src) == 0 {
+		return
+	}
+	if *dst == nil {
+		*dst = make(map[string]bool, len(src))
+	}
 	for k := range src {
-		dst[k] = true
+		(*dst)[k] = true
 	}
 }
 
@@ -184,9 +192,16 @@ func (s *Sharded) Observe(i int, v instrument.VisitLog) {
 
 // Snapshot merges the shards into finalized Results without consuming
 // them: observation continues afterwards. Each shard is locked only for
-// the duration of its own copy-fold, so concurrent Observe calls on
-// other shards proceed; the returned Results share no state with the
-// shards and may be published to concurrent readers.
+// the duration of its own fold, so concurrent Observe calls on other
+// shards proceed; the returned Results share no state with the shards
+// and may be published to concurrent readers.
+//
+// The fold captures each shard's Events slice header under the shard's
+// lock, and the events are copied only after every lock is released.
+// That read is race-free because a shard's Events only grow by append:
+// an Observe after the unlock writes at or beyond the captured length
+// (possibly into the same backing array), never below it.
+// TestShardedConcurrentObserve under -race guards this invariant.
 func (s *Sharded) Snapshot() *Results {
 	dst := newRunState()
 	for i, a := range s.shards {

@@ -31,15 +31,17 @@ package cookieguard
 //     re-polls with it.
 //   - `If-None-Match` with the current ETag short-circuits to 304.
 //
-// Each endpoint caches one encoding per snapshot index, so any number
-// of pollers at the current index cost zero marshalling and never touch
-// the analyzer (enforced by an allocation-counting test).
+// Each endpoint caches its encoding of the latest snapshot index, so any
+// number of pollers at the current index cost zero marshalling and
+// never touch the analyzer (enforced by an allocation-counting test).
+// /v1/sites reuses unchanged rows across indexes, re-encoding only the
+// sites that changed since the previous snapshot, and writes the rows
+// one by one without building a contiguous body.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -95,21 +97,24 @@ func (p *Pipeline) NewServer() *Server {
 		mux:   http.NewServeMux(),
 		empty: analysis.New().Finalize(),
 	}
-	s.versioned("GET /v1/results", func(res *analysis.Results, _ resultstore.Snapshot) ([]byte, error) {
-		return res.StableJSON()
+	s.versioned("GET /v1/results", func(res *analysis.Results, _ resultstore.Snapshot) ([][]byte, error) {
+		return oneChunk(res.StableJSON())
 	})
 	s.versioned("GET /v1/summary", marshal(func(res *analysis.Results) any { return res.Summary }))
-	s.versioned("GET /v1/sites", marshal(func(res *analysis.Results) any { return res.SiteRows() }))
+	listing := &analysis.SiteListing{}
+	s.versioned("GET /v1/sites", func(res *analysis.Results, _ resultstore.Snapshot) ([][]byte, error) {
+		return listing.Encode(res)
+	})
 	s.versioned("GET /v1/tables/retention", marshal(func(res *analysis.Results) any { return res.Retention() }))
 	s.versioned("GET /v1/tables/failures", marshal(func(res *analysis.Results) any { return res.FailureTable() }))
 	s.versioned("GET /v1/tables/vantages", marshal(func(res *analysis.Results) any { return res.VantageTable() }))
 	s.versioned("GET /v1/tables/personas", marshal(func(res *analysis.Results) any { return res.PersonaTable() }))
 	s.versioned("GET /v1/tables/actions", marshal(func(res *analysis.Results) any { return res.Table1() }))
-	s.versioned("GET /v1/progress", func(_ *analysis.Results, snap resultstore.Snapshot) ([]byte, error) {
-		return json.Marshal(struct {
+	s.versioned("GET /v1/progress", func(_ *analysis.Results, snap resultstore.Snapshot) ([][]byte, error) {
+		return oneChunk(json.Marshal(struct {
 			Index uint64 `json:"index"`
 			resultstore.Progress
-		}{snap.Index, snap.Progress})
+		}{snap.Index, snap.Progress}))
 	})
 	s.mux.HandleFunc("GET /v1/sites/{site}", s.handleSite)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -120,24 +125,32 @@ func (p *Pipeline) NewServer() *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // marshal adapts a plain view function to the versioned builder shape.
-func marshal(view func(*analysis.Results) any) func(*analysis.Results, resultstore.Snapshot) ([]byte, error) {
-	return func(res *analysis.Results, _ resultstore.Snapshot) ([]byte, error) {
-		return json.Marshal(view(res))
+func marshal(view func(*analysis.Results) any) func(*analysis.Results, resultstore.Snapshot) ([][]byte, error) {
+	return func(res *analysis.Results, _ resultstore.Snapshot) ([][]byte, error) {
+		return oneChunk(json.Marshal(view(res)))
 	}
 }
 
-// encCache memoizes one endpoint's encoding of one snapshot index.
-// Published snapshots are immutable, so index equality is encoding
-// validity; a new index simply overwrites (pollers only ever want the
-// newest version).
+// oneChunk wraps a contiguous body in the chunked body shape.
+func oneChunk(body []byte, err error) ([][]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return [][]byte{body}, nil
+}
+
+// encCache memoizes one endpoint's encoding of one snapshot index: the
+// body as chunks, written in order. Published snapshots are immutable,
+// so index equality is encoding validity; a new index simply overwrites
+// (pollers only ever want the newest version).
 type encCache struct {
 	mu    sync.Mutex
 	index uint64
-	body  []byte
+	body  [][]byte
 	valid bool
 }
 
-func (c *encCache) get(snap resultstore.Snapshot, build func() ([]byte, error)) ([]byte, error) {
+func (c *encCache) get(snap resultstore.Snapshot, build func() ([][]byte, error)) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.valid && c.index == snap.Index {
@@ -154,7 +167,7 @@ func (c *encCache) get(snap resultstore.Snapshot, build func() ([]byte, error)) 
 // versioned mounts one blocking-query endpoint: resolve the snapshot
 // (waiting if the client is up to date), handle ETag/304, serve the
 // per-index cached encoding.
-func (s *Server) versioned(pattern string, build func(*analysis.Results, resultstore.Snapshot) ([]byte, error)) {
+func (s *Server) versioned(pattern string, build func(*analysis.Results, resultstore.Snapshot) ([][]byte, error)) {
 	cache := &encCache{}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		snap, ok := s.resolve(w, r)
@@ -166,7 +179,7 @@ func (s *Server) versioned(pattern string, build func(*analysis.Results, results
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		body, err := cache.get(snap, func() ([]byte, error) {
+		body, err := cache.get(snap, func() ([][]byte, error) {
 			return build(s.results(snap), snap)
 		})
 		if err != nil {
@@ -174,7 +187,11 @@ func (s *Server) versioned(pattern string, build func(*analysis.Results, results
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		for _, chunk := range body {
+			if _, err := w.Write(chunk); err != nil {
+				return // the client went away
+			}
+		}
 	})
 }
 
@@ -234,39 +251,13 @@ func (s *Server) handleSite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	site := r.PathValue("site")
-	res := s.results(snap)
-	row, found := siteRow(res, site)
+	row, found := s.results(snap).SiteRow(site)
 	if !found {
 		http.Error(w, "unknown site: "+site, http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(row)
-}
-
-// siteRow extracts one site's record from finalized Results.
-func siteRow(res *analysis.Results, site string) (analysis.SiteRow, bool) {
-	row := analysis.SiteRow{Site: site}
-	found := false
-	if acts, ok := res.SiteActions[site]; ok {
-		found = true
-		for k := range acts {
-			row.Actions = append(row.Actions, analysis.SiteAction{Action: k.Kind, API: k.API})
-		}
-		sort.Slice(row.Actions, func(i, j int) bool {
-			if row.Actions[i].Action != row.Actions[j].Action {
-				return row.Actions[i].Action < row.Actions[j].Action
-			}
-			return row.Actions[i].API < row.Actions[j].API
-		})
-	}
-	for _, e := range res.Events {
-		if e.Site == site {
-			row.Events = append(row.Events, e)
-			found = true
-		}
-	}
-	return row, found
 }
 
 // handleStats serves the live counters. Unversioned: the values come

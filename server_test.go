@@ -5,11 +5,14 @@ package cookieguard
 // over real HTTP, and the allocation bound on the cached read path.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -369,5 +372,201 @@ func TestServeWhileCrawling(t *testing.T) {
 	_, body := get(t, "http://"+addr+"/v1/results", nil)
 	if string(body) != stableJSON(t, res) {
 		t.Fatal("final served /v1/results diverge from Run's return value")
+	}
+}
+
+// TestServedSitesListingMatchesSiteRows is the differential check on
+// the row-reusing /v1/sites encoder: at every index a blocking reader
+// sees during a served crawl, the body equals json.Marshal(SiteRows())
+// of that snapshot — on a clean crawl and on a personas × vantages
+// crawl at 10% faults.
+func TestServedSitesListingMatchesSiteRows(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"clean", []Option{WithSites(120), WithWorkers(4)}},
+		{"personas-vantages-faults", []Option{WithSites(40), WithWorkers(4),
+			WithFaults(UniformFaults(0.1, 7)), WithRetryPolicy(DefaultRetryPolicy()),
+			WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
+			WithVantageParallel(true), WithPersonas("accept", "reject")}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Throttle visits slightly so the reader catches most
+			// publishes while they are still the latest.
+			p := New(append([]Option{WithSnapshotEvery(8),
+				WithProgress(func(int, int) { time.Sleep(200 * time.Microsecond) })}, tc.opts...)...)
+			srv, store := p.NewServer(), p.ResultStore()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			compared := make(chan int, 1)
+			go func() {
+				n := 0
+				defer func() { compared <- n }()
+				var idx uint64
+				for ctx.Err() == nil {
+					w := httptest.NewRecorder()
+					url := "/v1/sites?index=" + strconv.FormatUint(idx, 10) + "&wait=10s"
+					srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+					got, err := strconv.ParseUint(w.Header().Get("X-Result-Index"), 10, 64)
+					if err != nil || w.Code != http.StatusOK {
+						t.Errorf("status %d, index %q", w.Code, w.Header().Get("X-Result-Index"))
+						return
+					}
+					if got <= idx {
+						continue
+					}
+					idx = got
+					// Only the latest snapshot's Results are reachable;
+					// skip an index a publish has already replaced.
+					snap := store.Latest()
+					if snap.Index != got {
+						continue
+					}
+					want, err := json.Marshal(snap.Results.SiteRows())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(w.Body.Bytes(), want) {
+						t.Errorf("index %d: /v1/sites diverges from SiteRows (%d vs %d bytes)", got, w.Body.Len(), len(want))
+						return
+					}
+					n++
+					if snap.Progress.Final {
+						return
+					}
+				}
+			}()
+			if _, err := p.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			n := <-compared
+			if t.Failed() {
+				return
+			}
+			if n < 3 {
+				t.Fatalf("compared %d indexes; want mid-crawl snapshots and the final one", n)
+			}
+			t.Logf("compared /v1/sites at %d of %d indexes", n, store.Index())
+		})
+	}
+}
+
+// TestServedSitesListingFallbackAndEmpty: the empty store lists as [],
+// and published Results whose Events are out of site order (the
+// fallback path) still serve json.Marshal(SiteRows()) on /v1/sites and
+// each row on /v1/sites/{site}.
+func TestServedSitesListingFallbackAndEmpty(t *testing.T) {
+	p := New(WithSites(30), WithWorkers(4))
+	srv := p.NewServer()
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites", nil))
+	if w.Body.String() != "[]" {
+		t.Fatalf("empty store lists %q, want []", w.Body.String())
+	}
+
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) < 2 || res.Events[0].Site == res.Events[len(res.Events)-1].Site {
+		t.Fatal("fixture has events of too few sites to reorder")
+	}
+	reordered := *res
+	reordered.Events = slices.Clone(res.Events)
+	slices.Reverse(reordered.Events)
+	p.ResultStore().Publish(resultstore.Progress{Final: true}, &reordered)
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites", nil))
+	want, err := json.Marshal(reordered.SiteRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatal("/v1/sites of out-of-order Events diverges from SiteRows")
+	}
+	// Each site's detail is its SiteRows entry on the same snapshot.
+	for _, row := range reordered.SiteRows() {
+		w = httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites/"+row.Site, nil))
+		want, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusOK || !bytes.Equal(bytes.TrimSuffix(w.Body.Bytes(), []byte("\n")), want) {
+			t.Fatalf("/v1/sites/%s of out-of-order Events: status %d, diverges from its SiteRows entry", row.Site, w.Code)
+		}
+	}
+}
+
+// TestSitesListingRepublishAllocs bounds the cost of a publish that
+// changed nothing: building /v1/sites for the same Results at a new
+// index reuses every row, allocating under 10% of the body's bytes.
+func TestSitesListingRepublishAllocs(t *testing.T) {
+	p, _ := serveTestPipeline(t)
+	srv, store := p.NewServer(), p.ResultStore()
+	req := httptest.NewRequest(http.MethodGet, "/v1/sites", nil)
+	w := &nopResponseWriter{h: make(http.Header)}
+	srv.ServeHTTP(w, req) // encodes every row
+	body := w.n
+
+	snap := store.Latest()
+	store.Publish(snap.Progress, snap.Results)
+	w.reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.n != body {
+		t.Fatalf("republished listing wrote %d bytes, first wrote %d", w.n, body)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc*10 >= uint64(body) {
+		t.Fatalf("republished listing allocated %d bytes for a %d-byte body; want < 10%%", alloc, body)
+	}
+	t.Logf("republished listing: %d bytes allocated for a %d-byte body", alloc, body)
+}
+
+// TestServedProgressMonotonic: across the indexes a reader sees, Done
+// never decreases and never exceeds the snapshot's SitesTotal (every
+// visit a publish counts has been observed).
+func TestServedProgressMonotonic(t *testing.T) {
+	p := New(WithSites(60), WithWorkers(4), WithSnapshotEvery(1))
+	store := p.ResultStore()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := make(chan int, 1)
+	go func() {
+		n, idx, last := 0, uint64(0), 0
+		defer func() { seen <- n }()
+		for ctx.Err() == nil {
+			snap := store.Wait(ctx, idx, 10*time.Second)
+			if snap.Index <= idx {
+				continue
+			}
+			idx = snap.Index
+			n++
+			pr := snap.Progress
+			if pr.Done < last {
+				t.Errorf("index %d: Done %d after %d", snap.Index, pr.Done, last)
+				return
+			}
+			if pr.Done > snap.Results.Summary.SitesTotal {
+				t.Errorf("index %d: Done %d above the snapshot's %d visits", snap.Index, pr.Done, snap.Results.Summary.SitesTotal)
+				return
+			}
+			last = pr.Done
+			if pr.Final {
+				return
+			}
+		}
+	}()
+	if _, err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-seen; n < 2 && !t.Failed() {
+		t.Fatalf("reader saw %d snapshots", n)
 	}
 }
