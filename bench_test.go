@@ -402,7 +402,7 @@ let back = get_cookie("bench");
 // BenchmarkUnitAlloc times the full (site, vantage, persona) unit axis —
 // the dispatch path sharded crawls partition — on one warm pipeline:
 // every iteration re-crawls 20 sites × 2 vantages × 2 personas through
-// the unified pool, so allocs/op ÷ 80 is the per-unit garbage figure
+// one worker pool, so allocs/op ÷ 80 is the per-unit garbage figure
 // (the lane bookkeeping, unit labels, and delivery path on top of the
 // visits themselves). The reported units/s metric is the same figure
 // BENCH snapshots record.
@@ -410,7 +410,6 @@ func BenchmarkUnitAlloc(b *testing.B) {
 	const sites = 20
 	p := New(WithSites(sites), WithWorkers(4), WithInteract(true), WithSeed(7),
 		WithVantages(RegionVantage("eu-west", 0, 7), RegionVantage("us-east", 0, 7)),
-		WithVantageParallel(true),
 		WithPersonas("accept", "reject"))
 	units := sites * 2 * 2
 	b.ReportAllocs()

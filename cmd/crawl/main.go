@@ -12,7 +12,7 @@
 //
 //	crawl [-sites N] [-workers N] [-seed S] [-guard] [-sort] [-faults RATE]
 //	      [-retries N] [-second-pass] [-breaker] [-autopilot]
-//	      [-vantages eu-west,us-east] [-vantage-parallel]
+//	      [-vantages eu-west,us-east]
 //	      [-personas accept,reject,dismiss] [-cmp]
 //	      [-pooling=BOOL] [-v] [-o logs.jsonl] [-list tranco.csv]
 //	      [-serve :8089] [-snap-every K]
@@ -71,9 +71,8 @@
 // per-host values learned from observed inter-failure intervals on the
 // virtual clock; -vantages crawls every site once per named region —
 // region-derived latency and, with -faults, region-seeded fault
-// schedules — tagging each record with its vantage; -vantage-parallel
-// drives all vantages through one unified worker pool instead of
-// vantage by vantage; -personas crawls every (site, vantage) pair once
+// schedules — all regions through one worker pool, tagging each record
+// with its vantage; -personas crawls every (site, vantage) pair once
 // per named consent persona (accept/reject/dismiss clicks on the
 // generated consent banners, implying -cmp), tagging each record with
 // its persona; -cmp alone generates the consent-manager web without
@@ -121,8 +120,6 @@ func main() {
 		"self-tuning breaker thresholds: learn each host's failure threshold and cooldown from its observed inter-failure intervals (implies -breaker)")
 	vantages := flag.String("vantages", "",
 		"comma-separated vantage-point names; crawls every site once per region (region-derived latency, region-seeded -faults), tagging records with their vantage")
-	vantParallel := flag.Bool("vantage-parallel", false,
-		"crawl all vantages through one unified worker pool instead of vantage by vantage (records stay byte-identical; logs interleave vantages in completion order)")
 	personas := flag.String("personas", "",
 		"comma-separated consent personas (e.g. accept,reject,dismiss); crawls every (site, vantage) pair once per persona, clicking the matching consent-banner action before interacting (implies -cmp), tagging records with their persona")
 	cmp := flag.Bool("cmp", false,
@@ -164,7 +161,7 @@ func main() {
 			checkpoint: *checkpoint,
 			crashAfter: *crashAfter,
 			workerArgs: workerArgs(*sites, *workers, *seed, *guarded, *sortOut, *faults,
-				*retries, *secondPass, *breaker, *autopilot, *vantages, *vantParallel,
+				*retries, *secondPass, *breaker, *autopilot, *vantages,
 				*personas, *cmp, *pooling, *verbose),
 		}
 		code := sup.run(ctx)
@@ -223,7 +220,6 @@ func main() {
 			}
 		}
 		opts = append(opts, cookieguard.WithVantages(vs...))
-		opts = append(opts, cookieguard.WithVantageParallel(*vantParallel))
 	}
 	personaList := splitNames(*personas)
 	if len(personaList) > 0 {

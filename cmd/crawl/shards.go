@@ -151,8 +151,8 @@ func shardSortKey(line []byte) (string, error) {
 // serving flags never propagate (workers write shard files the
 // supervisor merges).
 func workerArgs(sites, workers int, seed uint64, guarded, sortOut bool, faults float64,
-	retries int, secondPass, breaker, autopilot bool, vantages string, vantParallel bool,
-	personas string, cmp, pooling, verbose bool) []string {
+	retries int, secondPass, breaker, autopilot bool, vantages, personas string,
+	cmp, pooling, verbose bool) []string {
 	args := []string{
 		"-sites", strconv.Itoa(sites),
 		"-workers", strconv.Itoa(workers),
@@ -180,9 +180,6 @@ func workerArgs(sites, workers int, seed uint64, guarded, sortOut bool, faults f
 	}
 	if vantages != "" {
 		args = append(args, "-vantages", vantages)
-		if vantParallel {
-			args = append(args, "-vantage-parallel")
-		}
 	}
 	if personas != "" {
 		args = append(args, "-personas", personas)

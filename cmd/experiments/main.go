@@ -1,6 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation and prints paper-vs-measured comparisons. It is the one-shot
-// harness behind EXPERIMENTS.md.
+// evaluation and prints paper-vs-measured comparisons.
 //
 // Usage:
 //
@@ -9,7 +8,6 @@
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [-faults RATE] [-retries N] [-second-pass] [-breaker]
 //	            [-autopilot] [-vantages eu-west,us-east]
-//	            [-vantage-parallel] [-vantage-compare]
 //	            [-personas accept,reject,dismiss] [-cmp]
 //	            [-serve :8089] [-serve-bench]
 //	            [-checkpoint DIR] [-checkpoint-compare]
@@ -20,7 +18,8 @@
 // hash of each site's registrable domain) run as N concurrent
 // in-process pipelines over one frozen web and merged byte-identical
 // to the unsharded crawl. -shard-compare times the same configuration
-// unsharded and at N in-process shards on fresh pipelines and records
+// unsharded and at N in-process shards through the paired lap harness
+// (see Paired timing) and records
 // both units/s figures, the speedup ratio, and per-shard unit counts
 // and units/s under the bench snapshot's `shard_modes` key
 // (BENCH_10.json by convention; the CI shard gate requires speedup ≥
@@ -40,6 +39,13 @@
 // crawl context: in-flight visits drain and buffered journal appends
 // flush before the process exits 130.
 //
+// Paired timing: -shard-compare and -checkpoint-compare share one lap
+// harness. Every lap builds a fresh pipeline (fresh web and caches)
+// over the measurement crawl's configuration plus the one option being
+// measured, and drains Stream; one discarded warm-up lap comes first,
+// then three laps per side alternating which side runs first, keeping
+// each side's best, so cold-start costs bill to neither side.
+//
 // Consent personas: -personas crawls every (site, vantage) pair once
 // per named consent persona (accept/reject/dismiss clicks on the
 // generated consent banners, implying -cmp) and prints the per-persona
@@ -50,17 +56,6 @@
 // three axis counts (BENCH_8.json by convention for persona runs).
 // -cmp alone generates the consent-manager web without acting on the
 // banners.
-//
-// Cross-vantage scheduling: -vantage-parallel crawls all vantages
-// through one unified worker pool (records byte-identical to the
-// sequential default), -vantage-compare additionally times a
-// sequential-mode baseline of the same configuration and records
-// sequential vs parallel visits/s plus their ratio in the -bench-json
-// snapshot (BENCH_7.json by convention; the CI vantage gate requires
-// speedup >= 1.2 on multi-core shapes), and -autopilot switches the
-// circuit breaker to
-// self-tuned per-host thresholds learned from observed inter-failure
-// intervals.
 //
 // Live serving: -serve exposes the measurement crawl's analysis over
 // HTTP while it runs (cookieguard.Server — versioned snapshots with
@@ -73,13 +68,16 @@
 //
 // Scheduling and vantage points: -second-pass re-crawls the transient
 // failure set once the primary frontier drains, -breaker enables
-// per-host circuit breaking (sheds recorded as "circuit-open"), and
-// -vantages crawls every site once per named region over the same
-// frozen web and artifact cache, printing the per-vantage retention and
-// load-event latency-tail table (the Figure 6 comparison across
-// regions). -bench-json records per-vantage sites/s and the scheduler's
-// shed/probe counters alongside the usual throughput figures
-// (BENCH_5.json by convention for multi-vantage faulted runs).
+// per-host circuit breaking (sheds recorded as "circuit-open"),
+// -autopilot switches the breaker to self-tuned per-host thresholds
+// learned from observed inter-failure intervals, and -vantages crawls
+// every site once per named region over the same frozen web and
+// artifact cache — every region a lane of one worker pool — printing
+// the per-vantage retention and load-event latency-tail table (the
+// Figure 6 comparison across regions). -bench-json records the
+// per-vantage rows and the scheduler's shed/probe counters alongside
+// the usual throughput figures (BENCH_5.json by convention for
+// multi-vantage faulted runs).
 //
 // Profiling and the perf harness: -cpuprofile/-memprofile write pprof
 // profiles (the memory profile is taken right after the measurement
@@ -159,10 +157,6 @@ func main() {
 		"self-tuning breaker thresholds: learn each host's failure threshold and cooldown from its observed inter-failure intervals (implies -breaker)")
 	vantages := flag.String("vantages", "",
 		"comma-separated vantage-point names; crawls every site once per region and prints the per-vantage latency-tail table")
-	vantParallel := flag.Bool("vantage-parallel", false,
-		"crawl all vantages through one unified worker pool (byte-identical records, higher throughput) instead of vantage by vantage")
-	vantCompare := flag.Bool("vantage-compare", false,
-		"additionally time a sequential-mode baseline and record sequential vs parallel visits/s (and their ratio) in -bench-json; implies -vantage-parallel")
 	personas := flag.String("personas", "",
 		"comma-separated consent personas (e.g. accept,reject,dismiss); crawls every (site, vantage) pair once per persona, clicking the matching consent-banner action (implies -cmp) and printing the per-persona consent-delta table")
 	cmp := flag.Bool("cmp", false,
@@ -207,7 +201,6 @@ func main() {
 		benchJSON: *benchJSON, memProfile: *memProfile,
 		faultRate: *faults, retries: *retries,
 		secondPass: *secondPass, breaker: *breaker, autopilot: *autopilot,
-		vantParallel: *vantParallel || *vantCompare, vantCompare: *vantCompare,
 		cmp:       *cmp,
 		serveAddr: *serve, serveBench: *serveBench,
 		checkpointDir: *checkpoint, ckptCompare: *ckptCompare,
@@ -256,8 +249,6 @@ type runConfig struct {
 	secondPass, breaker    bool
 	autopilot              bool
 	vantages               []cookieguard.Vantage
-	vantParallel           bool
-	vantCompare            bool
 	personas               []string
 	cmp                    bool
 	serveAddr              string
@@ -285,7 +276,7 @@ type benchSnapshot struct {
 	// counts each distinct site once (sites / CrawlSeconds) while
 	// VisitsPerSec counts performed crawls — sites × vantages — per
 	// wall-clock second, the figure that is comparable across vantage
-	// counts and modes. For single-vantage runs the two coincide.
+	// counts. For single-vantage runs the two coincide.
 	// UnitsPerSec generalizes VisitsPerSec to the full crawl-plan axis:
 	// sites × vantages × personas per wall-clock second, the figure that
 	// is comparable across persona counts too (equal to VisitsPerSec
@@ -294,10 +285,6 @@ type benchSnapshot struct {
 	SitesPerSec  float64 `json:"sites_per_sec"`
 	VisitsPerSec float64 `json:"visits_per_sec"`
 	UnitsPerSec  float64 `json:"units_per_sec"`
-	// VantageParallel records whether the crawl ran the unified
-	// cross-vantage scheduler (-vantage-parallel) instead of vantage by
-	// vantage.
-	VantageParallel bool `json:"vantage_parallel,omitempty"`
 	// Shards records the measurement crawl's in-process shard count
 	// (absent when unsharded); UnitsPerSec above then measures the
 	// sharded crawl end to end, merge included.
@@ -317,16 +304,10 @@ type benchSnapshot struct {
 	// circuit-breaker shed/probe activity, and second-pass volume (all
 	// zero without -breaker/-second-pass).
 	Sched cookieguard.SchedSnapshot `json:"sched"`
-	// Vantages carries per-vantage throughput and latency-tail rows for
-	// multi-vantage runs (absent otherwise). Per-vantage crawl_seconds /
-	// sites_per_sec are only attributable in sequential mode; under
-	// -vantage-parallel the lanes share one pool and the rows carry the
-	// analysis columns only.
+	// Vantages carries per-vantage retention and latency-tail rows for
+	// multi-vantage runs (absent otherwise). The lanes share one worker
+	// pool, so wall-clock time is not attributable per vantage.
 	Vantages []vantageBench `json:"vantages,omitempty"`
-	// VantageModes is the -vantage-compare record: the same configuration
-	// timed in sequential and unified-parallel vantage mode, plus the
-	// parallel/sequential visits-per-second ratio the CI gate checks.
-	VantageModes *vantageModes `json:"vantage_modes,omitempty"`
 	// Checkpoint is the -checkpoint/-checkpoint-compare record: journal
 	// IO volume and the units/s cost of write-ahead journaling (absent
 	// without either flag).
@@ -358,39 +339,12 @@ type serveBenchResult struct {
 
 // vantageBench is one vantage point's row in the bench snapshot.
 type vantageBench struct {
-	Name         string  `json:"name"`
-	CrawlSeconds float64 `json:"crawl_seconds,omitempty"`
-	SitesPerSec  float64 `json:"sites_per_sec,omitempty"`
+	Name string `json:"name"`
 	cookieguard.VantageStats
 }
 
-// vantageModes compares the two multi-vantage crawl modes over one
-// configuration (-vantage-compare): fresh pipelines, both draining
-// Stream, sequential timed first.
-type vantageModes struct {
-	// CPUs is runtime.NumCPU() on the measuring machine. The unified
-	// pool's wall-clock win comes from filling one lane's round-barrier
-	// tail with other lanes' visits, which needs runnable cores: on a
-	// single-CPU shape the simulated crawl is CPU-bound (virtual-clock
-	// latency costs no wall time) and the two modes tie.
-	CPUs       int              `json:"cpus"`
-	Sequential vantageModeBench `json:"sequential"`
-	Parallel   vantageModeBench `json:"parallel"`
-	// Speedup is parallel visits/s over sequential visits/s; the CI
-	// vantage gate requires ≥ 1.2 on multi-core shapes and non-regression
-	// on single-core shapes.
-	Speedup float64 `json:"speedup"`
-}
-
-// vantageModeBench is one mode's timing in a -vantage-compare record.
-type vantageModeBench struct {
-	CrawlSeconds float64 `json:"crawl_seconds"`
-	VisitsPerSec float64 `json:"visits_per_sec"`
-}
-
 // shardModes compares unsharded vs in-process-sharded crawling over one
-// configuration (-shard-compare): fresh pipelines, both draining
-// Stream, alternating lap order, best-of each.
+// configuration (-shard-compare), timed by compareLaps.
 type shardModes struct {
 	// CPUs is runtime.NumCPU() on the measuring machine. Shard
 	// parallelism wins by running N full pipelines on separate cores; on
@@ -427,13 +381,14 @@ type shardBench struct {
 }
 
 // checkpointBench records what write-ahead journaling cost. With
-// -checkpoint-compare the with/without figures come from paired fresh
-// pipelines (best of three alternating laps each); with
+// -checkpoint-compare the with/without figures come from compareLaps
+// (best of three alternating laps each); with
 // -checkpoint alone only the journal volume and the journaled crawl's
 // units/s are known and the overhead fields stay zero.
 type checkpointBench struct {
 	// JournalBytes / JournalRecords / JournalSnapshots / Fsyncs are the
-	// write-ahead journal's IO volume for one full crawl.
+	// write-ahead journal's IO volume for one full crawl (under
+	// -checkpoint-compare, the last journaled lap's).
 	JournalBytes     int64 `json:"journal_bytes"`
 	JournalRecords   int64 `json:"journal_records"`
 	JournalSnapshots int64 `json:"journal_snapshots"`
@@ -482,31 +437,34 @@ func run(cfg runConfig) error {
 	if cfg.cmp {
 		resilience = append(resilience, cookieguard.WithCMP(true))
 	}
-	// The -vantage-compare and -checkpoint-compare baselines rerun this
-	// exact configuration on fresh pipelines: same resilience stack, no
-	// unified pool, no server, no journal — each compare lap adds the one
-	// option it is measuring itself.
-	seqResilience := append([]cookieguard.Option(nil), resilience...)
-	if len(cfg.vantages) > 0 && cfg.vantParallel {
-		resilience = append(resilience, cookieguard.WithVantageParallel(true))
+	// newPipeline builds a pipeline over this run's crawl configuration
+	// plus extra options. The compare laps rerun exactly that
+	// configuration — no shards, server, or journal — each adding the one
+	// option it measures.
+	newPipeline := func(extra ...cookieguard.Option) *cookieguard.Pipeline {
+		opts := append([]cookieguard.Option{
+			cookieguard.WithSites(sites),
+			cookieguard.WithWorkers(workers),
+			cookieguard.WithSeed(seed),
+			cookieguard.WithInteract(true),
+			cookieguard.WithArtifactCache(artifactCache),
+			cookieguard.WithPooling(pooling),
+		}, resilience...)
+		return cookieguard.New(append(opts, extra...)...)
 	}
+	// baseline is the unchanged side of every compare.
+	baseline := func() (*cookieguard.Pipeline, func(), error) { return newPipeline(), nil, nil }
+	var studyOpts []cookieguard.Option
 	if cfg.shards > 1 && !cfg.shardCompare {
-		resilience = append(resilience, cookieguard.WithShards(cfg.shards))
+		studyOpts = append(studyOpts, cookieguard.WithShards(cfg.shards))
 	}
 	if cfg.serveAddr != "" {
-		resilience = append(resilience, cookieguard.WithServer(cfg.serveAddr))
+		studyOpts = append(studyOpts, cookieguard.WithServer(cfg.serveAddr))
 	}
 	if cfg.checkpointDir != "" {
-		resilience = append(resilience, cookieguard.WithCheckpoint(cfg.checkpointDir))
+		studyOpts = append(studyOpts, cookieguard.WithCheckpoint(cfg.checkpointDir))
 	}
-	study := cookieguard.New(append([]cookieguard.Option{
-		cookieguard.WithSites(sites),
-		cookieguard.WithWorkers(workers),
-		cookieguard.WithSeed(seed),
-		cookieguard.WithInteract(true),
-		cookieguard.WithArtifactCache(artifactCache),
-		cookieguard.WithPooling(pooling),
-	}, resilience...)...)
+	study := newPipeline(studyOpts...)
 	// SIGINT/SIGTERM cancels the crawl; in-flight visits drain, a journal
 	// (if -checkpoint) flushes its final state, and main exits 130. A
 	// second signal kills the process the default way.
@@ -526,52 +484,9 @@ func run(cfg runConfig) error {
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	crawlStart := time.Now()
-	// Sequential named-vantage runs crawl vantage by vantage so each
-	// region's throughput is separately attributable (even a single
-	// region, whose bench row would otherwise report zero seconds);
-	// everything folds into one analyzer, whose per-vantage rollup feeds
-	// the comparison table. Under -vantage-parallel the lanes share one
-	// pool — per-vantage wall-clock is not attributable, so Run's unified
-	// path does the crawl and the per-vantage rows keep only the
-	// analysis columns.
-	var res *cookieguard.Results
-	vantSecs := map[string]float64{}
-	if vs := study.Vantages(); len(cfg.vantages) > 0 && !cfg.vantParallel && (cfg.shards <= 1 || cfg.shardCompare) {
-		// This loop bypasses Run (per-vantage timing), so it feeds the
-		// result store itself when serving: same sharded analyzer and
-		// cadence, so the served snapshots are identical in kind.
-		sh := study.NewShardedAnalyzer(1)
-		store := study.ResultStore()
-		serving := cfg.serveAddr != ""
-		unitsPerVantage := 1
-		if len(cfg.personas) > 0 {
-			unitsPerVantage = len(cfg.personas)
-		}
-		observed, total := 0, sites*len(vs)*unitsPerVantage
-		for _, v := range vs {
-			vStart := time.Now()
-			logs, errs := study.StreamVantage(ctx, v)
-			for l := range logs {
-				sh.Observe(0, l)
-				if observed++; serving && observed%64 == 0 {
-					store.Publish(cookieguard.ResultProgress{Done: observed, Total: total}, sh.Snapshot())
-				}
-			}
-			if err := <-errs; err != nil {
-				return err
-			}
-			vantSecs[v.Name] = time.Since(vStart).Seconds()
-		}
-		res = sh.Finalize()
-		if serving {
-			store.Publish(cookieguard.ResultProgress{Done: observed, Total: total, Final: true}, res)
-		}
-	} else {
-		var err error
-		res, err = study.Run(ctx)
-		if err != nil {
-			return err
-		}
+	res, err := study.Run(ctx)
+	if err != nil {
+		return err
 	}
 	crawlSecs := time.Since(crawlStart).Seconds()
 	runtime.ReadMemStats(&msAfter)
@@ -620,126 +535,21 @@ func run(cfg runConfig) error {
 		fmt.Fprintf(out, "allocation profile written to %s\n\n", memProfile)
 	}
 
-	// -vantage-compare: time the same configuration in sequential and
-	// unified-parallel vantage mode, each on a fresh pipeline (fresh web
-	// and caches) draining Stream — identical work on both sides, so the
-	// ratio isolates the scheduling mode. Runs after the MemStats read so
-	// the extra crawls don't pollute the allocs_per_site figures.
-	var vm *vantageModes
-	if cfg.vantCompare && len(cfg.vantages) > 1 {
-		fmt.Fprintln(out, "--- vantage-mode comparison (-vantage-compare) ---")
-		timeMode := func(parallel bool) (float64, int, error) {
-			opts := append([]cookieguard.Option{
-				cookieguard.WithSites(sites),
-				cookieguard.WithWorkers(workers),
-				cookieguard.WithSeed(seed),
-				cookieguard.WithInteract(true),
-				cookieguard.WithArtifactCache(artifactCache),
-				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if parallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
-			}
-			p := cookieguard.New(opts...)
-			start := time.Now()
-			logs, errCh := p.Stream(ctx)
-			visits := 0
-			for range logs {
-				visits++
-			}
-			if err := <-errCh; err != nil {
-				return 0, 0, err
-			}
-			return time.Since(start).Seconds(), visits, nil
-		}
-		// Two alternating iterations per mode, best-of each: the first
-		// lap warms the process (heap size, GC pacing), and min picks
-		// each mode's warm run, so the ratio isn't an artifact of which
-		// mode ran first.
-		seqSecs, parSecs := 0.0, 0.0
-		visits := 0
-		for i := 0; i < 2; i++ {
-			s, n, err := timeMode(false)
-			if err != nil {
-				return err
-			}
-			p, _, err := timeMode(true)
-			if err != nil {
-				return err
-			}
-			visits = n
-			if seqSecs == 0 || s < seqSecs {
-				seqSecs = s
-			}
-			if parSecs == 0 || p < parSecs {
-				parSecs = p
-			}
-		}
-		vm = &vantageModes{
-			CPUs:       runtime.NumCPU(),
-			Sequential: vantageModeBench{CrawlSeconds: seqSecs, VisitsPerSec: float64(visits) / seqSecs},
-			Parallel:   vantageModeBench{CrawlSeconds: parSecs, VisitsPerSec: float64(visits) / parSecs},
-		}
-		vm.Speedup = vm.Parallel.VisitsPerSec / vm.Sequential.VisitsPerSec
-		fmt.Fprintf(out, "sequential %.2fs (%.1f visits/s) vs unified pool %.2fs (%.1f visits/s): speedup %.2fx on %d CPUs\n\n",
-			seqSecs, vm.Sequential.VisitsPerSec, parSecs, vm.Parallel.VisitsPerSec, vm.Speedup, vm.CPUs)
-	}
-
 	// -shard-compare: time the same configuration unsharded and at N
-	// in-process shards, each on a fresh pipeline draining Stream —
-	// identical unit work on both sides, so the ratio isolates shard
-	// parallelism. Same lap protocol as -vantage-compare: two alternating
-	// iterations per mode, best-of each, so warmup bills to neither side.
+	// in-process shards — identical unit work on both sides, so the ratio
+	// isolates shard parallelism.
 	var sm *shardModes
 	if cfg.shardCompare {
 		fmt.Fprintln(out, "--- shard-mode comparison (-shard-compare) ---")
-		timeShards := func(n int) (float64, int, []cookieguard.ShardLiveStats, error) {
-			opts := append([]cookieguard.Option{
-				cookieguard.WithSites(sites),
-				cookieguard.WithWorkers(workers),
-				cookieguard.WithSeed(seed),
-				cookieguard.WithInteract(true),
-				cookieguard.WithArtifactCache(artifactCache),
-				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if len(cfg.vantages) > 0 && cfg.vantParallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
-			}
-			if n > 1 {
-				opts = append(opts, cookieguard.WithShards(n))
-			}
-			p := cookieguard.New(opts...)
-			start := time.Now()
-			logs, errCh := p.Stream(ctx)
-			units := 0
-			for range logs {
-				units++
-			}
-			if err := <-errCh; err != nil {
-				return 0, 0, nil, err
-			}
-			return time.Since(start).Seconds(), units, p.ShardStats(), nil
-		}
-		unSecs, shSecs := 0.0, 0.0
-		units := 0
 		var perShard []cookieguard.ShardLiveStats
-		for i := 0; i < 2; i++ {
-			u, n, _, err := timeShards(1)
-			if err != nil {
-				return err
-			}
-			s2, _, ps, err := timeShards(cfg.shards)
-			if err != nil {
-				return err
-			}
-			units = n
-			if unSecs == 0 || u < unSecs {
-				unSecs = u
-			}
-			if shSecs == 0 || s2 < shSecs {
-				shSecs, perShard = s2, ps
-			}
+		secs, units, err := compareLaps(ctx, baseline, func() (*cookieguard.Pipeline, func(), error) {
+			p := newPipeline(cookieguard.WithShards(cfg.shards))
+			return p, func() { perShard = p.ShardStats() }, nil
+		})
+		if err != nil {
+			return err
 		}
+		unSecs, shSecs := secs[0], secs[1]
 		sm = &shardModes{
 			CPUs: runtime.NumCPU(), Shards: cfg.shards, Driver: "inprocess",
 			Unsharded: shardModeBench{CrawlSeconds: unSecs, UnitsPerSec: float64(units) / unSecs},
@@ -759,11 +569,8 @@ func run(cfg runConfig) error {
 
 	// -checkpoint alone: report the measurement crawl's journal volume.
 	// -checkpoint-compare: additionally time the same configuration with
-	// and without a fresh journal on paired fresh pipelines (best of
-	// three alternating laps each) so the overhead
-	// figure isolates journaling cost from warmup noise. Each
-	// with-journal lap gets its own empty temp dir — reusing one would
-	// replay the previous lap's units and undercount the write cost.
+	// and without a fresh journal through compareLaps, so the overhead
+	// figure isolates journaling cost from warmup noise.
 	var ckpt *checkpointBench
 	if cfg.checkpointDir != "" {
 		if st, ok := study.CheckpointStats(); ok {
@@ -781,85 +588,25 @@ func run(cfg runConfig) error {
 	}
 	if cfg.ckptCompare {
 		fmt.Fprintln(out, "--- checkpoint overhead (-checkpoint-compare) ---")
-		timeCkpt := func(dir string) (float64, int, cookieguard.JournalStats, error) {
-			opts := append([]cookieguard.Option{
-				cookieguard.WithSites(sites),
-				cookieguard.WithWorkers(workers),
-				cookieguard.WithSeed(seed),
-				cookieguard.WithInteract(true),
-				cookieguard.WithArtifactCache(artifactCache),
-				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if len(cfg.vantages) > 0 && cfg.vantParallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
+		// Each journaled lap gets its own empty temp dir — reusing one
+		// would replay the previous lap's units and undercount the write
+		// cost.
+		var jst cookieguard.JournalStats
+		secs, units, err := compareLaps(ctx, baseline, func() (*cookieguard.Pipeline, func(), error) {
+			dir, err := os.MkdirTemp("", "cg-ckpt-bench-")
+			if err != nil {
+				return nil, nil, err
 			}
-			if dir != "" {
-				opts = append(opts, cookieguard.WithCheckpoint(dir))
-			}
-			p := cookieguard.New(opts...)
-			start := time.Now()
-			logs, errCh := p.Stream(ctx)
-			units := 0
-			for range logs {
-				units++
-			}
-			if err := <-errCh; err != nil {
-				return 0, 0, cookieguard.JournalStats{}, err
-			}
-			st, _ := p.CheckpointStats()
-			return time.Since(start).Seconds(), units, st, nil
-		}
-		// One discarded warmup lap, then alternating lap order per
-		// iteration: whichever side runs first pays the process's
-		// cold-start costs (page cache, allocator growth), so a fixed
-		// order would bill them all to one side — at full scale that
-		// bias is larger than the journaling cost being measured. Three
-		// laps per side, best-of each: single-lap variance on a busy
-		// machine runs several percent, larger than the journal's real
-		// cost, and best-of-N converges on the floor.
-		if _, _, _, err := timeCkpt(""); err != nil {
+			p := newPipeline(cookieguard.WithCheckpoint(dir))
+			return p, func() {
+				jst, _ = p.CheckpointStats()
+				os.RemoveAll(dir)
+			}, nil
+		})
+		if err != nil {
 			return err
 		}
-		withSecs, withoutSecs := 0.0, 0.0
-		units := 0
-		var jst cookieguard.JournalStats
-		for i := 0; i < 3; i++ {
-			lapWith := func() error {
-				dir, err := os.MkdirTemp("", "cg-ckpt-bench-")
-				if err != nil {
-					return err
-				}
-				ws, n, st, err := timeCkpt(dir)
-				os.RemoveAll(dir)
-				if err != nil {
-					return err
-				}
-				units = n
-				if withSecs == 0 || ws < withSecs {
-					withSecs, jst = ws, st
-				}
-				return nil
-			}
-			lapWithout := func() error {
-				bs, _, _, err := timeCkpt("")
-				if err != nil {
-					return err
-				}
-				if withoutSecs == 0 || bs < withoutSecs {
-					withoutSecs = bs
-				}
-				return nil
-			}
-			laps := []func() error{lapWith, lapWithout}
-			if i%2 == 1 {
-				laps[0], laps[1] = laps[1], laps[0]
-			}
-			for _, lap := range laps {
-				if err := lap(); err != nil {
-					return err
-				}
-			}
-		}
+		withoutSecs, withSecs := secs[0], secs[1]
 		if ckpt == nil {
 			ckpt = &checkpointBench{}
 		}
@@ -897,43 +644,37 @@ func run(cfg runConfig) error {
 			snapShards = cfg.shards
 		}
 		snap := benchSnapshot{
-			Benchmark:       "StreamingPipeline",
-			Sites:           sites,
-			Workers:         workers,
-			Seed:            seed,
-			ArtifactCache:   artifactCache,
-			Pooling:         pooling,
-			FaultRate:       faultRate,
-			RetryAttempts:   retries,
-			Personas:        cfg.personas,
-			CrawlSeconds:    crawlSecs,
-			SitesPerSec:     float64(sites) / crawlSecs,
-			VisitsPerSec:    float64(sites*len(study.Vantages())) / crawlSecs,
-			UnitsPerSec:     float64(sites*len(study.Vantages())*max(1, len(cfg.personas))) / crawlSecs,
-			VantageParallel: cfg.vantParallel,
-			VantageModes:    vm,
-			Checkpoint:      ckpt,
-			ShardModes:      sm,
-			Shards:          snapShards,
-			AllocsPerSite:   float64(msAfter.Mallocs-msBefore.Mallocs) / float64(sites),
-			BytesPerSite:    float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(sites),
-			GCCycles:        msAfter.NumGC - msBefore.NumGC,
-			GCPauseMs:       float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
-			CacheStats:      cs,
-			PoolStats:       study.PoolStats(),
-			Sched:           study.SchedStats(),
-			Failures:        res.Failures,
-			ServeBench:      sb,
+			Benchmark:     "StreamingPipeline",
+			Sites:         sites,
+			Workers:       workers,
+			Seed:          seed,
+			ArtifactCache: artifactCache,
+			Pooling:       pooling,
+			FaultRate:     faultRate,
+			RetryAttempts: retries,
+			Personas:      cfg.personas,
+			CrawlSeconds:  crawlSecs,
+			SitesPerSec:   float64(sites) / crawlSecs,
+			VisitsPerSec:  float64(sites*len(study.Vantages())) / crawlSecs,
+			UnitsPerSec:   float64(sites*len(study.Vantages())*max(1, len(cfg.personas))) / crawlSecs,
+			Checkpoint:    ckpt,
+			ShardModes:    sm,
+			Shards:        snapShards,
+			AllocsPerSite: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(sites),
+			BytesPerSite:  float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(sites),
+			GCCycles:      msAfter.NumGC - msBefore.NumGC,
+			GCPauseMs:     float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
+			CacheStats:    cs,
+			PoolStats:     study.PoolStats(),
+			Sched:         study.SchedStats(),
+			Failures:      res.Failures,
+			ServeBench:    sb,
 		}
 		for _, row := range res.VantageTable() {
 			if row.Vantage == "" && len(cfg.vantages) == 0 {
 				continue // single implicit vantage: no per-vantage rows
 			}
-			vb := vantageBench{Name: row.Vantage, CrawlSeconds: vantSecs[row.Vantage], VantageStats: row.VantageStats}
-			if vb.CrawlSeconds > 0 {
-				vb.SitesPerSec = float64(row.Visits) / vb.CrawlSeconds
-			}
-			snap.Vantages = append(snap.Vantages, vb)
+			snap.Vantages = append(snap.Vantages, vantageBench{Name: row.Vantage, VantageStats: row.VantageStats})
 		}
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
@@ -998,14 +739,7 @@ func run(cfg runConfig) error {
 
 	// ---------- Figure 5: guard efficacy ----------
 	fmt.Fprintln(out, "--- Figure 5: cross-domain actions with vs without CookieGuard ---")
-	guarded := cookieguard.New(append([]cookieguard.Option{
-		cookieguard.WithSites(sites),
-		cookieguard.WithWorkers(workers),
-		cookieguard.WithSeed(seed),
-		cookieguard.WithInteract(true),
-		cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()),
-		cookieguard.WithArtifactCache(artifactCache),
-	}, resilience...)...)
+	guarded := newPipeline(append(studyOpts, cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))...)
 	gres, err := guarded.Run(ctx)
 	if err != nil {
 		return err
@@ -1046,6 +780,66 @@ func run(cfg runConfig) error {
 	}
 
 	return nil
+}
+
+// compareSide builds one side of a paired timing: a fresh pipeline for
+// one lap (its own web and caches), plus an optional hook run once the
+// lap has drained — to read the pipeline's counters or remove its files.
+type compareSide func() (p *cookieguard.Pipeline, after func(), err error)
+
+// compareLapsPerSide is how many timed laps each side runs. Single-lap
+// variance on a busy machine runs several percent, larger than the
+// journal's real cost, and best-of-N converges on the floor.
+const compareLapsPerSide = 3
+
+// compareLaps times two configurations of one crawl against each other,
+// every lap draining Stream on a fresh pipeline, so the ratio isolates
+// the option the sides differ in. One discarded warm-up lap of a comes
+// first; then each round alternates which side runs first — whichever
+// runs first pays the process's cold-start costs (page cache, allocator
+// growth, GC pacing), and a fixed order would bill them all to one
+// side. It returns each side's best lap in seconds and the units one
+// lap streams.
+func compareLaps(ctx context.Context, a, b compareSide) ([2]float64, int, error) {
+	var best [2]float64
+	units := 0
+	lap := func(side compareSide) (float64, error) {
+		p, after, err := side()
+		if err != nil {
+			return 0, err
+		}
+		if after != nil {
+			defer after()
+		}
+		start := time.Now()
+		logs, errs := p.Stream(ctx)
+		n := 0
+		for range logs {
+			n++
+		}
+		if err := <-errs; err != nil {
+			return 0, err
+		}
+		units = n
+		return time.Since(start).Seconds(), nil
+	}
+	if _, err := lap(a); err != nil {
+		return best, 0, err
+	}
+	sides := [2]compareSide{a, b}
+	for i := 0; i < compareLapsPerSide; i++ {
+		for j := range sides {
+			k := (i + j) % 2
+			secs, err := lap(sides[k])
+			if err != nil {
+				return best, 0, err
+			}
+			if best[k] == 0 || secs < best[k] {
+				best[k] = secs
+			}
+		}
+	}
+	return best, units, nil
 }
 
 // runServeBench measures the cached read path of cookieguard.Server:

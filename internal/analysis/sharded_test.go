@@ -195,11 +195,11 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 	}
 }
 
-// TestVantageInterleavingOrderIndependent models the two crawl modes
-// feeding analysis: sequential multi-vantage crawls observe records as
-// consecutive per-vantage blocks, the unified parallel scheduler
-// interleaves vantages in completion order. The canonical finalize must
-// make both feeds — single analyzer or sharded — byte-identical.
+// TestVantageInterleavingOrderIndependent models the two orders a
+// multi-vantage crawl feeds analysis in: a batch Crawl returns
+// consecutive per-vantage blocks, a Stream interleaves vantages in
+// completion order. The canonical finalize must make both feeds —
+// single analyzer or sharded — byte-identical.
 func TestVantageInterleavingOrderIndependent(t *testing.T) {
 	base := shardFixture(40)
 	var blocked []instrument.VisitLog

@@ -31,14 +31,14 @@
 // persona): Options.Vantages and Options.Personas cross into scheduling
 // lanes — one lane per (vantage, persona) cell — and every lane's
 // visits run through ONE worker pool. Each lane owns exactly the state
-// a standalone sequential crawl of its cell would own — its frontier,
-// its round-synchronous breaker with its own virtual clock, its
+// a single-lane crawl of the same cell would own — its frontier, its
+// round-synchronous breaker with its own virtual clock, its
 // second-pass bookkeeping — and the lanes multiplex over the shared
 // workers, so one region's latency tail fills with another cell's
 // visits instead of idling the pool. Because a lane's rounds, gate
 // snapshots, and sorted folds are untouched by the other lanes, every
-// record is byte-identical to the one a sequential per-cell crawl
-// emits, at any worker count and any lane interleaving; the effective
+// record is byte-identical to the one a single-lane crawl of the same
+// cell emits, at any worker count and any lane interleaving; the effective
 // global fold order is (pass, site index, vantage, then persona), and
 // each lane's virtual clock still advances by its own rounds' mean
 // visit duration — never by wall-clock or worker count.
@@ -162,20 +162,16 @@ type Options struct {
 	// emitted. Per lane, like the breaker. The zero value (off)
 	// changes nothing.
 	SecondPass SecondPass
-	// Vantage, when set and not the default, crawls through
-	// Internet.From(*Vantage): the vantage's latency and fault models,
-	// with every emitted VisitLog tagged Vantage.Name. Nil or the
-	// zero Vantage crawls the fabric directly, byte-identical to before
-	// vantages existed. Ignored when Vantages is non-empty.
-	Vantage *netsim.Vantage
-	// Vantages, when non-empty, crawls every site from every listed
-	// vantage through one unified worker pool — one scheduling lane per
-	// vantage, each with its own frontier and breaker state, so records
-	// stay byte-identical to crawling the vantages sequentially while
-	// the pool stays busy across regions. Crawl returns the logs as
-	// consecutive per-vantage blocks in list order (lane-major); Stream
-	// interleaves them in completion order. Takes precedence over
-	// Vantage.
+	// Vantages crawls every site from every listed vantage through one
+	// worker pool — one scheduling lane per vantage, each with its own
+	// frontier and breaker state, so each vantage's records are
+	// byte-identical to a single-lane crawl of that vantage while the
+	// pool stays busy across regions. A named vantage crawls through
+	// Internet.From(v): its latency and fault models, with every emitted
+	// VisitLog tagged v.Name. Empty (or the zero Vantage) crawls the
+	// fabric directly, byte-identical to before vantages existed. Crawl
+	// returns the logs as consecutive per-vantage blocks in list order
+	// (lane-major); Stream interleaves them in completion order.
 	Vantages []netsim.Vantage
 	// Personas, when non-empty, crawls every (site, vantage) pair once
 	// per listed persona, extending the crawl plan to units of (site,
@@ -281,8 +277,8 @@ type indexedLog struct {
 }
 
 // laneState is one (vantage, persona) cell's scheduling lane. A lane
-// owns exactly the state a standalone sequential crawl of its cell
-// would own — the frontier, the breaker accounting and virtual clock,
+// owns exactly the state a single-lane crawl of the same cell would
+// own — the frontier, the breaker accounting and virtual clock,
 // the pass map — so its shed decisions and emitted records cannot be
 // perturbed by the other lanes sharing the worker pool. All lane
 // fields are owned by the dispatch goroutine; workers only read the
@@ -447,18 +443,13 @@ func unitLabel(vantage, persona string) string {
 }
 
 // buildLanes resolves the crawl plan's (vantage, persona) cross product
-// into scheduling lanes, vantage-major. Options.Vantages wins over the
-// single (possibly default) Options.Vantage; an empty persona list
-// collapses to the implicit persona-free cell, preserving the
-// historical per-vantage behaviour byte for byte.
+// into scheduling lanes, vantage-major. An empty vantage list collapses
+// to the default vantage and an empty persona list to the implicit
+// persona-free cell, preserving the historical behaviour byte for byte.
 func buildLanes(sites []string, opts *Options) []*laneState {
 	vants := opts.Vantages
 	if len(vants) == 0 {
-		if opts.Vantage != nil {
-			vants = []netsim.Vantage{*opts.Vantage}
-		} else {
-			vants = []netsim.Vantage{{}}
-		}
+		vants = []netsim.Vantage{{}}
 	}
 	personas := opts.Personas
 	if len(personas) == 0 {
@@ -898,7 +889,7 @@ func replayZero(abort context.CancelCauseFunc, ln *laneState, rec *journal.Recor
 // (dispatch phase or round barrier), and when no lane can move without
 // an outcome, it blocks on the shared feedback channel. Outcomes
 // always fold into their own lane, so lane state — and with it every
-// record — is exactly what a sequential per-vantage crawl would
+// record — is exactly what a single-lane crawl of the same cell would
 // produce.
 type dispatcher struct {
 	ctx      context.Context
@@ -1078,7 +1069,8 @@ func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
 // lane; when a sweep makes no progress (every live lane is waiting on
 // outcomes), it blocks on feedback. A lane is done when a fresh round
 // (or pop attempt) finds its frontier empty with nothing pending —
-// exactly the sequential termination condition, evaluated per lane.
+// exactly a single-lane crawl's termination condition, evaluated per
+// lane.
 func (s *dispatcher) run() {
 	for {
 		allDone, progressed := true, false
@@ -1286,8 +1278,8 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 // the order of the input list; with Options.Vantages and/or
 // Options.Personas the result is the per-(vantage, persona) blocks
 // concatenated in lane order — vantage-major, personas in list order
-// within a vantage (exactly what sequential per-cell crawls would have
-// appended). It is a batch wrapper over the stream: it materializes
+// within a vantage (exactly what single-lane crawls of each cell,
+// concatenated, would return). It is a batch wrapper over the stream: it materializes
 // the whole result set, so memory scales with len(sites) × vantages ×
 // personas — use Stream for single-pass pipelines. The context cancels
 // outstanding visits; logs completed before cancellation are retained.
@@ -1320,8 +1312,8 @@ const passSeedSalt = 0xda942042e4dd58b5
 // bytes depend only on (url, seed, pass, vantage, persona, gate
 // snapshot) — the seed is salted by site index and pass, never by
 // vantage, persona, or lane, so the same crawl-plan unit reproduces
-// identically whether crawled sequentially or through the unified
-// pool; persona influences the bytes only through the consent click's
+// identically in a single-lane crawl of its cell or among many lanes;
+// persona influences the bytes only through the consent click's
 // page-level effects.
 func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.VisitLog, out visitOutcome) {
 	n := uint64(j.site)

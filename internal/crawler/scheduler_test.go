@@ -419,12 +419,11 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 	in := w.BuildInternet()
 	crawl := func(name string) map[string]float64 {
 		t.Helper()
-		v := netsim.Vantage{Name: name}
 		res, err := Crawl(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  4,
 			Seed:     5,
-			Vantage:  &v,
+			Vantages: []netsim.Vantage{{Name: name}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -459,9 +458,10 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 
 // vantageRecords crawls sites from every vantage and returns marshalled
 // records keyed by (site, vantage) plus the sched-stats snapshot.
-// parallel=true runs the unified Options.Vantages pool; false crawls
-// vantage by vantage over one fabric — the historical sequential mode
-// the unified scheduler must reproduce byte for byte.
+// parallel=true runs every vantage as a lane of one crawl; false runs
+// one single-lane crawl per vantage over one fabric — the reference
+// the multi-lane crawl must reproduce byte for byte, since a lane's
+// state never depends on the lanes beside it.
 func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.Vantage, parallel bool, faultRate float64, opts Options) (map[string]string, SchedSnapshot) {
 	t.Helper()
 	in := w.BuildInternet()
@@ -497,8 +497,7 @@ func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.
 	} else {
 		for _, v := range vants {
 			o := opts
-			vv := v
-			o.Vantage = &vv
+			o.Vantages = []netsim.Vantage{v}
 			res, err := Crawl(context.Background(), sites, o)
 			if err != nil {
 				t.Fatal(err)
@@ -523,9 +522,10 @@ func diffRecords(t *testing.T, want, got map[string]string, label string) {
 	}
 }
 
-// TestVantageParallelByteIdenticalToSequential: on a clean web, the
-// unified (site, vantage) scheduler emits records byte-identical to
-// crawling the vantages sequentially, at every worker count.
+// TestVantageParallelByteIdenticalToSequential: on a clean web, a
+// multi-lane (site, vantage) crawl emits records byte-identical to
+// single-lane crawls of each vantage run one after another, at every
+// worker count.
 func TestVantageParallelByteIdenticalToSequential(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
@@ -535,15 +535,16 @@ func TestVantageParallelByteIdenticalToSequential(t *testing.T) {
 		o := opts
 		o.Workers = workers
 		par, _ := vantageRecords(t, w, sites, vants, true, 0, o)
-		diffRecords(t, seq, par, fmt.Sprintf("parallel@%dw vs sequential", workers))
+		diffRecords(t, seq, par, fmt.Sprintf("multi-lane@%dw vs single-lane", workers))
 	}
 }
 
 // TestVantageParallelFaultedByteStable: the full scheduler stack —
 // 10% faults, retries, per-lane breaker, second pass — stays
-// byte-identical between sequential and unified parallel mode across
-// worker counts, and the per-vantage SchedStats breakdown (every
-// breaker and second-pass decision) matches decision for decision.
+// byte-identical between single-lane crawls per vantage and one
+// multi-lane crawl across worker counts, and the per-vantage
+// SchedStats breakdown (every breaker and second-pass decision)
+// matches decision for decision.
 func TestVantageParallelFaultedByteStable(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
@@ -560,9 +561,9 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 		o := opts
 		o.Workers = workers
 		par, parStats := vantageRecords(t, w, sites, vants, true, 0.1, o)
-		diffRecords(t, seq, par, fmt.Sprintf("faulted parallel@%dw vs sequential", workers))
+		diffRecords(t, seq, par, fmt.Sprintf("faulted multi-lane@%dw vs single-lane", workers))
 		if !reflect.DeepEqual(seqStats, parStats) {
-			t.Fatalf("scheduler decisions differ between modes at %d workers:\nseq: %+v\npar: %+v", workers, seqStats, parStats)
+			t.Fatalf("scheduler decisions differ between single- and multi-lane crawls at %d workers:\nsingle: %+v\nmulti:  %+v", workers, seqStats, parStats)
 		}
 	}
 	if len(seqStats.Vantages) != 2 {
@@ -579,7 +580,7 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 
 // TestVantageParallelCrawlBlockOrder: Crawl with Options.Vantages
 // returns consecutive per-vantage blocks in list order — exactly the
-// concatenation sequential per-vantage crawls would produce.
+// concatenation single-lane crawls of each vantage would produce.
 func TestVantageParallelCrawlBlockOrder(t *testing.T) {
 	w, sites := buildSites(t, 15)
 	res, err := Crawl(context.Background(), sites, Options{

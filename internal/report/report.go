@@ -1,7 +1,7 @@
 // Package report renders the reproduction's tables and figures as text:
 // aligned tables for Tables 1/2/3/4/5, ASCII bar charts for Figures 2/8,
 // boxplot summaries for Figures 6/9/10, and paper-vs-measured comparison
-// rows for EXPERIMENTS.md.
+// rows — the output cmd/experiments prints.
 package report
 
 import (

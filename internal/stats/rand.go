@@ -7,7 +7,7 @@ import (
 // Rand is a small, fast, deterministic PRNG (splitmix64) used everywhere a
 // seeded stream is needed. We implement it directly rather than using
 // math/rand so that generated webs are bit-identical across Go releases —
-// the experiment tables in EXPERIMENTS.md depend on that stability.
+// the experiment tables cmd/experiments prints depend on that stability.
 type Rand struct {
 	state uint64
 }

@@ -7,7 +7,7 @@
 //
 // Everything is derived from Config.Seed: building the same config twice
 // yields byte-identical sites, scripts, and cookie values, which is what
-// makes the experiment tables in EXPERIMENTS.md reproducible.
+// makes the experiment tables cmd/experiments prints reproducible.
 package webgen
 
 import (

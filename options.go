@@ -30,7 +30,6 @@ type config struct {
 	breaker       Breaker
 	autopilot     bool
 	vantages      []Vantage
-	vantParallel  bool
 	personas      []string
 	cmp           bool
 	serveAddr     string
@@ -202,21 +201,13 @@ func WithBreakerAutopilot() Option {
 	return func(c *config) { c.autopilot = true }
 }
 
-// WithVantageParallel crawls all configured vantage points through one
-// unified worker pool instead of vantage by vantage: every (site,
-// vantage) pair flows through the same workers — one scheduling lane
-// per vantage, each with its own frontier and per-(host, vantage)
-// breaker state — so one region's latency tail is filled with another
-// region's visits instead of idling the pool. Records are
-// byte-identical to the sequential default (each lane folds its rounds
-// exactly as a standalone crawl would; enforced by tests across worker
-// counts and fault schedules); Stream interleaves vantages in
-// completion order, Crawl still returns per-vantage blocks in
-// configuration order, and Progress stays one monotonic count out of
-// sites × vantages. Off by default; a no-op with fewer than two
-// vantages.
-func WithVantageParallel(on bool) Option {
-	return func(c *config) { c.vantParallel = on }
+// WithVantageParallel is a no-op kept for source compatibility: every
+// crawl runs all of its (vantage, persona) lanes through one worker
+// pool.
+//
+// Deprecated: lanes are the only crawl path; drop the call.
+func WithVantageParallel(bool) Option {
+	return func(*config) {}
 }
 
 // WithVantages crawls the pipeline's web from the given vantage points
@@ -245,7 +236,7 @@ func WithVantages(vs ...Vantage) Option {
 // exfiltration across consent states. Personas never salt the visit
 // seed — a persona's records differ from another's only through page
 // behaviour, and persona crawls stay byte-identical across runs, worker
-// counts, and scheduling modes. No personas (the default) crawls once,
+// counts, and lane interleavings. No personas (the default) crawls once,
 // byte-identical to before personas existed.
 func WithPersonas(names ...string) Option {
 	return func(c *config) { c.personas = append(c.personas, names...) }

@@ -66,25 +66,33 @@ func faultedGoldenOpts() []Option {
 		WithBreaker(Breaker{Enabled: true}),
 		WithBreakerAutopilot(),
 		WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
-		WithVantageParallel(true),
 	}
 }
 
+// sequentialGolden* pin the bytes the former sequential multi-vantage
+// mode — one single-lane crawl per vantage, run one after another —
+// emitted for personaOpts(4) and personaFaultedOpts(4), recorded before
+// that mode was deleted. Every crawl now runs all lanes through one
+// pool, and must still reproduce them at any worker count.
+const (
+	sequentialGoldenClean   = "aae43eb7f6b302ab44357fddbf2761cab29d4bfb438394b7cf2aa10643f35ac0"
+	sequentialGoldenFaulted = "607924bd6b631969db7587c6f4fff5161939062dd6ae7acc229c5d510f8d4e71"
+)
+
 // personaOpts is the clean three-persona two-vantage configuration of
-// the byte-stability tests, parameterized on the scheduling knobs the
-// bytes must be independent of.
-func personaOpts(workers int, parallel bool) []Option {
+// the byte-stability tests, parameterized on the worker count the bytes
+// must be independent of.
+func personaOpts(workers int) []Option {
 	return []Option{
 		WithSites(30), WithWorkers(workers), WithSeed(7), WithInteract(true),
 		WithVantages(RegionVantage("eu-west", 0, 7), RegionVantage("us-east", 0, 7)),
-		WithVantageParallel(parallel),
 		WithPersonas("accept", "reject", "dismiss"),
 	}
 }
 
 // personaFaultedOpts is the same persona axis under the full resilience
 // stack: 10% faults, retries, second pass, breaker with autopilot.
-func personaFaultedOpts(workers int, parallel bool) []Option {
+func personaFaultedOpts(workers int) []Option {
 	rp := DefaultRetryPolicy()
 	rp.MaxAttempts = 2
 	return []Option{
@@ -95,33 +103,29 @@ func personaFaultedOpts(workers int, parallel bool) []Option {
 		WithBreaker(Breaker{Enabled: true}),
 		WithBreakerAutopilot(),
 		WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
-		WithVantageParallel(parallel),
 		WithPersonas("accept", "reject", "dismiss"),
 	}
 }
 
-// TestPersonaCrawlByteStable pins the determinism contract on the new
-// axis: per-(site, vantage, persona) records are byte-identical across
-// runs, worker counts, and scheduling modes (sequential per-vantage vs
-// the unified pool), clean and under the full faulted resilience stack.
+// TestPersonaCrawlByteStable pins the determinism contract on the
+// persona axis: per-(site, vantage, persona) records match the
+// sequential-mode goldens at 1, 4 and 8 workers, clean and under the
+// full faulted resilience stack — so interleaving six lanes through one
+// pool changes no byte a single-lane crawl of each cell emits.
 func TestPersonaCrawlByteStable(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts func(workers int, parallel bool) []Option
+		name, want string
+		opts       func(workers int) []Option
 	}{
-		{"clean", personaOpts},
-		{"faulted", personaFaultedOpts},
+		{"clean", sequentialGoldenClean, personaOpts},
+		{"faulted", sequentialGoldenFaulted, personaFaultedOpts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := crawlDigest(t, tc.opts(4, false)...)
-			if got := crawlDigest(t, tc.opts(4, false)...); got != base {
-				t.Errorf("persona crawl not byte-stable across runs: %s vs %s", got, base)
-			}
-			if got := crawlDigest(t, tc.opts(1, false)...); got != base {
-				t.Errorf("persona crawl depends on worker count: %s vs %s", got, base)
-			}
-			if got := crawlDigest(t, tc.opts(8, true)...); got != base {
-				t.Errorf("persona crawl depends on scheduling mode: %s vs %s", got, base)
+			for _, workers := range []int{1, 4, 8} {
+				if got := crawlDigest(t, tc.opts(workers)...); got != tc.want {
+					t.Errorf("persona crawl at %d workers diverged from the sequential-mode bytes:\n got %s\nwant %s",
+						workers, got, tc.want)
+				}
 			}
 		})
 	}

@@ -130,108 +130,72 @@ func TestVantageStreamsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestVantageParallelPipelineEquivalence: WithVantageParallel is
-// semantically invisible at the public API — the unified pool emits
-// per-(site, vantage) records byte-identical to the sequential default,
-// with the full scheduler stack (region faults, retries, breaker,
-// second pass) enabled, across worker counts.
-func TestVantageParallelPipelineEquivalence(t *testing.T) {
-	base := []Option{
-		WithSites(25), WithInteract(true), WithSeed(3),
-		WithVantages(RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 2}),
-		WithSecondPass(true),
-		WithBreaker(Breaker{Enabled: true, RoundVisits: 8}),
-	}
-	seq := crawlBySite(t, New(append(base, WithWorkers(6))...))
-	for _, workers := range []int{2, 7} {
-		par := crawlBySite(t, New(append(base,
-			WithWorkers(workers), WithVantageParallel(true))...))
-		if len(par) != len(seq) {
-			t.Fatalf("record counts differ at %d workers: %d vs %d", workers, len(par), len(seq))
-		}
-		for k, rec := range seq {
-			if par[k] != rec {
-				t.Fatalf("record %q differs between sequential and parallel vantage mode at %d workers:\nseq: %s\npar: %s",
-					k, workers, rec, par[k])
-			}
-		}
-	}
-}
-
-// TestVantageParallelRunResults: Run over the unified pool produces the
-// same analysis Results as the sequential default (the sharded
-// analyzer's canonical finalize is order-independent, so interleaved
-// vantage streams fold identically), and the per-vantage scheduler
-// breakdown reaches SchedStats.
-func TestVantageParallelRunResults(t *testing.T) {
-	opts := func(parallel bool) []Option {
-		return []Option{
-			WithSites(25), WithWorkers(6), WithInteract(true), WithSeed(3),
+// TestMultiVantageRunResults: Run over a two-vantage crawl with the
+// scheduler stack (region faults, retries, breaker) folds byte-identical
+// Results at any worker count, and the per-vantage scheduler breakdown
+// reaches SchedStats with its children summing to the totals.
+func TestMultiVantageRunResults(t *testing.T) {
+	run := func(workers int) (string, SchedSnapshot) {
+		p := New(
+			WithSites(25), WithWorkers(workers), WithInteract(true), WithSeed(3),
 			WithVantages(RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)),
 			WithRetryPolicy(RetryPolicy{MaxAttempts: 2}),
 			WithBreaker(Breaker{Enabled: true, RoundVisits: 8}),
-			WithVantageParallel(parallel),
-		}
-	}
-	run := func(parallel bool) (*Results, SchedSnapshot) {
-		p := New(opts(parallel)...)
+		)
 		res, err := p.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, p.SchedStats()
-	}
-	seqRes, seqSched := run(false)
-	parRes, parSched := run(true)
-	a, err := seqRes.StableJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parRes.StableJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("Results differ between sequential and parallel vantage mode")
-	}
-	for _, sched := range []SchedSnapshot{seqSched, parSched} {
-		if len(sched.Vantages) != 2 {
-			t.Fatalf("per-vantage sched breakdown has %d entries, want 2: %+v", len(sched.Vantages), sched)
+		b, err := res.StableJSON()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return string(b), p.SchedStats()
 	}
-	if seqSched.Visits != parSched.Visits || seqSched.Vantages["eu-west"].Visits != parSched.Vantages["eu-west"].Visits {
-		t.Fatalf("sched totals differ between modes:\nseq: %+v\npar: %+v", seqSched, parSched)
+	a, sa := run(6)
+	b, sb := run(2)
+	if a != b {
+		t.Fatal("Results differ across worker counts")
+	}
+	if len(sa.Vantages) != 2 {
+		t.Fatalf("per-vantage sched breakdown has %d entries, want 2: %+v", len(sa.Vantages), sa)
+	}
+	var childVisits int64
+	for _, vs := range sa.Vantages {
+		childVisits += vs.Visits
+	}
+	if childVisits != sa.Visits || sa.Visits == 0 {
+		t.Fatalf("per-vantage Visits sum %d != total %d", childVisits, sa.Visits)
+	}
+	if sa.Visits != sb.Visits || sa.Vantages["eu-west"].Visits != sb.Vantages["eu-west"].Visits {
+		t.Fatalf("sched totals differ across worker counts:\n6w: %+v\n2w: %+v", sa, sb)
 	}
 }
 
 // TestMultiVantageProgressMonotonic: WithProgress reports one monotonic
-// done out of sites × vantages in both sequential and parallel vantage
-// mode — the per-vantage restart is gone.
+// done out of sites × vantages across the interleaved lanes — no
+// per-vantage restart.
 func TestMultiVantageProgressMonotonic(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		last := 0
-		p := New(
-			WithSites(15), WithWorkers(4), WithSeed(3),
-			WithVantages(RegionVantage("eu-west", 0, 0), RegionVantage("us-east", 0, 0)),
-			WithVantageParallel(parallel),
-			WithProgress(func(done, total int) {
-				// Serialized by the crawl's delivery lock.
-				if total != 30 {
-					t.Errorf("parallel=%v: total = %d, want 30", parallel, total)
-				}
-				if done != last+1 {
-					t.Errorf("parallel=%v: done jumped %d -> %d", parallel, last, done)
-				}
-				last = done
-			}),
-		)
-		if _, err := p.Crawl(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if last != 30 {
-			t.Fatalf("parallel=%v: final done = %d, want 30", parallel, last)
-		}
+	last := 0
+	p := New(
+		WithSites(15), WithWorkers(4), WithSeed(3),
+		WithVantages(RegionVantage("eu-west", 0, 0), RegionVantage("us-east", 0, 0)),
+		WithProgress(func(done, total int) {
+			// Serialized by the crawl's delivery lock.
+			if total != 30 {
+				t.Errorf("total = %d, want 30", total)
+			}
+			if done != last+1 {
+				t.Errorf("done jumped %d -> %d", last, done)
+			}
+			last = done
+		}),
+	)
+	if _, err := p.Crawl(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if last != 30 {
+		t.Fatalf("final done = %d, want 30", last)
 	}
 }
 

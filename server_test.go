@@ -389,7 +389,7 @@ func TestServedSitesListingMatchesSiteRows(t *testing.T) {
 		{"personas-vantages-faults", []Option{WithSites(40), WithWorkers(4),
 			WithFaults(UniformFaults(0.1, 7)), WithRetryPolicy(DefaultRetryPolicy()),
 			WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
-			WithVantageParallel(true), WithPersonas("accept", "reject")}},
+			WithPersonas("accept", "reject")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -88,20 +88,6 @@ func (p *Pipeline) shardFeedback() bool {
 	return p.cfg.breaker.Enabled || p.cfg.autopilot || p.cfg.secondPass
 }
 
-// shardCrawlOptions assembles the crawler options of one shard
-// pipeline: sharded crawls always run the unified multi-vantage
-// scheduler (byte-identical records to sequential per-vantage crawls),
-// because replication needs every lane's state machine in one
-// dispatcher.
-func (p *Pipeline) shardCrawlOptions(vs []Vantage) crawler.Options {
-	if len(vs) == 1 {
-		return p.crawlOptions(vs[0])
-	}
-	opts := p.crawlOptions(Vantage{})
-	opts.Vantages = vs
-	return opts
-}
-
 // shardDirName is the per-shard checkpoint subdirectory under the
 // WithCheckpoint base directory — shared vocabulary between the
 // in-process driver, the subprocess worker protocol, and cmd/crawl.
@@ -134,7 +120,7 @@ func (p *Pipeline) shardWorkerOptions() (crawler.Options, error) {
 	if w.count < 1 || w.index < 0 || w.index >= w.count {
 		return crawler.Options{}, fmt.Errorf("cookieguard: shard worker %d/%d out of range", w.index, w.count)
 	}
-	opts := p.shardCrawlOptions(p.Vantages())
+	opts := p.crawlOptions()
 	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
 	assign := shard.Assign(sites, w.count, p.cfg.seed)
 	plan := &crawler.ShardPlan{Index: w.index, Count: w.count, Owned: shard.Owned(assign, w.count)[w.index]}
@@ -260,14 +246,13 @@ func (p *Pipeline) runShardedCrawl(ctx context.Context, emit func(VisitLog)) err
 	}
 	n := p.cfg.shards
 	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
-	vs := p.Vantages()
 	assign := shard.Assign(sites, n, p.cfg.seed)
 	owned := shard.Owned(assign, n)
 	var ex crawler.OutcomeExchange
 	if p.shardFeedback() {
 		ex = shard.NewMemExchange()
 	}
-	total := len(sites) * len(vs) * p.unitsPerVantage()
+	total := len(sites) * len(p.Vantages()) * p.unitsPerVantage()
 
 	p.shardMu.Lock()
 	p.shardLive = make([]shardLive, n)
@@ -306,7 +291,7 @@ func (p *Pipeline) runShardedCrawl(ctx context.Context, emit func(VisitLog)) err
 		p.shardLive[i].jnl = jnl
 		p.shardMu.Unlock()
 
-		opts := p.shardCrawlOptions(vs)
+		opts := p.crawlOptions()
 		opts.Stats = stats
 		opts.Journal = jnl
 		opts.JournalLogs = jnl != nil
