@@ -9,6 +9,8 @@ import (
 	"crypto/sha1"
 	"encoding/base64"
 	"encoding/hex"
+	"net/url"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,6 +89,9 @@ type runState struct {
 	// pers accumulates per-persona retention and exfiltration deltas;
 	// the key "" is the implicit persona-free crawl.
 	pers map[string]*personaAgg
+
+	// exfil is detectExfiltration's per-observation scratch.
+	exfil exfilMatcher
 
 	// encMemo memoizes EncodedForms per identifier: crawls repeat the
 	// same identifiers across reads, sites, and vantages, and the
@@ -614,7 +619,6 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 
 	// --- Script inventory (§5.1, §5.6) ---
 	seenScript := map[string]bool{}
-	usesDoc, usesStore := false, false
 	for _, sr := range v.Scripts {
 		if sr.Inline || sr.Failed {
 			continue
@@ -646,8 +650,30 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 	}
 
 	// --- Cookie replay: ownership, manipulation ---
+	state := a.replayCookies(v, st, siteActs)
+
+	// --- Exfiltration (§4.4) ---
+	a.detectExfiltration(v, site, state, st, siteActs)
+
+	// --- Cross-domain DOM modification (§8 pilot) ---
+	for _, m := range v.Mutations {
+		if instrument.MutationCrossDomain(m, site) {
+			res.Summary.SitesWithCrossDomainDOM++
+			break
+		}
+	}
+}
+
+// replayCookies replays the visit's main-frame cookie operations in
+// order: it attributes each cookie to its first setter, records
+// cross-domain overwrites and deletions, and returns the per-name cookie
+// state the visit ended with, which exfiltration matching reads.
+func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs map[actionAPIKey]bool) map[string]*cookieState {
+	res := st.res
+	site := v.Site
 	state := map[string]*cookieState{}
 	ensurePair := st.ensurePair
+	usesDoc, usesStore := false, false
 
 	for _, ev := range v.Cookies {
 		if !ev.MainFrame {
@@ -745,17 +771,7 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 	if usesStore {
 		res.Summary.SitesUsingCookieStore++
 	}
-
-	// --- Exfiltration (§4.4) ---
-	a.detectExfiltration(v, site, state, st, siteActs)
-
-	// --- Cross-domain DOM modification (§8 pilot) ---
-	for _, m := range v.Mutations {
-		if instrument.MutationCrossDomain(m, site) {
-			res.Summary.SitesWithCrossDomainDOM++
-			break
-		}
-	}
+	return state
 }
 
 // actorDomain resolves the acting script's eTLD+1; inline scripts are
@@ -777,100 +793,32 @@ func (a *Analyzer) actorDomain(ev instrument.CookieEvent, site string) string {
 func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 	state map[string]*cookieState, st *runState, siteActs map[actionAPIKey]bool) {
 	res := st.res
-
-	// Tokens of the page URL are not identifiers: cookies often embed
-	// the page location (e.g. Marketo's _mch token), and every beacon
-	// reports the page URL, so URL-derived segments would match
-	// everywhere without carrying any user-specific information.
-	urlTokens := map[string]bool{}
-	for _, tok := range ExtractIdentifiers(v.URL, a.MinIdentifierLen) {
-		urlTokens[tok] = true
-	}
-
-	// Candidate identifiers per cookie.
-	type candidate struct {
-		key   CookieKey
-		api   instrument.API
-		forms []string
-	}
-	var candidates []candidate
-	for name, cs := range state {
-		if cs.value == "" {
-			continue
-		}
-		ids := ExtractIdentifiers(cs.value, a.MinIdentifierLen)
-		if len(ids) == 0 {
-			continue
-		}
-		var forms []string
-		for _, id := range ids {
-			if urlTokens[id] {
-				continue
-			}
-			forms = append(forms, a.encodedForms(st, id)...)
-		}
-		candidates = append(candidates, candidate{
-			key:   CookieKey{Name: name, Owner: cs.owner},
-			api:   cs.api,
-			forms: forms,
-		})
-	}
-	if len(candidates) == 0 {
+	m := &st.exfil
+	if !m.reset(a, st, v.URL, state) {
 		return
 	}
-	// state is a map, so candidate order (and with it Event order) would
-	// vary run to run; cookie names are unique per site, so sorting on
-	// the name makes repeated runs over the same logs byte-identical.
-	sort.Slice(candidates, func(i, j int) bool {
-		return candidates[i].key.Name < candidates[j].key.Name
-	})
-
 	for _, req := range v.Requests {
 		if !req.MainFrame || req.InitiatorScript == "" {
 			continue
 		}
-		query := urlutil.QueryString(req.URL)
+		actorDomain := req.InitiatorDomain
+		if actorDomain == "" {
+			continue // unattributable actor: no candidate can leak
+		}
+		query := m.scan(req.URL, a.MinIdentifierLen)
 		if query == "" {
 			continue
 		}
-		// decoded values too: encodings may be %-escaped in the query
-		decoded := strings.Join(urlutil.QueryValues(req.URL), "\n")
 		destDomain := urlutil.RegistrableDomain(req.URL)
-		actorDomain := req.InitiatorDomain
 
-		// Tokenize once: short identifier forms must match a whole
-		// query token; only long forms (≥ 12 chars, e.g. Base64 and
-		// hash encodings) may match as substrings. Plain containment
-		// would false-positive on timestamps, where one cookie's
-		// seconds-resolution value is a prefix of another script's
-		// millisecond timestamp.
-		tokens := map[string]bool{}
-		for _, tok := range ExtractIdentifiers(query, a.MinIdentifierLen) {
-			tokens[tok] = true
-		}
-		for _, tok := range ExtractIdentifiers(decoded, a.MinIdentifierLen) {
-			tokens[tok] = true
-		}
-
-		for _, c := range candidates {
-			if actorDomain == "" || actorDomain == c.key.Owner {
+		for ci, c := range m.cands {
+			if actorDomain == c.key.Owner {
 				continue // authorized (same-domain) exfiltration
 			}
 			if destDomain == c.key.Owner {
 				continue // sent back to the owner: not a third-party leak
 			}
-			hit := false
-			for _, f := range c.forms {
-				if tokens[f] {
-					hit = true
-					break
-				}
-				if len(f) >= 12 && (strings.Contains(query, f) || strings.Contains(decoded, f)) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
+			if !m.hit(ci, query) {
 				continue
 			}
 			p := st.ensurePair(c.key, c.api)
@@ -893,29 +841,217 @@ func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 	}
 }
 
+// exfilMatcher is detectExfiltration's working set for one observation:
+// the candidate cookies in name order, their encoded forms, an index
+// from form to candidates, and the current request's hit marks and
+// decoded query values. It lives on the runState and is reset for each
+// observation, so once its buffers have grown, matching a request
+// builds no map or slice: what it allocates is the URL parse and the
+// decoding of escaped query values.
+type exfilMatcher struct {
+	cands   []exfilCandidate
+	forms   []string         // every candidate's forms, back to back
+	urlIDs  []string         // identifiers of the page URL
+	formIdx map[string]int32 // form → head of its candidate chain in refs
+	refs    []formRef
+	hits    []bool   // per candidate: a form seen as a whole identifier
+	vals    []string // decoded query values of the current request
+}
+
+// exfilCandidate is one cookie whose value holds identifiers; its forms
+// are forms[lo:hi] of the matcher.
+type exfilCandidate struct {
+	key    CookieKey
+	api    instrument.API
+	lo, hi int
+}
+
+// formRef links one (form, candidate) occurrence to the next candidate
+// with the same form; next is -1 at the end of the chain.
+type formRef struct{ cand, next int32 }
+
+// reset builds the observation's candidates from the replayed cookie
+// state. It reports false when there are none.
+func (m *exfilMatcher) reset(a *Analyzer, st *runState, pageURL string, state map[string]*cookieState) bool {
+	minLen := a.MinIdentifierLen
+	// Tokens of the page URL are not identifiers: cookies often embed
+	// the page location (e.g. Marketo's _mch token), and every beacon
+	// reports the page URL, so URL-derived segments would match
+	// everywhere without carrying any user-specific information.
+	m.urlIDs = m.urlIDs[:0]
+	for id, i := nextIdentifier(pageURL, minLen, 0); id != ""; id, i = nextIdentifier(pageURL, minLen, i) {
+		m.urlIDs = append(m.urlIDs, id)
+	}
+	m.cands, m.forms = m.cands[:0], m.forms[:0]
+	for name, cs := range state {
+		if cs.value == "" {
+			continue
+		}
+		lo, ids := len(m.forms), 0
+		for id, i := nextIdentifier(cs.value, minLen, 0); id != ""; id, i = nextIdentifier(cs.value, minLen, i) {
+			ids++
+			if slices.Contains(m.urlIDs, id) {
+				continue
+			}
+			m.forms = append(m.forms, a.encodedForms(st, id)...)
+		}
+		if ids == 0 {
+			continue
+		}
+		m.cands = append(m.cands, exfilCandidate{
+			key: CookieKey{Name: name, Owner: cs.owner}, api: cs.api,
+			lo: lo, hi: len(m.forms),
+		})
+	}
+	if len(m.cands) == 0 {
+		return false
+	}
+	// state is a map, so candidate order (and with it Event order) would
+	// vary run to run; cookie names are unique per site, so sorting on
+	// the name makes repeated runs over the same logs byte-identical.
+	slices.SortFunc(m.cands, func(x, y exfilCandidate) int {
+		return strings.Compare(x.key.Name, y.key.Name)
+	})
+	if m.formIdx == nil {
+		m.formIdx = map[string]int32{}
+	}
+	clear(m.formIdx)
+	m.refs = m.refs[:0]
+	for ci, c := range m.cands {
+		for _, f := range m.forms[c.lo:c.hi] {
+			next, ok := m.formIdx[f]
+			if !ok {
+				next = -1
+			}
+			m.formIdx[f] = int32(len(m.refs))
+			m.refs = append(m.refs, formRef{cand: int32(ci), next: next})
+		}
+	}
+	m.hits = slices.Grow(m.hits[:0], len(m.cands))[:len(m.cands)]
+	return true
+}
+
+// scan parses one request URL, collects its decoded query values, and
+// marks every candidate with a form equal to a whole identifier run of
+// the raw query or of a decoded value. It returns the raw query, or ""
+// when the URL does not parse or has no query (nothing can match).
+//
+// Short forms must match a whole run; only long forms (≥ 12 chars,
+// e.g. Base64 and hash encodings) may match as substrings (see hit).
+// Plain containment would false-positive on timestamps, where one
+// cookie's seconds-resolution value is a prefix of another script's
+// millisecond timestamp.
+func (m *exfilMatcher) scan(rawURL string, minLen int) string {
+	u, err := url.Parse(rawURL)
+	if err != nil || u.RawQuery == "" {
+		return ""
+	}
+	query := u.RawQuery
+	clear(m.hits)
+	m.vals = appendQueryValues(m.vals[:0], query)
+	m.mark(query, minLen)
+	// Decoded values too: encodings may be %-escaped in the query.
+	for _, v := range m.vals {
+		m.mark(v, minLen)
+	}
+	return query
+}
+
+// mark sets the hit of every candidate having a form equal to one of
+// s's identifier runs.
+func (m *exfilMatcher) mark(s string, minLen int) {
+	for id, i := nextIdentifier(s, minLen, 0); id != ""; id, i = nextIdentifier(s, minLen, i) {
+		r, ok := m.formIdx[id]
+		if !ok {
+			continue
+		}
+		for ; r >= 0; r = m.refs[r].next {
+			m.hits[m.refs[r].cand] = true
+		}
+	}
+}
+
+// hit reports whether candidate ci matched the scanned request: one of
+// its forms was a whole identifier run, or one of its long forms occurs
+// in the raw query or in a decoded value. No form contains '\n', so
+// testing the values one by one equals testing them joined by "\n".
+func (m *exfilMatcher) hit(ci int, query string) bool {
+	if m.hits[ci] {
+		return true
+	}
+	c := m.cands[ci]
+	for _, f := range m.forms[c.lo:c.hi] {
+		if len(f) < 12 {
+			continue
+		}
+		if strings.Contains(query, f) {
+			return true
+		}
+		for _, v := range m.vals {
+			if strings.Contains(v, f) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// appendQueryValues appends the decoded values of a raw query string to
+// dst, keeping exactly the values url.ParseQuery would: pairs holding a
+// ';' or failing to unescape are dropped. Keys are checked but not kept;
+// values come in query order, not key order, which matching ignores.
+func appendQueryValues(dst []string, query string) []string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if _, err := url.QueryUnescape(key); err != nil {
+			continue
+		}
+		value, err := url.QueryUnescape(value)
+		if err != nil {
+			continue
+		}
+		dst = append(dst, value)
+	}
+	return dst
+}
+
 // ExtractIdentifiers splits a cookie value on non-alphanumeric delimiters
 // and returns the segments of at least minLen characters (§4.4).
 func ExtractIdentifiers(value string, minLen int) []string {
 	var out []string
+	for id, i := nextIdentifier(value, minLen, 0); id != ""; id, i = nextIdentifier(value, minLen, i) {
+		out = append(out, id)
+	}
+	return out
+}
+
+// nextIdentifier returns the first alphanumeric run of at least minLen
+// (and at least one) characters in s at or after byte i, and the offset
+// to resume from; id is "" when there is none. It slices s in place.
+func nextIdentifier(s string, minLen, i int) (id string, next int) {
 	start := -1
-	for i := 0; i < len(value); i++ {
-		c := value[i]
-		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-		if alnum {
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
 			if start < 0 {
 				start = i
 			}
-		} else {
-			if start >= 0 && i-start >= minLen {
-				out = append(out, value[start:i])
-			}
-			start = -1
+			continue
 		}
+		if start >= 0 && i-start >= minLen {
+			return s[start:i], i + 1
+		}
+		start = -1
 	}
-	if start >= 0 && len(value)-start >= minLen {
-		out = append(out, value[start:])
+	if start >= 0 && len(s)-start >= minLen {
+		return s[start:], len(s)
 	}
-	return out
+	return "", len(s)
 }
 
 // encMemoMax caps the per-run identifier-encoding memo; the distinct

@@ -19,6 +19,9 @@ func TestExtractIdentifiers(t *testing.T) {
 		{"abcdefgh", []string{"abcdefgh"}},
 		{"x=longsegment12|another9", []string{"longsegment12", "another9"}},
 		{"---", nil},
+		// A newline is a delimiter like any other non-alphanumeric byte.
+		{"abcdefgh1\nijklmnop2", []string{"abcdefgh1", "ijklmnop2"}},
+		{"\nabcdefgh\n\n", []string{"abcdefgh"}},
 	}
 	for _, c := range cases {
 		got := ExtractIdentifiers(c.value, 8)
@@ -38,6 +41,34 @@ func TestEncodedForms(t *testing.T) {
 	}
 	if len(forms[2]) != 32 || len(forms[3]) != 40 {
 		t.Errorf("hash lengths: md5=%d sha1=%d", len(forms[2]), len(forms[3]))
+	}
+}
+
+// TestEncodedFormsKnownAnswers pins the encodings to published digests
+// and the RFC 4648 Base64 alphabet, so a detector that matched its own
+// wrong encodings cannot pass.
+func TestEncodedFormsKnownAnswers(t *testing.T) {
+	cases := []struct {
+		id   string
+		want []string // raw, Base64 without padding, MD5 hex, SHA-1 hex
+	}{
+		{"hello", []string{
+			"hello",
+			"aGVsbG8",
+			"5d41402abc4b2a76b9719d911017c592",
+			"aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d",
+		}},
+		{"Hello, World!", []string{
+			"Hello, World!",
+			"SGVsbG8sIFdvcmxkIQ", // "SGVsbG8sIFdvcmxkIQ==" with its padding stripped
+			"65a8e27d8879283831b664bd8b7f0ad4",
+			"0a0a9f2a6772942557ab5355d76af442f8f65e01",
+		}},
+	}
+	for _, c := range cases {
+		if got := EncodedForms(c.id); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("EncodedForms(%q) = %q, want %q", c.id, got, c.want)
+		}
 	}
 }
 

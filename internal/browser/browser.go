@@ -321,7 +321,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 	if b.opts.Pooling {
 		req = &b.req
 		req.URL = u
-		if hdr := b.jar.CookieHeader(rawURL); hdr != "" {
+		if hdr := b.jar.CookieHeader(rawURL, u); hdr != "" {
 			b.cookieVal[0] = hdr
 			b.hdr["Cookie"] = b.cookieVal[:]
 		} else {
@@ -340,7 +340,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 			ProtoMinor: 1,
 			Header:     make(http.Header, 4),
 		}
-		if hdr := b.jar.CookieHeader(rawURL); hdr != "" {
+		if hdr := b.jar.CookieHeader(rawURL, u); hdr != "" {
 			req.Header.Set("Cookie", hdr)
 		}
 		req.Header.Set(netsim.AttemptHeader, strconv.Itoa(b.opts.AttemptBase+attempt))
@@ -362,7 +362,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 		return fetchResult{status: resp.StatusCode, failure: classifyFetchError(err), err: err}
 	}
 	for _, sc := range resp.Header.Values("Set-Cookie") {
-		b.jar.SetFromHeader(rawURL, sc)
+		b.jar.SetFromHeader(u, sc)
 	}
 	res := fetchResult{
 		body:     body,

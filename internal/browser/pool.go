@@ -76,7 +76,10 @@ func CollectPoolStats() PoolStats {
 // interpreters — to the pools. It is a no-op unless Options.Pooling is
 // set. The caller owns the lifecycle: call it only once all data derived
 // from the visit has been copied out (instrument.BuildVisitLog copies
-// everything it keeps), and touch nothing of the visit afterwards.
+// everything it keeps), and touch nothing of the visit afterwards. The
+// visit's instrument.Recorder pools its event buffer the same way; the
+// crawler releases it after this, once its cookie middleware and jar
+// observer can no longer fire.
 func (b *Browser) Release() {
 	if !b.opts.Pooling {
 		return

@@ -140,9 +140,10 @@ func (j *Jar) notify(ch Change) {
 }
 
 // SetFromHeader stores a cookie parsed from a Set-Cookie header received
-// in a response from requestURL. It returns the resulting change kind.
-func (j *Jar) SetFromHeader(requestURL, header string) ChangeKind {
-	return j.set(requestURL, header, SourceHTTP)
+// in a response from the request URL u. It returns the resulting change
+// kind.
+func (j *Jar) SetFromHeader(u *url.URL, header string) ChangeKind {
+	return j.setURL(u, header, SourceHTTP)
 }
 
 // SetFromDocument stores a cookie from a document.cookie assignment made
@@ -170,7 +171,14 @@ func (j *Jar) SetFromCookieStoreAssignment(pageURL, line string) ChangeKind {
 
 func (j *Jar) set(rawURL, line string, src Source) ChangeKind {
 	u, err := url.Parse(rawURL)
-	if err != nil || u.Hostname() == "" {
+	if err != nil {
+		return ChangeRejected
+	}
+	return j.setURL(u, line, src)
+}
+
+func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
+	if u.Hostname() == "" {
 		return ChangeRejected
 	}
 	host := strings.ToLower(u.Hostname())
@@ -254,7 +262,15 @@ type requestTarget struct {
 // cookie can match.
 func parseTarget(rawURL string) (requestTarget, bool) {
 	u, err := url.Parse(rawURL)
-	if err != nil || u.Hostname() == "" {
+	if err != nil {
+		return requestTarget{}, false
+	}
+	return targetOf(u)
+}
+
+// targetOf is parseTarget for an already parsed URL.
+func targetOf(u *url.URL) (requestTarget, bool) {
+	if u.Hostname() == "" {
 		return requestTarget{}, false
 	}
 	path := u.Path
@@ -324,8 +340,9 @@ func (j *Jar) cookiesFor(rawURL string, httpOnlyToo bool) []*Cookie {
 // renderCookies produces the serialized cookie string for a URL and
 // visibility, through the memo: a hit returns the previously rendered
 // string; a miss renders via cookiesFor and stores the result tagged
-// with the jar generation and the earliest expiry it depends on.
-func (j *Jar) renderCookies(rawURL string, httpOnlyToo bool) string {
+// with the jar generation and the earliest expiry it depends on. u is
+// rawURL already parsed, or nil to parse it only on a miss.
+func (j *Jar) renderCookies(rawURL string, u *url.URL, httpOnlyToo bool) string {
 	now := j.clock.Now()
 	key := memoKey{url: rawURL, httpOnly: httpOnlyToo}
 	j.mu.Lock()
@@ -338,7 +355,13 @@ func (j *Jar) renderCookies(rawURL string, httpOnlyToo bool) string {
 	// share cookiesFor's predicate and comparator, but no cookies are
 	// cloned — only name=value pairs leave the jar — and the sort reads
 	// the stored cookies without mutating them.
-	t, tok := parseTarget(rawURL)
+	var t requestTarget
+	var tok bool
+	if u != nil {
+		t, tok = targetOf(u)
+	} else {
+		t, tok = parseTarget(rawURL)
+	}
 	if !tok {
 		j.mu.Unlock()
 		return ""
@@ -389,15 +412,17 @@ func (j *Jar) renderCookies(rawURL string, httpOnlyToo bool) string {
 }
 
 // CookieHeader renders the Cookie request header value for a request to
-// rawURL (includes HttpOnly cookies). Empty string means no cookies.
-func (j *Jar) CookieHeader(rawURL string) string {
-	return j.renderCookies(rawURL, true)
+// u (includes HttpOnly cookies). Empty string means no cookies. rawURL
+// is the string u was parsed from; it keys the rendering memo, so the
+// URL is never parsed again.
+func (j *Jar) CookieHeader(rawURL string, u *url.URL) string {
+	return j.renderCookies(rawURL, u, true)
 }
 
 // DocumentCookie implements the document.cookie getter for a page at
 // rawURL: all matching non-HttpOnly cookies as "a=1; b=2".
 func (j *Jar) DocumentCookie(rawURL string) string {
-	return j.renderCookies(rawURL, false)
+	return j.renderCookies(rawURL, nil, false)
 }
 
 // ScriptCookies returns the structured list of script-visible cookies for

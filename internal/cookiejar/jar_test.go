@@ -2,6 +2,7 @@ package cookiejar
 
 import (
 	"fmt"
+	"net/url"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,6 +17,17 @@ func newJar() (*Jar, *vclock.Clock) {
 	return New(c), c
 }
 
+// mustURL parses a test URL, as the browser does once per fetch before
+// handing it to CookieHeader and SetFromHeader.
+func mustURL(t *testing.T, raw string) *url.URL {
+	t.Helper()
+	u, err := url.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 func TestSetFromDocumentAndRead(t *testing.T) {
 	j, _ := newJar()
 	if k := j.SetFromDocument(site, "_ga=GA1.1.123.456"); k != ChangeCreated {
@@ -28,13 +40,13 @@ func TestSetFromDocumentAndRead(t *testing.T) {
 
 func TestHttpOnlyInvisibleToScripts(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromHeader(site, "session=secret; HttpOnly")
+	j.SetFromHeader(mustURL(t, site), "session=secret; HttpOnly")
 	j.SetFromDocument(site, "visible=yes")
 	if got := j.DocumentCookie(site); got != "visible=yes" {
 		t.Fatalf("DocumentCookie = %q (HttpOnly leaked?)", got)
 	}
 	// But the Cookie header for HTTP requests includes it.
-	hdr := j.CookieHeader(site)
+	hdr := j.CookieHeader(site, mustURL(t, site))
 	if hdr != "session=secret; visible=yes" && hdr != "visible=yes; session=secret" {
 		t.Fatalf("CookieHeader = %q", hdr)
 	}
@@ -129,7 +141,7 @@ func TestCannotSetForUnrelatedDomain(t *testing.T) {
 
 func TestSecureCookieRequiresHTTPS(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromHeader("https://example.com/", "s=1; Secure")
+	j.SetFromHeader(mustURL(t, "https://example.com/"), "s=1; Secure")
 	if got := j.DocumentCookie("http://example.com/"); got != "" {
 		t.Fatalf("secure cookie visible over http: %q", got)
 	}
@@ -140,7 +152,7 @@ func TestSecureCookieRequiresHTTPS(t *testing.T) {
 
 func TestPathScoping(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromHeader("https://example.com/app/index", "p=1; Path=/app")
+	j.SetFromHeader(mustURL(t, "https://example.com/app/index"), "p=1; Path=/app")
 	if got := j.DocumentCookie("https://example.com/app/page"); got != "p=1" {
 		t.Fatalf("path cookie missing: %q", got)
 	}
@@ -151,7 +163,7 @@ func TestPathScoping(t *testing.T) {
 
 func TestDefaultPathFromRequest(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromHeader("https://example.com/a/b/page", "p=1")
+	j.SetFromHeader(mustURL(t, "https://example.com/a/b/page"), "p=1")
 	if got := j.DocumentCookie("https://example.com/a/b/other"); got != "p=1" {
 		t.Fatalf("default-path cookie missing: %q", got)
 	}
@@ -162,11 +174,11 @@ func TestDefaultPathFromRequest(t *testing.T) {
 
 func TestCookieHeaderOrdering(t *testing.T) {
 	j, clk := newJar()
-	j.SetFromHeader("https://example.com/app/x", "deep=1; Path=/app")
+	j.SetFromHeader(mustURL(t, "https://example.com/app/x"), "deep=1; Path=/app")
 	clk.Advance(time.Second)
-	j.SetFromHeader("https://example.com/", "shallow=1; Path=/")
+	j.SetFromHeader(mustURL(t, "https://example.com/"), "shallow=1; Path=/")
 	// Longer path first per RFC 6265 §5.4.
-	if got := j.CookieHeader("https://example.com/app/x"); got != "deep=1; shallow=1" {
+	if got := j.CookieHeader("https://example.com/app/x", mustURL(t, "https://example.com/app/x")); got != "deep=1; shallow=1" {
 		t.Fatalf("ordering = %q", got)
 	}
 }

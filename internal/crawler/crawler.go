@@ -1320,6 +1320,9 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 	out = visitOutcome{idx: j.site, lane: j.lane.id, pass: j.pass}
 	site := urlutil.RegistrableDomain(url)
 	rec := instrument.NewRecorder()
+	// Registered first, so it runs last: after finish, b.Release and the
+	// BuildVisitLog copy, when nothing records into the buffer any more.
+	defer rec.Release()
 
 	seed := opts.Seed ^ (n * 0x9e3779b97f4a7c15)
 	var clock *vclock.Clock
@@ -1416,9 +1419,10 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 	rec.ObserveJar(b.Jar())
 	// The worker owns the pooling lifecycle: BuildVisitLog copies out
 	// everything the log keeps, after which the visit's pages, arenas,
-	// and interpreters go back to the pools. Nothing of the visit is
-	// touched after Release. finish registers second, so it runs before
-	// Release (defers are LIFO) while the browser is still live.
+	// and interpreters go back to the pools, and last the recorder's
+	// event buffer (its Release was deferred first). Nothing of the visit
+	// is touched after the releases. finish registers after b.Release, so
+	// it runs before it (defers are LIFO) while the browser is still live.
 	defer b.Release()
 	defer func() { finish(b) }()
 

@@ -185,12 +185,42 @@ func FilterComplete(logs []VisitLog) []VisitLog {
 type Recorder struct {
 	mu     sync.Mutex
 	events []CookieEvent
+	buf    *[]CookieEvent // pooled backing array of events; nil once released
 }
 
-// NewRecorder returns an empty Recorder, pre-sized for a typical visit's
-// cookie-event volume.
+// eventBufs recycles recorder event buffers across visits: a buffer
+// keeps the capacity earlier visits grew it to, so a visit's appends
+// rarely grow it at all. Only BuildVisitLog's exact-size copy outlives
+// the visit.
+var eventBufs = sync.Pool{New: func() any {
+	b := make([]CookieEvent, 0, 48)
+	return &b
+}}
+
+// NewRecorder returns an empty Recorder whose event buffer comes from a
+// pool shared by all recorders. Call Release once the visit's log is
+// built to hand the buffer back; a recorder that is never released is
+// simply collected with its buffer.
 func NewRecorder() *Recorder {
-	return &Recorder{events: make([]CookieEvent, 0, 48)}
+	buf := eventBufs.Get().(*[]CookieEvent)
+	return &Recorder{events: (*buf)[:0], buf: buf}
+}
+
+// Release clears the event buffer to its full capacity, so the pool pins
+// none of the visit's strings, and returns it to the pool. Logs built
+// before Release keep their own copies of the events and are unaffected.
+// The recorder must not record after Release; a second Release is a
+// no-op.
+func (r *Recorder) Release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.buf == nil {
+		return
+	}
+	clear(r.events[:cap(r.events)])
+	*r.buf = r.events[:0]
+	eventBufs.Put(r.buf)
+	r.events, r.buf = nil, nil
 }
 
 // Middleware returns the cookie-API wrapper that records operations. It
@@ -232,7 +262,8 @@ func (r *Recorder) append(ev CookieEvent) {
 	r.mu.Unlock()
 }
 
-// Events returns a snapshot of recorded cookie events.
+// Events returns an exact-size copy of the recorded cookie events; it
+// never aliases the pooled buffer.
 func (r *Recorder) Events() []CookieEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"cookieguard/internal/browser"
@@ -191,5 +193,52 @@ func TestMutationCrossDomain(t *testing.T) {
 		if got := MutationCrossDomain(c.m, "site.example"); got != c.want {
 			t.Errorf("case %d = %v, want %v", i, got, c.want)
 		}
+	}
+}
+
+// TestReleasedRecorderLeavesBuiltLogIntact: BuildVisitLog copies the
+// events out, so a log built before Release keeps its cookies while a
+// later recorder refills the pooled buffer.
+func TestReleasedRecorderLeavesBuiltLogIntact(t *testing.T) {
+	rec, v := instrumentedVisit(t)
+	want, err := json.Marshal(v.Cookies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := rec.buf
+	rec.Release()
+	rec.Release()                  // a second Release is a no-op
+	recorded := (*buf)[:cap(*buf)] // the array the visit recorded into
+	for i, ev := range recorded {
+		if !reflect.DeepEqual(ev, CookieEvent{}) {
+			t.Fatalf("released buffer still holds event %d: %+v", i, ev)
+		}
+	}
+
+	// A later recorder fills the array. The race detector's pool drops
+	// some Puts, so the buffer may not come back from NewRecorder; fill
+	// it directly as well, the way a recorder that took it would.
+	for try := 0; try < 8; try++ {
+		r := NewRecorder()
+		if r.buf != buf {
+			r.Release()
+			continue
+		}
+		for j := range recorded {
+			r.append(CookieEvent{Op: OpWrite, API: APIDocument, Name: "other", Value: strconv.Itoa(j)})
+		}
+		r.Release()
+		break
+	}
+	for j := range recorded {
+		recorded[j] = CookieEvent{Op: OpDelete, Name: "overwritten", Value: strconv.Itoa(j)}
+	}
+	defer clear(recorded)
+	got, err := json.Marshal(v.Cookies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("log cookies changed after Release:\n got %s\nwant %s", got, want)
 	}
 }

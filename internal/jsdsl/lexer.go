@@ -7,12 +7,23 @@ import (
 
 // Lex tokenizes src. The returned slice always ends with a TokEOF token.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1}
-	var toks []Token
+	toks, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto tokenizes src, appending to dst[:0], and returns the grown
+// slice. On error it returns dst[:0] alongside the error, so a caller
+// lexing into a pooled buffer can still hand the buffer back.
+func lexInto(dst []Token, src string) ([]Token, error) {
+	l := lexer{src: src, line: 1}
+	toks := dst[:0]
 	for {
 		tok, err := l.next()
 		if err != nil {
-			return nil, err
+			return toks[:0], err
 		}
 		toks = append(toks, tok)
 		if tok.Kind == TokEOF {

@@ -3,11 +3,24 @@ package jsdsl
 import (
 	"fmt"
 	"strconv"
+	"sync"
 )
+
+// tokenBufs recycles Parse's token buffers. The AST copies what it needs
+// out of the tokens (texts are strings, never the slice), so a buffer is
+// dead once its parse returns.
+var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
 
 // Parse lexes and parses a SiteScript source into a Program.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	buf := tokenBufs.Get().(*[]Token)
+	toks, err := lexInto(*buf, src)
+	defer func() {
+		// Clear to full capacity so the pool pins no token texts.
+		clear(toks[:cap(toks)])
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}()
 	if err != nil {
 		return nil, err
 	}

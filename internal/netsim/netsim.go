@@ -584,8 +584,13 @@ func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyMode
 
 	rec := &respRecorder{header: make(http.Header, 4)}
 	// The handler sees the original Host (cloaked requests carry the
-	// alias), matching how HTTP works over a CNAME.
-	inner := req.Clone(req.Context())
+	// alias), matching how HTTP works over a CNAME. A shallow copy is
+	// enough: it shares URL, Header and context with the caller's
+	// request, and no handler on the fabric mutates its request — they
+	// read the path and write only the response — so only the copy's own
+	// Host and Body fields are ever set.
+	inner := new(http.Request)
+	*inner = *req
 	inner.Host = req.URL.Host
 	if inner.Body == nil {
 		inner.Body = http.NoBody

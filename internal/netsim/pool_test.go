@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"net/http"
+	"net/url"
+	"reflect"
 	"testing"
 )
 
@@ -99,5 +101,57 @@ func TestTapsDisablePooledReplay(t *testing.T) {
 		if r.StatusCode != 200 {
 			t.Fatalf("retained response %d corrupted: %d", i, r.StatusCode)
 		}
+	}
+}
+
+// TestCacheMissLeavesCallerRequestUnchanged: the handler runs on a
+// shallow copy of the request, which shares URL and Header with the
+// caller's. Setting the copy's Host (the cloaked alias) and Body must
+// not reach the caller's request, whose fields the browser reuses
+// across fetches.
+func TestCacheMissLeavesCallerRequestUnchanged(t *testing.T) {
+	in := New()
+	var seenHost string
+	var seenBody bool
+	in.RegisterFunc("d.example", func(w http.ResponseWriter, r *http.Request) {
+		seenHost, seenBody = r.Host, r.Body != nil
+		w.Write([]byte("d"))
+	})
+	in.AddCNAME("alias.example", "d.example")
+	in.SetResponseCache(newMapCache())
+	in.Freeze()
+
+	u, err := url.Parse("https://alias.example/x?q=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &http.Request{
+		Method: http.MethodGet,
+		URL:    u,
+		Header: http.Header{"Cookie": {"a=1"}, AttemptHeader: {"1"}},
+	}
+	wantURL := *u
+	wantHeader := req.Header.Clone()
+	resp, err := in.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, err := ReadBody(resp); err != nil || body != "d" {
+		t.Fatalf("body %q err %v", body, err)
+	}
+	if seenHost != "alias.example" || !seenBody {
+		t.Fatalf("handler saw Host %q, body set %v; want the alias and a body", seenHost, seenBody)
+	}
+	if req.Host != "" {
+		t.Errorf("caller's Host = %q, want it untouched", req.Host)
+	}
+	if req.Body != nil {
+		t.Error("caller's Body was set")
+	}
+	if req.URL != u || *req.URL != wantURL {
+		t.Errorf("caller's URL = %v, want %v", req.URL, &wantURL)
+	}
+	if !reflect.DeepEqual(req.Header, wantHeader) {
+		t.Errorf("caller's Header = %v, want %v", req.Header, wantHeader)
 	}
 }

@@ -160,39 +160,6 @@ func IsThirdParty(scriptURL, siteURL string) bool {
 	return sd != pd
 }
 
-// QueryValues returns all decoded query-string values of a URL, in a
-// deterministic order (sorted by key, then by position). These are the
-// strings the exfiltration detector scans for cookie-derived identifiers.
-func QueryValues(rawURL string) []string {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil
-	}
-	q := u.Query()
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []string
-	for _, k := range keys {
-		out = append(out, q[k]...)
-	}
-	return out
-}
-
-// QueryString returns the raw (undecoded) query string of a URL, without
-// the leading "?". The exfiltration pipeline also scans this raw form
-// because trackers commonly pack identifiers with custom separators ("*",
-// ".") that survive URL encoding (see the LinkedIn case study in §5.4).
-func QueryString(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return ""
-	}
-	return u.RawQuery
-}
-
 // WithParams returns base with the given parameters appended to its query
 // string. Keys are added in sorted order for determinism.
 func WithParams(base string, params map[string]string) string {

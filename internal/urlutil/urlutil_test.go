@@ -1,9 +1,6 @@
 package urlutil
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestParseOrigin(t *testing.T) {
 	cases := []struct {
@@ -104,25 +101,6 @@ func TestSameDomain(t *testing.T) {
 	}
 	if SameDomain("", "") {
 		t.Error("empty URLs are never same-domain")
-	}
-}
-
-func TestQueryValues(t *testing.T) {
-	got := QueryValues("https://t.example/collect?b=2&a=1&a=3")
-	want := []string{"1", "3", "2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("QueryValues = %v, want %v", got, want)
-	}
-	if QueryValues("://bad") != nil {
-		t.Error("invalid URL should return nil")
-	}
-}
-
-func TestQueryString(t *testing.T) {
-	raw := "https://px.ads.linkedin.com/attribution_trigger?pid=621340&url=www.optimonk.com*_ga*NDQ0MzMyMzY0"
-	got := QueryString(raw)
-	if got != "pid=621340&url=www.optimonk.com*_ga*NDQ0MzMyMzY0" {
-		t.Errorf("QueryString = %q", got)
 	}
 }
 
