@@ -17,24 +17,22 @@
 //	      [-pooling=BOOL] [-v] [-o logs.jsonl] [-list tranco.csv]
 //	      [-serve :8089] [-snap-every K]
 //	      [-checkpoint DIR] [-crash-after N]
-//	      [-shards N] [-shard-driver inprocess|subprocess]
+//	      [-shards N]
 //
-// -shards N splits the crawl's (site, vantage, persona) unit space into
-// N deterministic shards — partitioned by a seeded hash of each site's
-// registrable domain, so one host's breaker and autopilot state never
-// straddles shards — runs them concurrently, and merges the results so
-// the output (and the -sort file, and every served /v1 endpoint) is
-// byte-identical to an unsharded run with the same flags. The default
-// in-process driver runs N pipelines inside this process over one
-// shared frozen web; -shard-driver subprocess re-execs this binary once
-// per shard (crawl -shard i/N -checkpoint DIR/shard-i), supervises the
-// worker processes, adopts any that crash — relaunching them to resume
-// from their own checkpoint journals — and k-way-merges the per-shard
-// -sort outputs. Configurations with cross-shard feedback (-breaker,
-// -autopilot, -second-pass) require -checkpoint under the subprocess
-// driver: the shard journals double as the outcome-exchange transport.
-// -shard i/N is the worker half of that protocol; it crawls only shard
-// i's units and is not normally invoked by hand.
+// -shards N (N > 1) splits the crawl's (site, vantage, persona) unit
+// space into N deterministic shards — partitioned by a seeded hash of
+// each site's registrable domain — and runs each as a worker process:
+// this binary re-execs itself once per shard (crawl -shard i/N
+// -checkpoint DIR/shard-i), supervises the workers, adopts any that
+// crash by relaunching them to resume from their own checkpoint
+// journals, and merges the per-shard outputs. The merged -sort file is
+// byte-identical to an unsharded run's with the same flags.
+// Configurations with cross-shard feedback (-breaker, -autopilot,
+// -second-pass) require -checkpoint: the shard journals double as the
+// outcome-exchange transport. Sharded crawls do not serve or write
+// -list; run unsharded for those. -shard i/N is the worker half of the
+// protocol; it crawls only shard i's units and is not normally invoked
+// by hand.
 //
 // -checkpoint enables crash-safe checkpointing: every terminal unit is
 // journaled write-ahead in DIR, and rerunning with the same flags and a
@@ -137,21 +135,16 @@ func main() {
 	crashAfter := flag.Int("crash-after", 0,
 		"crash-injection harness: abort with exit code 3 right after the N-th journaled unit (requires -checkpoint; omit when resuming)")
 	shards := flag.Int("shards", 1,
-		"split the crawl into N deterministic shards (seeded hash of each site's registrable domain) run concurrently and merged byte-identical to an unsharded run")
-	shardDriver := flag.String("shard-driver", "inprocess",
-		"how -shards runs: inprocess (N pipelines in this process) or subprocess (re-exec this binary per shard, supervise, adopt crashed shards from their journals, merge outputs)")
+		"split the crawl into N deterministic shards (seeded hash of each site's registrable domain), one worker process each, supervised and merged byte-identical to an unsharded run")
 	shardSpec := flag.String("shard", "",
-		"worker mode i/N: crawl only shard i of N (the subprocess driver's re-exec protocol; pair with -checkpoint DIR/shard-i when the config needs cross-shard feedback)")
+		"worker mode i/N: crawl only shard i of N (the -shards re-exec protocol; pair with -checkpoint DIR/shard-i when the config needs cross-shard feedback)")
 	flag.Parse()
 
-	if *shardDriver != "inprocess" && *shardDriver != "subprocess" {
-		fatal(fmt.Errorf("unknown -shard-driver %q (want inprocess or subprocess)", *shardDriver))
-	}
-	if *shards > 1 && *shardDriver == "subprocess" && *shardSpec == "" {
+	if *shards > 1 && *shardSpec == "" {
 		// Supervisor mode: this process never crawls — it re-execs itself
 		// once per shard and merges what the workers wrote.
 		if *serveAddr != "" || *listPath != "" {
-			fatal(errors.New("-serve and -list are not supported with -shard-driver subprocess; use the in-process driver"))
+			fatal(errors.New("-serve and -list are not supported with -shards: sharded crawls do not serve; run unsharded (-shards 1) for -serve or -list"))
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		sup := &shardSupervisor{
@@ -238,8 +231,6 @@ func main() {
 		i, n, err := parseShardSpec(*shardSpec)
 		fatal(err)
 		opts = append(opts, cookieguard.WithShardWorker(i, n))
-	} else if *shards > 1 {
-		opts = append(opts, cookieguard.WithShards(*shards))
 	}
 	p := cookieguard.New(opts...)
 
@@ -252,10 +243,10 @@ func main() {
 	defer stop()
 
 	// -serve: analysis rides along with the crawl. The stream loop below
-	// is the single consumer, so one shard suffices; snapshots publish at
-	// the requested cadence and blocked /v1 pollers wake on each.
+	// is the analyzer's single consumer; snapshots publish at the
+	// requested cadence and blocked /v1 pollers wake on each.
 	var (
-		sh        *cookieguard.ShardedAnalyzer
+		an        *cookieguard.Analyzer
 		store     *cookieguard.ResultStore
 		snapCycle = *snapEvery
 	)
@@ -264,7 +255,7 @@ func main() {
 		fatal(err)
 		fmt.Fprintf(os.Stderr, "crawl: serving live analysis on http://%s/v1/\n", bound)
 		store = p.ResultStore()
-		sh = p.NewShardedAnalyzer(1)
+		an = p.NewAnalyzer()
 		if snapCycle <= 0 {
 			snapCycle = 64
 		}
@@ -304,10 +295,10 @@ func main() {
 		if l.Complete() {
 			complete++
 		}
-		if sh != nil {
-			sh.Observe(0, l)
+		if an != nil {
+			an.Observe(l)
 			if visited%snapCycle == 0 {
-				store.Publish(cookieguard.ResultProgress{Done: visited, Total: total}, sh.Snapshot())
+				store.Publish(cookieguard.ResultProgress{Done: visited, Total: total}, an.Snapshot())
 			}
 		}
 		if *sortOut {
@@ -341,8 +332,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	if sh != nil {
-		store.Publish(cookieguard.ResultProgress{Done: visited, Total: total, Final: true}, sh.Finalize())
+	if an != nil {
+		store.Publish(cookieguard.ResultProgress{Done: visited, Total: total, Final: true}, an.Finalize())
 	}
 	if *sortOut {
 		// (site, vantage, persona) is unique per crawl, so the sort order

@@ -1,12 +1,12 @@
 package main
 
-// The subprocess shard driver: -shards N -shard-driver subprocess
-// re-execs this binary once per shard (crawl -shard i/N), supervises
-// the processes consul-agent style through the shard coordinator — a
-// shard that exits non-zero (including the -crash-after harness's exit
-// 3) is adopted: relaunched to resume from its own checkpoint journal
-// under <checkpoint>/shard-<i>, replaying completed units from stored
-// logs with zero fabric requests — and merges the per-shard outputs:
+// The shard supervisor: -shards N re-execs this binary once per shard
+// (crawl -shard i/N) and supervises the processes consul-agent style
+// through the shard coordinator — a shard that exits non-zero
+// (including the -crash-after harness's exit 3) is adopted: relaunched
+// to resume from its own checkpoint journal under
+// <checkpoint>/shard-<i>, replaying completed units from stored logs
+// with zero fabric requests. It then merges the per-shard outputs:
 // -sort outputs interleave through a k-way merge on the same (site,
 // vantage, persona) key each shard sorted by, so the merged file is
 // byte-identical to an unsharded -sort run; unsorted outputs
@@ -27,8 +27,8 @@ import (
 	"cookieguard/internal/shard"
 )
 
-// shardSupervisor holds everything the subprocess driver needs from
-// the parsed flag set.
+// shardSupervisor holds everything the supervisor needs from the
+// parsed flag set.
 type shardSupervisor struct {
 	shards     int
 	sortOut    bool
@@ -40,8 +40,8 @@ type shardSupervisor struct {
 	workerArgs []string
 }
 
-// run drives the whole subprocess-sharded crawl and returns the
-// process exit code.
+// run drives the whole sharded crawl and returns the process exit
+// code.
 func (s *shardSupervisor) run(ctx context.Context) int {
 	self, err := os.Executable()
 	fatal(err)

@@ -11,21 +11,6 @@
 //	            [-personas accept,reject,dismiss] [-cmp]
 //	            [-serve :8089] [-serve-bench]
 //	            [-checkpoint DIR] [-checkpoint-compare]
-//	            [-shards N] [-shard-compare]
-//
-// Sharded crawling: -shards N splits the measurement crawl's (site,
-// vantage, persona) unit space into N deterministic shards (seeded
-// hash of each site's registrable domain) run as N concurrent
-// in-process pipelines over one frozen web and merged byte-identical
-// to the unsharded crawl. -shard-compare times the same configuration
-// unsharded and at N in-process shards through the paired lap harness
-// (see Paired timing) and records
-// both units/s figures, the speedup ratio, and per-shard unit counts
-// and units/s under the bench snapshot's `shard_modes` key
-// (BENCH_10.json by convention; the CI shard gate requires speedup ≥
-// 1.5 at 4 shards on multi-core shapes and non-regression on
-// single-core shapes, where the CPU-bound simulated crawl cannot gain
-// from shard parallelism).
 //
 // Crash-safe checkpointing: -checkpoint journals the measurement
 // crawl's terminal units write-ahead in DIR (a rerun with the same
@@ -39,10 +24,10 @@
 // crawl context: in-flight visits drain and buffered journal appends
 // flush before the process exits 130.
 //
-// Paired timing: -shard-compare and -checkpoint-compare share one lap
-// harness. Every lap builds a fresh pipeline (fresh web and caches)
-// over the measurement crawl's configuration plus the one option being
-// measured, and drains Stream; one discarded warm-up lap comes first,
+// Paired timing: -checkpoint-compare times through a lap harness.
+// Every lap builds a fresh pipeline (fresh web and caches) over the
+// measurement crawl's configuration, plus a journal on the measured
+// side, and drains Stream; one discarded warm-up lap comes first,
 // then three laps per side alternating which side runs first, keeping
 // each side's best, so cold-start costs bill to neither side.
 //
@@ -171,10 +156,6 @@ func main() {
 		"crash-safe checkpoint directory for the measurement crawl: journal terminal units write-ahead; a rerun with the same flags resumes from the journal")
 	ckptCompare := flag.Bool("checkpoint-compare", false,
 		"time the crawl with vs without checkpointing on fresh pipelines and record journal bytes, fsyncs, and units/s overhead in -bench-json")
-	shards := flag.Int("shards", 1,
-		"split the measurement crawl into N deterministic in-process shards (seeded hash of each site's registrable domain) merged byte-identical to an unsharded run")
-	shardCompare := flag.Bool("shard-compare", false,
-		"time the crawl unsharded vs at -shards (default 4) in-process shards on fresh pipelines and record units/s, speedup, and per-shard throughput in -bench-json")
 	crawlOnly := flag.Bool("crawl-only", false,
 		"exit after the measurement crawl and its -bench-json snapshot (skips the guard/breakage/performance experiments); the perf-harness mode CI's bench gate runs")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the measurement crawl to this file")
@@ -204,10 +185,6 @@ func main() {
 		cmp:       *cmp,
 		serveAddr: *serve, serveBench: *serveBench,
 		checkpointDir: *checkpoint, ckptCompare: *ckptCompare,
-		shards: *shards, shardCompare: *shardCompare,
-	}
-	if cfg.shardCompare && cfg.shards < 2 {
-		cfg.shards = 4
 	}
 	for _, name := range strings.Split(*personas, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -255,8 +232,6 @@ type runConfig struct {
 	serveBench             bool
 	checkpointDir          string
 	ckptCompare            bool
-	shards                 int
-	shardCompare           bool
 }
 
 // benchSnapshot is the schema of the -bench-json throughput record.
@@ -285,10 +260,6 @@ type benchSnapshot struct {
 	SitesPerSec  float64 `json:"sites_per_sec"`
 	VisitsPerSec float64 `json:"visits_per_sec"`
 	UnitsPerSec  float64 `json:"units_per_sec"`
-	// Shards records the measurement crawl's in-process shard count
-	// (absent when unsharded); UnitsPerSec above then measures the
-	// sharded crawl end to end, merge included.
-	Shards int `json:"shards,omitempty"`
 	// AllocsPerSite and BytesPerSite are runtime.MemStats deltas over the
 	// measurement crawl divided by the site count; the GC fields are the
 	// collector's cycle count and total pause over the same window. They
@@ -312,11 +283,6 @@ type benchSnapshot struct {
 	// IO volume and the units/s cost of write-ahead journaling (absent
 	// without either flag).
 	Checkpoint *checkpointBench `json:"checkpoint,omitempty"`
-	// ShardModes is the -shard-compare record: the same configuration
-	// timed unsharded and at N in-process shards, per-shard throughput
-	// rows, and the sharded/unsharded units-per-second ratio the CI
-	// shard gate checks.
-	ShardModes *shardModes `json:"shard_modes,omitempty"`
 	// Failures is the crawl failure-taxonomy rollup (all zero without
 	// -faults), so a faulted snapshot documents what it survived.
 	Failures cookieguard.FailureStats `json:"failures"`
@@ -341,43 +307,6 @@ type serveBenchResult struct {
 type vantageBench struct {
 	Name string `json:"name"`
 	cookieguard.VantageStats
-}
-
-// shardModes compares unsharded vs in-process-sharded crawling over one
-// configuration (-shard-compare), timed by compareLaps.
-type shardModes struct {
-	// CPUs is runtime.NumCPU() on the measuring machine. Shard
-	// parallelism wins by running N full pipelines on separate cores; on
-	// a single-CPU shape the simulated crawl is CPU-bound (virtual-clock
-	// latency costs no wall time) and sharding can only add replication
-	// overhead, so the CI gate drops to non-regression there.
-	CPUs      int            `json:"cpus"`
-	Shards    int            `json:"shards"`
-	Driver    string         `json:"driver"`
-	Unsharded shardModeBench `json:"unsharded"`
-	Sharded   shardModeBench `json:"sharded"`
-	// PerShard is each shard's owned-unit count and throughput from the
-	// sharded lap (shards run concurrently, so rates share the lap's
-	// wall clock); attempts > 1 means the coordinator adopted the shard.
-	PerShard []shardBench `json:"per_shard"`
-	// Speedup is sharded units/s over unsharded units/s; the CI shard
-	// gate requires ≥ 1.5 at 4 shards on multi-core shapes and
-	// non-regression on single-core shapes.
-	Speedup float64 `json:"speedup"`
-}
-
-// shardModeBench is one mode's timing in a -shard-compare record.
-type shardModeBench struct {
-	CrawlSeconds float64 `json:"crawl_seconds"`
-	UnitsPerSec  float64 `json:"units_per_sec"`
-}
-
-// shardBench is one shard's row in a -shard-compare record.
-type shardBench struct {
-	Shard       int     `json:"shard"`
-	Units       int64   `json:"units"`
-	UnitsPerSec float64 `json:"units_per_sec"`
-	Attempts    int     `json:"attempts,omitempty"`
 }
 
 // checkpointBench records what write-ahead journaling cost. With
@@ -439,8 +368,8 @@ func run(cfg runConfig) error {
 	}
 	// newPipeline builds a pipeline over this run's crawl configuration
 	// plus extra options. The compare laps rerun exactly that
-	// configuration — no shards, server, or journal — each adding the one
-	// option it measures.
+	// configuration — no server or journal — each adding the one option
+	// it measures.
 	newPipeline := func(extra ...cookieguard.Option) *cookieguard.Pipeline {
 		opts := append([]cookieguard.Option{
 			cookieguard.WithSites(sites),
@@ -455,9 +384,6 @@ func run(cfg runConfig) error {
 	// baseline is the unchanged side of every compare.
 	baseline := func() (*cookieguard.Pipeline, func(), error) { return newPipeline(), nil, nil }
 	var studyOpts []cookieguard.Option
-	if cfg.shards > 1 && !cfg.shardCompare {
-		studyOpts = append(studyOpts, cookieguard.WithShards(cfg.shards))
-	}
 	if cfg.serveAddr != "" {
 		studyOpts = append(studyOpts, cookieguard.WithServer(cfg.serveAddr))
 	}
@@ -535,38 +461,6 @@ func run(cfg runConfig) error {
 		fmt.Fprintf(out, "allocation profile written to %s\n\n", memProfile)
 	}
 
-	// -shard-compare: time the same configuration unsharded and at N
-	// in-process shards — identical unit work on both sides, so the ratio
-	// isolates shard parallelism.
-	var sm *shardModes
-	if cfg.shardCompare {
-		fmt.Fprintln(out, "--- shard-mode comparison (-shard-compare) ---")
-		var perShard []cookieguard.ShardLiveStats
-		secs, units, err := compareLaps(ctx, baseline, func() (*cookieguard.Pipeline, func(), error) {
-			p := newPipeline(cookieguard.WithShards(cfg.shards))
-			return p, func() { perShard = p.ShardStats() }, nil
-		})
-		if err != nil {
-			return err
-		}
-		unSecs, shSecs := secs[0], secs[1]
-		sm = &shardModes{
-			CPUs: runtime.NumCPU(), Shards: cfg.shards, Driver: "inprocess",
-			Unsharded: shardModeBench{CrawlSeconds: unSecs, UnitsPerSec: float64(units) / unSecs},
-			Sharded:   shardModeBench{CrawlSeconds: shSecs, UnitsPerSec: float64(units) / shSecs},
-		}
-		sm.Speedup = sm.Sharded.UnitsPerSec / sm.Unsharded.UnitsPerSec
-		for _, st := range perShard {
-			sm.PerShard = append(sm.PerShard, shardBench{
-				Shard: st.Shard, Units: st.Sched.Visits,
-				UnitsPerSec: float64(st.Sched.Visits) / shSecs,
-				Attempts:    st.Attempts,
-			})
-		}
-		fmt.Fprintf(out, "unsharded %.2fs (%.1f units/s) vs %d shards %.2fs (%.1f units/s): speedup %.2fx on %d CPUs\n\n",
-			unSecs, sm.Unsharded.UnitsPerSec, cfg.shards, shSecs, sm.Sharded.UnitsPerSec, sm.Speedup, sm.CPUs)
-	}
-
 	// -checkpoint alone: report the measurement crawl's journal volume.
 	// -checkpoint-compare: additionally time the same configuration with
 	// and without a fresh journal through compareLaps, so the overhead
@@ -636,13 +530,6 @@ func run(cfg runConfig) error {
 	}
 
 	if benchJSON != "" {
-		// The snapshot's Shards field records the measurement crawl's own
-		// shard count; under -shard-compare the measurement crawl ran
-		// unsharded (the compare laps shard on their own pipelines).
-		snapShards := 0
-		if cfg.shards > 1 && !cfg.shardCompare {
-			snapShards = cfg.shards
-		}
 		snap := benchSnapshot{
 			Benchmark:     "StreamingPipeline",
 			Sites:         sites,
@@ -658,8 +545,6 @@ func run(cfg runConfig) error {
 			VisitsPerSec:  float64(sites*len(study.Vantages())) / crawlSecs,
 			UnitsPerSec:   float64(sites*len(study.Vantages())*max(1, len(cfg.personas))) / crawlSecs,
 			Checkpoint:    ckpt,
-			ShardModes:    sm,
-			Shards:        snapShards,
 			AllocsPerSite: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(sites),
 			BytesPerSite:  float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(sites),
 			GCCycles:      msAfter.NumGC - msBefore.NumGC,

@@ -35,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cookieguard/internal/analysis"
@@ -73,11 +72,9 @@ type (
 	VisitLog = instrument.VisitLog
 	// CookieMiddleware wraps the browser's cookie API for one visit.
 	CookieMiddleware = browser.CookieMiddleware
-	// Analyzer is the incremental analysis engine (Observe/Finalize).
+	// Analyzer is the incremental analysis engine (Observe, Snapshot,
+	// Finalize).
 	Analyzer = analysis.Analyzer
-	// ShardedAnalyzer fans analysis out over contention-free per-worker
-	// shards with a deterministic merge (Pipeline.NewShardedAnalyzer).
-	ShardedAnalyzer = analysis.Sharded
 	// ResultStore is the versioned snapshot store behind
 	// cookieguard.Server (Pipeline.ResultStore).
 	ResultStore = resultstore.Store
@@ -176,11 +173,9 @@ type Pipeline struct {
 	jnl     *journal.Journal
 	jnlErr  error
 
-	// shardMu guards the sharded-crawl state: the per-shard live views
-	// behind ShardStats (in-process driver) and the sibling-journal
-	// tailer of a WithShardWorker process (closed by Shutdown).
+	// shardMu guards the sibling-journal tailer of a WithShardWorker
+	// process (closed by Shutdown).
 	shardMu   sync.Mutex
-	shardLive []shardLive
 	shardTail *shard.JournalExchange
 }
 
@@ -264,11 +259,6 @@ func (p *Pipeline) ensureJournal() (*journal.Journal, error) {
 	if p.cfg.checkpointDir == "" {
 		return nil, nil
 	}
-	if p.cfg.shards > 1 {
-		// The in-process shard driver opens one journal per shard under
-		// <dir>/shard-<i>; the base directory holds no journal of its own.
-		return nil, nil
-	}
 	p.jnlOnce.Do(func() {
 		p.jnl, p.jnlErr = journal.Open(p.cfg.checkpointDir, p.checkpointFingerprint())
 	})
@@ -283,21 +273,14 @@ func (p *Pipeline) ensureJournal() (*journal.Journal, error) {
 // would), pooling, the artifact cache — which is exactly what lets a
 // crawl resume at a different worker count. Vantage latency models are functions and likewise
 // excluded (latency shifts virtual timing deterministically from the
-// vantage name's seed, which is covered). A sharded crawl's journals
-// additionally carry their shard coordinate ("i/n"), so a shard
-// journal only resumes as the same shard of the same split — see
-// Pipeline.fingerprint.
+// vantage name's seed, which is covered). A shard worker's journal
+// additionally carries its shard coordinate ("i/n"), so it only
+// resumes as the same shard of the same split.
 func (p *Pipeline) checkpointFingerprint() string {
+	var shardLabel string
 	if w := p.cfg.shardWorker; w != nil {
-		return p.fingerprint(fmt.Sprintf("%d/%d", w.index, w.count))
+		shardLabel = fmt.Sprintf("%d/%d", w.index, w.count)
 	}
-	return p.fingerprint("")
-}
-
-// fingerprint digests the byte-affecting configuration plus an
-// optional shard coordinate (see checkpointFingerprint for what is
-// covered and why).
-func (p *Pipeline) fingerprint(shardLabel string) string {
 	type vant struct {
 		Name   string             `json:"name"`
 		Faults netsim.FaultConfig `json:"faults"`
@@ -465,22 +448,7 @@ func (p *Pipeline) unitsPerVantage() int {
 // crawl: every counter is an atomic and the snapshot is a plain-value
 // copy, so mid-run reads observe monotonically advancing totals (as on
 // cookieguard.Server's /v1/stats), not just the end-of-run state.
-// During (and after) an in-process sharded crawl the snapshot is the
-// crawl-wide merge of the per-shard counters: owned-work counters sum,
-// replicated circuit counters take the shard maximum (every shard runs
-// the same lane state machines) — see internal/shard.MergeSched.
 func (p *Pipeline) SchedStats() SchedSnapshot {
-	p.shardMu.Lock()
-	snaps := make([]crawler.SchedSnapshot, 0, len(p.shardLive))
-	for i := range p.shardLive {
-		if st := p.shardLive[i].stats; st != nil {
-			snaps = append(snaps, st.Snapshot())
-		}
-	}
-	p.shardMu.Unlock()
-	if len(snaps) > 0 {
-		return shard.MergeSched(snaps)
-	}
 	return p.sched.Snapshot()
 }
 
@@ -504,9 +472,6 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	if p.cfg.shardWorker != nil {
 		return p.streamShardWorker(ctx)
 	}
-	if p.cfg.shards > 1 {
-		return p.streamSharded(ctx)
-	}
 	if _, err := p.ensureJournal(); err != nil {
 		return errStream(err)
 	}
@@ -522,9 +487,6 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 func (p *Pipeline) Crawl(ctx context.Context) ([]VisitLog, error) {
 	if p.cfg.shardWorker != nil {
 		return p.crawlShardWorker(ctx)
-	}
-	if p.cfg.shards > 1 {
-		return p.crawlSharded(ctx)
 	}
 	if _, err := p.ensureJournal(); err != nil {
 		return nil, err
@@ -542,98 +504,52 @@ func (p *Pipeline) Crawl(ctx context.Context) ([]VisitLog, error) {
 // O(workers) logs are resident regardless of the site count.
 //
 // With WithServer or WithSnapshotEvery configured, Run additionally
-// publishes versioned snapshots into ResultStore() as the crawl
-// advances (analysis then fans out over contention-free shards — one
-// per worker — merged deterministically, so the returned Results are
-// byte-identical to an unserved run) and, under WithServer, binds the
-// HTTP server before crawling; a bind failure fails the run. The final
-// snapshot published at finalize is the exact Results value Run
-// returns.
+// publishes a versioned snapshot into ResultStore() every K observed
+// visits (Analyzer.Snapshot, taken between two Observes on this one
+// consumer goroutine) and, under WithServer, binds the HTTP server
+// before crawling; a bind failure fails the run. The final snapshot
+// published at finalize is the exact Results value Run returns, marked
+// Progress.Final. Publishing never changes what is observed, so the
+// Results are byte-identical to an unserved run's.
 func (p *Pipeline) Run(ctx context.Context) (*Results, error) {
-	if p.cfg.serveAddr != "" {
-		if _, err := p.StartServer(p.cfg.serveAddr); err != nil {
-			return nil, err
+	var store *resultstore.Store
+	if p.cfg.serveAddr != "" || p.cfg.snapEvery > 0 {
+		if p.cfg.serveAddr != "" {
+			if _, err := p.StartServer(p.cfg.serveAddr); err != nil {
+				return nil, err
+			}
 		}
+		store = p.ResultStore()
 	}
-	if p.serving() {
-		return p.runServed(ctx)
+	every := p.cfg.snapEvery
+	if every <= 0 {
+		every = defaultSnapshotEvery
 	}
+	total := len(p.Web.Sites) * len(p.Vantages()) * p.unitsPerVantage()
+
 	an := p.NewAnalyzer()
+	observed := 0
 	logs, errs := p.Stream(ctx)
 	for v := range logs {
 		an.Observe(v)
+		observed++
+		if store != nil && observed%every == 0 {
+			store.Publish(resultstore.Progress{Done: observed, Total: total}, an.Snapshot())
+		}
 	}
 	if err := <-errs; err != nil {
 		return nil, err
 	}
-	return an.Finalize(), nil
-}
-
-// serving reports whether Run should publish snapshots (and therefore
-// analyze on the sharded path).
-func (p *Pipeline) serving() bool {
-	return p.cfg.serveAddr != "" || p.cfg.snapEvery > 0
+	res := an.Finalize()
+	if store != nil {
+		store.Publish(resultstore.Progress{Done: observed, Total: total, Final: true}, res)
+	}
+	return res, nil
 }
 
 // defaultSnapshotEvery is the publish cadence (in observed visits) when
 // WithSnapshotEvery is unset.
 const defaultSnapshotEvery = 64
-
-// runServed is Run's publishing variant: visit logs fan out to one
-// analyzer shard per observer goroutine (Observe never contends across
-// shards), and every K observed visits one observer folds a copy of the
-// shards into an immutable Results snapshot and publishes it — blocked
-// /v1 pollers wake on each publish. The finalize-time publish is the
-// exact Results returned, marked Progress.Final.
-func (p *Pipeline) runServed(ctx context.Context) (*Results, error) {
-	store := p.ResultStore()
-	every := p.cfg.snapEvery
-	if every <= 0 {
-		every = defaultSnapshotEvery
-	}
-	shards := p.cfg.workers
-	if shards < 1 {
-		shards = 1
-	}
-	sh := p.NewShardedAnalyzer(shards)
-	total := len(p.Web.Sites) * len(p.Vantages()) * p.unitsPerVantage()
-
-	logs, errs := p.Stream(ctx)
-	var (
-		observed atomic.Int64
-		pubMu    sync.Mutex // snapshots are merged one at a time
-		wg       sync.WaitGroup
-	)
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for v := range logs {
-				sh.Observe(shard, v)
-				if observed.Add(1)%int64(every) == 0 {
-					pubMu.Lock()
-					// Read the count under pubMu, before the snapshot:
-					// publishes then carry non-decreasing counts, and every
-					// counted visit (Add follows Observe) is in the
-					// snapshot, so Done never exceeds its SitesTotal.
-					done := int(observed.Load())
-					snap := sh.Snapshot()
-					store.Publish(resultstore.Progress{Done: done, Total: total}, snap)
-					pubMu.Unlock()
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	res := sh.Finalize()
-	store.Publish(resultstore.Progress{
-		Done: int(observed.Load()), Total: total, Final: true,
-	}, res)
-	return res, nil
-}
 
 // ResultStore returns the pipeline's versioned snapshot store (created
 // on first use). Run feeds it when serving is enabled; embedded
@@ -714,26 +630,11 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 }
 
 // NewAnalyzer returns an incremental analyzer wired to this pipeline's
-// entity map and tracker classifier. Feed it with Observe per visit log
-// and collect the aggregate with Finalize.
+// entity map and a fresh tracker classifier. Feed it with Observe per
+// visit log, read mid-run aggregates with Snapshot, and collect the
+// final aggregate with Finalize.
 func (p *Pipeline) NewAnalyzer() *Analyzer {
 	an := analysis.New()
-	p.configureAnalyzer(an)
-	return an
-}
-
-// NewShardedAnalyzer returns an n-shard analyzer wired like NewAnalyzer
-// (each shard gets its own tracker classifier, so shards share no
-// mutable state). Feed shard i with Observe(i, log) from worker i and
-// collect the merged aggregate with Finalize — byte-identical to a
-// single analyzer over the same logs.
-func (p *Pipeline) NewShardedAnalyzer(n int) *ShardedAnalyzer {
-	return analysis.NewSharded(n, p.configureAnalyzer)
-}
-
-// configureAnalyzer wires one analyzer (or analyzer shard) to the
-// pipeline's entity map and a fresh tracker classifier.
-func (p *Pipeline) configureAnalyzer(an *Analyzer) {
 	clf := filterlist.DefaultClassifier()
 	an.Entities = p.Web.Entities
 	an.IsTracker = func(scriptURL, siteDomain string) bool {
@@ -742,6 +643,7 @@ func (p *Pipeline) configureAnalyzer(an *Analyzer) {
 		})
 		return ok
 	}
+	return an
 }
 
 // Analyze runs the §4.4 analysis framework over already-materialized

@@ -497,12 +497,10 @@ func (a *Analyzer) Finalize() *Results {
 // later Observe/Finalize continues where it left off. The returned
 // Results share nothing with the in-progress state, so callers may
 // publish them to concurrent readers while observation continues.
+// Snapshot must not run concurrently with Observe on the same Analyzer:
+// call it from the goroutine that feeds it, between two Observes.
 func (a *Analyzer) Snapshot() *Results {
-	dst := newRunState()
-	if a.st != nil {
-		foldState(dst, a.st)
-	}
-	return finalizeState(dst)
+	return Merge(a)
 }
 
 // finalizeState canonicalizes and aggregates an owned run state into its

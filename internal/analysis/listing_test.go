@@ -41,20 +41,20 @@ func TestSiteListingMatchesSiteRows(t *testing.T) {
 			logs = append(logs, v)
 		}
 	}
-	sh := NewSharded(3, nil)
+	an := New()
 	var l SiteListing
 	var snaps []*Results
 	for i, v := range logs {
-		sh.Observe(i, v)
+		an.Observe(v)
 		if i%9 == 0 {
-			snaps = append(snaps, sh.Snapshot())
+			snaps = append(snaps, an.Snapshot())
 			r := snaps[len(snaps)-1]
 			if got, want := listingBytes(t, &l, r), siteRowsJSON(t, r); !bytes.Equal(got, want) {
 				t.Fatalf("after %d logs: listing diverges from SiteRows\nwant: %s\ngot:  %s", i+1, want, got)
 			}
 		}
 	}
-	snaps = append(snaps, sh.Finalize())
+	snaps = append(snaps, an.Finalize())
 	for k := len(snaps) - 1; k >= 0; k-- {
 		if got, want := listingBytes(t, &l, snaps[k]), siteRowsJSON(t, snaps[k]); !bytes.Equal(got, want) {
 			t.Fatalf("snapshot %d re-encoded out of order: listing diverges from SiteRows", k)

@@ -1,11 +1,5 @@
 package analysis
 
-import (
-	"sync"
-
-	"cookieguard/internal/instrument"
-)
-
 // foldState accumulates src into dst: counters sum, sets union, and
 // event groups and attribution claims carry over with their observation
 // sequences offset past dst's. Events are not copied here: each group
@@ -130,9 +124,9 @@ func unionInto(dst *map[string]bool, src map[string]bool) {
 // Results, equivalent byte for byte to a single Analyzer that Observed
 // the union of their logs (in any order — the canonical finalize sorts
 // event groups by (site, vantage, persona) the way the scheduler's
-// index-sorted fold orders outcomes). Merge reads the shards without consuming them;
-// it must not run concurrently with Observe calls on them (Sharded
-// provides the locked variant).
+// index-sorted fold orders outcomes). Merge reads the analyzers without
+// consuming them; it must not run concurrently with Observe calls on
+// them. Analyzer.Snapshot is Merge of one analyzer.
 func Merge(shards ...*Analyzer) *Results {
 	dst := newRunState()
 	for _, a := range shards {
@@ -142,85 +136,4 @@ func Merge(shards ...*Analyzer) *Results {
 		foldState(dst, a.st)
 	}
 	return finalizeState(dst)
-}
-
-// Sharded fans the incremental analysis out over n independent Analyzer
-// shards so concurrent Observe calls never contend: each worker owns a
-// shard index and feeds it without touching the others. A deterministic
-// merge (Merge semantics) folds the shards into Results that are
-// byte-identical to a single Analyzer over the same logs, at any shard
-// or worker count, clean and under faults.
-type Sharded struct {
-	shards []*Analyzer
-	// mus serializes each shard between its owning worker and the
-	// snapshotter; distinct shards never share a lock, so Observe calls
-	// on distinct shards proceed in parallel uncontended.
-	mus []sync.Mutex
-}
-
-// NewSharded returns a Sharded analyzer of n shards (minimum 1), each
-// configured by the supplied hook (nil for defaults) — the hook runs
-// once per shard, so per-shard state like a tracker classifier is not
-// shared across workers.
-func NewSharded(n int, configure func(*Analyzer)) *Sharded {
-	if n < 1 {
-		n = 1
-	}
-	s := &Sharded{shards: make([]*Analyzer, n), mus: make([]sync.Mutex, n)}
-	for i := range s.shards {
-		an := New()
-		if configure != nil {
-			configure(an)
-		}
-		s.shards[i] = an
-	}
-	return s
-}
-
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Observe folds one visit log into shard i (mod the shard count). Calls
-// on distinct shards are safe concurrently and contention-free; calls on
-// the same shard serialize on that shard's lock only.
-func (s *Sharded) Observe(i int, v instrument.VisitLog) {
-	i %= len(s.shards)
-	s.mus[i].Lock()
-	s.shards[i].Observe(v)
-	s.mus[i].Unlock()
-}
-
-// Snapshot merges the shards into finalized Results without consuming
-// them: observation continues afterwards. Each shard is locked only for
-// the duration of its own fold, so concurrent Observe calls on other
-// shards proceed; the returned Results share no state with the shards
-// and may be published to concurrent readers.
-//
-// The fold captures each shard's Events slice header under the shard's
-// lock, and the events are copied only after every lock is released.
-// That read is race-free because a shard's Events only grow by append:
-// an Observe after the unlock writes at or beyond the captured length
-// (possibly into the same backing array), never below it.
-// TestShardedConcurrentObserve under -race guards this invariant.
-func (s *Sharded) Snapshot() *Results {
-	dst := newRunState()
-	for i, a := range s.shards {
-		s.mus[i].Lock()
-		if a.st != nil {
-			foldState(dst, a.st)
-		}
-		s.mus[i].Unlock()
-	}
-	return finalizeState(dst)
-}
-
-// Finalize merges the shards into finalized Results and resets every
-// shard for a fresh run, like Analyzer.Finalize. It must not run
-// concurrently with Observe.
-func (s *Sharded) Finalize() *Results {
-	res := Merge(s.shards...)
-	for _, a := range s.shards {
-		a.st = nil
-	}
-	return res
 }

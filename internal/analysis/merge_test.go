@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"cookieguard/internal/instrument"
@@ -108,65 +107,24 @@ func TestMergeMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentObserve feeds a Sharded analyzer from concurrent
-// workers (more workers than shards, so shard locks are exercised) with
-// mid-run Snapshots racing the writers, and requires the final Finalize
-// to match the single analyzer byte for byte. Run with -race this also
-// proves Observe/Snapshot don't share unsynchronized state.
-func TestShardedConcurrentObserve(t *testing.T) {
-	logs := shardFixture(80)
-	want := stableBytes(t, New().Run(logs))
-
-	for _, n := range []int{1, 2, 8} {
-		sh := NewSharded(n, nil)
-		var wg sync.WaitGroup
-		workers := 2 * n
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(logs); i += workers {
-					sh.Observe(w, logs[i])
-				}
-			}(w)
-		}
-		// Snapshot concurrently with the writers: results must be valid
-		// (finalizable) even if partial.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				snap := sh.Snapshot()
-				if _, err := snap.StableJSON(); err != nil {
-					t.Errorf("mid-run snapshot not encodable: %v", err)
-				}
-			}
-		}()
-		wg.Wait()
-		got := stableBytes(t, sh.Finalize())
-		if string(got) != string(want) {
-			t.Fatalf("n=%d: concurrent sharded Finalize diverges from single analyzer", n)
-		}
-	}
-}
-
-// TestSnapshotNonDestructive: a Snapshot must not consume shard state —
-// observation continues and the final Finalize still covers every log.
+// TestSnapshotNonDestructive: a Snapshot must not consume the
+// analyzer's state — observation continues and the final Finalize still
+// covers every log.
 func TestSnapshotNonDestructive(t *testing.T) {
 	logs := shardFixture(20)
 	want := stableBytes(t, New().Run(logs))
 
-	sh := NewSharded(4, nil)
+	an := New()
 	for i, v := range logs {
-		sh.Observe(i, v)
+		an.Observe(v)
 		if i == len(logs)/2 {
-			mid := sh.Snapshot()
+			mid := an.Snapshot()
 			if mid.Summary.SitesTotal == 0 {
 				t.Fatal("mid-run snapshot saw no sites")
 			}
 		}
 	}
-	if got := stableBytes(t, sh.Finalize()); string(got) != string(want) {
+	if got := stableBytes(t, an.Finalize()); string(got) != string(want) {
 		t.Fatal("Finalize after mid-run Snapshot diverges from single analyzer")
 	}
 }
@@ -183,13 +141,12 @@ func TestMergeEmptyShards(t *testing.T) {
 
 // TestSnapshotMatchesFinalize: a quiescent Snapshot equals Finalize.
 func TestSnapshotMatchesFinalize(t *testing.T) {
-	logs := shardFixture(15)
-	sh := NewSharded(3, nil)
-	for i, v := range logs {
-		sh.Observe(i, v)
+	an := New()
+	for _, v := range shardFixture(15) {
+		an.Observe(v)
 	}
-	snap := stableBytes(t, sh.Snapshot())
-	fin := stableBytes(t, sh.Finalize())
+	snap := stableBytes(t, an.Snapshot())
+	fin := stableBytes(t, an.Finalize())
 	if string(snap) != string(fin) {
 		t.Fatal("quiescent Snapshot diverges from Finalize")
 	}
@@ -199,7 +156,7 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 // multi-vantage crawl feeds analysis in: a batch Crawl returns
 // consecutive per-vantage blocks, a Stream interleaves vantages in
 // completion order. The canonical finalize must make both feeds —
-// single analyzer or sharded — byte-identical.
+// single analyzer or a merge of several — byte-identical.
 func TestVantageInterleavingOrderIndependent(t *testing.T) {
 	base := shardFixture(40)
 	var blocked []instrument.VisitLog
@@ -223,11 +180,11 @@ func TestVantageInterleavingOrderIndependent(t *testing.T) {
 	if got := stableBytes(t, New().Run(interleaved)); string(got) != string(want) {
 		t.Fatal("interleaved vantage feed diverges from blocked feed (single analyzer)")
 	}
-	sh := NewSharded(4, nil)
+	shards := []*Analyzer{New(), New(), New(), New()}
 	for i, v := range interleaved {
-		sh.Observe(i%4, v)
+		shards[i%4].Observe(v)
 	}
-	if got := stableBytes(t, sh.Finalize()); string(got) != string(want) {
-		t.Fatal("interleaved vantage feed diverges from blocked feed (sharded)")
+	if got := stableBytes(t, Merge(shards...)); string(got) != string(want) {
+		t.Fatal("interleaved vantage feed diverges from blocked feed (merged)")
 	}
 }

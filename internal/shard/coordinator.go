@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"cookieguard/internal/crawler"
 )
 
 // State is one shard runner's lifecycle position, reported to the
@@ -34,9 +32,8 @@ type Runner func(ctx context.Context, shard, attempt int) error
 // style: every runner is supervised, and a runner that dies is
 // re-adopted (relaunched to resume from its own journal) until its
 // retry budget is exhausted — then the whole crawl fails and every
-// sibling is cancelled. It is driver-agnostic: the in-process driver's
-// Runner runs a pipeline goroutine, the subprocess driver's re-execs
-// cmd/crawl.
+// sibling is cancelled. cmd/crawl's subprocess supervisor is its
+// driver: each Runner call re-execs one shard worker process.
 type Coordinator struct {
 	Shards int
 	// Retries is each shard's adoption budget (relaunches after a
@@ -93,50 +90,4 @@ func (c *Coordinator) state(shard int, s State, err error) {
 	if c.OnState != nil {
 		c.OnState(shard, s, err)
 	}
-}
-
-// MergeSched folds per-shard scheduler snapshots into one crawl-wide
-// view. Owned-work counters — visits, virtual time, sheds, requeues —
-// sum across shards (each shard accounts only the units it owns).
-// Replicated state-machine counters — circuit opened/reopened/reclosed
-// /probes — are each shard's complete view of the same deterministic
-// lane state machines, so summing would multiply them by N; the
-// maximum (shards mid-crawl may trail) is the crawl-wide truth.
-func MergeSched(snaps []crawler.SchedSnapshot) crawler.SchedSnapshot {
-	var out crawler.SchedSnapshot
-	for _, s := range snaps {
-		out.VirtualMs += s.VirtualMs
-		out.Visits += s.Visits
-		out.ShedVisits += s.ShedVisits
-		out.ShedFetches += s.ShedFetches
-		out.Requeued += s.Requeued
-		out.SecondPassKept += s.SecondPassKept
-		out.Opened = maxi(out.Opened, s.Opened)
-		out.Reopened = maxi(out.Reopened, s.Reopened)
-		out.Reclosed = maxi(out.Reclosed, s.Reclosed)
-		out.Probes = maxi(out.Probes, s.Probes)
-		for label, v := range s.Vantages {
-			if out.Vantages == nil {
-				out.Vantages = map[string]crawler.SchedSnapshot{}
-			}
-			cur, ok := out.Vantages[label]
-			if !ok {
-				out.Vantages[label] = v
-				continue
-			}
-			merged := MergeSched([]crawler.SchedSnapshot{cur, v})
-			// MergeSched of two complete snapshots re-maxes the replicated
-			// counters and re-sums the owned ones — exactly the per-label
-			// semantics too.
-			out.Vantages[label] = merged
-		}
-	}
-	return out
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,12 +7,12 @@ import (
 	"cookieguard/internal/journal"
 )
 
-// MemExchange is the in-process outcome exchange: one shared map of
-// published unit outcomes with blocking waiters, serving every shard
-// pipeline of an in-process sharded crawl. Publish is idempotent
-// (first record wins — by the determinism contract a re-publish
-// carries identical feedback), so an adopted shard replaying its
-// journal can blindly re-publish everything it folds.
+// MemExchange is the in-memory outcome exchange: one shared map of
+// published unit outcomes with blocking waiters. JournalExchange keeps
+// one as the index of the sibling records it tails. Publish is
+// idempotent (first record wins — by the determinism contract a
+// re-publish carries identical feedback), so a resumed shard's replays
+// can blindly re-publish everything they fold.
 type MemExchange struct {
 	mu      sync.Mutex
 	recs    map[journal.Key]*journal.Record

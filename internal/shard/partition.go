@@ -1,10 +1,10 @@
 // Package shard coordinates a sharded crawl: it splits one crawl's
 // unit space into N deterministic shards (Assign), exchanges scheduler
-// feedback between shard runners (MemExchange in-process,
-// JournalExchange between processes), supervises the runners to
-// completion with crashed-shard adoption (Coordinator), and merges the
-// per-shard outputs back into streams byte-identical to the unsharded
-// crawl (MergeSortedJSONL; analysis.Merge folds the Results side).
+// feedback between shard worker processes by tailing their journals
+// (JournalExchange, indexed by a MemExchange), supervises the workers
+// to completion with crashed-shard adoption (Coordinator), and merges
+// the per-shard -sort outputs back into a stream byte-identical to the
+// unsharded crawl's (MergeSortedJSONL).
 //
 // The division of labour with internal/crawler: the crawler knows how
 // to BE one shard (crawler.ShardPlan replicates the scheduler and

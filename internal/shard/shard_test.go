@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"cookieguard/internal/crawler"
 	"cookieguard/internal/journal"
 )
 
@@ -299,33 +298,6 @@ func TestCoordinatorAdoptsAndFails(t *testing.T) {
 		t.Fatalf("want the budget-exhaustion error, got %v", err)
 	}
 	close(block)
-}
-
-// TestMergeSchedSumsAndMaxes: owned-work counters sum across shards,
-// replicated circuit counters take the maximum, per-vantage labels
-// merge recursively with the same semantics.
-func TestMergeSchedSumsAndMaxes(t *testing.T) {
-	snaps := []crawler.SchedSnapshot{
-		{
-			Visits: 10, VirtualMs: 1000, Requeued: 2, Opened: 3, Probes: 4,
-			Vantages: map[string]crawler.SchedSnapshot{"eu": {Visits: 10, Opened: 3}},
-		},
-		{
-			Visits: 7, VirtualMs: 700, Requeued: 1, Opened: 3, Probes: 4,
-			Vantages: map[string]crawler.SchedSnapshot{"eu": {Visits: 7, Opened: 3}},
-		},
-	}
-	m := MergeSched(snaps)
-	if m.Visits != 17 || m.VirtualMs != 1700 || m.Requeued != 3 {
-		t.Fatalf("owned-work counters must sum: %+v", m)
-	}
-	if m.Opened != 3 || m.Probes != 4 {
-		t.Fatalf("replicated circuit counters must max: %+v", m)
-	}
-	eu := m.Vantages["eu"]
-	if eu.Visits != 17 || eu.Opened != 3 {
-		t.Fatalf("per-vantage merge wrong: %+v", eu)
-	}
 }
 
 // TestMergeSortedJSONL: a k-way interleave of sorted shard streams is

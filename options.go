@@ -36,8 +36,6 @@ type config struct {
 	snapEvery     int
 	checkpointDir string
 	crashAfter    int
-	shards        int
-	shardDriver   ShardDriver
 	shardWorker   *shardWorkerCfg
 }
 
@@ -255,8 +253,8 @@ func WithCMP(on bool) Option {
 
 // WithServer serves live analysis over HTTP at addr (e.g. ":8089") for
 // the duration of the process: Pipeline.Run binds the address before
-// crawling (a bind failure fails the run), runs the crawl through the
-// sharded analyzer, and publishes snapshots into the result store that
+// crawling (a bind failure fails the run) and, as the crawl advances,
+// publishes analysis snapshots into the result store that
 // cookieguard.Server exposes — per-site records, the retention /
 // failure / vantage / action tables, progress, and live scheduler and
 // cache counters, each with Consul-style `?index=N&wait=30s` blocking
@@ -272,7 +270,7 @@ func WithServer(addr string) Option {
 // WithSnapshotEvery sets the snapshot-publish cadence of a served run: a
 // fresh immutable Results snapshot is published (and blocked pollers
 // woken) every k observed visits, plus always once at finalize. Smaller
-// k means fresher dashboards and more merge work; k only matters when
+// k means fresher dashboards and more snapshot work; k only matters when
 // serving is on (WithServer) or the ResultStore is consumed directly —
 // it also enables the publishing run path on its own, so
 // WithSnapshotEvery without WithServer still feeds ResultStore() for
@@ -298,8 +296,8 @@ func WithSnapshotEvery(k int) Option {
 // bytes of unit key and scheduler feedback, hash-prefixed on disk —
 // so journaling costs a few percent of throughput at most (the
 // crawler-level stored-log mode, which replays resumed units from disk
-// without re-visiting, is the expensive variant reserved for future
-// sharded crawls). A resumed crawl's records,
+// without re-visiting, is the expensive variant reserved for shard
+// workers). A resumed crawl's records,
 // Results.StableJSON(), and scheduler counters are byte-identical to
 // an uninterrupted run's — across worker counts, clean or faulted. A
 // journal written under a different configuration (sites, seed, faults,
@@ -325,52 +323,17 @@ func WithCrashAfterUnits(n int) Option {
 	return func(c *config) { c.crashAfter = n }
 }
 
-// WithShards splits the crawl's unit space (site × vantage × persona)
-// into n deterministic shards driven concurrently to completion by a
-// coordinator with straggler adoption. Sites partition by a seeded
-// hash of their eTLD+1, so a site's every visit — all vantages,
-// personas, and passes — executes on one shard and per-host breaker
-// state never straddles a site's shard; cross-shard scheduler feedback
-// (third-party hosts are shared) stays byte-identical by replication:
-// every shard runs the full deterministic lane state machines,
-// executing owned units and folding foreign units' outcomes from an
-// exchange. Stream interleaves the shards' logs in completion order,
-// Crawl returns the exact unsharded batch order, and Run's Results,
-// Results.StableJSON(), the merged scheduler counters, and every
-// /v1/tables endpoint are byte-identical to the unsharded crawl —
-// clean or faulted, with breaker, autopilot, and personas. Combined
-// with WithCheckpoint, each shard journals under <dir>/shard-<i> and a
-// crashed or straggling shard is adopted: relaunched to resume from
-// its own journal, completed units replaying from their stored logs
-// with zero fabric requests. n <= 1 (the default) crawls unsharded.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// WithShardDriver selects how WithShards executes its runners:
-// ShardInProcess (the default) drives n pipeline goroutine pools over
-// one frozen web and one shared artifact cache; ShardSubprocess is the
-// cmd/crawl protocol — one re-exec'd OS process per shard, each a
-// WithShardWorker pipeline journaling under its own checkpoint
-// subdirectory, siblings tailing each other's journals for foreign
-// feedback. The library's Pipeline methods reject ShardSubprocess
-// (process supervision belongs to cmd/crawl); both drivers produce
-// byte-identical output.
-func WithShardDriver(d ShardDriver) Option {
-	return func(c *config) { c.shardDriver = d }
-}
-
 // WithShardWorker marks this pipeline as shard index of count in a
-// subprocess-driven sharded crawl (the cmd/crawl -shard i/N worker
-// protocol): Stream/Crawl execute only the units of the sites this
-// shard owns under the same deterministic partition every sibling
-// computes, replicating the full scheduler over all sites. When the
+// sharded crawl (the cmd/crawl -shard i/N worker protocol):
+// Stream/Crawl execute only the units of the sites this shard owns
+// under the same deterministic partition every sibling computes,
+// replicating the full scheduler over all sites. When the
 // crawl has cross-unit feedback (breaker, autopilot, second pass),
 // WithCheckpoint is required and must point at <base>/shard-<index> —
 // the shard's journal live-flushes every append, and the sibling
 // journals <base>/shard-<j> are tailed as the outcome exchange.
-// Callers normally never use this directly; the cmd/crawl coordinator
-// launches workers with it.
+// Callers normally never use this directly; cmd/crawl -shards N
+// launches its workers with it.
 func WithShardWorker(index, count int) Option {
 	return func(c *config) { c.shardWorker = &shardWorkerCfg{index: index, count: count} }
 }

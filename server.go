@@ -66,12 +66,6 @@ type LiveStats struct {
 	Pool     PoolStats     `json:"pool"`
 	Requests int64         `json:"requests"`
 	Faults   int64         `json:"faults"`
-	// Shards is the per-shard breakdown of a sharded crawl — lifecycle
-	// state, launch count (attempts > 1 means the coordinator adopted
-	// the shard after a failure), scheduler and journal counters —
-	// absent on unsharded crawls. Sched above is the crawl-wide merge of
-	// these (owned-work sums, replicated circuit maxima).
-	Shards []ShardLiveStats `json:"shards,omitempty"`
 }
 
 // Server serves a Pipeline's versioned analysis snapshots over HTTP. It
@@ -272,6 +266,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Pool:     s.pipe.PoolStats(),
 		Requests: s.pipe.Net.Requests(),
 		Faults:   s.pipe.Net.Faults(),
-		Shards:   s.pipe.ShardStats(),
 	})
 }

@@ -29,10 +29,10 @@ func stableJSON(t *testing.T, r *Results) string {
 	return string(b)
 }
 
-// TestServedRunMatchesUnserved is the pipeline-level shard equivalence
-// contract: the sharded, snapshot-publishing run must return Results
-// byte-identical to the plain single-analyzer run, clean and under
-// faults, across worker counts.
+// TestServedRunMatchesUnserved: the snapshot-publishing run must return
+// Results byte-identical to the plain unserved run, clean and under
+// faults, across worker counts, and on a multi-lane crawl (two
+// vantages × two personas under the full scheduler stack).
 func TestServedRunMatchesUnserved(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,6 +42,12 @@ func TestServedRunMatchesUnserved(t *testing.T) {
 		{"clean-8w", []Option{WithSites(50), WithWorkers(8)}},
 		{"faults-8w", []Option{WithSites(50), WithWorkers(8),
 			WithFaults(UniformFaults(0.1, 7)), WithRetryPolicy(DefaultRetryPolicy())}},
+		{"lanes-4w", []Option{WithSites(30), WithWorkers(4),
+			WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
+			WithPersonas("accept", "reject"),
+			WithRetryPolicy(DefaultRetryPolicy()),
+			WithBreaker(Breaker{Enabled: true}), WithBreakerAutopilot(),
+			WithSecondPass(true)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
