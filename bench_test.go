@@ -399,13 +399,12 @@ let back = get_cookie("bench");
 	}
 }
 
-// BenchmarkUnitAlloc times the full (site, vantage, persona) unit axis —
-// the dispatch path sharded crawls partition — on one warm pipeline:
-// every iteration re-crawls 20 sites × 2 vantages × 2 personas through
-// one worker pool, so allocs/op ÷ 80 is the per-unit garbage figure
-// (the lane bookkeeping, unit labels, and delivery path on top of the
-// visits themselves). The reported units/s metric is the same figure
-// BENCH snapshots record.
+// BenchmarkUnitAlloc times the full (site, vantage, persona) unit axis
+// on one warm pipeline: every iteration re-crawls 20 sites × 2 vantages
+// × 2 personas through one worker pool, so allocs/op ÷ 80 is the
+// per-unit garbage figure (the lane bookkeeping, unit labels, and
+// delivery path on top of the visits themselves). Its units/s is warm;
+// bench/'s resilient-journal workload measures the same axis cold.
 func BenchmarkUnitAlloc(b *testing.B) {
 	const sites = 20
 	p := New(WithSites(sites), WithWorkers(4), WithInteract(true), WithSeed(7),
@@ -424,23 +423,4 @@ func BenchmarkUnitAlloc(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(units*b.N)/b.Elapsed().Seconds(), "units/s")
-}
-
-// BenchmarkStreamingPipeline exercises the single-pass path at benchSites
-// scale: Run folds every visit log into the analyzer as the crawl
-// produces it, holding O(workers) logs instead of materializing the full
-// slice (contrast with BenchmarkEndToEndCrawl's batch Crawl+Analyze).
-func BenchmarkStreamingPipeline(b *testing.B) {
-	b.ReportAllocs()
-	p := New(WithSites(benchSites), WithWorkers(8), WithInteract(true))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := p.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Summary.SitesComplete == 0 {
-			b.Fatal("no complete sites")
-		}
-	}
 }

@@ -236,52 +236,72 @@ func TestServerBlockingQuery(t *testing.T) {
 // path: repeat requests at an unchanged index must serve the cached
 // encoding — no re-marshal of the analysis. Handler invocations through
 // the mux on a warmed cache must stay under a small constant allocation
-// budget regardless of result size.
+// budget regardless of result size. The paths cover the full results,
+// a table polled at a stale index (what dashboards poll between
+// publishes) and the summary.
 func TestCachedReadPathAllocs(t *testing.T) {
 	p, _ := serveTestPipeline(t)
 	srv := p.NewServer()
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/results", nil)
-	// Warm the encoding cache, then measure steady-state polls with a
-	// reused discarding writer.
-	w := &nopResponseWriter{h: make(http.Header)}
-	srv.ServeHTTP(w, req)
-	warmBody := w.n
-	if warmBody == 0 {
-		t.Fatal("warm-up request wrote no body")
-	}
+	for _, path := range []string{"/v1/results", "/v1/tables/retention?index=0", "/v1/summary"} {
+		t.Run(path, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			// Warm the encoding cache, then measure steady-state polls
+			// with a reused discarding writer.
+			w := &nopResponseWriter{h: make(http.Header)}
+			srv.ServeHTTP(w, req)
+			warmBody, warmFirst := w.n, w.first
+			if warmBody == 0 {
+				t.Fatal("warm-up request wrote no body")
+			}
 
-	allocs := testing.AllocsPerRun(200, func() {
-		w.reset()
-		srv.ServeHTTP(w, req)
-	})
-	// A re-marshal of full Results allocates thousands of times; the
-	// cached path only parses the query and copies headers.
-	if allocs > 60 {
-		t.Fatalf("cached read path allocates %.0f/op; want cached encoding (≤60)", allocs)
-	}
+			allocs := testing.AllocsPerRun(200, func() {
+				w.reset()
+				srv.ServeHTTP(w, req)
+			})
+			// The cached path only parses the query and copies headers;
+			// a re-marshal of the full results allocates hundreds of
+			// times even at this size.
+			if allocs > 60 {
+				t.Fatalf("cached read path allocates %.0f/op; want cached encoding (≤60)", allocs)
+			}
 
-	// Index must not have advanced, and the bytes must be the cache's.
-	w.reset()
-	srv.ServeHTTP(w, req)
-	if w.n != warmBody {
-		t.Fatalf("cached poll wrote %d bytes, warm-up wrote %d", w.n, warmBody)
+			// Index must not have advanced, and the bytes must be the
+			// cache's: the same length from the same backing array. A
+			// re-marshal of a small table costs few allocations, but
+			// always writes from a fresh buffer.
+			w.reset()
+			srv.ServeHTTP(w, req)
+			if w.n != warmBody {
+				t.Fatalf("cached poll wrote %d bytes, warm-up wrote %d", w.n, warmBody)
+			}
+			if w.first != warmFirst {
+				t.Fatal("cached poll wrote a re-encoded body, not the cached one")
+			}
+		})
 	}
 }
 
-// nopResponseWriter discards the body (counting bytes) and reuses its
-// header map, keeping the measurement focused on the handler's own
-// allocations.
+// nopResponseWriter discards the body (counting bytes, and keeping the
+// address of its first byte) and reuses its header map, keeping the
+// measurement focused on the handler's own allocations.
 type nopResponseWriter struct {
-	h http.Header
-	n int
+	h     http.Header
+	n     int
+	first *byte
 }
 
-func (w *nopResponseWriter) Header() http.Header         { return w.h }
-func (w *nopResponseWriter) WriteHeader(int)             {}
-func (w *nopResponseWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+func (w *nopResponseWriter) Header() http.Header { return w.h }
+func (w *nopResponseWriter) WriteHeader(int)     {}
+func (w *nopResponseWriter) Write(b []byte) (int, error) {
+	if w.first == nil && len(b) > 0 {
+		w.first = &b[0]
+	}
+	w.n += len(b)
+	return len(b), nil
+}
 func (w *nopResponseWriter) reset() {
-	w.n = 0
+	w.n, w.first = 0, nil
 	clear(w.h)
 }
 
