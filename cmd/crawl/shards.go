@@ -5,8 +5,9 @@ package main
 // through the shard coordinator — a shard that exits non-zero
 // (including the -crash-after harness's exit 3) is adopted: relaunched
 // to resume from its own checkpoint journal under
-// <checkpoint>/shard-<i>, replaying completed units from stored logs
-// with zero fabric requests. It then merges the per-shard outputs:
+// <checkpoint>/shard-<i>, re-executing its journaled units and
+// verifying each against its record, exactly like an unsharded resume.
+// It then merges the per-shard outputs:
 // -sort outputs interleave through a k-way merge on the same (site,
 // vantage, persona) key each shard sorted by, so the merged file is
 // byte-identical to an unsharded -sort run; unsorted outputs

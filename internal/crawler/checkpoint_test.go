@@ -4,17 +4,22 @@ package crawler
 // runs emit the same bytes as unjournaled ones, a crawl killed at a
 // seeded unit count resumes to byte-identical records and scheduler
 // decisions (across worker counts, clean and faulted, with breaker +
-// autopilot + personas + second pass), and resuming a complete journal
-// replays everything without touching the network fabric.
+// autopilot + personas + second pass), resuming a complete journal
+// re-derives everything without appending a record, and journals whose
+// unit lines still carry an encoded visit log resume the same way.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cookieguard/internal/browser"
+	"cookieguard/internal/contenthash"
 	"cookieguard/internal/instrument"
 	"cookieguard/internal/journal"
 	"cookieguard/internal/netsim"
@@ -156,18 +161,13 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 				t.Fatalf("only %d requeues at this fault rate; late kill would miss the second pass", wantSnap.Requeued)
 			}
 
-			// The mid kill runs in stored-log mode (resume replays the
-			// journaled prefix from disk); early and late run compact
-			// (resume re-executes and verifies) — both resume strategies
-			// covered at every worker count, clean and faulted.
 			kills := []struct {
 				name string
 				at   int
-				logs bool
 			}{
-				{"early", 3, false},
-				{"mid", total / 2, true},
-				{"late", total - 2, false}, // faulted: inside the second pass
+				{"early", 3},
+				{"mid", total / 2},
+				{"late", total - 2}, // faulted: inside the second pass
 			}
 			for _, kp := range kills {
 				for _, workers := range []int{1, 8} {
@@ -180,7 +180,6 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						}
 						copts := ckptOptions(in, workers)
 						copts.Journal = jnl
-						copts.JournalLogs = kp.logs
 						copts.CrashAfterUnits = kp.at
 						if _, err := Crawl(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
 							t.Fatalf("crashed run: got %v, want ErrCrashInjected", err)
@@ -199,7 +198,6 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						}
 						ropts := ckptOptions(in, 5)
 						ropts.Journal = rj
-						ropts.JournalLogs = kp.logs
 						rres, err := Crawl(context.Background(), sites, ropts)
 						if err != nil {
 							t.Fatalf("resume: %v", err)
@@ -216,32 +214,29 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 	}
 }
 
-// TestCheckpointFullReplayMakesNoFabricRequests: in stored-log mode
-// (JournalLogs), resuming a journal that already holds every unit
-// replays the whole crawl from disk — identical records, zero new unit
-// records, and not a single exchange served by the network fabric.
-func TestCheckpointFullReplayMakesNoFabricRequests(t *testing.T) {
-	w, sites := buildSites(t, 30)
-	in := w.BuildInternet()
-	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
-	dir := t.TempDir()
-
+// fullJournal crawls sites under the full stack with a journal in dir
+// and returns the records and scheduler snapshot the resumes must match.
+func fullJournal(t *testing.T, in *netsim.Internet, sites []string, dir string) (map[string]string, SchedSnapshot) {
+	t.Helper()
 	jnl, err := journal.Open(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer jnl.Close()
 	opts := ckptOptions(in, 4)
 	opts.Journal = jnl
-	opts.JournalLogs = true
 	res, err := Crawl(context.Background(), sites, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := recordMap(t, res.Logs)
-	wantSnap := opts.Stats.Snapshot()
-	jnl.Close()
+	return recordMap(t, res.Logs), opts.Stats.Snapshot()
+}
 
-	before := in.Requests()
+// resumeFull resumes the journal in dir at a different worker count,
+// requires the uninterrupted run's records and scheduler snapshot, and
+// returns the resumed journal's stats.
+func resumeFull(t *testing.T, in *netsim.Internet, sites []string, dir string, want map[string]string, wantSnap SchedSnapshot) journal.Stats {
+	t.Helper()
 	rj, err := journal.Open(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
@@ -249,21 +244,135 @@ func TestCheckpointFullReplayMakesNoFabricRequests(t *testing.T) {
 	defer rj.Close()
 	ropts := ckptOptions(in, 8)
 	ropts.Journal = rj
-	ropts.JournalLogs = true
 	rres, err := Crawl(context.Background(), sites, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustMatch(t, "full replay", want, recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
-	if got := in.Requests(); got != before {
-		t.Fatalf("full replay hit the fabric: %d new requests", got-before)
-	}
-	st := rj.Stats()
+	mustMatch(t, "full resume", want, recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
+	return rj.Stats()
+}
+
+// TestCheckpointFullReplayAppendsNothing: resuming a journal that
+// already holds every unit re-derives the whole crawl — identical
+// records, every loaded unit consumed, and zero new unit records.
+func TestCheckpointFullReplayAppendsNothing(t *testing.T) {
+	w, sites := buildSites(t, 30)
+	in := w.BuildInternet()
+	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
+	dir := t.TempDir()
+	want, wantSnap := fullJournal(t, in, sites, dir)
+	st := resumeFull(t, in, sites, dir, want, wantSnap)
 	if st.Records != 0 {
 		t.Fatalf("full replay appended %d new unit records, want 0", st.Records)
 	}
 	if st.Replayed != int64(st.LoadedUnits) || st.LoadedUnits == 0 {
 		t.Fatalf("replayed %d of %d loaded units", st.Replayed, st.LoadedUnits)
+	}
+}
+
+// addStoredLogs rewrites every unit line of the journal in dir the way
+// journals were written when unit records could carry the encoded visit
+// log: each gains "log" and "log_sum" keys and a fresh line hash.
+func addStoredLogs(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, journal.FileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	units := 0
+	for _, ln := range bytes.SplitAfter(raw, []byte("\n")) {
+		if len(ln) == 0 {
+			continue
+		}
+		body := bytes.TrimSuffix(ln[contenthash.Size+1:], []byte("\n"))
+		var env map[string]map[string]any
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		if u, ok := env["unit"]; ok && u["requeue"] == nil {
+			log := fmt.Sprintf(`{"site":"site-%v.example","ok":true}`, u["site"])
+			u["log"] = json.RawMessage(log)
+			u["log_sum"] = contenthash.Sum(log)
+			if body, err = json.Marshal(env); err != nil {
+				t.Fatal(err)
+			}
+			units++
+		}
+		out = contenthash.AppendSum(out, body)
+		out = append(out, ' ')
+		out = append(append(out, body...), '\n')
+	}
+	if units == 0 {
+		t.Fatal("journal holds no unit lines to rewrite")
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointResumesStoredLogJournal: a complete journal whose unit
+// lines carry encoded visit logs still opens, and its units resume by
+// re-executing and verifying — the crawl visits the fabric again,
+// consumes every loaded unit, appends nothing, and emits the
+// uninterrupted run's bytes.
+func TestCheckpointResumesStoredLogJournal(t *testing.T) {
+	w, sites := buildSites(t, 30)
+	in := w.BuildInternet()
+	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
+	dir := t.TempDir()
+	want, wantSnap := fullJournal(t, in, sites, dir)
+	addStoredLogs(t, dir)
+
+	before := in.Requests()
+	st := resumeFull(t, in, sites, dir, want, wantSnap)
+	if in.Requests() == before {
+		t.Fatal("resume made no fabric requests; journaled units were not re-executed")
+	}
+	if st.Records != 0 {
+		t.Fatalf("resume appended %d unit records, want 0", st.Records)
+	}
+	if st.Replayed != int64(st.LoadedUnits) || st.LoadedUnits == 0 {
+		t.Fatalf("consumed %d of %d loaded units", st.Replayed, st.LoadedUnits)
+	}
+}
+
+// TestCheckpointRequeueWithoutSecondPassDiverges: a journaled requeue
+// can only come from a second-pass crawl, so resuming one in a crawl
+// without the second pass fails with ErrDiverged — on the continuous
+// lane and on the breaker lane — instead of folding it.
+func TestCheckpointRequeueWithoutSecondPassDiverges(t *testing.T) {
+	w, sites := buildSites(t, 6)
+	in := w.BuildInternet()
+	for _, tc := range []struct {
+		name    string
+		breaker Breaker
+	}{
+		{"continuous", Breaker{}},
+		{"breaker", Breaker{Enabled: true, RoundVisits: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jnl, err := journal.Open(dir, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jnl.Append(journal.Record{Site: 2, Pass: 1, Requeue: true, Failure: "timeout"}); err != nil {
+				t.Fatal(err)
+			}
+			jnl.Close()
+			if jnl, err = journal.Open(dir, "fp"); err != nil {
+				t.Fatal(err)
+			}
+			defer jnl.Close()
+			_, err = Crawl(context.Background(), sites, Options{
+				Internet: in, Workers: 2, Seed: 5, Journal: jnl, Breaker: tc.breaker,
+			})
+			if !errors.Is(err, journal.ErrDiverged) {
+				t.Fatalf("got %v, want ErrDiverged", err)
+			}
+		})
 	}
 }
 

@@ -54,7 +54,6 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -211,16 +210,6 @@ type Options struct {
 	// run at any worker count. The journal must have been opened with a
 	// fingerprint of this same configuration (journal.Open).
 	Journal *journal.Journal
-	// JournalLogs additionally stores each unit's full encoded VisitLog
-	// in its journal record, so resume SKIPS journaled units entirely —
-	// the stored record re-delivers and the stored feedback folds at
-	// the exact dispatch point, without constructing a browser or
-	// touching the network fabric. That is the right trade when visits
-	// are expensive (a sharded crawl re-adopting a crashed shard's
-	// units); it multiplies journal volume by the record size and costs
-	// roughly a visit's worth of CPU per unit in serialization, which
-	// is why the compact default re-executes instead.
-	JournalLogs bool
 	// CrashAfterUnits, when > 0 (requires Journal), is the
 	// crash-injection harness's deterministic kill-point: after that
 	// many fresh units have been journaled, the journal goes dead and
@@ -289,7 +278,7 @@ type laneState struct {
 	vantage   netsim.Vantage    // zero value = the default vantage
 	persona   string            // "" = the implicit persona-free crawl
 	transport http.RoundTripper // nil = fabric directly
-	stats     *SchedStats       // per-unit child when labelled; may be nil without feedback
+	stats     *SchedStats       // per-unit child when labelled; nil without Options.Stats and a stateful policy
 	base      int               // flat output offset: id * len(sites)
 
 	front  Frontier
@@ -491,12 +480,13 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 	return lanes
 }
 
-// stream is the shared streaming core: a dispatcher drives the per-
+// stream is the shared streaming core: one dispatcher drives the per-
 // vantage lanes (frontier order and, when enabled, circuit breaking and
 // the second pass) while one bounded worker pool performs all lanes'
-// visits and delivers indexed logs in completion order on a channel
-// with capacity equal to the worker count, so at most O(workers) logs
-// are resident (in flight or buffered) at any time. Cancelling the
+// visits, reports every outcome back to the dispatcher, and delivers
+// indexed logs in completion order on a channel with capacity equal to
+// the worker count, so at most O(workers) logs are resident (in flight
+// or buffered) at any time. Cancelling the
 // context stops dispatch, unblocks workers mid-stream, and closes both
 // channels after the pool drains; the error channel then carries
 // ctx.Err().
@@ -536,13 +526,11 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 		opts.Journal.SetKillAfter(opts.CrashAfterUnits)
 	}
 
-	// Scheduler feedback is only needed when a stateful policy consumes
-	// it; the default configuration runs the historical zero-feedback
-	// path and emits byte-identical records. Stateful policies count on
-	// Stats unconditionally (requeue/shed accounting), so give them one
-	// when the caller didn't.
-	needFeedback := opts.Breaker.Enabled || opts.SecondPass.Enabled
-	if needFeedback && opts.Stats == nil {
+	// Stateful policies — the breaker and the second pass — fold outcomes
+	// across units, and they count on Stats unconditionally (requeue and
+	// shed accounting), so give them one when the caller didn't.
+	stateful := opts.Breaker.Enabled || opts.SecondPass.Enabled
+	if stateful && opts.Stats == nil {
 		opts.Stats = &SchedStats{}
 	}
 
@@ -554,7 +542,7 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 			close(errc)
 			return out, errc
 		}
-		if needFeedback && opts.Shard.Exchange == nil {
+		if stateful && opts.Shard.Exchange == nil {
 			errc <- fmt.Errorf("crawler: a sharded crawl with breaker/second-pass requires Shard.Exchange")
 			close(out)
 			close(errc)
@@ -577,10 +565,7 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 	ctx, abort := context.WithCancelCause(ctx)
 
 	jobs := make(chan visitJob)
-	var feedback chan visitOutcome
-	if needFeedback {
-		feedback = make(chan visitOutcome, workers*2)
-	}
+	feedback := make(chan visitOutcome, workers*2)
 	d := &delivery{ctx: ctx, out: out, opts: &opts, total: ownedSites * len(lanes)}
 
 	var wg sync.WaitGroup
@@ -590,42 +575,35 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 			defer wg.Done()
 			for j := range jobs {
 				l, o := visit(sites[j.site], opts, maxClicks, j)
-				if feedback != nil {
-					o.requeue = j.pass == 1 && opts.SecondPass.Enabled &&
-						!l.OK && requeueable(l.Failure)
-					if j.lane.stats != nil && j.pass > 1 && l.OK {
-						j.lane.stats.SecondPassKept.Add(1)
-					}
+				o.requeue = j.pass == 1 && opts.SecondPass.Enabled &&
+					!l.OK && requeueable(l.Failure)
+				if j.lane.stats != nil && j.pass > 1 && l.OK {
+					j.lane.stats.SecondPassKept.Add(1)
 				}
 				if opts.Journal != nil {
 					// Write-ahead: the unit's outcome is durable before it
 					// feeds the scheduler or the stream, so a crash after
-					// this point finds it in the journal on resume. A resume
-					// re-execution verifies against its journaled record
-					// instead of appending a duplicate.
+					// this point finds it in the journal on resume (and, in
+					// a sharded crawl, siblings tailing the journal see it:
+					// the append is the publish). A resume re-execution
+					// verifies against its journaled record instead of
+					// appending a duplicate.
 					if err := journalUnit(&opts, j, l, o); err != nil {
 						abort(err)
 						return
 					}
 				}
-				if opts.Shard != nil && opts.Shard.Exchange != nil {
-					// Publish after journaling: sibling shards only ever
-					// fold outcomes this shard can reproduce on resume.
-					opts.Shard.Exchange.Publish(unitRecord(j, l, o))
+				// Deliver before feedback: deliver counts the visit in
+				// Progress even when it drops the log, and a cancel can end
+				// the feedback send below before the dispatcher takes it.
+				// A requeued record is neither delivered nor counted — the
+				// second pass supersedes it and the re-crawl accounts it.
+				if !o.requeue && !d.deliver(j.lane.base+j.site, l) {
+					return
 				}
-				if feedback != nil {
-					select {
-					case feedback <- o:
-					case <-ctx.Done():
-						return
-					}
-					if o.requeue {
-						// The second pass supersedes this record: neither
-						// delivery nor progress — the re-crawl accounts it.
-						continue
-					}
-				}
-				if !d.deliver(j.lane.base+j.site, l) {
+				select {
+				case feedback <- o:
+				case <-ctx.Done():
 					return
 				}
 			}
@@ -633,7 +611,11 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 	}
 
 	go func() {
-		dispatch(ctx, abort, sites, &opts, lanes, jobs, feedback, d)
+		s := &dispatcher{
+			ctx: ctx, abort: abort, sites: sites, opts: &opts,
+			jobs: jobs, feedback: feedback, d: d, lanes: lanes,
+		}
+		s.run()
 		close(jobs)
 		wg.Wait()
 		ferr := finalizeJournal(lanes, &opts)
@@ -669,26 +651,16 @@ func unitRecord(j visitJob, l instrument.VisitLog, o visitOutcome) journal.Recor
 // journalUnit journals one unit's terminal outcome — or, when the unit
 // is a resume re-execution (its record was loaded from the journal),
 // verifies the fresh outcome against the journaled one instead of
-// appending. With JournalLogs, fresh non-requeued records also carry
-// the full encoded VisitLog (requeued first-pass units never do — the
-// second pass supersedes them, and replay re-requeues from the stored
-// feedback alone).
+// appending.
 func journalUnit(opts *Options, j visitJob, l instrument.VisitLog, o visitOutcome) error {
 	rec := unitRecord(j, l, o)
 	if j.journaled != nil {
 		return verifyUnit(j.journaled, rec)
 	}
-	if opts.JournalLogs && !o.requeue {
-		b, err := json.Marshal(l)
-		if err != nil {
-			return err
-		}
-		rec.Log = b
-	}
 	return opts.Journal.Append(rec)
 }
 
-// verifyUnit is compact-mode resume's integrity check: the re-executed
+// verifyUnit is resume's integrity check: the re-executed
 // unit's fresh outcome must field-for-field match what the crashed run
 // journaled, or the journal belongs to a run whose behaviour differed
 // (changed code, different seed path, tampered file) and replaying its
@@ -785,59 +757,6 @@ func requeueable(class string) bool {
 	return c.Transient() || c == browser.FailCircuitOpen
 }
 
-// dispatch runs the scheduler: it sweeps the vantage lanes, popping
-// each lane's visits into the shared worker pool and folding outcome
-// feedback (second-pass requeues and, with the breaker enabled, round-
-// synchronous per-lane failure accounting). It returns when every
-// (site, vantage) visit has a terminal outcome or the context is
-// cancelled.
-func dispatch(ctx context.Context, abort context.CancelCauseFunc, sites []string, opts *Options, lanes []*laneState, jobs chan<- visitJob, feedback chan visitOutcome, d *delivery) {
-	if feedback == nil {
-		// Zero-feedback fast path: the historical dispatch loop with the
-		// pop order delegated to each lane's frontier, one pop per lane
-		// per sweep so vantages interleave through the pool.
-		remaining := len(lanes)
-		for remaining > 0 {
-			for _, ln := range lanes {
-				if ln.done {
-					continue
-				}
-				site, ok := ln.front.Pop()
-				if !ok {
-					ln.done = true
-					remaining--
-					continue
-				}
-				ln.popCount++
-				if !opts.Shard.owns(site) {
-					// No scheduler state depends on outcomes here, so a
-					// foreign unit is purely another shard's work: skip it.
-					continue
-				}
-				rec, ok := journalLookup(opts, ln, site, 1)
-				if ok && replayable(rec) {
-					if !replayZero(abort, ln, rec, d) {
-						return
-					}
-					continue
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case jobs <- visitJob{site: site, pass: 1, lane: ln, journaled: rec}:
-				}
-			}
-		}
-		return
-	}
-
-	s := &dispatcher{
-		ctx: ctx, abort: abort, sites: sites, opts: opts,
-		jobs: jobs, feedback: feedback, d: d, lanes: lanes,
-	}
-	s.run()
-}
-
 // journalLookup returns the journaled outcome of the unit the
 // dispatcher is about to send, if the resume set holds one.
 func journalLookup(opts *Options, ln *laneState, site, pass int) (*journal.Record, bool) {
@@ -847,40 +766,6 @@ func journalLookup(opts *Options, ln *laneState, site, pass int) (*journal.Recor
 	return opts.Journal.Lookup(journal.Key{
 		Vantage: ln.vantage.Name, Persona: ln.persona, Site: site, Pass: pass,
 	})
-}
-
-// replayable reports whether a journaled record can substitute for its
-// visit at the dispatch point: requeue records always can (feedback is
-// all they ever carried — the second pass supersedes their output),
-// and stored-log records (JournalLogs) carry the full encoded
-// VisitLog. Compact records carry neither; their units re-execute
-// deterministically and the worker verifies the fresh outcome against
-// the record instead.
-func replayable(rec *journal.Record) bool {
-	return rec.Requeue || len(rec.Log) > 0
-}
-
-// replayZero replays one journaled unit on the zero-feedback fast
-// path: stats plus delivery of the stored record, no scheduler state
-// to touch. Returns false when the crawl aborts (corrupt record) or is
-// cancelled.
-func replayZero(abort context.CancelCauseFunc, ln *laneState, rec *journal.Record, d *delivery) bool {
-	if rec.Requeue {
-		// A requeue can only come from a second-pass configuration; this
-		// path has none, so the journal cannot belong to this crawl.
-		abort(fmt.Errorf("%w: requeued unit %d in a single-pass crawl", journal.ErrDiverged, rec.Site))
-		return false
-	}
-	if ln.stats != nil {
-		ln.stats.Visits.Add(1)
-		ln.stats.VirtualMs.Add(int64(rec.VirtualMs))
-	}
-	var l instrument.VisitLog
-	if err := json.Unmarshal(rec.Log, &l); err != nil {
-		abort(fmt.Errorf("crawler: journal replay of site %d: %w", rec.Site, err))
-		return false
-	}
-	return d.deliver(ln.base+rec.Site, l)
 }
 
 // dispatcher is the scheduling state machine driven by the dispatch
@@ -902,54 +787,46 @@ type dispatcher struct {
 	lanes    []*laneState
 }
 
-// replay folds one journaled unit without performing its visit: the
-// stored outcome feeds the lane exactly as the worker's feedback would
-// have (through pending/collect, so barrier and fold invariants hold
-// unchanged), the stored stats re-add, and the stored record
-// re-delivers downstream. Called at the exact point send() would have
-// dispatched the unit, so round composition, fold order, and every
-// derived scheduler decision match the original run. Returns false
-// when the crawl aborts or is cancelled.
+// replay folds one journaled requeue without performing its visit: the
+// second pass supersedes a requeued unit's record, so its journaled
+// feedback is all the crawl needs (every other journaled unit
+// re-executes and verifies). The outcome feeds the lane through
+// pending/collect exactly as a worker's would, and the stored stats
+// re-add, at the point send() would have dispatched the unit — so round
+// composition, fold order, and every derived scheduler decision match
+// the original run. Returns false when the crawl aborts.
 func (s *dispatcher) replay(ln *laneState, rec *journal.Record) bool {
-	if s.opts.Shard != nil && s.opts.Shard.Exchange != nil {
-		// An adopted (resumed) shard re-publishes every replayed unit:
-		// sibling shards blocked on outcomes the crashed run journaled
-		// but never published unblock here. Publish is idempotent.
-		pub := *rec
-		pub.Log, pub.LogSum = nil, ""
-		s.opts.Shard.Exchange.Publish(pub)
+	if !s.opts.SecondPass.Enabled || rec.Pass != 1 {
+		// Only a second-pass crawl's first pass requeues, so the journal
+		// cannot belong to this crawl.
+		s.abort(fmt.Errorf("%w: unit %s/%s site %d requeued at pass %d, second pass %v",
+			journal.ErrDiverged, ln.vantage.Name, ln.persona, rec.Site, rec.Pass, s.opts.SecondPass.Enabled))
+		return false
 	}
-	o := visitOutcome{
-		idx: rec.Site, lane: ln.id, pass: rec.Pass,
-		requeue: rec.Requeue, virtualMs: rec.VirtualMs,
-	}
-	for _, h := range rec.Hosts {
-		o.hosts = append(o.hosts, browser.HostOutcome{Host: h.Host, Transient: h.Transient, OK: h.OK})
-	}
+	o := recordOutcome(rec, ln.id)
 	if ln.stats != nil {
 		ln.stats.Visits.Add(1)
 		ln.stats.VirtualMs.Add(int64(rec.VirtualMs))
 		if rec.ShedFetches > 0 {
 			ln.stats.ShedFetches.Add(rec.ShedFetches)
 		}
-		if rec.Pass > 1 && rec.OK {
-			ln.stats.SecondPassKept.Add(1)
-		}
-	}
-	if !rec.Requeue {
-		var l instrument.VisitLog
-		if err := json.Unmarshal(rec.Log, &l); err != nil {
-			s.abort(fmt.Errorf("crawler: journal replay of %s/%s site %d pass %d: %w",
-				ln.vantage.Name, ln.persona, rec.Site, rec.Pass, err))
-			return false
-		}
-		if !s.d.deliver(ln.base+rec.Site, l) {
-			return false
-		}
 	}
 	ln.pending++
 	s.collect(o)
 	return true
+}
+
+// recordOutcome rebuilds the scheduler feedback a journaled or
+// exchanged record carries, as the worker reported it.
+func recordOutcome(rec *journal.Record, lane int) visitOutcome {
+	o := visitOutcome{
+		idx: rec.Site, lane: lane, pass: rec.Pass,
+		requeue: rec.Requeue, virtualMs: rec.VirtualMs,
+	}
+	for _, h := range rec.Hosts {
+		o.hosts = append(o.hosts, browser.HostOutcome{Host: h.Host, Transient: h.Transient, OK: h.OK})
+	}
+	return o
 }
 
 // collect folds one feedback message into its lane. Without the
@@ -970,19 +847,19 @@ func (s *dispatcher) collect(o visitOutcome) {
 	ln.outcomes++
 }
 
-// resolve applies a visit outcome to its lane's frontier. Foreign
-// outcomes mutate the replicated lane state but never the stats — the
-// owning shard accounts its own work.
+// resolve applies a visit outcome to its lane's frontier: a requeue
+// re-admits the site for the next pass, and a terminal outcome leaves
+// the frontier as it is. Foreign outcomes mutate the replicated lane
+// state but never the stats — the owning shard accounts its own work.
 func (s *dispatcher) resolve(ln *laneState, o visitOutcome) {
-	if o.requeue {
-		if !o.foreign {
-			ln.stats.Requeued.Add(1)
-		}
-		ln.passOf[o.idx] = o.pass + 1
-		ln.front.Requeue(o.idx)
+	if !o.requeue {
 		return
 	}
-	ln.front.Complete(o.idx)
+	if !o.foreign {
+		ln.stats.Requeued.Add(1)
+	}
+	ln.passOf[o.idx] = o.pass + 1
+	ln.front.Requeue(o.idx)
 }
 
 // awaitForeign folds a sibling shard's unit: a waiter goroutine
@@ -999,13 +876,8 @@ func (s *dispatcher) awaitForeign(ln *laneState, site, pass int) {
 		if err != nil {
 			return // cancelled; the dispatcher is exiting too
 		}
-		o := visitOutcome{
-			idx: rec.Site, lane: laneID, pass: rec.Pass,
-			requeue: rec.Requeue, virtualMs: rec.VirtualMs, foreign: true,
-		}
-		for _, h := range rec.Hosts {
-			o.hosts = append(o.hosts, browser.HostOutcome{Host: h.Host, Transient: h.Transient, OK: h.OK})
-		}
+		o := recordOutcome(rec, laneID)
+		o.foreign = true
 		select {
 		case s.feedback <- o:
 		case <-s.ctx.Done():
@@ -1049,7 +921,6 @@ func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
 		ln.front.Requeue(site)
 		return true
 	}
-	ln.front.Complete(site)
 	if !owned {
 		return true
 	}
@@ -1111,8 +982,8 @@ func (s *dispatcher) step(ln *laneState) (bool, bool) {
 	return s.stepRound(ln)
 }
 
-// stepContinuous drives a breaker-less lane (second pass only): pops
-// dispatch as fast as the pool accepts them, and the frontier holds
+// stepContinuous drives a breaker-less lane: pops dispatch as fast as
+// the pool accepts them, and with the second pass the frontier holds
 // requeues back until the primary set has drained.
 func (s *dispatcher) stepContinuous(ln *laneState) (bool, bool) {
 	site, ok := ln.front.Pop()
@@ -1128,11 +999,17 @@ func (s *dispatcher) stepContinuous(ln *laneState) (bool, bool) {
 	ln.popCount++
 	pass := ln.pass(site)
 	if !s.opts.Shard.owns(site) {
+		if s.opts.Shard.Exchange == nil {
+			// A crawl without the breaker or the second pass folds no
+			// outcome into lane state, so a foreign unit is purely
+			// another shard's work: skip it.
+			return true, true
+		}
 		s.awaitForeign(ln, site, pass)
 		return true, true
 	}
 	rec, ok := journalLookup(s.opts, ln, site, pass)
-	if ok && replayable(rec) {
+	if ok && rec.Requeue {
 		return true, s.replay(ln, rec)
 	}
 	return true, s.send(visitJob{site: site, pass: pass, lane: ln, journaled: rec})
@@ -1201,7 +1078,7 @@ func (s *dispatcher) stepRound(ln *laneState) (bool, bool) {
 			continue
 		}
 		rec, ok := journalLookup(s.opts, ln, site, pass)
-		if ok && replayable(rec) {
+		if ok && rec.Requeue {
 			// Replayed units still occupy their round slot (sent++), so
 			// round composition — and with it the gate every later round
 			// freezes — matches the original run exactly.

@@ -16,43 +16,59 @@ import (
 // TestDroppedVisitAccountedInProgress: a worker cancelled while its
 // delivery is blocked drops the finished log — but the visit still
 // happened, and Progress must say so. The final serialized Progress done
-// therefore equals the number of visits performed, delivered or not.
+// therefore equals the number of visits performed, delivered or not,
+// whether or not a stateful scheduler takes the worker's feedback. The
+// web is fault-free, so no visit is requeued.
 func TestDroppedVisitAccountedInProgress(t *testing.T) {
 	w, sites := buildSites(t, 20)
-	var started, lastDone atomic.Int64
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	for _, tc := range []struct {
+		name       string
+		secondPass SecondPass
+		breaker    Breaker
+	}{
+		{name: "feedback-free"},
+		{name: "second-pass", secondPass: SecondPass{Enabled: true}},
+		{name: "breaker", breaker: Breaker{Enabled: true, RoundVisits: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var started, lastDone atomic.Int64
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	out, errc := stream(ctx, sites, Options{
-		Internet: w.BuildInternet(),
-		Workers:  3,
-		PerVisit: func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
-			started.Add(1)
-			return nil, nil
-		},
-		Progress: func(done, total int) { lastDone.Store(int64(done)) },
-	})
+			out, errc := stream(ctx, sites, Options{
+				Internet: w.BuildInternet(),
+				Workers:  3,
+				PerVisit: func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
+					started.Add(1)
+					return nil, nil
+				},
+				Progress:   func(done, total int) { lastDone.Store(int64(done)) },
+				SecondPass: tc.secondPass,
+				Breaker:    tc.breaker,
+			})
 
-	// Consume nothing: the buffer fills, workers block in delivery, and
-	// cancellation forces them onto the drop path.
-	for started.Load() < 4 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("expected context error")
-	}
-	// The pool has fully drained (errc closed after wg.Wait): every
-	// started visit completed and must have been accounted.
-	if got, want := lastDone.Load(), started.Load(); got != want {
-		t.Fatalf("final Progress done = %d, but %d visits ran — dropped logs uncounted", got, want)
-	}
-	drained := 0
-	for range out {
-		drained++
-	}
-	if drained >= int(started.Load()) {
-		t.Fatalf("nothing was dropped (delivered %d of %d); test exercised nothing", drained, started.Load())
+			// Consume nothing: the buffer fills, workers block in delivery,
+			// and cancellation forces them onto the drop path.
+			for started.Load() < 4 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			if err := <-errc; err == nil {
+				t.Fatal("expected context error")
+			}
+			// The pool has fully drained (errc closed after wg.Wait): every
+			// started visit completed and must have been accounted.
+			if got, want := lastDone.Load(), started.Load(); got != want {
+				t.Fatalf("final Progress done = %d, but %d visits ran — dropped logs uncounted", got, want)
+			}
+			drained := 0
+			for range out {
+				drained++
+			}
+			if drained >= int(started.Load()) {
+				t.Fatalf("nothing was dropped (delivered %d of %d); test exercised nothing", drained, started.Load())
+			}
+		})
 	}
 }
 

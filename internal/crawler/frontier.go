@@ -1,9 +1,8 @@
 package crawler
 
 // The Frontier is the crawl scheduler's queue abstraction: the visit
-// set is seeded with Push, the dispatcher draws work with Pop, workers'
-// terminal outcomes arrive as Complete, and the fault-aware second pass
-// re-admits transient failures with Requeue. The dispatcher is the only
+// set is seeded with Push, the dispatcher draws work with Pop, and the
+// fault-aware second pass re-admits transient failures with Requeue. The dispatcher is the only
 // goroutine that touches a Frontier, so implementations need no
 // locking.
 //
@@ -30,10 +29,6 @@ type Frontier interface {
 	// class, for the second pass. Requeued visits pop only after every
 	// pushed visit has popped.
 	Requeue(idx int)
-	// Complete records a visit's terminal outcome (delivered or shed).
-	// It is bookkeeping for host- or priority-aware implementations;
-	// the built-in frontiers ignore it.
-	Complete(idx int)
 }
 
 // fifoFrontier is the default scheduler: visits pop in input order, and
@@ -63,7 +58,6 @@ func (f *fifoFrontier) Pop() (int, bool) {
 }
 
 func (f *fifoFrontier) Requeue(idx int) { f.requeue = append(f.requeue, idx) }
-func (f *fifoFrontier) Complete(int)    {}
 
 // shuffleFrontier pops the primary set in a seeded pseudo-random
 // permutation — the order a rank-decorrelated crawl would use, so
@@ -107,7 +101,6 @@ func (f *shuffleFrontier) Pop() (int, bool) {
 }
 
 func (f *shuffleFrontier) Requeue(idx int) { f.requeue = append(f.requeue, idx) }
-func (f *shuffleFrontier) Complete(int)    {}
 
 // SecondPass configures the fault-aware second pass: once the primary
 // frontier drains, visits whose landing failed on a transient class

@@ -25,9 +25,9 @@ package crawler
 // shard (they are a pure function of the replicated lane state);
 // only the owner emits the shed record and counts the stats.
 //
-// Configurations with no scheduler feedback (breaker and second pass
-// both off) skip foreign units entirely — a pure partition, no
-// exchange traffic — because no lane state depends on outcomes.
+// Configurations with no stateful policy (breaker and second pass both
+// off) run without an exchange and skip foreign units entirely — a pure
+// partition — because no lane state depends on another unit's outcome.
 
 import (
 	"context"
@@ -45,10 +45,10 @@ type ShardPlan struct {
 	// site list. Every (vantage, persona, pass) unit of an owned site
 	// belongs to this shard.
 	Owned []bool
-	// Exchange distributes owned unit outcomes to sibling shards and
-	// fetches theirs. Required when the crawl runs a stateful scheduler
-	// (breaker or second pass) — the replicated lane state machines
-	// cannot fold foreign outcomes without it. May be nil otherwise.
+	// Exchange fetches sibling shards' unit outcomes. Required when the
+	// crawl runs a stateful scheduler (breaker or second pass) — the
+	// replicated lane state machines cannot fold foreign outcomes
+	// without it. Nil otherwise, and then foreign units are skipped.
 	Exchange OutcomeExchange
 }
 
@@ -58,15 +58,14 @@ func (sp *ShardPlan) owns(site int) bool {
 	return sp == nil || sp.Owned[site]
 }
 
-// OutcomeExchange distributes unit outcomes between the shards of one
-// crawl. Publish makes an owned unit's terminal scheduler feedback
-// available to every sibling; Wait blocks until the sibling that owns
-// a unit has published it (or ctx is done). Records carry only the
-// feedback the lane state machines fold — ok, requeue, failure class,
-// virtual duration, per-host accounting — never the visit log.
-// Publish must be idempotent: a resumed (adopted) shard re-publishes
-// every unit it replays from its journal.
+// OutcomeExchange delivers sibling shards' unit outcomes: Wait blocks
+// until the sibling that owns a unit has published it (or ctx is
+// done). Records carry only the feedback the lane state machines fold
+// — ok, requeue, failure class, virtual duration, per-host accounting —
+// never the visit log. Publishing is the owner's journal append: each
+// shard journals its owned units write-ahead, so an outcome is visible
+// to its siblings from the moment it is durable, and a resumed
+// (adopted) shard's earlier outcomes were on disk all along.
 type OutcomeExchange interface {
-	Publish(rec journal.Record)
 	Wait(ctx context.Context, k journal.Key) (*journal.Record, error)
 }

@@ -6,9 +6,8 @@
 //   - a compact unit record per crawl-plan unit (site, vantage,
 //     persona, pass) that reached a terminal outcome: the scheduler
 //     feedback the dispatcher folded (ok, requeue, failure class,
-//     virtual duration, shed-fetch count, per-host accounting), and —
-//     in stored-log mode (crawler.Options.JournalLogs) — the unit's
-//     full encoded VisitLog with its content hash;
+//     virtual duration, shed-fetch count, per-host accounting), never
+//     the visit log itself;
 //   - a lane snapshot per (lane, fold count): the scheduler state a
 //     lane owns — frontier position, breaker virtual clock, per-host
 //     circuit (and autopilot) state, the second-pass set — written
@@ -21,15 +20,14 @@
 // deterministically. Because every visit's bytes depend only on (url,
 // seed, pass, vantage, persona, gate snapshot), a resumed crawl does
 // not restore scheduler state from snapshots — it re-runs the exact
-// same dispatch. Compact records (the default, whose per-unit cost is
-// a few hundred bytes and no serialization of the record itself)
-// re-execute their visit deterministically, and the fresh outcome is
-// verified field-for-field against the journal; stored-log records
-// replay entirely from disk — the stored record re-delivers and the
-// stored feedback folds without constructing a browser or touching
-// the network fabric. Either way the scheduler state re-derives
-// identically and the output is byte-identical to an uninterrupted
-// run. The snapshots serve as integrity checks: when a resumed lane's
+// same dispatch. A journaled unit re-executes its visit
+// deterministically and the fresh outcome is verified field-for-field
+// against its record; a requeued first-pass unit, whose record the
+// second pass supersedes, folds its journaled feedback without
+// re-visiting. Either way the scheduler state re-derives identically
+// and the output is byte-identical to an uninterrupted run. Each
+// record costs a few hundred bytes. The snapshots serve as integrity
+// checks: when a resumed lane's
 // fold count matches a journaled snapshot, the recomputed state must
 // digest-match it, or the journal belongs to a diverged run
 // (ErrDiverged).
@@ -113,23 +111,21 @@ type HostCount struct {
 	OK        int    `json:"ok,omitempty"`
 }
 
-// Record is one unit's terminal outcome. Log and LogSum are only set
-// in stored-log mode, and never for requeued first-pass units — the
-// second pass supersedes their record, so only the scheduler feedback
-// is durable.
+// Record is one unit's terminal outcome: the scheduler feedback the
+// dispatcher folds. Journals written before the visit log left the
+// record may still carry "log" and "log_sum" keys; decoding ignores
+// them.
 type Record struct {
-	Vantage     string          `json:"v,omitempty"`
-	Persona     string          `json:"p,omitempty"`
-	Site        int             `json:"site"`
-	Pass        int             `json:"pass"`
-	OK          bool            `json:"ok,omitempty"`
-	Requeue     bool            `json:"requeue,omitempty"`
-	Failure     string          `json:"failure,omitempty"`
-	VirtualMs   float64         `json:"virtual_ms,omitempty"`
-	ShedFetches int64           `json:"shed_fetches,omitempty"`
-	Hosts       []HostCount     `json:"hosts,omitempty"`
-	Log         json.RawMessage `json:"log,omitempty"`
-	LogSum      string          `json:"log_sum,omitempty"`
+	Vantage     string      `json:"v,omitempty"`
+	Persona     string      `json:"p,omitempty"`
+	Site        int         `json:"site"`
+	Pass        int         `json:"pass"`
+	OK          bool        `json:"ok,omitempty"`
+	Requeue     bool        `json:"requeue,omitempty"`
+	Failure     string      `json:"failure,omitempty"`
+	VirtualMs   float64     `json:"virtual_ms,omitempty"`
+	ShedFetches int64       `json:"shed_fetches,omitempty"`
+	Hosts       []HostCount `json:"hosts,omitempty"`
 }
 
 // Key returns the record's unit key.
@@ -193,8 +189,9 @@ type snapKey struct {
 type Stats struct {
 	// LoadedUnits is the resume set: unit records found on open.
 	LoadedUnits int `json:"loaded_units"`
-	// Replayed counts loaded units the crawl actually consumed — either
-	// replayed from the stored log or re-executed and verified.
+	// Replayed counts loaded units the crawl actually consumed — a
+	// requeue folded from its record, or any other unit re-executed and
+	// verified.
 	Replayed int64 `json:"replayed"`
 	// Records / Snapshots / BytesWritten / Fsyncs count this process's
 	// appends (not what was loaded).
@@ -332,11 +329,6 @@ parse:
 				break parse
 			}
 			u := rec.Unit
-			if len(u.Log) > 0 && contenthash.Sum(string(u.Log)) != u.LogSum {
-				// The line hash passed but the embedded log hash does
-				// not: structural corruption, not a torn write.
-				return fmt.Errorf("journal: log hash mismatch for site %d pass %d", u.Site, u.Pass)
-			}
 			j.units[u.Key()] = u // last wins: later runs append after earlier ones
 		case rec.Snap != nil:
 			if !sawHeader {
@@ -428,17 +420,13 @@ func (j *Journal) SetKillAfter(n int) {
 	j.mu.Unlock()
 }
 
-// Append journals one fresh unit's terminal outcome. The record's
-// LogSum is filled from its Log when unset. Fsync is batched; see the
-// package doc.
+// Append journals one fresh unit's terminal outcome. Fsync is batched;
+// see the package doc.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {
 		return ErrCrashInjected
-	}
-	if len(rec.Log) > 0 && rec.LogSum == "" {
-		rec.LogSum = contenthash.Sum(string(rec.Log))
 	}
 	if err := j.writeLine(line{Unit: &rec}); err != nil {
 		return err

@@ -1,21 +1,21 @@
 package journal
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cookieguard/internal/contenthash"
 )
 
 func rec(site, pass int, ok bool) Record {
-	log, _ := json.Marshal(map[string]any{"site": site, "ok": ok})
 	return Record{
 		Vantage: "eu-west", Persona: "accept",
 		Site: site, Pass: pass, OK: ok,
 		VirtualMs: float64(site) * 1.5,
 		Hosts:     []HostCount{{Host: "cdn.example", Transient: 1}},
-		Log:       log,
 	}
 }
 
@@ -56,7 +56,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal("unit (3,1) not found after reopen")
 	}
 	want := rec(3, 1, false)
-	if r.VirtualMs != want.VirtualMs || string(r.Log) != string(want.Log) || r.OK {
+	if r.VirtualMs != want.VirtualMs || len(r.Hosts) != 1 || r.Hosts[0] != want.Hosts[0] || r.OK {
 		t.Fatalf("reloaded record mismatch: %+v", r)
 	}
 	// The same snapshot recomputed on "resume" verifies silently; a
@@ -182,25 +182,58 @@ func TestJournalRequeuedRecordHasNoLog(t *testing.T) {
 	}
 	defer j2.Close()
 	got, ok := j2.Lookup(Key{Site: 4, Pass: 1})
-	if !ok || !got.Requeue || len(got.Log) != 0 || got.Failure != "timeout" {
+	if !ok || !got.Requeue || got.Failure != "timeout" {
 		t.Fatalf("requeued record: %+v ok=%v", got, ok)
 	}
 }
 
-func TestJournalLogHashGuardsCorruption(t *testing.T) {
+// TestJournalLoadsStoredLogRecords: journals written while unit
+// records could carry the encoded visit log still open. A hash-valid
+// unit line with "log" and "log_sum" keys loads its feedback fields,
+// the log keys are ignored (a log_sum that does not match the log is no
+// longer checked), and nothing appended afterwards carries them.
+func TestJournalLoadsStoredLogRecords(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rec(0, 1, true)
-	r.LogSum = "0123456789abcdef0123456789abcdef" // wrong on purpose
-	if err := j.Append(r); err != nil {
+	j.Close()
+	path := filepath.Join(dir, FileName)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-	if _, err := Open(dir, "fp"); err == nil {
-		t.Fatal("log-hash mismatch must fail open")
+	for _, body := range []string{
+		`{"unit":{"v":"eu-west","p":"accept","site":3,"pass":1,"ok":true,"virtual_ms":4.5,` +
+			`"hosts":[{"h":"cdn.example","ok":2}],"log":{"site":"a.example","ok":true},` +
+			`"log_sum":"` + contenthash.Sum(`{"site":"a.example","ok":true}`) + `"}}`,
+		`{"unit":{"site":4,"pass":1,"log":{"site":"b.example"},"log_sum":"0123456789abcdef0123456789abcdef"}}`,
+	} {
+		f.Write(append(contenthash.AppendSum(nil, []byte(body)), ' '))
+		f.WriteString(body + "\n")
+	}
+	f.Close()
+
+	j2, err := Open(dir, "fp")
+	if err != nil {
+		t.Fatalf("journal with stored-log unit lines must open: %v", err)
+	}
+	if got := j2.Units(); got != 2 {
+		t.Fatalf("loaded %d units, want 2", got)
+	}
+	r, ok := j2.Lookup(Key{Vantage: "eu-west", Persona: "accept", Site: 3, Pass: 1})
+	if !ok || !r.OK || r.VirtualMs != 4.5 || len(r.Hosts) != 1 || r.Hosts[0] != (HostCount{Host: "cdn.example", OK: 2}) {
+		t.Fatalf("stored-log record feedback: %+v ok=%v", r, ok)
+	}
+	if err := j2.Append(rec(5, 1, true)); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	raw, _ := os.ReadFile(path)
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	if last := lines[len(lines)-1]; bytes.Contains(last, []byte(`"log`)) {
+		t.Fatalf("appended line carries a log key: %s", last)
 	}
 }
 

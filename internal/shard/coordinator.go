@@ -15,8 +15,8 @@ const (
 	// StateAdopted means the runner failed (crashed, or was killed by
 	// the crash-injection harness) and the coordinator is re-adopting
 	// its remaining units by resuming from the shard's journal:
-	// journaled units replay from their stored logs with zero fabric
-	// requests, the rest crawl fresh.
+	// journaled units re-execute and verify against their records, the
+	// rest crawl fresh.
 	StateAdopted State = "adopted"
 	StateDone    State = "done"
 	StateFailed  State = "failed"
@@ -24,8 +24,8 @@ const (
 
 // Runner executes one shard attempt to completion. attempt is 0 for
 // the first launch and increments per adoption; a resumed attempt must
-// reopen the shard's journal and re-publish what it replays (the
-// crawler's replay path does both).
+// reopen the shard's journal, whose records its siblings have been
+// reading all along (a journal append is the publish).
 type Runner func(ctx context.Context, shard, attempt int) error
 
 // Coordinator drives N shard runners to completion, consul-agent

@@ -7,12 +7,11 @@ import (
 	"cookieguard/internal/journal"
 )
 
-// MemExchange is the in-memory outcome exchange: one shared map of
+// MemExchange is the in-memory outcome index: one shared map of
 // published unit outcomes with blocking waiters. JournalExchange keeps
 // one as the index of the sibling records it tails. Publish is
-// idempotent (first record wins — by the determinism contract a
-// re-publish carries identical feedback), so a resumed shard's replays
-// can blindly re-publish everything they fold.
+// idempotent: the first record wins, and by the determinism contract a
+// re-publish carries identical feedback.
 type MemExchange struct {
 	mu      sync.Mutex
 	recs    map[journal.Key]*journal.Record
@@ -30,10 +29,8 @@ func NewMemExchange() *MemExchange {
 	}
 }
 
-// Publish implements crawler.OutcomeExchange. The stored copy is
-// stripped of any journaled visit log: siblings fold feedback only.
+// Publish indexes one unit outcome and wakes its waiters.
 func (x *MemExchange) Publish(rec journal.Record) {
-	rec.Log, rec.LogSum = nil, ""
 	k := rec.Key()
 	x.mu.Lock()
 	if _, dup := x.recs[k]; dup {

@@ -98,20 +98,14 @@ func unitRec(site, pass int) journal.Record {
 }
 
 // TestMemExchangePublishWait: both orders (publish-then-wait and
-// wait-then-publish) deliver, publish is first-wins idempotent, and
-// the stored copy is stripped of the journaled log.
+// wait-then-publish) deliver, and publish is first-wins idempotent.
 func TestMemExchangePublishWait(t *testing.T) {
 	x := NewMemExchange()
 	r := unitRec(3, 1)
-	r.Log = []byte(`{"big":"payload"}`)
-	r.LogSum = "abc"
 	x.Publish(r)
 	got, err := x.Wait(context.Background(), recKey(r))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Log != nil || got.LogSum != "" {
-		t.Fatal("exchange must strip stored logs — siblings fold feedback only")
 	}
 	if got.VirtualMs != r.VirtualMs || len(got.Hosts) != 1 {
 		t.Fatalf("feedback fields lost: %+v", got)

@@ -20,9 +20,9 @@ const defaultTailPoll = 2 * time.Millisecond
 // directory (with live flush, journal.SetLiveFlush), and every sibling
 // tails the others' journal files — an append IS a publish, so a
 // crashed shard's already-journaled outcomes stay visible and a
-// resumed (adopted) shard's replays need no re-send: the records were
-// on disk all along. Publish is therefore a no-op; Wait indexes
-// freshly appended hash-valid unit lines until the unit appears.
+// resumed (adopted) shard needs no re-send: the records were on disk
+// all along. Wait indexes freshly appended hash-valid unit lines until
+// the unit appears.
 type JournalExchange struct {
 	mem   *MemExchange
 	paths []string
@@ -48,11 +48,6 @@ func NewJournalExchange(paths []string) *JournalExchange {
 	go x.tail()
 	return x
 }
-
-// Publish implements crawler.OutcomeExchange as a no-op: the crawl's
-// own journal append (write-ahead, live-flushed) already published the
-// record to every sibling tailing this shard's journal.
-func (x *JournalExchange) Publish(journal.Record) {}
 
 // Wait implements crawler.OutcomeExchange: it blocks until the tailer
 // has read the unit from the owning sibling's journal or ctx is done.

@@ -294,10 +294,8 @@ func WithSnapshotEvery(k int) Option {
 // mismatch fails the crawl loudly rather than emitting silently
 // different records). Journal records are compact — a few hundred
 // bytes of unit key and scheduler feedback, hash-prefixed on disk —
-// so journaling costs a few percent of throughput at most (the
-// crawler-level stored-log mode, which replays resumed units from disk
-// without re-visiting, is the expensive variant reserved for shard
-// workers). A resumed crawl's records,
+// so journaling costs a few percent of throughput at most; shard
+// workers journal the same way. A resumed crawl's records,
 // Results.StableJSON(), and scheduler counters are byte-identical to
 // an uninterrupted run's — across worker counts, clean or faulted. A
 // journal written under a different configuration (sites, seed, faults,

@@ -77,9 +77,6 @@ func (p *Pipeline) shardWorkerOptions() (crawler.Options, error) {
 	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
 	assign := shard.Assign(sites, w.count, p.cfg.seed)
 	plan := &crawler.ShardPlan{Index: w.index, Count: w.count, Owned: shard.Owned(assign, w.count)[w.index]}
-	if p.jnl != nil {
-		opts.JournalLogs = true
-	}
 	if p.shardFeedback() {
 		if p.jnl == nil {
 			return crawler.Options{}, errors.New("cookieguard: a shard worker with breaker or second-pass feedback requires WithCheckpoint — sibling journals are the outcome exchange")
