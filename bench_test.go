@@ -8,7 +8,6 @@ package cookieguard
 // changes are judged by is described in bench/README.md.
 
 import (
-	"context"
 	"testing"
 
 	"cookieguard/internal/analysis"
@@ -33,7 +32,7 @@ func crawlOnce(b *testing.B, guarded bool) (*Pipeline, []instrument.VisitLog) {
 		opts = append(opts, WithGuard(DefaultGuardPolicy()))
 	}
 	p := New(opts...)
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func BenchmarkAblationInlineRelaxed(b *testing.B) {
 	study := New(WithSites(benchSites), WithWorkers(8), WithGuard(pol))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logs, err := study.Crawl(context.Background())
+		logs, err := collectStream(study)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +256,7 @@ func BenchmarkAblationNoOwnerAccess(b *testing.B) {
 	study := New(WithSites(benchSites), WithWorkers(8), WithGuard(pol))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logs, err := study.Crawl(context.Background())
+		logs, err := collectStream(study)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -292,7 +291,7 @@ func BenchmarkEndToEndCrawl(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		study := New(WithSites(50), WithWorkers(8), WithInteract(true))
-		logs, err := study.Crawl(context.Background())
+		logs, err := collectStream(study)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +413,7 @@ func BenchmarkUnitAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logs, err := p.Crawl(context.Background())
+		logs, err := collectStream(p)
 		if err != nil {
 			b.Fatal(err)
 		}

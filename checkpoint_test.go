@@ -96,16 +96,36 @@ func TestCheckpointPipelineCrashResume(t *testing.T) {
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	dir := t.TempDir()
 	p := New(WithSites(15), WithWorkers(4), WithSeed(7), WithCheckpoint(dir))
-	if _, err := p.Crawl(context.Background()); err != nil {
+	if _, err := collectStream(p); err != nil {
 		t.Fatal(err)
 	}
 	q := New(WithSites(15), WithWorkers(4), WithSeed(8), WithCheckpoint(dir))
-	_, err := q.Crawl(context.Background())
+	_, err := collectStream(q)
 	if err == nil {
 		t.Fatal("crawl with a foreign journal succeeded; want fingerprint rejection")
 	}
 	if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("rejection does not name the fingerprint: %v", err)
+	}
+}
+
+// TestCheckpointFingerprintGolden pins the journal fingerprint of two
+// configurations to the values journals already on disk carry: the
+// default shape and the full resilience shape of checkpointOpts. A
+// changed fingerprint makes every existing journal unresumable, so a
+// refactor that drops or renames a fingerprint field must leave these
+// digests as they are.
+func TestCheckpointFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		opts       []Option
+	}{
+		{"default", "7072e3e370e913f3a023e1aaa32b031f", []Option{WithSites(30), WithSeed(7)}},
+		{"resilient", "715915585a9c8a1fdb1ba6d44b26761a", checkpointOpts(4)},
+	} {
+		if got := New(tc.opts...).checkpointFingerprint(); got != tc.want {
+			t.Errorf("%s fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -19,7 +19,9 @@
 //	results, _ := p.Run(context.Background())
 //	fmt.Println(results.Summary.SitesComplete)
 //
-// For custom per-log processing, consume the stream directly:
+// Stream is the crawl's only output — there is no batch crawl. For
+// custom per-log processing, consume it directly; logs arrive in
+// completion order, each record byte-identical at any worker count:
 //
 //	logs, errs := p.Stream(context.Background())
 //	for v := range logs {
@@ -100,9 +102,6 @@ type (
 	// Vantage is a named crawl origin: a region with its own latency
 	// model and fault rates (WithVantages).
 	Vantage = netsim.Vantage
-	// Frontier is the crawl scheduler's queue abstraction
-	// (WithScheduler).
-	Frontier = crawler.Frontier
 	// Breaker configures per-host circuit breaking (WithBreaker).
 	Breaker = crawler.Breaker
 	// SchedSnapshot is a plain-value copy of the scheduler counters
@@ -299,7 +298,6 @@ func (p *Pipeline) checkpointFingerprint() string {
 		Faults      *netsim.FaultConfig `json:"faults,omitempty"`
 		Retry       RetryPolicy         `json:"retry"`
 		VisitBudget float64             `json:"visit_budget"`
-		Scheduler   bool                `json:"custom_scheduler,omitempty"`
 		SecondPass  bool                `json:"second_pass"`
 		Breaker     Breaker             `json:"breaker"`
 		Autopilot   bool                `json:"autopilot"`
@@ -317,7 +315,6 @@ func (p *Pipeline) checkpointFingerprint() string {
 		Faults:      p.cfg.faults,
 		Retry:       p.cfg.retry,
 		VisitBudget: p.cfg.visitBudget,
-		Scheduler:   p.cfg.scheduler != nil,
 		SecondPass:  p.cfg.secondPass,
 		Breaker:     p.cfg.breaker,
 		Autopilot:   p.cfg.autopilot,
@@ -364,25 +361,22 @@ func errStream(err error) (<-chan VisitLog, <-chan error) {
 // must be resolved (ensureJournal) before any crawl options are built.
 func (p *Pipeline) crawlOptions() crawler.Options {
 	opts := crawler.Options{
-		Internet:             p.Net,
-		Workers:              p.cfg.workers,
-		Interact:             p.cfg.interact,
-		Seed:                 p.cfg.seed,
-		Retry:                p.cfg.retry,
-		VisitBudgetMs:        p.cfg.visitBudget,
-		Progress:             p.cfg.progress,
-		ProgressStats:        p.cfg.progressStats,
-		Artifacts:            p.artifacts,
-		DisableArtifactCache: p.cfg.noArtifacts,
-		DisablePooling:       p.cfg.noPooling,
-		Scheduler:            p.cfg.scheduler,
-		Breaker:              p.cfg.breaker,
-		SecondPass:           crawler.SecondPass{Enabled: p.cfg.secondPass},
-		Vantages:             p.cfg.vantages,
-		Personas:             p.cfg.personas,
-		Stats:                p.sched,
-		Journal:              p.jnl,
-		CrashAfterUnits:      p.cfg.crashAfter,
+		Internet:        p.Net,
+		Workers:         p.cfg.workers,
+		Interact:        p.cfg.interact,
+		Seed:            p.cfg.seed,
+		Retry:           p.cfg.retry,
+		VisitBudgetMs:   p.cfg.visitBudget,
+		ProgressStats:   p.cfg.progressStats,
+		Artifacts:       p.artifacts,
+		DisablePooling:  p.cfg.noPooling,
+		Breaker:         p.cfg.breaker,
+		SecondPass:      crawler.SecondPass{Enabled: p.cfg.secondPass},
+		Vantages:        p.cfg.vantages,
+		Personas:        p.cfg.personas,
+		Stats:           p.sched,
+		Journal:         p.jnl,
+		CrashAfterUnits: p.cfg.crashAfter,
 	}
 	if p.cfg.autopilot {
 		// WithBreakerAutopilot implies the breaker, whatever the option
@@ -452,22 +446,26 @@ func (p *Pipeline) SchedStats() SchedSnapshot {
 	return p.sched.Snapshot()
 }
 
-// Stream runs the instrumented measurement crawl (§4) and delivers
-// visit logs incrementally, in completion order, as each visit finishes.
-// The log channel is bounded by the worker count, so a slow consumer
+// Stream runs the instrumented measurement crawl (§4) and is its only
+// output: visit logs arrive incrementally, in completion order, as each
+// visit finishes. Completion order varies with worker count and timing,
+// but every record's bytes do not — key records by (Site, Vantage,
+// Persona), as cmd/crawl -sort does, to compare two crawls. The log
+// channel is bounded by the worker count, so a slow consumer
 // backpressures the crawl; cancelling the context stops the crawl
-// mid-stream. Both channels close when the crawl ends; the error channel
-// yields at most one error.
+// mid-stream, and a consumer may walk away after cancelling. Both
+// channels close when the crawl ends; the error channel yields at most
+// one error.
 //
 // With WithVantages configured, the stream visits every site once per
 // vantage point over one frozen web and one artifact cache, each log
 // tagged with its vantage name; WithPersonas multiplies the plan again
 // (one unit per (site, vantage, persona), each log tagged Persona).
-// Every (vantage, persona) cell is a scheduling lane and all lanes'
-// visits interleave through one worker pool; each lane's records are
-// byte-identical to a single-lane crawl of the same cell.
-// Progress/ProgressStats callbacks report one monotonic done out of
-// sites × vantages × personas.
+// Every (vantage, persona) cell is a scheduling lane visiting the ranked
+// sites in order, and all lanes' visits interleave through one worker
+// pool; each lane's records are byte-identical to a single-lane crawl
+// of the same cell. The WithProgressStats callback reports one
+// monotonic Done out of sites × vantages × personas.
 func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	if p.cfg.shardWorker != nil {
 		return p.streamShardWorker(ctx)
@@ -478,30 +476,12 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	return crawler.Stream(ctx, crawler.SiteURLs(trancolist.Domains(p.SiteList())), p.crawlOptions())
 }
 
-// Crawl runs the measurement crawl over every site and materializes all
-// logs, in ranked-site order (with WithVantages and/or WithPersonas, one
-// ranked-order block per (vantage, persona) lane, vantage-major in
-// configuration order). It is a batch wrapper over the streaming core —
-// memory scales with the site count times the lane count, so prefer Run
-// or Stream for large workloads.
-func (p *Pipeline) Crawl(ctx context.Context) ([]VisitLog, error) {
-	if p.cfg.shardWorker != nil {
-		return p.crawlShardWorker(ctx)
-	}
-	if _, err := p.ensureJournal(); err != nil {
-		return nil, err
-	}
-	res, err := crawler.Crawl(ctx, crawler.SiteURLs(trancolist.Domains(p.SiteList())), p.crawlOptions())
-	if err != nil {
-		return nil, err
-	}
-	return res.Logs, nil
-}
-
 // Run executes the full pipeline — crawl (§4) plus analysis (§4.4) — in
-// a single streaming pass: every visit log is folded into the analyzer
-// as soon as its visit finishes and is dropped afterwards, so at most
-// O(workers) logs are resident regardless of the site count.
+// a single streaming pass over Stream: every visit log is folded into
+// the analyzer as soon as its visit finishes and is dropped afterwards,
+// so at most O(workers) logs are resident regardless of the site count.
+// The analysis is order-independent, so Results.StableJSON() is
+// byte-identical at any worker count.
 //
 // With WithServer or WithSnapshotEvery configured, Run additionally
 // publishes a versioned snapshot into ResultStore() every K observed
@@ -696,14 +676,6 @@ func UniformFaults(rate float64, seed uint64) FaultConfig {
 // DefaultRetryPolicy is three attempts with jittered exponential backoff
 // on the virtual clock (see browser.DefaultRetryPolicy).
 func DefaultRetryPolicy() RetryPolicy { return browser.DefaultRetryPolicy() }
-
-// NewFIFOFrontier is the default scheduler frontier: visits pop in
-// input order, second-pass requeues afterwards (see WithScheduler).
-func NewFIFOFrontier() Frontier { return crawler.NewFIFOFrontier() }
-
-// NewShuffleFrontier pops the visit set in a seeded random permutation
-// (see WithScheduler); requeues still pop after the primary set drains.
-func NewShuffleFrontier(seed uint64) Frontier { return crawler.NewShuffleFrontier(seed) }
 
 // RegionVantage is the convenience constructor for WithVantages: a
 // named vantage with the region's derived latency model and, when rate

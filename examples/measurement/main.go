@@ -18,9 +18,9 @@ func main() {
 		cookieguard.WithSites(200),
 		cookieguard.WithWorkers(8),
 		cookieguard.WithInteract(true),
-		cookieguard.WithProgress(func(done, total int) {
-			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "  visited %d/%d\n", done, total)
+		cookieguard.WithProgressStats(func(ps cookieguard.ProgressStats) {
+			if ps.Done%50 == 0 || ps.Done == ps.Total {
+				fmt.Fprintf(os.Stderr, "  visited %d/%d\n", ps.Done, ps.Total)
 			}
 		}),
 	)

@@ -9,7 +9,7 @@ import (
 // crawlRecords runs a pipeline's crawl and returns per-site JSON records.
 func crawlRecords(t *testing.T, p *Pipeline) map[string]string {
 	t.Helper()
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,11 +187,15 @@ func crawlWebgen(t *testing.T, sites int, opts crawler.Options, faults *netsim.F
 	opts.Internet = in
 	opts.Workers = 4
 	opts.Interact = true
-	res, err := crawler.Crawl(context.Background(), crawler.SiteURLs(domains), opts)
-	if err != nil {
+	logs, errs := crawler.Stream(context.Background(), crawler.SiteURLs(domains), opts)
+	var out []instrument.VisitLog
+	for l := range logs {
+		out = append(out, l)
+	}
+	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	return res.Logs
+	return out
 }
 
 func TestExfilMatcherAgreesWithOracleOnWebgenCrawls(t *testing.T) {

@@ -152,11 +152,11 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 	}
 }
 
-// TestVantageInterleavingOrderIndependent models the two orders a
-// multi-vantage crawl feeds analysis in: a batch Crawl returns
-// consecutive per-vantage blocks, a Stream interleaves vantages in
-// completion order. The canonical finalize must make both feeds —
-// single analyzer or a merge of several — byte-identical.
+// TestVantageInterleavingOrderIndependent feeds analysis a
+// multi-vantage crawl in two orders: consecutive per-vantage blocks,
+// and vantages interleaved as Stream's completion order can deliver
+// them. The canonical finalize must make both feeds — single analyzer
+// or a merge of several — byte-identical.
 func TestVantageInterleavingOrderIndependent(t *testing.T) {
 	base := shardFixture(40)
 	var blocked []instrument.VisitLog

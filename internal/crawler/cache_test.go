@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cookieguard/internal/artifact"
-	"cookieguard/internal/instrument"
 	"cookieguard/internal/webgen"
 )
 
@@ -31,12 +30,12 @@ func TestSharedCacheRace16Workers(t *testing.T) {
 		Artifacts: cache,
 	}
 	for pass := 0; pass < 2; pass++ {
-		res, err := Crawl(context.Background(), SiteURLs(domains), opts)
+		res, err := crawlAll(context.Background(), SiteURLs(domains), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Logs) != 80 {
-			t.Fatalf("pass %d: logs = %d", pass, len(res.Logs))
+		if len(res) != 80 {
+			t.Fatalf("pass %d: logs = %d", pass, len(res))
 		}
 	}
 	s := cache.Stats()
@@ -45,8 +44,8 @@ func TestSharedCacheRace16Workers(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledEquivalence: the crawler's per-crawl default cache
-// and an explicitly disabled cache produce byte-identical logs for the
+// TestCacheDisabledEquivalence: a crawl through an artifact cache and
+// an uncached crawl (nil Artifacts) produce byte-identical logs for the
 // same web and seed.
 func TestCacheDisabledEquivalence(t *testing.T) {
 	w := webgen.Build(webgen.DefaultConfig(30))
@@ -56,19 +55,19 @@ func TestCacheDisabledEquivalence(t *testing.T) {
 		domains = append(domains, s.Domain)
 	}
 
-	crawl := func(disable bool) map[string]string {
-		res, err := Crawl(context.Background(), SiteURLs(domains), Options{
-			Internet:             in,
-			Workers:              6,
-			Interact:             true,
-			Seed:                 11,
-			DisableArtifactCache: disable,
+	crawl := func(cache *artifact.Cache) map[string]string {
+		res, err := crawlAll(context.Background(), SiteURLs(domains), Options{
+			Internet:  in,
+			Workers:   6,
+			Interact:  true,
+			Seed:      11,
+			Artifacts: cache,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string]string, len(res.Logs))
-		for _, v := range res.Logs {
+		out := make(map[string]string, len(res))
+		for _, v := range res {
 			b, err := json.Marshal(v)
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +77,7 @@ func TestCacheDisabledEquivalence(t *testing.T) {
 		return out
 	}
 
-	cached, plain := crawl(false), crawl(true)
+	cached, plain := crawl(artifact.New()), crawl(nil)
 	if len(cached) != len(plain) {
 		t.Fatalf("site counts diverge: %d vs %d", len(cached), len(plain))
 	}
@@ -86,24 +85,5 @@ func TestCacheDisabledEquivalence(t *testing.T) {
 		if cached[site] != rec {
 			t.Errorf("site %s: cached crawl record differs from uncached", site)
 		}
-	}
-}
-
-// TestPerCrawlCacheCreatedByDefault: with no cache supplied and caching
-// not disabled, logs still come out complete (the implicit per-crawl
-// cache is invisible except for speed).
-func TestPerCrawlCacheCreatedByDefault(t *testing.T) {
-	w := webgen.Build(webgen.DefaultConfig(20))
-	in := w.BuildInternet()
-	var domains []string
-	for _, s := range w.Sites {
-		domains = append(domains, s.Domain)
-	}
-	res, err := Crawl(context.Background(), SiteURLs(domains), Options{Internet: in, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(instrument.FilterComplete(res.Logs)); got == 0 {
-		t.Fatal("no complete logs with default per-crawl cache")
 	}
 }

@@ -96,11 +96,11 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 
 	base := ckptOptions(in, 4)
-	res, err := Crawl(context.Background(), sites, base)
+	res, err := crawlAll(context.Background(), sites, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := recordMap(t, res.Logs)
+	want := recordMap(t, res)
 	wantSnap := base.Stats.Snapshot()
 
 	jnl, err := journal.Open(t.TempDir(), "fp")
@@ -110,11 +110,11 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 	defer jnl.Close()
 	jopts := ckptOptions(in, 4)
 	jopts.Journal = jnl
-	jres, err := Crawl(context.Background(), sites, jopts)
+	jres, err := crawlAll(context.Background(), sites, jopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustMatch(t, "journaled vs plain", want, recordMap(t, jres.Logs), wantSnap, jopts.Stats.Snapshot())
+	mustMatch(t, "journaled vs plain", want, recordMap(t, jres), wantSnap, jopts.Stats.Snapshot())
 
 	st := jnl.Stats()
 	wantUnits := int64(len(want)) + wantSnap.Requeued
@@ -150,11 +150,11 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 				in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 			}
 			base := ckptOptions(in, 4)
-			res, err := Crawl(context.Background(), sites, base)
+			res, err := crawlAll(context.Background(), sites, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := recordMap(t, res.Logs)
+			want := recordMap(t, res)
 			wantSnap := base.Stats.Snapshot()
 			total := len(want) + int(wantSnap.Requeued)
 			if faulted && wantSnap.Requeued < 2 {
@@ -181,7 +181,7 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						copts := ckptOptions(in, workers)
 						copts.Journal = jnl
 						copts.CrashAfterUnits = kp.at
-						if _, err := Crawl(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
+						if _, err := crawlAll(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
 							t.Fatalf("crashed run: got %v, want ErrCrashInjected", err)
 						}
 						jnl.Close()
@@ -198,12 +198,12 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						}
 						ropts := ckptOptions(in, 5)
 						ropts.Journal = rj
-						rres, err := Crawl(context.Background(), sites, ropts)
+						rres, err := crawlAll(context.Background(), sites, ropts)
 						if err != nil {
 							t.Fatalf("resume: %v", err)
 						}
 						mustMatch(t, "resumed vs uninterrupted", want,
-							recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
+							recordMap(t, rres), wantSnap, ropts.Stats.Snapshot())
 						if rj.Stats().Replayed == 0 {
 							t.Fatal("resume replayed nothing from the journal")
 						}
@@ -225,11 +225,11 @@ func fullJournal(t *testing.T, in *netsim.Internet, sites []string, dir string) 
 	defer jnl.Close()
 	opts := ckptOptions(in, 4)
 	opts.Journal = jnl
-	res, err := Crawl(context.Background(), sites, opts)
+	res, err := crawlAll(context.Background(), sites, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recordMap(t, res.Logs), opts.Stats.Snapshot()
+	return recordMap(t, res), opts.Stats.Snapshot()
 }
 
 // resumeFull resumes the journal in dir at a different worker count,
@@ -244,11 +244,11 @@ func resumeFull(t *testing.T, in *netsim.Internet, sites []string, dir string, w
 	defer rj.Close()
 	ropts := ckptOptions(in, 8)
 	ropts.Journal = rj
-	rres, err := Crawl(context.Background(), sites, ropts)
+	rres, err := crawlAll(context.Background(), sites, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustMatch(t, "full resume", want, recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
+	mustMatch(t, "full resume", want, recordMap(t, rres), wantSnap, ropts.Stats.Snapshot())
 	return rj.Stats()
 }
 
@@ -366,7 +366,7 @@ func TestCheckpointRequeueWithoutSecondPassDiverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer jnl.Close()
-			_, err = Crawl(context.Background(), sites, Options{
+			_, err = crawlAll(context.Background(), sites, Options{
 				Internet: in, Workers: 2, Seed: 5, Journal: jnl, Breaker: tc.breaker,
 			})
 			if !errors.Is(err, journal.ErrDiverged) {
@@ -380,7 +380,7 @@ func TestCheckpointRequeueWithoutSecondPassDiverges(t *testing.T) {
 // is a configuration error, not a silent no-op.
 func TestCrashAfterUnitsRequiresJournal(t *testing.T) {
 	w, sites := buildSites(t, 5)
-	_, err := Crawl(context.Background(), sites, Options{
+	_, err := crawlAll(context.Background(), sites, Options{
 		Internet:        w.BuildInternet(),
 		Workers:         2,
 		CrashAfterUnits: 3,
@@ -397,11 +397,11 @@ func TestCheckpointContinuousLaneResume(t *testing.T) {
 	w, sites := buildSites(t, 25)
 	in := w.BuildInternet()
 	base := Options{Internet: in, Workers: 4, Seed: 5, Stats: &SchedStats{}}
-	res, err := Crawl(context.Background(), sites, base)
+	res, err := crawlAll(context.Background(), sites, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := recordMap(t, res.Logs)
+	want := recordMap(t, res)
 	wantSnap := base.Stats.Snapshot()
 
 	dir := t.TempDir()
@@ -410,7 +410,7 @@ func TestCheckpointContinuousLaneResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	copts := Options{Internet: in, Workers: 8, Seed: 5, Journal: jnl, CrashAfterUnits: 10, Stats: &SchedStats{}}
-	if _, err := Crawl(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
+	if _, err := crawlAll(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
 		t.Fatalf("crashed run: got %v, want ErrCrashInjected", err)
 	}
 	jnl.Close()
@@ -421,9 +421,9 @@ func TestCheckpointContinuousLaneResume(t *testing.T) {
 	}
 	defer rj.Close()
 	ropts := Options{Internet: in, Workers: 1, Seed: 5, Journal: rj, Stats: &SchedStats{}}
-	rres, err := Crawl(context.Background(), sites, ropts)
+	rres, err := crawlAll(context.Background(), sites, ropts)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	mustMatch(t, "continuous resume", want, recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
+	mustMatch(t, "continuous resume", want, recordMap(t, rres), wantSnap, ropts.Stats.Snapshot())
 }

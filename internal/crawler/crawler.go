@@ -17,15 +17,16 @@
 // deterministic: a fixed seed and fault config reproduce the same
 // per-site records at any worker count.
 //
-// Scheduling is pluggable: a Frontier decides visit order (FIFO by
-// default), a consul-style per-host circuit Breaker sheds fetches and
-// visits to hosts that keep failing ("circuit-open" instead of burning
-// the retry budget), a fault-aware SecondPass re-crawls the transient
-// failure set once the primary frontier drains, and a netsim.Vantage
-// crawls the web from a named region's latency and fault models. The
-// default configuration — FIFO, breaker off, second pass off, implicit
-// vantage — emits records byte-identical to the fixed worker-pool loop
-// it replaced.
+// Stream is the crawl's only output: every record goes downstream the
+// moment its visit ends, in completion order. Each lane visits its sites
+// in input order; a consul-style per-host circuit Breaker sheds fetches
+// and visits to hosts that keep failing ("circuit-open" instead of
+// burning the retry budget), a fault-aware SecondPass re-crawls the
+// transient failure set once the input order is exhausted, and a
+// netsim.Vantage crawls the web from a named region's latency and fault
+// models. The default configuration — breaker off, second pass off,
+// implicit vantage — emits records byte-identical to the fixed
+// worker-pool loop it replaced.
 //
 // The crawl's unit of work is the crawl-plan unit (site, vantage,
 // persona): Options.Vantages and Options.Personas cross into scheduling
@@ -104,29 +105,13 @@ type Options struct {
 	// the interaction loop ends, and the visit log is retained with its
 	// partial data and a "deadline" failure mark.
 	VisitBudgetMs float64
-	// Progress, when set, receives (done, total) after every completed
-	// visit, with total = len(sites) × number of (vantage, persona)
-	// lanes: one monotonic count for the whole crawl's crawl-plan
-	// units, however many lanes feed it.
-	// Invocations are serialized (no two run concurrently) but arrive
-	// on crawl worker goroutines; a slow callback backpressures the
-	// crawl. done counts completed visits, not delivered logs: when the
-	// context is cancelled mid-delivery, a finished visit's log can be
-	// dropped, and the drop's Progress invocation is the only trace of
-	// it — so the final done is the true number of visits performed.
-	Progress func(done, total int)
 	// Artifacts is the content-addressed cache shared by every worker's
-	// browser (compiled scripts, DOM templates). When nil, the crawl
-	// creates one per Crawl/Stream call unless DisableArtifactCache is
-	// set; pass a longer-lived cache (e.g. one per pipeline) to reuse
-	// compiled artifacts across repeated crawls of the same web.
+	// browser (compiled scripts, DOM templates). Nil crawls uncached:
+	// every visit re-parses every byte. Cached and uncached crawls of
+	// the same web with the same seed produce byte-identical logs; pass
+	// a long-lived cache (e.g. one per pipeline) to reuse compiled
+	// artifacts across repeated crawls of the same web.
 	Artifacts *artifact.Cache
-	// DisableArtifactCache turns artifact caching off entirely (every
-	// visit re-parses every byte). Cached and uncached crawls of the
-	// same web with the same seed produce byte-identical logs; this
-	// switch exists for that equivalence check and for memory-ceiling
-	// tuning.
-	DisableArtifactCache bool
 	// DisablePooling turns per-visit object pooling off (every visit
 	// allocates its pages, DOM arenas, and interpreters fresh). Pooled
 	// and unpooled crawls with the same seed produce byte-identical
@@ -136,17 +121,17 @@ type Options struct {
 	// calls Browser.Release after the visit log is built.
 	DisablePooling bool
 	// ProgressStats, when set, receives live crawl counters after every
-	// completed visit: progress, fabric request/fault totals, artifact
+	// completed visit: Done out of Total, with Total = len(sites) × the
+	// number of (vantage, persona) lanes — one monotonic count however
+	// many lanes feed it — plus fabric request/fault totals, artifact
 	// cache hit/miss counters, and pool reuse counters. Invocations are
-	// serialized (after Progress, under the same lock) and arrive on
-	// crawl worker goroutines; a slow callback backpressures the crawl.
+	// serialized (no two run concurrently) but arrive on crawl worker
+	// goroutines; a slow callback backpressures the crawl. Done counts
+	// completed visits, not delivered logs: when the context is
+	// cancelled mid-delivery, a finished visit's log can be dropped, and
+	// the drop's invocation is the only trace of it — so the final Done
+	// is the true number of visits performed.
 	ProgressStats func(ProgressStats)
-	// Scheduler constructs a crawl lane's Frontier — the queue deciding
-	// visit order and holding the second pass's requeues. It is invoked
-	// once per vantage lane (each lane orders its own site walk). Nil
-	// uses NewFIFOFrontier, which visits sites in input order and is
-	// output-identical to the historical fixed dispatch loop.
-	Scheduler func() Frontier
 	// Breaker configures per-host circuit breaking: hosts that keep
 	// failing on transient classes are shed with FailureClass
 	// "circuit-open" instead of burning the retry budget, and half-open
@@ -163,14 +148,13 @@ type Options struct {
 	SecondPass SecondPass
 	// Vantages crawls every site from every listed vantage through one
 	// worker pool — one scheduling lane per vantage, each with its own
-	// frontier and breaker state, so each vantage's records are
+	// site order and breaker state, so each vantage's records are
 	// byte-identical to a single-lane crawl of that vantage while the
 	// pool stays busy across regions. A named vantage crawls through
 	// Internet.From(v): its latency and fault models, with every emitted
 	// VisitLog tagged v.Name. Empty (or the zero Vantage) crawls the
-	// fabric directly, byte-identical to before vantages existed. Crawl
-	// returns the logs as consecutive per-vantage blocks in list order
-	// (lane-major); Stream interleaves them in completion order.
+	// fabric directly, byte-identical to before vantages existed. Stream
+	// interleaves the vantages' logs in completion order.
 	Vantages []netsim.Vantage
 	// Personas, when non-empty, crawls every (site, vantage) pair once
 	// per listed persona, extending the crawl plan to units of (site,
@@ -226,6 +210,34 @@ type Options struct {
 	Shard *ShardPlan
 }
 
+// SecondPass configures the fault-aware second pass: once the primary
+// frontier drains, visits whose landing failed on a transient class
+// (conn-reset, timeout, truncated — plus circuit-open sheds) are
+// re-crawled, and only the re-crawl's record is emitted, exactly as a
+// real measurement crawl re-runs its failure set and keeps the second
+// result. The re-crawl is made distinguishable from the first attempt
+// on every deterministic axis a later crawl differs on: its browser's
+// virtual clock starts VClockOffsetMs later (so host flap schedules can
+// have moved on), and its request attempt numbers continue past the
+// first pass's budget (so per-attempt fault decisions draw fresh).
+// Second-pass request records carry the pass marker in
+// instrument.RequestEvent.Attempt.
+type SecondPass struct {
+	// Enabled turns the second pass on.
+	Enabled bool
+	// VClockOffsetMs is the virtual-clock head start of second-pass
+	// browsers (default 45000 ms — 1.5 default flap periods).
+	VClockOffsetMs float64
+}
+
+// offsetMs returns the effective virtual-clock offset.
+func (sp SecondPass) offsetMs() float64 {
+	if sp.VClockOffsetMs > 0 {
+		return sp.VClockOffsetMs
+	}
+	return 45000
+}
+
 // ProgressStats is the live-counter payload delivered to
 // Options.ProgressStats after each completed visit. Fabric and pool
 // counters are process-/fabric-lifetime totals, not deltas.
@@ -247,41 +259,29 @@ type ProgressStats struct {
 	Sched SchedSnapshot `json:"sched"`
 }
 
-// Result is the outcome of a crawl.
-type Result struct {
-	Logs []instrument.VisitLog
-}
-
-// Complete returns the retained logs (the paper's completeness filter).
-func (r *Result) Complete() []instrument.VisitLog {
-	return instrument.FilterComplete(r.Logs)
-}
-
-// indexedLog pairs a visit log with its position in the crawl's flat
-// output space (lane*len(sites)+site), so the batch wrapper can restore
-// lane-major input order over the unordered stream.
-type indexedLog struct {
-	idx int
-	log instrument.VisitLog
-}
-
 // laneState is one (vantage, persona) cell's scheduling lane. A lane
 // owns exactly the state a single-lane crawl of the same cell would
-// own — the frontier, the breaker accounting and virtual clock,
+// own — the site order, the breaker accounting and virtual clock,
 // the pass map — so its shed decisions and emitted records cannot be
 // perturbed by the other lanes sharing the worker pool. All lane
 // fields are owned by the dispatch goroutine; workers only read the
-// immutable identity fields (vantage, persona, transport, stats,
-// base).
+// immutable identity fields (vantage, persona, transport, stats).
 type laneState struct {
 	id        int
 	vantage   netsim.Vantage    // zero value = the default vantage
 	persona   string            // "" = the implicit persona-free crawl
 	transport http.RoundTripper // nil = fabric directly
 	stats     *SchedStats       // per-unit child when labelled; nil without Options.Stats and a stateful policy
-	base      int               // flat output offset: id * len(sites)
 
-	front  Frontier
+	// The lane's frontier: every site pops in input order (next counts
+	// them off), then the second pass's requeues pop in requeue order.
+	// Requeues never surface before the primary set has drained, which
+	// is what makes the second pass a distinct pass over the failure set
+	// rather than interleaved retries.
+	sites    int
+	next     int
+	requeued []int
+
 	brk    *breakerState
 	passOf map[int]int // site → pass; absent = 1
 	round  []visitOutcome
@@ -297,6 +297,28 @@ type laneState struct {
 	outcomes int // folded outcomes: the journal's snapshot key
 	popCount int // successful frontier pops (journal observability)
 	lastSnap int // outcomes count at the lane's last journaled snapshot
+}
+
+// pop removes and returns the lane's next site; ok is false when nothing
+// is currently queued (an outcome may still requeue a site afterwards).
+func (ln *laneState) pop() (site int, ok bool) {
+	if ln.next < ln.sites {
+		ln.next++
+		return ln.next - 1, true
+	}
+	if len(ln.requeued) > 0 {
+		site = ln.requeued[0]
+		ln.requeued = ln.requeued[1:]
+		return site, true
+	}
+	return 0, false
+}
+
+// requeue re-admits site for the given pass, behind every site not yet
+// popped.
+func (ln *laneState) requeue(site, pass int) {
+	ln.passOf[site] = pass
+	ln.requeued = append(ln.requeued, site)
 }
 
 // journalSnapshotStride is how many folded outcomes a breaker lane
@@ -363,13 +385,13 @@ func (g *countingGate) Allow(host string) bool {
 	return ok
 }
 
-// delivery owns the shared result path: the bounded indexed stream plus
+// delivery owns the shared result path: the bounded log stream plus
 // the serialized progress accounting. Both crawl workers and the
 // dispatcher (shed visits) deliver through it; done is one monotonic
 // count over sites × vantages.
 type delivery struct {
 	ctx   context.Context
-	out   chan indexedLog
+	out   chan instrument.VisitLog
 	opts  *Options
 	total int
 
@@ -380,27 +402,24 @@ type delivery struct {
 // deliver hands a finished log downstream, preferring delivery: a
 // completed visit is only dropped when the context is cancelled AND the
 // stream is full — never by the select's random choice while space
-// remains, so a draining consumer (Crawl) retains every finished log.
+// remains, so a consumer that keeps draining retains every finished log.
 // Delivered or not, the visit is accounted: a drop without the final
-// serialized Progress flush would leave done silently undercounting the
-// visits that actually ran (and burned fabric requests). Returns false
-// when the log was dropped (the crawl is cancelled).
-func (d *delivery) deliver(idx int, l instrument.VisitLog) bool {
+// serialized ProgressStats flush would leave done silently undercounting
+// the visits that actually ran (and burned fabric requests). Returns
+// false when the log was dropped (the crawl is cancelled).
+func (d *delivery) deliver(l instrument.VisitLog) bool {
 	delivered := true
 	select {
-	case d.out <- indexedLog{idx: idx, log: l}:
+	case d.out <- l:
 	default:
 		select {
-		case d.out <- indexedLog{idx: idx, log: l}:
+		case d.out <- l:
 		case <-d.ctx.Done():
 			delivered = false
 		}
 	}
 	d.mu.Lock()
 	d.done++
-	if d.opts.Progress != nil {
-		d.opts.Progress(d.done, d.total)
-	}
 	if d.opts.ProgressStats != nil {
 		ps := ProgressStats{
 			Done:     d.done,
@@ -444,10 +463,6 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 	if len(personas) == 0 {
 		personas = []string{""}
 	}
-	newFrontier := opts.Scheduler
-	if newFrontier == nil {
-		newFrontier = NewFIFOFrontier
-	}
 	lanes := make([]*laneState, 0, len(vants)*len(personas))
 	for _, v := range vants {
 		var transport http.RoundTripper
@@ -456,17 +471,13 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 		}
 		for _, persona := range personas {
 			id := len(lanes)
-			ln := &laneState{id: id, vantage: v, persona: persona, base: id * len(sites)}
+			ln := &laneState{id: id, vantage: v, persona: persona, sites: len(sites)}
 			ln.transport = transport
 			ln.stats = opts.Stats
 			if opts.Stats != nil {
 				if label := unitLabel(v.Name, persona); label != "" {
 					ln.stats = opts.Stats.Unit(label)
 				}
-			}
-			ln.front = newFrontier()
-			for s := range sites {
-				ln.front.Push(s)
 			}
 			if opts.Breaker.Enabled {
 				ln.brk = newBreakerState(opts.Breaker, ln.stats)
@@ -480,17 +491,21 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 	return lanes
 }
 
-// stream is the shared streaming core: one dispatcher drives the per-
-// vantage lanes (frontier order and, when enabled, circuit breaking and
-// the second pass) while one bounded worker pool performs all lanes'
-// visits, reports every outcome back to the dispatcher, and delivers
-// indexed logs in completion order on a channel with capacity equal to
-// the worker count, so at most O(workers) logs are resident (in flight
-// or buffered) at any time. Cancelling the
-// context stops dispatch, unblocks workers mid-stream, and closes both
-// channels after the pool drains; the error channel then carries
-// ctx.Err().
-func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLog, <-chan error) {
+// Stream visits every URL in sites — from every configured (vantage,
+// persona) lane — and delivers the logs incrementally, in completion
+// order, as each visit finishes; each log carries its Vantage and
+// Persona tags. One dispatcher drives the lanes (input order and, when
+// enabled, circuit breaking and the second pass) while one bounded
+// worker pool performs all lanes' visits, reports every outcome back to
+// the dispatcher, and sends each log on a channel with capacity equal
+// to the worker count, so at most O(workers) logs are resident (in
+// flight or buffered) at any time and a slow consumer backpressures the
+// crawl instead of accumulating results. Cancelling the context stops
+// dispatch and unblocks workers mid-send, so a consumer may walk away
+// after cancelling. Both channels close after the pool drains; the
+// error channel yields at most one error (the context's cause, or a
+// configuration error).
+func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrument.VisitLog, <-chan error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = 8
@@ -499,16 +514,8 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 	if maxClicks <= 0 {
 		maxClicks = 3
 	}
-	if opts.DisableArtifactCache {
-		opts.Artifacts = nil
-	} else if opts.Artifacts == nil {
-		// One cache per crawl, shared by all workers: the population of
-		// distinct page/script bytes is crawl-wide, so the parse-once
-		// win compounds across sites, not just within one.
-		opts.Artifacts = artifact.New()
-	}
 
-	out := make(chan indexedLog, workers)
+	out := make(chan instrument.VisitLog, workers)
 	errc := make(chan error, 1)
 	if opts.Internet == nil {
 		errc <- fmt.Errorf("crawler: Options.Internet is required")
@@ -598,7 +605,7 @@ func stream(ctx context.Context, sites []string, opts Options) (<-chan indexedLo
 				// the feedback send below before the dispatcher takes it.
 				// A requeued record is neither delivered nor counted — the
 				// second pass supersedes it and the re-crawl accounts it.
-				if !o.requeue && !d.deliver(j.lane.base+j.site, l) {
+				if !o.requeue && !d.deliver(l) {
 					return
 				}
 				select {
@@ -858,8 +865,7 @@ func (s *dispatcher) resolve(ln *laneState, o visitOutcome) {
 	if !o.foreign {
 		ln.stats.Requeued.Add(1)
 	}
-	ln.passOf[o.idx] = o.pass + 1
-	ln.front.Requeue(o.idx)
+	ln.requeue(o.idx, o.pass+1)
 }
 
 // awaitForeign folds a sibling shard's unit: a waiter goroutine
@@ -917,8 +923,7 @@ func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
 		if owned {
 			ln.stats.Requeued.Add(1)
 		}
-		ln.passOf[site] = pass + 1
-		ln.front.Requeue(site)
+		ln.requeue(site, pass+1)
 		return true
 	}
 	if !owned {
@@ -933,7 +938,7 @@ func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
 	}
 	l.Vantage = ln.vantage.Name
 	l.Persona = ln.persona
-	return s.d.deliver(ln.base+site, l)
+	return s.d.deliver(l)
 }
 
 // run drives all lanes to completion. Each sweep steps every live
@@ -986,7 +991,7 @@ func (s *dispatcher) step(ln *laneState) (bool, bool) {
 // the pool accepts them, and with the second pass the frontier holds
 // requeues back until the primary set has drained.
 func (s *dispatcher) stepContinuous(ln *laneState) (bool, bool) {
-	site, ok := ln.front.Pop()
+	site, ok := ln.pop()
 	if !ok {
 		if ln.pending == 0 {
 			ln.done = true // drained: every visit and every requeue is terminal
@@ -1055,7 +1060,7 @@ func (s *dispatcher) stepRound(ln *laneState) (bool, bool) {
 		ln.popped = false
 	}
 	for ln.sent < s.opts.Breaker.roundSize() {
-		site, ok := ln.front.Pop()
+		site, ok := ln.pop()
 		if !ok {
 			break
 		}
@@ -1119,64 +1124,6 @@ func (s *dispatcher) stepRound(ln *laneState) (bool, bool) {
 	}
 	ln.barrier = true
 	return true, true
-}
-
-// Stream visits every URL in sites — from every configured vantage —
-// and delivers the logs incrementally, in completion order, as each
-// visit finishes. With Options.Vantages, all vantages' visits
-// interleave through one worker pool (each log carries its Vantage
-// tag). The log channel is bounded by the worker count, so a slow
-// consumer backpressures the crawl instead of accumulating results;
-// cancelling the context stops the crawl mid-stream and drains the
-// worker pool. Both channels are closed when the crawl ends; the error
-// channel yields at most one error (the context's, or a configuration
-// error).
-func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrument.VisitLog, <-chan error) {
-	in, errc := stream(ctx, sites, opts)
-	out := make(chan instrument.VisitLog) // unbuffered: the bound lives in the indexed stream
-	go func() {
-		defer close(out)
-		for il := range in {
-			select {
-			case out <- il.log:
-			case <-ctx.Done():
-				// The consumer may have walked away after cancelling;
-				// drain the inner stream so the worker pool unblocks.
-				for range in {
-				}
-				return
-			}
-		}
-	}()
-	return out, errc
-}
-
-// Crawl visits every URL in sites and returns the collected logs, in
-// the order of the input list; with Options.Vantages and/or
-// Options.Personas the result is the per-(vantage, persona) blocks
-// concatenated in lane order — vantage-major, personas in list order
-// within a vantage (exactly what single-lane crawls of each cell,
-// concatenated, would return). It is a batch wrapper over the stream: it materializes
-// the whole result set, so memory scales with len(sites) × vantages ×
-// personas — use Stream for single-pass pipelines. The context cancels
-// outstanding visits; logs completed before cancellation are retained.
-func Crawl(ctx context.Context, sites []string, opts Options) (*Result, error) {
-	n := len(sites)
-	if len(opts.Vantages) > 0 {
-		n *= len(opts.Vantages)
-	}
-	if len(opts.Personas) > 0 {
-		n *= len(opts.Personas)
-	}
-	logs := make([]instrument.VisitLog, n)
-	in, errc := stream(ctx, sites, opts)
-	for il := range in {
-		logs[il.idx] = il.log
-	}
-	if err := <-errc; err != nil {
-		return &Result{Logs: logs}, err
-	}
-	return &Result{Logs: logs}, nil
 }
 
 // passSeedSalt differentiates browser randomness across crawl passes,

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"cookieguard/internal/analysis"
+	"cookieguard/internal/artifact"
 	"cookieguard/internal/filterlist"
+	"cookieguard/internal/instrument"
 	"cookieguard/internal/webgen"
 )
 
 // buildAndCrawl is the full measurement pipeline over a generated web.
-func buildAndCrawl(t *testing.T, n int, interact bool) (*webgen.Web, *Result) {
+func buildAndCrawl(t *testing.T, n int, interact bool) (*webgen.Web, []instrument.VisitLog) {
 	t.Helper()
 	w := webgen.Build(webgen.DefaultConfig(n))
 	in := w.BuildInternet()
@@ -18,10 +20,11 @@ func buildAndCrawl(t *testing.T, n int, interact bool) (*webgen.Web, *Result) {
 	for _, s := range w.Sites {
 		domains = append(domains, s.Domain)
 	}
-	res, err := Crawl(context.Background(), SiteURLs(domains), Options{
-		Internet: in,
-		Workers:  8,
-		Interact: interact,
+	res, err := crawlAll(context.Background(), SiteURLs(domains), Options{
+		Internet:  in,
+		Workers:   8,
+		Interact:  interact,
+		Artifacts: artifact.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +34,7 @@ func buildAndCrawl(t *testing.T, n int, interact bool) (*webgen.Web, *Result) {
 
 func TestCrawlRetainsCompleteSites(t *testing.T) {
 	w, res := buildAndCrawl(t, 120, false)
-	complete := res.Complete()
+	complete := instrument.FilterComplete(res)
 	expected := len(w.CompleteSites())
 	// Complete sites with third-party scripts always produce cookie and
 	// request logs; a handful of TP-free sites may fall below the
@@ -39,25 +42,8 @@ func TestCrawlRetainsCompleteSites(t *testing.T) {
 	if len(complete) < expected*8/10 || len(complete) > expected {
 		t.Fatalf("retained %d logs, expected close to %d", len(complete), expected)
 	}
-	if len(res.Logs) != 120 {
-		t.Fatalf("logs = %d", len(res.Logs))
-	}
-}
-
-func TestCrawlContextCancel(t *testing.T) {
-	w := webgen.Build(webgen.DefaultConfig(20))
-	in := w.BuildInternet()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Crawl(ctx, []string{"https://www.site00001.com/"}, Options{Internet: in})
-	if err == nil {
-		t.Fatal("cancelled crawl should report the context error")
-	}
-}
-
-func TestCrawlRequiresInternet(t *testing.T) {
-	if _, err := Crawl(context.Background(), nil, Options{}); err == nil {
-		t.Fatal("expected error")
+	if len(res) != 120 {
+		t.Fatalf("logs = %d", len(res))
 	}
 }
 
@@ -65,12 +51,12 @@ func TestCrawlProgressReported(t *testing.T) {
 	w := webgen.Build(webgen.DefaultConfig(10))
 	in := w.BuildInternet()
 	var calls int
-	_, err := Crawl(context.Background(), SiteURLs([]string{
+	_, err := crawlAll(context.Background(), SiteURLs([]string{
 		w.Sites[0].Domain, w.Sites[1].Domain,
-	}), Options{Internet: in, Progress: func(done, total int) {
+	}), Options{Internet: in, ProgressStats: func(ps ProgressStats) {
 		calls++
-		if total != 2 {
-			t.Errorf("total = %d", total)
+		if ps.Total != 2 || ps.Done != calls {
+			t.Errorf("progress = %d/%d at call %d", ps.Done, ps.Total, calls)
 		}
 	}})
 	if err != nil {
@@ -89,7 +75,7 @@ func TestPipelineShape(t *testing.T) {
 		t.Skip("pipeline shape test is slow")
 	}
 	w, res := buildAndCrawl(t, 400, true)
-	logs := res.Complete()
+	logs := instrument.FilterComplete(res)
 
 	clf := filterlist.DefaultClassifier()
 	an := analysis.New()

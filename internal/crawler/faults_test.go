@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"cookieguard/internal/browser"
+	"cookieguard/internal/instrument"
 	"cookieguard/internal/netsim"
 	"cookieguard/internal/webgen"
 )
 
 // TestDroppedVisitAccountedInProgress: a worker cancelled while its
 // delivery is blocked drops the finished log — but the visit still
-// happened, and Progress must say so. The final serialized Progress done
+// happened, and ProgressStats must say so. The final serialized Done
 // therefore equals the number of visits performed, delivered or not,
 // whether or not a stateful scheduler takes the worker's feedback. The
 // web is fault-free, so no visit is requeued.
@@ -35,16 +36,16 @@ func TestDroppedVisitAccountedInProgress(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			out, errc := stream(ctx, sites, Options{
+			out, errc := Stream(ctx, sites, Options{
 				Internet: w.BuildInternet(),
 				Workers:  3,
 				PerVisit: func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
 					started.Add(1)
 					return nil, nil
 				},
-				Progress:   func(done, total int) { lastDone.Store(int64(done)) },
-				SecondPass: tc.secondPass,
-				Breaker:    tc.breaker,
+				ProgressStats: func(ps ProgressStats) { lastDone.Store(int64(ps.Done)) },
+				SecondPass:    tc.secondPass,
+				Breaker:       tc.breaker,
 			})
 
 			// Consume nothing: the buffer fills, workers block in delivery,
@@ -59,7 +60,7 @@ func TestDroppedVisitAccountedInProgress(t *testing.T) {
 			// The pool has fully drained (errc closed after wg.Wait): every
 			// started visit completed and must have been accounted.
 			if got, want := lastDone.Load(), started.Load(); got != want {
-				t.Fatalf("final Progress done = %d, but %d visits ran — dropped logs uncounted", got, want)
+				t.Fatalf("final ProgressStats done = %d, but %d visits ran — dropped logs uncounted", got, want)
 			}
 			drained := 0
 			for range out {
@@ -75,7 +76,7 @@ func TestDroppedVisitAccountedInProgress(t *testing.T) {
 // crawlJSON crawls sites and returns per-site marshalled records.
 func crawlJSON(t *testing.T, in *netsim.Internet, sites []string, workers int, retry browser.RetryPolicy) map[string]string {
 	t.Helper()
-	res, err := Crawl(context.Background(), sites, Options{
+	res, err := crawlAll(context.Background(), sites, Options{
 		Internet: in,
 		Workers:  workers,
 		Interact: true,
@@ -85,8 +86,8 @@ func crawlJSON(t *testing.T, in *netsim.Internet, sites []string, workers int, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]string, len(res.Logs))
-	for _, v := range res.Logs {
+	out := make(map[string]string, len(res))
+	for _, v := range res {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +162,7 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 		return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 250}
 	})
 
-	res, err := Crawl(context.Background(), []string{"https://www.down.example/"}, Options{
+	res, err := crawlAll(context.Background(), []string{"https://www.down.example/"}, Options{
 		Internet: in,
 		Workers:  1,
 		Interact: true,
@@ -170,10 +171,10 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Logs) != 1 {
-		t.Fatalf("logs = %d, want 1", len(res.Logs))
+	if len(res) != 1 {
+		t.Fatalf("logs = %d, want 1", len(res))
 	}
-	v := res.Logs[0]
+	v := res[0]
 	if v.OK || v.Failure != string(browser.FailTimeout) {
 		t.Fatalf("visit = ok=%v failure=%q, want failed with class timeout", v.OK, v.Failure)
 	}
@@ -188,7 +189,7 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 	if r := v.Requests[0]; !r.Failed || r.Failure != string(browser.FailTimeout) || r.Retries != 2 {
 		t.Fatalf("document record = %+v, want failed/timeout with 2 retries", r)
 	}
-	if len(res.Complete()) != 0 {
+	if len(instrument.FilterComplete(res)) != 0 {
 		t.Fatal("failed visit passed the completeness filter")
 	}
 }
@@ -197,7 +198,7 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 // interaction early but the visit is retained, marked "deadline".
 func TestVisitBudgetRetainsPartialVisit(t *testing.T) {
 	w, sites := buildSites(t, 8)
-	res, err := Crawl(context.Background(), sites[:4], Options{
+	res, err := crawlAll(context.Background(), sites[:4], Options{
 		Internet:      w.BuildInternet(),
 		Workers:       2,
 		Interact:      true,
@@ -207,7 +208,7 @@ func TestVisitBudgetRetainsPartialVisit(t *testing.T) {
 		t.Fatal(err)
 	}
 	marked := 0
-	for _, v := range res.Logs {
+	for _, v := range res {
 		if v.Failure == string(browser.FailDeadline) {
 			marked++
 			if !v.OK {

@@ -16,12 +16,12 @@ import (
 func crawlRecords(t *testing.T, in *netsim.Internet, domains []string, opts Options) map[string]string {
 	t.Helper()
 	opts.Internet = in
-	res, err := Crawl(context.Background(), SiteURLs(domains), opts)
+	res, err := crawlAll(context.Background(), SiteURLs(domains), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]string, len(res.Logs))
-	for _, l := range res.Logs {
+	out := make(map[string]string, len(res))
+	for _, l := range res {
 		b, err := json.Marshal(l)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestPoolSizeStabilizes(t *testing.T) {
 	crawlOnce := func() {
 		opts2 := opts
 		opts2.Internet = in
-		if _, err := Crawl(context.Background(), SiteURLs(domains), opts2); err != nil {
+		if _, err := crawlAll(context.Background(), SiteURLs(domains), opts2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,14 +192,14 @@ func TestDOMTemplateKeyStability(t *testing.T) {
 	opts := Options{Workers: 8, Interact: true, Artifacts: cache}
 
 	opts.Internet = in
-	if _, err := Crawl(context.Background(), SiteURLs(domains), opts); err != nil {
+	if _, err := crawlAll(context.Background(), SiteURLs(domains), opts); err != nil {
 		t.Fatal(err)
 	}
 	s1 := cache.Stats()
 	if s1.DOMMisses == 0 {
 		t.Fatal("first crawl parsed nothing")
 	}
-	if _, err := Crawl(context.Background(), SiteURLs(domains), opts); err != nil {
+	if _, err := crawlAll(context.Background(), SiteURLs(domains), opts); err != nil {
 		t.Fatal(err)
 	}
 	s2 := cache.Stats()

@@ -21,74 +21,29 @@ import (
 	"cookieguard/internal/webgen"
 )
 
-// drainFrontier pops until empty.
-func drainFrontier(f Frontier) []int {
-	var out []int
-	for {
-		idx, ok := f.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, idx)
-	}
-}
-
-// TestFIFOFrontierPopOrder: pops follow push order, and requeues pop
-// only after every pushed visit has popped.
+// TestFIFOFrontierPopOrder: a lane pops its sites in input order, and
+// requeues pop only after every site has popped.
 func TestFIFOFrontierPopOrder(t *testing.T) {
-	f := NewFIFOFrontier()
-	for i := 0; i < 5; i++ {
-		f.Push(i)
-	}
-	first, ok := f.Pop()
+	ln := &laneState{sites: 5, passOf: map[int]int{}}
+	first, ok := ln.pop()
 	if !ok || first != 0 {
 		t.Fatalf("first pop = %d,%v, want 0,true", first, ok)
 	}
-	f.Requeue(first) // requeued immediately: must still pop last
-	rest := drainFrontier(f)
+	ln.requeue(first, 2) // requeued immediately: must still pop last
+	var rest []int
+	for {
+		site, ok := ln.pop()
+		if !ok {
+			break
+		}
+		rest = append(rest, site)
+	}
 	want := []int{1, 2, 3, 4, 0}
 	if !reflect.DeepEqual(rest, want) {
 		t.Fatalf("pop order = %v, want %v", rest, want)
 	}
-}
-
-// TestShuffleFrontierDeterministicUnderSeed: the same seed yields the
-// same permutation, different seeds differ, requeues stay behind the
-// primary set, and every index pops exactly once.
-func TestShuffleFrontierDeterministicUnderSeed(t *testing.T) {
-	perm := func(seed uint64) []int {
-		f := NewShuffleFrontier(seed)
-		for i := 0; i < 30; i++ {
-			f.Push(i)
-		}
-		return drainFrontier(f)
-	}
-	a, b := perm(7), perm(7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different pop order:\n%v\n%v", a, b)
-	}
-	if reflect.DeepEqual(a, perm(8)) {
-		t.Fatal("different seeds produced the same permutation")
-	}
-	seen := map[int]bool{}
-	for _, idx := range a {
-		if seen[idx] {
-			t.Fatalf("index %d popped twice", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) != 30 {
-		t.Fatalf("popped %d distinct indices, want 30", len(seen))
-	}
-
-	f := NewShuffleFrontier(7)
-	for i := 0; i < 4; i++ {
-		f.Push(i)
-	}
-	f.Requeue(99)
-	order := drainFrontier(f)
-	if order[len(order)-1] != 99 {
-		t.Fatalf("requeue popped before the primary set drained: %v", order)
+	if ln.pass(0) != 2 || ln.pass(1) != 1 {
+		t.Fatalf("passes = %d,%d, want 2,1", ln.pass(0), ln.pass(1))
 	}
 }
 
@@ -170,12 +125,12 @@ func schedCrawlJSON(t *testing.T, w *webgen.Web, sites []string, workers int, op
 	if opts.Stats == nil {
 		opts.Stats = &SchedStats{}
 	}
-	res, err := Crawl(context.Background(), sites, opts)
+	res, err := crawlAll(context.Background(), sites, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]string, len(res.Logs))
-	for _, v := range res.Logs {
+	out := make(map[string]string, len(res))
+	for _, v := range res {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +190,7 @@ func TestSecondPassWithoutStats(t *testing.T) {
 	w, sites := buildSites(t, 30)
 	in := w.BuildInternet()
 	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.2, 99)))
-	res, err := Crawl(context.Background(), sites, Options{
+	res, err := crawlAll(context.Background(), sites, Options{
 		Internet:   in,
 		Workers:    4,
 		Seed:       5,
@@ -245,16 +200,15 @@ func TestSecondPassWithoutStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Logs) != 30 {
-		t.Fatalf("delivered %d logs, want 30", len(res.Logs))
+	if len(res) != 30 {
+		t.Fatalf("delivered %d logs, want 30", len(res))
 	}
 }
 
-// TestDefaultSchedulerConfigEquivalence is the PR-4 output-equivalence
-// guard at the crawler level: the default configuration (no scheduler
-// set) and an explicitly configured FIFO frontier emit byte-identical
-// per-site records, and a shuffle frontier — different pop order, same
-// per-visit inputs — does too.
+// TestDefaultSchedulerConfigEquivalence is the output-equivalence guard
+// at the crawler level: the default configuration and the scheduler
+// spelled out explicitly (breaker off, second pass off, one zero
+// vantage) emit byte-identical per-site records.
 func TestDefaultSchedulerConfigEquivalence(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	crawl := func(opts Options) map[string]string {
@@ -263,12 +217,12 @@ func TestDefaultSchedulerConfigEquivalence(t *testing.T) {
 		opts.Workers = 5
 		opts.Interact = true
 		opts.Seed = 5
-		res, err := Crawl(context.Background(), sites, opts)
+		res, err := crawlAll(context.Background(), sites, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string]string, len(res.Logs))
-		for _, v := range res.Logs {
+		out := make(map[string]string, len(res))
+		for _, v := range res {
 			b, err := json.Marshal(v)
 			if err != nil {
 				t.Fatal(err)
@@ -278,13 +232,12 @@ func TestDefaultSchedulerConfigEquivalence(t *testing.T) {
 		return out
 	}
 	def := crawl(Options{})
-	fifo := crawl(Options{Scheduler: NewFIFOFrontier})
-	shuf := crawl(Options{Scheduler: func() Frontier { return NewShuffleFrontier(3) }})
-	if !reflect.DeepEqual(def, fifo) {
-		t.Fatal("explicit FIFO frontier diverges from the default configuration")
+	explicit := crawl(Options{Breaker: Breaker{}, SecondPass: SecondPass{}, Vantages: []netsim.Vantage{{}}})
+	if len(def) != len(sites) {
+		t.Fatalf("crawled %d records, want %d", len(def), len(sites))
 	}
-	if !reflect.DeepEqual(def, shuf) {
-		t.Fatal("shuffle frontier changed per-site records (visit bytes must not depend on pop order)")
+	if !reflect.DeepEqual(def, explicit) {
+		t.Fatal("explicit scheduler config diverges from the default configuration")
 	}
 }
 
@@ -305,7 +258,7 @@ func TestBreakerRetainsMoreVisitsPerVirtualSecond(t *testing.T) {
 		in := w.BuildInternet()
 		in.SetFaultModel(netsim.SeededFaults(flappy))
 		stats := &SchedStats{}
-		res, err := Crawl(context.Background(), sites, Options{
+		res, err := crawlAll(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  6,
 			Interact: true,
@@ -317,7 +270,7 @@ func TestBreakerRetainsMoreVisitsPerVirtualSecond(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range res.Logs {
+		for _, v := range res {
 			if v.OK {
 				retained++
 			}
@@ -370,7 +323,7 @@ func TestCircuitOpenShedsVisits(t *testing.T) {
 		sites = append(sites, fmt.Sprintf("https://www.good%02d.com/", i))
 	}
 	stats := &SchedStats{}
-	res, err := Crawl(context.Background(), sites, Options{
+	res, err := crawlAll(context.Background(), sites, Options{
 		Internet: in,
 		Workers:  3,
 		Seed:     5,
@@ -382,7 +335,7 @@ func TestCircuitOpenShedsVisits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shed, timedOut, good int
-	for _, v := range res.Logs {
+	for _, v := range res {
 		switch v.Failure {
 		case "circuit-open":
 			shed++
@@ -419,7 +372,7 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 	in := w.BuildInternet()
 	crawl := func(name string) map[string]float64 {
 		t.Helper()
-		res, err := Crawl(context.Background(), sites, Options{
+		res, err := crawlAll(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  4,
 			Seed:     5,
@@ -429,7 +382,7 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		loads := map[string]float64{}
-		for _, l := range res.Logs {
+		for _, l := range res {
 			if l.Vantage != name {
 				t.Fatalf("record for %s tagged %q, want %q", l.Site, l.Vantage, name)
 			}
@@ -489,20 +442,20 @@ func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.
 	if parallel {
 		o := opts
 		o.Vantages = vants
-		res, err := Crawl(context.Background(), sites, o)
+		res, err := crawlAll(context.Background(), sites, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		record(res.Logs)
+		record(res)
 	} else {
 		for _, v := range vants {
 			o := opts
 			o.Vantages = []netsim.Vantage{v}
-			res, err := Crawl(context.Background(), sites, o)
+			res, err := crawlAll(context.Background(), sites, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			record(res.Logs)
+			record(res)
 		}
 	}
 	return out, opts.Stats.Snapshot()
@@ -578,57 +531,26 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 	}
 }
 
-// TestVantageParallelCrawlBlockOrder: Crawl with Options.Vantages
-// returns consecutive per-vantage blocks in list order — exactly the
-// concatenation single-lane crawls of each vantage would produce.
-func TestVantageParallelCrawlBlockOrder(t *testing.T) {
-	w, sites := buildSites(t, 15)
-	res, err := Crawl(context.Background(), sites, Options{
-		Internet: w.BuildInternet(),
-		Workers:  4,
-		Seed:     5,
-		Vantages: []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Logs) != 2*len(sites) {
-		t.Fatalf("got %d logs, want %d", len(res.Logs), 2*len(sites))
-	}
-	for i, l := range res.Logs {
-		wantVant := "eu-west"
-		if i >= len(sites) {
-			wantVant = "us-east"
-		}
-		if l.Vantage != wantVant {
-			t.Fatalf("log %d tagged %q, want %q", i, l.Vantage, wantVant)
-		}
-		if l.URL != sites[i%len(sites)] {
-			t.Fatalf("log %d is %q, want %q", i, l.URL, sites[i%len(sites)])
-		}
-	}
-}
-
-// TestVantageParallelProgressMonotonic: in unified mode, Progress
-// reports one monotonically increasing done out of sites × vantages —
+// TestVantageParallelProgressMonotonic: across lanes, ProgressStats
+// reports one monotonically increasing Done out of sites × vantages —
 // no per-vantage restart.
 func TestVantageParallelProgressMonotonic(t *testing.T) {
 	w, sites := buildSites(t, 30)
 	last := 0
-	_, err := Crawl(context.Background(), sites, Options{
+	_, err := crawlAll(context.Background(), sites, Options{
 		Internet: w.BuildInternet(),
 		Workers:  4,
 		Seed:     5,
 		Vantages: []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}},
-		Progress: func(done, total int) {
+		ProgressStats: func(ps ProgressStats) {
 			// Serialized by the delivery lock, so plain closure state is safe.
-			if total != 2*len(sites) {
-				t.Errorf("total = %d, want %d", total, 2*len(sites))
+			if ps.Total != 2*len(sites) {
+				t.Errorf("total = %d, want %d", ps.Total, 2*len(sites))
 			}
-			if done != last+1 {
-				t.Errorf("done jumped %d -> %d", last, done)
+			if ps.Done != last+1 {
+				t.Errorf("done jumped %d -> %d", last, ps.Done)
 			}
-			last = done
+			last = ps.Done
 		},
 	})
 	if err != nil {
@@ -707,7 +629,7 @@ func TestAutopilotDeterministicAcrossWorkers(t *testing.T) {
 		in := w.BuildInternet()
 		in.SetFaultModel(netsim.SeededFaults(flappy))
 		stats := &SchedStats{}
-		res, err := Crawl(context.Background(), sites, Options{
+		res, err := crawlAll(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  workers,
 			Interact: true,
@@ -719,8 +641,8 @@ func TestAutopilotDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string]string, len(res.Logs))
-		for _, v := range res.Logs {
+		out := make(map[string]string, len(res))
+		for _, v := range res {
 			b, err := json.Marshal(v)
 			if err != nil {
 				t.Fatal(err)
@@ -759,7 +681,7 @@ func TestAutopilotRetainsMoreVisitsPerVirtualSecond(t *testing.T) {
 		in := w.BuildInternet()
 		in.SetFaultModel(netsim.SeededFaults(flappy))
 		stats := &SchedStats{}
-		res, err := Crawl(context.Background(), sites, Options{
+		res, err := crawlAll(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  6,
 			Interact: true,
@@ -771,7 +693,7 @@ func TestAutopilotRetainsMoreVisitsPerVirtualSecond(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range res.Logs {
+		for _, v := range res {
 			if v.OK {
 				retained++
 			}

@@ -8,8 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"cookieguard/internal/instrument"
 	"cookieguard/internal/webgen"
 )
+
+// crawlAll drains Stream and returns every delivered log, in completion
+// order, with the stream's error.
+func crawlAll(ctx context.Context, sites []string, opts Options) ([]instrument.VisitLog, error) {
+	logs, errs := Stream(ctx, sites, opts)
+	var out []instrument.VisitLog
+	for l := range logs {
+		out = append(out, l)
+	}
+	return out, <-errs
+}
 
 // buildSites generates a web and returns it with its crawlable URL list.
 func buildSites(t *testing.T, n int) (*webgen.Web, []string) {
@@ -56,9 +68,9 @@ func TestStreamBoundedResidency(t *testing.T) {
 	logs, errs := Stream(context.Background(), sites, Options{
 		Internet: w.BuildInternet(),
 		Workers:  workers,
-		// Progress fires after a log is handed to the stream, so
+		// ProgressStats fires after a log is handed to the stream, so
 		// sent-consumed bounds the logs resident outside the workers.
-		Progress: func(done, total int) { sent.Store(int64(done)) },
+		ProgressStats: func(ps ProgressStats) { sent.Store(int64(ps.Done)) },
 	})
 	consumed, peak := 0, 0
 	for range logs {
@@ -74,9 +86,9 @@ func TestStreamBoundedResidency(t *testing.T) {
 	if consumed != nSites {
 		t.Fatalf("consumed %d logs, want %d", consumed, nSites)
 	}
-	// Bound: workers buffered in the indexed channel + one in the relay
-	// + one mid-handoff. A batch materialization would reach ~nSites.
-	if limit := workers + 2; peak > limit {
+	// Bound: workers buffered in the channel + one mid-handoff. A batch
+	// materialization would reach ~nSites.
+	if limit := workers + 1; peak > limit {
 		t.Errorf("peak resident logs = %d, want <= %d (workers=%d, sites=%d)",
 			peak, limit, workers, nSites)
 	}
@@ -84,7 +96,7 @@ func TestStreamBoundedResidency(t *testing.T) {
 
 // TestStreamCancelDrainsWorkers cancels mid-stream and verifies the
 // stream stops early, reports the context error, and leaks no worker or
-// relay goroutines.
+// dispatcher goroutines.
 func TestStreamCancelDrainsWorkers(t *testing.T) {
 	w, sites := buildSites(t, 60)
 	in := w.BuildInternet()
@@ -119,7 +131,7 @@ func TestStreamCancelDrainsWorkers(t *testing.T) {
 }
 
 // TestStreamAbandonedConsumer cancels and walks away without draining;
-// the pool and relay must still unwind.
+// the pool and dispatcher must still unwind.
 func TestStreamAbandonedConsumer(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	in := w.BuildInternet()

@@ -1,6 +1,7 @@
 package jsdsl
 
 import (
+	"cmp"
 	"crypto/md5"
 	"crypto/sha1"
 	"encoding/base64"
@@ -38,13 +39,25 @@ func argMap(args []Value, i int) (*Map, bool) {
 	return args[i].AsMap()
 }
 
-// stringMap converts a script Map into map[string]string via ToString.
-func stringMap(m *Map) map[string]string {
+func argList(args []Value, i int) (*List, bool) {
+	if i >= len(args) {
+		return nil, false
+	}
+	return args[i].AsList()
+}
+
+// stringMap converts a script Map into map[string]string, rendering each
+// value under the byte budget.
+func (in *Interp) stringMap(m *Map) (map[string]string, error) {
 	out := make(map[string]string, len(m.Entries))
 	for k, v := range m.Entries {
-		out[k] = ToString(v)
+		s, err := in.str(v)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = s
 	}
-	return out
+	return out, nil
 }
 
 // ParseCookieString parses a document.cookie string ("a=1; b=2") into
@@ -91,15 +104,18 @@ func parseCookieStringInto(s string, names []string, values map[string]string) (
 }
 
 // buildAssignment renders a set_cookie(name, value, attrs) call into a
-// document.cookie assignment string.
-func buildAssignment(name, value string, attrs *Map) string {
+// document.cookie assignment string, under the byte budget.
+func (in *Interp) buildAssignment(name, value string, attrs *Map) (string, error) {
 	var b strings.Builder
 	b.WriteString(name)
 	b.WriteByte('=')
 	b.WriteString(value)
 	if attrs != nil {
 		for _, k := range attrs.Keys() {
-			v := ToString(attrs.Entries[k])
+			v, err := in.str(attrs.Entries[k])
+			if err != nil {
+				return "", err
+			}
 			switch strings.ToLower(k) {
 			case "path":
 				b.WriteString("; Path=" + v)
@@ -118,7 +134,7 @@ func buildAssignment(name, value string, attrs *Map) string {
 			}
 		}
 	}
-	return b.String()
+	return b.String(), in.charge(b.Len())
 }
 
 var builtins map[string]builtinFunc
@@ -165,9 +181,16 @@ func init() {
 			if !ok1 || len(args) < 2 {
 				return Value{}, errArity("set_cookie")
 			}
-			value := ToString(args[1])
+			value, err := in.str(args[1])
+			if err != nil {
+				return Value{}, err
+			}
 			attrs, _ := argMap(args, 2)
-			in.Host.SetDocCookie(buildAssignment(name, value, attrs))
+			assignment, err := in.buildAssignment(name, value, attrs)
+			if err != nil {
+				return Value{}, err
+			}
+			in.Host.SetDocCookie(assignment)
 			return Value{}, nil
 		},
 		"delete_cookie": func(in *Interp, args []Value) (Value, error) {
@@ -176,14 +199,20 @@ func init() {
 				return Value{}, errArity("delete_cookie")
 			}
 			attrs, _ := argMap(args, 1)
-			assignment := buildAssignment(name, "", attrs) + "; Max-Age=0"
-			in.Host.SetDocCookie(assignment)
+			assignment, err := in.buildAssignment(name, "", attrs)
+			if err != nil {
+				return Value{}, err
+			}
+			in.Host.SetDocCookie(assignment + "; Max-Age=0")
 			return Value{}, nil
 		},
 		"parse_cookies": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
 			if !ok {
 				return Value{}, errArity("parse_cookies")
+			}
+			if err := in.charge(len(s)); err != nil {
+				return Value{}, err
 			}
 			names, vals := ParseCookieString(s)
 			m := in.newMap()
@@ -218,14 +247,18 @@ func init() {
 			if !ok1 || len(args) < 2 {
 				return Value{}, errArity("cookiestore_set")
 			}
-			rec := CookieRecord{Name: name, Value: ToString(args[1])}
+			value, err := in.str(args[1])
+			if err != nil {
+				return Value{}, err
+			}
+			rec := CookieRecord{Name: name, Value: value}
 			if attrs, ok := argMap(args, 2); ok {
 				for k, v := range attrs.Entries {
 					switch strings.ToLower(k) {
 					case "domain":
-						rec.Domain = ToString(v)
+						rec.Domain, err = in.str(v)
 					case "path":
-						rec.Path = ToString(v)
+						rec.Path, err = in.str(v)
 					case "max_age", "max-age":
 						if f, ok := v.AsNumber(); ok {
 							rec.MaxAge = int64(f)
@@ -233,7 +266,10 @@ func init() {
 					case "secure":
 						rec.Secure = Truthy(v)
 					case "samesite":
-						rec.SameSite = ToString(v)
+						rec.SameSite, err = in.str(v)
+					}
+					if err != nil {
+						return Value{}, err
 					}
 				}
 			}
@@ -257,7 +293,10 @@ func init() {
 			}
 			params := map[string]string{}
 			if m, ok := argMap(args, 1); ok {
-				params = stringMap(m)
+				var err error
+				if params, err = in.stringMap(m); err != nil {
+					return Value{}, err
+				}
 			}
 			in.Host.Send(url, params)
 			return Value{}, nil
@@ -277,21 +316,35 @@ func init() {
 			if !ok1 || len(args) < 2 {
 				return Value{}, errArity("dom_set_text")
 			}
-			return BoolVal(in.Host.DOMSetText(id, ToString(args[1]))), nil
+			text, err := in.str(args[1])
+			if err != nil {
+				return Value{}, err
+			}
+			return BoolVal(in.Host.DOMSetText(id, text)), nil
 		},
 		"dom_set_attr": func(in *Interp, args []Value) (Value, error) {
 			id, ok := argString(args, 0)
 			if !ok || len(args) < 3 {
 				return Value{}, errArity("dom_set_attr")
 			}
-			return BoolVal(in.Host.DOMSetAttr(id, ToString(args[1]), ToString(args[2]))), nil
+			name, nerr := in.str(args[1])
+			val, verr := in.str(args[2])
+			if err := cmp.Or(nerr, verr); err != nil {
+				return Value{}, err
+			}
+			return BoolVal(in.Host.DOMSetAttr(id, name, val)), nil
 		},
 		"dom_set_style": func(in *Interp, args []Value) (Value, error) {
 			id, ok := argString(args, 0)
 			if !ok || len(args) < 3 {
 				return Value{}, errArity("dom_set_style")
 			}
-			return BoolVal(in.Host.DOMSetStyle(id, ToString(args[1]), ToString(args[2]))), nil
+			prop, perr := in.str(args[1])
+			val, verr := in.str(args[2])
+			if err := cmp.Or(perr, verr); err != nil {
+				return Value{}, err
+			}
+			return BoolVal(in.Host.DOMSetStyle(id, prop, val)), nil
 		},
 		"dom_insert": func(in *Interp, args []Value) (Value, error) {
 			parent, ok1 := argString(args, 0)
@@ -301,7 +354,10 @@ func init() {
 			}
 			attrs := map[string]string{}
 			if m, ok := argMap(args, 2); ok {
-				attrs = stringMap(m)
+				var err error
+				if attrs, err = in.stringMap(m); err != nil {
+					return Value{}, err
+				}
 			}
 			return BoolVal(in.Host.DOMInsert(parent, tag, attrs)), nil
 		},
@@ -366,11 +422,11 @@ func init() {
 			return Str(in.Host.PageURL()), nil
 		},
 		"log": func(in *Interp, args []Value) (Value, error) {
-			parts := make([]string, len(args))
-			for i, a := range args {
-				parts[i] = ToString(a)
+			s, err := in.join(args, " ")
+			if err != nil {
+				return Value{}, err
 			}
-			in.Host.Log(strings.Join(parts, " "))
+			in.Host.Log(s)
 			return Value{}, nil
 		},
 
@@ -399,7 +455,11 @@ func init() {
 			if len(args) != 1 {
 				return Value{}, errArity("str")
 			}
-			return Str(ToString(args[0])), nil
+			s, err := in.str(args[0])
+			if err != nil {
+				return Value{}, err
+			}
+			return Str(s), nil
 		},
 		"num": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
@@ -421,6 +481,9 @@ func init() {
 			if !ok1 || !ok2 {
 				return Value{}, errArity("split")
 			}
+			if err := in.charge((strings.Count(s, sep) + 1) * valueBytes); err != nil {
+				return Value{}, err
+			}
 			l := &List{}
 			for _, part := range strings.Split(s, sep) {
 				l.Elems = append(l.Elems, Str(part))
@@ -428,16 +491,16 @@ func init() {
 			return ListVal(l), nil
 		},
 		"join": func(in *Interp, args []Value) (Value, error) {
-			list, ok := args[0].AsList()
+			list, ok := argList(args, 0)
 			sep, ok2 := argString(args, 1)
-			if len(args) < 2 || !ok || !ok2 {
+			if !ok || !ok2 {
 				return Value{}, errArity("join")
 			}
-			parts := make([]string, len(list.Elems))
-			for i, e := range list.Elems {
-				parts[i] = ToString(e)
+			s, err := in.join(list.Elems, sep)
+			if err != nil {
+				return Value{}, err
 			}
-			return Str(strings.Join(parts, sep)), nil
+			return Str(s), nil
 		},
 		"substr": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
@@ -492,12 +555,18 @@ func init() {
 			if !ok {
 				return Value{}, errArity("lower")
 			}
+			if err := in.charge(len(s)); err != nil {
+				return Value{}, err
+			}
 			return Str(strings.ToLower(s)), nil
 		},
 		"upper": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
 			if !ok {
 				return Value{}, errArity("upper")
+			}
+			if err := in.charge(len(s)); err != nil {
+				return Value{}, err
 			}
 			return Str(strings.ToUpper(s)), nil
 		},
@@ -515,6 +584,9 @@ func init() {
 			if !ok1 || !ok2 || !ok3 {
 				return Value{}, errArity("replace")
 			}
+			if err := in.charge(len(s) + strings.Count(s, old)*max(len(nw)-len(old), 0)); err != nil {
+				return Value{}, err
+			}
 			return Str(strings.ReplaceAll(s, old, nw)), nil
 		},
 
@@ -523,6 +595,9 @@ func init() {
 			s, ok := argString(args, 0)
 			if !ok {
 				return Value{}, errArity("b64")
+			}
+			if err := in.charge(base64.StdEncoding.EncodedLen(len(s))); err != nil {
+				return Value{}, err
 			}
 			return Str(base64.StdEncoding.EncodeToString([]byte(s))), nil
 		},
@@ -549,6 +624,9 @@ func init() {
 			if !ok {
 				return Value{}, errArity("keys")
 			}
+			if err := in.charge(len(m.Entries) * valueBytes); err != nil {
+				return Value{}, err
+			}
 			l := &List{}
 			for _, k := range m.Keys() {
 				l.Elems = append(l.Elems, Str(k))
@@ -565,9 +643,12 @@ func init() {
 			return BoolVal(found), nil
 		},
 		"push": func(in *Interp, args []Value) (Value, error) {
-			l, ok := args[0].AsList()
+			l, ok := argList(args, 0)
 			if len(args) < 2 || !ok {
 				return Value{}, errArity("push")
+			}
+			if err := in.charge(valueBytes); err != nil {
+				return Value{}, err
 			}
 			l.Elems = append(l.Elems, args[1])
 			return ListVal(l), nil
@@ -576,6 +657,9 @@ func init() {
 			n, ok := argNumber(args, 0)
 			if !ok || n < 0 || n > 1e6 {
 				return Value{}, errArity("range")
+			}
+			if err := in.charge(int(n) * valueBytes); err != nil {
+				return Value{}, err
 			}
 			l := &List{}
 			for i := 0; i < int(n); i++ {
@@ -607,13 +691,33 @@ func init() {
 			return Num(math.Floor(a)), nil
 		},
 		"concat": func(in *Interp, args []Value) (Value, error) {
-			var b strings.Builder
-			for _, a := range args {
-				b.WriteString(ToString(a))
+			s, err := in.join(args, "")
+			if err != nil {
+				return Value{}, err
 			}
-			return Str(b.String()), nil
+			return Str(s), nil
 		},
 	}
+}
+
+// join renders vals separated by sep under the byte budget: each value
+// is rendered (and charged, when it is a list or map) first, then the
+// joined string is charged before it is built.
+func (in *Interp) join(vals []Value, sep string) (string, error) {
+	parts := make([]string, len(vals))
+	n := len(sep) * max(len(vals)-1, 0)
+	for i, v := range vals {
+		s, err := in.str(v)
+		if err != nil {
+			return "", err
+		}
+		parts[i] = s
+		n += len(s)
+	}
+	if err := in.charge(n); err != nil {
+		return "", err
+	}
+	return strings.Join(parts, sep), nil
 }
 
 func closureArg(args []Value, i int) (*Closure, bool) {

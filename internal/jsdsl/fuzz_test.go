@@ -11,14 +11,10 @@ import (
 	"cookieguard/internal/webgen"
 )
 
-// FuzzParse checks that Parse never panics, and that its pooled token
-// buffer carries nothing from one parse to the next: parsing a, then b,
-// then a again must yield deeply equal programs (or the same error).
-//
-// The seeds are every generated third-party script body of a small web
-// and every string literal in interp_test.go, which holds the
+// fuzzSeeds returns every generated third-party script body of a small
+// web and every string literal in interp_test.go, which holds the
 // interpreter tests' programs.
-func FuzzParse(f *testing.F) {
+func fuzzSeeds(f *testing.F) []string {
 	var seeds []string
 	for _, svc := range webgen.Build(webgen.DefaultConfig(20)).Services {
 		seeds = append(seeds, svc.Source)
@@ -35,6 +31,14 @@ func FuzzParse(f *testing.F) {
 		}
 		return true
 	})
+	return seeds
+}
+
+// FuzzParse checks that Parse never panics, and that its pooled token
+// buffer carries nothing from one parse to the next: parsing a, then b,
+// then a again must yield deeply equal programs (or the same error).
+func FuzzParse(f *testing.F) {
+	seeds := fuzzSeeds(f)
 	for i, s := range seeds {
 		f.Add(s, seeds[(i+1)%len(seeds)])
 	}
@@ -56,4 +60,24 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// fuzzMaxSteps keeps each FuzzInterp input short-running.
+const fuzzMaxSteps = 10_000
+
+// FuzzInterp checks that running any source never panics and always
+// terminates within the step budget: a script either finishes or fails
+// with an error, having executed at most fuzzMaxSteps steps.
+func FuzzInterp(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		in := NewInterp(&NopHost{})
+		in.MaxSteps = fuzzMaxSteps
+		in.RunSource(src)
+		if in.Steps() > fuzzMaxSteps+1 {
+			t.Fatalf("ran %d steps past a budget of %d", in.Steps(), fuzzMaxSteps)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package jsdsl
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,19 @@ import (
 // for runaway scripts, and the interpreter needs the same property so a
 // buggy generated script cannot stall a 20,000-site crawl.
 const DefaultMaxSteps = 500_000
+
+// maxRunBytes bounds the bytes one script run may build from its own
+// values — string +, and the builtins that make a string or list out of
+// their arguments (concat, join, split, replace, str, range, ...). The
+// step budget bounds time but not space: a loop that doubles a string
+// needs only a few dozen steps to exhaust any machine's memory. The
+// largest total one script run reaches in a webgen crawl is about
+// 10 KiB, so the budget never binds on generated pages.
+const maxRunBytes = 16 << 20
+
+// valueBytes is the size of one Value (unsafe.Sizeof on 64-bit
+// platforms), charged per element a builtin adds to a list.
+const valueBytes = 48
 
 // RuntimeError is a script execution error with its source line.
 type RuntimeError struct {
@@ -41,6 +55,7 @@ type Interp struct {
 	MaxSteps int
 
 	steps   int
+	bytes   int // charged against maxRunBytes; reset with steps
 	globals *Env
 
 	// envFree recycles block/call scopes within and across runs of this
@@ -128,6 +143,7 @@ const interpMapsMax = 256
 func (in *Interp) Release() {
 	in.Host = nil
 	in.steps = 0
+	in.bytes = 0
 	in.MaxSteps = DefaultMaxSteps
 	g := in.globals
 	if g.captured {
@@ -232,6 +248,31 @@ func (in *Interp) step(line int) error {
 		return &RuntimeError{Line: line, Msg: "step budget exhausted"}
 	}
 	return nil
+}
+
+func errBudget() error { return &RuntimeError{Msg: "memory budget exhausted"} }
+
+// charge books n bytes a builder is about to produce against the run's
+// maxRunBytes budget, failing the script once the budget is overrun.
+func (in *Interp) charge(n int) error {
+	in.bytes += n
+	if in.bytes > maxRunBytes {
+		return errBudget()
+	}
+	return nil
+}
+
+// str is ToString under the byte budget: a list or map renders only as
+// far as the budget left allows, and the rendering is charged.
+func (in *Interp) str(v Value) (string, error) {
+	if v.kind != KindRef {
+		return ToString(v), nil
+	}
+	b, err := appendValue(nil, v, maxRunBytes-in.bytes, 0)
+	if err != nil {
+		return "", err
+	}
+	return string(b), in.charge(len(b))
 }
 
 func (in *Interp) execStmt(s Stmt, env *Env) error {
@@ -684,7 +725,13 @@ func (in *Interp) binop(op string, l, r Value, line int) (Value, error) {
 		}
 		// string concatenation when either side is a string
 		if l.kind == KindString || r.kind == KindString {
-			return Str(ToString(l) + ToString(r)), nil
+			ls, lerr := in.str(l)
+			rs, rerr := in.str(r)
+			if err := cmp.Or(lerr, rerr, in.charge(len(ls)+len(rs))); err != nil {
+				err.(*RuntimeError).Line = line
+				return Value{}, err
+			}
+			return Str(ls + rs), nil
 		}
 		return Value{}, &RuntimeError{Line: line, Msg: "invalid operands for +"}
 	case "-", "*", "/", "%":

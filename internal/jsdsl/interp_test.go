@@ -1,7 +1,9 @@
 package jsdsl
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +244,10 @@ func TestRuntimeErrors(t *testing.T) {
 		{`log(1 < "a");`, "comparison"},
 		{`let m = {}; log(m[0]);`, "map key"},
 		{`split("a");`, "split"},
+		{`join();`, "join"},
+		{`push();`, "push"},
+		{`let l = []; push(l, l); log(str(l));`, "nested too deeply"},
+		{`let l = []; push(l, l); log("x" + l);`, "nested too deeply"},
 	}
 	for _, c := range cases {
 		in := NewInterp(&NopHost{})
@@ -262,6 +268,24 @@ func TestStepBudget(t *testing.T) {
 	err := in.RunSource(`while (true) { let x = 1; }`)
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestByteBudget: a loop that doubles a string takes few steps but
+// would allocate without bound (the 28th doubling alone is 512 MiB).
+// The byte budget fails it with a RuntimeError after allocating about
+// maxRunBytes.
+func TestByteBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewInterp(&NopHost{}).RunSource(`let s = "ab"; let i = 0; while (i < 28) { s = s + s; i = i + 1; }`)
+	runtime.ReadMemStats(&after)
+	var re *RuntimeError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "memory budget") {
+		t.Fatalf("err = %v, want the memory-budget RuntimeError", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*maxRunBytes {
+		t.Fatalf("allocated %d bytes, want at most %d", alloc, 4*maxRunBytes)
 	}
 }
 

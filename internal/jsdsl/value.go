@@ -2,9 +2,9 @@ package jsdsl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates SiteScript runtime values.
@@ -145,7 +145,9 @@ func Truthy(v Value) bool {
 	}
 }
 
-// ToString renders a value the way scripts see it when concatenating.
+// ToString renders a value the way scripts see it when concatenating. A
+// list or map nested deeper than maxRenderDepth (a script can make one
+// contain itself) renders only down to that depth.
 func ToString(v Value) string {
 	switch v.kind {
 	case KindNull:
@@ -162,29 +164,69 @@ func ToString(v Value) string {
 	case KindBuiltin:
 		return "<fn>"
 	}
+	b, _ := appendValue(nil, v, math.MaxInt, 0)
+	return string(b)
+}
+
+// maxRenderDepth bounds how deeply a list or map renders as a string:
+// a list that contains itself would otherwise recurse until the stack
+// overflows.
+const maxRenderDepth = 64
+
+// appendValue appends ToString's rendering of v to b. It stops with a
+// RuntimeError before b would grow past limit bytes, or when lists and
+// maps nest deeper than maxRenderDepth.
+func appendValue(b []byte, v Value, limit, depth int) ([]byte, error) {
+	if v.kind != KindRef {
+		s := ToString(v)
+		if len(s) > limit-len(b) {
+			return b, errBudget()
+		}
+		return append(b, s...), nil
+	}
+	var err error
 	switch x := v.ref.(type) {
 	case *List:
-		parts := make([]string, len(x.Elems))
-		for i, e := range x.Elems {
-			parts[i] = ToString(e)
+		if depth >= maxRenderDepth {
+			return b, &RuntimeError{Msg: "value nested too deeply to render"}
 		}
-		return "[" + strings.Join(parts, ",") + "]"
+		b = append(b, '[')
+		for i, e := range x.Elems {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendValue(b, e, limit, depth+1); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
 	case *Map:
-		var b strings.Builder
-		b.WriteByte('{')
+		if depth >= maxRenderDepth {
+			return b, &RuntimeError{Msg: "value nested too deeply to render"}
+		}
+		b = append(b, '{')
 		for i, k := range x.Keys() {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%s:%s", k, ToString(x.Entries[k]))
+			if b, err = appendValue(b, Str(k), limit, depth+1); err != nil {
+				return b, err
+			}
+			b = append(b, ':')
+			if b, err = appendValue(b, x.Entries[k], limit, depth+1); err != nil {
+				return b, err
+			}
 		}
-		b.WriteByte('}')
-		return b.String()
+		b = append(b, '}')
 	case *Closure:
-		return "<fn>"
+		b = append(b, "<fn>"...)
 	default:
-		return fmt.Sprintf("%v", v.ref)
+		b = fmt.Appendf(b, "%v", v.ref)
 	}
+	if len(b) > limit {
+		return b, errBudget()
+	}
+	return b, nil
 }
 
 // formatNumber renders integers without a decimal point, like JS.

@@ -18,14 +18,12 @@ type config struct {
 	interact      bool
 	guard         *Policy
 	middleware    []MiddlewareFactory
-	progress      func(done, total int)
 	progressStats func(ProgressStats)
 	noArtifacts   bool
 	noPooling     bool
 	faults        *FaultConfig
 	retry         RetryPolicy
 	visitBudget   float64
-	scheduler     func() Frontier
 	secondPass    bool
 	breaker       Breaker
 	autopilot     bool
@@ -78,14 +76,6 @@ func WithMiddleware(factories ...MiddlewareFactory) Option {
 	return func(c *config) { c.middleware = append(c.middleware, factories...) }
 }
 
-// WithProgress registers a callback invoked with (done, total) after
-// every finished visit. Invocations are serialized (no two run
-// concurrently) but arrive on crawl worker goroutines; a slow callback
-// backpressures the crawl.
-func WithProgress(fn func(done, total int)) Option {
-	return func(c *config) { c.progress = fn }
-}
-
 // WithFaults subjects the pipeline's network fabric to a seeded
 // deterministic fault schedule: 5xx responses, connection resets,
 // timeouts, truncated bodies, tail-latency spikes, and per-host flap
@@ -120,12 +110,13 @@ func WithVisitBudget(ms float64) Option {
 	return func(c *config) { c.visitBudget = ms }
 }
 
-// WithProgressStats registers a callback invoked with live crawl
-// counters after every finished visit: done/total progress, the fabric's
-// request and injected-fault totals, artifact-cache hit/miss counters,
-// and object-pool reuse counters. It is the observability companion of
-// WithProgress for long crawls — cmd/crawl -v prints these lines.
-// Invocations are serialized; a slow callback backpressures the crawl.
+// WithProgressStats registers the crawl's progress callback, invoked
+// after every finished visit with live counters: Done out of Total
+// (sites × vantages × personas, one monotonic count across lanes), the
+// fabric's request and injected-fault totals, artifact-cache hit/miss
+// counters, and object-pool reuse counters — cmd/crawl -v prints these
+// lines. Invocations are serialized (no two run concurrently) but arrive
+// on crawl worker goroutines; a slow callback backpressures the crawl.
 func WithProgressStats(fn func(ProgressStats)) Option {
 	return func(c *config) { c.progressStats = fn }
 }
@@ -142,18 +133,6 @@ func WithProgressStats(fn func(ProgressStats)) Option {
 // must not share pooled state.
 func WithPooling(on bool) Option {
 	return func(c *config) { c.noPooling = !on }
-}
-
-// WithScheduler replaces the crawl's Frontier — the scheduler queue
-// deciding visit order and holding the second pass's requeues. The
-// factory is invoked once per crawl (frontiers are stateful). The
-// default is NewFIFOFrontier, which visits sites in input order and is
-// output-identical to the pre-scheduler crawl loop; NewShuffleFrontier
-// visits them in a seeded random permutation. Custom implementations
-// must satisfy the Frontier determinism contract or seeded crawls lose
-// their byte-stability.
-func WithScheduler(factory func() Frontier) Option {
-	return func(c *config) { c.scheduler = factory }
 }
 
 // WithSecondPass enables the fault-aware second pass: visits whose
@@ -210,7 +189,7 @@ func WithVantageParallel(bool) Option {
 
 // WithVantages crawls the pipeline's web from the given vantage points
 // — per-region latency models and fault rates over one frozen web and
-// one shared artifact cache. Stream/Crawl/Run visit every site once per
+// one shared artifact cache. Stream and Run visit every site once per
 // vantage (in the given order), each record tagged with its
 // VisitLog.Vantage, and Results.Vantages / Results.VantageTable()
 // compare the per-vantage failure counts and load-event latency tails
@@ -323,7 +302,7 @@ func WithCrashAfterUnits(n int) Option {
 
 // WithShardWorker marks this pipeline as shard index of count in a
 // sharded crawl (the cmd/crawl -shard i/N worker protocol):
-// Stream/Crawl execute only the units of the sites this shard owns
+// Stream executes only the units of the sites this shard owns
 // under the same deterministic partition every sibling computes,
 // replicating the full scheduler over all sites. When the
 // crawl has cross-unit feedback (breaker, autopilot, second pass),

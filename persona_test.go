@@ -176,12 +176,15 @@ func TestPersonaConsentDelta(t *testing.T) {
 // TestPersonaFreeConfigReproducesPR7Bytes is the default-config
 // equivalence gate: with no personas configured, the unit-axis crawl
 // stack must emit byte-identical output to the vantage-keyed PR 7
-// stack, clean and under faults with breaker + autopilot + second pass.
+// stack, clean and under faults with breaker + autopilot + second pass,
+// at 1, 4 and 8 workers.
 func TestPersonaFreeConfigReproducesPR7Bytes(t *testing.T) {
-	if got := crawlDigest(t, cleanGoldenOpts()...); got != pr7GoldenClean {
-		t.Errorf("clean persona-free crawl diverged from PR 7 bytes:\n got %s\nwant %s", got, pr7GoldenClean)
-	}
-	if got := crawlDigest(t, faultedGoldenOpts()...); got != pr7GoldenFaulted {
-		t.Errorf("faulted persona-free crawl diverged from PR 7 bytes:\n got %s\nwant %s", got, pr7GoldenFaulted)
+	for _, workers := range []int{1, 4, 8} {
+		if got := crawlDigest(t, append(cleanGoldenOpts(), WithWorkers(workers))...); got != pr7GoldenClean {
+			t.Errorf("clean persona-free crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, pr7GoldenClean)
+		}
+		if got := crawlDigest(t, append(faultedGoldenOpts(), WithWorkers(workers))...); got != pr7GoldenFaulted {
+			t.Errorf("faulted persona-free crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, pr7GoldenFaulted)
+		}
 	}
 }

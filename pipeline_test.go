@@ -1,8 +1,8 @@
 package cookieguard
 
 // Tests for the streaming pipeline API: option wiring, cached-vs-uncached
-// crawl equivalence, streaming-vs-batch equivalence, bounded residency,
-// and cancellation.
+// crawl equivalence, streaming-vs-batch analysis equivalence, bounded
+// residency, and cancellation.
 
 import (
 	"context"
@@ -16,12 +16,23 @@ import (
 	"cookieguard/internal/browser"
 )
 
+// collectStream drains p.Stream and returns every delivered log, in
+// completion order, with the stream's error.
+func collectStream(p *Pipeline) ([]VisitLog, error) {
+	logs, errs := p.Stream(context.Background())
+	var out []VisitLog
+	for l := range logs {
+		out = append(out, l)
+	}
+	return out, <-errs
+}
+
 // TestStreamingAnalysisMatchesBatch is the equivalence contract at the
 // public-API level: feeding crawled logs through Observe/Finalize must
 // reproduce the batch Analyze byte for byte.
 func TestStreamingAnalysisMatchesBatch(t *testing.T) {
 	p := New(WithSites(60), WithWorkers(8), WithInteract(true))
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +64,7 @@ func TestRunSinglePass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +85,19 @@ func TestRunSinglePass(t *testing.T) {
 
 // TestPipelineBoundedResidency is the acceptance check for the streaming
 // memory claim: under a slow consumer, logs produced but not yet consumed
-// stay O(workers) — the same bound Run relies on — while a batch Crawl
-// would materialize all of them.
+// stay O(workers) — the same bound Run relies on — while collecting the
+// stream would materialize all of them.
 func TestPipelineBoundedResidency(t *testing.T) {
 	const nSites, workers = 60, 3
 	var produced atomic.Int64
 	p := New(
 		WithSites(nSites),
 		WithWorkers(workers),
-		WithProgress(func(done, total int) {
-			if total != nSites {
-				t.Errorf("progress total = %d, want %d", total, nSites)
+		WithProgressStats(func(ps ProgressStats) {
+			if ps.Total != nSites {
+				t.Errorf("progress total = %d, want %d", ps.Total, nSites)
 			}
-			produced.Store(int64(done))
+			produced.Store(int64(ps.Done))
 		}),
 	)
 	logs, errs := p.Stream(context.Background())
@@ -104,7 +115,8 @@ func TestPipelineBoundedResidency(t *testing.T) {
 	if consumed != nSites {
 		t.Fatalf("consumed %d logs, want %d", consumed, nSites)
 	}
-	if limit := workers + 2; peak > limit {
+	// Bound: workers buffered in the channel + one mid-handoff.
+	if limit := workers + 1; peak > limit {
 		t.Errorf("peak resident logs = %d, want <= %d (O(workers), workers=%d, sites=%d)",
 			peak, limit, workers, nSites)
 	}
@@ -131,7 +143,7 @@ func TestWithMiddleware(t *testing.T) {
 		}
 	}
 	p := New(WithSites(12), WithInteract(true), WithMiddleware(factory))
-	if _, err := p.Crawl(context.Background()); err != nil {
+	if _, err := collectStream(p); err != nil {
 		t.Fatal(err)
 	}
 	if visits.Load() != 12 {
@@ -193,11 +205,11 @@ func TestArtifactCacheEquivalence(t *testing.T) {
 	cached := New(WithSites(40), WithWorkers(8), WithSeed(7), WithInteract(true))
 	plain := New(WithSites(40), WithWorkers(8), WithSeed(7), WithInteract(true), WithArtifactCache(false))
 
-	cLogs, err := cached.Crawl(context.Background())
+	cLogs, err := collectStream(cached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pLogs, err := plain.Crawl(context.Background())
+	pLogs, err := collectStream(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +236,7 @@ func TestArtifactCacheEquivalence(t *testing.T) {
 
 	// A second crawl over the same pipeline reuses the warm cache and
 	// still reproduces the same records (run-many over parse-once).
-	again, err := cached.Crawl(context.Background())
+	again, err := collectStream(cached)
 	if err != nil {
 		t.Fatal(err)
 	}

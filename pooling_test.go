@@ -10,7 +10,7 @@ import (
 func pipelineRecords(t *testing.T, opts ...Option) map[string]string {
 	t.Helper()
 	p := New(opts...)
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		t.Fatal(err)
 	}

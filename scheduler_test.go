@@ -13,7 +13,7 @@ import (
 // crawlBySite marshals a pipeline crawl into per-(site,vantage) records.
 func crawlBySite(t *testing.T, p *Pipeline) map[string]string {
 	t.Helper()
-	logs, err := p.Crawl(context.Background())
+	logs, err := collectStream(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,12 @@ func crawlBySite(t *testing.T, p *Pipeline) map[string]string {
 // TestDefaultConfigSchedulerEquivalence is the PR-4 output-equivalence
 // acceptance test at the public-API level: the default configuration
 // and the same pipeline with the scheduler subsystem spelled out
-// explicitly (FIFO frontier, breaker off, second pass off, one default
-// vantage) emit byte-identical per-site records.
+// explicitly (breaker off, second pass off, one default vantage) emit
+// byte-identical per-site records.
 func TestDefaultConfigSchedulerEquivalence(t *testing.T) {
 	base := []Option{WithSites(40), WithWorkers(6), WithInteract(true), WithSeed(11)}
 	def := crawlBySite(t, New(base...))
 	explicit := crawlBySite(t, New(append(base,
-		WithScheduler(NewFIFOFrontier),
 		WithSecondPass(false),
 		WithBreaker(Breaker{}),
 		WithVantages(Vantage{}),
@@ -172,7 +171,7 @@ func TestMultiVantageRunResults(t *testing.T) {
 	}
 }
 
-// TestMultiVantageProgressMonotonic: WithProgress reports one monotonic
+// TestMultiVantageProgressMonotonic: WithProgressStats reports one monotonic
 // done out of sites × vantages across the interleaved lanes — no
 // per-vantage restart.
 func TestMultiVantageProgressMonotonic(t *testing.T) {
@@ -180,18 +179,18 @@ func TestMultiVantageProgressMonotonic(t *testing.T) {
 	p := New(
 		WithSites(15), WithWorkers(4), WithSeed(3),
 		WithVantages(RegionVantage("eu-west", 0, 0), RegionVantage("us-east", 0, 0)),
-		WithProgress(func(done, total int) {
+		WithProgressStats(func(ps ProgressStats) {
 			// Serialized by the crawl's delivery lock.
-			if total != 30 {
-				t.Errorf("total = %d, want 30", total)
+			if ps.Total != 30 {
+				t.Errorf("total = %d, want 30", ps.Total)
 			}
-			if done != last+1 {
-				t.Errorf("done jumped %d -> %d", last, done)
+			if ps.Done != last+1 {
+				t.Errorf("done jumped %d -> %d", last, ps.Done)
 			}
-			last = done
+			last = ps.Done
 		}),
 	)
-	if _, err := p.Crawl(context.Background()); err != nil {
+	if _, err := collectStream(p); err != nil {
 		t.Fatal(err)
 	}
 	if last != 30 {

@@ -332,7 +332,7 @@ func TestServeWhileCrawling(t *testing.T) {
 	// Throttle visits slightly so the crawl outlives several poll
 	// round-trips (the real-time crawl is otherwise near-instant).
 	p := New(WithSites(80), WithWorkers(4), WithSnapshotEvery(10),
-		WithProgress(func(done, total int) { time.Sleep(2 * time.Millisecond) }))
+		WithProgressStats(func(ProgressStats) { time.Sleep(2 * time.Millisecond) }))
 	addr, err := p.StartServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestServedSitesListingMatchesSiteRows(t *testing.T) {
 			// Throttle visits slightly so the reader catches most
 			// publishes while they are still the latest.
 			p := New(append([]Option{WithSnapshotEvery(8),
-				WithProgress(func(int, int) { time.Sleep(200 * time.Microsecond) })}, tc.opts...)...)
+				WithProgressStats(func(ProgressStats) { time.Sleep(200 * time.Microsecond) })}, tc.opts...)...)
 			srv, store := p.NewServer(), p.ResultStore()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

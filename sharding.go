@@ -103,29 +103,3 @@ func (p *Pipeline) shardWorkerOptions() (crawler.Options, error) {
 	opts.Shard = plan
 	return opts, nil
 }
-
-// crawlShardWorker is Crawl for a WithShardWorker process: the batch
-// of this shard's owned units only, in the unsharded batch order with
-// foreign slots elided.
-func (p *Pipeline) crawlShardWorker(ctx context.Context) ([]VisitLog, error) {
-	if _, err := p.ensureJournal(); err != nil {
-		return nil, err
-	}
-	opts, err := p.shardWorkerOptions()
-	if err != nil {
-		return nil, err
-	}
-	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
-	res, err := crawler.Crawl(ctx, sites, opts)
-	if err != nil {
-		return nil, err
-	}
-	owned := opts.Shard.Owned
-	var out []VisitLog
-	for idx, l := range res.Logs {
-		if owned[idx%len(sites)] {
-			out = append(out, l)
-		}
-	}
-	return out, nil
-}
