@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Allocation gate on the repository benchmark (bench/).
+"""Allocation and memory gate on the repository benchmark (bench/).
 
 Usage: python3 .github/alloc-gate.py BASELINE RESULTS_DIR
 

@@ -55,10 +55,10 @@
 // -snap-every visits (default 64) and once at the end; after the crawl
 // the process keeps serving the final results until interrupted.
 //
-// -v prints live counters (progress, fabric faults, cache and pool hit
-// rates) to stderr every 100 visits. -pooling=false disables per-visit
-// object pooling; pooled and unpooled crawls with the same -seed emit
-// byte-identical records.
+// -v prints live counters (progress, fabric faults, cache hit rates,
+// resident bytes and evictions, and pool reuse) to stderr every 100
+// visits. -pooling=false disables per-visit object pooling; pooled and
+// unpooled crawls with the same -seed emit byte-identical records.
 //
 // Scheduling: -second-pass re-crawls visits that failed on transient
 // classes once the primary frontier drains (only the re-crawl's record
@@ -125,7 +125,7 @@ func main() {
 	pooling := flag.Bool("pooling", true,
 		"recycle per-visit state (pages, DOM arenas, interpreters) through object pools; -pooling=false reproduces the unpooled baseline byte for byte")
 	verbose := flag.Bool("v", false,
-		"print live crawl counters to stderr (progress, fabric faults, cache and pool hit rates)")
+		"print live crawl counters to stderr (progress, fabric faults, cache hit rates, resident bytes and evictions, pool reuse)")
 	serveAddr := flag.String("serve", "",
 		"serve live analysis over HTTP at this address (e.g. :8089) while crawling, and keep serving the final results after the crawl until interrupted")
 	snapEvery := flag.Int("snap-every", 0,
@@ -170,19 +170,23 @@ func main() {
 		cookieguard.WithPooling(*pooling),
 	}
 	if *verbose {
-		// Live counters every 100 visits (and on the last): fault totals
-		// and cache/pool hit rates, so long crawls are observable.
+		// Live counters every 100 visits (and on the last): fault totals,
+		// cache hit rates and residency, and pool reuse, so long crawls
+		// are observable.
 		opts = append(opts, cookieguard.WithProgressStats(func(ps cookieguard.ProgressStats) {
 			if ps.Done%100 != 0 && ps.Done != ps.Total {
 				return
 			}
 			cs := ps.Cache
 			progHit := rate(cs.ProgramHits, cs.ProgramMisses)
+			domHit := rate(cs.DOMHits, cs.DOMMisses)
 			bodyHit := rate(cs.BodyHits, cs.BodyMisses)
+			resident := cs.ProgramResidentBytes + cs.DOMResidentBytes + cs.BodyResidentBytes
+			evictions := cs.ProgramEvictions + cs.DOMEvictions + cs.BodyEvictions
 			fmt.Fprintf(os.Stderr,
-				"crawl: %d/%d visits, %d requests, %d faults, cache prog %.1f%% body %.1f%%, pool reuse %.1f%%\n",
+				"crawl: %d/%d visits, %d requests, %d faults, cache prog %.1f%% dom %.1f%% body %.1f%% (%.1f MB resident, %d evictions), pool reuse %.1f%%\n",
 				ps.Done, ps.Total, ps.Requests, ps.Faults,
-				100*progHit, 100*bodyHit, 100*ps.Pool.ReuseRate())
+				100*progHit, 100*domHit, 100*bodyHit, float64(resident)/1e6, evictions, 100*ps.Pool.ReuseRate())
 		}))
 	}
 	if *guarded {

@@ -216,16 +216,18 @@ func New(opts ...Option) *Pipeline {
 }
 
 // CacheStats returns a snapshot of the artifact cache's per-tier
-// hit/miss counters (all zero when the cache is disabled). A long crawl
-// should show hit rates approaching 1 on every tier; persistent misses
-// mean the workload has little cross-visit redundancy.
+// hit/miss counters, evictions and resident bytes (all zero when the
+// cache is disabled). A long crawl should show program hit rates
+// approaching 1, since the shared third-party scripts stay resident,
+// and resident bytes that level off however many sites it visits;
+// persistent misses mean the workload has little cross-visit
+// redundancy.
 //
 // Safe to call at any time, including concurrently with a running
-// crawl: the counters are atomics and the snapshot is a consistent-
-// enough point-in-time read for live dashboards (individual tiers are
-// loaded independently, so a snapshot taken mid-visit may be a few
-// lookups apart across tiers, never torn within one). cookieguard.Server
-// reads it live on /v1/stats.
+// crawl: the snapshot is a consistent-enough point-in-time read for
+// live dashboards (individual tiers are read independently, so a
+// snapshot taken mid-visit may be a few lookups apart across tiers).
+// cookieguard.Server reads it live on /v1/stats.
 func (p *Pipeline) CacheStats() CacheStats {
 	if p.artifacts == nil {
 		return CacheStats{}

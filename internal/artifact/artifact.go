@@ -4,7 +4,7 @@
 // scripts over and over (unguarded vs. guarded passes, repeated
 // benchmark iterations, subpage revisits), yet the bytes served for any
 // given URL never change — so every artifact derived purely from those
-// bytes can be computed once and shared.
+// bytes can be computed once per residency and shared.
 //
 // The cache has three tiers, all keyed by the contenthash.Sum digest of
 // the source bytes:
@@ -26,11 +26,23 @@
 //     skip the handler round trip while still charging simulated
 //     latency to the virtual clock.
 //
+// Each tier is bounded by a budget of source bytes and holds two
+// generations: the current one, which takes every insert, and the
+// previous one. A hit in the previous generation moves the entry back
+// into the current one. When the current generation's charge passes
+// the budget, the previous generation is dropped and the current one
+// takes its place, so a tier holds at most about two budgets, and an
+// artifact stays resident for as long as it keeps being used. The
+// widely shared third-party scripts do; a site's own pages and scripts
+// age out once its units are done. An evicted artifact is simply parsed
+// again on its next use.
+//
 // A Cache is safe for concurrent use by any number of goroutines; the
-// crawler shares one cache across all workers of a crawl. Caching is
-// semantically invisible: a crawl with a cache emits byte-identical
-// records to a crawl without one (the equivalence is enforced by tests
-// at the pipeline level).
+// crawler shares one cache across all workers of a crawl. Caching and
+// eviction are semantically invisible: a crawl with a cache emits
+// byte-identical records to a crawl without one (the equivalence is
+// enforced by tests at the pipeline level and by this package's tests
+// with tiny budgets).
 package artifact
 
 import (
@@ -45,7 +57,10 @@ import (
 // Stats is a point-in-time snapshot of cache effectiveness, per tier.
 // Hits+Misses equals the number of lookups; a high miss share on a long
 // crawl means the workload has little cross-visit redundancy (or the
-// cache is being recreated per visit instead of shared).
+// cache is being recreated per visit instead of shared). Evictions
+// counts entries dropped when a tier's generations rotate, and
+// ResidentBytes the source bytes the tier holds now (at most about
+// twice its budget).
 type Stats struct {
 	ProgramHits   uint64 `json:"program_hits"`
 	ProgramMisses uint64 `json:"program_misses"`
@@ -53,12 +68,30 @@ type Stats struct {
 	DOMMisses     uint64 `json:"dom_misses"`
 	BodyHits      uint64 `json:"body_hits"`
 	BodyMisses    uint64 `json:"body_misses"`
+
+	ProgramEvictions     uint64 `json:"program_evictions"`
+	ProgramResidentBytes int64  `json:"program_resident_bytes"`
+	DOMEvictions         uint64 `json:"dom_evictions"`
+	DOMResidentBytes     int64  `json:"dom_resident_bytes"`
+	BodyEvictions        uint64 `json:"body_evictions"`
+	BodyResidentBytes    int64  `json:"body_resident_bytes"`
 }
 
 // Lookups returns the total number of cache probes across all tiers.
 func (s Stats) Lookups() uint64 {
 	return s.ProgramHits + s.ProgramMisses + s.DOMHits + s.DOMMisses + s.BodyHits + s.BodyMisses
 }
+
+// Tier budgets, in source bytes charged to a tier's current generation
+// before it rotates. A tier holds at most about two budgets. They were
+// sized from a hit trace of a 3,000-site crawl, in which almost every
+// reuse of a first-party artifact fell within its own site's units and
+// the widely shared third-party programs are touched every few visits.
+const (
+	programBudget = 1 << 20
+	domBudget     = 256 << 10
+	bodyBudget    = 1 << 20
+)
 
 // progEntry memoizes one jsdsl.Parse outcome (program or error).
 type progEntry struct {
@@ -75,25 +108,104 @@ type domEntry struct {
 	children int
 }
 
+// sized is a tier entry with the bytes it was charged.
+type sized[V any] struct {
+	v    V
+	size int
+}
+
+// tier is one two-generation map. Inserts and promotions charge cur;
+// once cur's charge passes budget, prev is dropped and cur becomes prev.
+// A lookup that hits prev moves the entry back into cur, so whatever
+// was used within the last generation stays resident and keeps its
+// identity, and everything else ages out after at most two rotations.
+type tier[V any] struct {
+	mu                  sync.RWMutex
+	cur, prev           map[string]sized[V]
+	curBytes, prevBytes int
+	budget              int
+	evictions           uint64
+
+	hits, misses atomic.Uint64
+}
+
+func newTier[V any](budget int) *tier[V] {
+	return &tier[V]{cur: make(map[string]sized[V]), prev: make(map[string]sized[V]), budget: budget}
+}
+
+// get looks key up, promoting a hit in prev, and counts the hit or miss.
+func (t *tier[V]) get(key string) (V, bool) {
+	t.mu.RLock()
+	e, ok := t.cur[key]
+	promote := false
+	if !ok {
+		e, ok = t.prev[key]
+		promote = ok
+	}
+	t.mu.RUnlock()
+	if !ok {
+		t.misses.Add(1)
+		return e.v, false
+	}
+	if promote {
+		e.v = t.put(key, e.v, e.size)
+	}
+	t.hits.Add(1)
+	return e.v, true
+}
+
+// put stores v under key unless key is already resident, and returns
+// the resident value: the first writer wins, in either generation, so
+// racing parses of one content converge on one shared artifact.
+func (t *tier[V]) put(key string, v V, size int) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.cur[key]; ok {
+		return e.v
+	}
+	if e, ok := t.prev[key]; ok {
+		delete(t.prev, key)
+		t.prevBytes -= e.size
+		v, size = e.v, e.size
+	}
+	t.cur[key] = sized[V]{v, size}
+	t.curBytes += size
+	if t.curBytes > t.budget {
+		t.evictions += uint64(len(t.prev))
+		clear(t.prev)
+		t.cur, t.prev = t.prev, t.cur
+		t.curBytes, t.prevBytes = 0, t.curBytes
+	}
+	return v
+}
+
+// stats returns the tier's counters: hits, misses, evictions and the
+// bytes resident in both generations.
+func (t *tier[V]) stats() (hits, misses, evictions uint64, resident int64) {
+	t.mu.RLock()
+	evictions, resident = t.evictions, int64(t.curBytes+t.prevBytes)
+	t.mu.RUnlock()
+	return t.hits.Load(), t.misses.Load(), evictions, resident
+}
+
 // Cache is the concurrency-safe, content-hash-keyed artifact store.
 // The zero value is not usable; construct with New.
 type Cache struct {
-	mu     sync.RWMutex
-	progs  map[string]progEntry
-	doms   map[string]domEntry
-	bodies map[string]any
-
-	programHits, programMisses atomic.Uint64
-	domHits, domMisses         atomic.Uint64
-	bodyHits, bodyMisses       atomic.Uint64
+	progs  *tier[progEntry]
+	doms   *tier[domEntry]
+	bodies *tier[any]
 }
 
 // New returns an empty cache.
 func New() *Cache {
+	return newWithBudgets(programBudget, domBudget, bodyBudget)
+}
+
+func newWithBudgets(prog, dom, body int) *Cache {
 	return &Cache{
-		progs:  make(map[string]progEntry),
-		doms:   make(map[string]domEntry),
-		bodies: make(map[string]any),
+		progs:  newTier[progEntry](prog),
+		doms:   newTier[domEntry](dom),
+		bodies: newTier[any](body),
 	}
 }
 
@@ -108,38 +220,27 @@ func KeyFor(transported, src string) string {
 }
 
 // Program returns the compiled program for src, parsing it at most once
-// per content. key must be KeyFor(...) of src (or "" to compute it
-// here). The returned *jsdsl.Program is shared: it is immutable and safe
-// for concurrent interpretation, and must not be modified.
+// per residency of its content. key must be KeyFor(...) of src (or "" to
+// compute it here). The returned *jsdsl.Program is shared: it is
+// immutable and safe for concurrent interpretation, and must not be
+// modified.
 func (c *Cache) Program(key, src string) (*jsdsl.Program, error) {
 	if key == "" {
 		key = contenthash.Sum(src)
 	}
-	c.mu.RLock()
-	e, ok := c.progs[key]
-	c.mu.RUnlock()
-	if ok {
-		c.programHits.Add(1)
-		return e.prog, e.err
+	e, ok := c.progs.get(key)
+	if !ok {
+		prog, err := jsdsl.Parse(src)
+		e = c.progs.put(key, progEntry{prog: prog, err: err}, len(src))
 	}
-	c.programMisses.Add(1)
-	prog, err := jsdsl.Parse(src)
-	c.mu.Lock()
-	// First writer wins, so every interpreter shares one canonical AST.
-	if prior, ok := c.progs[key]; ok {
-		e = prior
-	} else {
-		e = progEntry{prog: prog, err: err}
-		c.progs[key] = e
-	}
-	c.mu.Unlock()
 	return e.prog, e.err
 }
 
 // DOMTemplate returns the parsed node tree for html, parsing it at most
-// once per content. key must be KeyFor(...) of html (or "" to compute it
-// here). The returned tree is the shared template: callers MUST NOT
-// mutate it — take a Node.Clone() per page (Document does both).
+// once per residency of its content. key must be KeyFor(...) of html (or
+// "" to compute it here). The returned tree is the shared template:
+// callers MUST NOT mutate it — take a Node.Clone() per page (Document
+// does both).
 func (c *Cache) DOMTemplate(key, html string) *dom.Node {
 	return c.domTemplate(key, html).root
 }
@@ -148,24 +249,12 @@ func (c *Cache) domTemplate(key, html string) domEntry {
 	if key == "" {
 		key = contenthash.Sum(html)
 	}
-	c.mu.RLock()
-	e, ok := c.doms[key]
-	c.mu.RUnlock()
-	if ok {
-		c.domHits.Add(1)
-		return e
+	e, ok := c.doms.get(key)
+	if !ok {
+		parsed := dom.Parse(html)
+		nodes, children := dom.TreeStats(parsed)
+		e = c.doms.put(key, domEntry{root: parsed, nodes: nodes, children: children}, len(html))
 	}
-	c.domMisses.Add(1)
-	parsed := dom.Parse(html)
-	nodes, children := dom.TreeStats(parsed)
-	e = domEntry{root: parsed, nodes: nodes, children: children}
-	c.mu.Lock()
-	if prior, ok := c.doms[key]; ok {
-		e = prior
-	} else {
-		c.doms[key] = e
-	}
-	c.mu.Unlock()
 	return e
 }
 
@@ -184,35 +273,21 @@ func (c *Cache) Document(url, key, html string) *dom.Document {
 // GetResponse looks up a cached response body entry (the netsim tier).
 // Entries are opaque to the cache; netsim owns their type.
 func (c *Cache) GetResponse(key string) (any, bool) {
-	c.mu.RLock()
-	v, ok := c.bodies[key]
-	c.mu.RUnlock()
-	if ok {
-		c.bodyHits.Add(1)
-	} else {
-		c.bodyMisses.Add(1)
-	}
-	return v, ok
+	return c.bodies.get(key)
 }
 
-// PutResponse stores a response body entry. The first entry stored for a
-// key wins; concurrent writers of the same content converge.
-func (c *Cache) PutResponse(key string, v any) {
-	c.mu.Lock()
-	if _, ok := c.bodies[key]; !ok {
-		c.bodies[key] = v
-	}
-	c.mu.Unlock()
+// PutResponse stores a response body entry charged size bytes (netsim
+// charges the body plus the key). The first entry stored for a key
+// wins; concurrent writers of the same content converge.
+func (c *Cache) PutResponse(key string, v any, size int) {
+	c.bodies.put(key, v, size)
 }
 
-// Stats returns a snapshot of the per-tier hit/miss counters.
+// Stats returns a snapshot of the per-tier counters.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		ProgramHits:   c.programHits.Load(),
-		ProgramMisses: c.programMisses.Load(),
-		DOMHits:       c.domHits.Load(),
-		DOMMisses:     c.domMisses.Load(),
-		BodyHits:      c.bodyHits.Load(),
-		BodyMisses:    c.bodyMisses.Load(),
-	}
+	var s Stats
+	s.ProgramHits, s.ProgramMisses, s.ProgramEvictions, s.ProgramResidentBytes = c.progs.stats()
+	s.DOMHits, s.DOMMisses, s.DOMEvictions, s.DOMResidentBytes = c.doms.stats()
+	s.BodyHits, s.BodyMisses, s.BodyEvictions, s.BodyResidentBytes = c.bodies.stats()
+	return s
 }

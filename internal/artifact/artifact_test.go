@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,8 +88,8 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 
 func TestResponseTierFirstPutWins(t *testing.T) {
 	c := New()
-	c.PutResponse("k", "first")
-	c.PutResponse("k", "second")
+	c.PutResponse("k", "first", 6)
+	c.PutResponse("k", "second", 7)
 	v, ok := c.GetResponse("k")
 	if !ok || v.(string) != "first" {
 		t.Fatalf("GetResponse = %v, %v; want first, true", v, ok)
@@ -124,7 +125,7 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 					progs[g][i] = p
 					c.DOMTemplate("", htmls[i])
-					c.PutResponse(srcs[i], i)
+					c.PutResponse(srcs[i], i, len(srcs[i]))
 					c.GetResponse(srcs[i])
 				}
 			}
@@ -148,5 +149,148 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if s.ProgramHits == 0 || s.DOMHits == 0 || s.BodyHits == 0 {
 		t.Fatalf("no hits recorded under concurrency: %+v", s)
+	}
+}
+
+// heldBytes sums the charges of the entries a tier actually holds.
+func heldBytes[V any](tr *tier[V]) int64 {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	var n int64
+	for _, e := range tr.cur {
+		n += int64(e.size)
+	}
+	for _, e := range tr.prev {
+		n += int64(e.size)
+	}
+	return n
+}
+
+// TestResidencyBounded inserts about ten budgets of distinct content
+// into every tier at the production budgets: each tier must rotate,
+// never hold more than two budgets plus its largest entry, and report
+// exactly what it holds as its resident bytes.
+func TestResidencyBounded(t *testing.T) {
+	c := New()
+	check := func(tierName string, resident, held int64, budget, largest int) {
+		t.Helper()
+		if resident != held {
+			t.Fatalf("%s tier reports %d resident bytes but holds %d", tierName, resident, held)
+		}
+		if limit := int64(2*budget + largest); held > limit {
+			t.Fatalf("%s tier holds %d bytes, past 2 × %d + %d", tierName, held, budget, largest)
+		}
+	}
+	pad := strings.Repeat("x", 4000)
+	largest := 0
+	for i, total := 0, 0; total < 10*programBudget; i++ {
+		src := fmt.Sprintf("let v%d = %q;", i, pad)
+		total += len(src)
+		largest = max(largest, len(src))
+		if _, err := c.Program("", src); err != nil {
+			t.Fatal(err)
+		}
+		check("program", c.Stats().ProgramResidentBytes, heldBytes(c.progs), programBudget, largest)
+	}
+	largest = 0
+	for i, total := 0, 0; total < 10*domBudget; i++ {
+		html := fmt.Sprintf("<html><body><div id=\"d%d\">%s</div></body></html>", i, pad)
+		total += len(html)
+		largest = max(largest, len(html))
+		c.DOMTemplate("", html)
+		check("dom", c.Stats().DOMResidentBytes, heldBytes(c.doms), domBudget, largest)
+	}
+	const bodySize = 4096
+	for i := 0; i*bodySize < 10*bodyBudget; i++ {
+		c.PutResponse(fmt.Sprint("k", i), i, bodySize)
+		check("body", c.Stats().BodyResidentBytes, heldBytes(c.bodies), bodyBudget, bodySize)
+	}
+	s := c.Stats()
+	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 || s.BodyEvictions == 0 {
+		t.Fatalf("ten budgets of content evicted nothing: %+v", s)
+	}
+}
+
+// TestHotKeySurvivesRotations touches one key per tier every round while
+// each round inserts half a budget of fresh content: the hot key must
+// stay resident through every rotation and keep the artifact it was
+// first given.
+func TestHotKeySurvivesRotations(t *testing.T) {
+	const budget = 4096
+	c := NewWithBudgets(budget, budget, budget)
+	hotSrc := `let hot = 1;`
+	hotHTML := `<html><body><div id="hot">x</div></body></html>`
+	hotBody := new(int)
+	prog, _ := c.Program("", hotSrc)
+	tmpl := c.DOMTemplate("", hotHTML)
+	c.PutResponse("hot", hotBody, 8)
+
+	pad := strings.Repeat("y", 200)
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 10; i++ {
+			n := round*10 + i
+			c.Program("", fmt.Sprintf("let v%d = %q;", n, pad))
+			c.DOMTemplate("", fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
+			c.PutResponse(fmt.Sprint("k", n), n, len(pad))
+		}
+		before := c.Stats()
+		if p, _ := c.Program("", hotSrc); p != prog {
+			t.Fatalf("round %d: hot program was re-parsed", round)
+		}
+		if got := c.DOMTemplate("", hotHTML); got != tmpl {
+			t.Fatalf("round %d: hot template was re-parsed", round)
+		}
+		if v, ok := c.GetResponse("hot"); !ok || v != hotBody {
+			t.Fatalf("round %d: hot body evicted (%v, %v)", round, v, ok)
+		}
+		after := c.Stats()
+		if after.ProgramMisses != before.ProgramMisses || after.DOMMisses != before.DOMMisses || after.BodyMisses != before.BodyMisses {
+			t.Fatalf("round %d: hot key missed: %+v -> %+v", round, before, after)
+		}
+	}
+	s := c.Stats()
+	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 || s.BodyEvictions == 0 {
+		t.Fatalf("no tier rotated: %+v", s)
+	}
+}
+
+// TestFirstWriterWinsOverPrev races inserts of fresh values against a
+// key that sits in the previous generation: every writer and reader
+// must get the value already resident, never its own.
+func TestFirstWriterWinsOverPrev(t *testing.T) {
+	tr := newTier[*int](100)
+	first := new(int)
+	tr.put("k", first, 10)
+	tr.put("filler", new(int), 95) // passes the budget: "k" moves to prev
+	if _, ok := tr.prev["k"]; !ok {
+		t.Fatal("setup: key is not in the previous generation")
+	}
+
+	const goroutines = 16
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var got *int
+			if g%2 == 0 {
+				got = tr.put("k", new(int), 10)
+			} else {
+				got, _ = tr.get("k")
+			}
+			if got != first {
+				t.Errorf("goroutine %d got a second value for a resident key", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if _, ok := tr.cur["k"]; !ok {
+		t.Fatal("key was not promoted into the current generation")
+	}
+	if _, ok := tr.prev["k"]; ok {
+		t.Fatal("promoted key is still charged to the previous generation")
+	}
+	if _, _, _, resident := tr.stats(); resident != 105 {
+		t.Fatalf("resident = %d, want 105 (each entry charged once)", resident)
 	}
 }

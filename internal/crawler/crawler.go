@@ -248,8 +248,8 @@ type ProgressStats struct {
 	// totals (netsim.Internet.Requests/Faults).
 	Requests int64 `json:"requests"`
 	Faults   int64 `json:"faults"`
-	// Cache is the artifact cache's per-tier hit/miss snapshot (zero when
-	// the crawl runs uncached).
+	// Cache is the artifact cache's per-tier snapshot of hits, misses,
+	// evictions and resident bytes (zero when the crawl runs uncached).
 	Cache artifact.Stats `json:"cache"`
 	// Pool is the per-visit object pools' reuse snapshot (zero deltas
 	// when the crawl runs unpooled).

@@ -214,5 +214,5 @@ type mapCache struct{ m map[string]any }
 
 func newMapCache() *mapCache { return &mapCache{m: map[string]any{}} }
 
-func (c *mapCache) GetResponse(key string) (any, bool) { v, ok := c.m[key]; return v, ok }
-func (c *mapCache) PutResponse(key string, v any)      { c.m[key] = v }
+func (c *mapCache) GetResponse(key string) (any, bool)   { v, ok := c.m[key]; return v, ok }
+func (c *mapCache) PutResponse(key string, v any, _ int) { c.m[key] = v }

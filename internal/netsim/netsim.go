@@ -205,11 +205,14 @@ type LatencyModel func(req *http.Request) float64
 
 // ResponseCache stores served responses keyed by request, so the fabric
 // can replay a prior exchange without re-running the handler. Entries
-// are opaque to implementations — netsim owns their concrete type.
-// artifact.Cache satisfies this interface.
+// are opaque to implementations — netsim owns their concrete type — and
+// PutResponse gives each one's size (body plus key bytes) for caches
+// that bound what they hold. A cache may drop any entry at any time: a
+// miss just re-runs the handler. artifact.Cache satisfies this
+// interface.
 type ResponseCache interface {
 	GetResponse(key string) (any, bool)
-	PutResponse(key string, v any)
+	PutResponse(key string, v any, size int)
 }
 
 // snapshot is an immutable view of the fabric's routing state. Once
@@ -622,7 +625,7 @@ func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyMode
 		// truncated — the fault belongs to the attempt, not the content.
 		hdr := resp.Header.Clone()
 		hdr.Set(BodyHashHeader, contenthash.Sum(body))
-		v.respCache.PutResponse(key, &cachedResponse{status: rec.code, header: hdr, body: body})
+		v.respCache.PutResponse(key, &cachedResponse{status: rec.code, header: hdr, body: body}, len(body)+len(key))
 		resp.Header.Set(BodyHashHeader, hdr.Get(BodyHashHeader))
 	}
 	if fd.Kind == FaultTruncate {

@@ -282,7 +282,7 @@ func (c *countingCache) GetResponse(key string) (any, bool) {
 	return v, ok
 }
 
-func (c *countingCache) PutResponse(key string, v any) {
+func (c *countingCache) PutResponse(key string, v any, _ int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {

@@ -318,13 +318,15 @@ func WithShardWorker(index, count int) Option {
 // WithArtifactCache enables (the default) or disables the pipeline's
 // content-addressed artifact cache. Enabled, the pipeline keeps one
 // cache for its lifetime — compiled SiteScript programs, DOM templates,
-// and network responses are computed once per distinct content and
-// reused by every worker of every crawl over the pipeline's static web.
-// Caching is semantically invisible: the same seed emits byte-identical
-// per-site records with the cache on or off, and simulated parse/network
-// latency is still charged to the virtual clock. Disable it to bound
-// memory below the distinct-content size of the web, or to reproduce the
-// uncached baseline (CacheStats then stays zero).
+// and network responses are computed once per residency of their
+// content and reused by every worker of every crawl over the pipeline's
+// static web. Each tier holds a bounded working set of recently used
+// content (see package artifact), so the cache's memory does not grow
+// with the size of the web. Caching is semantically invisible: the same
+// seed emits byte-identical per-site records with the cache on or off,
+// and simulated parse/network latency is still charged to the virtual
+// clock. Disable it to reproduce the uncached baseline (CacheStats then
+// stays zero).
 func WithArtifactCache(on bool) Option {
 	return func(c *config) { c.noArtifacts = !on }
 }

@@ -145,7 +145,16 @@ func TestServerEndpoints(t *testing.T) {
 			t.Fatalf("%s: invalid JSON: %.120s", path, body)
 		}
 		if path == "/v1/stats" {
-			continue // live endpoint, unversioned
+			// Live endpoint, unversioned; it carries the artifact
+			// cache's residency beside its hit counters.
+			var st LiveStats
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if c := st.Cache; c.ProgramHits == 0 || c.ProgramResidentBytes <= 0 || c.DOMResidentBytes <= 0 || c.BodyResidentBytes <= 0 {
+				t.Fatalf("/v1/stats cache lacks residency: %+v", c)
+			}
+			continue
 		}
 		if got := resp.Header.Get("X-Result-Index"); got != idx {
 			t.Fatalf("%s: X-Result-Index %q, want %q", path, got, idx)
