@@ -17,22 +17,6 @@
 //	      [-pooling=BOOL] [-v] [-o logs.jsonl] [-list tranco.csv]
 //	      [-serve :8089] [-snap-every K]
 //	      [-checkpoint DIR] [-crash-after N]
-//	      [-shards N]
-//
-// -shards N (N > 1) splits the crawl's (site, vantage, persona) unit
-// space into N deterministic shards — partitioned by a seeded hash of
-// each site's registrable domain — and runs each as a worker process:
-// this binary re-execs itself once per shard (crawl -shard i/N
-// -checkpoint DIR/shard-i), supervises the workers, adopts any that
-// crash by relaunching them to resume from their own checkpoint
-// journals, and merges the per-shard outputs. The merged -sort file is
-// byte-identical to an unsharded run's with the same flags.
-// Configurations with cross-shard feedback (-breaker, -autopilot,
-// -second-pass) require -checkpoint: the shard journals double as the
-// outcome-exchange transport. Sharded crawls do not serve or write
-// -list; run unsharded for those. -shard i/N is the worker half of the
-// protocol; it crawls only shard i's units and is not normally invoked
-// by hand.
 //
 // -checkpoint enables crash-safe checkpointing: every terminal unit is
 // journaled write-ahead in DIR, and rerunning with the same flags and a
@@ -43,7 +27,8 @@
 // any -workers). -crash-after N kills the crawl right after the N-th
 // journaled unit (exit code 3) for resume testing; leave it off when
 // resuming. SIGINT/SIGTERM stops the crawl gracefully: in-flight
-// visits drain, buffered journal appends flush, the -serve server
+// visits drain, the visits delivered so far are written (site-ordered
+// under -sort), buffered journal appends flush, the -serve server
 // drains its connections, and the process exits 130 (crawl cut short)
 // or 0 (interrupted while serving final results — the normal way out).
 //
@@ -134,33 +119,7 @@ func main() {
 		"crash-safe checkpoint directory: journal every terminal unit write-ahead, and resume from a non-empty journal to output byte-identical to an uninterrupted run")
 	crashAfter := flag.Int("crash-after", 0,
 		"crash-injection harness: abort with exit code 3 right after the N-th journaled unit (requires -checkpoint; omit when resuming)")
-	shards := flag.Int("shards", 1,
-		"split the crawl into N deterministic shards (seeded hash of each site's registrable domain), one worker process each, supervised and merged byte-identical to an unsharded run")
-	shardSpec := flag.String("shard", "",
-		"worker mode i/N: crawl only shard i of N (the -shards re-exec protocol; pair with -checkpoint DIR/shard-i when the config needs cross-shard feedback)")
 	flag.Parse()
-
-	if *shards > 1 && *shardSpec == "" {
-		// Supervisor mode: this process never crawls — it re-execs itself
-		// once per shard and merges what the workers wrote.
-		if *serveAddr != "" || *listPath != "" {
-			fatal(errors.New("-serve and -list are not supported with -shards: sharded crawls do not serve; run unsharded (-shards 1) for -serve or -list"))
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		sup := &shardSupervisor{
-			shards:     *shards,
-			sortOut:    *sortOut,
-			outPath:    *outPath,
-			checkpoint: *checkpoint,
-			crashAfter: *crashAfter,
-			workerArgs: workerArgs(*sites, *workers, *seed, *guarded, *sortOut, *faults,
-				*retries, *secondPass, *breaker, *autopilot, *vantages,
-				*personas, *cmp, *pooling, *verbose),
-		}
-		code := sup.run(ctx)
-		stop()
-		os.Exit(code)
-	}
 
 	opts := []cookieguard.Option{
 		cookieguard.WithSites(*sites),
@@ -231,11 +190,6 @@ func main() {
 	if *crashAfter > 0 {
 		opts = append(opts, cookieguard.WithCrashAfterUnits(*crashAfter))
 	}
-	if *shardSpec != "" {
-		i, n, err := parseShardSpec(*shardSpec)
-		fatal(err)
-		opts = append(opts, cookieguard.WithShardWorker(i, n))
-	}
 	p := cookieguard.New(opts...)
 
 	// SIGINT/SIGTERM cancels the crawl context: workers drain their
@@ -288,8 +242,7 @@ func main() {
 
 	logs, errs := p.Stream(ctx)
 	visited, complete := 0, 0
-	type rec struct{ site, line string }
-	var buffered []rec
+	var buffered []sortedLine
 	// The streaming path encodes straight into the buffered writer: the
 	// encoder reuses its internal buffers line over line, where the old
 	// Marshal-per-line path allocated (and copied) every encoded log.
@@ -308,7 +261,7 @@ func main() {
 		if *sortOut {
 			b, err := json.Marshal(l)
 			fatal(err)
-			buffered = append(buffered, rec{site: l.Site + "\x00" + l.Vantage + "\x00" + l.Persona, line: string(b)})
+			buffered = append(buffered, sortedLine{key: l.Site + "\x00" + l.Vantage + "\x00" + l.Persona, line: string(b)})
 			continue
 		}
 		fatal(enc.Encode(l))
@@ -325,10 +278,14 @@ func main() {
 			os.Exit(3)
 		case errors.Is(err, context.Canceled) && ctx.Err() != nil:
 			// Interrupted: in-flight visits drained before the stream
-			// closed. Keep the partial output, flush the journal and
-			// drain the server, and exit 130 (128+SIGINT) so callers see
-			// the crawl was cut short.
-			w.Flush()
+			// closed. Keep the partial output — every delivered visit,
+			// site-ordered under -sort — flush the journal and drain the
+			// server, and exit 130 (128+SIGINT) so callers see the crawl
+			// was cut short.
+			writeSorted(w, buffered)
+			if err := w.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, "crawl: writing output:", err)
+			}
 			shutdown(p)
 			fmt.Fprintf(os.Stderr, "crawl: interrupted after %d visits; journal flushed\n", visited)
 			os.Exit(130)
@@ -339,15 +296,7 @@ func main() {
 	if an != nil {
 		store.Publish(cookieguard.ResultProgress{Done: visited, Total: total, Final: true}, an.Finalize())
 	}
-	if *sortOut {
-		// (site, vantage, persona) is unique per crawl, so the sort order
-		// is total and the emitted file is byte-stable for a fixed seed.
-		sort.Slice(buffered, func(i, j int) bool { return buffered[i].site < buffered[j].site })
-		for _, r := range buffered {
-			w.WriteString(r.line)
-			w.WriteByte('\n')
-		}
-	}
+	writeSorted(w, buffered)
 	if *checkpoint != "" {
 		if st, ok := p.CheckpointStats(); ok {
 			fmt.Fprintf(os.Stderr, "crawl: checkpoint: %d units journaled, %d resumed from journal, %d bytes, %d fsyncs\n",
@@ -362,6 +311,21 @@ func main() {
 		stop()
 		shutdown(p)
 		fmt.Fprintln(os.Stderr, "crawl: server drained, exiting")
+	}
+}
+
+// sortedLine is one -sort output line, keyed by (site, vantage,
+// persona).
+type sortedLine struct{ key, line string }
+
+// writeSorted writes the -sort lines in key order. The key is unique
+// per crawl, so the order is total and the file is byte-stable for a
+// fixed seed — a whole crawl's or, interrupted, the visits it finished.
+func writeSorted(w *bufio.Writer, lines []sortedLine) {
+	sort.Slice(lines, func(i, j int) bool { return lines[i].key < lines[j].key })
+	for _, r := range lines {
+		w.WriteString(r.line)
+		w.WriteByte('\n')
 	}
 }
 

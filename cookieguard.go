@@ -33,7 +33,6 @@ package cookieguard
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -53,7 +52,6 @@ import (
 	"cookieguard/internal/netsim"
 	"cookieguard/internal/perf"
 	"cookieguard/internal/resultstore"
-	"cookieguard/internal/shard"
 	"cookieguard/internal/trancolist"
 	"cookieguard/internal/webgen"
 )
@@ -171,11 +169,6 @@ type Pipeline struct {
 	jnlOnce sync.Once
 	jnl     *journal.Journal
 	jnlErr  error
-
-	// shardMu guards the sibling-journal tailer of a WithShardWorker
-	// process (closed by Shutdown).
-	shardMu   sync.Mutex
-	shardTail *shard.JournalExchange
 }
 
 // ErrCrashInjected is the abort cause of a crawl killed by the
@@ -274,14 +267,8 @@ func (p *Pipeline) ensureJournal() (*journal.Journal, error) {
 // would), pooling, the artifact cache — which is exactly what lets a
 // crawl resume at a different worker count. Vantage latency models are functions and likewise
 // excluded (latency shifts virtual timing deterministically from the
-// vantage name's seed, which is covered). A shard worker's journal
-// additionally carries its shard coordinate ("i/n"), so it only
-// resumes as the same shard of the same split.
+// vantage name's seed, which is covered).
 func (p *Pipeline) checkpointFingerprint() string {
-	var shardLabel string
-	if w := p.cfg.shardWorker; w != nil {
-		shardLabel = fmt.Sprintf("%d/%d", w.index, w.count)
-	}
 	type vant struct {
 		Name   string             `json:"name"`
 		Faults netsim.FaultConfig `json:"faults"`
@@ -306,7 +293,6 @@ func (p *Pipeline) checkpointFingerprint() string {
 		Vantages    []vant              `json:"vantages,omitempty"`
 		Personas    []string            `json:"personas,omitempty"`
 		CMP         bool                `json:"cmp"`
-		Shard       string              `json:"shard,omitempty"`
 	}{
 		Version:     1,
 		Sites:       p.cfg.sites,
@@ -323,7 +309,6 @@ func (p *Pipeline) checkpointFingerprint() string {
 		Vantages:    vants,
 		Personas:    p.cfg.personas,
 		CMP:         p.cfg.cmp,
-		Shard:       shardLabel,
 	}
 	b, err := json.Marshal(fp)
 	if err != nil {
@@ -469,9 +454,6 @@ func (p *Pipeline) SchedStats() SchedSnapshot {
 // of the same cell. The WithProgressStats callback reports one
 // monotonic Done out of sites × vantages × personas.
 func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
-	if p.cfg.shardWorker != nil {
-		return p.streamShardWorker(ctx)
-	}
 	if _, err := p.ensureJournal(); err != nil {
 		return errStream(err)
 	}
@@ -600,13 +582,6 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 		if serr := jnl.Sync(); serr != nil && err == nil && serr != journal.ErrCrashInjected {
 			err = serr
 		}
-	}
-	p.shardMu.Lock()
-	tail := p.shardTail
-	p.shardTail = nil
-	p.shardMu.Unlock()
-	if tail != nil {
-		tail.Close()
 	}
 	return err
 }

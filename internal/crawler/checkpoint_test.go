@@ -130,6 +130,20 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 	}
 }
 
+// schedGolden is the slice of a SchedSnapshot that scheduler tests pin
+// to absolute values: the counters the dispatcher's shed and resolve
+// paths add to, plus the visits and circuit openings around them.
+type schedGolden struct {
+	Visits, ShedVisits, ShedFetches, Requeued, SecondPassKept, Opened int64
+}
+
+func goldenOf(s SchedSnapshot) schedGolden {
+	return schedGolden{
+		Visits: s.Visits, ShedVisits: s.ShedVisits, ShedFetches: s.ShedFetches,
+		Requeued: s.Requeued, SecondPassKept: s.SecondPassKept, Opened: s.Opened,
+	}
+}
+
 // TestCheckpointCrashResumeMatrix is the crash matrix from the issue:
 // kill the crawl at seeded unit counts (early, mid, and — faulted —
 // during the second pass) at worker counts {1, 8}, resume at a third
@@ -138,15 +152,20 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 // rate 0.35 with the full breaker + autopilot + personas shape.
 func TestCheckpointCrashResumeMatrix(t *testing.T) {
 	w, sites := buildSites(t, 30)
-	for _, faulted := range []bool{false, true} {
-		faulted := faulted
-		name := "clean"
-		if faulted {
-			name = "faulted"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		faulted bool
+		// sched pins the uninterrupted run's scheduler counters, so a
+		// change that double-counts (or drops) a shed, requeue or kept
+		// re-crawl fails here even when every run agrees with the others.
+		sched schedGolden
+	}{
+		{"clean", false, schedGolden{Visits: 120}},
+		{"faulted", true, schedGolden{Visits: 136, ShedFetches: 60, Requeued: 16, SecondPassKept: 4, Opened: 28}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			in := w.BuildInternet()
-			if faulted {
+			if tc.faulted {
 				in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 			}
 			base := ckptOptions(in, 4)
@@ -156,8 +175,11 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 			}
 			want := recordMap(t, res)
 			wantSnap := base.Stats.Snapshot()
+			if got := goldenOf(wantSnap); got != tc.sched {
+				t.Fatalf("scheduler counters moved:\ngot:  %+v\nwant: %+v", got, tc.sched)
+			}
 			total := len(want) + int(wantSnap.Requeued)
-			if faulted && wantSnap.Requeued < 2 {
+			if tc.faulted && wantSnap.Requeued < 2 {
 				t.Fatalf("only %d requeues at this fault rate; late kill would miss the second pass", wantSnap.Requeued)
 			}
 

@@ -201,13 +201,6 @@ type Options struct {
 	// trailing fsync, exactly the state a real mid-crawl crash leaves
 	// behind.
 	CrashAfterUnits int
-	// Shard, when set, restricts this crawl to the shard's owned slice
-	// of the unit space while replicating the full scheduler over all
-	// sites (see ShardPlan): owned units execute and deliver, foreign
-	// units fold their owners' outcomes from the shard exchange, and
-	// the merged output of all shards is byte-identical to the
-	// unsharded crawl. Nil crawls everything.
-	Shard *ShardPlan
 }
 
 // SecondPass configures the fault-aware second pass: once the primary
@@ -361,7 +354,6 @@ type visitOutcome struct {
 	lane        int
 	pass        int
 	requeue     bool
-	foreign     bool // a sibling shard's outcome, folded from the exchange
 	virtualMs   float64
 	shedFetches int64 // gate sheds charged to this visit (journaling runs)
 	hosts       []browser.HostOutcome
@@ -541,28 +533,6 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 		opts.Stats = &SchedStats{}
 	}
 
-	ownedSites := len(sites)
-	if opts.Shard != nil {
-		if len(opts.Shard.Owned) != len(sites) {
-			errc <- fmt.Errorf("crawler: Shard.Owned covers %d sites, crawl has %d", len(opts.Shard.Owned), len(sites))
-			close(out)
-			close(errc)
-			return out, errc
-		}
-		if stateful && opts.Shard.Exchange == nil {
-			errc <- fmt.Errorf("crawler: a sharded crawl with breaker/second-pass requires Shard.Exchange")
-			close(out)
-			close(errc)
-			return out, errc
-		}
-		ownedSites = 0
-		for _, own := range opts.Shard.Owned {
-			if own {
-				ownedSites++
-			}
-		}
-	}
-
 	lanes := buildLanes(sites, &opts)
 
 	// The crawl's inner context carries an abort CAUSE: journal append
@@ -573,7 +543,7 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 
 	jobs := make(chan visitJob)
 	feedback := make(chan visitOutcome, workers*2)
-	d := &delivery{ctx: ctx, out: out, opts: &opts, total: ownedSites * len(lanes)}
+	d := &delivery{ctx: ctx, out: out, opts: &opts, total: len(sites) * len(lanes)}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -590,11 +560,9 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 				if opts.Journal != nil {
 					// Write-ahead: the unit's outcome is durable before it
 					// feeds the scheduler or the stream, so a crash after
-					// this point finds it in the journal on resume (and, in
-					// a sharded crawl, siblings tailing the journal see it:
-					// the append is the publish). A resume re-execution
-					// verifies against its journaled record instead of
-					// appending a duplicate.
+					// this point finds it in the journal on resume. A resume
+					// re-execution verifies against its journaled record
+					// instead of appending a duplicate.
 					if err := journalUnit(&opts, j, l, o); err != nil {
 						abort(err)
 						return
@@ -823,8 +791,8 @@ func (s *dispatcher) replay(ln *laneState, rec *journal.Record) bool {
 	return true
 }
 
-// recordOutcome rebuilds the scheduler feedback a journaled or
-// exchanged record carries, as the worker reported it.
+// recordOutcome rebuilds the scheduler feedback a journaled record
+// carries, as the worker reported it.
 func recordOutcome(rec *journal.Record, lane int) visitOutcome {
 	o := visitOutcome{
 		idx: rec.Site, lane: lane, pass: rec.Pass,
@@ -856,39 +824,13 @@ func (s *dispatcher) collect(o visitOutcome) {
 
 // resolve applies a visit outcome to its lane's frontier: a requeue
 // re-admits the site for the next pass, and a terminal outcome leaves
-// the frontier as it is. Foreign outcomes mutate the replicated lane
-// state but never the stats — the owning shard accounts its own work.
+// the frontier as it is.
 func (s *dispatcher) resolve(ln *laneState, o visitOutcome) {
 	if !o.requeue {
 		return
 	}
-	if !o.foreign {
-		ln.stats.Requeued.Add(1)
-	}
+	ln.stats.Requeued.Add(1)
 	ln.requeue(o.idx, o.pass+1)
-}
-
-// awaitForeign folds a sibling shard's unit: a waiter goroutine
-// fetches the owner's published outcome from the exchange and feeds it
-// through the normal feedback path, so the replicated lane state
-// machine folds byte-identical state without performing the visit.
-// Delivery and stats stay with the owner.
-func (s *dispatcher) awaitForeign(ln *laneState, site, pass int) {
-	ln.pending++
-	k := journal.Key{Vantage: ln.vantage.Name, Persona: ln.persona, Site: site, Pass: pass}
-	laneID := ln.id
-	go func() {
-		rec, err := s.opts.Shard.Exchange.Wait(s.ctx, k)
-		if err != nil {
-			return // cancelled; the dispatcher is exiting too
-		}
-		o := recordOutcome(rec, laneID)
-		o.foreign = true
-		select {
-		case s.feedback <- o:
-		case <-s.ctx.Done():
-		}
-	}()
 }
 
 // send dispatches one job, draining feedback (from any lane) while the
@@ -910,23 +852,13 @@ func (s *dispatcher) send(j visitJob) bool {
 // shed handles a visit whose landing host's circuit is open at dispatch
 // time: with the second pass available it is requeued (the re-crawl
 // doubles as the host's probe); otherwise a terminal circuit-open
-// record is emitted without constructing a browser. Shed decisions are
-// a pure function of the replicated lane state, so in a sharded crawl
-// every shard computes the same sheds — a foreign shed applies its
-// frontier effect here but leaves stats and the emitted record to the
-// owner. Returns false when the crawl is cancelled.
-func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
-	if owned {
-		ln.stats.ShedVisits.Add(1)
-	}
+// record is emitted without constructing a browser. Returns false when
+// the crawl is cancelled.
+func (s *dispatcher) shed(ln *laneState, site, pass int) bool {
+	ln.stats.ShedVisits.Add(1)
 	if pass == 1 && s.opts.SecondPass.Enabled {
-		if owned {
-			ln.stats.Requeued.Add(1)
-		}
+		ln.stats.Requeued.Add(1)
 		ln.requeue(site, pass+1)
-		return true
-	}
-	if !owned {
 		return true
 	}
 	url := s.sites[site]
@@ -1003,16 +935,6 @@ func (s *dispatcher) stepContinuous(ln *laneState) (bool, bool) {
 	}
 	ln.popCount++
 	pass := ln.pass(site)
-	if !s.opts.Shard.owns(site) {
-		if s.opts.Shard.Exchange == nil {
-			// A crawl without the breaker or the second pass folds no
-			// outcome into lane state, so a foreign unit is purely
-			// another shard's work: skip it.
-			return true, true
-		}
-		s.awaitForeign(ln, site, pass)
-		return true, true
-	}
 	rec, ok := journalLookup(s.opts, ln, site, pass)
 	if ok && rec.Requeue {
 		return true, s.replay(ln, rec)
@@ -1067,19 +989,10 @@ func (s *dispatcher) stepRound(ln *laneState) (bool, bool) {
 		ln.popCount++
 		ln.popped = true
 		pass := ln.pass(site)
-		owned := s.opts.Shard.owns(site)
 		if pass == 1 && ln.brk.blocked(urlutil.Hostname(s.sites[site])) {
-			if !s.shed(ln, site, pass, owned) {
+			if !s.shed(ln, site, pass) {
 				return false, false
 			}
-			continue
-		}
-		if !owned {
-			// A foreign unit still occupies its round slot (sent++), so
-			// round composition — and the gate every later round freezes
-			// — matches the unsharded run exactly.
-			s.awaitForeign(ln, site, pass)
-			ln.sent++
 			continue
 		}
 		rec, ok := journalLookup(s.opts, ln, site, pass)

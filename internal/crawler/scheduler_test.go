@@ -296,71 +296,87 @@ func TestBreakerRetainsMoreVisitsPerVirtualSecond(t *testing.T) {
 // TestCircuitOpenShedsVisits: a URL list with many pages on one dead
 // host (the real-crawl shape the dispatch-time shed exists for) loses
 // only the first visits to the retry budget; once the circuit opens,
-// the rest are shed as "circuit-open" without burning browser attempts.
+// the rest are shed without burning browser attempts — as terminal
+// "circuit-open" records, or with the second pass as requeues whose
+// re-crawl is the host's probe. The scheduler counters are pinned, so
+// a shed counted twice (or not at all) fails here.
 func TestCircuitOpenShedsVisits(t *testing.T) {
-	in := netsim.New()
-	for i := 0; i < 4; i++ {
-		host := fmt.Sprintf("www.good%02d.com", i)
-		in.RegisterFunc(host, func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, "<html><body><script>set_cookie(\"sid\", \"abcdefgh12345678\");</script><img src=\"/px.gif\"></body></html>")
-		})
-	}
-	in.RegisterFunc("www.dead.com", func(w http.ResponseWriter, r *http.Request) {})
-	in.Freeze()
-	// The dead host times out every attempt, forever.
-	in.SetFaultModel(func(req *http.Request) netsim.FaultDecision {
-		if req.URL.Hostname() == "www.dead.com" {
-			return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 1000}
-		}
-		return netsim.FaultDecision{}
-	})
+	for _, tc := range []struct {
+		name       string
+		secondPass bool
+		sched      schedGolden
+	}{
+		{"terminal", false, schedGolden{Visits: 8, ShedVisits: 6, Opened: 1}},
+		{"second-pass", true, schedGolden{Visits: 18, ShedVisits: 6, Requeued: 10, Opened: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := netsim.New()
+			for i := 0; i < 4; i++ {
+				host := fmt.Sprintf("www.good%02d.com", i)
+				in.RegisterFunc(host, func(w http.ResponseWriter, r *http.Request) {
+					fmt.Fprint(w, "<html><body><script>set_cookie(\"sid\", \"abcdefgh12345678\");</script><img src=\"/px.gif\"></body></html>")
+				})
+			}
+			in.RegisterFunc("www.dead.com", func(w http.ResponseWriter, r *http.Request) {})
+			in.Freeze()
+			// The dead host times out every attempt, forever.
+			in.SetFaultModel(func(req *http.Request) netsim.FaultDecision {
+				if req.URL.Hostname() == "www.dead.com" {
+					return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 1000}
+				}
+				return netsim.FaultDecision{}
+			})
 
-	var sites []string
-	for i := 0; i < 10; i++ {
-		sites = append(sites, fmt.Sprintf("https://www.dead.com/p%d", i))
-	}
-	for i := 0; i < 4; i++ {
-		sites = append(sites, fmt.Sprintf("https://www.good%02d.com/", i))
-	}
-	stats := &SchedStats{}
-	res, err := crawlAll(context.Background(), sites, Options{
-		Internet: in,
-		Workers:  3,
-		Seed:     5,
-		Retry:    browser.RetryPolicy{MaxAttempts: 3},
-		Breaker:  Breaker{Enabled: true, FailureThreshold: 3, RoundVisits: 2},
-		Stats:    stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shed, timedOut, good int
-	for _, v := range res {
-		switch v.Failure {
-		case "circuit-open":
-			shed++
-			if len(v.Requests) != 0 {
-				t.Fatalf("shed visit performed requests: %+v", v.Requests)
+			var sites []string
+			for i := 0; i < 10; i++ {
+				sites = append(sites, fmt.Sprintf("https://www.dead.com/p%d", i))
 			}
-		case "timeout":
-			timedOut++
-		default:
-			if v.OK {
-				good++
+			for i := 0; i < 4; i++ {
+				sites = append(sites, fmt.Sprintf("https://www.good%02d.com/", i))
 			}
-		}
-	}
-	if shed == 0 || stats.ShedVisits.Load() == 0 {
-		t.Fatalf("no visit was shed (shed=%d, stats=%d)", shed, stats.ShedVisits.Load())
-	}
-	if timedOut == 0 {
-		t.Fatal("expected the pre-open visits to time out")
-	}
-	if good != 4 {
-		t.Fatalf("good sites retained = %d, want 4", good)
-	}
-	if stats.Opened.Load() == 0 {
-		t.Fatal("circuit never opened")
+			stats := &SchedStats{}
+			res, err := crawlAll(context.Background(), sites, Options{
+				Internet:   in,
+				Workers:    3,
+				Seed:       5,
+				Retry:      browser.RetryPolicy{MaxAttempts: 3},
+				Breaker:    Breaker{Enabled: true, FailureThreshold: 3, RoundVisits: 2},
+				SecondPass: SecondPass{Enabled: tc.secondPass},
+				Stats:      stats,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shed, timedOut, good int
+			for _, v := range res {
+				switch v.Failure {
+				case "circuit-open":
+					shed++
+					if len(v.Requests) != 0 {
+						t.Fatalf("shed visit performed requests: %+v", v.Requests)
+					}
+				case "timeout":
+					timedOut++
+				default:
+					if v.OK {
+						good++
+					}
+				}
+			}
+			if got := goldenOf(stats.Snapshot()); got != tc.sched {
+				t.Fatalf("scheduler counters moved:\ngot:  %+v\nwant: %+v", got, tc.sched)
+			}
+			// A second-pass shed is requeued, and its re-crawl times out.
+			if wantShed := !tc.secondPass; (shed > 0) != wantShed {
+				t.Fatalf("%d circuit-open records, want them only without the second pass", shed)
+			}
+			if timedOut == 0 {
+				t.Fatal("expected the pre-open visits to time out")
+			}
+			if good != 4 {
+				t.Fatalf("good sites retained = %d, want 4", good)
+			}
+		})
 	}
 }
 

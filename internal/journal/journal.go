@@ -230,23 +230,9 @@ type Journal struct {
 	replayed   int64
 	fsyncEvery int
 	sinceSync  int
-	liveFlush  bool
 	killAfter  int64
 	appended   int64
 	dead       bool
-}
-
-// SetLiveFlush makes every append flush the user-space buffer to the
-// kernel immediately (no fsync — the durability quantum is unchanged).
-// Sharded crawls whose shards exchange outcomes by tailing each
-// other's journals need it: a record parked in this process's bufio
-// buffer is invisible to a sibling's reader, and with both shards
-// barriered on each other's rounds that is a deadlock. The bytes on
-// disk are identical either way; only their arrival time changes.
-func (j *Journal) SetLiveFlush(on bool) {
-	j.mu.Lock()
-	j.liveFlush = on
-	j.mu.Unlock()
 }
 
 // Open opens (creating if absent) the journal in dir and loads its
@@ -357,43 +343,6 @@ parse:
 	return nil
 }
 
-// ScanUnits incrementally parses raw journal bytes — the read side of
-// sharded crawls that tail sibling shards' journals as an outcome
-// exchange (an append there is a publish here). It consumes every
-// leading complete hash-valid line, returns the unit records among
-// them (header and snapshot lines are skipped), and reports how many
-// bytes were consumed. Trailing bytes past the last valid line — a
-// line the writer is still flushing — are left for the next call with
-// the rest of the file.
-func ScanUnits(raw []byte) ([]*Record, int) {
-	var units []*Record
-	consumed := 0
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		ln := raw[off : off+nl]
-		if len(ln) < contenthash.Size+2 || ln[contenthash.Size] != ' ' {
-			break
-		}
-		sum, body := string(ln[:contenthash.Size]), ln[contenthash.Size+1:]
-		if !contenthash.Valid(sum) || contenthash.Sum(string(body)) != sum {
-			break
-		}
-		var rec line
-		if err := json.Unmarshal(body, &rec); err != nil {
-			break
-		}
-		if rec.Unit != nil {
-			units = append(units, rec.Unit)
-		}
-		off += nl + 1
-		consumed = off
-	}
-	return units, consumed
-}
-
 // Lookup returns the journaled record of a unit, if one was loaded at
 // open — the resume set. Hits count toward Stats.Replayed.
 func (j *Journal) Lookup(k Key) (*Record, bool) {
@@ -446,9 +395,6 @@ func (j *Journal) Append(rec Record) error {
 	if j.sinceSync >= j.fsyncEvery {
 		return j.fsync()
 	}
-	if j.liveFlush {
-		return j.w.Flush()
-	}
 	return nil
 }
 
@@ -478,9 +424,6 @@ func (j *Journal) AppendSnapshot(s LaneSnapshot) error {
 	j.sinceSync++
 	if j.sinceSync >= j.fsyncEvery {
 		return j.fsync()
-	}
-	if j.liveFlush {
-		return j.w.Flush()
 	}
 	return nil
 }

@@ -34,7 +34,6 @@ type config struct {
 	snapEvery     int
 	checkpointDir string
 	crashAfter    int
-	shardWorker   *shardWorkerCfg
 }
 
 // WithSites sets the number of sites to generate (the paper used 20,000).
@@ -273,10 +272,10 @@ func WithSnapshotEvery(k int) Option {
 // mismatch fails the crawl loudly rather than emitting silently
 // different records). Journal records are compact — a few hundred
 // bytes of unit key and scheduler feedback, hash-prefixed on disk —
-// so journaling costs a few percent of throughput at most; shard
-// workers journal the same way. A resumed crawl's records,
-// Results.StableJSON(), and scheduler counters are byte-identical to
-// an uninterrupted run's — across worker counts, clean or faulted. A
+// so journaling costs a few percent of throughput at most. A resumed
+// crawl's records, Results.StableJSON(), and scheduler counters are
+// byte-identical to an uninterrupted run's — across worker counts,
+// clean or faulted. A
 // journal written under a different configuration (sites, seed, faults,
 // vantages, personas, scheduler knobs — anything that changes emitted
 // bytes) is rejected with an error; worker count and region latency
@@ -298,21 +297,6 @@ func WithCheckpoint(dir string) Option {
 // (the default) disables injection.
 func WithCrashAfterUnits(n int) Option {
 	return func(c *config) { c.crashAfter = n }
-}
-
-// WithShardWorker marks this pipeline as shard index of count in a
-// sharded crawl (the cmd/crawl -shard i/N worker protocol):
-// Stream executes only the units of the sites this shard owns
-// under the same deterministic partition every sibling computes,
-// replicating the full scheduler over all sites. When the
-// crawl has cross-unit feedback (breaker, autopilot, second pass),
-// WithCheckpoint is required and must point at <base>/shard-<index> —
-// the shard's journal live-flushes every append, and the sibling
-// journals <base>/shard-<j> are tailed as the outcome exchange.
-// Callers normally never use this directly; cmd/crawl -shards N
-// launches its workers with it.
-func WithShardWorker(index, count int) Option {
-	return func(c *config) { c.shardWorker = &shardWorkerCfg{index: index, count: count} }
 }
 
 // WithArtifactCache enables (the default) or disables the pipeline's
