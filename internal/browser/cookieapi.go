@@ -28,6 +28,11 @@ type AccessContext struct {
 	// Stack is the chain of script URLs active at the call, outermost
 	// first. For deferred callbacks it is the registering script's
 	// stack unless attribution was dropped (paper §8, async loss).
+	//
+	// The slice is shared and read-only: the page hands the same slice
+	// to every access and request record until its execution stack
+	// changes, and records keep it. Never write its elements; its
+	// capacity is clipped, so an append copies.
 	Stack []string
 	// MainFrame reports whether the access happens in the main frame.
 	MainFrame bool

@@ -131,6 +131,11 @@ type Page struct {
 	mainFrame bool
 
 	execStack []frame
+	// stack is accessContext's Stack for the current execStack, or nil
+	// when it must be rebuilt: pushFrame, popFrame and release set it to
+	// nil. Every stack handed out is a fresh, non-nil, cap-clipped slice
+	// that is never written again, so records may keep it.
+	stack     []string
 	injectQ   []injection
 	deferQ    []deferredTask
 	clicks    []clickHandler
@@ -382,9 +387,9 @@ func (p *Page) drainDeferred() {
 		if p.browser.opts.DropAsyncAttribution {
 			fr = frame{} // stack lost: unattributable (paper §8)
 		}
-		p.execStack = append(p.execStack, fr)
+		p.pushFrame(fr)
 		task.run()
-		p.execStack = p.execStack[:len(p.execStack)-1]
+		p.popFrame()
 		p.drainInjections()
 	}
 	p.deferQ = append(p.deferQ[:0], p.deferQ[i:]...)
@@ -449,7 +454,7 @@ func (p *Page) execScript(source, sourceHash string, fr frame, exec *ScriptExec)
 		exec.Err = err
 		return
 	}
-	p.execStack = append(p.execStack, fr)
+	p.pushFrame(fr)
 	var interp *jsdsl.Interp
 	if p.browser.opts.Pooling {
 		// Pooled interpreters are recycled at Release time, not here: the
@@ -461,10 +466,23 @@ func (p *Page) execScript(source, sourceHash string, fr frame, exec *ScriptExec)
 		interp = jsdsl.NewInterp(&p.binding)
 	}
 	err = interp.Run(prog)
-	p.execStack = p.execStack[:len(p.execStack)-1]
+	p.popFrame()
 	exec.Err = err
 	exec.Steps = interp.Steps()
 	p.browser.clock.AdvanceMillis(float64(exec.Steps) * p.browser.opts.ExecCostPerStep)
+}
+
+// pushFrame enters fr; the attribution stack is rebuilt on next use.
+func (p *Page) pushFrame(fr frame) {
+	p.execStack = append(p.execStack, fr)
+	p.stack = nil
+}
+
+// popFrame leaves the innermost frame; the attribution stack is rebuilt
+// on next use.
+func (p *Page) popFrame() {
+	p.execStack = p.execStack[:len(p.execStack)-1]
+	p.stack = nil
 }
 
 // currentFrame returns the executing frame (zero when page-level).
@@ -476,19 +494,24 @@ func (p *Page) currentFrame() frame {
 }
 
 // accessContext builds the attribution context for the current execution.
+// Its Stack is built once per execution-stack change and shared by every
+// call until the next one (see AccessContext.Stack).
 func (p *Page) accessContext() AccessContext {
-	fr := p.currentFrame()
-	stack := make([]string, 0, len(p.execStack))
-	for _, f := range p.execStack {
-		if f.scriptURL != "" {
-			stack = append(stack, f.scriptURL)
+	if p.stack == nil {
+		stack := make([]string, 0, len(p.execStack))
+		for _, f := range p.execStack {
+			if f.scriptURL != "" {
+				stack = append(stack, f.scriptURL)
+			}
 		}
+		p.stack = stack[:len(stack):len(stack)]
 	}
+	fr := p.currentFrame()
 	return AccessContext{
 		PageURL:   p.URL,
 		ScriptURL: fr.scriptURL,
 		Inline:    fr.inline,
-		Stack:     stack,
+		Stack:     p.stack,
 		MainFrame: p.mainFrame,
 	}
 }
@@ -535,9 +558,9 @@ func (p *Page) budgetExhausted() bool {
 func (p *Page) Click() int {
 	n := 0
 	for _, h := range p.clicks {
-		p.execStack = append(p.execStack, h.frame)
+		p.pushFrame(h.frame)
 		h.run()
-		p.execStack = p.execStack[:len(p.execStack)-1]
+		p.popFrame()
 		n++
 	}
 	p.drainInjections()
@@ -558,9 +581,9 @@ func (p *Page) ClickID(id string) int {
 		if h.id != id {
 			continue
 		}
-		p.execStack = append(p.execStack, h.frame)
+		p.pushFrame(h.frame)
 		h.run()
-		p.execStack = p.execStack[:len(p.execStack)-1]
+		p.popFrame()
 		n++
 	}
 	p.drainInjections()

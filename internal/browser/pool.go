@@ -113,6 +113,7 @@ func (p *Page) release() {
 	p.binding.page = nil
 	p.mainFrame = false
 	p.execStack = p.execStack[:0]
+	p.stack = nil
 	p.injectQ = p.injectQ[:0]
 	p.deferQ = p.deferQ[:0]
 	p.clicks = p.clicks[:0]

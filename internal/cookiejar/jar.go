@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cookieguard/internal/publicsuffix"
@@ -119,6 +120,31 @@ type Jar struct {
 	gen       uint64
 	memo      map[memoKey]memoEntry
 	scratch   []*Cookie // renderCookies match buffer, reused under mu
+
+	// lastURL is the most recent URL parsed for a script write or a
+	// rendering miss: every document.cookie access on a page passes the
+	// same page URL. The parsed URL is shared and never modified.
+	lastURL atomic.Pointer[parsedURL]
+}
+
+// parsedURL is a raw URL string and its parse.
+type parsedURL struct {
+	raw string
+	u   *url.URL
+}
+
+// parseURL parses rawURL, reusing the previous parse when rawURL is the
+// URL parsed last. The result must not be modified.
+func (j *Jar) parseURL(rawURL string) (*url.URL, bool) {
+	if p := j.lastURL.Load(); p != nil && p.raw == rawURL {
+		return p.u, true
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, false
+	}
+	j.lastURL.Store(&parsedURL{raw: rawURL, u: u})
+	return u, true
 }
 
 // New returns an empty jar using the given clock.
@@ -170,8 +196,8 @@ func (j *Jar) SetFromCookieStoreAssignment(pageURL, line string) ChangeKind {
 }
 
 func (j *Jar) set(rawURL, line string, src Source) ChangeKind {
-	u, err := url.Parse(rawURL)
-	if err != nil {
+	u, ok := j.parseURL(rawURL)
+	if !ok {
 		return ChangeRejected
 	}
 	return j.setURL(u, line, src)
@@ -260,9 +286,9 @@ type requestTarget struct {
 
 // parseTarget extracts the matching context; ok is false for URLs no
 // cookie can match.
-func parseTarget(rawURL string) (requestTarget, bool) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
+func (j *Jar) parseTarget(rawURL string) (requestTarget, bool) {
+	u, ok := j.parseURL(rawURL)
+	if !ok {
 		return requestTarget{}, false
 	}
 	return targetOf(u)
@@ -311,7 +337,7 @@ func match(c *Cookie, t requestTarget, httpOnlyToo bool) bool {
 // already sorted for serialization. httpOnlyToo includes HttpOnly cookies
 // (HTTP requests see them; scripts do not).
 func (j *Jar) cookiesFor(rawURL string, httpOnlyToo bool) []*Cookie {
-	t, ok := parseTarget(rawURL)
+	t, ok := j.parseTarget(rawURL)
 	if !ok {
 		return nil
 	}
@@ -360,7 +386,7 @@ func (j *Jar) renderCookies(rawURL string, u *url.URL, httpOnlyToo bool) string 
 	if u != nil {
 		t, tok = targetOf(u)
 	} else {
-		t, tok = parseTarget(rawURL)
+		t, tok = j.parseTarget(rawURL)
 	}
 	if !tok {
 		j.mu.Unlock()

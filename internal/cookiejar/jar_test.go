@@ -3,6 +3,7 @@ package cookiejar
 import (
 	"fmt"
 	"net/url"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -340,4 +341,52 @@ func BenchmarkSetFromDocument(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.SetFromDocument(site, "k=v; Path=/; Max-Age=3600")
 	}
+}
+
+// TestSetFromDocumentReusesPageURL pins the page-URL reuse: scripts on one
+// page write through the same page URL, so a write after the first one on
+// that URL skips url.Parse. Both loops overwrite the same cookie, so only
+// the URL parse differs between them.
+func TestSetFromDocumentReusesPageURL(t *testing.T) {
+	j, _ := newJar()
+	pages := [2]string{site + "a", site + "b"}
+	i := 0
+	alternating := testing.AllocsPerRun(100, func() {
+		i++
+		j.SetFromDocument(pages[i%2], "k=v; Path=/")
+	})
+	same := testing.AllocsPerRun(100, func() {
+		j.SetFromDocument(pages[0], "k=v; Path=/")
+	})
+	if same >= alternating {
+		t.Errorf("SetFromDocument on a repeated page URL: %v allocs, on a new one: %v; want fewer", same, alternating)
+	}
+	if got := j.DocumentCookie(pages[0]); got != "k=v" {
+		t.Fatalf("DocumentCookie = %q", got)
+	}
+}
+
+// TestConcurrentPageURLs shares one jar between goroutines that write and
+// read through different page URLs, so the reused page-URL parse is
+// exercised across goroutines: each must only ever see its own host's
+// cookie.
+func TestConcurrentPageURLs(t *testing.T) {
+	j, _ := newJar()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			page := fmt.Sprintf("https://g%d.example.com/p", g)
+			want := fmt.Sprintf("k=%d", g)
+			for i := 0; i < 200; i++ {
+				j.SetFromDocument(page, want)
+				if got := j.DocumentCookie(page); got != want {
+					t.Errorf("DocumentCookie(%q) = %q, want %q", page, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

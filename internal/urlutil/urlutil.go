@@ -9,6 +9,7 @@ package urlutil
 
 import (
 	"fmt"
+	"net/netip"
 	"net/url"
 	"sort"
 	"strings"
@@ -30,24 +31,42 @@ func ParseOrigin(rawURL string) (Origin, error) {
 	if err != nil {
 		return Origin{}, fmt.Errorf("urlutil: parse origin: %w", err)
 	}
-	if u.Scheme == "" || u.Host == "" {
+	if u.Scheme == "" || u.Hostname() == "" {
 		return Origin{}, fmt.Errorf("urlutil: %q has no scheme or host", rawURL)
 	}
 	o := Origin{Scheme: strings.ToLower(u.Scheme), Host: strings.ToLower(u.Hostname()), Port: u.Port()}
+	if strings.HasPrefix(u.Host, "[") || strings.Contains(o.Host, ":") {
+		// Only an IPv6 address may be bracketed or contain ':' (RFC 3986
+		// §3.2.2). Older net/url releases accept "[example.com]" and
+		// "a:b:80"; rejecting them here gives every release the same
+		// origins, each of which String renders in a form url.Parse takes.
+		if a, err := netip.ParseAddr(o.Host); err != nil || !a.Is6() {
+			return Origin{}, fmt.Errorf("urlutil: %q has an invalid IP literal", rawURL)
+		}
+	}
 	if (o.Scheme == "http" && o.Port == "80") || (o.Scheme == "https" && o.Port == "443") {
 		o.Port = ""
 	}
 	return o, nil
 }
 
-// String renders the origin in serialized form, e.g. "https://example.com"
-// or "http://example.com:8080".
+// String renders the origin in serialized form, e.g. "https://example.com",
+// "http://example.com:8080" or "https://[2001:db8::1]". ParseOrigin of the
+// result gives back o for every origin ParseOrigin returns: an IPv6 host
+// (the only kind with a ':') is bracketed, and a '%' or ' ' in a host is
+// escaped as url.Parse expects ("%25" in any host, "%20" in an IPv6 zone).
 func (o Origin) String() string {
-	if o.Port != "" {
-		return o.Scheme + "://" + o.Host + ":" + o.Port
+	host := hostEscaper.Replace(o.Host)
+	if strings.Contains(host, ":") {
+		host = "[" + host + "]"
 	}
-	return o.Scheme + "://" + o.Host
+	if o.Port != "" {
+		return o.Scheme + "://" + host + ":" + o.Port
+	}
+	return o.Scheme + "://" + host
 }
+
+var hostEscaper = strings.NewReplacer("%", "%25", " ", "%20")
 
 // Equal reports SOP equality: same scheme, host, and port.
 func (o Origin) Equal(other Origin) bool { return o == other }
@@ -65,6 +84,9 @@ func (o Origin) RegistrableDomain() string {
 // already-lowercase hosts, which is every host the synthetic web serves);
 // anything unusual falls back to net/url.
 func Hostname(rawURL string) string {
+	if rawURL == "" { // inline scripts and page-level initiators
+		return ""
+	}
 	if h, ok := fastHostname(rawURL); ok {
 		return strings.ToLower(h)
 	}
@@ -161,33 +183,41 @@ func IsThirdParty(scriptURL, siteURL string) bool {
 }
 
 // WithParams returns base with the given parameters appended to its query
-// string. Keys are added in sorted order for determinism.
+// string. Keys are added in sorted order for determinism, each key and
+// value escaped with url.QueryEscape.
+//
+// When base is canonical (see canonicalAbsolute) and has no '?', the
+// query is appended to base's bytes directly, encoded as url.Values.Encode
+// encodes it; the result is the one the net/url path below gives. Any
+// other base is parsed with net/url, and an existing query is re-encoded
+// together with params.
 func WithParams(base string, params map[string]string) string {
-	u, err := url.Parse(base)
-	if err != nil {
-		return base
-	}
 	keys := make([]string, 0, len(params))
 	for k := range params {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if u.RawQuery == "" {
-		// Fast path for the common beacon shape (no pre-existing query):
-		// build the encoded query directly. url.Values.Encode emits
-		// sorted keys with QueryEscape applied to both sides — exactly
-		// this loop, minus the Values map and its per-key slices.
+	if ok, query := canonicalAbsolute(base); ok && !query {
+		if len(keys) == 0 {
+			return base
+		}
 		var b strings.Builder
+		b.WriteString(base)
 		for i, k := range keys {
-			if i > 0 {
+			if i == 0 {
+				b.WriteByte('?')
+			} else {
 				b.WriteByte('&')
 			}
 			b.WriteString(url.QueryEscape(k))
 			b.WriteByte('=')
 			b.WriteString(url.QueryEscape(params[k]))
 		}
-		u.RawQuery = b.String()
-		return u.String()
+		return b.String()
+	}
+	u, err := url.Parse(base)
+	if err != nil {
+		return base
 	}
 	q := u.Query()
 	for _, k := range keys {
@@ -210,10 +240,95 @@ func Resolve(base, ref string) string {
 // ResolveRef is Resolve against an already parsed base. Pages resolve
 // dozens of references against the same base URL; parsing the base once
 // per page removes the dominant allocation of the old string-only path.
+//
+// A canonical ref (see canonicalAbsolute) is returned as is, without
+// allocating: it is absolute, so base does not matter, and net/url would
+// give back the same bytes. Every other ref goes through url.Parse,
+// ResolveReference and String.
 func ResolveRef(base *url.URL, ref string) string {
+	if ok, _ := canonicalAbsolute(ref); ok {
+		return ref
+	}
 	r, err := url.Parse(ref)
 	if err != nil {
 		return ref
 	}
 	return base.ResolveReference(r).String()
 }
+
+// canonicalAbsolute reports whether s is an absolute http(s) URL that
+// url.Parse, ResolveReference and String give back byte for byte. It
+// accepts exactly this shape and nothing else:
+//
+//   - the scheme is "http" or "https", in lower case, then "://";
+//   - the host is non-empty and made of ASCII letters, digits, '.', '-'
+//     and '_', optionally followed by ':' and a non-empty decimal port
+//     (so no userinfo, IPv6 literal or escape);
+//   - the path is empty or starts with '/', uses only ASCII letters,
+//     digits and "-._~$&+,/:;=@" (the characters net/url never escapes
+//     in a path, minus '%'), and has no "." or ".." segment;
+//   - an optional '?' starts a query of printable ASCII other than ' '
+//     and '#', which net/url keeps verbatim;
+//   - there is no fragment.
+//
+// query reports whether s has a '?'. Anything else, including a shape
+// net/url would also leave unchanged, is not canonical and takes the
+// net/url path.
+func canonicalAbsolute(s string) (ok, query bool) {
+	i := len("http://")
+	switch {
+	case strings.HasPrefix(s, "https://"):
+		i = len("https://")
+	case !strings.HasPrefix(s, "http://"):
+		return false, false
+	}
+	hostStart, port := i, -1
+	for ; i < len(s) && s[i] != '/' && s[i] != '?'; i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '.' || c == '-' || c == '_':
+			if port >= 0 {
+				return false, false
+			}
+		case '0' <= c && c <= '9':
+		case c == ':':
+			if port >= 0 || i == hostStart {
+				return false, false
+			}
+			port = i
+		default:
+			return false, false
+		}
+	}
+	if i == hostStart || port == i-1 {
+		return false, false
+	}
+	segStart := i
+	for ; i < len(s) && s[i] != '?'; i++ {
+		c := s[i]
+		if c == '/' {
+			if isDotSegment(s[segStart:i]) {
+				return false, false
+			}
+			segStart = i + 1
+			continue
+		}
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			strings.IndexByte("-._~$&+,:;=@", c) >= 0) {
+			return false, false
+		}
+	}
+	if isDotSegment(s[segStart:i]) {
+		return false, false
+	}
+	if i == len(s) {
+		return true, false
+	}
+	for i++; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= 0x7f || c == '#' {
+			return false, false
+		}
+	}
+	return true, true
+}
+
+func isDotSegment(seg string) bool { return seg == "." || seg == ".." }

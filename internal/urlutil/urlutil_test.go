@@ -26,7 +26,11 @@ func TestParseOrigin(t *testing.T) {
 }
 
 func TestParseOriginErrors(t *testing.T) {
-	for _, raw := range []string{"", "not a url at all\x7f", "/relative/only", "mailto:x@y.com"} {
+	for _, raw := range []string{
+		"", "not a url at all\x7f", "/relative/only", "mailto:x@y.com",
+		"https://[]/", "https://:80/", // empty host
+		"https://[example.com]/", "https://[1.2.3.4]/", "https://a:b:80/", // not IPv6
+	} {
 		if _, err := ParseOrigin(raw); err == nil {
 			t.Errorf("ParseOrigin(%q) = nil error, want error", raw)
 		}
@@ -48,6 +52,16 @@ func TestOriginStringAndEqual(t *testing.T) {
 	}
 	if c.String() != "https://example.com:8443" {
 		t.Errorf("String = %q", c.String())
+	}
+	for raw, want := range map[string]string{
+		"https://[2001:db8::1]:8443/x": "https://[2001:db8::1]:8443",
+		"https://[FE80::1%25En0]/":     "https://[fe80::1%25en0]",
+		"https://a%25b.example/":       "https://a%25b.example",
+	} {
+		o, err := ParseOrigin(raw)
+		if err != nil || o.String() != want {
+			t.Errorf("ParseOrigin(%q).String() = %q (err %v), want %q", raw, o.String(), err, want)
+		}
 	}
 	// Paper §2.1: subdomain => different origin, same domain.
 	d, _ := ParseOrigin("https://subdomain.example.com/")
