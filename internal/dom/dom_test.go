@@ -261,3 +261,55 @@ func TestCloneOwnerPreserved(t *testing.T) {
 		t.Fatalf("clone lost script ownership: %+v", n)
 	}
 }
+
+// TestParsedTreeMutationLeavesSiblingsAlone guards the children backing
+// Parse shares across a tree: every element's children are carved from
+// one slice, so an Insert, AppendChild or SetText on one element of an
+// uncached page must reallocate its children, never write into the run
+// of the element after it. Each element with children is the target once,
+// on a fresh parse.
+func TestParsedTreeMutationLeavesSiblingsAlone(t *testing.T) {
+	parents := func(d *Document) (all, withKids []*Node) {
+		d.Root.walk(func(n *Node) bool {
+			all = append(all, n)
+			if n.Kind == KindElement && len(n.Children) > 0 {
+				withKids = append(withKids, n)
+			}
+			return true
+		})
+		return all, withKids
+	}
+	_, targets := parents(parseDoc(t))
+	for i := range targets {
+		d := parseDoc(t)
+		nodes, withKids := parents(d)
+		target := withKids[i]
+		if cap(target.Children) != len(target.Children) {
+			t.Fatalf("<%s> children carved with cap %d > len %d", target.Tag, cap(target.Children), len(target.Children))
+		}
+		before := make(map[*Node][]*Node, len(nodes))
+		for _, n := range nodes {
+			before[n] = append([]*Node(nil), n.Children...)
+		}
+		child := target.Children[0]
+		d.Insert(target, "span", nil, "https://s.example/a.js")
+		target.AppendChild(&Node{Kind: KindText, Text: "appended"})
+		if child.Kind == KindElement {
+			d.Insert(child, "i", nil, "https://s.example/a.js")
+		}
+		d.SetText(child, "set", "https://s.example/a.js")
+		for _, n := range nodes {
+			if n == target || n == child {
+				continue
+			}
+			if len(n.Children) != len(before[n]) {
+				t.Fatalf("mutating <%s> changed how many children <%s> has", target.Tag, n.Tag)
+			}
+			for j, c := range n.Children {
+				if c != before[n][j] || c.Parent != n {
+					t.Fatalf("mutating <%s> changed child %d of <%s>", target.Tag, j, n.Tag)
+				}
+			}
+		}
+	}
+}

@@ -1,52 +1,27 @@
 package dom
 
 import (
-	"io"
 	"strings"
 	"testing"
-
-	"cookieguard/internal/webgen"
 )
 
-// fuzzPages returns every HTML page a small generated web (with consent
-// banners) serves, fetched over its fabric.
-func fuzzPages(f *testing.F) []string {
-	cfg := webgen.DefaultConfig(12)
-	cfg.CMP = true
-	w := webgen.Build(cfg)
-	client := w.BuildInternet().Client()
-	var pages []string
-	for _, s := range w.CompleteSites() {
-		for _, path := range []string{"/", "/products", "/about", "/login"} {
-			resp, err := client.Get("https://" + s.Host + path)
-			if err != nil {
-				f.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				f.Fatal(err)
-			}
-			if resp.StatusCode == 200 && strings.HasPrefix(resp.Header.Get("Content-Type"), "text/html") {
-				pages = append(pages, string(body))
-			}
-		}
-	}
+// FuzzDOMParse checks that Parse never panics, that a pooled clone of
+// the parsed template, in an arena sized by TreeStats, equals the
+// template node for node and fills the arena exactly, and that
+// indexCloseTag finds the raw-text close tags where a search of the
+// input with its ASCII letters lowered does.
+func FuzzDOMParse(f *testing.F) {
+	pages := servedPages(f, 12, "/", "/products", "/about", "/login")
 	if len(pages) == 0 {
 		f.Fatal("the generated web served no HTML")
 	}
-	return pages
-}
-
-// FuzzDOMParse checks that Parse never panics, and that a pooled clone
-// of the parsed template, in an arena sized by TreeStats, equals the
-// template node for node and fills the arena exactly.
-func FuzzDOMParse(f *testing.F) {
-	for _, p := range fuzzPages(f) {
+	for _, p := range pages {
 		f.Add(p)
 	}
 	f.Add(arenaTestHTML)
 	f.Add(`<div id="a"><p>unclosed<br/><script>x<y</script>`)
+	f.Add("<SCRIPT>a</ScRiPt><style>\u212a</STYLE>")
+	f.Add("<script>\xff</script><script>İ</script>")
 	f.Fuzz(func(t *testing.T, html string) {
 		tmpl := Parse(html)
 		nodes, children := TreeStats(tmpl)
@@ -57,5 +32,16 @@ func FuzzDOMParse(f *testing.F) {
 				len(d.arena.nodes), len(d.arena.children), nodes, children)
 		}
 		d.Release()
+		lower := []byte(html)
+		for i, c := range lower {
+			if 'A' <= c && c <= 'Z' {
+				lower[i] = c + 'a' - 'A'
+			}
+		}
+		for _, close := range []string{"</script>", "</style>"} {
+			if got, want := indexCloseTag(html, close), strings.Index(string(lower), close); got != want {
+				t.Fatalf("indexCloseTag(%q, %q) = %d, want %d", html, close, got, want)
+			}
+		}
 	})
 }

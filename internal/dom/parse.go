@@ -20,32 +20,111 @@ var rawTextElements = map[string]bool{"script": true, "style": true}
 // gracefully on anything else: unknown constructs become text, and
 // unclosed elements are closed at EOF. It never fails — a browser doesn't
 // either.
+//
+// The tree is built in two allocations however many nodes it has: every
+// node lives in one slice sized by a census of the markup, and every
+// node's children in one shared slice, each node's run carved with its
+// capacity equal to its length, so that an AppendChild on a parsed tree
+// reallocates rather than overwriting a sibling's children.
 func Parse(html string) *Node {
-	p := &parser{src: html}
-	root := &Node{Kind: KindElement, Tag: "#document", Attrs: map[string]string{}}
+	elements, texts := census(html)
+	p := &parser{
+		src:      html,
+		nodes:    make([]Node, 0, 1+elements+texts),
+		children: make([]*Node, 0, elements+texts),
+	}
+	root := p.newNode(Node{Kind: KindElement, Tag: "#document", Attrs: map[string]string{}})
 	p.parseChildren(root, "")
 	return root
+}
+
+// census returns the number of elements and text nodes Parse builds
+// from html, counting a '<' before a tag-name byte as an element and
+// each run of text between markup that holds more than white space as a
+// text node. It is exact for the pages the web generator serves; markup
+// inside comments and raw text, and a lone '<', can make it miss, which
+// costs an allocation per node, never correctness.
+func census(html string) (elements, texts int) {
+	inText, hasText := true, false
+	for i := 0; i < len(html); i++ {
+		switch c := html[i]; {
+		case c == '<':
+			if hasText {
+				texts++
+			}
+			inText, hasText = false, false
+			if i+1 < len(html) && isNameChar(html[i+1]) {
+				elements++
+			}
+		case c == '>':
+			inText = true
+		case inText && !isSpace(c):
+			hasText = true
+		}
+	}
+	if hasText {
+		texts++
+	}
+	return elements, texts
 }
 
 type parser struct {
 	src string
 	pos int
+
+	// nodes and children are the tree's backing, sized by census.
+	nodes    []Node
+	children []*Node
+}
+
+// newNode stores n in the node backing and returns its address; a node
+// past the census is allocated on its own.
+func (p *parser) newNode(n Node) *Node {
+	if len(p.nodes) == cap(p.nodes) {
+		m := new(Node)
+		*m = n
+		return m
+	}
+	p.nodes = append(p.nodes, n)
+	return &p.nodes[len(p.nodes)-1]
+}
+
+// setChildren carves kids into the shared children backing as parent's
+// children, with capacity equal to length, and points each at parent.
+func (p *parser) setChildren(parent *Node, kids []*Node) {
+	n := len(kids)
+	if n == 0 {
+		return
+	}
+	for _, c := range kids {
+		c.Parent = parent
+	}
+	if cap(p.children)-len(p.children) < n {
+		parent.Children = append(make([]*Node, 0, n), kids...)
+		return
+	}
+	start := len(p.children)
+	p.children = append(p.children, kids...)
+	parent.Children = p.children[start : start+n : start+n]
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
 
 // parseChildren consumes nodes until the closing tag for `until` (or EOF)
-// and appends them to parent.
+// and makes them parent's children.
 func (p *parser) parseChildren(parent *Node, until string) {
+	var buf [32]*Node
+	kids := buf[:0]
+nodes:
 	for !p.eof() {
 		lt := strings.IndexByte(p.src[p.pos:], '<')
 		if lt < 0 {
-			p.appendText(parent, p.src[p.pos:])
+			kids = p.appendText(kids, p.src[p.pos:])
 			p.pos = len(p.src)
-			return
+			break nodes
 		}
 		if lt > 0 {
-			p.appendText(parent, p.src[p.pos:p.pos+lt])
+			kids = p.appendText(kids, p.src[p.pos:p.pos+lt])
 			p.pos += lt
 		}
 		// At '<'.
@@ -53,7 +132,7 @@ func (p *parser) parseChildren(parent *Node, until string) {
 			end := strings.Index(p.src[p.pos+4:], "-->")
 			if end < 0 {
 				p.pos = len(p.src)
-				return
+				break nodes
 			}
 			p.pos += 4 + end + 3
 			continue
@@ -62,7 +141,7 @@ func (p *parser) parseChildren(parent *Node, until string) {
 			gt := strings.IndexByte(p.src[p.pos:], '>')
 			if gt < 0 {
 				p.pos = len(p.src)
-				return
+				break nodes
 			}
 			p.pos += gt + 1
 			continue
@@ -71,12 +150,12 @@ func (p *parser) parseChildren(parent *Node, until string) {
 			gt := strings.IndexByte(p.src[p.pos:], '>')
 			if gt < 0 {
 				p.pos = len(p.src)
-				return
+				break nodes
 			}
 			name := strings.ToLower(strings.TrimSpace(p.src[p.pos+2 : p.pos+gt]))
 			p.pos += gt + 1
 			if name == until {
-				return
+				break nodes
 			}
 			continue // stray closing tag: ignore
 		}
@@ -84,38 +163,69 @@ func (p *parser) parseChildren(parent *Node, until string) {
 		tag, attrs, selfClose, ok := p.parseTag()
 		if !ok {
 			// Lone '<' that is not a tag: treat as text.
-			p.appendText(parent, "<")
+			kids = p.appendText(kids, "<")
 			p.pos++
 			continue
 		}
-		el := &Node{Kind: KindElement, Tag: tag, Attrs: attrs}
-		parent.AppendChild(el)
+		el := p.newNode(Node{Kind: KindElement, Tag: tag, Attrs: attrs})
+		kids = append(kids, el)
 		if selfClose || voidElements[tag] {
 			continue
 		}
 		if rawTextElements[tag] {
 			close := "</" + tag + ">"
-			idx := strings.Index(strings.ToLower(p.src[p.pos:]), close)
-			if idx < 0 {
-				p.appendText(el, p.src[p.pos:])
+			idx := indexCloseTag(p.src[p.pos:], close)
+			body := p.src[p.pos:]
+			if idx >= 0 {
+				body = body[:idx]
+				p.pos += idx + len(close)
+			} else {
 				p.pos = len(p.src)
-				continue
 			}
-			if idx > 0 {
-				p.appendText(el, p.src[p.pos:p.pos+idx])
-			}
-			p.pos += idx + len(close)
+			var text [1]*Node
+			p.setChildren(el, p.appendText(text[:0], body))
 			continue
 		}
 		p.parseChildren(el, tag)
 	}
+	p.setChildren(parent, kids)
 }
 
-func (p *parser) appendText(parent *Node, text string) {
-	if strings.TrimSpace(text) == "" {
-		return
+// indexCloseTag returns the index of the first instance of close, a
+// lower-case ASCII close tag, in s, matching ASCII letters in either
+// case. Lowering all of s and searching that instead costs a copy of the
+// rest of the page per raw-text element, and where lowering changes a
+// byte length (invalid UTF-8, some non-ASCII letters) it yields an index
+// into the wrong string.
+func indexCloseTag(s, close string) int {
+	for i := 0; i+len(close) <= len(s); i++ {
+		if s[i] == '<' && lowerASCIIEqual(s[i:i+len(close)], close) {
+			return i
+		}
 	}
-	parent.AppendChild(&Node{Kind: KindText, Text: text})
+	return -1
+}
+
+// lowerASCIIEqual reports whether s, with A–Z lowered, equals lower.
+func lowerASCIIEqual(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// appendText appends a text node to kids unless text is all white space.
+func (p *parser) appendText(kids []*Node, text string) []*Node {
+	if strings.TrimSpace(text) == "" {
+		return kids
+	}
+	return append(kids, p.newNode(Node{Kind: KindText, Text: text}))
 }
 
 // parseTag parses "<name attr=... >" starting at p.pos (which points at

@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -104,37 +105,59 @@ func parseCookieStringInto(s string, names []string, values map[string]string) (
 }
 
 // buildAssignment renders a set_cookie(name, value, attrs) call into a
-// document.cookie assignment string, under the byte budget.
+// document.cookie assignment string, under the byte budget. Attribute
+// values are rendered first, in sorted key order, so that the string is
+// built in one allocation of its final length.
 func (in *Interp) buildAssignment(name, value string, attrs *Map) (string, error) {
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('=')
-	b.WriteString(value)
+	n := len(name) + 1 + len(value)
+	keys, parts := in.attrKeys[:0], in.attrParts[:0]
 	if attrs != nil {
-		for _, k := range attrs.Keys() {
+		for k := range attrs.Entries {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			v, err := in.str(attrs.Entries[k])
 			if err != nil {
 				return "", err
 			}
-			switch strings.ToLower(k) {
-			case "path":
-				b.WriteString("; Path=" + v)
-			case "domain":
-				b.WriteString("; Domain=" + v)
-			case "max_age", "max-age":
-				b.WriteString("; Max-Age=" + v)
-			case "expires":
-				b.WriteString("; Expires=" + v)
-			case "secure":
-				if v == "true" {
-					b.WriteString("; Secure")
-				}
-			case "samesite":
-				b.WriteString("; SameSite=" + v)
-			}
+			label, val := cookieAttr(k, v)
+			parts = append(parts, label, val)
+			n += len(label) + len(val)
 		}
+		in.attrKeys, in.attrParts = keys, parts
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(name)
+	b.WriteByte('=')
+	b.WriteString(value)
+	for _, part := range parts {
+		b.WriteString(part)
 	}
 	return b.String(), in.charge(b.Len())
+}
+
+// cookieAttr maps a set_cookie attribute to the label and value it adds
+// to the assignment; both are empty for an attribute that adds nothing.
+func cookieAttr(key, v string) (label, val string) {
+	switch strings.ToLower(key) {
+	case "path":
+		return "; Path=", v
+	case "domain":
+		return "; Domain=", v
+	case "max_age", "max-age":
+		return "; Max-Age=", v
+	case "expires":
+		return "; Expires=", v
+	case "secure":
+		if v == "true" {
+			return "; Secure", ""
+		}
+	case "samesite":
+		return "; SameSite=", v
+	}
+	return "", ""
 }
 
 var builtins map[string]builtinFunc

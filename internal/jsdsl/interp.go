@@ -86,6 +86,11 @@ type Interp struct {
 	cookieNames []string
 	cookieVals  map[string]string
 	cookieMemo  bool
+
+	// attrKeys and attrParts are buildAssignment's scratch: the sorted
+	// attribute keys, and the label and value each adds.
+	attrKeys  []string
+	attrParts []string
 }
 
 // parsedDocCookie returns ParseCookieString(s), memoized on the exact
@@ -160,6 +165,8 @@ func (in *Interp) Release() {
 		in.maps = in.maps[:interpMapsMax]
 	}
 	in.mapNext = 0
+	clear(in.attrKeys[:cap(in.attrKeys)])
+	clear(in.attrParts[:cap(in.attrParts)])
 	interpPool.Put(in)
 }
 

@@ -454,3 +454,60 @@ log("" + len(m));
 		}
 	}
 }
+
+// TestBuildAssignment pins set_cookie's rendering: the assignment bytes
+// (attributes in sorted key order, names matched case-insensitively,
+// unknown ones dropped, Secure only when true) and the bytes charged to
+// the run's budget, which include each rendered list or map value.
+func TestBuildAssignment(t *testing.T) {
+	attrs := func(kv ...any) *Map {
+		m := NewMap()
+		for i := 0; i < len(kv); i += 2 {
+			m.Entries[kv[i].(string)] = kv[i+1].(Value)
+		}
+		return m
+	}
+	list := ListVal(&List{Elems: []Value{Num(1), Str("x")}})
+	for _, tc := range []struct {
+		name  string
+		attrs *Map
+		want  string
+		// rendered counts the bytes of list and map values, which are
+		// charged when rendered, before the assignment is.
+		rendered int
+	}{
+		{name: "no attributes", want: "id=v"},
+		{name: "empty attributes", attrs: attrs(), want: "id=v"},
+		{
+			name: "every attribute",
+			attrs: attrs("path", Str("/"), "max_age", Num(3600), "domain", Str(".x.example"), "secure", BoolVal(true),
+				"samesite", Str("Lax"), "expires", Str("Thu, 01 Jan 2026 00:00:00 GMT"), "bogus", Str("zzz")),
+			want: "id=v; Domain=.x.example; Expires=Thu, 01 Jan 2026 00:00:00 GMT; Max-Age=3600; Path=/; SameSite=Lax; Secure",
+		},
+		{name: "upper-case names", attrs: attrs("MAX-AGE", Num(0), "Path", Str("/a")), want: "id=v; Max-Age=0; Path=/a"},
+		{name: "secure false", attrs: attrs("secure", BoolVal(false), "path", Str("/")), want: "id=v; Path=/"},
+		{name: "list value", attrs: attrs("path", list), want: "id=v; Path=" + ToString(list), rendered: len(ToString(list))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := NewInterp(&NopHost{})
+			defer in.Release()
+			got, err := in.buildAssignment("id", "v", tc.attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantBytes := tc.rendered + len(tc.want); got != tc.want || in.bytes != wantBytes {
+				t.Fatalf("buildAssignment = %q charging %d, want %q charging %d", got, in.bytes, tc.want, wantBytes)
+			}
+		})
+	}
+	in := NewInterp(&NopHost{})
+	defer in.Release()
+	strAttrs := attrs("path", Str("/"), "samesite", Str("Lax"), "domain", Str(".x.example"))
+	if allocs := testing.AllocsPerRun(100, func() { in.buildAssignment("id", "v", strAttrs) }); allocs > 1 {
+		t.Fatalf("buildAssignment with string attributes allocates %.0f times; want only the string (1)", allocs)
+	}
+	in.bytes = maxRunBytes - 3
+	if _, err := in.buildAssignment("id", "v", attrs("path", Str("/"))); err == nil {
+		t.Fatal("an assignment past the byte budget did not fail")
+	}
+}

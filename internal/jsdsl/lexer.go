@@ -120,9 +120,32 @@ func (l *lexer) lexNumber() Token {
 	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Line: l.line}
 }
 
+// lexString lexes a quoted literal. A literal without an escape is
+// returned as a substring of the source, with no copy; the first escape
+// hands over to lexEscapedString.
 func (l *lexer) lexString(quote byte) (Token, error) {
 	l.pos++ // opening quote
+	start := l.pos
+	for l.pos < len(l.src) {
+		switch l.src[l.pos] {
+		case quote:
+			l.pos++
+			return Token{Kind: TokString, Text: l.src[start : l.pos-1], Line: l.line}, nil
+		case '\\':
+			return l.lexEscapedString(quote, start)
+		case '\n':
+			return Token{}, l.errf("unterminated string")
+		}
+		l.pos++
+	}
+	return Token{}, l.errf("unterminated string")
+}
+
+// lexEscapedString finishes a literal that opened at start and has an
+// escape at l.pos, building its text.
+func (l *lexer) lexEscapedString(quote byte, start int) (Token, error) {
 	var b strings.Builder
+	b.WriteString(l.src[start:l.pos])
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch c {
@@ -176,7 +199,7 @@ func (l *lexer) lexPunct() (Token, error) {
 	switch c {
 	case '(', ')', '{', '}', '[', ']', ',', ';', ':', '=', '+', '-', '*', '/', '%', '<', '>', '!', '.':
 		l.pos++
-		return Token{Kind: TokPunct, Text: string(c), Line: l.line}, nil
+		return Token{Kind: TokPunct, Text: l.src[l.pos-1 : l.pos], Line: l.line}, nil
 	}
 	return Token{}, l.errf("unexpected character %q", string(c))
 }

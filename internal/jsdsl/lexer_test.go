@@ -55,6 +55,54 @@ func TestLexStringErrors(t *testing.T) {
 	}
 }
 
+// TestLexStringLiteralTable covers the two ways a literal is lexed: as a
+// substring of the source when it has no escape, and through a builder
+// when it has one. The token after each literal checks where lexing
+// resumed.
+func TestLexStringLiteralTable(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want, err string
+	}{
+		{name: "plain double", src: `"abc";`, want: "abc"},
+		{name: "plain single", src: `'abc';`, want: "abc"},
+		{name: "empty double", src: `"";`, want: ""},
+		{name: "empty single", src: `'';`, want: ""},
+		{name: "other quote inside double", src: `"it's";`, want: "it's"},
+		{name: "other quote inside single", src: `'say "hi"';`, want: `say "hi"`},
+		{name: "escape at start", src: `"\nabc";`, want: "\nabc"},
+		{name: "escape in middle", src: `"a\tb";`, want: "a\tb"},
+		{name: "escape at end", src: `"abc\\";`, want: `abc\`},
+		{name: "escaped own quote double", src: `"a\"b";`, want: `a"b`},
+		{name: "escaped own quote single", src: `'a\'b';`, want: "a'b"},
+		{name: "only an escape", src: `'\'';`, want: "'"},
+		{name: "unknown escape keeps the byte", src: `"\q\/";`, want: "q/"},
+		{name: "every escape", src: `"\n\t\\\"\'";`, want: "\n\t\\\"'"},
+		{name: "newline inside", src: "\"ab\ncd\";", err: "jsdsl: line 1: unterminated string"},
+		{name: "newline after an escape", src: "\"a\\tb\ncd\";", err: "jsdsl: line 1: unterminated string"},
+		{name: "unterminated", src: `"abc`, err: "jsdsl: line 1: unterminated string"},
+		{name: "unterminated after an escape", src: `"a\tbc`, err: "jsdsl: line 1: unterminated string"},
+		{name: "unterminated escaped quote", src: `'abc\'`, err: "jsdsl: line 1: unterminated string"},
+		{name: "unterminated escape", src: `"abc\`, err: "jsdsl: line 1: unterminated escape"},
+		{name: "unterminated on a later line", src: "x;\n'abc", err: "jsdsl: line 2: unterminated string"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			toks, err := Lex(tc.src)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("Lex(%q) error = %v, want %q", tc.src, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(toks) != 3 || toks[0].Kind != TokString || toks[0].Text != tc.want || !toks[1].is(";") || toks[2].Kind != TokEOF {
+				t.Fatalf("Lex(%q) = %v, want [%q ; EOF]", tc.src, toks, tc.want)
+			}
+		})
+	}
+}
+
 func TestLexComments(t *testing.T) {
 	src := `
 // line comment

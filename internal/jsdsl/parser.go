@@ -11,7 +11,10 @@ import (
 // dead once its parse returns.
 var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
 
-// Parse lexes and parses a SiteScript source into a Program.
+// Parse lexes and parses a SiteScript source into a Program. The
+// program's nodes come from one slab per node kind (see nodeSlabs),
+// and its names and unescaped string literals are substrings of src, so
+// the program keeps src alive.
 func Parse(src string) (*Program, error) {
 	buf := tokenBufs.Get().(*[]Token)
 	toks, err := lexInto(*buf, src)
@@ -24,16 +27,8 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	prog := &Program{}
-	for !p.at(TokEOF) {
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		prog.Stmts = append(prog.Stmts, s)
-	}
-	return prog, nil
+	p := &parser{toks: toks, nodeSlabs: newNodeSlabs(toks)}
+	return p.parseProgram()
 }
 
 // MustParse parses src and panics on error; for tests and embedded
@@ -46,9 +41,13 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// parser builds the program's nodes into its slabs, and collects each
+// statement or expression list in a local array before carving it into
+// the shared backing, so lists nested inside it can be carved first.
 type parser struct {
 	toks []Token
 	pos  int
+	nodeSlabs
 }
 
 func (p *parser) cur() Token          { return p.toks[p.pos] }
@@ -83,6 +82,19 @@ func (p *parser) errf(format string, args ...any) error {
 
 // --- Statements ---
 
+func (p *parser) parseProgram() (*Program, error) {
+	var buf [64]Stmt
+	stmts := buf[:0]
+	for !p.at(TokEOF) {
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, err
+		}
+		stmts = append(stmts, s)
+	}
+	return &Program{Stmts: carve(&p.stmtList, stmts)}, nil
+}
+
 func (p *parser) parseStmt() (Stmt, error) {
 	t := p.cur()
 	switch {
@@ -101,13 +113,13 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{Line: t.Line}, nil
+		return p.breaks.put(BreakStmt{Line: t.Line}), nil
 	case t.is("continue"):
 		p.advance()
 		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{Line: t.Line}, nil
+		return p.continues.put(ContinueStmt{Line: t.Line}), nil
 	case t.is("{"):
 		return p.parseBlock()
 	default:
@@ -132,7 +144,7 @@ func (p *parser) parseLet() (Stmt, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &LetStmt{Name: name, Init: init, Line: line}, nil
+	return p.lets.put(LetStmt{Name: name, Init: init, Line: line}), nil
 }
 
 func (p *parser) parseIf() (Stmt, error) {
@@ -152,7 +164,7 @@ func (p *parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &IfStmt{Cond: cond, Then: then, Line: line}
+	st := p.ifs.put(IfStmt{Cond: cond, Then: then, Line: line})
 	if p.accept("else") {
 		if p.cur().is("if") {
 			elseIf, err := p.parseIf()
@@ -188,7 +200,7 @@ func (p *parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Cond: cond, Body: body, Line: line}, nil
+	return p.whiles.put(WhileStmt{Cond: cond, Body: body, Line: line}), nil
 }
 
 func (p *parser) parseForIn() (Stmt, error) {
@@ -215,14 +227,14 @@ func (p *parser) parseForIn() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForInStmt{Var: v, Seq: seq, Body: body, Line: line}, nil
+	return p.forIns.put(ForInStmt{Var: v, Seq: seq, Body: body, Line: line}), nil
 }
 
 func (p *parser) parseReturn() (Stmt, error) {
 	line := p.cur().Line
 	p.advance()
 	if p.accept(";") {
-		return &ReturnStmt{Line: line}, nil
+		return p.returns.put(ReturnStmt{Line: line}), nil
 	}
 	v, err := p.parseExpr()
 	if err != nil {
@@ -231,7 +243,7 @@ func (p *parser) parseReturn() (Stmt, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &ReturnStmt{Value: v, Line: line}, nil
+	return p.returns.put(ReturnStmt{Value: v, Line: line}), nil
 }
 
 func (p *parser) parseBlock() (*BlockStmt, error) {
@@ -239,7 +251,8 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	blk := &BlockStmt{Line: line}
+	var buf [16]Stmt
+	stmts := buf[:0]
 	for !p.cur().is("}") {
 		if p.at(TokEOF) {
 			return nil, p.errf("unterminated block")
@@ -248,10 +261,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		blk.Stmts = append(blk.Stmts, s)
+		stmts = append(stmts, s)
 	}
 	p.advance() // }
-	return blk, nil
+	return p.blocks.put(BlockStmt{Stmts: carve(&p.stmtList, stmts), Line: line}), nil
 }
 
 // parseSimpleStmt handles assignments and bare expression statements.
@@ -275,12 +288,12 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Target: x, Op: op, Value: val, Line: line}, nil
+		return p.assigns.put(AssignStmt{Target: x, Op: op, Value: val, Line: line}), nil
 	}
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{X: x, Line: line}, nil
+	return p.exprStmts.put(ExprStmt{X: x, Line: line}), nil
 }
 
 // --- Expressions (precedence climbing) ---
@@ -315,7 +328,7 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Op: t.Text, L: left, R: right, Line: t.Line}
+		left = p.binaries.put(BinaryExpr{Op: t.Text, L: left, R: right, Line: t.Line})
 	}
 }
 
@@ -327,7 +340,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: t.Text, X: x, Line: t.Line}, nil
+		return p.unaries.put(UnaryExpr{Op: t.Text, X: x, Line: t.Line}), nil
 	}
 	return p.parsePostfix()
 }
@@ -343,7 +356,8 @@ func (p *parser) parsePostfix() (Expr, error) {
 		switch {
 		case t.is("("):
 			p.advance()
-			var args []Expr
+			var buf [8]Expr
+			args := buf[:0]
 			for !p.cur().is(")") {
 				if p.at(TokEOF) {
 					return nil, p.errf("unterminated call")
@@ -360,7 +374,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
-			x = &CallExpr{Callee: x, Args: args, Line: t.Line}
+			x = p.calls.put(CallExpr{Callee: x, Args: carve(&p.exprList, args), Line: t.Line})
 		case t.is("["):
 			p.advance()
 			idx, err := p.parseExpr()
@@ -370,7 +384,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			x = &IndexExpr{X: x, Index: idx, Line: t.Line}
+			x = p.indexes.put(IndexExpr{X: x, Index: idx, Line: t.Line})
 		default:
 			return x, nil
 		}
@@ -386,19 +400,19 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", t.Text)
 		}
-		return &NumberLit{Value: f, Line: t.Line}, nil
+		return p.nums.put(NumberLit{Value: f, Line: t.Line}), nil
 	case t.Kind == TokString:
 		p.advance()
-		return &StringLit{Value: t.Text, Line: t.Line}, nil
+		return p.strs.put(StringLit{Value: t.Text, Line: t.Line}), nil
 	case t.is("true"), t.is("false"):
 		p.advance()
-		return &BoolLit{Value: t.Text == "true", Line: t.Line}, nil
+		return p.bools.put(BoolLit{Value: t.Text == "true", Line: t.Line}), nil
 	case t.is("null"):
 		p.advance()
-		return &NullLit{Line: t.Line}, nil
+		return p.nulls.put(NullLit{Line: t.Line}), nil
 	case t.Kind == TokIdent:
 		p.advance()
-		return &Ident{Name: t.Text, Line: t.Line}, nil
+		return p.idents.put(Ident{Name: t.Text, Line: t.Line}), nil
 	case t.is("("):
 		p.advance()
 		x, err := p.parseExpr()
@@ -411,7 +425,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return x, nil
 	case t.is("["):
 		p.advance()
-		lit := &ListLit{Line: t.Line}
+		var buf [8]Expr
+		elems := buf[:0]
 		for !p.cur().is("]") {
 			if p.at(TokEOF) {
 				return nil, p.errf("unterminated list literal")
@@ -420,7 +435,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lit.Elems = append(lit.Elems, e)
+			elems = append(elems, e)
 			if !p.accept(",") {
 				break
 			}
@@ -428,10 +443,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expect("]"); err != nil {
 			return nil, err
 		}
-		return lit, nil
+		return p.lists.put(ListLit{Elems: carve(&p.exprList, elems), Line: t.Line}), nil
 	case t.is("{"):
 		p.advance()
-		lit := &MapLit{Line: t.Line}
+		var keyBuf, valBuf [8]Expr
+		keys, vals := keyBuf[:0], valBuf[:0]
 		for !p.cur().is("}") {
 			if p.at(TokEOF) {
 				return nil, p.errf("unterminated map literal")
@@ -447,8 +463,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lit.Keys = append(lit.Keys, k)
-			lit.Values = append(lit.Values, v)
+			keys = append(keys, k)
+			vals = append(vals, v)
 			if !p.accept(",") {
 				break
 			}
@@ -456,13 +472,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expect("}"); err != nil {
 			return nil, err
 		}
-		return lit, nil
+		return p.maps.put(MapLit{
+			Keys:   carve(&p.exprList, keys),
+			Values: carve(&p.exprList, vals),
+			Line:   t.Line,
+		}), nil
 	case t.is("fn"):
 		p.advance()
 		if err := p.expect("("); err != nil {
 			return nil, err
 		}
-		fl := &FuncLit{Line: t.Line}
+		fl := p.funcs.put(FuncLit{Line: t.Line})
 		for !p.cur().is(")") {
 			if !p.at(TokIdent) {
 				return nil, p.errf("expected parameter name")
