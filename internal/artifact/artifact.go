@@ -6,8 +6,8 @@
 // given URL never change — so every artifact derived purely from those
 // bytes can be computed once per residency and shared.
 //
-// The cache has three tiers, all keyed by the contenthash.Sum digest of
-// the source bytes:
+// The cache has three tiers. The first two are keyed by the
+// contenthash.Sum digest of the source bytes:
 //
 //   - Compiled programs: jsdsl.Parse output. A *jsdsl.Program is
 //     immutable after parsing (all interpreter state lives in
@@ -22,7 +22,7 @@
 //     Node.Clone() per page and mutate the clone.
 //
 //   - Response bodies: opaque entries the network fabric (netsim) stores
-//     under request keys, so repeated fetches of an unchanged resource
+//     under its request keys (netsim.ResponseKey), so repeated fetches of an unchanged resource
 //     skip the handler round trip while still charging simulated
 //     latency to the virtual clock.
 //
@@ -52,6 +52,7 @@ import (
 	"cookieguard/internal/contenthash"
 	"cookieguard/internal/dom"
 	"cookieguard/internal/jsdsl"
+	"cookieguard/internal/netsim"
 )
 
 // Stats is a point-in-time snapshot of cache effectiveness, per tier.
@@ -114,14 +115,15 @@ type sized[V any] struct {
 	size int
 }
 
-// tier is one two-generation map. Inserts and promotions charge cur;
-// once cur's charge passes budget, prev is dropped and cur becomes prev.
-// A lookup that hits prev moves the entry back into cur, so whatever
-// was used within the last generation stays resident and keeps its
-// identity, and everything else ages out after at most two rotations.
-type tier[V any] struct {
+// tier is one two-generation map from K to V. Inserts and promotions
+// charge cur; once cur's charge passes budget, prev is dropped and cur
+// becomes prev. A lookup that hits prev moves the entry back into cur,
+// so whatever was used within the last generation stays resident and
+// keeps its identity, and everything else ages out after at most two
+// rotations.
+type tier[K comparable, V any] struct {
 	mu                  sync.RWMutex
-	cur, prev           map[string]sized[V]
+	cur, prev           map[K]sized[V]
 	curBytes, prevBytes int
 	budget              int
 	evictions           uint64
@@ -129,12 +131,12 @@ type tier[V any] struct {
 	hits, misses atomic.Uint64
 }
 
-func newTier[V any](budget int) *tier[V] {
-	return &tier[V]{cur: make(map[string]sized[V]), prev: make(map[string]sized[V]), budget: budget}
+func newTier[K comparable, V any](budget int) *tier[K, V] {
+	return &tier[K, V]{cur: make(map[K]sized[V]), prev: make(map[K]sized[V]), budget: budget}
 }
 
 // get looks key up, promoting a hit in prev, and counts the hit or miss.
-func (t *tier[V]) get(key string) (V, bool) {
+func (t *tier[K, V]) get(key K) (V, bool) {
 	t.mu.RLock()
 	e, ok := t.cur[key]
 	promote := false
@@ -157,7 +159,7 @@ func (t *tier[V]) get(key string) (V, bool) {
 // put stores v under key unless key is already resident, and returns
 // the resident value: the first writer wins, in either generation, so
 // racing parses of one content converge on one shared artifact.
-func (t *tier[V]) put(key string, v V, size int) V {
+func (t *tier[K, V]) put(key K, v V, size int) V {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.cur[key]; ok {
@@ -181,7 +183,7 @@ func (t *tier[V]) put(key string, v V, size int) V {
 
 // stats returns the tier's counters: hits, misses, evictions and the
 // bytes resident in both generations.
-func (t *tier[V]) stats() (hits, misses, evictions uint64, resident int64) {
+func (t *tier[K, V]) stats() (hits, misses, evictions uint64, resident int64) {
 	t.mu.RLock()
 	evictions, resident = t.evictions, int64(t.curBytes+t.prevBytes)
 	t.mu.RUnlock()
@@ -191,9 +193,9 @@ func (t *tier[V]) stats() (hits, misses, evictions uint64, resident int64) {
 // Cache is the concurrency-safe, content-hash-keyed artifact store.
 // The zero value is not usable; construct with New.
 type Cache struct {
-	progs  *tier[progEntry]
-	doms   *tier[domEntry]
-	bodies *tier[any]
+	progs  *tier[string, progEntry]
+	doms   *tier[string, domEntry]
+	bodies *tier[netsim.ResponseKey, any]
 }
 
 // New returns an empty cache.
@@ -203,9 +205,9 @@ func New() *Cache {
 
 func newWithBudgets(prog, dom, body int) *Cache {
 	return &Cache{
-		progs:  newTier[progEntry](prog),
-		doms:   newTier[domEntry](dom),
-		bodies: newTier[any](body),
+		progs:  newTier[string, progEntry](prog),
+		doms:   newTier[string, domEntry](dom),
+		bodies: newTier[netsim.ResponseKey, any](body),
 	}
 }
 
@@ -272,14 +274,14 @@ func (c *Cache) Document(url, key, html string) *dom.Document {
 
 // GetResponse looks up a cached response body entry (the netsim tier).
 // Entries are opaque to the cache; netsim owns their type.
-func (c *Cache) GetResponse(key string) (any, bool) {
+func (c *Cache) GetResponse(key netsim.ResponseKey) (any, bool) {
 	return c.bodies.get(key)
 }
 
 // PutResponse stores a response body entry charged size bytes (netsim
 // charges the body plus the key). The first entry stored for a key
 // wins; concurrent writers of the same content converge.
-func (c *Cache) PutResponse(key string, v any, size int) {
+func (c *Cache) PutResponse(key netsim.ResponseKey, v any, size int) {
 	c.bodies.put(key, v, size)
 }
 

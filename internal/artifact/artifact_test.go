@@ -7,7 +7,11 @@ import (
 	"testing"
 
 	"cookieguard/internal/contenthash"
+	"cookieguard/internal/netsim"
 )
+
+// rk is a response-tier key for tests that only need distinct keys.
+func rk(path string) netsim.ResponseKey { return netsim.ResponseKey{Path: path} }
 
 func TestProgramParseOnce(t *testing.T) {
 	c := New()
@@ -88,9 +92,9 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 
 func TestResponseTierFirstPutWins(t *testing.T) {
 	c := New()
-	c.PutResponse("k", "first", 6)
-	c.PutResponse("k", "second", 7)
-	v, ok := c.GetResponse("k")
+	c.PutResponse(rk("k"), "first", 6)
+	c.PutResponse(rk("k"), "second", 7)
+	v, ok := c.GetResponse(rk("k"))
 	if !ok || v.(string) != "first" {
 		t.Fatalf("GetResponse = %v, %v; want first, true", v, ok)
 	}
@@ -125,8 +129,8 @@ func TestConcurrentAccess(t *testing.T) {
 					}
 					progs[g][i] = p
 					c.DOMTemplate("", htmls[i])
-					c.PutResponse(srcs[i], i, len(srcs[i]))
-					c.GetResponse(srcs[i])
+					c.PutResponse(rk(srcs[i]), i, len(srcs[i]))
+					c.GetResponse(rk(srcs[i]))
 				}
 			}
 		}(g)
@@ -153,7 +157,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // heldBytes sums the charges of the entries a tier actually holds.
-func heldBytes[V any](tr *tier[V]) int64 {
+func heldBytes[K comparable, V any](tr *tier[K, V]) int64 {
 	tr.mu.RLock()
 	defer tr.mu.RUnlock()
 	var n int64
@@ -202,7 +206,7 @@ func TestResidencyBounded(t *testing.T) {
 	}
 	const bodySize = 4096
 	for i := 0; i*bodySize < 10*bodyBudget; i++ {
-		c.PutResponse(fmt.Sprint("k", i), i, bodySize)
+		c.PutResponse(rk(fmt.Sprint("k", i)), i, bodySize)
 		check("body", c.Stats().BodyResidentBytes, heldBytes(c.bodies), bodyBudget, bodySize)
 	}
 	s := c.Stats()
@@ -223,7 +227,7 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 	hotBody := new(int)
 	prog, _ := c.Program("", hotSrc)
 	tmpl := c.DOMTemplate("", hotHTML)
-	c.PutResponse("hot", hotBody, 8)
+	c.PutResponse(rk("hot"), hotBody, 8)
 
 	pad := strings.Repeat("y", 200)
 	for round := 0; round < 40; round++ {
@@ -231,7 +235,7 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 			n := round*10 + i
 			c.Program("", fmt.Sprintf("let v%d = %q;", n, pad))
 			c.DOMTemplate("", fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
-			c.PutResponse(fmt.Sprint("k", n), n, len(pad))
+			c.PutResponse(rk(fmt.Sprint("k", n)), n, len(pad))
 		}
 		before := c.Stats()
 		if p, _ := c.Program("", hotSrc); p != prog {
@@ -240,7 +244,7 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 		if got := c.DOMTemplate("", hotHTML); got != tmpl {
 			t.Fatalf("round %d: hot template was re-parsed", round)
 		}
-		if v, ok := c.GetResponse("hot"); !ok || v != hotBody {
+		if v, ok := c.GetResponse(rk("hot")); !ok || v != hotBody {
 			t.Fatalf("round %d: hot body evicted (%v, %v)", round, v, ok)
 		}
 		after := c.Stats()
@@ -258,7 +262,7 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 // key that sits in the previous generation: every writer and reader
 // must get the value already resident, never its own.
 func TestFirstWriterWinsOverPrev(t *testing.T) {
-	tr := newTier[*int](100)
+	tr := newTier[string, *int](100)
 	first := new(int)
 	tr.put("k", first, 10)
 	tr.put("filler", new(int), 95) // passes the budget: "k" moves to prev

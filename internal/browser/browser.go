@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"time"
 
 	"cookieguard/internal/artifact"
@@ -22,11 +21,11 @@ type Options struct {
 	// Internet is the network fabric to browse (required).
 	Internet *netsim.Internet
 	// Transport, when set, replaces the fabric as the browser's
-	// RoundTripper — typically Internet.From(vantage), so the same
-	// frozen web is fetched with a vantage point's latency and fault
-	// models. Nil (the default) browses the fabric directly, which is
-	// byte-identical to the implicit default vantage.
-	Transport http.RoundTripper
+	// Fetcher — typically Internet.From(vantage), so the same frozen web
+	// is fetched with a vantage point's latency and fault models. Nil
+	// (the default) browses the fabric directly, which is byte-identical
+	// to the implicit default vantage.
+	Transport netsim.Fetcher
 	// Clock is the virtual time source; a fresh one is created if nil.
 	Clock *vclock.Clock
 	// CookieMiddleware wraps the direct cookie API, innermost first.
@@ -79,23 +78,24 @@ type Options struct {
 	// open-circuit snapshot here. Nil (the default) admits everything.
 	Gate FetchGate
 	// AttemptBase offsets the attempt numbers stamped on outbound
-	// requests (netsim.AttemptHeader): attempt n is stamped as
+	// fetches (netsim.Stamp.Attempt): attempt n is stamped as
 	// AttemptBase+n, so a second crawl pass draws fresh per-attempt
 	// fault decisions instead of replaying the first pass's failures.
-	// Zero (the default) preserves historical stamping byte for byte.
+	// Zero (the default) stamps attempts 1, 2, ….
 	AttemptBase int
 	// TrackHosts enables per-host fetch-outcome accounting for the
 	// crawler's circuit breaker (HostReport). Off by default — the
 	// accounting map costs a few allocations per visit.
 	TrackHosts bool
 	// Pooling recycles per-visit state — pages, DOM arenas, interpreters,
-	// the outbound request, cached network exchanges — through pools. It
-	// requires the explicit Release() lifecycle: the owner of the browser
-	// must call Release() once all data derived from the visit has been
-	// copied out, and must touch nothing of the visit afterwards. Fabric
-	// taps must not retain requests or responses past the tap callback
-	// when pooling is on (both are recycled across fetches). Off by
-	// default; pooled and unpooled visits produce byte-identical results.
+	// the outbound request and its URL, network exchanges — through
+	// pools. It requires the explicit Release() lifecycle: the owner of
+	// the browser must call Release() once all data derived from the
+	// visit has been copied out, and must touch nothing of the visit
+	// afterwards. Fabric taps must not retain requests past the tap
+	// callback when pooling is on (the request is recycled across
+	// fetches). Off by default; pooled and unpooled visits produce
+	// byte-identical results.
 	Pooling bool
 }
 
@@ -106,7 +106,7 @@ type Browser struct {
 	opts     Options
 	jar      *cookiejar.Jar
 	clock    *vclock.Clock
-	rt       http.RoundTripper
+	rt       netsim.Fetcher
 	api      CookieAPI
 	rng      *stats.Rand
 	retryRng *stats.Rand // backoff jitter; separate stream so retries
@@ -121,15 +121,16 @@ type Browser struct {
 	// navigations, frames) when pooling is on, for Release.
 	pages []*Page
 
-	// req/hdr are the reusable outbound request and its header map: a
-	// browser performs one fetch at a time, and the fabric never retains
-	// the request past RoundTrip (responses released back to its pool
-	// drop their back-pointer), so one request object serves every fetch.
-	req        http.Request
-	hdr        http.Header
-	cookieVal  [1]string
-	attemptVal [1]string
-	vclockVal  [1]string
+	// req/hdr/url are the reusable outbound request, its header map and
+	// its URL: a browser performs one fetch at a time, and the fabric
+	// never retains the request past Fetch (responses released back to
+	// its pool drop their back-pointer), so one request object serves
+	// every fetch. url holds canonical URLs (urlutil.ParseCanonical);
+	// the jar copies nothing but substrings out of it.
+	req       http.Request
+	hdr       http.Header
+	url       url.URL
+	cookieVal [1]string
 }
 
 // New constructs a Browser.
@@ -152,7 +153,7 @@ func New(opts Options) (*Browser, error) {
 	if opts.ParseCostPerKB <= 0 {
 		opts.ParseCostPerKB = 0.15
 	}
-	rt := http.RoundTripper(opts.Internet)
+	rt := netsim.Fetcher(opts.Internet)
 	if opts.Transport != nil {
 		rt = opts.Transport
 	}
@@ -287,29 +288,33 @@ func (b *Browser) HostReport() []HostOutcome {
 	return out
 }
 
-// fetchOnce performs a single attempt, stamping the attempt number and
-// the virtual time on the request so the fabric's fault model can draw
-// per-attempt decisions and follow flap schedules.
+// fetchOnce performs a single attempt, stamped with the attempt number
+// and the virtual time so the fabric's fault model can draw per-attempt
+// decisions and follow flap schedules.
 //
-// With pooling on, the request object, its header map, and the
-// single-element value slices are owned by the browser and reused
-// across fetches: a browser performs one exchange at a time, and under
-// the pooling contract nothing retains the exchange past its round trip
-// (taps must not keep requests or responses — the same caveat
-// ReleaseResponse documents). Without pooling every fetch builds a
-// fresh request, preserving the historical retain-safety for taps. The
-// transport is called directly either way — the fabric never redirects,
-// so http.Client's redirect machinery (and its per-request bookkeeping
-// allocations) adds nothing; transport errors are wrapped in *url.Error
-// exactly as http.Client would, keeping recorded error strings
-// byte-identical.
+// With pooling on, the request object, its header map, the Cookie value
+// slice and, for a canonical URL, the parsed URL are owned by the
+// browser and reused across fetches: a browser performs one exchange at
+// a time, and under the pooling contract nothing retains the exchange
+// past its round trip (taps must not keep the request). Without pooling
+// every fetch parses its URL and builds a fresh request, so taps may
+// keep it. The transport is called directly either way — the fabric
+// never redirects, so http.Client's redirect machinery (and its
+// per-request bookkeeping allocations) adds nothing; transport errors
+// are wrapped in *url.Error exactly as http.Client would, keeping
+// recorded error strings byte-identical.
 func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 	if b.DeadlineExceeded() {
 		return fetchResult{failure: FailDeadline, err: ErrVisitDeadline}
 	}
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return fetchResult{failure: FailInternal, err: err}
+	var u *url.URL
+	if b.opts.Pooling && urlutil.ParseCanonical(&b.url, rawURL) {
+		u = &b.url
+	} else {
+		var err error
+		if u, err = url.Parse(rawURL); err != nil {
+			return fetchResult{failure: FailInternal, err: err}
+		}
 	}
 	if b.opts.Gate != nil && !b.opts.Gate.Allow(u.Hostname()) {
 		// Shed: the host's circuit is open. No attempt is made and no
@@ -327,10 +332,6 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 		} else {
 			delete(b.hdr, "Cookie")
 		}
-		b.attemptVal[0] = strconv.Itoa(b.opts.AttemptBase + attempt)
-		b.hdr[netsim.AttemptHeader] = b.attemptVal[:]
-		b.vclockVal[0] = strconv.FormatInt(b.clock.UnixMillis(), 10)
-		b.hdr[netsim.VClockHeader] = b.vclockVal[:]
 	} else {
 		req = &http.Request{
 			Method:     http.MethodGet,
@@ -343,10 +344,8 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 		if hdr := b.jar.CookieHeader(rawURL, u); hdr != "" {
 			req.Header.Set("Cookie", hdr)
 		}
-		req.Header.Set(netsim.AttemptHeader, strconv.Itoa(b.opts.AttemptBase+attempt))
-		req.Header.Set(netsim.VClockHeader, strconv.FormatInt(b.clock.UnixMillis(), 10))
 	}
-	resp, err := b.rt.RoundTrip(req)
+	resp, err := b.rt.Fetch(req, netsim.Stamp{Attempt: b.opts.AttemptBase + attempt, VClockMs: b.clock.UnixMillis()})
 	if err != nil {
 		err = &url.Error{Op: "Get", URL: u.String(), Err: err}
 		var fe *netsim.FaultError

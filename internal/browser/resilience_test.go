@@ -26,13 +26,11 @@ func resilienceNet(t *testing.T) *netsim.Internet {
 
 // faultNTimes injects a fault on the first n attempts of matching URLs.
 func faultNTimes(n int, kind netsim.FaultKind, match string) netsim.FaultModel {
-	return func(req *http.Request) netsim.FaultDecision {
+	return func(req *http.Request, s netsim.Stamp) netsim.FaultDecision {
 		if match != "" && !strings.Contains(req.URL.String(), match) {
 			return netsim.FaultDecision{}
 		}
-		attempt := 1
-		fmt.Sscanf(req.Header.Get(netsim.AttemptHeader), "%d", &attempt)
-		if attempt <= n {
+		if s.Attempt <= n {
 			return netsim.FaultDecision{Kind: kind, LatencyMs: 100, KeepFrac: 0.5}
 		}
 		return netsim.FaultDecision{}
@@ -67,7 +65,7 @@ func TestRetryRescuesTransientFault(t *testing.T) {
 func TestRetryBudgetBoundedOnPermanentFault(t *testing.T) {
 	in := resilienceNet(t)
 	attempts := 0
-	in.SetFaultModel(func(req *http.Request) netsim.FaultDecision {
+	in.SetFaultModel(func(*http.Request, netsim.Stamp) netsim.FaultDecision {
 		attempts++
 		return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 50}
 	})

@@ -57,7 +57,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -261,10 +260,10 @@ type ProgressStats struct {
 // immutable identity fields (vantage, persona, transport, stats).
 type laneState struct {
 	id        int
-	vantage   netsim.Vantage    // zero value = the default vantage
-	persona   string            // "" = the implicit persona-free crawl
-	transport http.RoundTripper // nil = fabric directly
-	stats     *SchedStats       // per-unit child when labelled; nil without Options.Stats and a stateful policy
+	vantage   netsim.Vantage // zero value = the default vantage
+	persona   string         // "" = the implicit persona-free crawl
+	transport netsim.Fetcher // nil = fabric directly
+	stats     *SchedStats    // per-unit child when labelled; nil without Options.Stats and a stateful policy
 
 	// The lane's frontier: every site pops in input order (next counts
 	// them off), then the second pass's requeues pop in requeue order.
@@ -457,7 +456,7 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 	}
 	lanes := make([]*laneState, 0, len(vants)*len(personas))
 	for _, v := range vants {
-		var transport http.RoundTripper
+		var transport netsim.Fetcher
 		if !v.Default() {
 			transport = opts.Internet.From(v)
 		}

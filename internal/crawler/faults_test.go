@@ -157,7 +157,7 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 	in := netsim.New()
 	in.RegisterFunc("www.down.example", func(w http.ResponseWriter, r *http.Request) {})
 	var attempts atomic.Int64
-	in.SetFaultModel(func(req *http.Request) netsim.FaultDecision {
+	in.SetFaultModel(func(*http.Request, netsim.Stamp) netsim.FaultDecision {
 		attempts.Add(1)
 		return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 250}
 	})

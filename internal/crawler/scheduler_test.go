@@ -320,7 +320,7 @@ func TestCircuitOpenShedsVisits(t *testing.T) {
 			in.RegisterFunc("www.dead.com", func(w http.ResponseWriter, r *http.Request) {})
 			in.Freeze()
 			// The dead host times out every attempt, forever.
-			in.SetFaultModel(func(req *http.Request) netsim.FaultDecision {
+			in.SetFaultModel(func(req *http.Request, _ netsim.Stamp) netsim.FaultDecision {
 				if req.URL.Hostname() == "www.dead.com" {
 					return netsim.FaultDecision{Kind: netsim.FaultTimeout, LatencyMs: 1000}
 				}

@@ -49,7 +49,8 @@ type Rule struct {
 	pattern      string // with wildcards/anchors stripped into fields below
 	domainAnchor string // "||example.com" -> "example.com"
 	leftAnchor   bool
-	parts        []string // pattern split on '*', '^' boundaries handled in match
+	parts        []string   // pattern split on '*', '^' boundaries handled in match
+	sepParts     [][]string // per part: its '^'-separated segments, nil without '^'
 
 	optScript     bool
 	optImage      bool
@@ -127,6 +128,14 @@ func ParseRule(line string) *Rule {
 		r.pattern = line
 	}
 	r.parts = strings.Split(r.pattern, "*")
+	for i, part := range r.parts {
+		if strings.IndexByte(part, '^') >= 0 {
+			if r.sepParts == nil {
+				r.sepParts = make([][]string, len(r.parts))
+			}
+			r.sepParts[i] = strings.Split(part, "^")
+		}
+	}
 	if r.domainAnchor == "" && r.pattern == "" {
 		return nil
 	}
@@ -188,20 +197,24 @@ func (r *Rule) matches(req Request, host, reqDomain string) bool {
 			return true
 		}
 		// remaining pattern must match somewhere after the host
-		return patternMatch(req.URL, r.parts, false)
+		return r.patternMatch(req.URL, false)
 	}
-	return patternMatch(req.URL, r.parts, r.leftAnchor)
+	return r.patternMatch(req.URL, r.leftAnchor)
 }
 
 // patternMatch checks the wildcard-split parts sequentially; '^' matches a
 // separator character or the end of the URL.
-func patternMatch(url string, parts []string, leftAnchor bool) bool {
+func (r *Rule) patternMatch(url string, leftAnchor bool) bool {
 	pos := 0
-	for i, part := range parts {
+	for i, part := range r.parts {
 		if part == "" {
 			continue
 		}
-		idx := indexWithSep(url[pos:], part)
+		var segs []string
+		if r.sepParts != nil {
+			segs = r.sepParts[i]
+		}
+		idx := indexWithSep(url[pos:], part, segs)
 		if idx < 0 {
 			return false
 		}
@@ -213,12 +226,12 @@ func patternMatch(url string, parts []string, leftAnchor bool) bool {
 	return true
 }
 
-// indexWithSep finds part in s treating '^' as a separator class.
-func indexWithSep(s, part string) int {
-	if !strings.ContainsRune(part, '^') {
+// indexWithSep finds part in s treating '^' as a separator class. segs
+// is part split on '^' (nil when part has none), computed once per rule.
+func indexWithSep(s, part string, segs []string) int {
+	if segs == nil {
 		return strings.Index(s, part)
 	}
-	segs := strings.Split(part, "^")
 	for start := 0; start <= len(s); start++ {
 		if matchAt(s, start, segs) {
 			return start

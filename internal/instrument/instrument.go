@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"cookieguard/internal/browser"
 	"cookieguard/internal/cookiejar"
@@ -424,62 +425,90 @@ func (a *recordingAPI) StoreDelete(ctx browser.AccessContext, name string) {
 }
 
 // fillFromAssignment parses a document.cookie assignment into the event,
-// classifying expired writes as deletions.
+// classifying expired writes as deletions. Attribute names match as
+// their strings.ToLower form would, without building lowered strings.
 func fillFromAssignment(ev *CookieEvent, assignment string) {
-	parts := strings.Split(assignment, ";")
-	nv := strings.TrimSpace(parts[0])
+	nv, attrs, more := strings.Cut(assignment, ";")
+	nv = strings.TrimSpace(nv)
 	if eq := strings.IndexByte(nv, '='); eq > 0 {
 		ev.Name = strings.TrimSpace(nv[:eq])
 		ev.Value = strings.TrimSpace(nv[eq+1:])
 	}
-	for _, attr := range parts[1:] {
-		attr = strings.TrimSpace(attr)
-		var key, val string
-		if i := strings.IndexByte(attr, '='); i >= 0 {
-			key, val = strings.ToLower(strings.TrimSpace(attr[:i])), strings.TrimSpace(attr[i+1:])
-		} else {
-			key = strings.ToLower(attr)
-		}
-		switch key {
-		case "domain":
+	for more {
+		var attr string
+		attr, attrs, more = strings.Cut(attrs, ";")
+		key, val, _ := strings.Cut(strings.TrimSpace(attr), "=")
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		// Expires is not read: expired Expires dates are handled by
+		// replay in analysis, and scripts in this universe delete via
+		// Max-Age.
+		switch {
+		case lowersTo(key, "domain"):
 			ev.Domain = strings.ToLower(strings.TrimPrefix(val, "."))
-		case "path":
+		case lowersTo(key, "path"):
 			ev.Path = val
-		case "max-age":
+		case lowersTo(key, "max-age"):
 			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
 				ev.MaxAge = n
 			}
-		case "expires":
-			// Expired Expires dates are handled by replay in analysis;
-			// scripts in this universe delete via Max-Age.
 		}
 	}
-	if ev.MaxAge < 0 || (ev.MaxAge == 0 && hasMaxAge(assignment)) {
-		// Max-Age=0 or negative is the deletion idiom.
-		if hasExplicitZeroMaxAge(assignment) {
-			ev.Op = OpDelete
-		}
+	// Max-Age=0 or negative is the deletion idiom.
+	if ev.MaxAge <= 0 && hasExplicitZeroMaxAge(assignment) {
+		ev.Op = OpDelete
 	}
 }
 
-func hasMaxAge(assignment string) bool {
-	return strings.Contains(strings.ToLower(assignment), "max-age")
-}
-
-func hasExplicitZeroMaxAge(assignment string) bool {
-	low := strings.ToLower(assignment)
-	idx := strings.Index(low, "max-age")
-	if idx < 0 {
+// lowersTo reports whether strings.ToLower(s) == lower, for an ASCII
+// lower-case lower. ASCII s is folded byte by byte; anything else takes
+// strings.ToLower itself, because a few non-ASCII letters lower to ASCII
+// ones ('İ' to 'i', the Kelvin sign to 'k').
+func lowersTo(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.ToLower(s) == lower
+		}
+	}
+	if len(s) != len(lower) {
 		return false
 	}
-	rest := low[idx+len("max-age"):]
-	rest = strings.TrimLeft(rest, " =")
-	end := strings.IndexByte(rest, ';')
-	if end >= 0 {
-		rest = rest[:end]
+	for i := 0; i < len(s); i++ {
+		if asciiLower(s[i]) != lower[i] {
+			return false
+		}
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-	return err == nil && n <= 0
+	return true
+}
+
+func asciiLower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// hasExplicitZeroMaxAge reports whether the value after the first
+// "max-age" in assignment, matched ASCII case-insensitively, is an
+// integer <= 0. No non-ASCII letter lowers to a letter of "max-age", so
+// this finds the same occurrence strings.ToLower would.
+func hasExplicitZeroMaxAge(assignment string) bool {
+	const attr = "max-age"
+	for i := 0; i+len(attr) <= len(assignment); i++ {
+		j := 0
+		for j < len(attr) && asciiLower(assignment[i+j]) == attr[j] {
+			j++
+		}
+		if j < len(attr) {
+			continue
+		}
+		rest := strings.TrimLeft(assignment[i+len(attr):], " =")
+		if end := strings.IndexByte(rest, ';'); end >= 0 {
+			rest = rest[:end]
+		}
+		n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
+		return err == nil && n <= 0
+	}
+	return false
 }
 
 // MutationCrossDomain reports whether a DOM mutation crossed domains: the

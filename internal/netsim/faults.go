@@ -7,9 +7,9 @@ package netsim
 // per-host outage ("flap") schedules driven by the virtual clock.
 //
 // Determinism is the design constraint: a fault decision is a pure
-// function of the request (host, path, query, retry attempt, and the
-// requesting browser's virtual time, both carried in headers), never of
-// global state or wall time. The same seed and fault config therefore
+// function of the request (host, path, query) and its Stamp (retry
+// attempt and the requesting browser's virtual time), never of global
+// state or wall time. The same seed and fault config therefore
 // produce byte-identical per-site records across runs and worker counts,
 // and a zero-rate config is indistinguishable from no fault model at all.
 
@@ -18,21 +18,32 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
-// AttemptHeader carries the 1-based retry attempt of a fetch, stamped by
-// the browser. Fault models hash it so that a retried request draws a
-// fresh fault decision — without it, every transient fault would be
-// permanent and retrying pointless.
-const AttemptHeader = "X-Netsim-Attempt"
+// Stamp is what a requester tells the fabric about one fetch attempt
+// besides the request itself. It travels as an argument of Fetch, not in
+// request headers, so stamping a fetch costs nothing.
+type Stamp struct {
+	// Attempt is the 1-based retry attempt. Fault models hash it so that
+	// a retried request draws a fresh fault decision — without it, every
+	// transient fault would be permanent and retrying pointless. Below 1
+	// counts as 1 (a requester that does not retry).
+	Attempt int
+	// VClockMs is the requester's virtual time in Unix milliseconds.
+	// Flap schedules read it: a flapping host is down during
+	// deterministic windows of the *virtual* clock, so a backoff long
+	// enough to cross the window genuinely rescues the request.
+	VClockMs int64
+}
 
-// VClockHeader carries the requesting browser's virtual time in Unix
-// milliseconds. Flap schedules read it: a flapping host is down during
-// deterministic windows of the *virtual* clock, so a backoff long enough
-// to cross the window genuinely rescues the request.
-const VClockHeader = "X-Netsim-Vclock-Ms"
+// attempt is s.Attempt with values below 1 counted as 1.
+func (s Stamp) attempt() int {
+	if s.Attempt < 1 {
+		return 1
+	}
+	return s.Attempt
+}
 
 // FaultKind enumerates the injectable fault types.
 type FaultKind int
@@ -84,10 +95,11 @@ type FaultDecision struct {
 }
 
 // FaultModel decides the fault (if any) to inject for a request attempt.
-// Implementations must be deterministic functions of the request — see
-// AttemptHeader and VClockHeader for the retry/time inputs — or seeded
-// crawls lose their reproducibility.
-type FaultModel func(req *http.Request) FaultDecision
+// Implementations must be deterministic functions of the request and its
+// Stamp (the retry attempt and the requester's virtual time), or seeded
+// crawls lose their reproducibility. The request is the caller's: a
+// model reads it and must not keep or modify it.
+type FaultModel func(req *http.Request, s Stamp) FaultDecision
 
 // FaultError is the error returned for connection-level faults
 // (FaultConnReset, FaultTimeout). LatencyMs is the virtual time the
@@ -192,22 +204,21 @@ func UniformFaults(rate float64, seed uint64) FaultConfig {
 
 // SeededFaults builds the deterministic fault model for a config: every
 // decision hashes (seed, host, path, query, attempt), and flap schedules
-// additionally read the virtual clock from VClockHeader. Returns nil for
-// a config with no fault enabled, so installing a zero config is exactly
+// additionally read the stamp's virtual clock. Returns nil for a config
+// with no fault enabled, so installing a zero config is exactly
 // equivalent to installing no model.
 func SeededFaults(cfg FaultConfig) FaultModel {
 	if !cfg.Enabled() {
 		return nil
 	}
 	cfg = cfg.withDefaults()
-	return func(req *http.Request) FaultDecision {
+	return func(req *http.Request, s Stamp) FaultDecision {
 		host := strings.ToLower(req.URL.Hostname())
 
 		// Flap schedule: host-level outage windows on the virtual clock.
-		if cfg.PHostFlap > 0 && hash01(cfg.Seed, "flap?", host, 0) < cfg.PHostFlap {
-			phase := hash01(cfg.Seed, "flap-phase", host, 0) * cfg.FlapPeriodMs
-			vms := requestVClockMs(req)
-			if math.Mod(vms+phase, cfg.FlapPeriodMs) < cfg.FlapPeriodMs*cfg.FlapDownFrac {
+		if cfg.PHostFlap > 0 && hash01(cfg.Seed, "flap?", 0, host) < cfg.PHostFlap {
+			phase := hash01(cfg.Seed, "flap-phase", 0, host) * cfg.FlapPeriodMs
+			if math.Mod(float64(s.VClockMs)+phase, cfg.FlapPeriodMs) < cfg.FlapPeriodMs*cfg.FlapDownFrac {
 				return FaultDecision{Kind: FaultTimeout, LatencyMs: cfg.TimeoutMs}
 			}
 		}
@@ -215,8 +226,7 @@ func SeededFaults(cfg FaultConfig) FaultModel {
 		// Per-attempt transient faults: one uniform draw against the
 		// cumulative mix, keyed so each (request, attempt) pair is an
 		// independent decision.
-		key := host + "\x00" + req.URL.Path + "\x00" + req.URL.RawQuery
-		u := hash01(cfg.Seed, "mix", key, requestAttempt(req))
+		u := hash01(cfg.Seed, "mix", s.attempt(), host, "\x00", req.URL.Path, "\x00", req.URL.RawQuery)
 		switch {
 		case u < cfg.PServerError:
 			return FaultDecision{Kind: FaultServerError, Status: cfg.ServerErrorStatus}
@@ -233,28 +243,10 @@ func SeededFaults(cfg FaultConfig) FaultModel {
 	}
 }
 
-// requestAttempt reads the 1-based attempt from AttemptHeader (1 when
-// absent, e.g. a non-browser client).
-func requestAttempt(req *http.Request) int {
-	n, err := strconv.Atoi(req.Header.Get(AttemptHeader))
-	if err != nil || n < 1 {
-		return 1
-	}
-	return n
-}
-
-// requestVClockMs reads the browser's virtual time from VClockHeader
-// (0 when absent).
-func requestVClockMs(req *http.Request) float64 {
-	f, err := strconv.ParseFloat(req.Header.Get(VClockHeader), 64)
-	if err != nil {
-		return 0
-	}
-	return f
-}
-
 // hash01 maps (seed, salt, key, attempt) to a uniform value in [0,1)
-// via FNV-1a, the same mixing primitive as the latency model. The
+// via FNV-1a, the same mixing primitive as the latency model. The key is
+// given in pieces and hashed in sequence, exactly as their concatenation
+// would be (FNV-1a is byte-sequential), so no key string is built. The
 // attempt is spread across the word before the final mix: xoring the
 // small integer in directly only perturbed the hash's low bits, so
 // consecutive attempts drew values within ~4e-4 of each other and a
@@ -262,7 +254,7 @@ func requestVClockMs(req *http.Request) float64 {
 // despite the documented contract that each attempt draws
 // independently. Attempt 0 (the flap-schedule draws, which must not
 // vary per attempt) hashes exactly as before.
-func hash01(seed uint64, salt, key string, attempt int) float64 {
+func hash01(seed uint64, salt string, attempt int, key ...string) float64 {
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -276,7 +268,9 @@ func hash01(seed uint64, salt, key string, attempt int) float64 {
 	}
 	mix(salt)
 	mix("\x00")
-	mix(key)
+	for _, k := range key {
+		mix(k)
+	}
 	h ^= uint64(attempt) * 0x9e3779b97f4a7c15
 	h *= 1099511628211
 	return float64(h>>11) / (1 << 53)

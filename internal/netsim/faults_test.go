@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"testing"
 )
 
@@ -19,19 +18,13 @@ func faultTestNet(t *testing.T) *Internet {
 	return in
 }
 
-func get(t *testing.T, in *Internet, url string, attempt int, vms float64) (*http.Response, error) {
+func get(t *testing.T, in *Internet, url string, attempt int, vms int64) (*http.Response, error) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempt > 0 {
-		req.Header.Set(AttemptHeader, strconv.Itoa(attempt))
-	}
-	if vms > 0 {
-		req.Header.Set(VClockHeader, strconv.FormatFloat(vms, 'f', -1, 64))
-	}
-	return in.RoundTrip(req)
+	return in.Fetch(req, Stamp{Attempt: attempt, VClockMs: vms})
 }
 
 // TestSeededFaultsZeroConfigIsNil: a zero-rate config produces a nil
@@ -50,10 +43,9 @@ func TestSeededFaultsZeroConfigIsNil(t *testing.T) {
 func TestFaultDecisionsDeterministic(t *testing.T) {
 	model := SeededFaults(UniformFaults(0.5, 7))
 	req, _ := http.NewRequest(http.MethodGet, "https://srv.example/a/b?q=1", nil)
-	req.Header.Set(AttemptHeader, "1")
-	first := model(req)
+	first := model(req, Stamp{Attempt: 1})
 	for i := 0; i < 10; i++ {
-		if got := model(req); got != first {
+		if got := model(req, Stamp{Attempt: 1}); got != first {
 			t.Fatalf("decision changed across calls: %+v vs %+v", got, first)
 		}
 	}
@@ -63,8 +55,7 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 	for p := 0; p < 50; p++ {
 		for a := 1; a <= 3; a++ {
 			r, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("https://srv.example/p%d", p), nil)
-			r.Header.Set(AttemptHeader, strconv.Itoa(a))
-			kinds[model(r).Kind] = true
+			kinds[model(r, Stamp{Attempt: a}).Kind] = true
 		}
 	}
 	if len(kinds) < 3 {
@@ -73,11 +64,11 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 }
 
 // TestFaultInjectionKinds drives each injected kind end-to-end through
-// RoundTrip using a handcrafted model.
+// Fetch using a handcrafted model.
 func TestFaultInjectionKinds(t *testing.T) {
 	in := faultTestNet(t)
 	var decide FaultDecision
-	in.SetFaultModel(func(req *http.Request) FaultDecision { return decide })
+	in.SetFaultModel(func(*http.Request, Stamp) FaultDecision { return decide })
 
 	// Server error: synthesized 5xx, handler untouched.
 	decide = FaultDecision{Kind: FaultServerError}
@@ -146,7 +137,7 @@ func TestFlapScheduleVirtualClock(t *testing.T) {
 	// Scan one full period: both outcomes must occur, each in one
 	// contiguous window, and identically on a second scan.
 	outcomes := make([]bool, 0, 20)
-	for vms := 0.0; vms < 1000; vms += 50 {
+	for vms := int64(0); vms < 1000; vms += 50 {
 		_, err := get(t, in, "https://srv.example/x", 1, vms+1)
 		outcomes = append(outcomes, err == nil)
 	}
@@ -157,7 +148,7 @@ func TestFlapScheduleVirtualClock(t *testing.T) {
 		} else {
 			down++
 		}
-		_, err := get(t, in, "https://srv.example/x", 1, float64(i*50)+1)
+		_, err := get(t, in, "https://srv.example/x", 1, int64(i*50)+1)
 		if (err == nil) != ok {
 			t.Fatalf("flap outcome at %dms not reproducible", i*50)
 		}
@@ -180,8 +171,8 @@ func TestTruncationCacheEquivalence(t *testing.T) {
 		b, err := io.ReadAll(resp.Body)
 		return string(b), err
 	}
-	truncateFirst := func(req *http.Request) FaultDecision {
-		if requestAttempt(req) == 1 {
+	truncateFirst := func(_ *http.Request, s Stamp) FaultDecision {
+		if s.attempt() == 1 {
 			return FaultDecision{Kind: FaultTruncate, KeepFrac: 0.25}
 		}
 		return FaultDecision{}
@@ -210,9 +201,77 @@ func TestTruncationCacheEquivalence(t *testing.T) {
 }
 
 // mapCache is a minimal ResponseCache for tests.
-type mapCache struct{ m map[string]any }
+type mapCache struct{ m map[ResponseKey]any }
 
-func newMapCache() *mapCache { return &mapCache{m: map[string]any{}} }
+func newMapCache() *mapCache { return &mapCache{m: map[ResponseKey]any{}} }
 
-func (c *mapCache) GetResponse(key string) (any, bool)   { v, ok := c.m[key]; return v, ok }
-func (c *mapCache) PutResponse(key string, v any, _ int) { c.m[key] = v }
+func (c *mapCache) GetResponse(key ResponseKey) (any, bool)   { v, ok := c.m[key]; return v, ok }
+func (c *mapCache) PutResponse(key ResponseKey, v any, _ int) { c.m[key] = v }
+
+// TestSeededFaultsPinned pins SeededFaults' decisions for a fixed config:
+// the table was recorded when the model still read its stamp from
+// request headers and hashed a concatenated key, so it holds the
+// decisions every recorded crawl under faults was made with.
+func TestSeededFaultsPinned(t *testing.T) {
+	cfg := FaultConfig{Seed: 11, PServerError: 0.2, PConnReset: 0.15, PTimeout: 0.1, PTruncate: 0.1,
+		PTailLatency: 0.1, PHostFlap: 0.5, FlapPeriodMs: 30000, FlapDownFrac: 0.25}
+	model := SeededFaults(cfg)
+	decision := map[FaultKind]FaultDecision{
+		FaultNone:        {},
+		FaultServerError: {Kind: FaultServerError, Status: http.StatusServiceUnavailable},
+		FaultConnReset:   {Kind: FaultConnReset},
+		FaultTimeout:     {Kind: FaultTimeout, LatencyMs: 1000},
+		FaultTruncate:    {Kind: FaultTruncate, KeepFrac: 0.5},
+		FaultTailLatency: {Kind: FaultTailLatency, Factor: 10},
+	}
+	for _, c := range []struct {
+		url      string
+		attempt  int
+		vclockMs int64
+		want     FaultKind
+	}{
+		{"https://www.site00001.com/", 0, 0, FaultServerError},
+		{"https://www.site00001.com/", 1, 9000, FaultServerError},
+		{"https://www.site00001.com/", 2, 21000, FaultTailLatency},
+		{"https://www.site00001.com/", 3, 1700000000123, FaultNone},
+		{"https://www.site00001.com/", 7, 4500, FaultTailLatency},
+		{"https://www.site00001.com/assets/app.js", 0, 0, FaultServerError},
+		{"https://www.site00001.com/assets/app.js", 1, 9000, FaultServerError},
+		{"https://www.site00001.com/assets/app.js", 2, 21000, FaultTimeout},
+		{"https://www.site00001.com/assets/app.js", 3, 1700000000123, FaultNone},
+		{"https://www.site00001.com/assets/app.js", 7, 4500, FaultTruncate},
+		{"https://cdn.tracker.example/lib/app.js?v=3", 0, 0, FaultTimeout},
+		{"https://cdn.tracker.example/lib/app.js?v=3", 1, 9000, FaultTruncate},
+		{"https://cdn.tracker.example/lib/app.js?v=3", 2, 21000, FaultServerError},
+		{"https://cdn.tracker.example/lib/app.js?v=3", 3, 1700000000123, FaultTailLatency},
+		{"https://cdn.tracker.example/lib/app.js?v=3", 7, 4500, FaultNone},
+		{"https://Beacon.Sink.example/c?a=1&b=2", 0, 0, FaultNone},
+		{"https://Beacon.Sink.example/c?a=1&b=2", 1, 9000, FaultNone},
+		{"https://Beacon.Sink.example/c?a=1&b=2", 2, 21000, FaultConnReset},
+		{"https://Beacon.Sink.example/c?a=1&b=2", 3, 1700000000123, FaultNone},
+		{"https://Beacon.Sink.example/c?a=1&b=2", 7, 4500, FaultConnReset},
+		{"http://metrics.site00002.de:8080/t.js", 0, 0, FaultServerError},
+		{"http://metrics.site00002.de:8080/t.js", 1, 9000, FaultTimeout},
+		{"http://metrics.site00002.de:8080/t.js", 2, 21000, FaultNone},
+		{"http://metrics.site00002.de:8080/t.js", 3, 1700000000123, FaultTimeout},
+		{"http://metrics.site00002.de:8080/t.js", 7, 4500, FaultConnReset},
+		{"https://h.example?", 0, 0, FaultNone},
+		{"https://h.example?", 1, 9000, FaultNone},
+		{"https://h.example?", 2, 21000, FaultServerError},
+		{"https://h.example?", 3, 1700000000123, FaultServerError},
+		{"https://h.example?", 7, 4500, FaultTailLatency},
+		{"https://h.example/a;b,c?x", 0, 0, FaultNone},
+		{"https://h.example/a;b,c?x", 1, 9000, FaultNone},
+		{"https://h.example/a;b,c?x", 2, 21000, FaultTailLatency},
+		{"https://h.example/a;b,c?x", 3, 1700000000123, FaultServerError},
+		{"https://h.example/a;b,c?x", 7, 4500, FaultTailLatency},
+	} {
+		req, err := http.NewRequest(http.MethodGet, c.url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := model(req, Stamp{Attempt: c.attempt, VClockMs: c.vclockMs}); got != decision[c.want] {
+			t.Errorf("%s attempt %d at %d ms: %+v, want %+v", c.url, c.attempt, c.vclockMs, got, decision[c.want])
+		}
+	}
+}

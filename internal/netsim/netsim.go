@@ -2,10 +2,22 @@
 //
 // The paper crawled 20,000 live sites; offline we substitute a virtual
 // network fabric: an Internet is a virtual DNS (host → http.Handler) plus
-// an http.RoundTripper that dispatches requests directly to the registered
+// a Fetch method that dispatches requests directly to the registered
 // handler without touching a socket. Everything above it — the browser,
 // the jar, the instrumentation extension, CookieGuard — speaks standard
-// net/http, so the same code would run against the real web.
+// net/http requests and responses, so the same code would run against the
+// real web; RoundTrip adapts the fabric to http.RoundTripper for
+// http.Client and other net/http callers.
+//
+// A fetch carries a Stamp beside the request: the 1-based retry attempt
+// and the requester's virtual time, which the fault model reads. They are
+// typed arguments, not request headers, so stamping a fetch allocates
+// nothing.
+//
+// Handlers follow net/http's own contract: a handler must not keep the
+// request or the http.ResponseWriter after ServeHTTP returns. The fabric
+// recycles both (and the response it delivers, once the consumer calls
+// ReleaseResponse) across exchanges.
 //
 // The fabric also models the network-level phenomena the paper discusses:
 // deterministic per-host latency (driving the page-load-time experiments
@@ -23,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,12 +46,14 @@ import (
 // --- allocation-frugal response plumbing ---------------------------------
 //
 // The crawl performs hundreds of request/response exchanges per visit, the
-// overwhelming majority replayed from the response cache. The helpers here
-// keep that replay path nearly allocation-free: response structs and their
-// header maps are pooled (reclaimed via ReleaseResponse once the browser
-// has consumed the exchange), status lines and latency header values are
-// memoized per distinct value, and bodies travel as *stringBody so ReadBody
-// hands back the cached string without copying it.
+// overwhelming majority replayed from the response cache and most of the
+// rest answered by beacon sinks. The helpers here keep both paths
+// allocation-free. Response structs and their header maps are pooled
+// (reclaimed via ReleaseResponse once the browser has consumed the
+// exchange), and so are the handler's recorder and its copy of the
+// request. Status lines and latency header values are memoized per
+// distinct value, and bodies travel as *stringBody so ReadBody hands back
+// the string without copying it.
 
 // stringBody is an io.ReadCloser over an immutable string. ReadBody
 // recognizes it and returns the string without the ReadAll round trip.
@@ -57,7 +70,7 @@ func (b *stringBody) set(s string) {
 	b.Reader.Reset(s)
 }
 
-// respPool recycles cache-hit responses: the Response struct, its Header
+// respPool recycles delivered responses: the Response struct, its Header
 // map, and the stringBody. A pooled response is handed back through
 // ReleaseResponse by the single consumer of the exchange (the browser).
 var respPool = sync.Pool{New: func() any {
@@ -88,8 +101,8 @@ func pooledResponse(status int, src http.Header, body string) *http.Response {
 
 // ReleaseResponse returns a pooled response to the pool. It must only be
 // called by the exchange's single consumer once the body and headers are
-// fully consumed and never referenced again; taps must not retain
-// responses past the tap callback when callers release. Non-pooled
+// fully consumed and never referenced again. With a tap installed the
+// fabric delivers fresh responses, which taps may keep. Non-pooled
 // responses are ignored, so callers may release unconditionally.
 func ReleaseResponse(resp *http.Response) {
 	if resp == nil {
@@ -116,10 +129,38 @@ var statusLines sync.Map // int -> string
 // statusLine memo). Content-Type sniffing is deliberately absent:
 // generated handlers either set their type explicitly or write no body,
 // and nothing in the fabric or browser reads a sniffed type.
+//
+// Recorders are pooled: once the response is built from one (its header
+// entries copied, its body materialized as a string), it is reset and
+// reused. Value slices a handler put in the header are shared with the
+// delivered response, never written to.
 type respRecorder struct {
 	code   int
 	header http.Header
 	body   bytes.Buffer
+}
+
+// maxPooledBody bounds the body buffer a recycled recorder keeps, so one
+// large response does not pin its buffer in the pool.
+const maxPooledBody = 64 << 10
+
+// recPool recycles handler recorders and reqPool the handler's copy of
+// the request. Both go back as soon as the response is built; a handler
+// that kept either past ServeHTTP would see them reused.
+var (
+	recPool = sync.Pool{New: func() any { return &respRecorder{header: make(http.Header, 4)} }}
+	reqPool = sync.Pool{New: func() any { return new(http.Request) }}
+)
+
+// release resets the recorder and returns it to recPool.
+func (r *respRecorder) release() {
+	if r.body.Cap() > maxPooledBody {
+		return
+	}
+	r.code = 0
+	clear(r.header)
+	r.body.Reset()
+	recPool.Put(r)
 }
 
 func (r *respRecorder) Header() http.Header { return r.header }
@@ -203,6 +244,18 @@ type Tap func(Exchange)
 // request. Implementations must be deterministic for reproducibility.
 type LatencyModel func(req *http.Request) float64
 
+// ResponseKey identifies a request for response memoization. It holds
+// the *requested* host (pre-CNAME, with any port): the serving handler
+// observes the original Host header, so a cloaked alias and its target
+// are distinct cache entries even though one handler serves both.
+type ResponseKey struct {
+	Host, Path, RawQuery string
+}
+
+// size is the key's charge in a bounded cache: its bytes plus one
+// separator between each pair of fields.
+func (k ResponseKey) size() int { return len(k.Host) + len(k.Path) + len(k.RawQuery) + 2 }
+
 // ResponseCache stores served responses keyed by request, so the fabric
 // can replay a prior exchange without re-running the handler. Entries
 // are opaque to implementations — netsim owns their concrete type — and
@@ -211,8 +264,16 @@ type LatencyModel func(req *http.Request) float64
 // miss just re-runs the handler. artifact.Cache satisfies this
 // interface.
 type ResponseCache interface {
-	GetResponse(key string) (any, bool)
-	PutResponse(key string, v any, size int)
+	GetResponse(key ResponseKey) (any, bool)
+	PutResponse(key ResponseKey, v any, size int)
+}
+
+// Fetcher serves stamped request attempts: the fabric seen from some
+// vantage point. *Internet (the default vantage) and *VantageView
+// implement it; the browser fetches through one. The request is the
+// caller's, which may reuse it once Fetch returns.
+type Fetcher interface {
+	Fetch(req *http.Request, s Stamp) (*http.Response, error)
 }
 
 // snapshot is an immutable view of the fabric's routing state. Once
@@ -361,7 +422,7 @@ func (i *Internet) SetLatencyModel(m LatencyModel) {
 }
 
 // SetFaultModel installs (or, with nil, removes) a fault model. With a
-// model installed, every RoundTrip attempt first consults it and may be
+// model installed, every Fetch attempt first consults it and may be
 // answered with an injected failure instead of the handler; see
 // SeededFaults for the deterministic implementation. The model only
 // applies to resolvable hosts — an unregistered host stays NXDOMAIN —
@@ -442,17 +503,63 @@ type cachedResponse struct {
 	body   string
 }
 
-// cacheKey identifies a request for response memoization. The key uses
-// the *requested* host (pre-CNAME): the serving handler observes the
-// original Host header, so a cloaked alias and its target are distinct
-// cache entries even though one handler serves both.
-func cacheKey(u *url.URL) string {
-	return u.Host + "\x00" + u.Path + "\x00" + u.RawQuery
+// cachedHeader copies a handler's header for the cache, adding the body
+// hash. All values share one backing array, each entry capped so no
+// append can reach its neighbour; the hash's one-element slice is then
+// shared by every replay of the entry.
+func cachedHeader(h http.Header, hash string) http.Header {
+	n := 1
+	for _, vv := range h {
+		n += len(vv)
+	}
+	c := make(http.Header, len(h)+1)
+	vals := make([]string, 0, n)
+	for k, vv := range h {
+		if vv == nil {
+			c[k] = nil
+			continue
+		}
+		vals = append(vals, vv...)
+		c[k] = vals[len(vals)-len(vv) : len(vals) : len(vals)]
+	}
+	vals = append(vals, hash)
+	c[BodyHashHeader] = vals[len(vals)-1 : len(vals) : len(vals)]
+	return c
 }
 
-// respond finalizes a response for delivery: per-request headers, the
-// request back-pointer, accounting, and taps.
-func (i *Internet) respond(resp *http.Response, req *http.Request, lat float64, taps []Tap, servedBy string) *http.Response {
+// deliver builds, accounts and taps the response to one exchange. Status,
+// header and body come from wherever the exchange was answered — a
+// synthesized fault, a cache hit or the handler — and hdr is only read.
+// With no tap installed and no truncation the response comes from
+// respPool, its header entries copied (value slices shared) and its
+// consumer hands it back through ReleaseResponse. A tap may keep the
+// exchange, and truncation rewrites body and headers, so either gets a
+// fresh response with a cloned header.
+func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body string, lat float64, fd FaultDecision, taps []Tap, servedBy string) *http.Response {
+	var resp *http.Response
+	if len(taps) == 0 && fd.Kind != FaultTruncate {
+		resp = pooledResponse(status, hdr, body)
+	} else {
+		h := hdr.Clone()
+		if h == nil {
+			h = make(http.Header, 1)
+		}
+		sb := &stringBody{}
+		sb.set(body)
+		resp = &http.Response{
+			StatusCode:    status,
+			Status:        statusLine(status),
+			Proto:         "HTTP/1.1",
+			ProtoMajor:    1,
+			ProtoMinor:    1,
+			Header:        h,
+			Body:          sb,
+			ContentLength: int64(len(body)),
+		}
+		if fd.Kind == FaultTruncate {
+			applyTruncation(resp, body, fd)
+		}
+	}
 	resp.Request = req
 	// The latency value slice is memoized and shared across responses;
 	// Header.Get reads it exactly as a Set one (the key is canonical).
@@ -465,20 +572,26 @@ func (i *Internet) respond(resp *http.Response, req *http.Request, lat float64, 
 	return resp
 }
 
-// RoundTrip implements http.RoundTripper against the fabric, observed
-// from the implicit default vantage (the installed latency and fault
-// models). Internet.From builds vantage views that route through the
-// same serving path with per-vantage models.
-func (i *Internet) RoundTrip(req *http.Request) (*http.Response, error) {
+// Fetch serves one request attempt from the implicit default vantage
+// (the installed latency and fault models); s stamps the attempt for
+// the fault model. Internet.From builds vantage views that serve through
+// the same path with per-vantage models.
+func (i *Internet) Fetch(req *http.Request, s Stamp) (*http.Response, error) {
 	v := i.view()
-	return i.roundTrip(req, &v, v.latency, v.faults)
+	return i.fetch(req, s, &v, v.latency, v.faults)
 }
 
-// roundTrip is the shared serving path: route, inject faults, replay or
-// run the handler. latency and faults are the effective models for this
-// request — the snapshot's own for a direct RoundTrip, a vantage's
-// overrides for a VantageView.
-func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyModel, faults FaultModel) (*http.Response, error) {
+// RoundTrip adapts the fabric to http.RoundTripper (Client, tests): it is
+// Fetch with the zero Stamp, a first attempt at virtual time zero.
+func (i *Internet) RoundTrip(req *http.Request) (*http.Response, error) {
+	return i.Fetch(req, Stamp{})
+}
+
+// fetch is the shared serving path: route, inject faults, replay or run
+// the handler. latency and faults are the effective models for this
+// request — the snapshot's own for Internet.Fetch, a vantage's overrides
+// for a VantageView.
+func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency LatencyModel, faults FaultModel) (*http.Response, error) {
 	host := strings.ToLower(req.URL.Hostname())
 	if host == "" {
 		return nil, fmt.Errorf("netsim: request %q has no host", req.URL)
@@ -498,7 +611,7 @@ func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyMode
 	// response cache only ever stores intact exchanges.
 	var fd FaultDecision
 	if faults != nil {
-		fd = faults(req)
+		fd = faults(req, s)
 	}
 	switch fd.Kind {
 	case FaultConnReset:
@@ -520,23 +633,7 @@ func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyMode
 		if status == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		body := errorBody(status)
-		var resp *http.Response
-		if len(v.taps) == 0 {
-			resp = pooledResponse(status, nil, body)
-		} else {
-			resp = &http.Response{
-				StatusCode:    status,
-				Status:        statusLine(status),
-				Proto:         "HTTP/1.1",
-				ProtoMajor:    1,
-				ProtoMinor:    1,
-				Header:        http.Header{},
-				Body:          io.NopCloser(strings.NewReader(body)),
-				ContentLength: int64(len(body)),
-			}
-		}
-		return i.respond(resp, req, lat, v.taps, servedBy), nil
+		return i.deliver(req, status, nil, errorBody(status), lat, fd, v.taps, servedBy), nil
 	case FaultTailLatency:
 		i.faulted.Add(1)
 		factor := fd.Factor
@@ -548,90 +645,53 @@ func (i *Internet) roundTrip(req *http.Request, v *snapshot, latency LatencyMode
 		i.faulted.Add(1)
 	}
 
-	// Replay a memoized exchange without touching the handler. The
-	// stored header is shared across hits, so it is cloned before the
-	// per-request latency header is added.
-	var key string
+	// Replay a memoized exchange without touching the handler.
+	var key ResponseKey
 	cacheable := v.respCache != nil && req.Method == http.MethodGet
 	if cacheable {
-		key = cacheKey(req.URL)
+		key = ResponseKey{Host: req.URL.Host, Path: req.URL.Path, RawQuery: req.URL.RawQuery}
 		if e, ok := v.respCache.GetResponse(key); ok {
 			cr := e.(*cachedResponse)
-			var resp *http.Response
-			if len(v.taps) == 0 && fd.Kind != FaultTruncate {
-				// Replay through the pool: header entries are copied into
-				// the pooled map (value slices shared, never mutated) and
-				// the browser returns the response via ReleaseResponse. A
-				// registered tap could retain the exchange, so taps force
-				// the historical fresh-allocation path; truncation rewrites
-				// body and headers, so it does too.
-				resp = pooledResponse(cr.status, cr.header, cr.body)
-			} else {
-				resp = &http.Response{
-					StatusCode:    cr.status,
-					Status:        statusLine(cr.status),
-					Proto:         "HTTP/1.1",
-					ProtoMajor:    1,
-					ProtoMinor:    1,
-					Header:        cr.header.Clone(),
-					Body:          io.NopCloser(strings.NewReader(cr.body)),
-					ContentLength: int64(len(cr.body)),
-				}
-				if fd.Kind == FaultTruncate {
-					applyTruncation(resp, cr.body, fd)
-				}
-			}
-			return i.respond(resp, req, lat, v.taps, servedBy), nil
+			return i.deliver(req, cr.status, cr.header, cr.body, lat, fd, v.taps, servedBy), nil
 		}
 	}
 
-	rec := &respRecorder{header: make(http.Header, 4)}
 	// The handler sees the original Host (cloaked requests carry the
 	// alias), matching how HTTP works over a CNAME. A shallow copy is
 	// enough: it shares URL, Header and context with the caller's
 	// request, and no handler on the fabric mutates its request — they
 	// read the path and write only the response — so only the copy's own
 	// Host and Body fields are ever set.
-	inner := new(http.Request)
+	rec := recPool.Get().(*respRecorder)
+	inner := reqPool.Get().(*http.Request)
 	*inner = *req
 	inner.Host = req.URL.Host
 	if inner.Body == nil {
 		inner.Body = http.NoBody
 	}
 	handler.ServeHTTP(rec, inner)
-	if rec.code == 0 {
-		rec.code = http.StatusOK
-	}
+	*inner = http.Request{}
+	reqPool.Put(inner)
 
-	body := rec.body.String()
-	// Deliver the body as a *stringBody so ReadBody returns it without a
-	// second copy (rec.body.String() above is the only materialization).
-	sb := &stringBody{}
-	sb.set(body)
-	resp := &http.Response{
-		StatusCode:    rec.code,
-		Status:        statusLine(rec.code),
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        rec.header,
-		Body:          sb,
-		ContentLength: int64(len(body)),
+	status := rec.code
+	if status == 0 {
+		status = http.StatusOK
 	}
-	if cacheable && rec.code == http.StatusOK {
+	// The one materialization of the body; ReadBody returns this string.
+	body := rec.body.String()
+	hdr := rec.header
+	if cacheable && status == http.StatusOK {
 		// Memoize 200s only: error pages are cheap and beacon sinks
 		// (204, unique query strings) would grow the cache unboundedly.
 		// The cache stores the intact exchange even when this delivery is
 		// truncated — the fault belongs to the attempt, not the content.
-		hdr := resp.Header.Clone()
-		hdr.Set(BodyHashHeader, contenthash.Sum(body))
-		v.respCache.PutResponse(key, &cachedResponse{status: rec.code, header: hdr, body: body}, len(body)+len(key))
-		resp.Header.Set(BodyHashHeader, hdr.Get(BodyHashHeader))
+		cr := &cachedResponse{status: status, header: cachedHeader(hdr, contenthash.Sum(body)), body: body}
+		v.respCache.PutResponse(key, cr, len(body)+key.size())
+		hdr = cr.header
 	}
-	if fd.Kind == FaultTruncate {
-		applyTruncation(resp, body, fd)
-	}
-	return i.respond(resp, req, lat, v.taps, servedBy), nil
+	resp := i.deliver(req, status, hdr, body, lat, fd, v.taps, servedBy)
+	rec.release()
+	return resp, nil
 }
 
 // HostNotFoundError is the fabric's NXDOMAIN.

@@ -262,16 +262,16 @@ func BenchmarkRoundTrip(b *testing.B) {
 // countingCache is a minimal ResponseCache for fabric tests.
 type countingCache struct {
 	mu      sync.Mutex
-	entries map[string]any
+	entries map[ResponseKey]any
 	gets    int
 	hits    int
 }
 
 func newCountingCache() *countingCache {
-	return &countingCache{entries: map[string]any{}}
+	return &countingCache{entries: map[ResponseKey]any{}}
 }
 
-func (c *countingCache) GetResponse(key string) (any, bool) {
+func (c *countingCache) GetResponse(key ResponseKey) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gets++
@@ -282,7 +282,7 @@ func (c *countingCache) GetResponse(key string) (any, bool) {
 	return v, ok
 }
 
-func (c *countingCache) PutResponse(key string, v any, _ int) {
+func (c *countingCache) PutResponse(key ResponseKey, v any, _ int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {

@@ -128,7 +128,7 @@ func TestCacheMissLeavesCallerRequestUnchanged(t *testing.T) {
 	req := &http.Request{
 		Method: http.MethodGet,
 		URL:    u,
-		Header: http.Header{"Cookie": {"a=1"}, AttemptHeader: {"1"}},
+		Header: http.Header{"Cookie": {"a=1"}},
 	}
 	wantURL := *u
 	wantHeader := req.Header.Clone()

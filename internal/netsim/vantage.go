@@ -17,7 +17,7 @@ import "net/http"
 
 // Vantage is a named crawl origin: a region with its own latency model
 // and fault rates. The zero value is the implicit default vantage — it
-// observes the fabric exactly as a direct RoundTrip does (the installed
+// observes the fabric exactly as a direct Internet.Fetch does (the installed
 // latency and fault models), so code that threads a Vantage through
 // unconditionally stays byte-identical to code that never heard of them.
 type Vantage struct {
@@ -76,8 +76,8 @@ func RegionSeed(seed uint64, region string) uint64 {
 	return seed ^ (fnv64(region) | 1)
 }
 
-// VantageView is an http.RoundTripper serving requests from one vantage
-// point over a shared Internet. Construct with Internet.From.
+// VantageView is a Fetcher serving requests from one vantage point over
+// a shared Internet. Construct with Internet.From.
 type VantageView struct {
 	net     *Internet
 	vantage Vantage
@@ -109,8 +109,8 @@ func (i *Internet) From(v Vantage) *VantageView {
 // Vantage returns the vantage point this view observes from.
 func (vv *VantageView) Vantage() Vantage { return vv.vantage }
 
-// RoundTrip implements http.RoundTripper from the vantage point.
-func (vv *VantageView) RoundTrip(req *http.Request) (*http.Response, error) {
+// Fetch serves one stamped request attempt from the vantage point.
+func (vv *VantageView) Fetch(req *http.Request, st Stamp) (*http.Response, error) {
 	s := vv.net.view()
 	lat, flt := s.latency, s.faults
 	if vv.latency != nil {
@@ -119,5 +119,5 @@ func (vv *VantageView) RoundTrip(req *http.Request) (*http.Response, error) {
 	if vv.faults != nil {
 		flt = vv.faults
 	}
-	return vv.net.roundTrip(req, &s, lat, flt)
+	return vv.net.fetch(req, st, &s, lat, flt)
 }

@@ -16,13 +16,13 @@ func vantageTestNet(t *testing.T) *Internet {
 	return in
 }
 
-func vget(t *testing.T, rt http.RoundTripper, url string) *http.Response {
+func vget(t *testing.T, f Fetcher, url string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rt.RoundTrip(req)
+	resp, err := f.Fetch(req, Stamp{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func vget(t *testing.T, rt http.RoundTripper, url string) *http.Response {
 }
 
 // TestDefaultVantageViewIdentical: the zero Vantage's view observes the
-// fabric exactly as a direct RoundTrip — same status, body, and charged
+// fabric exactly as a direct Internet.Fetch — same status, body, and charged
 // latency — so threading a Vantage through unconditionally changes
 // nothing.
 func TestDefaultVantageViewIdentical(t *testing.T) {
@@ -112,10 +112,10 @@ func TestVantageFaultsOverride(t *testing.T) {
 	cfg := FaultConfig{Seed: RegionSeed(7, "flaky-region"), PConnReset: 1}
 	view := in.From(Vantage{Name: "flaky-region", Faults: cfg})
 	req, _ := http.NewRequest(http.MethodGet, "https://www.example.com/q", nil)
-	if _, err := view.RoundTrip(req); err == nil {
+	if _, err := view.Fetch(req, Stamp{}); err == nil {
 		t.Fatal("vantage with PConnReset=1 served a request")
 	}
-	if _, err := in.RoundTrip(req); err != nil {
+	if _, err := in.Fetch(req, Stamp{}); err != nil {
 		t.Fatalf("fabric's direct path inherited the vantage's faults: %v", err)
 	}
 	if in.Faults() == 0 {
@@ -145,7 +145,7 @@ func TestRegionSeed(t *testing.T) {
 // Run under -race.
 func TestVantageViewsConcurrentlyShareFabric(t *testing.T) {
 	in := vantageTestNet(t)
-	views := []http.RoundTripper{
+	views := []Fetcher{
 		in.From(Vantage{Name: "eu-west"}),
 		in.From(Vantage{Name: "us-east"}),
 		in, // the default path shares the pool too
@@ -179,7 +179,7 @@ func TestVantageViewsConcurrentlyShareFabric(t *testing.T) {
 				vi := (w + i) % len(views)
 				u := urls[(w*7+i)%len(urls)]
 				req, _ := http.NewRequest(http.MethodGet, u, nil)
-				resp, err := views[vi].RoundTrip(req)
+				resp, err := views[vi].Fetch(req, Stamp{})
 				if err != nil {
 					errs <- err.Error()
 					return

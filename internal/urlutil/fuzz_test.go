@@ -208,6 +208,37 @@ func FuzzParseOrigin(f *testing.F) {
 	})
 }
 
+func FuzzParseCanonical(f *testing.F) {
+	for _, raw := range webgenURLs() {
+		f.Add(raw)
+	}
+	for _, raw := range append(edgeRefs,
+		"https://h?",
+		"http://h:80/",
+		"https://h/a;b,c/d;e",
+		"https://h/;,?x=;,",
+		"https://h/p?q#frag",
+		"https://h?a?",
+		"https://h/p?a=1&b=%zz",
+		"https://cdn.tracker.example/lib/app.js?v=3",
+	) {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		var got url.URL
+		if !ParseCanonical(&got, raw) {
+			return
+		}
+		want, err := url.Parse(raw)
+		if err != nil {
+			t.Fatalf("ParseCanonical accepted %q, which url.Parse rejects: %v", raw, err)
+		}
+		if got != *want {
+			t.Fatalf("ParseCanonical(%q) = %#v, url.Parse gives %#v", raw, got, *want)
+		}
+	})
+}
+
 // TestWebgenURLsTakeFastPath checks that the canonical fast path covers
 // every URL the synthetic web resolves and sends to, so the crawl does not
 // fall back to net/url for them.
@@ -236,5 +267,12 @@ func TestFastPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink = Hostname("") }); n != 0 {
 		t.Errorf("Hostname(\"\"): %v allocs, want 0", n)
+	}
+	var u url.URL
+	if n := testing.AllocsPerRun(100, func() { ParseCanonical(&u, ref) }); n != 0 {
+		t.Errorf("ParseCanonical on a canonical absolute URL: %v allocs, want 0", n)
+	}
+	if u.Host != "cdn.tracker.example" || u.Path != "/lib/app.js" || u.RawQuery != "v=3" {
+		t.Errorf("ParseCanonical(%q) = %#v", ref, u)
 	}
 }

@@ -256,6 +256,35 @@ func ResolveRef(base *url.URL, ref string) string {
 	return base.ResolveReference(r).String()
 }
 
+// ParseCanonical parses a canonical absolute URL (see canonicalAbsolute)
+// into dst without allocating, filling it exactly as url.Parse would, and
+// reports whether s was canonical. dst's fields are substrings of s. For
+// any other s it returns false and leaves dst alone: parse those with
+// url.Parse.
+func ParseCanonical(dst *url.URL, s string) bool {
+	ok, query := canonicalAbsolute(s)
+	if !ok {
+		return false
+	}
+	scheme := s[:len("http")]
+	if s[len("http")] == 's' {
+		scheme = s[:len("https")]
+	}
+	rest := s[len(scheme)+len("://"):]
+	var rawQuery string
+	if query {
+		rest, rawQuery, _ = strings.Cut(rest, "?")
+	}
+	host, path := rest, ""
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		host, path = rest[:i], rest[i:]
+	}
+	// url.Parse sets ForceQuery only for a lone trailing '?', the one
+	// canonical shape whose query is present but empty.
+	*dst = url.URL{Scheme: scheme, Host: host, Path: path, RawQuery: rawQuery, ForceQuery: query && rawQuery == ""}
+	return true
+}
+
 // canonicalAbsolute reports whether s is an absolute http(s) URL that
 // url.Parse, ResolveReference and String give back byte for byte. It
 // accepts exactly this shape and nothing else:

@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -16,9 +17,51 @@ type hostMux struct {
 
 type pathContent struct {
 	body        string
-	contentType string
+	contentType []string // shared header value; nil sets none
 	status      int
 	setCookies  []string
+}
+
+// Header values shared by every generated response. Handlers assign
+// these slices into response headers as they are; each has capacity 1,
+// so an append downstream copies instead of writing into the shared
+// array.
+var (
+	ctHTML        = []string{"text/html"}
+	ctJS          = []string{"application/javascript"}
+	ctCSS         = []string{"text/css"}
+	ctPNG         = []string{"image/png"}
+	ctTextPlain   = []string{"text/plain; charset=utf-8"}
+	nosniffHeader = []string{"nosniff"}
+)
+
+// contentTypeHeader returns the shared Content-Type value for ct.
+func contentTypeHeader(ct string) []string {
+	switch ct {
+	case "":
+		return nil
+	case "text/html":
+		return ctHTML
+	case "application/javascript":
+		return ctJS
+	case "text/css":
+		return ctCSS
+	case "image/png":
+		return ctPNG
+	}
+	return []string{ct}
+}
+
+// writeError answers as http.Error(w, text, code) does — same status,
+// headers and body — with the shared header values.
+func writeError(w http.ResponseWriter, code int, text string) {
+	h := w.Header()
+	delete(h, "Content-Length")
+	h["Content-Type"] = ctTextPlain
+	h["X-Content-Type-Options"] = nosniffHeader
+	w.WriteHeader(code)
+	io.WriteString(w, text)
+	io.WriteString(w, "\n")
 }
 
 type registry struct {
@@ -36,7 +79,7 @@ func (r *registry) add(host, path, body, contentType string, setCookies ...strin
 		m = &hostMux{paths: map[string]pathContent{}}
 		r.hosts[host] = m
 	}
-	m.paths[path] = pathContent{body: body, contentType: contentType, status: http.StatusOK, setCookies: setCookies}
+	m.paths[path] = pathContent{body: body, contentType: contentTypeHeader(contentType), status: http.StatusOK, setCookies: setCookies}
 }
 
 func (r *registry) addError(host, path string, status int) {
@@ -54,26 +97,32 @@ func (r *registry) sink(host string) {
 	}
 }
 
+// install registers a handler per host. A handler writes nothing it
+// allocates: header values are the shared slices above or the path's own
+// Set-Cookie slice (capped at its length), and the body is written as a
+// string. The responses are those of http.NotFound, http.Error and
+// fmt.Fprint, byte for byte.
 func (r *registry) install(in *netsim.Internet) {
 	for host, mux := range r.hosts {
 		m := mux
 		in.RegisterFunc(host, func(w http.ResponseWriter, req *http.Request) {
 			pc, ok := m.paths[req.URL.Path]
 			if !ok {
-				http.NotFound(w, req)
+				writeError(w, http.StatusNotFound, "404 page not found")
 				return
 			}
-			for _, sc := range pc.setCookies {
-				w.Header().Add("Set-Cookie", sc)
+			h := w.Header()
+			if n := len(pc.setCookies); n > 0 {
+				h["Set-Cookie"] = pc.setCookies[:n:n]
 			}
 			if pc.status != http.StatusOK {
-				http.Error(w, http.StatusText(pc.status), pc.status)
+				writeError(w, pc.status, http.StatusText(pc.status))
 				return
 			}
-			if pc.contentType != "" {
-				w.Header().Set("Content-Type", pc.contentType)
+			if pc.contentType != nil {
+				h["Content-Type"] = pc.contentType
 			}
-			fmt.Fprint(w, pc.body)
+			io.WriteString(w, pc.body)
 		})
 	}
 	for host := range r.sinks {
