@@ -93,10 +93,13 @@ type runState struct {
 	// exfil is detectExfiltration's per-observation scratch.
 	exfil exfilMatcher
 
-	// encMemo memoizes EncodedForms per identifier: crawls repeat the
-	// same identifiers across reads, sites, and vantages, and the
-	// md5/sha1/base64 derivations were a measurable allocation cost.
-	encMemo map[string][]string
+	// Per-observation replay scratch, cleared by each analyzeSite: the
+	// third-party script URLs seen, and the cookie state the replay
+	// builds, one cookieState per name in cookies with cookieIdx mapping
+	// each name to its slot.
+	seenScript map[string]bool
+	cookies    []cookieState
+	cookieIdx  map[string]int32
 
 	// groups records one entry per analyzed observation — the slice of
 	// res.Events it appended, keyed by (site, vantage, persona).
@@ -170,9 +173,10 @@ func newRunState() *runState {
 				RequestFailures: map[string]int{},
 			},
 		},
-		vant:    map[string]*vantageAgg{},
-		pers:    map[string]*personaAgg{},
-		encMemo: map[string][]string{},
+		vant:       map[string]*vantageAgg{},
+		pers:       map[string]*personaAgg{},
+		seenScript: map[string]bool{},
+		cookieIdx:  map[string]int32{},
 	}
 }
 
@@ -594,16 +598,16 @@ func (a *Analyzer) state() *runState {
 	return a.st
 }
 
-// ownership tracks per-site cookie state during replay.
+// cookieState is one cookie's state during a visit's replay.
 type cookieState struct {
-	owner    string // eTLD+1 of the first setter
-	ownerURL string
-	api      instrument.API
-	value    string
-	maxAge   int64
-	domain   string
-	path     string
-	live     bool
+	name   string
+	owner  string // eTLD+1 of the first setter
+	api    instrument.API
+	value  string
+	maxAge int64
+	domain string
+	path   string
+	live   bool
 }
 
 func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
@@ -616,7 +620,8 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 	}
 
 	// --- Script inventory (§5.1, §5.6) ---
-	seenScript := map[string]bool{}
+	seenScript := st.seenScript
+	clear(seenScript)
 	for _, sr := range v.Scripts {
 		if sr.Inline || sr.Failed {
 			continue
@@ -664,13 +669,40 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 
 // replayCookies replays the visit's main-frame cookie operations in
 // order: it attributes each cookie to its first setter, records
-// cross-domain overwrites and deletions, and returns the per-name cookie
-// state the visit ended with, which exfiltration matching reads.
-func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs map[actionAPIKey]bool) map[string]*cookieState {
+// cross-domain overwrites and deletions, and returns the cookie state
+// the visit ended with, one entry per name in first-set order, which
+// exfiltration matching reads. The state lives in st's reused slab and
+// stays valid until the next replay.
+func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs map[actionAPIKey]bool) []cookieState {
 	res := st.res
 	site := v.Site
-	state := map[string]*cookieState{}
-	ensurePair := st.ensurePair
+	clear(st.cookieIdx)
+	st.cookies = st.cookies[:0]
+	// lookup returns the named cookie's slot, nil if the visit has not
+	// set it yet.
+	lookup := func(name string) *cookieState {
+		if i, ok := st.cookieIdx[name]; ok {
+			return &st.cookies[i]
+		}
+		return nil
+	}
+	// create stores a newly created cookie, in place of a deleted one of
+	// the same name if there is one, and claims its pair.
+	create := func(slot *cookieState, cs cookieState) {
+		if slot != nil {
+			*slot = cs
+		} else {
+			st.cookieIdx[cs.name] = int32(len(st.cookies))
+			st.cookies = append(st.cookies, cs)
+		}
+		st.ensurePair(CookieKey{Name: cs.name, Owner: cs.owner}, cs.api)
+		if cs.owner == site {
+			st.fpCookieTotal++
+		} else {
+			st.tpCookieTotal++
+			st.curPers.tpCookies++
+		}
+	}
 	usesDoc, usesStore := false, false
 
 	for _, ev := range v.Cookies {
@@ -679,18 +711,11 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 		}
 		switch ev.Op {
 		case instrument.OpHTTPSet:
-			cs := state[ev.Name]
+			cs := lookup(ev.Name)
 			if cs == nil {
-				owner := ev.Domain // response domain
-				state[ev.Name] = &cookieState{owner: owner, api: instrument.APIHTTP,
-					value: ev.Value, live: true}
-				ensurePair(CookieKey{Name: ev.Name, Owner: owner}, instrument.APIHTTP)
-				if owner == site {
-					st.fpCookieTotal++
-				} else {
-					st.tpCookieTotal++
-					st.curPers.tpCookies++
-				}
+				// response domain owns it
+				create(nil, cookieState{name: ev.Name, owner: ev.Domain,
+					api: instrument.APIHTTP, value: ev.Value, live: true})
 			} else {
 				cs.value = ev.Value
 				cs.live = true
@@ -700,27 +725,20 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 			usesDoc = usesDoc || ev.API == instrument.APIDocument
 			usesStore = usesStore || ev.API == instrument.APICookieStore
 			actor := a.actorDomain(ev, site)
-			cs := state[ev.Name]
+			cs := lookup(ev.Name)
 			if cs == nil || !cs.live {
 				// creation (or resurrection): actor becomes owner
-				state[ev.Name] = &cookieState{
-					owner: actor, ownerURL: ev.ScriptURL, api: ev.API,
+				create(cs, cookieState{
+					name: ev.Name, owner: actor, api: ev.API,
 					value: ev.Value, maxAge: ev.MaxAge,
 					domain: ev.Domain, path: ev.Path, live: true,
-				}
-				ensurePair(CookieKey{Name: ev.Name, Owner: actor}, ev.API)
-				if actor == site {
-					st.fpCookieTotal++
-				} else {
-					st.tpCookieTotal++
-					st.curPers.tpCookies++
-				}
+				})
 				continue
 			}
 			// overwrite of a live cookie
 			if actor != cs.owner && actor != "" {
 				key := CookieKey{Name: ev.Name, Owner: cs.owner}
-				p := ensurePair(key, cs.api)
+				p := st.ensurePair(key, cs.api)
 				e := Event{
 					Site: site, Kind: ActOverwriting, Cookie: key,
 					ActorScript: ev.ScriptURL, ActorDomain: actor, API: ev.API,
@@ -741,13 +759,13 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 			usesDoc = usesDoc || ev.API == instrument.APIDocument
 			usesStore = usesStore || ev.API == instrument.APICookieStore
 			actor := a.actorDomain(ev, site)
-			cs := state[ev.Name]
+			cs := lookup(ev.Name)
 			if cs == nil || !cs.live {
 				continue // deleting a non-existent cookie: no effect
 			}
 			if actor != cs.owner && actor != "" {
 				key := CookieKey{Name: ev.Name, Owner: cs.owner}
-				p := ensurePair(key, cs.api)
+				p := st.ensurePair(key, cs.api)
 				res.Events = append(res.Events, Event{
 					Site: site, Kind: ActDeleting, Cookie: key,
 					ActorScript: ev.ScriptURL, ActorDomain: actor, API: ev.API,
@@ -769,7 +787,7 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 	if usesStore {
 		res.Summary.SitesUsingCookieStore++
 	}
-	return state
+	return st.cookies
 }
 
 // actorDomain resolves the acting script's eTLD+1; inline scripts are
@@ -789,10 +807,10 @@ func (a *Analyzer) actorDomain(ev instrument.CookieEvent, site string) string {
 // derive raw/Base64/MD5/SHA1 forms, and match them against the query
 // strings of outbound requests initiated by main-frame scripts.
 func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
-	state map[string]*cookieState, st *runState, siteActs map[actionAPIKey]bool) {
+	state []cookieState, st *runState, siteActs map[actionAPIKey]bool) {
 	res := st.res
 	m := &st.exfil
-	if !m.reset(a, st, v.URL, state) {
+	if !m.reset(v.URL, state, a.MinIdentifierLen) {
 		return
 	}
 	for _, req := range v.Requests {
@@ -843,17 +861,20 @@ func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 // the candidate cookies in name order, their encoded forms, an index
 // from form to candidates, and the current request's hit marks and
 // decoded query values. It lives on the runState and is reset for each
-// observation, so once its buffers have grown, matching a request
-// builds no map or slice: what it allocates is the URL parse and the
-// decoding of escaped query values.
+// observation, so once its buffers have grown, an observation allocates
+// one string, holding every candidate's forms, and a request one more
+// only if some of its query values need unescaping.
 type exfilMatcher struct {
 	cands   []exfilCandidate
+	enc     formEncoder
 	forms   []string         // every candidate's forms, back to back
 	urlIDs  []string         // identifiers of the page URL
 	formIdx map[string]int32 // form → head of its candidate chain in refs
 	refs    []formRef
 	hits    []bool   // per candidate: a form seen as a whole identifier
 	vals    []string // decoded query values of the current request
+	dec     []byte   // the unescaped values among vals, back to back
+	decEnds []int    // end offset in dec of each unescaped value
 }
 
 // exfilCandidate is one cookie whose value holds identifiers; its forms
@@ -870,8 +891,7 @@ type formRef struct{ cand, next int32 }
 
 // reset builds the observation's candidates from the replayed cookie
 // state. It reports false when there are none.
-func (m *exfilMatcher) reset(a *Analyzer, st *runState, pageURL string, state map[string]*cookieState) bool {
-	minLen := a.MinIdentifierLen
+func (m *exfilMatcher) reset(pageURL string, state []cookieState, minLen int) bool {
 	// Tokens of the page URL are not identifiers: cookies often embed
 	// the page location (e.g. Marketo's _mch token), and every beacon
 	// reports the page URL, so URL-derived segments would match
@@ -880,33 +900,35 @@ func (m *exfilMatcher) reset(a *Analyzer, st *runState, pageURL string, state ma
 	for id, i := nextIdentifier(pageURL, minLen, 0); id != ""; id, i = nextIdentifier(pageURL, minLen, i) {
 		m.urlIDs = append(m.urlIDs, id)
 	}
-	m.cands, m.forms = m.cands[:0], m.forms[:0]
-	for name, cs := range state {
+	m.cands = m.cands[:0]
+	m.enc.buf, m.enc.ends = m.enc.buf[:0], m.enc.ends[:0]
+	for i := range state {
+		cs := &state[i]
 		if cs.value == "" {
 			continue
 		}
-		lo, ids := len(m.forms), 0
+		lo, ids := len(m.enc.ends), 0
 		for id, i := nextIdentifier(cs.value, minLen, 0); id != ""; id, i = nextIdentifier(cs.value, minLen, i) {
 			ids++
 			if slices.Contains(m.urlIDs, id) {
 				continue
 			}
-			m.forms = append(m.forms, a.encodedForms(st, id)...)
+			m.enc.add(id)
 		}
 		if ids == 0 {
 			continue
 		}
 		m.cands = append(m.cands, exfilCandidate{
-			key: CookieKey{Name: name, Owner: cs.owner}, api: cs.api,
-			lo: lo, hi: len(m.forms),
+			key: CookieKey{Name: cs.name, Owner: cs.owner}, api: cs.api,
+			lo: lo, hi: len(m.enc.ends),
 		})
 	}
 	if len(m.cands) == 0 {
 		return false
 	}
-	// state is a map, so candidate order (and with it Event order) would
-	// vary run to run; cookie names are unique per site, so sorting on
-	// the name makes repeated runs over the same logs byte-identical.
+	m.forms = m.enc.appendStrings(m.forms[:0])
+	// Candidate order is Event order; cookie names are unique per visit,
+	// so sorting on the name makes it independent of replay order.
 	slices.SortFunc(m.cands, func(x, y exfilCandidate) int {
 		return strings.Compare(x.key.Name, y.key.Name)
 	})
@@ -940,13 +962,18 @@ func (m *exfilMatcher) reset(a *Analyzer, st *runState, pageURL string, state ma
 // cookie's seconds-resolution value is a prefix of another script's
 // millisecond timestamp.
 func (m *exfilMatcher) scan(rawURL string, minLen int) string {
-	u, err := url.Parse(rawURL)
-	if err != nil || u.RawQuery == "" {
+	var u url.URL // filled in place for canonical URLs, the common case
+	var query string
+	if urlutil.ParseCanonical(&u, rawURL) {
+		query = u.RawQuery
+	} else if parsed, err := url.Parse(rawURL); err == nil {
+		query = parsed.RawQuery
+	}
+	if query == "" {
 		return ""
 	}
-	query := u.RawQuery
 	clear(m.hits)
-	m.vals = appendQueryValues(m.vals[:0], query)
+	m.queryValues(query)
 	m.mark(query, minLen)
 	// Decoded values too: encodings may be %-escaped in the query.
 	for _, v := range m.vals {
@@ -994,11 +1021,14 @@ func (m *exfilMatcher) hit(ci int, query string) bool {
 	return false
 }
 
-// appendQueryValues appends the decoded values of a raw query string to
-// dst, keeping exactly the values url.ParseQuery would: pairs holding a
-// ';' or failing to unescape are dropped. Keys are checked but not kept;
-// values come in query order, not key order, which matching ignores.
-func appendQueryValues(dst []string, query string) []string {
+// queryValues sets vals to the decoded values of a raw query string,
+// keeping exactly the values url.ParseQuery would: pairs holding a ';'
+// or a malformed escape in key or value are dropped. Keys are checked
+// but not kept. A value without '%' or '+' is a slice of query; the
+// others are unescaped into dec, which becomes one string, and come
+// after them. Matching ignores value order.
+func (m *exfilMatcher) queryValues(query string) {
+	m.vals, m.dec, m.decEnds = m.vals[:0], m.dec[:0], m.decEnds[:0]
 	for query != "" {
 		var pair string
 		pair, query, _ = strings.Cut(query, "&")
@@ -1006,16 +1036,69 @@ func appendQueryValues(dst []string, query string) []string {
 			continue
 		}
 		key, value, _ := strings.Cut(pair, "=")
-		if _, err := url.QueryUnescape(key); err != nil {
+		if !validEscapes(key) || !validEscapes(value) {
 			continue
 		}
-		value, err := url.QueryUnescape(value)
-		if err != nil {
+		if strings.IndexByte(value, '%') < 0 && strings.IndexByte(value, '+') < 0 {
+			m.vals = append(m.vals, value)
 			continue
 		}
-		dst = append(dst, value)
+		m.dec = appendUnescaped(m.dec, value)
+		m.decEnds = append(m.decEnds, len(m.dec))
+	}
+	if len(m.decEnds) == 0 {
+		return
+	}
+	dec, lo := string(m.dec), 0
+	for _, hi := range m.decEnds {
+		m.vals = append(m.vals, dec[lo:hi])
+		lo = hi
+	}
+}
+
+// validEscapes reports whether url.QueryUnescape accepts s: every '%'
+// starts two hex digits.
+func validEscapes(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '%' {
+			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+				return false
+			}
+			i += 2
+		}
+	}
+	return true
+}
+
+// appendUnescaped appends url.QueryUnescape(s) to dst; s must pass
+// validEscapes.
+func appendUnescaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '%':
+			dst = append(dst, unhex(s[i+1])<<4|unhex(s[i+2]))
+			i += 2
+		case '+':
+			dst = append(dst, ' ')
+		default:
+			dst = append(dst, c)
+		}
 	}
 	return dst
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c >= 'a':
+		return c - 'a' + 10
+	case c >= 'A':
+		return c - 'A' + 10
+	}
+	return c - '0'
 }
 
 // ExtractIdentifiers splits a cookie value on non-alphanumeric delimiters
@@ -1052,35 +1135,49 @@ func nextIdentifier(s string, minLen, i int) (id string, next int) {
 	return "", len(s)
 }
 
-// encMemoMax caps the per-run identifier-encoding memo; the distinct
-// identifier population of a crawl is far smaller (cookie values repeat
-// across reads, sites, and vantages), so the cap is purely defensive.
-const encMemoMax = 1 << 17
-
-// encodedForms is EncodedForms memoized per run: the same identifier is
-// encoded once per analysis run instead of once per observation. The
-// returned slice is shared and must not be mutated — callers only
-// append it into their own form lists.
-func (a *Analyzer) encodedForms(st *runState, id string) []string {
-	if f, ok := st.encMemo[id]; ok {
-		return f
-	}
-	f := EncodedForms(id)
-	if len(st.encMemo) < encMemoMax {
-		st.encMemo[id] = f
-	}
-	return f
-}
-
 // EncodedForms returns the matchable representations of an identifier:
 // raw, Base64 (padding stripped — delimiters would split it anyway), MD5
 // hex, and SHA1 hex (§4.4).
 func EncodedForms(id string) []string {
-	bid := []byte(id)
-	b64 := strings.TrimRight(base64.StdEncoding.EncodeToString(bid), "=")
-	m := md5.Sum(bid)
-	s := sha1.Sum(bid)
-	return []string{id, b64, hex.EncodeToString(m[:]), hex.EncodeToString(s[:])}
+	var e formEncoder
+	e.add(id)
+	return e.appendStrings(make([]string, 0, 4))
+}
+
+// formEncoder derives the EncodedForms of identifiers into one reused
+// buffer, so encoding allocates only when a buffer grows: unpadded
+// Base64 is RawStdEncoding, and the hashes read a reused copy of the
+// identifier rather than a fresh []byte conversion of it.
+type formEncoder struct {
+	buf  []byte // every form, back to back
+	ends []int  // end offset of each form in buf
+	id   []byte // the identifier being hashed
+}
+
+// add appends id's forms.
+func (e *formEncoder) add(id string) {
+	e.id = append(e.id[:0], id...)
+	e.buf = append(e.buf, id...)
+	e.ends = append(e.ends, len(e.buf))
+	e.buf = base64.RawStdEncoding.AppendEncode(e.buf, e.id)
+	e.ends = append(e.ends, len(e.buf))
+	md := md5.Sum(e.id)
+	e.buf = hex.AppendEncode(e.buf, md[:])
+	e.ends = append(e.ends, len(e.buf))
+	sh := sha1.Sum(e.id)
+	e.buf = hex.AppendEncode(e.buf, sh[:])
+	e.ends = append(e.ends, len(e.buf))
+}
+
+// appendStrings appends to dst, in order, every form added since buf
+// and ends were last emptied, as slices of one string.
+func (e *formEncoder) appendStrings(dst []string) []string {
+	all, lo := string(e.buf), 0
+	for _, hi := range e.ends {
+		dst = append(dst, all[lo:hi])
+		lo = hi
+	}
+	return dst
 }
 
 // SortedPairs returns pair infos ordered by a metric, descending.

@@ -23,7 +23,7 @@ import (
 // query values, and tests every form against that set (and long forms
 // against both strings).
 func (a *Analyzer) oracleDetectExfiltration(v *instrument.VisitLog, site string,
-	state map[string]*cookieState, st *runState, siteActs map[actionAPIKey]bool) {
+	state []cookieState, st *runState, siteActs map[actionAPIKey]bool) {
 	res := st.res
 	urlTokens := map[string]bool{}
 	for _, tok := range ExtractIdentifiers(v.URL, a.MinIdentifierLen) {
@@ -35,7 +35,8 @@ func (a *Analyzer) oracleDetectExfiltration(v *instrument.VisitLog, site string,
 		forms []string
 	}
 	var candidates []candidate
-	for name, cs := range state {
+	for _, cs := range state {
+		name := cs.name
 		if cs.value == "" {
 			continue
 		}
@@ -286,5 +287,135 @@ func TestExfilMatcherAgreesWithOracleOnEdgeCases(t *testing.T) {
 		if !reflect.DeepEqual(names, c.want) {
 			t.Errorf("%s (%q): exfiltrated %v, want %v", c.name, c.url, names, c.want)
 		}
+	}
+}
+
+// TestReplayKeepsOneCandidatePerName pins the replay slab's in-place
+// overwrite: a cookie re-created or overwritten within one visit stays
+// one cookie state and one matcher candidate, carrying its latest value
+// and owner, with no dead duplicate beside it.
+func TestReplayKeepsOneCandidatePerName(t *testing.T) {
+	const (
+		firstJS  = "https://cdn.first.example/f.js"
+		secondJS = "https://cdn.second.example/s.js"
+		thiefJS  = "https://cdn.thief.example/t.js"
+		sink     = "https://px.sink.example/c?u="
+	)
+	oldID, newID := "0ldV4lue11", "N3wV4lue22"
+	longID := strings.Repeat("L0ngId", 7) // 42 bytes: hashed from the reused id buffer
+	httpSet := instrument.CookieEvent{Op: instrument.OpHTTPSet, API: instrument.APIHTTP,
+		Name: "uid", Value: oldID, Domain: "shop.example", MainFrame: true}
+	cases := []struct {
+		name         string
+		cookies      []instrument.CookieEvent
+		sent         []string // one request each, in order
+		value, owner string   // the candidate's latest value and owner
+		id           string   // the identifier value holds
+		exfil        int      // exfiltration events: only the latest value leaks
+	}{
+		{"deleted, then re-created by another script",
+			[]instrument.CookieEvent{
+				writeEv(instrument.APIDocument, "uid", oldID, firstJS, 3600),
+				deleteEv(instrument.APIDocument, "uid", firstJS),
+				writeEv(instrument.APIDocument, "uid", newID, secondJS, 3600),
+			},
+			[]string{oldID, newID}, newID, "second.example", newID, 1},
+		{"HTTP-set, then overwritten by document.cookie",
+			[]instrument.CookieEvent{httpSet,
+				writeEv(instrument.APIDocument, "uid", newID, secondJS, 3600),
+			},
+			[]string{oldID, newID}, newID, "shop.example", newID, 1},
+		{"identifier longer than 32 bytes",
+			[]instrument.CookieEvent{
+				writeEv(instrument.APIDocument, "uid", "v1."+longID, firstJS, 3600),
+			},
+			[]string{EncodedForms(longID)[2], EncodedForms(longID)[3]}, "v1." + longID, "first.example", longID, 2},
+	}
+	var logs []instrument.VisitLog
+	for _, c := range cases {
+		v := baseLog()
+		v.Cookies = c.cookies
+		for _, s := range c.sent {
+			v.Requests = append(v.Requests, instrument.RequestEvent{URL: sink + s, Kind: "beacon",
+				MainFrame: true, InitiatorScript: thiefJS, InitiatorDomain: "thief.example"})
+		}
+		logs = append(logs, v)
+	}
+	assertMatchersAgree(t, logs)
+	events := matcherEvents(logs, false)
+	a := New()
+	st := newRunState()
+	for i, c := range cases {
+		v := &logs[i]
+		st.beginObservation(v.Site, v.Vantage, v.Persona)
+		state := a.replayCookies(v, st, map[actionAPIKey]bool{})
+		if len(state) != 1 || state[0].name != "uid" || state[0].value != c.value || state[0].owner != c.owner || !state[0].live {
+			t.Errorf("%s: replayed state %+v, want one live uid=%q owned by %s", c.name, state, c.value, c.owner)
+		}
+		m := &st.exfil
+		want := CookieKey{Name: "uid", Owner: c.owner}
+		if !m.reset(v.URL, state, a.MinIdentifierLen) || len(m.cands) != 1 || m.cands[0].key != want {
+			t.Errorf("%s: candidates %+v, want one for %+v", c.name, m.cands, want)
+		} else if forms := m.forms[m.cands[0].lo:m.cands[0].hi]; !reflect.DeepEqual(forms, EncodedForms(c.id)) {
+			t.Errorf("%s: candidate forms %q, want %q", c.name, forms, EncodedForms(c.id))
+		}
+		st.endObservation()
+		var got []CookieKey
+		for _, e := range events[i] {
+			if e.Kind == ActExfiltration {
+				got = append(got, e.Cookie)
+			}
+		}
+		if len(got) != c.exfil || len(got) > 0 && got[0] != want {
+			t.Errorf("%s: exfiltrated %+v, want %d events of %+v", c.name, got, c.exfil, want)
+		}
+	}
+}
+
+// TestExfilMatcherAllocs pins the warm cost of the exfiltration fold:
+// once a runState's buffers have grown, replaying a visit and matching
+// its requests allocates one string per observation with candidates
+// (its forms) and one per scanned request with escaped query values
+// (their unescaped bytes), and nothing else. Measured on 30 webgen
+// sites: 336 allocations per pass, against a bound of 23 observations
+// plus 313 requests, nearly every beacon carrying the escaped page URL.
+func TestExfilMatcherAllocs(t *testing.T) {
+	logs := crawlWebgen(t, 30, crawler.Options{}, nil)
+	a := New()
+	st := newRunState()
+	siteActs := map[actionAPIKey]bool{}
+	bound, obs := 0, 0
+	pass := func(count bool) {
+		st.res.Events, st.groups = st.res.Events[:0], st.groups[:0]
+		for i := range logs {
+			v := &logs[i]
+			if !v.Complete() {
+				continue
+			}
+			st.beginObservation(v.Site, v.Vantage, v.Persona)
+			state := a.replayCookies(v, st, siteActs)
+			a.detectExfiltration(v, v.Site, state, st, siteActs)
+			st.endObservation()
+			if !count || !st.exfil.reset(v.URL, state, a.MinIdentifierLen) {
+				continue
+			}
+			bound++
+			obs++
+			for _, req := range v.Requests {
+				if req.MainFrame && req.InitiatorScript != "" && req.InitiatorDomain != "" &&
+					st.exfil.scan(req.URL, a.MinIdentifierLen) != "" && len(st.exfil.decEnds) > 0 {
+					bound++
+				}
+			}
+		}
+	}
+	pass(true) // warm every buffer, map and pair set, and count the bound
+	if len(st.res.Events) == 0 {
+		t.Fatal("the crawl produced no events; the measurement is vacuous")
+	}
+	got := testing.AllocsPerRun(5, func() { pass(false) })
+	t.Logf("%v allocations per pass, bound %d (%d observations)", got, bound, obs)
+	if got > float64(bound) {
+		t.Errorf("warm fold: %v allocations per pass, want at most %d", got, bound)
 	}
 }

@@ -1,0 +1,56 @@
+package analysis
+
+import (
+	"slices"
+	"testing"
+)
+
+// FuzzQueryValues checks the matcher's query handling against net/url:
+// scan returns the raw query url.Parse gives, and collects the decoded
+// values url.ParseQuery keeps, compared as sorted multisets. One matcher
+// serves every input, so its reused buffers are under test too.
+func FuzzQueryValues(f *testing.F) {
+	const sink = "https://px.sink.example/c"
+	for _, s := range []string{
+		// The URLs of TestExfilMatcherAgreesWithOracleOnEdgeCases.
+		sink + "?p=%2Bk9x8c7v6%2F",
+		sink + "?d=%57nE3WHczTHA5UnQy",
+		sink + "?d=WnE3WHczTHA5UnQy&z=1",
+		sink + "?d=xxMn4Bv8Cx2Zl6Qwyy",
+		sink + "?a=Sp1itAcr&b=0ssVals",
+		sink + "?uid=Mn4Bv8Cx2Zl6Qw\x01",
+		sink + "/Mn4Bv8Cx2Zl6Qw?",
+		sink + "/Mn4Bv8Cx2Zl6Qw",
+		sink + "?a=1;u=%2Bk9x8c7v6",
+		sink + "?u=%zz%2Bk9x8c7v6",
+		sink + "?u=k9x8c7v6+Mn4Bv8Cx2Zl6Qw",
+		// A '%' in the last two bytes, in a value and in a key.
+		sink + "?u=ab%4",
+		sink + "?u=ab%",
+		sink + "?ok=1&u%4=v",
+		sink + "?%zz=1&b=%41%42",
+		// Empty pairs and keys, '=' in a value, a fragment, and a
+		// non-canonical URL that takes the url.Parse fallback.
+		sink + "?&&=x&k=&=&a=b=c",
+		sink + "?u=%41+b#frag%zz",
+		"HTTPS://Px.Sink.Example:443/c?u=%2541&v=+",
+		"https://www.site00002.de/sync?id=Zm9vYmFy%3D%3D&u=https%3A%2F%2Fwww.site00002.de%2F",
+	} {
+		f.Add(s)
+	}
+	var m exfilMatcher
+	f.Fuzz(func(t *testing.T, rawURL string) {
+		query := m.scan(rawURL, 8)
+		if want := oracleQueryString(rawURL); query != want {
+			t.Fatalf("scan(%q) query = %q, want %q", rawURL, query, want)
+		}
+		if query == "" {
+			return
+		}
+		got, want := slices.Sorted(slices.Values(m.vals)), oracleQueryValues(rawURL)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("scan(%q) values = %q, want %q", rawURL, got, want)
+		}
+	})
+}
