@@ -70,8 +70,6 @@ type (
 	Page = browser.Page
 	// VisitLog is the per-site measurement record.
 	VisitLog = instrument.VisitLog
-	// CookieMiddleware wraps the browser's cookie API for one visit.
-	CookieMiddleware = browser.CookieMiddleware
 	// Analyzer is the incremental analysis engine (Observe, Snapshot,
 	// Finalize).
 	Analyzer = analysis.Analyzer
@@ -277,16 +275,18 @@ func (p *Pipeline) checkpointFingerprint() string {
 	for _, v := range p.cfg.vantages {
 		vants = append(vants, vant{Name: v.Name, Faults: v.Faults})
 	}
+	// visit_budget is always 0: the per-visit budget option is gone, but
+	// the key stays so that fingerprints, and with them journals written
+	// before its removal, do not change.
 	fp := struct {
 		Version     int                 `json:"version"`
 		Sites       int                 `json:"sites"`
 		Seed        uint64              `json:"seed"`
 		Interact    bool                `json:"interact"`
 		Guard       *guard.Policy       `json:"guard,omitempty"`
-		Middleware  int                 `json:"middleware,omitempty"`
 		Faults      *netsim.FaultConfig `json:"faults,omitempty"`
 		Retry       RetryPolicy         `json:"retry"`
-		VisitBudget float64             `json:"visit_budget"`
+		VisitBudget float64             `json:"visit_budget"` // always 0, see above
 		SecondPass  bool                `json:"second_pass"`
 		Breaker     Breaker             `json:"breaker"`
 		Autopilot   bool                `json:"autopilot"`
@@ -294,21 +294,19 @@ func (p *Pipeline) checkpointFingerprint() string {
 		Personas    []string            `json:"personas,omitempty"`
 		CMP         bool                `json:"cmp"`
 	}{
-		Version:     1,
-		Sites:       p.cfg.sites,
-		Seed:        p.cfg.seed,
-		Interact:    p.cfg.interact,
-		Guard:       p.cfg.guard,
-		Middleware:  len(p.cfg.middleware),
-		Faults:      p.cfg.faults,
-		Retry:       p.cfg.retry,
-		VisitBudget: p.cfg.visitBudget,
-		SecondPass:  p.cfg.secondPass,
-		Breaker:     p.cfg.breaker,
-		Autopilot:   p.cfg.autopilot,
-		Vantages:    vants,
-		Personas:    p.cfg.personas,
-		CMP:         p.cfg.cmp,
+		Version:    1,
+		Sites:      p.cfg.sites,
+		Seed:       p.cfg.seed,
+		Interact:   p.cfg.interact,
+		Guard:      p.cfg.guard,
+		Faults:     p.cfg.faults,
+		Retry:      p.cfg.retry,
+		SecondPass: p.cfg.secondPass,
+		Breaker:    p.cfg.breaker,
+		Autopilot:  p.cfg.autopilot,
+		Vantages:   vants,
+		Personas:   p.cfg.personas,
+		CMP:        p.cfg.cmp,
 	}
 	b, err := json.Marshal(fp)
 	if err != nil {
@@ -343,9 +341,9 @@ func errStream(err error) (<-chan VisitLog, <-chan error) {
 }
 
 // crawlOptions assembles the crawler configuration — every configured
-// (vantage, persona) lane through one worker pool — composing the guard
-// (innermost, enforcing) with registered middleware factories. p.jnl
-// must be resolved (ensureJournal) before any crawl options are built.
+// (vantage, persona) lane through one worker pool — with a fresh guard
+// per visit when one is configured. p.jnl must be resolved
+// (ensureJournal) before any crawl options are built.
 func (p *Pipeline) crawlOptions() crawler.Options {
 	opts := crawler.Options{
 		Internet:        p.Net,
@@ -353,7 +351,6 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		Interact:        p.cfg.interact,
 		Seed:            p.cfg.seed,
 		Retry:           p.cfg.retry,
-		VisitBudgetMs:   p.cfg.visitBudget,
 		ProgressStats:   p.cfg.progressStats,
 		Artifacts:       p.artifacts,
 		DisablePooling:  p.cfg.noPooling,
@@ -371,25 +368,12 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		opts.Breaker.Enabled = true
 		opts.Breaker.Autopilot = true
 	}
-	pol := p.cfg.guard
-	factories := p.cfg.middleware
-	if pol != nil || len(factories) > 0 {
+	if pol := p.cfg.guard; pol != nil {
 		opts.PerVisit = func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
-			// Middleware wraps innermost first. The crawler's recorder is
-			// already innermost; user middleware goes next so it observes
-			// the post-enforcement operations the measurement logs; the
-			// guard wraps outermost, filtering before anything records.
-			var mw []browser.CookieMiddleware
-			var attach func(*browser.Browser)
-			for _, f := range factories {
-				mw = append(mw, f())
-			}
-			if pol != nil {
-				g := guard.New(*pol)
-				mw = append(mw, g.Middleware())
-				attach = func(b *browser.Browser) { g.AttachBrowser(b) }
-			}
-			return mw, attach
+			// The crawler's recorder is innermost; the guard wraps it,
+			// filtering before anything records.
+			g := guard.New(*pol)
+			return []browser.CookieMiddleware{g.Middleware()}, g.AttachBrowser
 		}
 	}
 	return opts

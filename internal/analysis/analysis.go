@@ -106,8 +106,7 @@ type runState struct {
 	// Finalize sorts the groups and rebuilds Events in that order, so
 	// the finalized event sequence depends only on the observed log
 	// multiset, never on observation order — the property that lets
-	// shard-merged and completion-order-fed runs produce identical
-	// Results.
+	// sorted and completion-order-fed runs produce identical Results.
 	groups []evGroup
 	// obsSeq counts observations; it tie-breaks duplicate (site,
 	// vantage, persona) groups, which a real crawl never produces.
@@ -326,12 +325,10 @@ type VantageStats struct {
 // fault-free web leaves every count at zero.
 type FailureStats struct {
 	VisitsFailed   int `json:"visits_failed"`   // visits with no usable landing document
-	VisitsDegraded int `json:"visits_degraded"` // retained visits that lost a subresource or hit the deadline
+	VisitsDegraded int `json:"visits_degraded"` // retained visits with at least one failed request
 
-	// VisitFailures counts visits by failure class: the fatal class of
-	// each lost visit, plus "deadline" for retained visits whose budget
-	// expired mid-visit — so its total can exceed VisitsFailed by
-	// exactly the deadline-degraded count.
+	// VisitFailures counts lost visits by their fatal failure class, so
+	// its total is VisitsFailed.
 	VisitFailures   map[string]int `json:"visit_failures,omitempty"`
 	RequestFailures map[string]int `json:"request_failures,omitempty"` // failure class → failed request count
 	RequestsFailed  int            `json:"requests_failed"`            // total failed requests (all classes)
@@ -349,9 +346,6 @@ func (f *FailureStats) observe(v *instrument.VisitLog) {
 		f.VisitFailures[class]++
 	} else if v.Degraded() {
 		f.VisitsDegraded++
-		if v.Failure != "" { // mid-visit deadline on a retained visit
-			f.VisitFailures[v.Failure]++
-		}
 	}
 	for i := range v.Requests {
 		r := &v.Requests[i]
@@ -488,8 +482,8 @@ func (a *Analyzer) Observe(v instrument.VisitLog) {
 // The finalized Results are canonical: events are ordered by (site,
 // vantage) group — not by observation order — and each pair's API
 // attribution comes from the canonically-first ensure, so any feed order
-// of the same log multiset (streaming completion order, sorted batches,
-// shard-merged fan-out) finalizes to identical Results.
+// of the same log multiset (streaming completion order, sorted batches)
+// finalizes to identical Results.
 func (a *Analyzer) Finalize() *Results {
 	st := a.state()
 	a.st = nil
@@ -504,7 +498,11 @@ func (a *Analyzer) Finalize() *Results {
 // Snapshot must not run concurrently with Observe on the same Analyzer:
 // call it from the goroutine that feeds it, between two Observes.
 func (a *Analyzer) Snapshot() *Results {
-	return Merge(a)
+	dst := newRunState()
+	if a.st != nil {
+		foldState(dst, a.st)
+	}
+	return finalizeState(dst)
 }
 
 // finalizeState canonicalizes and aggregates an owned run state into its

@@ -300,9 +300,8 @@ type stableResults struct {
 
 // StableJSON encodes the finalized Results deterministically: equal
 // Results (same observed log multiset) produce equal bytes, independent
-// of observation order, shard count, or worker count. It is the byte
-// representation behind /v1/results and the shard-merge equivalence
-// contract.
+// of observation order or worker count. It is the byte representation
+// behind /v1/results and the order-independence contract.
 func (r *Results) StableJSON() ([]byte, error) {
 	byAPI := make(map[string]int, len(r.PairsByAPI))
 	for api, n := range r.PairsByAPI {

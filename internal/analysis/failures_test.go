@@ -8,8 +8,7 @@ import (
 )
 
 // failureLogs is a small fixed mix: one clean visit, one degraded visit
-// (failed script with retries), one deadline-degraded visit, and two
-// fatal visits (timeout, http).
+// (failed script with retries), and two fatal visits (timeout, http).
 func failureLogs() []instrument.VisitLog {
 	clean := baseLog()
 	clean.Cookies = []instrument.CookieEvent{writeEv(instrument.APIDocument, "a", "1", setterJS, 60)}
@@ -21,16 +20,12 @@ func failureLogs() []instrument.VisitLog {
 		Failed: true, Failure: "conn-reset", Retries: 2, MainFrame: true,
 	})
 
-	deadline := baseLog()
-	deadline.Cookies = clean.Cookies
-	deadline.Failure = "deadline"
-
 	timedOut := instrument.VisitLog{Site: "down.example", OK: false, Failure: "timeout",
 		Error: "netsim: injected timeout: www.down.example"}
 	serverErr := instrument.VisitLog{Site: "broken.example", OK: false, Failure: "http",
 		Error: "browser: visit https://www.broken.example/: document status 503"}
 
-	return []instrument.VisitLog{clean, degraded, deadline, timedOut, serverErr}
+	return []instrument.VisitLog{clean, degraded, timedOut, serverErr}
 }
 
 func TestFailureRollup(t *testing.T) {
@@ -39,13 +34,13 @@ func TestFailureRollup(t *testing.T) {
 	if f.VisitsFailed != 2 {
 		t.Errorf("VisitsFailed = %d, want 2", f.VisitsFailed)
 	}
-	if f.VisitsDegraded != 2 {
-		t.Errorf("VisitsDegraded = %d, want 2 (failed-script + deadline visits)", f.VisitsDegraded)
+	if f.VisitsDegraded != 1 {
+		t.Errorf("VisitsDegraded = %d, want 1 (the failed-script visit)", f.VisitsDegraded)
 	}
 	if f.RequestsFailed != 1 || f.Retries != 2 {
 		t.Errorf("RequestsFailed=%d Retries=%d, want 1 and 2", f.RequestsFailed, f.Retries)
 	}
-	wantVisit := map[string]int{"timeout": 1, "http": 1, "deadline": 1}
+	wantVisit := map[string]int{"timeout": 1, "http": 1}
 	if !reflect.DeepEqual(f.VisitFailures, wantVisit) {
 		t.Errorf("VisitFailures = %v, want %v", f.VisitFailures, wantVisit)
 	}
@@ -56,7 +51,6 @@ func TestFailureRollup(t *testing.T) {
 
 	rows := res.FailureTable()
 	want := []FailureRow{
-		{Scope: "visit", Class: "deadline", Count: 1},
 		{Scope: "visit", Class: "http", Count: 1},
 		{Scope: "visit", Class: "timeout", Count: 1},
 		{Scope: "request", Class: "conn-reset", Count: 1},
@@ -67,8 +61,8 @@ func TestFailureRollup(t *testing.T) {
 
 	// Fatal visits are excluded from the measurement, not from the
 	// rollup: they count toward SitesTotal but not SitesComplete.
-	if res.Summary.SitesTotal != 5 || res.Summary.SitesComplete != 3 {
-		t.Errorf("SitesTotal=%d SitesComplete=%d, want 5 and 3",
+	if res.Summary.SitesTotal != 4 || res.Summary.SitesComplete != 2 {
+		t.Errorf("SitesTotal=%d SitesComplete=%d, want 4 and 2",
 			res.Summary.SitesTotal, res.Summary.SitesComplete)
 	}
 }

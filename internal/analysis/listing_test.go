@@ -33,7 +33,7 @@ func siteRowsJSON(t *testing.T, r *Results) []byte {
 // when older snapshots are encoded again after newer ones, the listing
 // equals json.Marshal(SiteRows()) byte for byte.
 func TestSiteListingMatchesSiteRows(t *testing.T) {
-	logs := shardFixture(60)
+	logs := fixtureLogs(60)
 	for i := range logs {
 		if i%5 == 0 { // a second vantage of an already-seen site
 			v := logs[i/2]
@@ -106,7 +106,7 @@ func TestSiteListingEmpty(t *testing.T) {
 // TestSiteListingReusesRows: encoding unchanged Results again reuses
 // every row's bytes, and a changed site gets a new encoding.
 func TestSiteListingReusesRows(t *testing.T) {
-	logs := shardFixture(30)
+	logs := fixtureLogs(30)
 	a := New()
 	first := a.Run(logs)
 	var l SiteListing
@@ -168,7 +168,7 @@ func TestSiteListingReusesRows(t *testing.T) {
 // on finalized Results and on a copy with its Events reversed, and
 // reports unknown sites as absent.
 func TestSiteRowMatchesSiteRows(t *testing.T) {
-	fin := New().Run(shardFixture(40))
+	fin := New().Run(fixtureLogs(40))
 	rev := *fin
 	rev.Events = nil
 	for i := len(fin.Events) - 1; i >= 0; i-- {

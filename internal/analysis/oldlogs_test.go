@@ -1,0 +1,96 @@
+package analysis
+
+import (
+	"encoding/json"
+	"testing"
+
+	"cookieguard/internal/instrument"
+)
+
+// oldFormatLine is one visit record as crawls wrote it while reads still
+// recorded the cookies they returned (value), every cookie event its
+// attribution stack, and every script record its parent. The reader
+// script, injected by the setter, exfiltrates the setter's _uid,
+// overwrites its _ga, and reads through document.cookie, cookieStore.get
+// and cookieStore.getAll.
+const oldFormatLine = `{"site":"shop.example","url":"https://www.shop.example/","ok":true,` +
+	`"cookies":[` +
+	`{"op":"write","api":"document.cookie","name":"_uid","value":"uid4433236411aa","max_age":3600,"script_url":"https://cdn.tracker.example/set.js","script_domain":"tracker.example","stack":["https://cdn.tracker.example/set.js"],"main_frame":true},` +
+	`{"op":"write","api":"document.cookie","name":"_ga","value":"GA1.1.444332364.1746838827","max_age":3600,"script_url":"https://cdn.tracker.example/set.js","script_domain":"tracker.example","stack":["https://cdn.tracker.example/set.js"],"main_frame":true},` +
+	`{"op":"write","api":"cookieStore","name":"cs_id","value":"csvalue1234567","max_age":600,"script_url":"https://cdn.tracker.example/set.js","script_domain":"tracker.example","stack":["https://cdn.tracker.example/set.js"],"main_frame":true},` +
+	`{"op":"read","api":"document.cookie","value":"_uid=uid4433236411aa; _ga=GA1.1.444332364.1746838827; cs_id=csvalue1234567","script_url":"https://cdn.other.example/read.js","script_domain":"other.example","stack":["https://cdn.other.example/read.js"],"main_frame":true},` +
+	`{"op":"read","api":"cookieStore","name":"cs_id","value":"cs_id=csvalue1234567","script_url":"https://cdn.other.example/read.js","script_domain":"other.example","stack":["https://cdn.other.example/read.js"],"main_frame":true},` +
+	`{"op":"read","api":"cookieStore","value":"_uid=uid4433236411aa; _ga=GA1.1.444332364.1746838827; cs_id=csvalue1234567","script_url":"https://cdn.other.example/read.js","script_domain":"other.example","stack":["https://cdn.other.example/read.js"],"main_frame":true},` +
+	`{"op":"write","api":"document.cookie","name":"_ga","value":"GA1.1.999999999.1746838827","max_age":7200,"script_url":"https://cdn.other.example/read.js","script_domain":"other.example","stack":["https://cdn.other.example/read.js"],"main_frame":true}],` +
+	`"requests":[` +
+	`{"url":"https://www.shop.example/","kind":"document","main_frame":true},` +
+	`{"url":"https://cdn.tracker.example/set.js","kind":"script","main_frame":true},` +
+	`{"url":"https://cdn.other.example/read.js","kind":"script","main_frame":true},` +
+	`{"url":"https://px.dest.example/t?u=dWlkNDQzMzIzNjQxMWFh","kind":"beacon","initiator_script":"https://cdn.other.example/read.js","initiator_domain":"other.example","main_frame":true}],` +
+	`"scripts":[` +
+	`{"url":"https://cdn.tracker.example/set.js","domain":"tracker.example"},` +
+	`{"url":"https://cdn.other.example/read.js","domain":"other.example","parent":"https://cdn.tracker.example/set.js","inclusion_path":["https://cdn.tracker.example/set.js"]}],` +
+	`"timing":{"DOMInteractive":12,"DOMContentLoaded":20,"LoadEvent":41}}`
+
+// dropRemovedFields rewrites a record line without a read's value, any
+// cookie event's stack and any script's parent: the line a crawl writes
+// today for the same visit.
+func dropRemovedFields(t *testing.T, line string) string {
+	t.Helper()
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rec["cookies"].([]any) {
+		ev := c.(map[string]any)
+		if ev["op"] == "read" {
+			delete(ev, "value")
+		}
+		delete(ev, "stack")
+	}
+	for _, s := range rec["scripts"].([]any) {
+		delete(s.(map[string]any), "parent")
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestOldFormatLogsFoldIdentically: a log written before reads lost their
+// value, events their stack and scripts their parent decodes (as
+// cmd/analyze decodes each line) and folds to the same StableJSON as the
+// same log without those fields, so logs from either format analyze the
+// same.
+func TestOldFormatLogsFoldIdentically(t *testing.T) {
+	fold := func(line string) ([]byte, *Results) {
+		t.Helper()
+		var v instrument.VisitLog
+		if err := json.Unmarshal([]byte(line), &v); err != nil {
+			t.Fatal(err)
+		}
+		an := New()
+		an.Observe(v)
+		res := an.Finalize()
+		return stableBytes(t, res), res
+	}
+	newLine := dropRemovedFields(t, oldFormatLine)
+	if len(newLine) >= len(oldFormatLine) {
+		t.Fatalf("dropping the removed fields did not shorten the line:\n%s", newLine)
+	}
+	oldBytes, res := fold(oldFormatLine)
+	newBytes, _ := fold(newLine)
+	if string(oldBytes) != string(newBytes) {
+		t.Fatalf("old-format line folds differently:\nold: %s\nnew: %s", oldBytes, newBytes)
+	}
+	kinds := map[ActionKind]bool{}
+	for _, e := range res.Events {
+		kinds[e.Kind] = true
+	}
+	s := res.Summary
+	if s.SitesComplete != 1 || s.SitesUsingDocCookie != 1 || s.SitesUsingCookieStore != 1 ||
+		!kinds[ActExfiltration] || !kinds[ActOverwriting] {
+		t.Errorf("fixture exercises too little: summary %+v, events %+v", s, res.Events)
+	}
+}

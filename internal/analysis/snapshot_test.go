@@ -8,13 +8,13 @@ import (
 	"cookieguard/internal/instrument"
 )
 
-// shardFixture builds n complete visits with unique sites (the pipeline
+// fixtureLogs builds n complete visits with unique sites (the pipeline
 // visits each (site, vantage) once per crawl) cycling through the
 // behaviours the analyzer detects — overwrite, delete, exfiltration,
 // HTTP-set clobber — plus periodic incomplete visits and a second
-// vantage, so every merge path (events, pairs, site actions, failures,
-// vantage rollups) is exercised.
-func shardFixture(n int) []instrument.VisitLog {
+// vantage, so every part of the state a snapshot copies (events, pairs,
+// site actions, failures, vantage rollups) is exercised.
+func fixtureLogs(n int) []instrument.VisitLog {
 	logs := make([]instrument.VisitLog, 0, n)
 	for i := 0; i < n; i++ {
 		site := fmt.Sprintf("site%03d.example", i)
@@ -73,45 +73,11 @@ func stableBytes(t *testing.T, r *Results) []byte {
 	return b
 }
 
-// TestMergeMatchesSingle is the shard-merge equivalence contract: for
-// N ∈ {1, 2, 8} shards, distributing the logs across shards (round-robin
-// and random assignment, in shuffled feed orders) and merging must
-// produce Results byte-identical to the single analyzer over the same
-// logs.
-func TestMergeMatchesSingle(t *testing.T) {
-	logs := shardFixture(60)
-	want := stableBytes(t, New().Run(logs))
-
-	for _, n := range []int{1, 2, 8} {
-		for trial := 0; trial < 3; trial++ {
-			rng := rand.New(rand.NewSource(int64(n*100 + trial)))
-			order := rng.Perm(len(logs))
-			shards := make([]*Analyzer, n)
-			for i := range shards {
-				shards[i] = New()
-			}
-			for k, idx := range order {
-				var si int
-				if trial%2 == 0 {
-					si = k % n // round-robin
-				} else {
-					si = rng.Intn(n) // uneven random assignment
-				}
-				shards[si].Observe(logs[idx])
-			}
-			got := stableBytes(t, Merge(shards...))
-			if string(got) != string(want) {
-				t.Fatalf("n=%d trial=%d: merged Results diverge from single analyzer\nwant: %s\ngot:  %s", n, trial, want, got)
-			}
-		}
-	}
-}
-
 // TestSnapshotNonDestructive: a Snapshot must not consume the
 // analyzer's state — observation continues and the final Finalize still
 // covers every log.
 func TestSnapshotNonDestructive(t *testing.T) {
-	logs := shardFixture(20)
+	logs := fixtureLogs(20)
 	want := stableBytes(t, New().Run(logs))
 
 	an := New()
@@ -129,20 +95,44 @@ func TestSnapshotNonDestructive(t *testing.T) {
 	}
 }
 
-// TestMergeEmptyShards: merging nil and never-observed shards yields the
-// same empty Results a fresh analyzer finalizes to.
+// TestMergeMatchesSingle is the fold's equivalence contract: Snapshot
+// merges an analyzer's accumulated state into a fresh one, and for
+// seeded shuffles of the feed order both that Snapshot and Finalize must
+// produce Results byte-identical to the single analyzer run over the
+// logs in order.
+func TestMergeMatchesSingle(t *testing.T) {
+	logs := fixtureLogs(60)
+	want := stableBytes(t, New().Run(logs))
+
+	for trial := 0; trial < 3; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		an := New()
+		for _, idx := range rng.Perm(len(logs)) {
+			an.Observe(logs[idx])
+		}
+		if got := stableBytes(t, an.Snapshot()); string(got) != string(want) {
+			t.Fatalf("trial=%d: Snapshot of shuffled feed diverges from single analyzer\nwant: %s\ngot:  %s", trial, want, got)
+		}
+		if got := stableBytes(t, an.Finalize()); string(got) != string(want) {
+			t.Fatalf("trial=%d: Finalize of shuffled feed diverges from single analyzer\nwant: %s\ngot:  %s", trial, want, got)
+		}
+	}
+}
+
+// TestMergeEmptyShards: folding a never-observed analyzer (its Snapshot)
+// yields the same empty Results a fresh analyzer finalizes to.
 func TestMergeEmptyShards(t *testing.T) {
 	want := stableBytes(t, New().Finalize())
-	got := stableBytes(t, Merge(nil, New(), nil))
+	got := stableBytes(t, New().Snapshot())
 	if string(got) != string(want) {
-		t.Fatalf("empty merge diverges: want %s got %s", want, got)
+		t.Fatalf("empty fold diverges: want %s got %s", want, got)
 	}
 }
 
 // TestSnapshotMatchesFinalize: a quiescent Snapshot equals Finalize.
 func TestSnapshotMatchesFinalize(t *testing.T) {
 	an := New()
-	for _, v := range shardFixture(15) {
+	for _, v := range fixtureLogs(15) {
 		an.Observe(v)
 	}
 	snap := stableBytes(t, an.Snapshot())
@@ -155,10 +145,10 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 // TestVantageInterleavingOrderIndependent feeds analysis a
 // multi-vantage crawl in two orders: consecutive per-vantage blocks,
 // and vantages interleaved as Stream's completion order can deliver
-// them. The canonical finalize must make both feeds — single analyzer
-// or a merge of several — byte-identical.
+// them. The canonical finalize must make both feeds byte-identical,
+// through Finalize and through a Snapshot taken after the last Observe.
 func TestVantageInterleavingOrderIndependent(t *testing.T) {
-	base := shardFixture(40)
+	base := fixtureLogs(40)
 	var blocked []instrument.VisitLog
 	for _, vant := range []string{"eu-west", "us-east"} {
 		for _, v := range base {
@@ -180,11 +170,11 @@ func TestVantageInterleavingOrderIndependent(t *testing.T) {
 	if got := stableBytes(t, New().Run(interleaved)); string(got) != string(want) {
 		t.Fatal("interleaved vantage feed diverges from blocked feed (single analyzer)")
 	}
-	shards := []*Analyzer{New(), New(), New(), New()}
-	for i, v := range interleaved {
-		shards[i%4].Observe(v)
+	an := New()
+	for _, v := range interleaved {
+		an.Observe(v)
 	}
-	if got := stableBytes(t, Merge(shards...)); string(got) != string(want) {
-		t.Fatal("interleaved vantage feed diverges from blocked feed (merged)")
+	if got := stableBytes(t, an.Snapshot()); string(got) != string(want) {
+		t.Fatal("interleaved vantage feed diverges from blocked feed (Snapshot)")
 	}
 }

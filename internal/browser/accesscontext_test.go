@@ -2,22 +2,21 @@ package browser
 
 import "testing"
 
-// TestAccessContextAllocs pins the cached attribution stack: accesses
-// within one frame share one stack and allocate nothing, and leaving the
-// frame rebuilds it.
+// TestAccessContextAllocs pins that attributing a cookie access or a
+// request costs no allocation: the context carries only the innermost
+// frame's script.
 func TestAccessContextAllocs(t *testing.T) {
 	p := &Page{URL: "https://www.shop.example/", mainFrame: true}
 	p.pushFrame(frame{scriptURL: "https://tracker.example/a.js"})
-	first := p.accessContext()
 	var ctx AccessContext
 	if n := testing.AllocsPerRun(100, func() { ctx = p.accessContext() }); n != 0 {
-		t.Errorf("second accessContext in one frame: %v allocs, want 0", n)
+		t.Errorf("accessContext: %v allocs, want 0", n)
 	}
-	if len(ctx.Stack) != 1 || &ctx.Stack[0] != &first.Stack[0] || cap(ctx.Stack) != 1 {
-		t.Errorf("Stack = %v (cap %d), want the first call's cap-clipped slice %v", ctx.Stack, cap(ctx.Stack), first.Stack)
+	if ctx.ScriptURL != "https://tracker.example/a.js" || !ctx.MainFrame {
+		t.Errorf("ctx = %+v, want the pushed frame's script in the main frame", ctx)
 	}
 	p.popFrame()
-	if got := p.accessContext().Stack; got == nil || len(got) != 0 {
-		t.Errorf("Stack after popFrame = %#v, want empty", got)
+	if got := p.accessContext(); got.ScriptURL != "" || got.Inline {
+		t.Errorf("ctx after popFrame = %+v, want page-level", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"time"
 
 	"cookieguard/internal/artifact"
 	"cookieguard/internal/cookiejar"
@@ -61,17 +60,6 @@ type Options struct {
 	// jittered backoff on the virtual clock. The zero value performs a
 	// single attempt, preserving the historical behaviour byte for byte.
 	Retry RetryPolicy
-	// VisitBudgetMs, when > 0, is the browser's total visit budget in
-	// virtual milliseconds, measured from construction. Once the budget
-	// is exhausted, in-flight page loads stop fetching and executing
-	// (degrading gracefully, keeping partial data) and further fetches
-	// fail with ErrVisitDeadline. The budget binds on the clock as it
-	// actually advances — subresources are charged sequentially and the
-	// parallel-resource model only credits the difference back into the
-	// reported LoadEvent milestone afterwards — so a resource-heavy page
-	// can exhaust the budget while its reported (parallel-model) load
-	// time stays below it; size budgets against sequential fetch cost.
-	VisitBudgetMs float64
 	// Gate, when set, vets every fetch before its first attempt: a host
 	// the gate rejects is shed with FailCircuitOpen — no attempts, no
 	// virtual time. The crawler's circuit breaker installs its per-round
@@ -111,7 +99,6 @@ type Browser struct {
 	rng      *stats.Rand
 	retryRng *stats.Rand // backoff jitter; separate stream so retries
 	// never perturb the interaction/rand_id draws of the page itself
-	deadline time.Time // zero = no visit budget
 
 	// hostOutcomes accumulates per-host fetch accounting for the
 	// crawler's circuit breaker when Options.TrackHosts is set.
@@ -176,9 +163,6 @@ func New(opts Options) (*Browser, error) {
 		ProtoMinor: 1,
 		Header:     b.hdr,
 	}
-	if opts.VisitBudgetMs > 0 {
-		b.deadline = opts.Clock.Now().Add(time.Duration(opts.VisitBudgetMs * float64(time.Millisecond)))
-	}
 	var api CookieAPI = NewDirectCookieAPI(b.jar)
 	for _, mw := range opts.CookieMiddleware {
 		api = mw(api)
@@ -208,12 +192,6 @@ func (b *Browser) Visit(url string) (*Page, error) {
 		return p, fmt.Errorf("browser: visit %s: %w", url, err)
 	}
 	return p, nil
-}
-
-// DeadlineExceeded reports whether the visit budget (if any) has been
-// exhausted on the virtual clock.
-func (b *Browser) DeadlineExceeded() bool {
-	return !b.deadline.IsZero() && b.clock.Now().After(b.deadline)
 }
 
 // fetch performs one network exchange, advancing the clock by the
@@ -304,9 +282,6 @@ func (b *Browser) HostReport() []HostOutcome {
 // are wrapped in *url.Error exactly as http.Client would, keeping
 // recorded error strings byte-identical.
 func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
-	if b.DeadlineExceeded() {
-		return fetchResult{failure: FailDeadline, err: ErrVisitDeadline}
-	}
 	var u *url.URL
 	if b.opts.Pooling && urlutil.ParseCanonical(&b.url, rawURL) {
 		u = &b.url

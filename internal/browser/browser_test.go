@@ -199,7 +199,7 @@ func TestInjectionChainTracking(t *testing.T) {
 		t.Fatal("gtm should be direct")
 	}
 	child := byURL["https://tracker.example/child.js"]
-	if child.Direct() || child.Parent != "https://tagmgr.example/gtm.js" {
+	if len(child.InclusionPath) != 1 || child.InclusionPath[0] != "https://tagmgr.example/gtm.js" {
 		t.Fatalf("child = %+v", child)
 	}
 	leaf := byURL["https://deep.example/leaf.js"]

@@ -16,24 +16,18 @@ import (
 
 // AccessContext identifies who is performing a cookie operation. It is the
 // analogue of the JavaScript stack trace the paper's extension inspects to
-// find "the last external script URL" (§6.2).
+// find "the last external script URL" (§6.2): the script that attribution
+// needs is the innermost executing one, so that is all it carries.
 type AccessContext struct {
 	// PageURL is the URL of the document whose cookie jar is accessed.
 	PageURL string
 	// ScriptURL is the URL of the executing script; empty for inline
 	// scripts and page-level code, whose origin cannot be attributed.
+	// For deferred callbacks it is the registering script unless
+	// attribution was dropped (paper §8, async loss).
 	ScriptURL string
 	// Inline reports that the executing code is an inline script.
 	Inline bool
-	// Stack is the chain of script URLs active at the call, outermost
-	// first. For deferred callbacks it is the registering script's
-	// stack unless attribution was dropped (paper §8, async loss).
-	//
-	// The slice is shared and read-only: the page hands the same slice
-	// to every access and request record until its execution stack
-	// changes, and records keep it. Never write its elements; its
-	// capacity is clipped, so an append copies.
-	Stack []string
 	// MainFrame reports whether the access happens in the main frame.
 	MainFrame bool
 }

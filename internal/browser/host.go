@@ -41,7 +41,7 @@ func (h *hostBinding) CookieStoreDelete(name string) {
 }
 
 // Send issues a script-initiated GET (image pixel / fetch beacon). The
-// request is recorded with full stack attribution before the network
+// request is recorded with its initiating script before the network
 // attempt, mirroring Network.requestWillBeSent, and failures are
 // classified on the record but otherwise ignored, just like a dropped
 // tracking pixel.
@@ -67,7 +67,7 @@ func (h *hostBinding) Inject(src string) {
 		// Inline or page-level injector: mark the hop as inline.
 		path = append(path, "inline:"+p.URL)
 	}
-	p.injectQ = append(p.injectQ, injection{src: full, parent: fr.scriptURL, path: path})
+	p.injectQ = append(p.injectQ, injection{src: full, path: path})
 }
 
 func (h *hostBinding) DOMSetText(id, text string) bool {

@@ -45,8 +45,7 @@ func (k RequestKind) String() string {
 type Request struct {
 	URL             string
 	Kind            RequestKind
-	InitiatorScript string   // "" = the page itself
-	Stack           []string // script URL chain at initiation
+	InitiatorScript string // "" = the page itself
 	Failed          bool
 	// Failure classifies the terminal failure (FailNone on success) and
 	// Retries counts attempts beyond the first; both stay zero-valued on
@@ -60,11 +59,9 @@ type ScriptExec struct {
 	// URL of the external script; "" for inline scripts.
 	URL    string
 	Inline bool
-	// Parent is the script that injected this one; "" when included
-	// directly in the page HTML.
-	Parent string
 	// InclusionPath is the chain of injecting script URLs from the
-	// HTML down to (excluding) this script.
+	// HTML down to (excluding) this script; its last element is the
+	// script that injected this one.
 	InclusionPath []string
 	// Err is the parse or runtime error, if the script failed.
 	Err error
@@ -119,10 +116,6 @@ type Page struct {
 	Requests []Request
 	Timing   Timing
 
-	// DeadlineHit records that the visit budget expired while loading
-	// this page: the load stopped gracefully with partial data.
-	DeadlineHit bool
-
 	// Frames holds sub-pages loaded in iframes (SOP-isolated: their
 	// scripts ran against their own origin and cannot touch this page).
 	Frames []*Page
@@ -131,11 +124,6 @@ type Page struct {
 	mainFrame bool
 
 	execStack []frame
-	// stack is accessContext's Stack for the current execStack, or nil
-	// when it must be rebuilt: pushFrame, popFrame and release set it to
-	// nil. Every stack handed out is a fresh, non-nil, cap-clipped slice
-	// that is never written again, so records may keep it.
-	stack     []string
 	injectQ   []injection
 	deferQ    []deferredTask
 	clicks    []clickHandler
@@ -171,9 +159,8 @@ func (p *Page) resolve(ref string) string {
 }
 
 type injection struct {
-	src    string
-	parent string
-	path   []string
+	src  string
+	path []string
 }
 
 func newPage(b *Browser, url string, mainFrame bool) *Page {
@@ -237,11 +224,8 @@ func (p *Page) load() error {
 	// 3. Execute scripts in document order (parser-blocking, as real
 	// classic scripts are).
 	for _, s := range p.Doc.Scripts() {
-		if p.budgetExhausted() {
-			break
-		}
 		if src := s.Attr("src"); src != "" {
-			p.runExternal(p.resolve(src), "", nil)
+			p.runExternal(p.resolve(src), nil)
 		} else {
 			p.runInline(s.InnerText())
 		}
@@ -259,7 +243,6 @@ func (p *Page) load() error {
 
 	// 6. Injected scripts arrive after DCL (async insertion), then
 	// deferred callbacks.
-	p.drainInjections()
 	p.drainDeferred()
 
 	p.Timing.LoadEvent = p.elapsed() - p.parallelCredit
@@ -304,9 +287,6 @@ func (p *Page) loadSubresources() {
 	// failure is classified on its request record and the load goes on.
 	startMS := b.clock.UnixMillis()
 	for _, r := range resources {
-		if p.budgetExhausted() {
-			break
-		}
 		preMS := b.clock.UnixMillis()
 		p.recordRequest(r.url, r.kind, frame{})
 		p.noteResult(r.url, b.fetch(r.url))
@@ -320,9 +300,6 @@ func (p *Page) loadSubresources() {
 	// document fails is dropped; the failure class lands on the parent's
 	// frame request.
 	for _, f := range p.Doc.IFrames() {
-		if p.budgetExhausted() {
-			break
-		}
 		src := p.resolve(f.Attr("src"))
 		preMS := b.clock.UnixMillis()
 		p.recordRequest(src, ReqFrame, frame{})
@@ -355,34 +332,27 @@ func (p *Page) loadSubresources() {
 
 // drainInjections executes dynamically injected scripts breadth-first.
 // The queue is consumed by index rather than by re-slicing the head, so
-// a recycled page keeps the queue's full backing array; any tail left
-// unprocessed on budget exhaustion is compacted to the front for a later
-// drain (Click).
+// a recycled page keeps the queue's full backing array.
 func (p *Page) drainInjections() {
-	i := 0
-	for i < len(p.injectQ) && !p.budgetExhausted() {
+	for i := 0; i < len(p.injectQ); i++ {
 		inj := p.injectQ[i]
-		i++
 		if len(inj.path) > p.browser.opts.MaxInjectionDepth {
 			continue
 		}
-		p.runExternal(inj.src, inj.parent, inj.path)
+		p.runExternal(inj.src, inj.path)
 	}
-	p.injectQ = append(p.injectQ[:0], p.injectQ[i:]...)
+	p.injectQ = p.injectQ[:0]
 }
 
-// drainDeferred runs setTimeout-style callbacks (which may inject more
-// scripts or defer more work). Same index-based consumption as
-// drainInjections, for the same backing-array reasons.
+// drainDeferred runs the injected scripts queued so far, then
+// setTimeout-style callbacks (which may inject more scripts or defer more
+// work), draining each callback's injections before the next callback.
+// Same index-based consumption as drainInjections, for the same
+// backing-array reasons.
 func (p *Page) drainDeferred() {
-	i := 0
-	for (i < len(p.deferQ) || len(p.injectQ) > 0) && !p.budgetExhausted() {
-		if i >= len(p.deferQ) {
-			p.drainInjections()
-			continue
-		}
+	p.drainInjections()
+	for i := 0; i < len(p.deferQ); i++ {
 		task := p.deferQ[i]
-		i++
 		fr := task.frame
 		if p.browser.opts.DropAsyncAttribution {
 			fr = frame{} // stack lost: unattributable (paper §8)
@@ -392,13 +362,13 @@ func (p *Page) drainDeferred() {
 		p.popFrame()
 		p.drainInjections()
 	}
-	p.deferQ = append(p.deferQ[:0], p.deferQ[i:]...)
+	p.deferQ = p.deferQ[:0]
 }
 
 // runExternal fetches and executes an external script. A failed fetch
 // degrades gracefully: the script is recorded as failed with its class
 // and the page load continues.
-func (p *Page) runExternal(src, parent string, path []string) {
+func (p *Page) runExternal(src string, path []string) {
 	if p.scriptCnt >= p.browser.opts.MaxScriptsPerPage {
 		return
 	}
@@ -409,7 +379,7 @@ func (p *Page) runExternal(src, parent string, path []string) {
 		fr.failure = FailHTTP // a script needs its content; 4xx is fatal
 	}
 	p.noteResult(src, fr)
-	exec := ScriptExec{URL: src, Parent: parent, InclusionPath: append([]string(nil), path...)}
+	exec := ScriptExec{URL: src, InclusionPath: append([]string(nil), path...)}
 	if fr.err != nil || fr.status >= 400 {
 		exec.Err = fmt.Errorf("fetch script %s: status=%d err=%w", src, fr.status, errOr(fr.err))
 		p.Scripts = append(p.Scripts, exec)
@@ -472,17 +442,14 @@ func (p *Page) execScript(source, sourceHash string, fr frame, exec *ScriptExec)
 	p.browser.clock.AdvanceMillis(float64(exec.Steps) * p.browser.opts.ExecCostPerStep)
 }
 
-// pushFrame enters fr; the attribution stack is rebuilt on next use.
+// pushFrame enters fr.
 func (p *Page) pushFrame(fr frame) {
 	p.execStack = append(p.execStack, fr)
-	p.stack = nil
 }
 
-// popFrame leaves the innermost frame; the attribution stack is rebuilt
-// on next use.
+// popFrame leaves the innermost frame.
 func (p *Page) popFrame() {
 	p.execStack = p.execStack[:len(p.execStack)-1]
-	p.stack = nil
 }
 
 // currentFrame returns the executing frame (zero when page-level).
@@ -494,35 +461,21 @@ func (p *Page) currentFrame() frame {
 }
 
 // accessContext builds the attribution context for the current execution.
-// Its Stack is built once per execution-stack change and shared by every
-// call until the next one (see AccessContext.Stack).
 func (p *Page) accessContext() AccessContext {
-	if p.stack == nil {
-		stack := make([]string, 0, len(p.execStack))
-		for _, f := range p.execStack {
-			if f.scriptURL != "" {
-				stack = append(stack, f.scriptURL)
-			}
-		}
-		p.stack = stack[:len(stack):len(stack)]
-	}
 	fr := p.currentFrame()
 	return AccessContext{
 		PageURL:   p.URL,
 		ScriptURL: fr.scriptURL,
 		Inline:    fr.inline,
-		Stack:     p.stack,
 		MainFrame: p.mainFrame,
 	}
 }
 
 func (p *Page) recordRequest(url string, kind RequestKind, fr frame) {
-	ctx := p.accessContext()
 	p.Requests = append(p.Requests, Request{
 		URL:             url,
 		Kind:            kind,
 		InitiatorScript: fr.scriptURL,
-		Stack:           ctx.Stack,
 	})
 }
 
@@ -542,17 +495,6 @@ func (p *Page) noteResult(url string, r fetchResult) {
 	}
 }
 
-// budgetExhausted reports whether the browser's visit budget has run
-// out, latching the deadline marker on the page: the load stops starting
-// new work but keeps everything gathered so far.
-func (p *Page) budgetExhausted() bool {
-	if p.browser.DeadlineExceeded() {
-		p.DeadlineHit = true
-		return true
-	}
-	return false
-}
-
 // Click simulates a user click: fires every registered click handler and
 // returns how many ran. The crawler's light interaction (§4.2) calls this.
 func (p *Page) Click() int {
@@ -563,7 +505,6 @@ func (p *Page) Click() int {
 		p.popFrame()
 		n++
 	}
-	p.drainInjections()
 	p.drainDeferred()
 	return n
 }
@@ -586,7 +527,6 @@ func (p *Page) ClickID(id string) int {
 		p.popFrame()
 		n++
 	}
-	p.drainInjections()
 	p.drainDeferred()
 	return n
 }

@@ -107,13 +107,11 @@ func (p *Page) release() {
 	p.Scripts = p.Scripts[:0]
 	p.Requests = p.Requests[:0]
 	p.Timing = Timing{}
-	p.DeadlineHit = false
 	p.Frames = p.Frames[:0] // frame pages are tracked (and released) by the browser
 	p.browser = nil
 	p.binding.page = nil
 	p.mainFrame = false
 	p.execStack = p.execStack[:0]
-	p.stack = nil
 	p.injectQ = p.injectQ[:0]
 	p.deferQ = p.deferQ[:0]
 	p.clicks = p.clicks[:0]

@@ -1,11 +1,11 @@
 package browser
 
 // Crawl-side resilience: a bounded retry policy with seeded jittered
-// backoff on the virtual clock, per-visit deadlines, and the failure
-// taxonomy that classifies every way a fetch can go wrong. Document
-// failures abort a page load (there is nothing to render); everything
-// below the document — scripts, subresources, frames, beacons — degrades
-// gracefully and is recorded on the page instead.
+// backoff on the virtual clock, and the failure taxonomy that classifies
+// every way a fetch can go wrong. Document failures abort a page load
+// (there is nothing to render); everything below the document — scripts,
+// subresources, frames, beacons — degrades gracefully and is recorded on
+// the page instead.
 
 import (
 	"errors"
@@ -30,7 +30,6 @@ const (
 	FailTimeout     FailureClass = "timeout"      // connection or host-flap timeout
 	FailHTTP        FailureClass = "http"         // final response status >= 400
 	FailTruncated   FailureClass = "truncated"    // body cut short mid-transfer
-	FailDeadline    FailureClass = "deadline"     // visit budget exhausted
 	FailCircuitOpen FailureClass = "circuit-open" // fetch shed: the host's circuit is open
 	FailInternal    FailureClass = "internal"     // request construction etc.
 )
@@ -58,8 +57,8 @@ func (f FailureClass) Transient() bool {
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget per fetch (1 or 0 = no
 	// retries). Only transient failures are retried: connection resets,
-	// timeouts, truncated bodies, and 5xx responses. DNS failures, 4xx
-	// responses, and deadline exhaustion are terminal.
+	// timeouts, truncated bodies, and 5xx responses. DNS failures and
+	// 4xx responses are terminal.
 	MaxAttempts   int
 	BackoffBaseMs float64 // default 50
 	BackoffFactor float64 // default 2
@@ -104,10 +103,6 @@ func (rp RetryPolicy) backoffMs(attempt int, rng *stats.Rand) float64 {
 	}
 	return d * (1 + jitter*(2*rng.Float64()-1))
 }
-
-// ErrVisitDeadline is returned when the visit budget (Options.
-// VisitBudgetMs) is exhausted before a fetch can start.
-var ErrVisitDeadline = errors.New("browser: visit deadline exceeded")
 
 // ErrCircuitOpen is returned when Options.Gate sheds a fetch because the
 // target host's circuit is open. Shed fetches burn no attempts and no
@@ -182,9 +177,6 @@ func classifyFetchError(err error) FailureClass {
 	if errors.Is(err, io.ErrUnexpectedEOF) {
 		return FailTruncated
 	}
-	if errors.Is(err, ErrVisitDeadline) {
-		return FailDeadline
-	}
 	if errors.Is(err, ErrCircuitOpen) {
 		return FailCircuitOpen
 	}
@@ -192,8 +184,7 @@ func classifyFetchError(err error) FailureClass {
 }
 
 // retryable reports whether a failed attempt may be retried: transient
-// network faults and server-side 5xx yes; NXDOMAIN, client errors, and an
-// exhausted visit budget no.
+// network faults and server-side 5xx yes; NXDOMAIN and client errors no.
 func retryable(f FailureClass, status int) bool {
 	switch f {
 	case FailConnReset, FailTimeout, FailTruncated:

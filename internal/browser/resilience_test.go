@@ -148,35 +148,3 @@ func TestGracefulSubresourceDegradation(t *testing.T) {
 		t.Fatalf("failed script not recorded: %+v", p.Scripts)
 	}
 }
-
-// TestVisitBudgetDeadline: once the visit budget is exhausted on the
-// virtual clock, the page stops starting new work but keeps what it has,
-// and further fetches fail with the deadline class.
-func TestVisitBudgetDeadline(t *testing.T) {
-	in := resilienceNet(t)
-	// Budget of 1 virtual ms: the document fetch itself (≥8ms modelled
-	// latency) exhausts it, so scripts and subresources never start.
-	b, err := New(Options{Internet: in, VisitBudgetMs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := b.Visit("https://www.site.test/")
-	if err != nil {
-		t.Fatalf("deadline mid-load must degrade, not abort: %v", err)
-	}
-	if !p.DeadlineHit {
-		t.Fatal("DeadlineHit not latched")
-	}
-	if len(p.Scripts) != 0 {
-		t.Fatalf("scripts ran after budget exhaustion: %+v", p.Scripts)
-	}
-	if got := b.fetch("https://cdn.test/lib.js"); got.failure != FailDeadline {
-		t.Fatalf("post-deadline fetch failure = %q, want deadline", got.failure)
-	}
-	// A generous budget changes nothing.
-	b2, _ := New(Options{Internet: in, VisitBudgetMs: 1e9})
-	p2, err := b2.Visit("https://www.site.test/")
-	if err != nil || p2.DeadlineHit || len(p2.Scripts) != 1 {
-		t.Fatalf("generous budget perturbed the visit: err=%v page=%+v", err, p2)
-	}
-}

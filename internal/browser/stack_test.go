@@ -8,9 +8,7 @@ import (
 	"cookieguard/internal/jsdsl"
 )
 
-// stackAPI records every cookie call's script and attribution stack. It
-// keeps the Stack slices themselves and formats them only at the end, so a
-// stack changed after it was handed out shows as well as a stale one.
+// stackAPI records every cookie call's attributed script.
 type stackAPI struct {
 	next  CookieAPI
 	calls *[]stackCall
@@ -19,11 +17,10 @@ type stackAPI struct {
 type stackCall struct {
 	op     string
 	script string
-	stack  []string
 }
 
 func (a *stackAPI) note(op string, ctx AccessContext) {
-	*a.calls = append(*a.calls, stackCall{op: op, script: ctx.ScriptURL, stack: ctx.Stack})
+	*a.calls = append(*a.calls, stackCall{op: op, script: ctx.ScriptURL})
 }
 
 func (a *stackAPI) GetDocumentCookie(ctx AccessContext) string {
@@ -56,12 +53,11 @@ func (a *stackAPI) StoreDelete(ctx AccessContext, n string) {
 	a.next.StoreDelete(ctx, n)
 }
 
-// TestAttributionStacks pins the Request.Stack and cookie-call stacks of
-// visits that push and pop the execution stack in every way a page can:
+// TestAttributionStacks pins the request initiator and cookie-call script
+// of visits that push and pop the execution stack in every way a page can:
 // scripts in document order, injected scripts, deferred callbacks with and
 // without async attribution, click and ClickID handlers, and a second
-// visit on pooled pages. The cached attribution stack must give exactly
-// the stacks that building one per call gives.
+// visit on pooled pages.
 func TestAttributionStacks(t *testing.T) {
 	const (
 		gtm   = "https://tagmgr.example/gtm.js"
@@ -143,10 +139,10 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				v.after(p)
 			}
 			for _, r := range p.Requests {
-				lines = append(lines, fmt.Sprintf("req %s %s %v", r.Kind, r.URL, r.Stack))
+				lines = append(lines, fmt.Sprintf("req %s %s %q", r.Kind, r.URL, r.InitiatorScript))
 			}
 			for _, c := range calls {
-				lines = append(lines, fmt.Sprintf("%s %q %v", c.op, c.script, c.stack))
+				lines = append(lines, fmt.Sprintf("%s %q", c.op, c.script))
 			}
 			b.Release()
 		}
@@ -163,92 +159,92 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 			name:   "nested injection",
 			visits: []visit{{html: page(gtm, "")}},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://tagmgr.example/gtm.js []",
-				"req beacon https://collect.example/gtm?c=1 [https://tagmgr.example/gtm.js]",
-				"req beacon https://collect.example/inline []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req script https://tracker.example/child.js []",
-				"req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_gtm%3D1%3B+_inline%3D1%3B+_child%3D1 [https://tracker.example/child.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				`set "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`get "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`set "" []`,
-				`set "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tagmgr.example/gtm.js ""`,
+				`req beacon https://collect.example/gtm?c=1 "https://tagmgr.example/gtm.js"`,
+				`req beacon https://collect.example/inline ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req script https://tracker.example/child.js ""`,
+				`req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_gtm%3D1%3B+_inline%3D1%3B+_child%3D1 "https://tracker.example/child.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`set "https://tagmgr.example/gtm.js"`,
+				`get "https://tagmgr.example/gtm.js"`,
+				`set ""`,
+				`set "https://tracker.example/child.js"`,
+				`get "https://tracker.example/child.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
 			},
 		},
 		{
 			name:   "deferred callbacks",
 			visits: []visit{{html: page(async, "")}},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://tracker.example/async.js []",
-				"req beacon https://collect.example/sync [https://tracker.example/async.js]",
-				"req beacon https://collect.example/inline []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req beacon https://collect.example/async?a=1 [https://tracker.example/async.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=null [https://deep.example/leaf.js]",
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`set "" []`,
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`get "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-delete "https://tracker.example/async.js" [https://tracker.example/async.js]`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tracker.example/async.js ""`,
+				`req beacon https://collect.example/sync "https://tracker.example/async.js"`,
+				`req beacon https://collect.example/inline ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req beacon https://collect.example/async?a=1 "https://tracker.example/async.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=null "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/async.js"`,
+				`set ""`,
+				`set "https://tracker.example/async.js"`,
+				`get "https://tracker.example/async.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`store-delete "https://tracker.example/async.js"`,
 			},
 		},
 		{
 			name:   "deferred callbacks, async attribution dropped",
 			visits: []visit{{html: page(async, ""), drop: true}},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://tracker.example/async.js []",
-				"req beacon https://collect.example/sync [https://tracker.example/async.js]",
-				"req beacon https://collect.example/inline []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req beacon https://collect.example/async?a=1 []",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=null [https://deep.example/leaf.js]",
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`set "" []`,
-				`set "" []`,
-				`get "" []`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-delete "" []`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tracker.example/async.js ""`,
+				`req beacon https://collect.example/sync "https://tracker.example/async.js"`,
+				`req beacon https://collect.example/inline ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req beacon https://collect.example/async?a=1 ""`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=null "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/async.js"`,
+				`set ""`,
+				`set ""`,
+				`get ""`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`store-delete ""`,
 			},
 		},
 		{
 			name:   "click handlers",
 			visits: []visit{{html: page(click, gtm), after: func(p *Page) { p.Click(); p.Click() }}},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://tracker.example/click.js []",
-				"req script https://tagmgr.example/gtm.js []",
-				"req beacon https://collect.example/gtm?c=1 [https://tagmgr.example/gtm.js]",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req script https://tracker.example/child.js []",
-				"req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_armed%3D1%3B+_gtm%3D1%3B+_child%3D1 [https://tracker.example/child.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				"req beacon https://collect.example/click?c=1 [https://tracker.example/click.js]",
-				"req beacon https://collect.example/click?c=1 [https://tracker.example/click.js]",
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`set "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`get "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`set "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`get "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`get "https://tracker.example/click.js" [https://tracker.example/click.js]`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tracker.example/click.js ""`,
+				`req script https://tagmgr.example/gtm.js ""`,
+				`req beacon https://collect.example/gtm?c=1 "https://tagmgr.example/gtm.js"`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req script https://tracker.example/child.js ""`,
+				`req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_armed%3D1%3B+_gtm%3D1%3B+_child%3D1 "https://tracker.example/child.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`req beacon https://collect.example/click?c=1 "https://tracker.example/click.js"`,
+				`req beacon https://collect.example/click?c=1 "https://tracker.example/click.js"`,
+				`set "https://tracker.example/click.js"`,
+				`set "https://tagmgr.example/gtm.js"`,
+				`get "https://tagmgr.example/gtm.js"`,
+				`set "https://tracker.example/child.js"`,
+				`get "https://tracker.example/child.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/click.js"`,
+				`get "https://tracker.example/click.js"`,
+				`set "https://tracker.example/click.js"`,
+				`get "https://tracker.example/click.js"`,
 			},
 		},
 		{
@@ -260,24 +256,24 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				p.ClickID("reject")
 			}}},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://cmp.example/cmp.js []",
-				"req script https://tracker.example/click.js []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req script https://tracker.example/child.js []",
-				"req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_armed%3D1%3B+consent%3Dyes%3B+_child%3D1 [https://tracker.example/child.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				"req beacon https://collect.example/click?c=1 [https://tracker.example/click.js]",
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`set "https://cmp.example/cmp.js" [https://cmp.example/cmp.js]`,
-				`set "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`get "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`set "https://cmp.example/cmp.js" [https://cmp.example/cmp.js]`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://cmp.example/cmp.js ""`,
+				`req script https://tracker.example/click.js ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req script https://tracker.example/child.js ""`,
+				`req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_armed%3D1%3B+consent%3Dyes%3B+_child%3D1 "https://tracker.example/child.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`req beacon https://collect.example/click?c=1 "https://tracker.example/click.js"`,
+				`set "https://tracker.example/click.js"`,
+				`set "https://cmp.example/cmp.js"`,
+				`set "https://tracker.example/child.js"`,
+				`get "https://tracker.example/child.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/click.js"`,
+				`get "https://tracker.example/click.js"`,
+				`set "https://cmp.example/cmp.js"`,
 			},
 		},
 		{
@@ -289,63 +285,63 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				{html: page(async), drop: true},
 			},
 			want: []string{
-				"req document https://www.shop.example/ []",
-				"req script https://tagmgr.example/gtm.js []",
-				"req beacon https://collect.example/gtm?c=1 [https://tagmgr.example/gtm.js]",
-				"req script https://tracker.example/async.js []",
-				"req beacon https://collect.example/sync [https://tracker.example/async.js]",
-				"req script https://tracker.example/click.js []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req script https://tracker.example/child.js []",
-				"req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_gtm%3D1%3B+_sync%3D1%3B+_armed%3D1%3B+_child%3D1 [https://tracker.example/child.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				"req beacon https://collect.example/async?a=1 [https://tracker.example/async.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				"req beacon https://collect.example/click?c=1 [https://tracker.example/click.js]",
-				`set "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`get "https://tagmgr.example/gtm.js" [https://tagmgr.example/gtm.js]`,
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`set "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`get "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-delete "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`set "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				`get "https://tracker.example/click.js" [https://tracker.example/click.js]`,
-				"req document https://www.shop.example/ []",
-				"req script https://cmp.example/cmp.js []",
-				"req beacon https://collect.example/inline []",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req script https://tracker.example/child.js []",
-				"req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_inline%3D1%3B+consent%3Dyes%3B+_child%3D1 [https://tracker.example/child.js]",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=1 [https://deep.example/leaf.js]",
-				`set "" []`,
-				`set "https://cmp.example/cmp.js" [https://cmp.example/cmp.js]`,
-				`set "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://tracker.example/child.js" [https://tracker.example/child.js]`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				"req document https://www.shop.example/ []",
-				"req script https://tracker.example/async.js []",
-				"req beacon https://collect.example/sync [https://tracker.example/async.js]",
-				"req subresource https://www.shop.example/pixel.gif []",
-				"req beacon https://collect.example/async?a=1 []",
-				"req script https://deep.example/leaf.js []",
-				"req beacon https://collect.example/leaf?c=null [https://deep.example/leaf.js]",
-				`set "https://tracker.example/async.js" [https://tracker.example/async.js]`,
-				`set "" []`,
-				`get "" []`,
-				`get "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-set "https://deep.example/leaf.js" [https://deep.example/leaf.js]`,
-				`store-delete "" []`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tagmgr.example/gtm.js ""`,
+				`req beacon https://collect.example/gtm?c=1 "https://tagmgr.example/gtm.js"`,
+				`req script https://tracker.example/async.js ""`,
+				`req beacon https://collect.example/sync "https://tracker.example/async.js"`,
+				`req script https://tracker.example/click.js ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req script https://tracker.example/child.js ""`,
+				`req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_gtm%3D1%3B+_sync%3D1%3B+_armed%3D1%3B+_child%3D1 "https://tracker.example/child.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`req beacon https://collect.example/async?a=1 "https://tracker.example/async.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`req beacon https://collect.example/click?c=1 "https://tracker.example/click.js"`,
+				`set "https://tagmgr.example/gtm.js"`,
+				`get "https://tagmgr.example/gtm.js"`,
+				`set "https://tracker.example/async.js"`,
+				`set "https://tracker.example/click.js"`,
+				`set "https://tracker.example/child.js"`,
+				`get "https://tracker.example/child.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/async.js"`,
+				`get "https://tracker.example/async.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`store-delete "https://tracker.example/async.js"`,
+				`set "https://tracker.example/click.js"`,
+				`get "https://tracker.example/click.js"`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://cmp.example/cmp.js ""`,
+				`req beacon https://collect.example/inline ""`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req script https://tracker.example/child.js ""`,
+				`req beacon https://collect.example/child?all=srv_pref%3Dblue%3B+_inline%3D1%3B+consent%3Dyes%3B+_child%3D1 "https://tracker.example/child.js"`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=1 "https://deep.example/leaf.js"`,
+				`set ""`,
+				`set "https://cmp.example/cmp.js"`,
+				`set "https://tracker.example/child.js"`,
+				`get "https://tracker.example/child.js"`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`req document https://www.shop.example/ ""`,
+				`req script https://tracker.example/async.js ""`,
+				`req beacon https://collect.example/sync "https://tracker.example/async.js"`,
+				`req subresource https://www.shop.example/pixel.gif ""`,
+				`req beacon https://collect.example/async?a=1 ""`,
+				`req script https://deep.example/leaf.js ""`,
+				`req beacon https://collect.example/leaf?c=null "https://deep.example/leaf.js"`,
+				`set "https://tracker.example/async.js"`,
+				`set ""`,
+				`get ""`,
+				`get "https://deep.example/leaf.js"`,
+				`store-set "https://deep.example/leaf.js"`,
+				`store-delete ""`,
 			},
 		},
 	}
@@ -353,7 +349,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 		t.Run(c.name, func(t *testing.T) {
 			got := run(t, c.pooled, c.visits)
 			if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
-				t.Errorf("stacks:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+				t.Errorf("attribution:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.want, "\n"))
 			}
 		})
 	}

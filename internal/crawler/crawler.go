@@ -10,8 +10,7 @@
 //
 // The crawl does not assume a perfect network: when the fabric injects
 // faults (netsim.SetFaultModel), Options.Retry bounds per-fetch retries
-// with seeded backoff, Options.VisitBudgetMs caps each visit on the
-// virtual clock, failed subresources degrade gracefully instead of
+// with seeded backoff, failed subresources degrade gracefully instead of
 // aborting the visit, and every failure is classified into the taxonomy
 // that instrument.VisitLog records and analysis rolls up. All of it is
 // deterministic: a fixed seed and fault config reproduce the same
@@ -88,8 +87,9 @@ type Options struct {
 	// PerVisit, when set, is invoked once per visit and supplies extra
 	// cookie middleware (innermost first) plus an optional hook called
 	// with the freshly created browser (e.g. to attach a CookieGuard
-	// instance's jar observer). The instrumentation recorder always
-	// wraps last (outermost), observing post-enforcement behaviour.
+	// instance's jar observer). The instrumentation recorder is always
+	// innermost, so it logs only what passes the extra middleware: the
+	// post-enforcement behaviour.
 	PerVisit func() (mw []browser.CookieMiddleware, attach func(*browser.Browser))
 	// Seed differentiates browser randomness across visits.
 	Seed uint64
@@ -98,12 +98,6 @@ type Options struct {
 	// the virtual clock. The zero value disables retrying, preserving
 	// historical behaviour byte for byte.
 	Retry browser.RetryPolicy
-	// VisitBudgetMs, when > 0, is each visit's total budget in virtual
-	// milliseconds (landing load plus interaction). An exhausted budget
-	// degrades gracefully: in-flight page loads stop starting new work,
-	// the interaction loop ends, and the visit log is retained with its
-	// partial data and a "deadline" failure mark.
-	VisitBudgetMs float64
 	// Artifacts is the content-addressed cache shared by every worker's
 	// browser (compiled scripts, DOM templates). Nil crawls uncached:
 	// every visit re-parses every byte. Cached and uncached crawls of
@@ -1139,7 +1133,6 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 		Seed:             seed,
 		Artifacts:        opts.Artifacts,
 		Retry:            opts.Retry,
-		VisitBudgetMs:    opts.VisitBudgetMs,
 		Pooling:          !opts.DisablePooling,
 		Gate:             gate,
 		AttemptBase:      attemptBase,
@@ -1186,12 +1179,6 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 		current := landing
 		current.Scroll()
 		for c := 0; c < maxClicks; c++ {
-			if b.DeadlineExceeded() {
-				// Budget exhausted between pages: keep what we have and
-				// latch the deadline so the visit log records it.
-				current.DeadlineHit = true
-				break
-			}
 			current.Click()
 			link := current.RandomLink()
 			b.Clock().AdvanceMillis(2000) // the paper's two-second pause

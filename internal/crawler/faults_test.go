@@ -193,30 +193,3 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 		t.Fatal("failed visit passed the completeness filter")
 	}
 }
-
-// TestVisitBudgetRetainsPartialVisit: a tight visit budget ends the
-// interaction early but the visit is retained, marked "deadline".
-func TestVisitBudgetRetainsPartialVisit(t *testing.T) {
-	w, sites := buildSites(t, 8)
-	res, err := crawlAll(context.Background(), sites[:4], Options{
-		Internet:      w.BuildInternet(),
-		Workers:       2,
-		Interact:      true,
-		VisitBudgetMs: 500, // less than one two-second interaction pause
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	marked := 0
-	for _, v := range res {
-		if v.Failure == string(browser.FailDeadline) {
-			marked++
-			if !v.OK {
-				t.Errorf("site %s: deadline visit lost its data (ok=false)", v.Site)
-			}
-		}
-	}
-	if marked == 0 {
-		t.Fatal("no visit recorded the exhausted budget")
-	}
-}

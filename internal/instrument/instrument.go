@@ -48,9 +48,11 @@ type CookieEvent struct {
 	Op  Op  `json:"op"`
 	API API `json:"api"`
 
-	// Name/Value: for writes and deletes, the affected cookie; for
-	// reads, Value holds the full returned cookie string and Name is
-	// empty (a getAll) or the requested name (cookieStore.get).
+	// Name/Value: for writes, deletes and HTTP sets, the affected
+	// cookie. A read records only that the jar was read and through
+	// which API, which is all the analysis counts (§4.4): Name is the
+	// requested name of a cookieStore.get, empty for document.cookie
+	// and getAll, and Value is always empty.
 	Name  string `json:"name,omitempty"`
 	Value string `json:"value,omitempty"`
 
@@ -60,11 +62,10 @@ type CookieEvent struct {
 	MaxAge int64  `json:"max_age,omitempty"`
 
 	// Attribution.
-	ScriptURL    string   `json:"script_url,omitempty"`
-	ScriptDomain string   `json:"script_domain,omitempty"`
-	Inline       bool     `json:"inline,omitempty"`
-	Stack        []string `json:"stack,omitempty"`
-	MainFrame    bool     `json:"main_frame"`
+	ScriptURL    string `json:"script_url,omitempty"`
+	ScriptDomain string `json:"script_domain,omitempty"`
+	Inline       bool   `json:"inline,omitempty"`
+	MainFrame    bool   `json:"main_frame"`
 }
 
 // RequestEvent is one recorded outbound request. Failure carries the
@@ -87,12 +88,12 @@ type RequestEvent struct {
 	MainFrame       bool   `json:"main_frame"`
 }
 
-// ScriptRecord is one executed script with its inclusion path.
+// ScriptRecord is one executed script with its inclusion path, whose
+// last element is the script that injected it.
 type ScriptRecord struct {
 	URL           string   `json:"url,omitempty"`
 	Domain        string   `json:"domain,omitempty"`
 	Inline        bool     `json:"inline,omitempty"`
-	Parent        string   `json:"parent,omitempty"`
 	InclusionPath []string `json:"inclusion_path,omitempty"`
 	Failed        bool     `json:"failed,omitempty"`
 }
@@ -114,11 +115,10 @@ type VisitLog struct {
 	URL   string `json:"url"`
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Failure classifies the visit in the crawl failure taxonomy. With
-	// OK false it is the fatal class of the landing-load failure (dns,
-	// conn-reset, timeout, http, truncated, deadline, circuit-open,
-	// internal); with OK true it is either empty or "deadline" — the
-	// visit budget expired mid-visit and the partial data was retained.
+	// Failure is the fatal class of the landing-load failure in the
+	// crawl failure taxonomy (dns, conn-reset, timeout, http, truncated,
+	// circuit-open, internal) when OK is false, and empty when OK is
+	// true.
 	Failure string `json:"failure,omitempty"`
 	// Vantage names the vantage point the visit was crawled from, empty
 	// for the implicit default vantage — so single-vantage records are
@@ -145,9 +145,8 @@ type VisitLog struct {
 //
 // The predicate is deliberately insensitive to *degradation*: a visit
 // whose landing document loaded (OK) is retained even when individual
-// subresources, scripts, or frames failed, and even when the visit
-// budget expired mid-visit (Failure == "deadline") — exactly as the
-// paper retains crawls that lost a tracking pixel but not the page. Only
+// subresources, scripts, or frames failed — exactly as the paper
+// retains crawls that lost a tracking pixel but not the page. Only
 // a fatal landing failure (OK == false) or missing cookie/request data
 // disqualifies a visit; per-request failures stay visible through
 // RequestEvent.Failed/Failure and feed the analysis failure table.
@@ -156,11 +155,8 @@ func (v VisitLog) Complete() bool {
 }
 
 // Degraded reports whether a retained visit lost something along the
-// way: at least one failed request, or a mid-visit deadline.
+// way: at least one failed request.
 func (v VisitLog) Degraded() bool {
-	if v.Failure != "" {
-		return true
-	}
 	for _, r := range v.Requests {
 		if r.Failed {
 			return true
@@ -308,9 +304,6 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 			v.URL = p.URL
 			v.Timing = p.Timing
 		}
-		if p.DeadlineHit && v.Failure == "" {
-			v.Failure = string(browser.FailDeadline)
-		}
 		for _, req := range p.Requests {
 			v.Requests = append(v.Requests, RequestEvent{
 				URL:             req.URL,
@@ -328,7 +321,6 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 				URL:           se.URL,
 				Domain:        urlutil.RegistrableDomain(se.URL),
 				Inline:        se.Inline,
-				Parent:        se.Parent,
 				InclusionPath: se.InclusionPath,
 				Failed:        se.Err != nil,
 			})
@@ -360,16 +352,13 @@ func (a *recordingAPI) base(ctx browser.AccessContext, op Op, api API) CookieEve
 		ScriptURL:    ctx.ScriptURL,
 		ScriptDomain: ctx.ScriptDomain(),
 		Inline:       ctx.Inline,
-		Stack:        ctx.Stack,
 		MainFrame:    ctx.MainFrame,
 	}
 }
 
 func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext) string {
 	out := a.next.GetDocumentCookie(ctx)
-	ev := a.base(ctx, OpRead, APIDocument)
-	ev.Value = out
-	a.rec.append(ev)
+	a.rec.append(a.base(ctx, OpRead, APIDocument))
 	return out
 }
 
@@ -384,22 +373,13 @@ func (a *recordingAPI) StoreGet(ctx browser.AccessContext, name string) (jsdsl.C
 	rec, ok := a.next.StoreGet(ctx, name)
 	ev := a.base(ctx, OpRead, APICookieStore)
 	ev.Name = name
-	if ok {
-		ev.Value = rec.Name + "=" + rec.Value
-	}
 	a.rec.append(ev)
 	return rec, ok
 }
 
 func (a *recordingAPI) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecord {
 	recs := a.next.StoreGetAll(ctx)
-	ev := a.base(ctx, OpRead, APICookieStore)
-	pairs := make([]string, len(recs))
-	for i, rec := range recs {
-		pairs[i] = rec.Name + "=" + rec.Value
-	}
-	ev.Value = strings.Join(pairs, "; ")
-	a.rec.append(ev)
+	a.rec.append(a.base(ctx, OpRead, APICookieStore))
 	return recs
 }
 

@@ -242,3 +242,97 @@ func TestReleasedRecorderLeavesBuiltLogIntact(t *testing.T) {
 		t.Fatalf("log cookies changed after Release:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestReadRecordsCarryOnlyWhatAnalysisReads: a read records that the jar
+// was read, through which API, for which requested name and by which
+// script, and never the cookies it returned. No event carries a stack and
+// no script record a parent; an injected script's injector is the last
+// element of its inclusion path.
+func TestReadRecordsCarryOnlyWhatAnalysisReads(t *testing.T) {
+	const (
+		tag    = "https://tagmgr.example/gtm.js"
+		reader = "https://reader.example/r.js"
+	)
+	in := netsim.New()
+	in.RegisterFunc("www.shop.example", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprintf(w, `<html><head><script src="%s"></script></head><body></body></html>`, tag)
+	})
+	in.RegisterFunc("tagmgr.example", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `set_cookie("_uid", "uid4433236411aa", {"max_age": 3600});
+cookiestore_set("cs_c", "csvalue123", {"max_age": 60});
+inject(%q);`, reader)
+	})
+	in.RegisterFunc("reader.example", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `let a = get_cookie("_uid");
+let b = cookiestore_get("cs_c");
+let c = cookiestore_get_all();`)
+	})
+	rec := NewRecorder()
+	defer rec.Release()
+	b, err := browser.New(browser.Options{
+		Internet:         in,
+		CookieMiddleware: []browser.CookieMiddleware{rec.Middleware()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.ObserveJar(b.Jar())
+	p, err := b.Visit("https://www.shop.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rec.BuildVisitLog("shop.example", []*browser.Page{p}, nil)
+	line, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Cookies []map[string]any `json:"cookies"`
+		Scripts []map[string]any `json:"scripts"`
+	}
+	if err := json.Unmarshal(line, &got); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []map[string]any{
+		{"op": "read", "api": "document.cookie"},
+		{"op": "read", "api": "cookieStore", "name": "cs_c"},
+		{"op": "read", "api": "cookieStore"},
+	}
+	var reads []map[string]any
+	for _, ev := range got.Cookies {
+		if _, ok := ev["stack"]; ok {
+			t.Errorf("event carries a stack: %v", ev)
+		}
+		if ev["op"] != "read" {
+			continue
+		}
+		for k, wantV := range map[string]any{
+			"script_url": reader, "script_domain": "reader.example", "main_frame": true,
+		} {
+			if ev[k] != wantV {
+				t.Errorf("read %v: %s = %v, want %v", ev, k, ev[k], wantV)
+			}
+		}
+		delete(ev, "script_url")
+		delete(ev, "script_domain")
+		delete(ev, "main_frame")
+		reads = append(reads, ev)
+	}
+	if !reflect.DeepEqual(reads, want) {
+		t.Errorf("read events (attribution removed) = %v, want %v", reads, want)
+	}
+
+	if len(got.Scripts) != 2 {
+		t.Fatalf("scripts = %v, want the tag and the script it injected", got.Scripts)
+	}
+	for _, s := range got.Scripts {
+		if _, ok := s["parent"]; ok {
+			t.Errorf("script record carries a parent: %v", s)
+		}
+	}
+	if path := got.Scripts[1]["inclusion_path"]; !reflect.DeepEqual(path, []any{tag}) || got.Scripts[1]["url"] != reader {
+		t.Errorf("injected script = %v, want %s with inclusion_path [%s]", got.Scripts[1], reader, tag)
+	}
+}

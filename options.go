@@ -4,12 +4,6 @@ package cookieguard
 // applied in order by New; later options override earlier ones.
 type Option func(*config)
 
-// MiddlewareFactory produces a fresh CookieMiddleware for one visit.
-// Visits run concurrently and each browser is isolated, so stateful
-// middleware (recorders, counters, guards) must be constructed per visit
-// rather than shared.
-type MiddlewareFactory = func() CookieMiddleware
-
 // config is the resolved option set of a Pipeline.
 type config struct {
 	sites         int
@@ -17,13 +11,11 @@ type config struct {
 	workers       int
 	interact      bool
 	guard         *Policy
-	middleware    []MiddlewareFactory
 	progressStats func(ProgressStats)
 	noArtifacts   bool
 	noPooling     bool
 	faults        *FaultConfig
 	retry         RetryPolicy
-	visitBudget   float64
 	secondPass    bool
 	breaker       Breaker
 	autopilot     bool
@@ -65,16 +57,6 @@ func WithGuard(pol Policy) Option {
 	return func(c *config) { c.guard = &pol }
 }
 
-// WithMiddleware registers per-visit cookie middleware factories. Each
-// visit calls every factory once and installs the returned middleware
-// between the pipeline's instrumentation recorder (innermost) and the
-// guard (outermost, when one is enabled), so registered middleware
-// observes post-enforcement operations — the same traffic the
-// measurement records.
-func WithMiddleware(factories ...MiddlewareFactory) Option {
-	return func(c *config) { c.middleware = append(c.middleware, factories...) }
-}
-
 // WithFaults subjects the pipeline's network fabric to a seeded
 // deterministic fault schedule: 5xx responses, connection resets,
 // timeouts, truncated bodies, tail-latency spikes, and per-host flap
@@ -99,14 +81,6 @@ func WithFaults(cfg FaultConfig) Option {
 // terminates within MaxAttempts tries per fetch.
 func WithRetryPolicy(rp RetryPolicy) Option {
 	return func(c *config) { c.retry = rp }
-}
-
-// WithVisitBudget caps each visit at ms virtual milliseconds (landing
-// load plus interaction). An exhausted budget degrades gracefully: the
-// visit keeps its partial data and is marked with the "deadline"
-// failure class. Zero (the default) disables the deadline.
-func WithVisitBudget(ms float64) Option {
-	return func(c *config) { c.visitBudget = ms }
 }
 
 // WithProgressStats registers the crawl's progress callback, invoked

@@ -11,13 +11,16 @@ import (
 )
 
 // pr7GoldenHashes pin the exact bytes PR 7 emitted for two persona-free
-// configurations (captured from the pre-refactor tree). The crawl-plan
-// unit refactor must reproduce them bit for bit: a config that never
-// mentions personas crawls exactly one implicit-persona lane per
-// vantage and its records carry no persona field at all.
+// configurations (captured from the pre-refactor tree), less the fields
+// records no longer carry: a read's value, a cookie event's stack and a
+// script's parent. They were re-recorded by zeroing exactly those fields
+// on the tree that still wrote them. The crawl-plan unit refactor must
+// reproduce them bit for bit: a config that never mentions personas
+// crawls exactly one implicit-persona lane per vantage and its records
+// carry no persona field at all.
 const (
-	pr7GoldenClean   = "dd851277250af051203e790f3d2c4770ae5f3029d5e0aff30361d94e5cefc91b"
-	pr7GoldenFaulted = "9ca5b446bc335f34548164e0b3a08ab3a33c11326629fe35ef06739e5e13653f"
+	pr7GoldenClean   = "65e5252fcc1bd7cc870947feaf66c396c759360ffba5e7a348c7e2f8b6bfac42"
+	pr7GoldenFaulted = "68ccb378861226cd13f193d01b003b39249a57438b149d80469b62ff2578937c"
 )
 
 // crawlDigest streams the pipeline and returns the sha256 over the
@@ -72,11 +75,13 @@ func faultedGoldenOpts() []Option {
 // sequentialGolden* pin the bytes the former sequential multi-vantage
 // mode — one single-lane crawl per vantage, run one after another —
 // emitted for personaOpts(4) and personaFaultedOpts(4), recorded before
-// that mode was deleted. Every crawl now runs all lanes through one
-// pool, and must still reproduce them at any worker count.
+// that mode was deleted, and re-recorded like the pr7 goldens without a
+// read's value, a cookie event's stack and a script's parent. Every crawl
+// now runs all lanes through one pool, and must still reproduce them at
+// any worker count.
 const (
-	sequentialGoldenClean   = "aae43eb7f6b302ab44357fddbf2761cab29d4bfb438394b7cf2aa10643f35ac0"
-	sequentialGoldenFaulted = "607924bd6b631969db7587c6f4fff5161939062dd6ae7acc229c5d510f8d4e71"
+	sequentialGoldenClean   = "c84016b1cb5d90e793e0ee95c26d1698e3e710157457395cad3d969e0d867a2e"
+	sequentialGoldenFaulted = "b811ef35e246d1422bd4d4592162f382ec4e8235ccbae148e033bdaca4304562"
 )
 
 // personaOpts is the clean three-persona two-vantage configuration of

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cookieguard/internal/browser"
 )
 
 // collectStream drains p.Stream and returns every delivered log, in
@@ -130,44 +128,6 @@ func TestRunContextCancel(t *testing.T) {
 	if _, err := p.Run(ctx); err == nil {
 		t.Fatal("cancelled Run should report the context error")
 	}
-}
-
-// TestWithMiddleware: registered factories run once per visit and their
-// middleware sees the visit's cookie traffic.
-func TestWithMiddleware(t *testing.T) {
-	var visits, ops atomic.Int64
-	factory := func() CookieMiddleware {
-		visits.Add(1)
-		return func(next browser.CookieAPI) browser.CookieAPI {
-			return &countingAPI{CookieAPI: next, ops: &ops}
-		}
-	}
-	p := New(WithSites(12), WithInteract(true), WithMiddleware(factory))
-	if _, err := collectStream(p); err != nil {
-		t.Fatal(err)
-	}
-	if visits.Load() != 12 {
-		t.Errorf("factory invoked %d times, want once per visit (12)", visits.Load())
-	}
-	if ops.Load() == 0 {
-		t.Error("middleware observed no cookie operations")
-	}
-}
-
-// countingAPI counts document.cookie traffic and forwards everything.
-type countingAPI struct {
-	browser.CookieAPI
-	ops *atomic.Int64
-}
-
-func (c *countingAPI) GetDocumentCookie(ctx browser.AccessContext) string {
-	c.ops.Add(1)
-	return c.CookieAPI.GetDocumentCookie(ctx)
-}
-
-func (c *countingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
-	c.ops.Add(1)
-	c.CookieAPI.SetDocumentCookie(ctx, assignment)
 }
 
 // TestWithSeedReproducible: the same seed regenerates the same web; a
