@@ -330,7 +330,6 @@ func BenchmarkVisitAlloc(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec.ObserveJar(br.Jar())
 		p, err := br.Visit(site.URL)
 		log := rec.BuildVisitLog(site.Domain, []*browser.Page{p}, err)
 		br.Release()

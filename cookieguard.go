@@ -341,8 +341,8 @@ func errStream(err error) (<-chan VisitLog, <-chan error) {
 }
 
 // crawlOptions assembles the crawler configuration — every configured
-// (vantage, persona) lane through one worker pool — with a fresh guard
-// per visit when one is configured. p.jnl must be resolved
+// (vantage, persona) lane through one worker pool, guarded when a policy
+// is configured. p.jnl must be resolved
 // (ensureJournal) before any crawl options are built.
 func (p *Pipeline) crawlOptions() crawler.Options {
 	opts := crawler.Options{
@@ -355,7 +355,8 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		Artifacts:       p.artifacts,
 		DisablePooling:  p.cfg.noPooling,
 		Breaker:         p.cfg.breaker,
-		SecondPass:      crawler.SecondPass{Enabled: p.cfg.secondPass},
+		SecondPass:      p.cfg.secondPass,
+		Guard:           p.cfg.guard,
 		Vantages:        p.cfg.vantages,
 		Personas:        p.cfg.personas,
 		Stats:           p.sched,
@@ -367,14 +368,6 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		// order; WithBreaker's round size and reference cooldown apply.
 		opts.Breaker.Enabled = true
 		opts.Breaker.Autopilot = true
-	}
-	if pol := p.cfg.guard; pol != nil {
-		opts.PerVisit = func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
-			// The crawler's recorder is innermost; the guard wraps it,
-			// filtering before anything records.
-			g := guard.New(*pol)
-			return []browser.CookieMiddleware{g.Middleware()}, g.AttachBrowser
-		}
 	}
 	return opts
 }

@@ -75,7 +75,6 @@ if (fbp != null) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec.ObserveJar(b.Jar())
 	page, err := b.Visit("https://www.optimonk-like.example/")
 	if err != nil {
 		log.Fatal(err)

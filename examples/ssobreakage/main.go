@@ -41,19 +41,13 @@ let tok = get_cookie("sso_token");
 if (tok != null) { set_cookie("session_ok", "1", {"max_age": 3600}); }`)
 
 	check := func(label string, pol *guard.Policy) {
-		var mw []browser.CookieMiddleware
-		var g *guard.Guard
+		opts := browser.Options{Internet: in}
 		if pol != nil {
-			g = guard.New(*pol)
-			defer g.Close()
-			mw = append(mw, g.Middleware())
+			opts.CookieMiddleware = []browser.CookieMiddleware{guard.New(*pol).Middleware()}
 		}
-		b, err := browser.New(browser.Options{Internet: in, CookieMiddleware: mw})
+		b, err := browser.New(opts)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if g != nil {
-			g.AttachBrowser(b)
 		}
 		if _, err := b.Visit("https://www.meet-like.example/"); err != nil {
 			log.Fatal(err)

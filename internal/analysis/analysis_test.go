@@ -357,7 +357,7 @@ func TestMutationAnalysis(t *testing.T) {
 		writeEv(instrument.APIDocument, "x", "abcdefgh12345678", setterJS, 10),
 	}
 	v.Mutations = []instrument.MutationRecord{
-		{Kind: "text", TargetID: "banner", OwnerScript: "", ByScript: readerJS},
+		{Kind: "text", OwnerScript: "", ByScript: readerJS},
 	}
 	res := New().Run([]instrument.VisitLog{v})
 	if res.Summary.SitesWithCrossDomainDOM != 1 {
@@ -365,7 +365,7 @@ func TestMutationAnalysis(t *testing.T) {
 	}
 	// Same-domain mutation is not cross-domain.
 	v.Mutations = []instrument.MutationRecord{
-		{Kind: "text", TargetID: "banner", OwnerScript: "", ByScript: "https://cdn.shop.example/fp.js"},
+		{Kind: "text", OwnerScript: "", ByScript: "https://cdn.shop.example/fp.js"},
 	}
 	res = New().Run([]instrument.VisitLog{v})
 	if res.Summary.SitesWithCrossDomainDOM != 0 {

@@ -94,33 +94,17 @@ func checkSite(in *netsim.Internet, w *webgen.Web, s *webgen.Site, cond Conditio
 		Navigation: None, SSO: None, Appearance: None, Functionality: None,
 	}}
 
-	newBrowser := func() (*browser.Browser, *guard.Guard, error) {
-		var g *guard.Guard
-		var mw []browser.CookieMiddleware
-		switch cond {
-		case GuardStrict:
-			g = guard.New(guard.DefaultPolicy())
-		case GuardWhitelist:
-			g = guard.New(guard.WhitelistPolicy(w.Entities))
-		}
-		if g != nil {
-			mw = append(mw, g.Middleware())
-		}
-		b, err := browser.New(browser.Options{Internet: in, CookieMiddleware: mw, Seed: uint64(s.Rank), Artifacts: cache})
-		if err != nil {
-			return nil, nil, err
-		}
-		if g != nil {
-			g.AttachBrowser(b)
-		}
-		return b, g, nil
+	opts := browser.Options{Internet: in, Seed: uint64(s.Rank), Artifacts: cache}
+	switch cond {
+	case GuardStrict:
+		opts.CookieMiddleware = []browser.CookieMiddleware{guard.New(guard.DefaultPolicy()).Middleware()}
+	case GuardWhitelist:
+		opts.CookieMiddleware = []browser.CookieMiddleware{guard.New(guard.WhitelistPolicy(w.Entities)).Middleware()}
 	}
-
-	b, g, err := newBrowser()
+	b, err := browser.New(opts)
 	if err != nil {
 		return rep, err
 	}
-	defer closeGuard(g)
 
 	// --- Landing + appearance ---
 	landing, err := b.Visit(s.URL)
@@ -159,12 +143,6 @@ func checkSite(in *netsim.Internet, w *webgen.Web, s *webgen.Site, cond Conditio
 		rep.Results[SSO] = sev
 	}
 	return rep, nil
-}
-
-func closeGuard(g *guard.Guard) {
-	if g != nil {
-		g.Close()
-	}
 }
 
 // checkSSO runs the login flow: can the user sign in, and does the

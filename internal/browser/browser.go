@@ -27,15 +27,10 @@ type Options struct {
 	Transport netsim.Fetcher
 	// Clock is the virtual time source; a fresh one is created if nil.
 	Clock *vclock.Clock
-	// CookieMiddleware wraps the direct cookie API, innermost first.
-	// The instrumentation extension and CookieGuard install themselves
-	// here.
+	// CookieMiddleware installs cookie layers over the direct cookie
+	// API, innermost first. The instrumentation extension and
+	// CookieGuard install themselves here, each in one call.
 	CookieMiddleware []CookieMiddleware
-	// MaxInjectionDepth bounds transitive script-inclusion chains
-	// (defaults to 6); MaxScriptsPerPage bounds total executed scripts
-	// (defaults to 400).
-	MaxInjectionDepth int
-	MaxScriptsPerPage int
 	// DropAsyncAttribution models the stack-trace loss in asynchronous
 	// callbacks discussed in paper §8: when set, deferred callbacks
 	// execute with no script attribution.
@@ -43,11 +38,6 @@ type Options struct {
 	// Seed drives the browser-side PRNG (rand_id values, interaction
 	// choices).
 	Seed uint64
-	// ExecCostPerStep is the virtual milliseconds charged per
-	// interpreter step (default 0.002), and ParseCostPerKB the cost of
-	// HTML parsing per kilobyte (default 0.15).
-	ExecCostPerStep float64
-	ParseCostPerKB  float64
 	// Artifacts, when set, is the shared content-addressed cache for
 	// compiled scripts and DOM templates: identical bytes are parsed
 	// once per cache lifetime instead of once per page. The cache is
@@ -80,9 +70,7 @@ type Options struct {
 	// pools. It requires the explicit Release() lifecycle: the owner of
 	// the browser must call Release() once all data derived from the
 	// visit has been copied out, and must touch nothing of the visit
-	// afterwards. Fabric taps must not retain requests past the tap
-	// callback when pooling is on (the request is recycled across
-	// fetches). Off by default; pooled and unpooled visits produce
+	// afterwards. Off by default; pooled and unpooled visits produce
 	// byte-identical results.
 	Pooling bool
 }
@@ -128,18 +116,6 @@ func New(opts Options) (*Browser, error) {
 	if opts.Clock == nil {
 		opts.Clock = vclock.New()
 	}
-	if opts.MaxInjectionDepth <= 0 {
-		opts.MaxInjectionDepth = 6
-	}
-	if opts.MaxScriptsPerPage <= 0 {
-		opts.MaxScriptsPerPage = 400
-	}
-	if opts.ExecCostPerStep <= 0 {
-		opts.ExecCostPerStep = 0.002
-	}
-	if opts.ParseCostPerKB <= 0 {
-		opts.ParseCostPerKB = 0.15
-	}
 	rt := netsim.Fetcher(opts.Internet)
 	if opts.Transport != nil {
 		rt = opts.Transport
@@ -163,11 +139,10 @@ func New(opts Options) (*Browser, error) {
 		ProtoMinor: 1,
 		Header:     b.hdr,
 	}
-	var api CookieAPI = NewDirectCookieAPI(b.jar)
+	b.api = &directCookieAPI{jar: b.jar}
 	for _, mw := range opts.CookieMiddleware {
-		api = mw(api)
+		b.api = mw(b, b.api)
 	}
-	b.api = api
 	return b, nil
 }
 
@@ -176,9 +151,6 @@ func (b *Browser) Jar() *cookiejar.Jar { return b.jar }
 
 // Clock exposes the browser's virtual clock.
 func (b *Browser) Clock() *vclock.Clock { return b.clock }
-
-// CookieAPI returns the (wrapped) cookie API in use.
-func (b *Browser) CookieAPI() CookieAPI { return b.api }
 
 // Visit loads the page at url, executing its scripts to completion
 // (including injected ones and deferred callbacks), and returns the page.
@@ -274,11 +246,10 @@ func (b *Browser) HostReport() []HostOutcome {
 // slice and, for a canonical URL, the parsed URL are owned by the
 // browser and reused across fetches: a browser performs one exchange at
 // a time, and under the pooling contract nothing retains the exchange
-// past its round trip (taps must not keep the request). Without pooling
-// every fetch parses its URL and builds a fresh request, so taps may
-// keep it. The transport is called directly either way — the fabric
-// never redirects, so http.Client's redirect machinery (and its
-// per-request bookkeeping allocations) adds nothing; transport errors
+// past its round trip. Without pooling every fetch parses its URL and
+// builds a fresh request. The transport is called directly either way —
+// the fabric never redirects, so http.Client's redirect machinery (and
+// its per-request bookkeeping allocations) adds nothing; transport errors
 // are wrapped in *url.Error exactly as http.Client would, keeping
 // recorded error strings byte-identical.
 func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {

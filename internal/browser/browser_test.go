@@ -295,7 +295,7 @@ func TestDeferredCallbackAttribution(t *testing.T) {
 	in := testWeb(html, scripts)
 	b := newTestBrowser(t, in)
 	var setters []string
-	mw := func(next CookieAPI) CookieAPI {
+	mw := func(_ *Browser, next CookieAPI) CookieAPI {
 		return &recordingAPI{next: next, onSet: func(ctx AccessContext) {
 			setters = append(setters, ctx.ScriptURL)
 		}}
@@ -519,7 +519,7 @@ let v = get_cookie("x");
 if (v == null) { set_cookie("hidden", "yes"); }`,
 	}
 	in := testWeb(html, scripts)
-	blank := func(next CookieAPI) CookieAPI { return &blankReadAPI{next} }
+	blank := func(_ *Browser, next CookieAPI) CookieAPI { return &blankReadAPI{next} }
 	b, err := New(Options{Internet: in, CookieMiddleware: []CookieMiddleware{blank}})
 	if err != nil {
 		t.Fatal(err)

@@ -57,19 +57,18 @@ type CookieAPI interface {
 	StoreDelete(ctx AccessContext, name string)
 }
 
-// CookieMiddleware wraps a CookieAPI with additional behaviour.
-type CookieMiddleware func(next CookieAPI) CookieAPI
+// CookieMiddleware installs one cookie layer on a browser under
+// construction: it returns next wrapped with the layer's behaviour, and
+// in the same call may register jar observers on b (HTTP Set-Cookie
+// capture) and bind b's clock. The browser's jar and clock exist when it
+// runs; nothing has been fetched yet.
+type CookieMiddleware func(b *Browser, next CookieAPI) CookieAPI
 
 // directCookieAPI is the unwrapped browser behaviour: full access for
 // every script in the frame, exactly the missing-isolation baseline the
 // paper measures.
 type directCookieAPI struct {
 	jar *cookiejar.Jar
-}
-
-// NewDirectCookieAPI returns the baseline CookieAPI over jar.
-func NewDirectCookieAPI(jar *cookiejar.Jar) CookieAPI {
-	return &directCookieAPI{jar: jar}
 }
 
 func (d *directCookieAPI) GetDocumentCookie(ctx AccessContext) string {

@@ -10,6 +10,18 @@ import (
 	"cookieguard/internal/urlutil"
 )
 
+// Page-load limits and virtual costs: a script-inclusion chain deeper
+// than maxInjectionDepth is not followed, a page executes at most
+// maxScriptsPerPage scripts, each interpreter step costs execCostPerStep
+// virtual milliseconds, and HTML parsing costs parseCostPerKB per
+// kilobyte.
+const (
+	maxInjectionDepth = 6
+	maxScriptsPerPage = 400
+	execCostPerStep   = 0.002
+	parseCostPerKB    = 0.15
+)
+
 // RequestKind classifies observed network requests.
 type RequestKind int
 
@@ -214,7 +226,7 @@ func (p *Page) load() error {
 	// the artifact cache is an engine optimization, not a model of a
 	// browser cache — but with a cache the tree is parsed once per
 	// content and deep-cloned per page (pages mutate their DOM).
-	b.clock.AdvanceMillis(float64(len(body)) / 1024 * b.opts.ParseCostPerKB)
+	b.clock.AdvanceMillis(float64(len(body)) / 1024 * parseCostPerKB)
 	if b.opts.Artifacts != nil {
 		p.Doc = b.opts.Artifacts.Document(p.URL, artifact.KeyFor(bodyHash, body), body)
 	} else {
@@ -336,7 +348,7 @@ func (p *Page) loadSubresources() {
 func (p *Page) drainInjections() {
 	for i := 0; i < len(p.injectQ); i++ {
 		inj := p.injectQ[i]
-		if len(inj.path) > p.browser.opts.MaxInjectionDepth {
+		if len(inj.path) > maxInjectionDepth {
 			continue
 		}
 		p.runExternal(inj.src, inj.path)
@@ -369,7 +381,7 @@ func (p *Page) drainDeferred() {
 // degrades gracefully: the script is recorded as failed with its class
 // and the page load continues.
 func (p *Page) runExternal(src string, path []string) {
-	if p.scriptCnt >= p.browser.opts.MaxScriptsPerPage {
+	if p.scriptCnt >= maxScriptsPerPage {
 		return
 	}
 	p.scriptCnt++
@@ -398,7 +410,7 @@ func errOr(err error) error {
 
 // runInline executes an inline script (no attributable origin).
 func (p *Page) runInline(source string) {
-	if p.scriptCnt >= p.browser.opts.MaxScriptsPerPage {
+	if p.scriptCnt >= maxScriptsPerPage {
 		return
 	}
 	p.scriptCnt++
@@ -439,7 +451,7 @@ func (p *Page) execScript(source, sourceHash string, fr frame, exec *ScriptExec)
 	p.popFrame()
 	exec.Err = err
 	exec.Steps = interp.Steps()
-	p.browser.clock.AdvanceMillis(float64(exec.Steps) * p.browser.opts.ExecCostPerStep)
+	p.browser.clock.AdvanceMillis(float64(exec.Steps) * execCostPerStep)
 }
 
 // pushFrame enters fr.

@@ -120,7 +120,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 		var lines []string
 		for _, v := range visits {
 			var calls []stackCall
-			mw := func(next CookieAPI) CookieAPI { return &stackAPI{next: next, calls: &calls} }
+			mw := func(_ *Browser, next CookieAPI) CookieAPI { return &stackAPI{next: next, calls: &calls} }
 			b, err := New(Options{
 				Internet:             testWeb(v.html, scripts),
 				Seed:                 1,

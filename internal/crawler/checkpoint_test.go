@@ -35,7 +35,7 @@ func ckptOptions(in *netsim.Internet, workers int) Options {
 		Seed:       5,
 		Interact:   true,
 		Retry:      browser.RetryPolicy{MaxAttempts: 2},
-		SecondPass: SecondPass{Enabled: true},
+		SecondPass: true,
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8, Autopilot: true},
 		Vantages: []netsim.Vantage{
 			{Name: "eu-west"},

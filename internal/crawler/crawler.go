@@ -20,8 +20,9 @@
 // moment its visit ends, in completion order. Each lane visits its sites
 // in input order; a consul-style per-host circuit Breaker sheds fetches
 // and visits to hosts that keep failing ("circuit-open" instead of
-// burning the retry budget), a fault-aware SecondPass re-crawls the
-// transient failure set once the input order is exhausted, and a
+// burning the retry budget), the fault-aware second pass
+// (Options.SecondPass) re-crawls the transient failure set once the
+// input order is exhausted, and a
 // netsim.Vantage crawls the web from a named region's latency and fault
 // models. The default configuration — breaker off, second pass off,
 // implicit vantage — emits records byte-identical to the fixed
@@ -62,6 +63,7 @@ import (
 
 	"cookieguard/internal/artifact"
 	"cookieguard/internal/browser"
+	"cookieguard/internal/guard"
 	"cookieguard/internal/instrument"
 	"cookieguard/internal/journal"
 	"cookieguard/internal/netsim"
@@ -82,15 +84,11 @@ type Options struct {
 	Workers int
 	// Interact enables the light-interaction step (§4.2).
 	Interact bool
-	// MaxClicks bounds the random link clicks (default 3).
-	MaxClicks int
-	// PerVisit, when set, is invoked once per visit and supplies extra
-	// cookie middleware (innermost first) plus an optional hook called
-	// with the freshly created browser (e.g. to attach a CookieGuard
-	// instance's jar observer). The instrumentation recorder is always
-	// innermost, so it logs only what passes the extra middleware: the
-	// post-enforcement behaviour.
-	PerVisit func() (mw []browser.CookieMiddleware, attach func(*browser.Browser))
+	// Guard, when set, crawls with CookieGuard enforcing this policy: a
+	// fresh guard.Guard per visit, installed outside the instrumentation
+	// recorder, so the recorder logs only what passes the guard — the
+	// post-enforcement behaviour. Nil crawls unguarded.
+	Guard *guard.Policy
 	// Seed differentiates browser randomness across visits.
 	Seed uint64
 	// Retry bounds transient-fault retries per fetch (connection resets,
@@ -133,12 +131,20 @@ type Options struct {
 	// own circuits on its own virtual clock. The zero value (off)
 	// changes nothing.
 	Breaker Breaker
-	// SecondPass configures the fault-aware second pass: visits whose
-	// landing failed on a transient class are re-crawled once the
-	// primary frontier drains, and only the re-crawl's record is
-	// emitted. Per lane, like the breaker. The zero value (off)
-	// changes nothing.
-	SecondPass SecondPass
+	// SecondPass enables the fault-aware second pass: once the primary
+	// frontier drains, visits whose landing failed on a transient class
+	// (conn-reset, timeout, truncated — plus circuit-open sheds) are
+	// re-crawled, and only the re-crawl's record is emitted, exactly as
+	// a real measurement crawl re-runs its failure set and keeps the
+	// second result. The re-crawl is made distinguishable from the first
+	// attempt on every deterministic axis a later crawl differs on: its
+	// browser's virtual clock starts secondPassOffsetMs later (so host
+	// flap schedules can have moved on), and its request attempt numbers
+	// continue past the first pass's budget (so per-attempt fault
+	// decisions draw fresh). Second-pass request records carry the pass
+	// marker in instrument.RequestEvent.Attempt. Per lane, like the
+	// breaker. Off (the default) changes nothing.
+	SecondPass bool
 	// Vantages crawls every site from every listed vantage through one
 	// worker pool — one scheduling lane per vantage, each with its own
 	// site order and breaker state, so each vantage's records are
@@ -196,33 +202,12 @@ type Options struct {
 	CrashAfterUnits int
 }
 
-// SecondPass configures the fault-aware second pass: once the primary
-// frontier drains, visits whose landing failed on a transient class
-// (conn-reset, timeout, truncated — plus circuit-open sheds) are
-// re-crawled, and only the re-crawl's record is emitted, exactly as a
-// real measurement crawl re-runs its failure set and keeps the second
-// result. The re-crawl is made distinguishable from the first attempt
-// on every deterministic axis a later crawl differs on: its browser's
-// virtual clock starts VClockOffsetMs later (so host flap schedules can
-// have moved on), and its request attempt numbers continue past the
-// first pass's budget (so per-attempt fault decisions draw fresh).
-// Second-pass request records carry the pass marker in
-// instrument.RequestEvent.Attempt.
-type SecondPass struct {
-	// Enabled turns the second pass on.
-	Enabled bool
-	// VClockOffsetMs is the virtual-clock head start of second-pass
-	// browsers (default 45000 ms — 1.5 default flap periods).
-	VClockOffsetMs float64
-}
+// secondPassOffsetMs is the virtual-clock head start of second-pass
+// browsers: 1.5 default flap periods.
+const secondPassOffsetMs = 45000
 
-// offsetMs returns the effective virtual-clock offset.
-func (sp SecondPass) offsetMs() float64 {
-	if sp.VClockOffsetMs > 0 {
-		return sp.VClockOffsetMs
-	}
-	return 45000
-}
+// maxClicks bounds the random link clicks of the interaction step.
+const maxClicks = 3
 
 // ProgressStats is the live-counter payload delivered to
 // Options.ProgressStats after each completed visit. Fabric and pool
@@ -467,7 +452,7 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 			if opts.Breaker.Enabled {
 				ln.brk = newBreakerState(opts.Breaker, ln.stats)
 				ln.passOf = map[int]int{}
-			} else if opts.SecondPass.Enabled {
+			} else if opts.SecondPass {
 				ln.passOf = map[int]int{}
 			}
 			lanes = append(lanes, ln)
@@ -495,10 +480,6 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 	if workers <= 0 {
 		workers = 8
 	}
-	maxClicks := opts.MaxClicks
-	if maxClicks <= 0 {
-		maxClicks = 3
-	}
 
 	out := make(chan instrument.VisitLog, workers)
 	errc := make(chan error, 1)
@@ -521,7 +502,7 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 	// Stateful policies — the breaker and the second pass — fold outcomes
 	// across units, and they count on Stats unconditionally (requeue and
 	// shed accounting), so give them one when the caller didn't.
-	stateful := opts.Breaker.Enabled || opts.SecondPass.Enabled
+	stateful := opts.Breaker.Enabled || opts.SecondPass
 	if stateful && opts.Stats == nil {
 		opts.Stats = &SchedStats{}
 	}
@@ -544,8 +525,8 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				l, o := visit(sites[j.site], opts, maxClicks, j)
-				o.requeue = j.pass == 1 && opts.SecondPass.Enabled &&
+				l, o := visit(sites[j.site], opts, j)
+				o.requeue = j.pass == 1 && opts.SecondPass &&
 					!l.OK && requeueable(l.Failure)
 				if j.lane.stats != nil && j.pass > 1 && l.OK {
 					j.lane.stats.SecondPassKept.Add(1)
@@ -764,11 +745,11 @@ type dispatcher struct {
 // composition, fold order, and every derived scheduler decision match
 // the original run. Returns false when the crawl aborts.
 func (s *dispatcher) replay(ln *laneState, rec *journal.Record) bool {
-	if !s.opts.SecondPass.Enabled || rec.Pass != 1 {
+	if !s.opts.SecondPass || rec.Pass != 1 {
 		// Only a second-pass crawl's first pass requeues, so the journal
 		// cannot belong to this crawl.
 		s.abort(fmt.Errorf("%w: unit %s/%s site %d requeued at pass %d, second pass %v",
-			journal.ErrDiverged, ln.vantage.Name, ln.persona, rec.Site, rec.Pass, s.opts.SecondPass.Enabled))
+			journal.ErrDiverged, ln.vantage.Name, ln.persona, rec.Site, rec.Pass, s.opts.SecondPass))
 		return false
 	}
 	o := recordOutcome(rec, ln.id)
@@ -849,7 +830,7 @@ func (s *dispatcher) send(j visitJob) bool {
 // the crawl is cancelled.
 func (s *dispatcher) shed(ln *laneState, site, pass int) bool {
 	ln.stats.ShedVisits.Add(1)
-	if pass == 1 && s.opts.SecondPass.Enabled {
+	if pass == 1 && s.opts.SecondPass {
 		ln.stats.Requeued.Add(1)
 		ln.requeue(site, pass+1)
 		return true
@@ -1045,7 +1026,7 @@ const passSeedSalt = 0xda942042e4dd58b5
 // identically in a single-lane crawl of its cell or among many lanes;
 // persona influences the bytes only through the consent click's
 // page-level effects.
-func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.VisitLog, out visitOutcome) {
+func visit(url string, opts Options, j visitJob) (l instrument.VisitLog, out visitOutcome) {
 	n := uint64(j.site)
 	out = visitOutcome{idx: j.site, lane: j.lane.id, pass: j.pass}
 	site := urlutil.RegistrableDomain(url)
@@ -1063,7 +1044,7 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 		// numbers continue past the first pass's budget (per-attempt
 		// fault decisions draw fresh), and its randomness is re-salted.
 		seed ^= uint64(j.pass-1) * passSeedSalt
-		startAt = startAt.Add(time.Duration(float64(j.pass-1) * opts.SecondPass.offsetMs() * float64(time.Millisecond)))
+		startAt = startAt.Add(time.Duration(float64(j.pass-1) * secondPassOffsetMs * float64(time.Millisecond)))
 		clock = vclock.NewAt(startAt)
 	}
 	attemptBase := 0
@@ -1118,11 +1099,8 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 	// they reach the log, which is what the Figure 5 comparison
 	// measures (effective cross-domain actions under enforcement).
 	mw := []browser.CookieMiddleware{rec.Middleware()}
-	var attach func(*browser.Browser)
-	if opts.PerVisit != nil {
-		var extra []browser.CookieMiddleware
-		extra, attach = opts.PerVisit()
-		mw = append(mw, extra...)
+	if opts.Guard != nil {
+		mw = append(mw, guard.New(*opts.Guard).Middleware())
 	}
 
 	b, err := browser.New(browser.Options{
@@ -1142,10 +1120,6 @@ func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.Vi
 		l = instrument.VisitLog{Site: site, URL: url, Error: err.Error()}
 		return l, out
 	}
-	if attach != nil {
-		attach(b)
-	}
-	rec.ObserveJar(b.Jar())
 	// The worker owns the pooling lifecycle: BuildVisitLog copies out
 	// everything the log keeps, after which the visit's pages, arenas,
 	// and interpreters go back to the pools, and last the recorder's

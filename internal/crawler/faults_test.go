@@ -19,16 +19,22 @@ import (
 // happened, and ProgressStats must say so. The final serialized Done
 // therefore equals the number of visits performed, delivered or not,
 // whether or not a stateful scheduler takes the worker's feedback. The
-// web is fault-free, so no visit is requeued.
+// web is fault-free, so no visit is requeued and every visit starts with
+// exactly one first attempt at its landing document, which a
+// pass-through fault model counts.
 func TestDroppedVisitAccountedInProgress(t *testing.T) {
 	w, sites := buildSites(t, 20)
+	landing := make(map[string]bool, len(sites))
+	for _, u := range sites {
+		landing[u] = true
+	}
 	for _, tc := range []struct {
 		name       string
-		secondPass SecondPass
+		secondPass bool
 		breaker    Breaker
 	}{
 		{name: "feedback-free"},
-		{name: "second-pass", secondPass: SecondPass{Enabled: true}},
+		{name: "second-pass", secondPass: true},
 		{name: "breaker", breaker: Breaker{Enabled: true, RoundVisits: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,13 +42,16 @@ func TestDroppedVisitAccountedInProgress(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			out, errc := Stream(ctx, sites, Options{
-				Internet: w.BuildInternet(),
-				Workers:  3,
-				PerVisit: func() ([]browser.CookieMiddleware, func(*browser.Browser)) {
+			in := w.BuildInternet()
+			in.SetFaultModel(func(req *http.Request, s netsim.Stamp) netsim.FaultDecision {
+				if s.Attempt == 1 && landing[req.URL.String()] {
 					started.Add(1)
-					return nil, nil
-				},
+				}
+				return netsim.FaultDecision{}
+			})
+			out, errc := Stream(ctx, sites, Options{
+				Internet:      in,
+				Workers:       3,
 				ProgressStats: func(ps ProgressStats) { lastDone.Store(int64(ps.Done)) },
 				SecondPass:    tc.secondPass,
 				Breaker:       tc.breaker,

@@ -150,7 +150,7 @@ func TestSecondPassByteStableAcrossWorkers(t *testing.T) {
 		Interact:   true,
 		Seed:       5,
 		Retry:      browser.RetryPolicy{MaxAttempts: 2},
-		SecondPass: SecondPass{Enabled: true},
+		SecondPass: true,
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8},
 	}
 	a, sa := schedCrawlJSON(t, w, sites, 7, opts)
@@ -194,7 +194,7 @@ func TestSecondPassWithoutStats(t *testing.T) {
 		Internet:   in,
 		Workers:    4,
 		Seed:       5,
-		SecondPass: SecondPass{Enabled: true},
+		SecondPass: true,
 		// Stats deliberately nil.
 	})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestDefaultSchedulerConfigEquivalence(t *testing.T) {
 		return out
 	}
 	def := crawl(Options{})
-	explicit := crawl(Options{Breaker: Breaker{}, SecondPass: SecondPass{}, Vantages: []netsim.Vantage{{}}})
+	explicit := crawl(Options{Breaker: Breaker{}, SecondPass: false, Vantages: []netsim.Vantage{{}}})
 	if len(def) != len(sites) {
 		t.Fatalf("crawled %d records, want %d", len(def), len(sites))
 	}
@@ -341,7 +341,7 @@ func TestCircuitOpenShedsVisits(t *testing.T) {
 				Seed:       5,
 				Retry:      browser.RetryPolicy{MaxAttempts: 3},
 				Breaker:    Breaker{Enabled: true, FailureThreshold: 3, RoundVisits: 2},
-				SecondPass: SecondPass{Enabled: tc.secondPass},
+				SecondPass: tc.secondPass,
 				Stats:      stats,
 			})
 			if err != nil {
@@ -522,7 +522,7 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 		Seed:       5,
 		Workers:    5,
 		Retry:      browser.RetryPolicy{MaxAttempts: 3},
-		SecondPass: SecondPass{Enabled: true},
+		SecondPass: true,
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8},
 	}
 	seq, seqStats := vantageRecords(t, w, sites, vants, false, 0.1, opts)

@@ -192,7 +192,6 @@ func (k MutationKind) String() string {
 type Mutation struct {
 	Kind      MutationKind
 	Target    *Node
-	TargetID  string // id attribute at mutation time, for reporting
 	Owner     string // script URL owning the target ("" = the page)
 	ByScript  string // script URL performing the mutation
 	Attribute string // for MutAttr/MutStyle
@@ -288,7 +287,6 @@ func (d *Document) CountElements() int {
 
 func (d *Document) record(m Mutation) {
 	if m.Target != nil {
-		m.TargetID = m.Target.ID()
 		m.Owner = m.Target.Owner
 	}
 	d.Mutations = append(d.Mutations, m)

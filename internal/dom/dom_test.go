@@ -143,7 +143,7 @@ func TestMutationsAttributed(t *testing.T) {
 		t.Fatalf("Mutations = %d", len(d.Mutations))
 	}
 	m := d.Mutations[0]
-	if m.Kind != MutText || m.ByScript != tracker || m.Owner != "" || m.TargetID != "banner" {
+	if m.Kind != MutText || m.ByScript != tracker || m.Owner != "" || m.Target.ID() != "banner" {
 		t.Fatalf("mutation 0 = %+v", m)
 	}
 	if banner.InnerText() != "BUY NOW" {

@@ -9,7 +9,7 @@ import "sync"
 // (Policy.PerOpOverheadMS), not modeled by a goroutine.
 type background struct {
 	mu       sync.Mutex
-	creators map[string]string // nil once closed
+	creators map[string]string
 }
 
 func newBackground() *background {
@@ -17,16 +17,16 @@ func newBackground() *background {
 }
 
 // record registers a cookie creation (first creator wins, matching the
-// extension's dataset semantics). Records after close are dropped.
+// extension's dataset semantics).
 func (b *background) record(name, creator string) {
 	b.mu.Lock()
-	if _, exists := b.creators[name]; !exists && b.creators != nil {
+	if _, exists := b.creators[name]; !exists {
 		b.creators[name] = creator
 	}
 	b.mu.Unlock()
 }
 
-// lookup fetches one cookie's creator; after close nothing exists.
+// lookup fetches one cookie's creator.
 func (b *background) lookup(name string) (string, bool) {
 	b.mu.Lock()
 	c, ok := b.creators[name]
@@ -38,11 +38,4 @@ func (b *background) lookup(name string) (string, bool) {
 func (b *background) creatorOf(name string) string {
 	c, _ := b.lookup(name)
 	return c
-}
-
-// close drops the dataset; closing twice is harmless.
-func (b *background) close() {
-	b.mu.Lock()
-	b.creators = nil
-	b.mu.Unlock()
 }

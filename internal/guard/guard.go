@@ -12,7 +12,10 @@
 //     modeled on the virtual clock (Policy.PerOpOverheadMS), not by a
 //     goroutine: the page wrapper reads the store synchronously;
 //   - PageWrapper — the wrapped document.cookie / cookieStore surface
-//     (cookieGuard.js), installed as browser.CookieMiddleware.
+//     (cookieGuard.js), installed as a browser.CookieMiddleware. The
+//     one Guard.Middleware call that installs it also registers the
+//     background's Set-Cookie observer on the browser's jar and binds
+//     the browser's clock for the relay charge.
 //
 // Policy (§6.1): a script reads only the cookies its own eTLD+1 created;
 // scripts from the visited site's domain retain full access (owner
@@ -118,30 +121,28 @@ func New(policy Policy) *Guard {
 	return &Guard{policy: policy, bg: newBackground()}
 }
 
-// Close drops the background store; later operations see no recorded
-// creators and record none.
-func (g *Guard) Close() { g.bg.close() }
-
-// Middleware returns the PageWrapper: the cookie-API interceptor.
+// Middleware returns the guard's cookie layer. Installed on a browser,
+// it binds the browser's clock for overhead accounting, registers the
+// background's observer of HTTP Set-Cookie creations (background.js's
+// webRequest hook) on the browser's jar, and wraps the cookie API below
+// it with the PageWrapper. A guard serves one browser.
 func (g *Guard) Middleware() browser.CookieMiddleware {
-	return func(next browser.CookieAPI) browser.CookieAPI {
+	return func(b *browser.Browser, next browser.CookieAPI) browser.CookieAPI {
+		g.clock = b.Clock()
+		b.Jar().Observe(g.observeHTTP)
 		return &pageWrapper{g: g, next: next}
 	}
 }
 
-// AttachBrowser wires the guard to a browser: it observes HTTP Set-Cookie
-// events (background.js's webRequest hook) and binds the clock for
-// overhead accounting.
-func (g *Guard) AttachBrowser(b *browser.Browser) {
-	g.clock = b.Clock()
-	b.Jar().Observe(func(ch cookiejar.Change) {
-		if ch.Source != cookiejar.SourceHTTP || ch.Cookie.HttpOnly {
-			return
-		}
-		if ch.Kind == cookiejar.ChangeCreated {
-			g.bg.record(ch.Cookie.Name, urlutil.RegistrableDomain("https://"+ch.Host+"/"))
-		}
-	})
+// observeHTTP records the creator of each cookie an HTTP response
+// creates: the eTLD+1 of the responding host.
+func (g *Guard) observeHTTP(ch cookiejar.Change) {
+	if ch.Source != cookiejar.SourceHTTP || ch.Cookie.HttpOnly {
+		return
+	}
+	if ch.Kind == cookiejar.ChangeCreated {
+		g.bg.record(ch.Cookie.Name, urlutil.RegistrableDomain("https://"+ch.Host+"/"))
+	}
 }
 
 // Blocks returns the enforcement log.

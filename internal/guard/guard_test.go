@@ -60,7 +60,6 @@ func guardedWeb(extra map[string]string) *netsim.Internet {
 func visitWithGuard(t *testing.T, in *netsim.Internet, policy Policy) (*Guard, *browser.Browser, *browser.Page) {
 	t.Helper()
 	g := New(policy)
-	t.Cleanup(g.Close)
 	b, err := browser.New(browser.Options{
 		Internet:         in,
 		CookieMiddleware: []browser.CookieMiddleware{g.Middleware()},
@@ -68,7 +67,6 @@ func visitWithGuard(t *testing.T, in *netsim.Internet, policy Policy) (*Guard, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AttachBrowser(b)
 	p, err := b.Visit("https://www.shop.example/")
 	if err != nil {
 		t.Fatal(err)
@@ -382,17 +380,6 @@ func TestPerOpOverheadCharged(t *testing.T) {
 		t.Fatalf("guard overhead missing: slow=%v free=%v",
 			pSlow.Timing.LoadEvent, pFree.Timing.LoadEvent)
 	}
-}
-
-func TestCloseIdempotent(t *testing.T) {
-	g := New(DefaultPolicy())
-	g.Close()
-	g.Close() // must not panic
-	// Operations after close degrade gracefully.
-	if got := g.bg.creatorOf("x"); got != "" {
-		t.Fatalf("creatorOf after close = %q", got)
-	}
-	g.bg.record("x", "y") // no deadlock
 }
 
 func TestAssignmentHelpers(t *testing.T) {

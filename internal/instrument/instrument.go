@@ -4,9 +4,10 @@
 // logs outbound requests — producing one VisitLog per crawled site for
 // the analysis pipeline.
 //
-// It installs as browser.CookieMiddleware, mirroring how the extension
-// wraps the native cookie APIs with Object.defineProperty, and as a jar
-// observer for server-set cookies (webRequest.onHeadersReceived).
+// Recorder.Middleware installs it on a browser in one call, as a
+// browser.CookieMiddleware: it wraps the native cookie APIs, as the
+// extension does with Object.defineProperty, and registers a jar observer
+// for server-set cookies (webRequest.onHeadersReceived).
 package instrument
 
 import (
@@ -104,7 +105,6 @@ func (s ScriptRecord) Direct() bool { return len(s.InclusionPath) == 0 }
 // MutationRecord is one attributed DOM mutation.
 type MutationRecord struct {
 	Kind        string `json:"kind"`
-	TargetID    string `json:"target_id,omitempty"`
 	OwnerScript string `json:"owner_script,omitempty"` // "" = the page
 	ByScript    string `json:"by_script,omitempty"`
 }
@@ -220,37 +220,38 @@ func (r *Recorder) Release() {
 	r.events, r.buf = nil, nil
 }
 
-// Middleware returns the cookie-API wrapper that records operations. It
-// forwards to next after recording, so it can wrap either the raw API (a
-// measurement crawl) or a CookieGuard-wrapped API (a defense-evaluation
-// crawl, where it observes post-enforcement behaviour).
+// Middleware returns the recorder's cookie layer. Installed on a browser,
+// it registers the jar observer that captures HTTP Set-Cookie headers and
+// wraps the cookie API below it with one that records every call before
+// forwarding it. Below it is the raw API in a measurement crawl; a
+// CookieGuard layer installed after it (outside) filters first, so the
+// recorder sees post-enforcement behaviour.
 func (r *Recorder) Middleware() browser.CookieMiddleware {
-	return func(next browser.CookieAPI) browser.CookieAPI {
+	return func(b *browser.Browser, next browser.CookieAPI) browser.CookieAPI {
+		b.Jar().Observe(r.observeHTTP)
 		return &recordingAPI{rec: r, next: next}
 	}
 }
 
-// ObserveJar captures HTTP Set-Cookie headers (server-set cookies).
+// observeHTTP records HTTP Set-Cookie headers (server-set cookies).
 // HttpOnly cookies are skipped, exactly as the paper's extension extracts
 // only non-HttpOnly Set-Cookie values (§4.1).
-func (r *Recorder) ObserveJar(jar *cookiejar.Jar) {
-	jar.Observe(func(ch cookiejar.Change) {
-		if ch.Source != cookiejar.SourceHTTP || ch.Cookie.HttpOnly {
-			return
-		}
-		ev := CookieEvent{
-			Op:        OpHTTPSet,
-			API:       APIHTTP,
-			Name:      ch.Cookie.Name,
-			Value:     ch.Cookie.Value,
-			Domain:    publicsuffix.RegistrableDomain(ch.Host),
-			MainFrame: true,
-		}
-		if ch.Kind == cookiejar.ChangeDeleted {
-			ev.Op = OpDelete
-		}
-		r.append(ev)
-	})
+func (r *Recorder) observeHTTP(ch cookiejar.Change) {
+	if ch.Source != cookiejar.SourceHTTP || ch.Cookie.HttpOnly {
+		return
+	}
+	ev := CookieEvent{
+		Op:        OpHTTPSet,
+		API:       APIHTTP,
+		Name:      ch.Cookie.Name,
+		Value:     ch.Cookie.Value,
+		Domain:    publicsuffix.RegistrableDomain(ch.Host),
+		MainFrame: true,
+	}
+	if ch.Kind == cookiejar.ChangeDeleted {
+		ev.Op = OpDelete
+	}
+	r.append(ev)
 }
 
 func (r *Recorder) append(ev CookieEvent) {
@@ -329,7 +330,6 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 			for _, m := range p.Doc.Mutations {
 				v.Mutations = append(v.Mutations, MutationRecord{
 					Kind:        m.Kind.String(),
-					TargetID:    m.TargetID,
 					OwnerScript: m.Owner,
 					ByScript:    m.ByScript,
 				})

@@ -52,7 +52,6 @@ send("https://collect.example/px", {"v": "abcdef1234567890"});`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.ObserveJar(b.Jar())
 	p, err := b.Visit("https://www.shop.example/")
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +276,6 @@ let c = cookiestore_get_all();`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.ObserveJar(b.Jar())
 	p, err := b.Visit("https://www.shop.example/")
 	if err != nil {
 		t.Fatal(err)

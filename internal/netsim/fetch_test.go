@@ -90,41 +90,6 @@ func TestPooledMissThenHitKeepsFirstDelivery(t *testing.T) {
 	}
 }
 
-// TestTapKeptResponsesStayIntact: with a tap installed the fabric
-// delivers fresh responses, so everything a tap keeps must read as it
-// was delivered, whatever the fabric serves afterwards and whether or
-// not the consumer released the response.
-func TestTapKeptResponsesStayIntact(t *testing.T) {
-	in := poolNet()
-	var kept []*http.Response
-	var want []delivery
-	in.Tap(func(ex Exchange) {
-		kept = append(kept, ex.Response)
-		want = append(want, delivery{status: ex.Response.StatusCode, header: ex.Response.Header.Clone()})
-	})
-	urls := []string{
-		"https://first.example/", "https://second.example/", "https://sink.example/c",
-		"https://first.example/", "https://second.example/", "https://first.example/",
-	}
-	var bodies []string
-	for _, u := range urls {
-		d := fetchDelivery(t, in, u)
-		bodies = append(bodies, d.body)
-	}
-	for i, resp := range kept {
-		got := delivery{status: resp.StatusCode, header: resp.Header}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("kept response %d (%s) changed: %+v, was %+v", i, urls[i], got, want[i])
-		}
-		if resp.Request == nil || resp.Request.URL.String() != urls[i] {
-			t.Errorf("kept response %d lost its request: %v", i, resp.Request)
-		}
-	}
-	if bodies[0] != "<p>first</p>" || bodies[3] != bodies[0] || bodies[1] != "let second = 2;" || bodies[2] != "" {
-		t.Errorf("bodies = %q", bodies)
-	}
-}
-
 // TestFetchAllocs pins the allocation cost of the fabric's hot paths,
 // measured through Fetch and ReleaseResponse: a cache hit and a 204
 // beacon-sink miss allocate nothing, and a 404 miss allocates only its

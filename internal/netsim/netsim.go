@@ -20,8 +20,8 @@
 // ReleaseResponse) across exchanges.
 //
 // The fabric also models the network-level phenomena the paper discusses:
-// deterministic per-host latency (driving the page-load-time experiments
-// of §7.3) and CNAME cloaking (§8, "Manipulation of script source"),
+// deterministic per-host latency (DefaultLatency, or RegionLatency from
+// a named Vantage; it drives the page-load-time experiments of §7.3) and CNAME cloaking (§8, "Manipulation of script source"),
 // where a first-party subdomain aliases a third-party server. Beyond the
 // happy path it injects the transient faults of a real measurement crawl
 // — 5xx responses, connection resets, timeouts, truncated bodies,
@@ -101,9 +101,9 @@ func pooledResponse(status int, src http.Header, body string) *http.Response {
 
 // ReleaseResponse returns a pooled response to the pool. It must only be
 // called by the exchange's single consumer once the body and headers are
-// fully consumed and never referenced again. With a tap installed the
-// fabric delivers fresh responses, which taps may keep. Non-pooled
-// responses are ignored, so callers may release unconditionally.
+// fully consumed and never referenced again. Non-pooled responses (a
+// truncated delivery's) are ignored, so callers may release
+// unconditionally.
 func ReleaseResponse(resp *http.Response) {
 	if resp == nil {
 		return
@@ -230,16 +230,6 @@ const LatencyHeader = "X-Netsim-Latency-Ms"
 // hashed once per serve, not once per consumer.
 const BodyHashHeader = "X-Netsim-Body-Hash"
 
-// Exchange is one observed request/response pair, passed to taps.
-type Exchange struct {
-	Request  *http.Request
-	Response *http.Response
-	Host     string // the host that served it (post-CNAME resolution)
-}
-
-// Tap observes every exchange on the fabric.
-type Tap func(Exchange)
-
 // LatencyModel computes the simulated latency in milliseconds for a
 // request. Implementations must be deterministic for reproducibility.
 type LatencyModel func(req *http.Request) float64
@@ -282,8 +272,6 @@ type Fetcher interface {
 type snapshot struct {
 	hosts     map[string]http.Handler
 	cnames    map[string]string
-	taps      []Tap
-	latency   LatencyModel
 	faults    FaultModel
 	respCache ResponseCache
 }
@@ -299,8 +287,6 @@ type Internet struct {
 	mu       sync.RWMutex
 	hosts    map[string]http.Handler
 	cnames   map[string]string
-	taps     []Tap
-	latency  LatencyModel
 	faults   FaultModel
 	cache    ResponseCache
 	frozen   atomic.Pointer[snapshot]
@@ -308,18 +294,16 @@ type Internet struct {
 	faulted  atomic.Int64
 }
 
-// New returns an empty Internet with the default latency model.
+// New returns an empty Internet.
 func New() *Internet {
-	i := &Internet{
+	return &Internet{
 		hosts:  make(map[string]http.Handler),
 		cnames: make(map[string]string),
 	}
-	i.latency = DefaultLatency
-	return i
 }
 
-// Freeze publishes the current routing state (hosts, CNAMEs, taps,
-// latency model, response cache) as an immutable snapshot, making the
+// Freeze publishes the current routing state (hosts, CNAMEs, fault
+// model, response cache) as an immutable snapshot, making the
 // serving path lock-free. Call it once generation has finished; webgen
 // does so automatically. Mutations after Freeze republish the snapshot,
 // so a frozen Internet never serves stale routes — the point is purely
@@ -340,13 +324,9 @@ func (i *Internet) refreeze() {
 	for a, t := range i.cnames {
 		cnames[a] = t
 	}
-	taps := make([]Tap, len(i.taps))
-	copy(taps, i.taps)
 	i.frozen.Store(&snapshot{
 		hosts:     hosts,
 		cnames:    cnames,
-		taps:      taps,
-		latency:   i.latency,
 		faults:    i.faults,
 		respCache: i.cache,
 	})
@@ -384,8 +364,8 @@ func (i *Internet) view() snapshot {
 // With a cache installed, GET responses with status 200 are memoized by
 // (host, path, query) and replayed on subsequent requests without
 // invoking the handler; every served response additionally carries the
-// body's content hash in BodyHashHeader. Latency accounting, taps, and
-// the request counter behave identically on hits and misses, so caching
+// body's content hash in BodyHashHeader. Latency accounting and the
+// request counter behave identically on hits and misses, so caching
 // is invisible to everything above the fabric. Only install a cache when
 // every registered handler is a pure function of the request URL (true
 // for the generated web's static content).
@@ -411,14 +391,6 @@ func fnv64(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// SetLatencyModel replaces the latency model (nil restores the default).
-func (i *Internet) SetLatencyModel(m LatencyModel) {
-	if m == nil {
-		m = DefaultLatency
-	}
-	i.mutate(func() { i.latency = m })
 }
 
 // SetFaultModel installs (or, with nil, removes) a fault model. With a
@@ -473,11 +445,6 @@ func (i *Internet) IsCloaked(host string) bool {
 	return i.CanonicalHost(host) != strings.ToLower(host)
 }
 
-// Tap registers a tap on all exchanges.
-func (i *Internet) Tap(t Tap) {
-	i.mutate(func() { i.taps = append(i.taps, t) })
-}
-
 // Requests returns the total number of exchanges served.
 func (i *Internet) Requests() int64 { return i.requests.Load() }
 
@@ -527,17 +494,16 @@ func cachedHeader(h http.Header, hash string) http.Header {
 	return c
 }
 
-// deliver builds, accounts and taps the response to one exchange. Status,
+// deliver builds and accounts the response to one exchange. Status,
 // header and body come from wherever the exchange was answered — a
 // synthesized fault, a cache hit or the handler — and hdr is only read.
-// With no tap installed and no truncation the response comes from
-// respPool, its header entries copied (value slices shared) and its
-// consumer hands it back through ReleaseResponse. A tap may keep the
-// exchange, and truncation rewrites body and headers, so either gets a
-// fresh response with a cloned header.
-func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body string, lat float64, fd FaultDecision, taps []Tap, servedBy string) *http.Response {
+// Without truncation the response comes from respPool, its header
+// entries copied (value slices shared) and its consumer hands it back
+// through ReleaseResponse. Truncation rewrites body and headers, so it
+// gets a fresh response with a cloned header.
+func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body string, lat float64, fd FaultDecision) *http.Response {
 	var resp *http.Response
-	if len(taps) == 0 && fd.Kind != FaultTruncate {
+	if fd.Kind != FaultTruncate {
 		resp = pooledResponse(status, hdr, body)
 	} else {
 		h := hdr.Clone()
@@ -556,29 +522,23 @@ func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body 
 			Body:          sb,
 			ContentLength: int64(len(body)),
 		}
-		if fd.Kind == FaultTruncate {
-			applyTruncation(resp, body, fd)
-		}
+		applyTruncation(resp, body, fd)
 	}
 	resp.Request = req
 	// The latency value slice is memoized and shared across responses;
 	// Header.Get reads it exactly as a Set one (the key is canonical).
 	resp.Header[LatencyHeader] = latencyValue(lat)
 	i.requests.Add(1)
-	ex := Exchange{Request: req, Response: resp, Host: servedBy}
-	for _, t := range taps {
-		t(ex)
-	}
 	return resp
 }
 
 // Fetch serves one request attempt from the implicit default vantage
-// (the installed latency and fault models); s stamps the attempt for
-// the fault model. Internet.From builds vantage views that serve through
-// the same path with per-vantage models.
+// (DefaultLatency and the installed fault model); s stamps the attempt
+// for the fault model. Internet.From builds vantage views that serve
+// through the same path with per-vantage models.
 func (i *Internet) Fetch(req *http.Request, s Stamp) (*http.Response, error) {
 	v := i.view()
-	return i.fetch(req, s, &v, v.latency, v.faults)
+	return i.fetch(req, s, &v, DefaultLatency, v.faults)
 }
 
 // RoundTrip adapts the fabric to http.RoundTripper (Client, tests): it is
@@ -589,8 +549,8 @@ func (i *Internet) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // fetch is the shared serving path: route, inject faults, replay or run
 // the handler. latency and faults are the effective models for this
-// request — the snapshot's own for Internet.Fetch, a vantage's overrides
-// for a VantageView.
+// request — the defaults for Internet.Fetch, a vantage's for a
+// VantageView.
 func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency LatencyModel, faults FaultModel) (*http.Response, error) {
 	host := strings.ToLower(req.URL.Hostname())
 	if host == "" {
@@ -633,7 +593,7 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 		if status == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		return i.deliver(req, status, nil, errorBody(status), lat, fd, v.taps, servedBy), nil
+		return i.deliver(req, status, nil, errorBody(status), lat, fd), nil
 	case FaultTailLatency:
 		i.faulted.Add(1)
 		factor := fd.Factor
@@ -652,7 +612,7 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 		key = ResponseKey{Host: req.URL.Host, Path: req.URL.Path, RawQuery: req.URL.RawQuery}
 		if e, ok := v.respCache.GetResponse(key); ok {
 			cr := e.(*cachedResponse)
-			return i.deliver(req, cr.status, cr.header, cr.body, lat, fd, v.taps, servedBy), nil
+			return i.deliver(req, cr.status, cr.header, cr.body, lat, fd), nil
 		}
 	}
 
@@ -689,7 +649,7 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 		v.respCache.PutResponse(key, cr, len(body)+key.size())
 		hdr = cr.header
 	}
-	resp := i.deliver(req, status, hdr, body, lat, fd, v.taps, servedBy)
+	resp := i.deliver(req, status, hdr, body, lat, fd)
 	rec.release()
 	return resp, nil
 }

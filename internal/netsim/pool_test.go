@@ -74,36 +74,6 @@ func TestReleaseResponseIgnoresForeign(t *testing.T) {
 	ReleaseResponse(resp) // non-pooled stringBody: ignored
 }
 
-// TestTapsDisablePooledReplay: a registered tap may retain the exchange,
-// so cache hits must not hand out pooled responses then.
-func TestTapsDisablePooledReplay(t *testing.T) {
-	in := New()
-	in.RegisterFunc("c.example", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("tapped"))
-	})
-	in.SetResponseCache(newMapCache())
-	var retained []*http.Response
-	in.Tap(func(ex Exchange) { retained = append(retained, ex.Response) })
-	in.Freeze()
-	client := in.Client()
-	for i := 0; i < 3; i++ {
-		resp, err := client.Get("https://c.example/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadBody(resp); err != nil {
-			t.Fatal(err)
-		}
-		ReleaseResponse(resp)
-	}
-	// Every retained response must still carry its own intact status.
-	for i, r := range retained {
-		if r.StatusCode != 200 {
-			t.Fatalf("retained response %d corrupted: %d", i, r.StatusCode)
-		}
-	}
-}
-
 // TestCacheMissLeavesCallerRequestUnchanged: the handler runs on a
 // shallow copy of the request, which shares URL and Header with the
 // caller's. Setting the copy's Host (the cloaked alias) and Body must

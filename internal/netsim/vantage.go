@@ -11,23 +11,21 @@ package netsim
 // A Vantage never mutates the Internet: From returns a lightweight view
 // that overrides the latency/fault models per request, so any number of
 // vantage views can serve concurrently over one fabric, sharing its
-// handlers, CNAMEs, taps, response cache, and counters.
+// handlers, CNAMEs, response cache, and counters.
 
 import "net/http"
 
 // Vantage is a named crawl origin: a region with its own latency model
 // and fault rates. The zero value is the implicit default vantage — it
-// observes the fabric exactly as a direct Internet.Fetch does (the installed
-// latency and fault models), so code that threads a Vantage through
-// unconditionally stays byte-identical to code that never heard of them.
+// observes the fabric exactly as a direct Internet.Fetch does
+// (DefaultLatency and the installed fault model), so code that threads a
+// Vantage through unconditionally stays byte-identical to code that
+// never heard of them.
 type Vantage struct {
-	// Name identifies the vantage point (e.g. "eu-west"). A non-empty
-	// name with a nil Latency derives RegionLatency(Name); the empty
-	// name keeps the fabric's installed latency model.
+	// Name identifies the vantage point (e.g. "eu-west"). Requests from
+	// a named vantage are charged RegionLatency(Name); the empty name
+	// keeps DefaultLatency.
 	Name string
-	// Latency overrides the latency model for requests from this
-	// vantage. Nil falls back as described on Name.
-	Latency LatencyModel
 	// Faults, when enabled, replaces the fabric's fault model for
 	// requests from this vantage (region-dependent fault rates). The
 	// zero config keeps the fabric's installed model, so a vantage can
@@ -39,7 +37,7 @@ type Vantage struct {
 // nothing and overrides nothing, so crawling from it is exactly crawling
 // the fabric directly.
 func (v Vantage) Default() bool {
-	return v.Name == "" && v.Latency == nil && !v.Faults.Enabled()
+	return v.Name == "" && !v.Faults.Enabled()
 }
 
 // RegionLatency is the per-region analogue of DefaultLatency: a
@@ -81,25 +79,19 @@ func RegionSeed(seed uint64, region string) uint64 {
 type VantageView struct {
 	net     *Internet
 	vantage Vantage
-	latency LatencyModel // nil: fabric's installed model
-	faults  FaultModel   // nil: fabric's installed model
+	latency LatencyModel
+	faults  FaultModel // nil: fabric's installed model
 }
 
 // From returns the fabric viewed from a vantage point. The view resolves
-// the vantage's models once — Latency, else RegionLatency(Name) for a
-// named vantage; SeededFaults(Faults) when enabled — and falls back to
-// the fabric's installed models per request otherwise, so the default
+// the vantage's models once — RegionLatency(Name), which is
+// DefaultLatency for the empty name; SeededFaults(Faults) when enabled,
+// else the fabric's installed fault model per request — so the default
 // vantage's view is request-for-request identical to the Internet
-// itself. Routing state (hosts, CNAMEs, taps, response cache) and the
+// itself. Routing state (hosts, CNAMEs, response cache) and the
 // request/fault counters are shared with every other view.
 func (i *Internet) From(v Vantage) *VantageView {
-	vv := &VantageView{net: i, vantage: v}
-	switch {
-	case v.Latency != nil:
-		vv.latency = v.Latency
-	case v.Name != "":
-		vv.latency = RegionLatency(v.Name)
-	}
+	vv := &VantageView{net: i, vantage: v, latency: RegionLatency(v.Name)}
 	if v.Faults.Enabled() {
 		vv.faults = SeededFaults(v.Faults)
 	}
@@ -112,12 +104,9 @@ func (vv *VantageView) Vantage() Vantage { return vv.vantage }
 // Fetch serves one stamped request attempt from the vantage point.
 func (vv *VantageView) Fetch(req *http.Request, st Stamp) (*http.Response, error) {
 	s := vv.net.view()
-	lat, flt := s.latency, s.faults
-	if vv.latency != nil {
-		lat = vv.latency
-	}
+	flt := s.faults
 	if vv.faults != nil {
 		flt = vv.faults
 	}
-	return vv.net.fetch(req, st, &s, lat, flt)
+	return vv.net.fetch(req, st, &s, vv.latency, flt)
 }

@@ -75,19 +75,13 @@ func Run(in *netsim.Internet, w *webgen.Web, sites []*webgen.Site, cache *artifa
 }
 
 func measureOnce(in *netsim.Internet, s *webgen.Site, withGuard bool, w *webgen.Web, cache *artifact.Cache) (browser.Timing, error) {
-	var g *guard.Guard
-	var mw []browser.CookieMiddleware
+	opts := browser.Options{Internet: in, Seed: uint64(s.Rank), Artifacts: cache}
 	if withGuard {
-		g = guard.New(guard.DefaultPolicy())
-		defer g.Close()
-		mw = append(mw, g.Middleware())
+		opts.CookieMiddleware = []browser.CookieMiddleware{guard.New(guard.DefaultPolicy()).Middleware()}
 	}
-	b, err := browser.New(browser.Options{Internet: in, CookieMiddleware: mw, Seed: uint64(s.Rank), Artifacts: cache})
+	b, err := browser.New(opts)
 	if err != nil {
 		return browser.Timing{}, err
-	}
-	if g != nil {
-		g.AttachBrowser(b)
 	}
 	p, err := b.Visit(s.URL)
 	if err != nil {

@@ -12,15 +12,15 @@ import (
 
 // pr7GoldenHashes pin the exact bytes PR 7 emitted for two persona-free
 // configurations (captured from the pre-refactor tree), less the fields
-// records no longer carry: a read's value, a cookie event's stack and a
-// script's parent. They were re-recorded by zeroing exactly those fields
-// on the tree that still wrote them. The crawl-plan unit refactor must
+// records no longer carry: a read's value, a cookie event's stack, a
+// script's parent and a mutation's target_id. They were re-recorded by
+// zeroing exactly those fields on the tree that still wrote them. The crawl-plan unit refactor must
 // reproduce them bit for bit: a config that never mentions personas
 // crawls exactly one implicit-persona lane per vantage and its records
 // carry no persona field at all.
 const (
-	pr7GoldenClean   = "65e5252fcc1bd7cc870947feaf66c396c759360ffba5e7a348c7e2f8b6bfac42"
-	pr7GoldenFaulted = "68ccb378861226cd13f193d01b003b39249a57438b149d80469b62ff2578937c"
+	pr7GoldenClean   = "7649b7feb7cffac8b33f45cb5b74fe9846e129ed5e30513f3e1f6a84d2ac9a37"
+	pr7GoldenFaulted = "d1f8d76a9eb5da507c147b71743e7578a1fee158edd6b50d7675691a80ec1a1d"
 )
 
 // crawlDigest streams the pipeline and returns the sha256 over the
@@ -76,12 +76,13 @@ func faultedGoldenOpts() []Option {
 // mode — one single-lane crawl per vantage, run one after another —
 // emitted for personaOpts(4) and personaFaultedOpts(4), recorded before
 // that mode was deleted, and re-recorded like the pr7 goldens without a
-// read's value, a cookie event's stack and a script's parent. Every crawl
+// read's value, a cookie event's stack, a script's parent and a
+// mutation's target_id. Every crawl
 // now runs all lanes through one pool, and must still reproduce them at
 // any worker count.
 const (
-	sequentialGoldenClean   = "c84016b1cb5d90e793e0ee95c26d1698e3e710157457395cad3d969e0d867a2e"
-	sequentialGoldenFaulted = "b811ef35e246d1422bd4d4592162f382ec4e8235ccbae148e033bdaca4304562"
+	sequentialGoldenClean   = "d24ec5283220d553a9ffb07788a95eb6462b59ea661eb2fcd1e8fe7287a138b0"
+	sequentialGoldenFaulted = "717709bb7d6b79ae571774abad4a4fc4320607d0d8585f3ef4c9f28afec6e7ad"
 )
 
 // personaOpts is the clean three-persona two-vantage configuration of
@@ -190,6 +191,23 @@ func TestPersonaFreeConfigReproducesPR7Bytes(t *testing.T) {
 		}
 		if got := crawlDigest(t, append(faultedGoldenOpts(), WithWorkers(workers))...); got != pr7GoldenFaulted {
 			t.Errorf("faulted persona-free crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, pr7GoldenFaulted)
+		}
+	}
+}
+
+// guardedGolden pins the bytes of a CookieGuard-enforcing crawl: the
+// clean golden configuration under the paper's default policy, with a
+// fresh guard installed outside the recorder on every visit. It must
+// hold at any worker count. It was recorded before the guard and the
+// recorder installed in one call each, and re-recorded like the pr7
+// goldens without a mutation's target_id.
+const guardedGolden = "7708e3204ce7c8faf28b06b983736ddffa76b9a2dd0c9ffc13a94761992600f2"
+
+func TestGuardedCrawlGolden(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		opts := append(cleanGoldenOpts(), WithGuard(DefaultGuardPolicy()), WithWorkers(workers))
+		if got := crawlDigest(t, opts...); got != guardedGolden {
+			t.Errorf("guarded crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, guardedGolden)
 		}
 	}
 }
