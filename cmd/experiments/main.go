@@ -61,9 +61,13 @@
 // when it comes back. The pipeline also recycles per-visit state
 // through object pools (-pooling=false turns them off). Neither
 // changes results: the same seed emits byte-identical records
-// either way. -cpuprofile writes a CPU profile of the whole run (with
-// -crawl-only, of web generation and the measurement crawl), and
-// -memprofile a heap profile taken right after the measurement crawl.
+// either way. The cache's hit, miss and eviction counts printed beside
+// the throughput do depend on worker scheduling, like the throughput
+// itself: two runs of the same flags can print slightly different
+// counts while every table and record is identical. -cpuprofile writes
+// a CPU profile of the whole run (with -crawl-only, of web generation
+// and the measurement crawl), and -memprofile a heap profile taken
+// right after the measurement crawl.
 // The repository benchmark that performance changes are judged by is
 // bench/ (see bench/README.md), not this command.
 package main

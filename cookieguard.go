@@ -212,7 +212,8 @@ func New(opts ...Option) *Pipeline {
 // approaching 1, since the shared third-party scripts stay resident,
 // and resident bytes that level off however many sites it visits;
 // persistent misses mean the workload has little cross-visit
-// redundancy.
+// redundancy. The counts depend on worker scheduling, so two runs of
+// one crawl may differ slightly (see artifact.Stats).
 //
 // Safe to call at any time, including concurrently with a running
 // crawl: the snapshot is a consistent-enough point-in-time read for

@@ -62,6 +62,12 @@ import (
 // counts entries dropped when a tier's generations rotate, and
 // ResidentBytes the source bytes the tier holds now (at most about
 // twice its budget).
+//
+// The counts are not reproducible across runs of one crawl, unlike its
+// records. Two workers that miss on one artifact at once both count a
+// miss, and which entries a rotation drops depends on the order workers
+// inserted them, so hits, misses, evictions and resident bytes all
+// depend on scheduling. Do not diff them between runs.
 type Stats struct {
 	ProgramHits   uint64 `json:"program_hits"`
 	ProgramMisses uint64 `json:"program_misses"`

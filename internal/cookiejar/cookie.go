@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // SameSite is the SameSite cookie attribute.
@@ -64,8 +65,11 @@ type Cookie struct {
 
 // Expired reports whether the cookie is expired at time now. Session
 // cookies (zero Expires) never expire within a simulation run.
-func (c *Cookie) Expired(now time.Time) bool {
-	return !c.Expires.IsZero() && !c.Expires.After(now)
+func (c *Cookie) Expired(now time.Time) bool { return expired(c.Expires, now) }
+
+// expired is the jar's expiry rule for an Expires of expires at now.
+func expired(expires, now time.Time) bool {
+	return !expires.IsZero() && !expires.After(now)
 }
 
 // Pair renders "name=value".
@@ -77,87 +81,150 @@ func (c *Cookie) Clone() *Cookie {
 	return &cp
 }
 
-// ParseSetCookie parses one Set-Cookie header line (or a document.cookie
-// assignment string, which uses the same grammar) relative to now.
-// It returns nil if the line has no parsable name=value prefix.
+// Assignment is one Set-Cookie header line or document.cookie assignment
+// as written: the name, value and attributes, before a jar resolves the
+// default domain and path and the expiry against its clock.
+type Assignment struct {
+	Name   string
+	Value  string
+	Domain string // the Domain attribute, lower-cased, without a leading dot
+	Path   string
+
+	// MaxAge is the last valid Max-Age, in seconds, when HasMaxAge is
+	// set; Expires is the last valid Expires, zero if there is none.
+	// Max-Age has precedence (RFC 6265 §4.1.2.2).
+	MaxAge    int64
+	HasMaxAge bool
+	Expires   time.Time
+
+	Secure   bool
+	HttpOnly bool
+	SameSite SameSite
+}
+
+// ParseAssignment parses one Set-Cookie header line, or a document.cookie
+// assignment string, which uses the same grammar. ok is false, and the
+// assignment is zero, when the line has no name=value prefix with a
+// non-empty name.
 //
-// Segments are walked in place rather than materialized with
-// strings.Split: this parser runs once per cookie write on the crawl hot
-// path, and the split slice was one of its dominant allocations.
-func ParseSetCookie(line string, now time.Time) *Cookie {
-	nv := line
-	rest := ""
-	if i := strings.IndexByte(line, ';'); i >= 0 {
-		nv, rest = line[:i], line[i+1:]
-	}
+// Segments are walked in place and attribute names are matched without
+// building lowered strings: the jar, the recorder and CookieGuard each
+// parse every script cookie write with it on the crawl hot path, and a
+// typical write such as "_ga=…; Path=/; Max-Age=63072000; SameSite=Lax"
+// parses without allocating.
+func ParseAssignment(line string) (a Assignment, ok bool) {
+	nv, rest, _ := strings.Cut(line, ";")
 	nv = strings.TrimSpace(nv)
 	eq := strings.IndexByte(nv, '=')
 	if eq <= 0 {
-		return nil // empty name not allowed
+		return Assignment{}, false // empty name not allowed
 	}
-	c := &Cookie{
-		Name:    strings.TrimSpace(nv[:eq]),
-		Value:   strings.TrimSpace(nv[eq+1:]),
-		Created: now,
+	a.Name = strings.TrimSpace(nv[:eq])
+	a.Value = strings.TrimSpace(nv[eq+1:])
+	if a.Name == "" {
+		return Assignment{}, false
 	}
-	if c.Name == "" {
+	for rest != "" {
+		var attr string
+		attr, rest, _ = strings.Cut(rest, ";")
+		key, val, _ := strings.Cut(strings.TrimSpace(attr), "=")
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		switch {
+		case lowersTo(key, "domain"):
+			a.Domain = strings.ToLower(strings.TrimPrefix(val, "."))
+		case lowersTo(key, "path"):
+			a.Path = val
+		case lowersTo(key, "expires"):
+			if !a.HasMaxAge { // Max-Age has precedence
+				if t, err := parseCookieTime(val); err == nil {
+					a.Expires = t
+				}
+			}
+		case lowersTo(key, "max-age"):
+			if secs, err := strconv.ParseInt(val, 10, 64); err == nil {
+				a.MaxAge, a.HasMaxAge = secs, true
+			}
+		case lowersTo(key, "secure"):
+			a.Secure = true
+		case lowersTo(key, "httponly"):
+			a.HttpOnly = true
+		case lowersTo(key, "samesite"):
+			switch {
+			case lowersTo(val, "lax"):
+				a.SameSite = SameSiteLax
+			case lowersTo(val, "strict"):
+				a.SameSite = SameSiteStrict
+			case lowersTo(val, "none"):
+				a.SameSite = SameSiteNone
+			}
+		}
+	}
+	return a, true
+}
+
+// expiry is the Expires a jar stores for the assignment written at now:
+// zero for a session cookie, and a second before now for a Max-Age of
+// zero or less, the standard deletion idiom.
+func (a *Assignment) expiry(now time.Time) time.Time {
+	switch {
+	case !a.HasMaxAge:
+		return a.Expires
+	case a.MaxAge <= 0:
+		return now.Add(-time.Second)
+	default:
+		return now.Add(time.Duration(a.MaxAge) * time.Second)
+	}
+}
+
+// Expired reports whether a jar at time now treats the assignment as a
+// deletion: the cookie it would store is already expired, so the jar
+// deletes the stored cookie of that name, domain and path instead.
+func (a *Assignment) Expired(now time.Time) bool { return expired(a.expiry(now), now) }
+
+// ParseSetCookie parses one Set-Cookie header line (or a document.cookie
+// assignment string) relative to now. It returns nil if the line has no
+// parsable name=value prefix.
+func ParseSetCookie(line string, now time.Time) *Cookie {
+	a, ok := ParseAssignment(line)
+	if !ok {
 		return nil
 	}
-	var maxAgeSet bool
-	for rest != "" {
-		attr := rest
-		if i := strings.IndexByte(rest, ';'); i >= 0 {
-			attr, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		attr = strings.TrimSpace(attr)
-		if attr == "" {
-			continue
-		}
-		var key, val string
-		if i := strings.IndexByte(attr, '='); i >= 0 {
-			key, val = attr[:i], strings.TrimSpace(attr[i+1:])
-		} else {
-			key = attr
-		}
-		switch strings.ToLower(strings.TrimSpace(key)) {
-		case "domain":
-			c.Domain = strings.ToLower(strings.TrimPrefix(val, "."))
-		case "path":
-			c.Path = val
-		case "expires":
-			if !maxAgeSet { // Max-Age has precedence (RFC 6265 §4.1.2.2)
-				if t, err := parseCookieTime(val); err == nil {
-					c.Expires = t
-				}
-			}
-		case "max-age":
-			if secs, err := strconv.Atoi(val); err == nil {
-				maxAgeSet = true
-				if secs <= 0 {
-					// immediate expiry: the standard deletion idiom
-					c.Expires = now.Add(-time.Second)
-				} else {
-					c.Expires = now.Add(time.Duration(secs) * time.Second)
-				}
-			}
-		case "secure":
-			c.Secure = true
-		case "httponly":
-			c.HttpOnly = true
-		case "samesite":
-			switch strings.ToLower(val) {
-			case "lax":
-				c.SameSite = SameSiteLax
-			case "strict":
-				c.SameSite = SameSiteStrict
-			case "none":
-				c.SameSite = SameSiteNone
-			}
+	return &Cookie{
+		Name:     a.Name,
+		Value:    a.Value,
+		Domain:   a.Domain,
+		Path:     a.Path,
+		Expires:  a.expiry(now),
+		Secure:   a.Secure,
+		HttpOnly: a.HttpOnly,
+		SameSite: a.SameSite,
+		Created:  now,
+	}
+}
+
+// lowersTo reports whether strings.ToLower(s) == lower, for an ASCII
+// lower-case lower. ASCII s is folded byte by byte; anything else takes
+// strings.ToLower itself, because a few non-ASCII letters lower to ASCII
+// ones ('İ' to 'i', the Kelvin sign to 'k').
+func lowersTo(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.ToLower(s) == lower
 		}
 	}
-	return c
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 var cookieTimeFormats = []string{
@@ -175,35 +242,6 @@ func parseCookieTime(s string) (time.Time, error) {
 		}
 	}
 	return time.Time{}, fmt.Errorf("cookiejar: unparsable cookie time %q", s)
-}
-
-// SerializeSetCookie renders the cookie as a Set-Cookie header value.
-func SerializeSetCookie(c *Cookie) string {
-	var b strings.Builder
-	b.WriteString(c.Pair())
-	if c.Domain != "" && !c.HostOnly {
-		b.WriteString("; Domain=")
-		b.WriteString(c.Domain)
-	}
-	if c.Path != "" {
-		b.WriteString("; Path=")
-		b.WriteString(c.Path)
-	}
-	if !c.Expires.IsZero() {
-		b.WriteString("; Expires=")
-		b.WriteString(c.Expires.UTC().Format(time.RFC1123))
-	}
-	if c.Secure {
-		b.WriteString("; Secure")
-	}
-	if c.HttpOnly {
-		b.WriteString("; HttpOnly")
-	}
-	if s := c.SameSite.String(); s != "" {
-		b.WriteString("; SameSite=")
-		b.WriteString(s)
-	}
-	return b.String()
 }
 
 // domainMatch implements RFC 6265 §5.1.3.

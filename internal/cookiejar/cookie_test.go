@@ -1,7 +1,6 @@
 package cookiejar
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -84,21 +83,20 @@ func TestParseSetCookieValueWithEquals(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	in := &Cookie{
-		Name: "pref", Value: "dark", Domain: "example.com", Path: "/",
-		Expires: t0.Add(24 * time.Hour), Secure: true, SameSite: SameSiteLax,
+// TestParseAssignmentAllocs pins the parser's allocations on a typical
+// tracker write: none for the value-returning parse, and only the
+// *Cookie for ParseSetCookie.
+func TestParseAssignmentAllocs(t *testing.T) {
+	var sink *Cookie
+	const ga = "_ga=GA1.2.123.456; Path=/; Max-Age=63072000; SameSite=Lax"
+	if n := testing.AllocsPerRun(100, func() { ParseAssignment(ga) }); n != 0 {
+		t.Errorf("ParseAssignment(%q): %v allocs, want 0", ga, n)
 	}
-	line := SerializeSetCookie(in)
-	out := ParseSetCookie(line, t0)
-	if out.Name != in.Name || out.Value != in.Value || out.Domain != in.Domain ||
-		out.Path != in.Path || !out.Expires.Equal(in.Expires) ||
-		out.Secure != in.Secure || out.SameSite != in.SameSite {
-		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+	const tid = "_tid=abcdef; Max-Age=3600"
+	if n := testing.AllocsPerRun(100, func() { sink = ParseSetCookie(tid, t0) }); n != 1 {
+		t.Errorf("ParseSetCookie(%q): %v allocs, want 1", tid, n)
 	}
-	if !strings.Contains(line, "SameSite=Lax") {
-		t.Errorf("serialized = %q", line)
-	}
+	_ = sink
 }
 
 func TestDomainMatch(t *testing.T) {

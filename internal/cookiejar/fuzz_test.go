@@ -1,7 +1,11 @@
 package cookiejar
 
 import (
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"cookieguard/internal/webgen"
 )
@@ -26,8 +30,88 @@ func fuzzSetCookies(f *testing.F) []string {
 	return lines
 }
 
+// parseSetCookieOracle is ParseSetCookie as it was before
+// ParseAssignment split out of it, with strings.ToLower attribute
+// matching: the reference the current parser must agree with on every
+// line.
+func parseSetCookieOracle(line string, now time.Time) *Cookie {
+	nv := line
+	rest := ""
+	if i := strings.IndexByte(line, ';'); i >= 0 {
+		nv, rest = line[:i], line[i+1:]
+	}
+	nv = strings.TrimSpace(nv)
+	eq := strings.IndexByte(nv, '=')
+	if eq <= 0 {
+		return nil
+	}
+	c := &Cookie{
+		Name:    strings.TrimSpace(nv[:eq]),
+		Value:   strings.TrimSpace(nv[eq+1:]),
+		Created: now,
+	}
+	if c.Name == "" {
+		return nil
+	}
+	var maxAgeSet bool
+	for rest != "" {
+		attr := rest
+		if i := strings.IndexByte(rest, ';'); i >= 0 {
+			attr, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		attr = strings.TrimSpace(attr)
+		if attr == "" {
+			continue
+		}
+		var key, val string
+		if i := strings.IndexByte(attr, '='); i >= 0 {
+			key, val = attr[:i], strings.TrimSpace(attr[i+1:])
+		} else {
+			key = attr
+		}
+		switch strings.ToLower(strings.TrimSpace(key)) {
+		case "domain":
+			c.Domain = strings.ToLower(strings.TrimPrefix(val, "."))
+		case "path":
+			c.Path = val
+		case "expires":
+			if !maxAgeSet {
+				if t, err := parseCookieTime(val); err == nil {
+					c.Expires = t
+				}
+			}
+		case "max-age":
+			if secs, err := strconv.Atoi(val); err == nil {
+				maxAgeSet = true
+				if secs <= 0 {
+					c.Expires = now.Add(-time.Second)
+				} else {
+					c.Expires = now.Add(time.Duration(secs) * time.Second)
+				}
+			}
+		case "secure":
+			c.Secure = true
+		case "httponly":
+			c.HttpOnly = true
+		case "samesite":
+			switch strings.ToLower(val) {
+			case "lax":
+				c.SameSite = SameSiteLax
+			case "strict":
+				c.SameSite = SameSiteStrict
+			case "none":
+				c.SameSite = SameSiteNone
+			}
+		}
+	}
+	return c
+}
+
 // FuzzParseSetCookie checks that ParseSetCookie never panics on any
-// line, and that a cookie it returns has a name.
+// line, that a cookie it returns has a name, and that it parses every
+// line exactly as parseSetCookieOracle does.
 func FuzzParseSetCookie(f *testing.F) {
 	for _, l := range fuzzSetCookies(f) {
 		f.Add(l)
@@ -38,12 +122,35 @@ func FuzzParseSetCookie(f *testing.F) {
 		"id=1; max-age=-5; Expires=garbage; SameSite=None; Secure; HttpOnly",
 		"=novalue; Path=/",
 		";;=;",
+		"x=1; Max-Age=1; max-age=0",
+		"x=1; expires=Thu, 01 Jan 1970 00:00:00 GMT",
+		"x=max-age=0",
+		"x=1; Path=/max-age=0",
+		"x=1; Max-Age=9223372037; SAMESITE=lAx; DOMAİN=Example.COM",
+		"x=1; Expires=Sun, 06 Nov 1994 08:49:37 PST; Max-Age=+5; Max-Age=x",
 	} {
 		f.Add(l)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		if c := ParseSetCookie(line, t0); c != nil && c.Name == "" {
+		got, want := ParseSetCookie(line, t0), parseSetCookieOracle(line, t0)
+		if got != nil && got.Name == "" {
 			t.Fatalf("ParseSetCookie(%q) returned a cookie with no name", line)
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("ParseSetCookie(%q) = %+v, oracle gives %+v", line, got, want)
+		}
+		if got == nil {
+			return
+		}
+		// Expires is compared as an instant and a rendering: a parsed
+		// zone is a fresh *time.Location on every parse.
+		if !got.Expires.Equal(want.Expires) || got.Expires.String() != want.Expires.String() {
+			t.Fatalf("ParseSetCookie(%q).Expires = %v, oracle gives %v", line, got.Expires, want.Expires)
+		}
+		g, w := *got, *want
+		g.Expires, w.Expires = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("ParseSetCookie(%q) = %+v, oracle gives %+v", line, g, w)
 		}
 	})
 }

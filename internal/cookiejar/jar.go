@@ -179,15 +179,6 @@ func (j *Jar) SetFromDocument(pageURL, assignment string) ChangeKind {
 	return j.set(pageURL, assignment, SourceDocument)
 }
 
-// SetFromCookieStore stores a cookie via the CookieStore API.
-func (j *Jar) SetFromCookieStore(pageURL string, c *Cookie) ChangeKind {
-	if c == nil {
-		return ChangeRejected
-	}
-	line := SerializeSetCookie(c)
-	return j.set(pageURL, line, SourceCookieStore)
-}
-
 // SetFromCookieStoreAssignment stores a cookie via the CookieStore API
 // from a Set-Cookie-style assignment line (used by the browser's cookie
 // API surface, where options arrive as attributes such as Max-Age).

@@ -216,22 +216,6 @@ func TestDeleteDomainCookie(t *testing.T) {
 	}
 }
 
-func TestSetFromCookieStore(t *testing.T) {
-	j, clk := newJar()
-	k := j.SetFromCookieStore(site, &Cookie{
-		Name: "keep_alive", Value: "xyz", Expires: clk.Now().Add(time.Hour),
-	})
-	if k != ChangeCreated {
-		t.Fatalf("kind = %v", k)
-	}
-	if got := j.Get(site, "keep_alive"); got == nil || got.Value != "xyz" {
-		t.Fatalf("Get = %+v", got)
-	}
-	if k := j.SetFromCookieStore(site, nil); k != ChangeRejected {
-		t.Fatal("nil cookie must be rejected")
-	}
-}
-
 func TestObserverReceivesChanges(t *testing.T) {
 	j, _ := newJar()
 	var got []Change

@@ -221,6 +221,8 @@ type ProgressStats struct {
 	Faults   int64 `json:"faults"`
 	// Cache is the artifact cache's per-tier snapshot of hits, misses,
 	// evictions and resident bytes (zero when the crawl runs uncached).
+	// It depends on worker scheduling and is not reproducible across
+	// runs (see artifact.Stats).
 	Cache artifact.Stats `json:"cache"`
 	// Pool is the per-visit object pools' reuse snapshot (zero deltas
 	// when the crawl runs unpooled).

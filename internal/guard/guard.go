@@ -87,7 +87,10 @@ func WhitelistPolicy(m *entity.Map) Policy {
 // BlockKind classifies a blocked or filtered operation.
 type BlockKind string
 
-// Block kinds.
+// Block kinds. A blocked document.cookie assignment is a BlockDelete
+// exactly when the jar would have deleted by it (an expired write), and a
+// BlockWrite otherwise; a blocked cookieStore.set is a BlockWrite and a
+// blocked cookieStore.delete a BlockDelete.
 const (
 	BlockRead   BlockKind = "read-filtered"
 	BlockWrite  BlockKind = "write-blocked"
@@ -305,6 +308,12 @@ func (g *Guard) filterDocCookieParsed(raw, accessor, site string) (string, bool)
 	return strings.Join(kept, "; "), filtered
 }
 
+// SetDocumentCookie enforces a document.cookie assignment by the name
+// the jar's own parser (cookiejar.ParseAssignment) reads from it; an
+// assignment with no name, which the jar would reject, is dropped. A
+// write to a cookie another domain created is blocked, as BlockDelete
+// when the jar would have treated it as a deletion (Assignment.Expired
+// on the browser's clock) and as BlockWrite otherwise.
 func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
 	g := p.g
 	g.chargeOverhead()
@@ -313,10 +322,11 @@ func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment st
 		g.logBlock(BlockEvent{Kind: BlockInline, Accessor: "inline"})
 		return
 	}
-	name := assignmentName(assignment)
-	if name == "" {
+	as, ok := cookiejar.ParseAssignment(assignment)
+	if !ok {
 		return
 	}
+	name := as.Name
 	site := ctx.PageDomain()
 	creator, exists := g.bg.lookup(name)
 	if !exists {
@@ -330,7 +340,7 @@ func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment st
 		return
 	}
 	kind := BlockWrite
-	if isDeletion(assignment) {
+	if as.Expired(g.clock.Now()) {
 		kind = BlockDelete
 	}
 	g.logBlock(BlockEvent{Kind: kind, Name: name, Accessor: accessor, Creator: creator})
@@ -419,32 +429,4 @@ func (p *pageWrapper) StoreDelete(ctx browser.AccessContext, name string) {
 		return
 	}
 	p.next.StoreDelete(ctx, name)
-}
-
-// assignmentName extracts the cookie name from an assignment string.
-func assignmentName(assignment string) string {
-	nv := assignment
-	if i := strings.IndexByte(nv, ';'); i >= 0 {
-		nv = nv[:i]
-	}
-	eq := strings.IndexByte(nv, '=')
-	if eq <= 0 {
-		return ""
-	}
-	return strings.TrimSpace(nv[:eq])
-}
-
-// isDeletion reports whether an assignment is the expire-now idiom.
-func isDeletion(assignment string) bool {
-	low := strings.ToLower(assignment)
-	idx := strings.Index(low, "max-age")
-	if idx < 0 {
-		return false
-	}
-	rest := strings.TrimLeft(low[idx+len("max-age"):], " =")
-	if end := strings.IndexByte(rest, ';'); end >= 0 {
-		rest = rest[:end]
-	}
-	rest = strings.TrimSpace(rest)
-	return rest == "0" || strings.HasPrefix(rest, "-")
 }

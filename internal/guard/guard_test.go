@@ -3,12 +3,15 @@ package guard
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cookieguard/internal/browser"
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/entity"
 	"cookieguard/internal/netsim"
+	"cookieguard/internal/vclock"
 )
 
 // guardedWeb builds a test site with setter/reader scripts from different
@@ -382,14 +385,54 @@ func TestPerOpOverheadCharged(t *testing.T) {
 	}
 }
 
-func TestAssignmentHelpers(t *testing.T) {
-	if assignmentName("a=1; Path=/") != "a" || assignmentName("=bad") != "" {
-		t.Fatal("assignmentName broken")
-	}
-	if !isDeletion("a=; Max-Age=0") || !isDeletion("a=; Max-Age=-1") {
-		t.Fatal("isDeletion should detect expiry idioms")
-	}
-	if isDeletion("a=1; Max-Age=600") || isDeletion("a=1") {
-		t.Fatal("isDeletion false positives")
+// TestBlockKindMatchesJar makes each assignment from a cross-domain
+// script, after another domain's script created x. The guard blocks it,
+// names the cookie the jar's parser reads, and calls it a delete exactly
+// when the jar, unguarded, would have deleted x by it. An assignment with
+// no name is dropped without a block.
+func TestBlockKindMatchesJar(t *testing.T) {
+	const page = "https://www.shop.example/"
+	for _, assignment := range []string{
+		// A parse that takes the first "max-age" anywhere in the line,
+		// or ignores Expires, misjudges these four.
+		"x=1; Max-Age=1; max-age=0",
+		"x=1; expires=Thu, 01 Jan 1970 00:00:00 GMT",
+		"x=max-age=0",
+		"x=1; Path=/max-age=0",
+		// Writes and the Max-Age deletion idiom.
+		"x=1; Path=/",
+		"x=1; Max-Age=600",
+		"x=; Max-Age=0",
+		"x=; Max-Age=-1",
+		"x=1",
+		"=bad",
+	} {
+		g, _, _ := visitWithGuard(t, guardedWeb(map[string]string{
+			"__html__": `<html><head>
+<script src="https://setter.example/s.js"></script>
+<script src="https://attacker.example/a.js"></script>
+</head></html>`,
+			"https://setter.example/s.js":   `doc_set_cookie("x=seed");`,
+			"https://attacker.example/a.js": fmt.Sprintf(`doc_set_cookie(%q);`, assignment),
+		}), DefaultPolicy())
+		var blocks []BlockEvent
+		for _, b := range g.Blocks() {
+			if b.Accessor == "attacker.example" {
+				blocks = append(blocks, b)
+			}
+		}
+
+		jar := cookiejar.New(vclock.New())
+		jar.SetFromDocument(page, "x=seed")
+		want := []BlockEvent{{Kind: BlockWrite, Name: "x", Accessor: "attacker.example", Creator: "setter.example"}}
+		switch jar.SetFromDocument(page, assignment) {
+		case cookiejar.ChangeDeleted:
+			want[0].Kind = BlockDelete
+		case cookiejar.ChangeRejected:
+			want = nil
+		}
+		if !reflect.DeepEqual(blocks, want) {
+			t.Errorf("%q: attacker blocks %+v, want %+v", assignment, blocks, want)
+		}
 	}
 }

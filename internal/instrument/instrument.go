@@ -11,10 +11,7 @@
 package instrument
 
 import (
-	"strconv"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"cookieguard/internal/browser"
 	"cookieguard/internal/cookiejar"
@@ -30,7 +27,7 @@ type Op string
 const (
 	OpRead    Op = "read"    // document.cookie getter / cookieStore get(All)
 	OpWrite   Op = "write"   // assignment / cookieStore.set
-	OpDelete  Op = "delete"  // expired write / cookieStore.delete
+	OpDelete  Op = "delete"  // expired write (see CookieEvent) / cookieStore.delete
 	OpHTTPSet Op = "httpset" // Set-Cookie response header
 )
 
@@ -45,6 +42,14 @@ const (
 )
 
 // CookieEvent is one recorded cookie operation.
+//
+// A document.cookie assignment is parsed by cookiejar.ParseAssignment,
+// the parser the jar itself uses. It is recorded as
+// OpDelete exactly when the jar treats it as a deletion: when
+// Assignment.Expired holds on the browser's clock (a last valid Max-Age
+// of zero or less, or, without a valid Max-Age, an Expires date not
+// after now). An assignment with no name is recorded as an OpWrite with
+// no name or attributes; the jar rejects it.
 type CookieEvent struct {
 	Op  Op  `json:"op"`
 	API API `json:"api"`
@@ -57,7 +62,9 @@ type CookieEvent struct {
 	Name  string `json:"name,omitempty"`
 	Value string `json:"value,omitempty"`
 
-	// Write attributes parsed from the assignment.
+	// Write attributes as the assignment wrote them: the Domain
+	// attribute lower-cased without a leading dot, the Path attribute,
+	// and the last valid Max-Age.
 	Domain string `json:"domain,omitempty"`
 	Path   string `json:"path,omitempty"`
 	MaxAge int64  `json:"max_age,omitempty"`
@@ -229,7 +236,7 @@ func (r *Recorder) Release() {
 func (r *Recorder) Middleware() browser.CookieMiddleware {
 	return func(b *browser.Browser, next browser.CookieAPI) browser.CookieAPI {
 		b.Jar().Observe(r.observeHTTP)
-		return &recordingAPI{rec: r, next: next}
+		return &recordingAPI{rec: r, next: next, clock: b.Clock()}
 	}
 }
 
@@ -341,8 +348,9 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 
 // recordingAPI wraps a CookieAPI and records every call.
 type recordingAPI struct {
-	rec  *Recorder
-	next browser.CookieAPI
+	rec   *Recorder
+	next  browser.CookieAPI
+	clock cookiejar.Clock // the browser's, which its jar reads too
 }
 
 func (a *recordingAPI) base(ctx browser.AccessContext, op Op, api API) CookieEvent {
@@ -364,7 +372,13 @@ func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext) string {
 
 func (a *recordingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
 	ev := a.base(ctx, OpWrite, APIDocument)
-	fillFromAssignment(&ev, assignment)
+	if as, ok := cookiejar.ParseAssignment(assignment); ok {
+		ev.Name, ev.Value = as.Name, as.Value
+		ev.Domain, ev.Path, ev.MaxAge = as.Domain, as.Path, as.MaxAge
+		if as.Expired(a.clock.Now()) {
+			ev.Op = OpDelete
+		}
+	}
 	a.rec.append(ev)
 	a.next.SetDocumentCookie(ctx, assignment)
 }
@@ -402,93 +416,6 @@ func (a *recordingAPI) StoreDelete(ctx browser.AccessContext, name string) {
 	ev.Name = name
 	a.rec.append(ev)
 	a.next.StoreDelete(ctx, name)
-}
-
-// fillFromAssignment parses a document.cookie assignment into the event,
-// classifying expired writes as deletions. Attribute names match as
-// their strings.ToLower form would, without building lowered strings.
-func fillFromAssignment(ev *CookieEvent, assignment string) {
-	nv, attrs, more := strings.Cut(assignment, ";")
-	nv = strings.TrimSpace(nv)
-	if eq := strings.IndexByte(nv, '='); eq > 0 {
-		ev.Name = strings.TrimSpace(nv[:eq])
-		ev.Value = strings.TrimSpace(nv[eq+1:])
-	}
-	for more {
-		var attr string
-		attr, attrs, more = strings.Cut(attrs, ";")
-		key, val, _ := strings.Cut(strings.TrimSpace(attr), "=")
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		// Expires is not read: expired Expires dates are handled by
-		// replay in analysis, and scripts in this universe delete via
-		// Max-Age.
-		switch {
-		case lowersTo(key, "domain"):
-			ev.Domain = strings.ToLower(strings.TrimPrefix(val, "."))
-		case lowersTo(key, "path"):
-			ev.Path = val
-		case lowersTo(key, "max-age"):
-			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-				ev.MaxAge = n
-			}
-		}
-	}
-	// Max-Age=0 or negative is the deletion idiom.
-	if ev.MaxAge <= 0 && hasExplicitZeroMaxAge(assignment) {
-		ev.Op = OpDelete
-	}
-}
-
-// lowersTo reports whether strings.ToLower(s) == lower, for an ASCII
-// lower-case lower. ASCII s is folded byte by byte; anything else takes
-// strings.ToLower itself, because a few non-ASCII letters lower to ASCII
-// ones ('İ' to 'i', the Kelvin sign to 'k').
-func lowersTo(s, lower string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return strings.ToLower(s) == lower
-		}
-	}
-	if len(s) != len(lower) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if asciiLower(s[i]) != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func asciiLower(c byte) byte {
-	if 'A' <= c && c <= 'Z' {
-		return c + 'a' - 'A'
-	}
-	return c
-}
-
-// hasExplicitZeroMaxAge reports whether the value after the first
-// "max-age" in assignment, matched ASCII case-insensitively, is an
-// integer <= 0. No non-ASCII letter lowers to a letter of "max-age", so
-// this finds the same occurrence strings.ToLower would.
-func hasExplicitZeroMaxAge(assignment string) bool {
-	const attr = "max-age"
-	for i := 0; i+len(attr) <= len(assignment); i++ {
-		j := 0
-		for j < len(attr) && asciiLower(assignment[i+j]) == attr[j] {
-			j++
-		}
-		if j < len(attr) {
-			continue
-		}
-		rest := strings.TrimLeft(assignment[i+len(attr):], " =")
-		if end := strings.IndexByte(rest, ';'); end >= 0 {
-			rest = rest[:end]
-		}
-		n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		return err == nil && n <= 0
-	}
-	return false
 }
 
 // MutationCrossDomain reports whether a DOM mutation crossed domains: the

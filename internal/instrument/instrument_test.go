@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cookieguard/internal/browser"
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/netsim"
 )
 
@@ -159,22 +160,78 @@ func TestIncompleteVisit(t *testing.T) {
 	}
 }
 
-func TestFillFromAssignmentDeleteIdioms(t *testing.T) {
-	cases := []struct {
-		assignment string
-		wantOp     Op
-	}{
-		{"a=1; Max-Age=3600", OpWrite},
-		{"a=; Max-Age=0", OpDelete},
-		{"a=; Max-Age=-1", OpDelete},
-		{"a=1", OpWrite},
-	}
-	for _, c := range cases {
-		ev := CookieEvent{Op: OpWrite}
-		fillFromAssignment(&ev, c.assignment)
-		if ev.Op != c.wantOp {
-			t.Errorf("fillFromAssignment(%q) op = %v, want %v", c.assignment, ev.Op, c.wantOp)
+// TestRecordedAssignmentsMatchJar drives a real browser: a script writes
+// x, then makes one more assignment, and the event recorded for that
+// assignment must carry the op, name, value and path of what the jar
+// did with it.
+func TestRecordedAssignmentsMatchJar(t *testing.T) {
+	for _, assignment := range []string{
+		// A parse that takes the first "max-age" anywhere in the line,
+		// or ignores Expires, misjudges these four.
+		"x=1; Max-Age=1; max-age=0",
+		"x=1; expires=Thu, 01 Jan 1970 00:00:00 GMT",
+		"x=max-age=0",
+		"x=1; Path=/max-age=0",
+		// Writes and the Max-Age deletion idiom.
+		"x=1; Max-Age=3600",
+		"x=; Max-Age=0",
+		"x=; Max-Age=-1",
+		"x=1",
+		// No name: recorded as a nameless write, which the jar rejects.
+		"=x; Max-Age=0",
+	} {
+		in := netsim.New()
+		in.RegisterFunc("www.shop.example", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/html")
+			fmt.Fprint(w, `<html><head><script src="https://tracker.example/t.js"></script></head></html>`)
+		})
+		in.RegisterFunc("tracker.example", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, `doc_set_cookie("x=seed"); doc_set_cookie(%q);`, assignment)
+		})
+		rec := NewRecorder()
+		b, err := browser.New(browser.Options{
+			Internet:         in,
+			CookieMiddleware: []browser.CookieMiddleware{rec.Middleware()},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var changes []cookiejar.Change
+		b.Jar().Observe(func(ch cookiejar.Change) {
+			if ch.Source == cookiejar.SourceDocument {
+				changes = append(changes, ch)
+			}
+		})
+		if _, err := b.Visit("https://www.shop.example/"); err != nil {
+			t.Fatal(err)
+		}
+		var writes []CookieEvent
+		for _, ev := range rec.Events() {
+			if ev.API == APIDocument && ev.Op != OpRead {
+				writes = append(writes, ev)
+			}
+		}
+		if len(writes) != 2 || len(changes) == 0 {
+			t.Fatalf("%q: recorded %+v with jar changes %+v, want two writes", assignment, writes, changes)
+		}
+		ev := writes[1]
+		got := [4]string{string(ev.Op), ev.Name, ev.Value, ev.Path}
+		want := [4]string{string(OpWrite), "", "", ""}
+		if len(changes) == 2 {
+			ch := changes[1]
+			op := OpWrite
+			if ch.Kind == cookiejar.ChangeDeleted {
+				op = OpDelete
+			}
+			want = [4]string{string(op), ch.Cookie.Name, ch.Cookie.Value, ch.Cookie.Path}
+			if got[3] == "" {
+				got[3] = "/" // no Path attribute: the jar took the page's default path
+			}
+		}
+		if got != want {
+			t.Errorf("%q recorded as [op name value path] %q, the jar did %q", assignment, got, want)
+		}
+		rec.Release()
 	}
 }
 

@@ -36,10 +36,12 @@
 // record's 128-bit FNV content hash (32 hex chars), a space, and the
 // record JSON. A reader validates every line's hash and stops at the
 // first invalid one, so a torn tail — the normal residue of a crash
-// mid-write — truncates cleanly to the last durable record. The first
-// line is a header carrying a fingerprint of the crawl configuration;
-// opening a journal against a different configuration fails
-// (ErrFingerprint) rather than replaying foreign outcomes.
+// mid-write — truncates cleanly to the last durable record. A line whose
+// hash is valid but whose JSON is not exactly one record ends the valid
+// prefix the same way. The first line is a header carrying a
+// fingerprint of the crawl configuration; opening a journal against a
+// different configuration fails (ErrFingerprint) rather than replaying
+// foreign outcomes.
 //
 // Writes are buffered in user space and flushed+fsynced together —
 // every FsyncEvery records plus explicit Sync calls (graceful
@@ -92,6 +94,10 @@ var (
 	// with a different configuration; resuming it would mix outcomes
 	// from two different crawls.
 	ErrFingerprint = errors.New("journal: configuration fingerprint mismatch")
+	// errDuplicateHeader means a second hash-valid header line follows
+	// the first. Open never writes one, so the file is not the journal
+	// of one crawl.
+	errDuplicateHeader = errors.New("journal: duplicate header")
 )
 
 // Key identifies one journaled unit: the crawl-plan unit (site,
@@ -213,6 +219,18 @@ type line struct {
 	Snap   *LaneSnapshot `json:"snap,omitempty"`
 }
 
+// payloads counts the envelope's set payload fields; a line whose count
+// is not one is invalid.
+func (l *line) payloads() int {
+	n := 0
+	for _, set := range []bool{l.Header != nil, l.Unit != nil, l.Snap != nil} {
+		if set {
+			n++
+		}
+	}
+	return n
+}
+
 // Journal is an open write-ahead journal. Safe for concurrent use:
 // Lookup reads the immutable load-time set, appends serialize on a
 // mutex.
@@ -238,11 +256,12 @@ type Journal struct {
 // Open opens (creating if absent) the journal in dir and loads its
 // durable state: unit records into the resume set, snapshots into the
 // verification map. A torn tail — trailing bytes that do not form a
-// hash-valid line — is truncated away, and a torn header — durable
-// records with no hash-valid header line before them — resets the
-// journal to empty (there is no fingerprint to trust the records
-// against). A non-empty journal whose header fingerprint differs from
-// fingerprint fails with ErrFingerprint.
+// hash-valid line holding exactly one record — is truncated away, and a
+// torn header — durable records with no hash-valid header line before
+// them — resets the journal to empty (there is no fingerprint to trust
+// the records against). A non-empty journal whose header fingerprint
+// differs from fingerprint fails with ErrFingerprint, and one with a
+// second header line fails too.
 func Open(dir, fingerprint string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -291,13 +310,13 @@ parse:
 			break
 		}
 		var rec line
-		if err := json.Unmarshal(body, &rec); err != nil {
-			break
+		if err := json.Unmarshal(body, &rec); err != nil || rec.payloads() != 1 {
+			break // garbage behind a valid hash ends the prefix like a torn line
 		}
 		switch {
 		case rec.Header != nil:
 			if sawHeader {
-				return fmt.Errorf("journal: duplicate header at offset %d", off)
+				return fmt.Errorf("%w at offset %d", errDuplicateHeader, off)
 			}
 			if rec.Header.Fingerprint != fingerprint {
 				return fmt.Errorf("%w: journal %s, crawl %s",

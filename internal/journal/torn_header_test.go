@@ -7,7 +7,7 @@ import (
 )
 
 // readJournal returns the raw bytes of dir's journal file.
-func readJournal(t *testing.T, dir string) []byte {
+func readJournal(t testing.TB, dir string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dir, FileName))
 	if err != nil {
@@ -17,7 +17,7 @@ func readJournal(t *testing.T, dir string) []byte {
 }
 
 // writeJournal replaces dir's journal file with raw.
-func writeJournal(t *testing.T, dir string, raw []byte) {
+func writeJournal(t testing.TB, dir string, raw []byte) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, FileName), raw, 0o644); err != nil {
 		t.Fatal(err)
