@@ -96,16 +96,14 @@ type Browser struct {
 	// navigations, frames) when pooling is on, for Release.
 	pages []*Page
 
-	// req/hdr/url are the reusable outbound request, its header map and
-	// its URL: a browser performs one fetch at a time, and the fabric
-	// never retains the request past Fetch (responses released back to
-	// its pool drop their back-pointer), so one request object serves
-	// every fetch. url holds canonical URLs (urlutil.ParseCanonical);
-	// the jar copies nothing but substrings out of it.
-	req       http.Request
-	hdr       http.Header
-	url       url.URL
-	cookieVal [1]string
+	// req/url are the reusable outbound request and its URL: a browser
+	// performs one fetch at a time, and the fabric never retains the
+	// request past Fetch (responses released back to its pool drop their
+	// back-pointer), so one request object serves every fetch. url holds
+	// canonical URLs (urlutil.ParseCanonical); the jar copies nothing but
+	// substrings out of it.
+	req http.Request
+	url url.URL
 }
 
 // New constructs a Browser.
@@ -131,13 +129,12 @@ func New(opts Options) (*Browser, error) {
 	if opts.TrackHosts {
 		b.hostOutcomes = make(map[string]*HostOutcome, 16)
 	}
-	b.hdr = make(http.Header, 4)
 	b.req = http.Request{
 		Method:     http.MethodGet,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
-		Header:     b.hdr,
+		Header:     make(http.Header),
 	}
 	b.api = &directCookieAPI{jar: b.jar}
 	for _, mw := range opts.CookieMiddleware {
@@ -242,10 +239,11 @@ func (b *Browser) HostReport() []HostOutcome {
 // and the virtual time so the fabric's fault model can draw per-attempt
 // decisions and follow flap schedules.
 //
-// With pooling on, the request object, its header map, the Cookie value
-// slice and, for a canonical URL, the parsed URL are owned by the
-// browser and reused across fetches: a browser performs one exchange at
-// a time, and under the pooling contract nothing retains the exchange
+// Requests carry no Cookie header: nothing in the simulated web reads
+// one, so the jar renders cookies for scripts only. With pooling on, the
+// request object and, for a canonical URL, the parsed URL are owned by
+// the browser and reused across fetches: a browser performs one exchange
+// at a time, and under the pooling contract nothing retains the exchange
 // past its round trip. Without pooling every fetch parses its URL and
 // builds a fresh request. The transport is called directly either way —
 // the fabric never redirects, so http.Client's redirect machinery (and
@@ -272,12 +270,6 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 	if b.opts.Pooling {
 		req = &b.req
 		req.URL = u
-		if hdr := b.jar.CookieHeader(rawURL, u); hdr != "" {
-			b.cookieVal[0] = hdr
-			b.hdr["Cookie"] = b.cookieVal[:]
-		} else {
-			delete(b.hdr, "Cookie")
-		}
 	} else {
 		req = &http.Request{
 			Method:     http.MethodGet,
@@ -285,10 +277,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 			Proto:      "HTTP/1.1",
 			ProtoMajor: 1,
 			ProtoMinor: 1,
-			Header:     make(http.Header, 4),
-		}
-		if hdr := b.jar.CookieHeader(rawURL, u); hdr != "" {
-			req.Header.Set("Cookie", hdr)
+			Header:     make(http.Header),
 		}
 	}
 	resp, err := b.rt.Fetch(req, netsim.Stamp{Attempt: b.opts.AttemptBase + attempt, VClockMs: b.clock.UnixMillis()})

@@ -8,6 +8,7 @@ package browser
 
 import (
 	"strconv"
+	"time"
 
 	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/jsdsl"
@@ -134,4 +135,13 @@ func RecordAssignment(rec jsdsl.CookieRecord) string {
 		line += "; SameSite=" + rec.SameSite
 	}
 	return line
+}
+
+// StoreSetDeletes reports whether a jar at time now treats
+// cookieStore.set(rec) as a deletion: the line RecordAssignment renders
+// for it is already expired (a negative max_age). The recorder and
+// CookieGuard name the operation by it, so neither disagrees with the jar.
+func StoreSetDeletes(rec jsdsl.CookieRecord, now time.Time) bool {
+	a, ok := cookiejar.ParseAssignment(RecordAssignment(rec))
+	return ok && a.Expired(now)
 }

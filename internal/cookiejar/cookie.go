@@ -59,8 +59,7 @@ type Cookie struct {
 	HttpOnly bool
 	SameSite SameSite
 
-	Created      time.Time
-	LastAccessed time.Time
+	Created time.Time
 }
 
 // Expired reports whether the cookie is expired at time now. Session
@@ -71,9 +70,6 @@ func (c *Cookie) Expired(now time.Time) bool { return expired(c.Expires, now) }
 func expired(expires, now time.Time) bool {
 	return !expires.IsZero() && !expires.After(now)
 }
-
-// Pair renders "name=value".
-func (c *Cookie) Pair() string { return c.Name + "=" + c.Value }
 
 // Clone returns a copy of the cookie.
 func (c *Cookie) Clone() *Cookie {
@@ -283,7 +279,7 @@ func pathMatch(requestPath, cookiePath string) bool {
 	return false
 }
 
-// sortCookies orders cookies for header serialization: longer paths first,
+// sortCookies orders cookies for serialization: longer paths first,
 // then earlier creation time (RFC 6265 §5.4 step 2). The RFC leaves the
 // order of remaining ties undefined; they are broken on (domain, name) so
 // serialization does not inherit map iteration order — with a fixed seed,

@@ -87,14 +87,9 @@ type storageKey struct {
 	name   string
 }
 
-// memoKey identifies one rendered cookie-string computation.
-type memoKey struct {
-	url      string
-	httpOnly bool
-}
-
-// memoEntry is a memoized rendering, valid while the jar generation is
-// unchanged and no contributing cookie has expired.
+// memoEntry is a memoized document.cookie rendering for one URL, valid
+// while the jar generation is unchanged and no contributing cookie has
+// expired.
 type memoEntry struct {
 	gen       uint64
 	value     string
@@ -104,13 +99,14 @@ type memoEntry struct {
 // Jar is a cookie jar for a single browsing context. It is safe for
 // concurrent use.
 //
-// The serialization paths (CookieHeader, DocumentCookie) are memoized:
-// scripts poll document.cookie far more often than they write it, so the
-// jar caches the rendered string per (URL, visibility) and invalidates
+// Scripts are the jar's only readers: the browser sends no Cookie request
+// header, since nothing in the simulated web reads one. DocumentCookie is
+// memoized, because scripts poll document.cookie far more often than they
+// write it: the jar caches the rendered string per URL and invalidates it
 // on any mutation (a generation counter) or when a rendered cookie's
 // expiry passes on the virtual clock. The memo is exact — it stores the
-// identical string the slow path would produce — so observable behaviour
-// is unchanged.
+// identical string a render would produce — so observable behaviour is
+// unchanged.
 type Jar struct {
 	clock Clock
 
@@ -118,8 +114,8 @@ type Jar struct {
 	store     map[storageKey]*Cookie
 	observers []Observer
 	gen       uint64
-	memo      map[memoKey]memoEntry
-	scratch   []*Cookie // renderCookies match buffer, reused under mu
+	memo      map[string]memoEntry
+	scratch   []*Cookie // visibleLocked match buffer, reused under mu
 
 	// lastURL is the most recent URL parsed for a script write or a
 	// rendering miss: every document.cookie access on a page passes the
@@ -226,12 +222,17 @@ func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
 	if c.Path == "" || !strings.HasPrefix(c.Path, "/") {
 		c.Path = defaultPath(u.Path)
 	}
-	c.LastAccessed = now
-
 	key := storageKey{domain: c.Domain, path: c.Path, name: c.Name}
 
 	j.mu.Lock()
 	prev := j.store[key]
+	if prev != nil && prev.Expired(now) {
+		// An expired cookie is gone (RFC 6265 §5.3): evict it here, so
+		// whether a read purged it first cannot turn this write into an
+		// overwrite that inherits its creation time.
+		delete(j.store, key)
+		prev = nil
+	}
 	var kind ChangeKind
 	switch {
 	case c.Expired(now):
@@ -279,15 +280,7 @@ type requestTarget struct {
 // cookie can match.
 func (j *Jar) parseTarget(rawURL string) (requestTarget, bool) {
 	u, ok := j.parseURL(rawURL)
-	if !ok {
-		return requestTarget{}, false
-	}
-	return targetOf(u)
-}
-
-// targetOf is parseTarget for an already parsed URL.
-func targetOf(u *url.URL) (requestTarget, bool) {
-	if u.Hostname() == "" {
+	if !ok || u.Hostname() == "" {
 		return requestTarget{}, false
 	}
 	path := u.Path
@@ -301,10 +294,9 @@ func targetOf(u *url.URL) (requestTarget, bool) {
 	}, true
 }
 
-// match is the single RFC 6265 §5.4 send predicate, shared by every
-// read path (cookiesFor and the memoized renderCookies) so the matching
-// rules cannot drift apart. It assumes c is not expired.
-func match(c *Cookie, t requestTarget, httpOnlyToo bool) bool {
+// match is the RFC 6265 §5.4 send predicate for a script on the target:
+// HttpOnly cookies never match. It assumes c is not expired.
+func match(c *Cookie, t requestTarget) bool {
 	if c.HostOnly {
 		if t.host != c.Domain {
 			return false
@@ -318,81 +310,27 @@ func match(c *Cookie, t requestTarget, httpOnlyToo bool) bool {
 	if c.Secure && !t.secure {
 		return false
 	}
-	if c.HttpOnly && !httpOnlyToo {
-		return false
-	}
-	return true
+	return !c.HttpOnly
 }
 
-// cookiesFor returns the live cookies matching a request to rawURL,
-// already sorted for serialization. httpOnlyToo includes HttpOnly cookies
-// (HTTP requests see them; scripts do not).
-func (j *Jar) cookiesFor(rawURL string, httpOnlyToo bool) []*Cookie {
+// visibleLocked is the jar's one matching loop, behind every read: it
+// purges expired cookies, collects the stored cookies scripts on rawURL
+// can see into j.scratch, sorted for serialization, and returns them with
+// the earliest non-zero expiry among them. The cookies are the stored
+// ones and must not be modified or kept past j.mu. j.mu must be held.
+func (j *Jar) visibleLocked(rawURL string, now time.Time) (matched []*Cookie, minExpiry time.Time) {
 	t, ok := j.parseTarget(rawURL)
 	if !ok {
-		return nil
+		return nil, time.Time{}
 	}
-	now := j.clock.Now()
-
-	j.mu.Lock()
-	var out []*Cookie
-	for key, c := range j.store {
-		if c.Expired(now) {
-			delete(j.store, key)
-			j.gen++
-			continue
-		}
-		if !match(c, t, httpOnlyToo) {
-			continue
-		}
-		c.LastAccessed = now
-		out = append(out, c.Clone())
-	}
-	j.mu.Unlock()
-
-	sortCookies(out)
-	return out
-}
-
-// renderCookies produces the serialized cookie string for a URL and
-// visibility, through the memo: a hit returns the previously rendered
-// string; a miss renders via cookiesFor and stores the result tagged
-// with the jar generation and the earliest expiry it depends on. u is
-// rawURL already parsed, or nil to parse it only on a miss.
-func (j *Jar) renderCookies(rawURL string, u *url.URL, httpOnlyToo bool) string {
-	now := j.clock.Now()
-	key := memoKey{url: rawURL, httpOnly: httpOnlyToo}
-	j.mu.Lock()
-	if e, ok := j.memo[key]; ok && e.gen == j.gen &&
-		(e.minExpiry.IsZero() || now.Before(e.minExpiry)) {
-		j.mu.Unlock()
-		return e.value
-	}
-	// Miss: render in place, under the same lock. Matching and ordering
-	// share cookiesFor's predicate and comparator, but no cookies are
-	// cloned — only name=value pairs leave the jar — and the sort reads
-	// the stored cookies without mutating them.
-	var t requestTarget
-	var tok bool
-	if u != nil {
-		t, tok = targetOf(u)
-	} else {
-		t, tok = j.parseTarget(rawURL)
-	}
-	if !tok {
-		j.mu.Unlock()
-		return ""
-	}
-
-	matched := j.scratch[:0]
-	var minExpiry time.Time
+	matched = j.scratch[:0]
 	for k, c := range j.store {
 		if c.Expired(now) {
 			delete(j.store, k)
 			j.gen++
 			continue
 		}
-		if !match(c, t, httpOnlyToo) {
+		if !match(c, t) {
 			continue
 		}
 		matched = append(matched, c)
@@ -401,9 +339,24 @@ func (j *Jar) renderCookies(rawURL string, u *url.URL, httpOnlyToo bool) string 
 		}
 	}
 	sortCookies(matched)
-	// Render straight into one builder: the per-cookie Pair() strings and
-	// the pairs slice the old strings.Join path allocated were among the
-	// crawl's dominant allocations. Bytes are identical.
+	j.scratch = matched
+	return matched, minExpiry
+}
+
+// DocumentCookie implements the document.cookie getter for a page at
+// rawURL: all matching non-HttpOnly cookies as "a=1; b=2". A memo hit
+// returns the previously rendered string; a miss renders the visible
+// cookies straight into one builder and stores the result tagged with
+// the jar generation and the earliest expiry it depends on.
+func (j *Jar) DocumentCookie(rawURL string) string {
+	now := j.clock.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if e, ok := j.memo[rawURL]; ok && e.gen == j.gen &&
+		(e.minExpiry.IsZero() || now.Before(e.minExpiry)) {
+		return e.value
+	}
+	matched, minExpiry := j.visibleLocked(rawURL, now)
 	var b strings.Builder
 	n := 0
 	for _, c := range matched {
@@ -419,39 +372,31 @@ func (j *Jar) renderCookies(rawURL string, u *url.URL, httpOnlyToo bool) string 
 		b.WriteString(c.Value)
 	}
 	value := b.String()
-	j.scratch = matched
 	if j.memo == nil {
-		j.memo = make(map[memoKey]memoEntry)
+		j.memo = make(map[string]memoEntry)
 	}
-	j.memo[key] = memoEntry{gen: j.gen, value: value, minExpiry: minExpiry}
-	j.mu.Unlock()
+	j.memo[rawURL] = memoEntry{gen: j.gen, value: value, minExpiry: minExpiry}
 	return value
 }
 
-// CookieHeader renders the Cookie request header value for a request to
-// u (includes HttpOnly cookies). Empty string means no cookies. rawURL
-// is the string u was parsed from; it keys the rendering memo, so the
-// URL is never parsed again.
-func (j *Jar) CookieHeader(rawURL string, u *url.URL) string {
-	return j.renderCookies(rawURL, u, true)
-}
-
-// DocumentCookie implements the document.cookie getter for a page at
-// rawURL: all matching non-HttpOnly cookies as "a=1; b=2".
-func (j *Jar) DocumentCookie(rawURL string) string {
-	return j.renderCookies(rawURL, nil, false)
-}
-
-// ScriptCookies returns the structured list of script-visible cookies for
-// a page, the backing call for both document.cookie and cookieStore reads.
+// ScriptCookies returns copies of the cookies scripts on a page can see,
+// sorted for serialization: the backing call for cookieStore reads.
 func (j *Jar) ScriptCookies(rawURL string) []*Cookie {
-	return j.cookiesFor(rawURL, false)
+	now := j.clock.Now()
+	j.mu.Lock()
+	matched, _ := j.visibleLocked(rawURL, now)
+	var out []*Cookie
+	for _, c := range matched {
+		out = append(out, c.Clone())
+	}
+	j.mu.Unlock()
+	return out
 }
 
 // Get returns the first script-visible cookie with the given name for the
 // page, or nil (the cookieStore.get() analogue).
 func (j *Jar) Get(rawURL, name string) *Cookie {
-	for _, c := range j.cookiesFor(rawURL, false) {
+	for _, c := range j.ScriptCookies(rawURL) {
 		if c.Name == name {
 			return c
 		}

@@ -19,7 +19,7 @@ func newJar() (*Jar, *vclock.Clock) {
 }
 
 // mustURL parses a test URL, as the browser does once per fetch before
-// handing it to CookieHeader and SetFromHeader.
+// handing it to SetFromHeader.
 func mustURL(t *testing.T, raw string) *url.URL {
 	t.Helper()
 	u, err := url.Parse(raw)
@@ -43,13 +43,20 @@ func TestHttpOnlyInvisibleToScripts(t *testing.T) {
 	j, _ := newJar()
 	j.SetFromHeader(mustURL(t, site), "session=secret; HttpOnly")
 	j.SetFromDocument(site, "visible=yes")
+	// The HttpOnly cookie is stored...
+	all := j.All()
+	if len(all) != 2 || all[0].Name != "session" || !all[0].HttpOnly {
+		t.Fatalf("All = %+v, want the HttpOnly session cookie stored", all)
+	}
+	// ...but no script read sees it.
 	if got := j.DocumentCookie(site); got != "visible=yes" {
 		t.Fatalf("DocumentCookie = %q (HttpOnly leaked?)", got)
 	}
-	// But the Cookie header for HTTP requests includes it.
-	hdr := j.CookieHeader(site, mustURL(t, site))
-	if hdr != "session=secret; visible=yes" && hdr != "visible=yes; session=secret" {
-		t.Fatalf("CookieHeader = %q", hdr)
+	if cs := j.ScriptCookies(site); len(cs) != 1 || cs[0].Name != "visible" {
+		t.Fatalf("ScriptCookies = %+v (HttpOnly leaked?)", cs)
+	}
+	if c := j.Get(site, "session"); c != nil {
+		t.Fatalf("Get(session) = %+v (HttpOnly leaked?)", c)
 	}
 }
 
@@ -178,10 +185,52 @@ func TestCookieHeaderOrdering(t *testing.T) {
 	j.SetFromHeader(mustURL(t, "https://example.com/app/x"), "deep=1; Path=/app")
 	clk.Advance(time.Second)
 	j.SetFromHeader(mustURL(t, "https://example.com/"), "shallow=1; Path=/")
-	// Longer path first per RFC 6265 §5.4.
-	if got := j.CookieHeader("https://example.com/app/x", mustURL(t, "https://example.com/app/x")); got != "deep=1; shallow=1" {
+	// Longer path first per RFC 6265 §5.4, although deep is older.
+	if got := j.DocumentCookie("https://example.com/app/x"); got != "deep=1; shallow=1" {
 		t.Fatalf("ordering = %q", got)
 	}
+	if cs := j.ScriptCookies("https://example.com/app/x"); len(cs) != 2 || cs[0].Name != "deep" {
+		t.Fatalf("ScriptCookies = %+v, want deep first", cs)
+	}
+}
+
+// TestExpiredCookieDoesNotShadowWrite pins that an expired cookie is gone
+// whether or not a read purged it: with no read between its expiry and
+// the next write, that write creates a fresh cookie instead of
+// overwriting the dead one and inheriting its creation time (and so its
+// place in document.cookie order).
+func TestExpiredCookieDoesNotShadowWrite(t *testing.T) {
+	t.Run("write", func(t *testing.T) {
+		j, clk := newJar()
+		var got []Change
+		j.Observe(func(ch Change) { got = append(got, ch) })
+		j.SetFromDocument(site, "x=1; Max-Age=1")
+		clk.Advance(2 * time.Second)
+		if k := j.SetFromDocument(site, "x=2"); k != ChangeCreated {
+			t.Fatalf("kind = %v, want %v", k, ChangeCreated)
+		}
+		last := got[len(got)-1]
+		if last.Previous != nil {
+			t.Fatalf("Previous = %+v, want nil", last.Previous)
+		}
+		if !last.Cookie.Created.Equal(clk.Now()) {
+			t.Fatalf("Created = %v, want the write's time %v", last.Cookie.Created, clk.Now())
+		}
+		if got := j.DocumentCookie(site); got != "x=2" {
+			t.Fatalf("DocumentCookie = %q", got)
+		}
+	})
+	t.Run("expired write", func(t *testing.T) {
+		j, clk := newJar()
+		j.SetFromDocument(site, "x=1; Max-Age=1")
+		clk.Advance(2 * time.Second)
+		if k := j.SetFromDocument(site, "x=; Max-Age=0"); k != ChangeRejected {
+			t.Fatalf("kind = %v, want %v", k, ChangeRejected)
+		}
+		if n := j.Len(); n != 0 {
+			t.Fatalf("Len = %d, want 0", n)
+		}
+	})
 }
 
 func TestGetAndDelete(t *testing.T) {

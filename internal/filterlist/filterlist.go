@@ -214,51 +214,56 @@ func (r *Rule) patternMatch(url string, leftAnchor bool) bool {
 		if r.sepParts != nil {
 			segs = r.sepParts[i]
 		}
-		idx := indexWithSep(url[pos:], part, segs)
-		if idx < 0 {
+		start, end := indexWithSep(url[pos:], part, segs)
+		if start < 0 {
 			return false
 		}
-		if leftAnchor && i == 0 && idx != 0 {
+		if leftAnchor && i == 0 && start != 0 {
 			return false
 		}
-		pos += idx + sepLen(part)
+		pos += end
 	}
 	return true
 }
 
-// indexWithSep finds part in s treating '^' as a separator class. segs
-// is part split on '^' (nil when part has none), computed once per rule.
-func indexWithSep(s, part string, segs []string) int {
+// indexWithSep finds part in s treating '^' as a separator class, and
+// returns where the match starts and ends: a '^' matching the end of s
+// consumes nothing. start is -1 when part does not occur. segs is part
+// split on '^' (nil when part has none), computed once per rule.
+func indexWithSep(s, part string, segs []string) (start, end int) {
 	if segs == nil {
-		return strings.Index(s, part)
+		start = strings.Index(s, part)
+		return start, start + len(part)
 	}
 	for start := 0; start <= len(s); start++ {
-		if matchAt(s, start, segs) {
-			return start
+		if end, ok := matchAt(s, start, segs); ok {
+			return start, end
 		}
 	}
-	return -1
+	return -1, -1
 }
 
-func matchAt(s string, start int, segs []string) bool {
+// matchAt reports whether segs, joined by separators, match s at start,
+// and where the match ends.
+func matchAt(s string, start int, segs []string) (end int, ok bool) {
 	pos := start
 	for i, seg := range segs {
 		if !strings.HasPrefix(s[pos:], seg) {
-			return false
+			return 0, false
 		}
 		pos += len(seg)
 		if i < len(segs)-1 { // expect a separator here
 			if pos >= len(s) {
 				// '^' at end of URL matches end-of-input
-				return i == len(segs)-2 && segs[len(segs)-1] == ""
+				return pos, i == len(segs)-2 && segs[len(segs)-1] == ""
 			}
 			if !isSeparator(s[pos]) {
-				return false
+				return 0, false
 			}
 			pos++
 		}
 	}
-	return true
+	return pos, true
 }
 
 func isSeparator(b byte) bool {
@@ -270,12 +275,6 @@ func isSeparator(b byte) bool {
 	default:
 		return true
 	}
-}
-
-func sepLen(part string) int {
-	// consumed length in the URL: each '^' consumes one separator byte
-	// (approximation: good enough because parts re-anchor via Index).
-	return len(part)
 }
 
 // List is a compiled set of rules with a domain index for fast matching.

@@ -87,10 +87,10 @@ func WhitelistPolicy(m *entity.Map) Policy {
 // BlockKind classifies a blocked or filtered operation.
 type BlockKind string
 
-// Block kinds. A blocked document.cookie assignment is a BlockDelete
-// exactly when the jar would have deleted by it (an expired write), and a
-// BlockWrite otherwise; a blocked cookieStore.set is a BlockWrite and a
-// blocked cookieStore.delete a BlockDelete.
+// Block kinds. A blocked document.cookie assignment or cookieStore.set
+// is a BlockDelete exactly when the jar would have deleted by it (an
+// expired write), and a BlockWrite otherwise; a blocked
+// cookieStore.delete is a BlockDelete.
 const (
 	BlockRead   BlockKind = "read-filtered"
 	BlockWrite  BlockKind = "write-blocked"
@@ -392,6 +392,9 @@ func (p *pageWrapper) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecor
 	return kept
 }
 
+// StoreSet enforces cookieStore.set like SetDocumentCookie: a blocked
+// write is BlockDelete when the jar would have treated it as a deletion
+// (browser.StoreSetDeletes) and BlockWrite otherwise.
 func (p *pageWrapper) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord) {
 	g := p.g
 	g.chargeOverhead()
@@ -411,7 +414,11 @@ func (p *pageWrapper) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord
 		p.next.StoreSet(ctx, rec)
 		return
 	}
-	g.logBlock(BlockEvent{Kind: BlockWrite, Name: rec.Name, Accessor: accessor, Creator: creator})
+	kind := BlockWrite
+	if browser.StoreSetDeletes(rec, g.clock.Now()) {
+		kind = BlockDelete
+	}
+	g.logBlock(BlockEvent{Kind: kind, Name: rec.Name, Accessor: accessor, Creator: creator})
 }
 
 func (p *pageWrapper) StoreDelete(ctx browser.AccessContext, name string) {

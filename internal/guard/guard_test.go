@@ -10,6 +10,7 @@ import (
 	"cookieguard/internal/browser"
 	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/entity"
+	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/netsim"
 	"cookieguard/internal/vclock"
 )
@@ -385,13 +386,19 @@ func TestPerOpOverheadCharged(t *testing.T) {
 	}
 }
 
-// TestBlockKindMatchesJar makes each assignment from a cross-domain
-// script, after another domain's script created x. The guard blocks it,
-// names the cookie the jar's parser reads, and calls it a delete exactly
-// when the jar, unguarded, would have deleted x by it. An assignment with
-// no name is dropped without a block.
+// TestBlockKindMatchesJar makes each write from a cross-domain script,
+// after another domain's script created x: document.cookie assignments
+// and cookieStore.set calls. The guard blocks it, names the cookie the
+// jar's parser reads, and calls it a delete exactly when the jar,
+// unguarded, would have deleted x by it. An assignment with no name is
+// dropped without a block.
 func TestBlockKindMatchesJar(t *testing.T) {
 	const page = "https://www.shop.example/"
+	type write struct {
+		script string                                    // the attacker's call
+		apply  func(*cookiejar.Jar) cookiejar.ChangeKind // the same write, unguarded
+	}
+	var writes []write
 	for _, assignment := range []string{
 		// A parse that takes the first "max-age" anywhere in the line,
 		// or ignores Expires, misjudges these four.
@@ -407,13 +414,29 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		"x=1",
 		"=bad",
 	} {
+		writes = append(writes, write{
+			script: fmt.Sprintf(`doc_set_cookie(%q);`, assignment),
+			apply:  func(j *cookiejar.Jar) cookiejar.ChangeKind { return j.SetFromDocument(page, assignment) },
+		})
+	}
+	// cookieStore: a negative max_age deletes, 0 is a session cookie.
+	for _, maxAge := range []int64{-1, 0, 600} {
+		rec := jsdsl.CookieRecord{Name: "x", Value: "v", MaxAge: maxAge}
+		writes = append(writes, write{
+			script: fmt.Sprintf(`cookiestore_set("x", "v", {"max_age": %d});`, maxAge),
+			apply: func(j *cookiejar.Jar) cookiejar.ChangeKind {
+				return j.SetFromCookieStoreAssignment(page, browser.RecordAssignment(rec))
+			},
+		})
+	}
+	for _, w := range writes {
 		g, _, _ := visitWithGuard(t, guardedWeb(map[string]string{
 			"__html__": `<html><head>
 <script src="https://setter.example/s.js"></script>
 <script src="https://attacker.example/a.js"></script>
 </head></html>`,
 			"https://setter.example/s.js":   `doc_set_cookie("x=seed");`,
-			"https://attacker.example/a.js": fmt.Sprintf(`doc_set_cookie(%q);`, assignment),
+			"https://attacker.example/a.js": w.script,
 		}), DefaultPolicy())
 		var blocks []BlockEvent
 		for _, b := range g.Blocks() {
@@ -425,14 +448,14 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		jar := cookiejar.New(vclock.New())
 		jar.SetFromDocument(page, "x=seed")
 		want := []BlockEvent{{Kind: BlockWrite, Name: "x", Accessor: "attacker.example", Creator: "setter.example"}}
-		switch jar.SetFromDocument(page, assignment) {
+		switch w.apply(jar) {
 		case cookiejar.ChangeDeleted:
 			want[0].Kind = BlockDelete
 		case cookiejar.ChangeRejected:
 			want = nil
 		}
 		if !reflect.DeepEqual(blocks, want) {
-			t.Errorf("%q: attacker blocks %+v, want %+v", assignment, blocks, want)
+			t.Errorf("%s: attacker blocks %+v, want %+v", w.script, blocks, want)
 		}
 	}
 }

@@ -49,7 +49,8 @@ const (
 // Assignment.Expired holds on the browser's clock (a last valid Max-Age
 // of zero or less, or, without a valid Max-Age, an Expires date not
 // after now). An assignment with no name is recorded as an OpWrite with
-// no name or attributes; the jar rejects it.
+// no name or attributes; the jar rejects it. A cookieStore.set is
+// recorded as OpDelete exactly when browser.StoreSetDeletes holds.
 type CookieEvent struct {
 	Op  Op  `json:"op"`
 	API API `json:"api"`
@@ -404,7 +405,7 @@ func (a *recordingAPI) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecor
 	ev.Domain = rec.Domain
 	ev.Path = rec.Path
 	ev.MaxAge = rec.MaxAge
-	if rec.MaxAge < 0 {
+	if browser.StoreSetDeletes(rec, a.clock.Now()) {
 		ev.Op = OpDelete
 	}
 	a.rec.append(ev)
