@@ -13,9 +13,8 @@ import (
 // Server.ServeHTTP. The store is closed, so no query parks. Every
 // response must be 200, 304 (a conditional request for the current
 // index) or 400, and a 400 must come exactly when ?index is given and
-// does not parse as a uint64, or ?wait is given with it and does not
-// parse as a duration. Without ?index a request is not a blocking
-// query, and ?wait is not read.
+// does not parse as a uint64, or ?wait is given and does not parse as a
+// duration, with or without ?index.
 func FuzzServerQuery(f *testing.F) {
 	p := New(WithSites(1))
 	p.ResultStore().Close()
@@ -53,10 +52,10 @@ func FuzzServerQuery(f *testing.F) {
 		if index != "" {
 			_, err := strconv.ParseUint(index, 10, 64)
 			bad = err != nil
-			if wait != "" {
-				_, err := time.ParseDuration(wait)
-				bad = bad || err != nil
-			}
+		}
+		if wait != "" {
+			_, err := time.ParseDuration(wait)
+			bad = bad || err != nil
 		}
 		want := http.StatusOK
 		switch {

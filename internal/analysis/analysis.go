@@ -5,6 +5,7 @@
 package analysis
 
 import (
+	"bytes"
 	"crypto/md5"
 	"crypto/sha1"
 	"encoding/base64"
@@ -858,10 +859,9 @@ func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 // exfilMatcher is detectExfiltration's working set for one observation:
 // the candidate cookies in name order, their encoded forms, an index
 // from form to candidates, and the current request's hit marks and
-// decoded query values. It lives on the runState and is reset for each
+// unescaped query values. It lives on the runState and is reset for each
 // observation, so once its buffers have grown, an observation allocates
-// one string, holding every candidate's forms, and a request one more
-// only if some of its query values need unescaping.
+// one string, holding every candidate's forms, and a request nothing.
 type exfilMatcher struct {
 	cands   []exfilCandidate
 	enc     formEncoder
@@ -869,10 +869,9 @@ type exfilMatcher struct {
 	urlIDs  []string         // identifiers of the page URL
 	formIdx map[string]int32 // form → head of its candidate chain in refs
 	refs    []formRef
-	hits    []bool   // per candidate: a form seen as a whole identifier
-	vals    []string // decoded query values of the current request
-	dec     []byte   // the unescaped values among vals, back to back
-	decEnds []int    // end offset in dec of each unescaped value
+	hits    []bool // per candidate: a form seen as a whole identifier
+	dec     []byte // the current request's unescaped query values, back to back
+	decEnds []int  // end offset in dec of each unescaped value
 }
 
 // exfilCandidate is one cookie whose value holds identifiers; its forms
@@ -972,19 +971,21 @@ func (m *exfilMatcher) scan(rawURL string, minLen int) string {
 	}
 	clear(m.hits)
 	m.queryValues(query)
-	m.mark(query, minLen)
-	// Decoded values too: encodings may be %-escaped in the query.
-	for _, v := range m.vals {
-		m.mark(v, minLen)
+	mark(m, query, minLen)
+	// Unescaped values too: encodings may be %-escaped in the query.
+	lo := 0
+	for _, hi := range m.decEnds {
+		mark(m, m.dec[lo:hi], minLen)
+		lo = hi
 	}
 	return query
 }
 
-// mark sets the hit of every candidate having a form equal to one of
-// s's identifier runs.
-func (m *exfilMatcher) mark(s string, minLen int) {
-	for id, i := nextIdentifier(s, minLen, 0); id != ""; id, i = nextIdentifier(s, minLen, i) {
-		r, ok := m.formIdx[id]
+// mark sets the hit of every candidate of m having a form equal to one
+// of s's identifier runs.
+func mark[S string | []byte](m *exfilMatcher, s S, minLen int) {
+	for id, i := nextIdentifier(s, minLen, 0); len(id) > 0; id, i = nextIdentifier(s, minLen, i) {
+		r, ok := m.formIdx[string(id)]
 		if !ok {
 			continue
 		}
@@ -996,7 +997,7 @@ func (m *exfilMatcher) mark(s string, minLen int) {
 
 // hit reports whether candidate ci matched the scanned request: one of
 // its forms was a whole identifier run, or one of its long forms occurs
-// in the raw query or in a decoded value. No form contains '\n', so
+// in the raw query or in an unescaped value. No form contains '\n', so
 // testing the values one by one equals testing them joined by "\n".
 func (m *exfilMatcher) hit(ci int, query string) bool {
 	if m.hits[ci] {
@@ -1010,23 +1011,44 @@ func (m *exfilMatcher) hit(ci int, query string) bool {
 		if strings.Contains(query, f) {
 			return true
 		}
-		for _, v := range m.vals {
-			if strings.Contains(v, f) {
+		lo := 0
+		for _, hi := range m.decEnds {
+			if bytesContain(m.dec[lo:hi], f) {
 				return true
 			}
+			lo = hi
 		}
 	}
 	return false
 }
 
-// queryValues sets vals to the decoded values of a raw query string,
-// keeping exactly the values url.ParseQuery would: pairs holding a ';'
-// or a malformed escape in key or value are dropped. Keys are checked
-// but not kept. A value without '%' or '+' is a slice of query; the
-// others are unescaped into dec, which becomes one string, and come
-// after them. Matching ignores value order.
+// bytesContain is strings.Contains(string(b), f) without copying b or f.
+func bytesContain(b []byte, f string) bool {
+	if f == "" {
+		return true
+	}
+	for len(b) >= len(f) {
+		i := bytes.IndexByte(b[:len(b)-len(f)+1], f[0])
+		if i < 0 {
+			return false
+		}
+		if string(b[i:i+len(f)]) == f {
+			return true
+		}
+		b = b[i+1:]
+	}
+	return false
+}
+
+// queryValues unescapes into dec, back to back, the values of a raw
+// query string that url.ParseQuery would keep and that hold a '%' or a
+// '+'; pairs holding a ';' or a malformed escape in key or value are
+// dropped. Keys are checked but not kept. A value that needs no
+// unescaping is left out too: it is a slice of the query between '=' and
+// '&', so the scan of the query already sees its every identifier run and
+// substring. Matching ignores value order.
 func (m *exfilMatcher) queryValues(query string) {
-	m.vals, m.dec, m.decEnds = m.vals[:0], m.dec[:0], m.decEnds[:0]
+	m.dec, m.decEnds = m.dec[:0], m.decEnds[:0]
 	for query != "" {
 		var pair string
 		pair, query, _ = strings.Cut(query, "&")
@@ -1038,19 +1060,10 @@ func (m *exfilMatcher) queryValues(query string) {
 			continue
 		}
 		if strings.IndexByte(value, '%') < 0 && strings.IndexByte(value, '+') < 0 {
-			m.vals = append(m.vals, value)
 			continue
 		}
 		m.dec = appendUnescaped(m.dec, value)
 		m.decEnds = append(m.decEnds, len(m.dec))
-	}
-	if len(m.decEnds) == 0 {
-		return
-	}
-	dec, lo := string(m.dec), 0
-	for _, hi := range m.decEnds {
-		m.vals = append(m.vals, dec[lo:hi])
-		lo = hi
 	}
 }
 
@@ -1111,8 +1124,8 @@ func ExtractIdentifiers(value string, minLen int) []string {
 
 // nextIdentifier returns the first alphanumeric run of at least minLen
 // (and at least one) characters in s at or after byte i, and the offset
-// to resume from; id is "" when there is none. It slices s in place.
-func nextIdentifier(s string, minLen, i int) (id string, next int) {
+// to resume from; id is empty when there is none. It slices s in place.
+func nextIdentifier[S string | []byte](s S, minLen, i int) (id S, next int) {
 	start := -1
 	for ; i < len(s); i++ {
 		c := s[i]
@@ -1130,7 +1143,7 @@ func nextIdentifier(s string, minLen, i int) (id string, next int) {
 	if start >= 0 && len(s)-start >= minLen {
 		return s[start:], len(s)
 	}
-	return "", len(s)
+	return s[:0], len(s)
 }
 
 // EncodedForms returns the matchable representations of an identifier:

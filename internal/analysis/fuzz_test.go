@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"net/url"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // FuzzQueryValues checks the matcher's query handling against net/url:
-// scan returns the raw query url.Parse gives, and collects the decoded
-// values url.ParseQuery keeps, compared as sorted multisets. One matcher
-// serves every input, so its reused buffers are under test too.
+// scan returns the raw query url.Parse gives, and unescapes exactly the
+// values url.ParseQuery keeps whose raw form holds a '%' or a '+',
+// compared as sorted multisets. One matcher serves every input, so its
+// reused buffers are under test too.
 func FuzzQueryValues(f *testing.F) {
 	const sink = "https://px.sink.example/c"
 	for _, s := range []string{
@@ -47,10 +50,38 @@ func FuzzQueryValues(f *testing.F) {
 		if query == "" {
 			return
 		}
-		got, want := slices.Sorted(slices.Values(m.vals)), oracleQueryValues(rawURL)
+		var got []string
+		lo := 0
+		for _, hi := range m.decEnds {
+			got = append(got, string(m.dec[lo:hi]))
+			lo = hi
+		}
+		slices.Sort(got)
+		want := oracleEscapedValues(query)
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("scan(%q) values = %q, want %q", rawURL, got, want)
 		}
 	})
+}
+
+// oracleEscapedValues is every value url.ParseQuery keeps from query
+// whose raw form holds a '%' or a '+', decoded by url.ParseQuery: each
+// '&'-separated pair is parsed alone, so its raw value is known.
+func oracleEscapedValues(query string) []string {
+	var out []string
+	for _, pair := range strings.Split(query, "&") {
+		_, raw, _ := strings.Cut(pair, "=")
+		if !strings.ContainsAny(raw, "%+") {
+			continue
+		}
+		q, err := url.ParseQuery(pair)
+		if err != nil {
+			continue
+		}
+		for _, vs := range q {
+			out = append(out, vs...)
+		}
+	}
+	return out
 }

@@ -402,6 +402,36 @@ dom_insert("body", "div", {"id": "ad"});`,
 	}
 }
 
+// TestDOMInsertCaseCollision inserts elements whose attribute names
+// "Src" and "src" lower-case to one name: the later name in sorted
+// order, "src", gives the value on every insert, whatever order the
+// script map iterates in.
+func TestDOMInsertCaseCollision(t *testing.T) {
+	html := `<html><head><script src="https://tracker.example/dom.js"></script></head><body></body></html>`
+	scripts := map[string]string{
+		"https://tracker.example/dom.js": `
+let k = 0;
+while (k < 32) {
+  dom_insert("body", "img", {"id": "i" + str(k), "Src": "upper", "src": "lower"});
+  k = k + 1;
+}`,
+	}
+	b := newTestBrowser(t, testWeb(html, scripts))
+	p, err := b.Visit("https://www.shop.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 32; k++ {
+		n := p.Doc.ByID(fmt.Sprintf("i%d", k))
+		if n == nil {
+			t.Fatalf("element i%d was not inserted", k)
+		}
+		if got := n.Attr("src"); got != "lower" || len(n.Attrs) != 2 {
+			t.Fatalf("element i%d: src = %q with attributes %v, want \"lower\" and id", k, got, n.Attrs)
+		}
+	}
+}
+
 func TestIFrameIsolated(t *testing.T) {
 	html := `<html><body><iframe src="https://ads.example/frame"></iframe></body></html>`
 	in := testWeb(html, nil)

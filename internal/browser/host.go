@@ -45,8 +45,8 @@ func (h *hostBinding) CookieStoreDelete(name string) {
 // attempt, mirroring Network.requestWillBeSent, and failures are
 // classified on the record but otherwise ignored, just like a dropped
 // tracking pixel.
-func (h *hostBinding) Send(url string, params map[string]string) {
-	full := urlutil.WithParams(h.page.resolve(url), params)
+func (h *hostBinding) Send(url string, keys, vals []string) {
+	full := urlutil.WithParams(h.page.resolve(url), keys, vals)
 	fr := h.page.currentFrame()
 	h.page.recordRequest(full, ReqBeacon, fr)
 	h.page.noteResult(full, h.page.browser.fetch(full))
@@ -97,7 +97,7 @@ func (h *hostBinding) DOMSetStyle(id, prop, value string) bool {
 	return true
 }
 
-func (h *hostBinding) DOMInsert(parentID, tag string, attrs map[string]string) bool {
+func (h *hostBinding) DOMInsert(parentID, tag string, keys, vals []string) bool {
 	var parent = h.page.Doc.ByID(parentID)
 	if parent == nil {
 		if parentID == "body" || parentID == "head" {
@@ -109,7 +109,7 @@ func (h *hostBinding) DOMInsert(parentID, tag string, attrs map[string]string) b
 	if parent == nil {
 		return false
 	}
-	h.page.Doc.Insert(parent, tag, attrs, h.page.currentFrame().scriptURL)
+	h.page.Doc.Insert(parent, tag, keys, vals, h.page.currentFrame().scriptURL)
 	return true
 }
 

@@ -81,7 +81,7 @@ func TestPooledDocumentAppendDoesNotClobberSiblings(t *testing.T) {
 	// #main's children are carved from the shared arena backing; an
 	// append must reallocate, not overwrite the next sibling's region.
 	before := d.Root.findByID("banner").Text
-	d.Insert(main, "div", map[string]string{"id": "injected"}, "https://s.example/x.js")
+	d.Insert(main, "div", []string{"id"}, []string{"injected"}, "https://s.example/x.js")
 	if d.ByID("injected") == nil {
 		t.Fatal("inserted node not reachable")
 	}

@@ -313,9 +313,16 @@ func (d *Document) SetStyle(target *Node, prop, value, byScript string) {
 }
 
 // Insert creates a new element under parent, owned by and attributed to
-// byScript, returning the node.
-func (d *Document) Insert(parent *Node, tag string, attrs map[string]string, byScript string) *Node {
-	n := &Node{Kind: KindElement, Tag: strings.ToLower(tag), Attrs: lowerKeys(attrs), Owner: byScript}
+// byScript, returning the node. Its attributes are keys[i]=vals[i] with
+// the names lower-cased; keys are sorted, so when two of them lower-case
+// to one name the later one's value is kept. The slices are only read
+// during the call.
+func (d *Document) Insert(parent *Node, tag string, keys, vals []string, byScript string) *Node {
+	attrs := make(map[string]string, len(keys))
+	for i, k := range keys {
+		attrs[strings.ToLower(k)] = vals[i]
+	}
+	n := &Node{Kind: KindElement, Tag: strings.ToLower(tag), Attrs: attrs, Owner: byScript}
 	parent.AppendChild(n)
 	d.record(Mutation{Kind: MutInsert, Target: n, ByScript: byScript})
 	return n
@@ -328,15 +335,4 @@ func (d *Document) Remove(target *Node, byScript string) bool {
 	}
 	d.record(Mutation{Kind: MutRemove, Target: target, ByScript: byScript})
 	return target.Parent.RemoveChild(target)
-}
-
-func lowerKeys(in map[string]string) map[string]string {
-	if in == nil {
-		return map[string]string{}
-	}
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[strings.ToLower(k)] = v
-	}
-	return out
 }

@@ -136,7 +136,7 @@ func TestMutationsAttributed(t *testing.T) {
 	d.SetText(banner, "BUY NOW", tracker)
 	d.SetAttr(banner, "class", "promo", tracker)
 	d.SetStyle(banner, "display", "none", tracker)
-	inserted := d.Insert(banner.Parent, "div", map[string]string{"ID": "ad-slot"}, tracker)
+	inserted := d.Insert(banner.Parent, "div", []string{"ID"}, []string{"ad-slot"}, tracker)
 	d.Remove(inserted, "https://other.example/o.js")
 
 	if len(d.Mutations) != 5 {
@@ -169,7 +169,7 @@ func TestMutationsAttributed(t *testing.T) {
 func TestInsertedElementFindable(t *testing.T) {
 	d := parseDoc(t)
 	body := d.ByTag("body")[0]
-	d.Insert(body, "script", map[string]string{"src": "https://x.example/i.js"}, "https://x.example/parent.js")
+	d.Insert(body, "script", []string{"src"}, []string{"https://x.example/i.js"}, "https://x.example/parent.js")
 	if len(d.Scripts()) != 3 {
 		t.Fatalf("Scripts after insert = %d", len(d.Scripts()))
 	}
@@ -233,7 +233,7 @@ func TestCloneDeepIsolation(t *testing.T) {
 	// Mutations to the clone never reach the template.
 	cd.SetText(cn, "mutated", "script.js")
 	cd.SetAttr(cn, "class", "dirty", "script.js")
-	cd.Insert(cn, "span", map[string]string{"id": "new"}, "script.js")
+	cd.Insert(cn, "span", []string{"id"}, []string{"new"}, "script.js")
 	cd.Remove(cd.ByID("b"), "script.js")
 
 	tn := td.ByID("a")
@@ -253,7 +253,7 @@ func TestCloneDeepIsolation(t *testing.T) {
 
 func TestCloneOwnerPreserved(t *testing.T) {
 	d := NewDocument("", Parse(`<html><body><div id="p"></div></body></html>`))
-	d.Insert(d.ByID("p"), "img", map[string]string{"id": "inj"}, "https://tracker.example/t.js")
+	d.Insert(d.ByID("p"), "img", []string{"id"}, []string{"inj"}, "https://tracker.example/t.js")
 	clone := d.Root.Clone()
 	cd := NewDocument("", clone)
 	n := cd.ByID("inj")
@@ -292,10 +292,10 @@ func TestParsedTreeMutationLeavesSiblingsAlone(t *testing.T) {
 			before[n] = append([]*Node(nil), n.Children...)
 		}
 		child := target.Children[0]
-		d.Insert(target, "span", nil, "https://s.example/a.js")
+		d.Insert(target, "span", nil, nil, "https://s.example/a.js")
 		target.AppendChild(&Node{Kind: KindText, Text: "appended"})
 		if child.Kind == KindElement {
-			d.Insert(child, "i", nil, "https://s.example/a.js")
+			d.Insert(child, "i", nil, nil, "https://s.example/a.js")
 		}
 		d.SetText(child, "set", "https://s.example/a.js")
 		for _, n := range nodes {

@@ -3,6 +3,8 @@ package jsdsl
 import (
 	"strings"
 	"testing"
+
+	"cookieguard/internal/urlutil"
 )
 
 // containerSource returns the longest tag-manager container script the
@@ -35,5 +37,38 @@ func TestParseAllocs(t *testing.T) {
 	})
 	if allocs > 20 {
 		t.Fatalf("Parse of a %d-byte container allocates %.0f times; want one slab per node kind (≤20)", len(src), allocs)
+	}
+}
+
+// urlHost builds each beacon URL as the browser does and keeps the last.
+type urlHost struct {
+	NopHost
+	url string
+}
+
+func (h *urlHost) Send(u string, keys, vals []string) { h.url = urlutil.WithParams(u, keys, vals) }
+
+// TestSendAllocs pins the cost of a beacon on a warm interpreter: send
+// hands the host the map's sorted keys and string values from the
+// interpreter's scratch, so the URL the host builds is the one
+// allocation.
+func TestSendAllocs(t *testing.T) {
+	h := &urlHost{}
+	in := NewInterp(h)
+	defer in.Release()
+	m := in.newMap()
+	m.Entries["b"] = Str("GA1.2.123.456")
+	m.Entries["a"] = Str("x y")
+	m.Entries["u"] = Str(h.PageURL())
+	args := []Value{Str("https://t.example/c"), MapVal(m)}
+	send := builtins["send"]
+	if _, err := send(in, args); err != nil {
+		t.Fatal(err)
+	}
+	if want := "https://t.example/c?a=x+y&b=GA1.2.123.456&u=https%3A%2F%2Fnop.example%2F"; h.url != want {
+		t.Fatalf("send built %q, want %q", h.url, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { send(in, args) }); allocs > 1 {
+		t.Fatalf("a warm send allocates %.0f times; want only the URL (1)", allocs)
 	}
 }

@@ -47,20 +47,6 @@ func argList(args []Value, i int) (*List, bool) {
 	return args[i].AsList()
 }
 
-// stringMap converts a script Map into map[string]string, rendering each
-// value under the byte budget.
-func (in *Interp) stringMap(m *Map) (map[string]string, error) {
-	out := make(map[string]string, len(m.Entries))
-	for k, v := range m.Entries {
-		s, err := in.str(v)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = s
-	}
-	return out, nil
-}
-
 // ParseCookieString parses a document.cookie string ("a=1; b=2") into
 // ordered name/value pairs. Exported because the guard and analysis also
 // need it.
@@ -104,60 +90,91 @@ func parseCookieStringInto(s string, names []string, values map[string]string) (
 	return names, values
 }
 
-// buildAssignment renders a set_cookie(name, value, attrs) call into a
-// document.cookie assignment string, under the byte budget. Attribute
-// values are rendered first, in sorted key order, so that the string is
-// built in one allocation of its final length.
-func (in *Interp) buildAssignment(name, value string, attrs *Map) (string, error) {
-	n := len(name) + 1 + len(value)
-	keys, parts := in.attrKeys[:0], in.attrParts[:0]
-	if attrs != nil {
-		for k := range attrs.Entries {
+// sortedKeys returns m's keys in sorted order, in the interpreter's
+// scratch; a nil m has none.
+func (in *Interp) sortedKeys(m *Map) []string {
+	keys := in.pairKeys[:0]
+	if m != nil {
+		for k := range m.Entries {
 			keys = append(keys, k)
 		}
 		slices.Sort(keys)
-		for _, k := range keys {
-			v, err := in.str(attrs.Entries[k])
-			if err != nil {
-				return "", err
-			}
-			label, val := cookieAttr(k, v)
-			parts = append(parts, label, val)
-			n += len(label) + len(val)
-		}
-		in.attrKeys, in.attrParts = keys, parts
 	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(name)
-	b.WriteByte('=')
-	b.WriteString(value)
-	for _, part := range parts {
-		b.WriteString(part)
-	}
-	return b.String(), in.charge(b.Len())
+	in.pairKeys = keys
+	return keys
 }
 
-// cookieAttr maps a set_cookie attribute to the label and value it adds
-// to the assignment; both are empty for an attribute that adds nothing.
-func cookieAttr(key, v string) (label, val string) {
+// sortedPairs returns m's keys in sorted order and their values rendered
+// under the byte budget, as the Host's Send and DOMInsert take them. Both
+// slices are the interpreter's scratch, overwritten by the next call.
+func (in *Interp) sortedPairs(m *Map) (keys, vals []string, err error) {
+	keys, vals = in.sortedKeys(m), in.pairVals[:0]
+	for _, k := range keys {
+		v, err := in.str(m.Entries[k])
+		if err != nil {
+			return nil, nil, err
+		}
+		vals = append(vals, v)
+	}
+	in.pairVals = vals
+	return keys, vals, nil
+}
+
+// buildAssignment renders a set_cookie(name, value, attrs) call into a
+// document.cookie assignment string, under the byte budget. Attributes
+// are appended in sorted key order into the interpreter's byte scratch,
+// a number's digits in place, so that the string is its one allocation.
+// Every attribute value is rendered, and a list or map charged, even
+// when its attribute adds nothing.
+func (in *Interp) buildAssignment(name, value string, attrs *Map) (string, error) {
+	b := append(in.assign[:0], name...)
+	b = append(b, '=')
+	b = append(b, value...)
+	for _, k := range in.sortedKeys(attrs) {
+		label := cookieAttr(k)
+		start := len(b)
+		b = append(b, label...)
+		end := len(b)
+		var err error
+		if b, err = in.appendStr(b, attrs.Entries[k]); err != nil {
+			in.assign = b
+			return "", err
+		}
+		switch label {
+		case "":
+			b = b[:start]
+		case secureAttr: // a flag: present only when the value is "true"
+			if string(b[end:]) != "true" {
+				end = start
+			}
+			b = b[:end]
+		}
+	}
+	in.assign = b
+	return string(b), in.charge(len(b))
+}
+
+const secureAttr = "; Secure"
+
+// cookieAttr maps a set_cookie attribute to the label it adds to the
+// assignment, followed by its value (secureAttr excepted); it is empty
+// for an attribute that adds nothing.
+func cookieAttr(key string) string {
 	switch strings.ToLower(key) {
 	case "path":
-		return "; Path=", v
+		return "; Path="
 	case "domain":
-		return "; Domain=", v
+		return "; Domain="
 	case "max_age", "max-age":
-		return "; Max-Age=", v
+		return "; Max-Age="
 	case "expires":
-		return "; Expires=", v
+		return "; Expires="
 	case "secure":
-		if v == "true" {
-			return "; Secure", ""
-		}
+		return secureAttr
 	case "samesite":
-		return "; SameSite=", v
+		return "; SameSite="
 	}
-	return "", ""
+	return ""
 }
 
 var builtins map[string]builtinFunc
@@ -314,14 +331,12 @@ func init() {
 			if !ok {
 				return Value{}, errArity("send")
 			}
-			params := map[string]string{}
-			if m, ok := argMap(args, 1); ok {
-				var err error
-				if params, err = in.stringMap(m); err != nil {
-					return Value{}, err
-				}
+			m, _ := argMap(args, 1)
+			keys, vals, err := in.sortedPairs(m)
+			if err != nil {
+				return Value{}, err
 			}
-			in.Host.Send(url, params)
+			in.Host.Send(url, keys, vals)
 			return Value{}, nil
 		},
 		"inject": func(in *Interp, args []Value) (Value, error) {
@@ -375,14 +390,12 @@ func init() {
 			if !ok1 || !ok2 {
 				return Value{}, errArity("dom_insert")
 			}
-			attrs := map[string]string{}
-			if m, ok := argMap(args, 2); ok {
-				var err error
-				if attrs, err = in.stringMap(m); err != nil {
-					return Value{}, err
-				}
+			m, _ := argMap(args, 2)
+			keys, vals, err := in.sortedPairs(m)
+			if err != nil {
+				return Value{}, err
 			}
-			return BoolVal(in.Host.DOMInsert(parent, tag, attrs)), nil
+			return BoolVal(in.Host.DOMInsert(parent, tag, keys, vals)), nil
 		},
 		"dom_remove": func(in *Interp, args []Value) (Value, error) {
 			id, ok := argString(args, 0)

@@ -31,9 +31,12 @@ type Host interface {
 	CookieStoreSet(rec CookieRecord)
 	CookieStoreDelete(name string)
 
-	// Send issues a GET request to url with params appended to its
-	// query string (the exfiltration channel).
-	Send(url string, params map[string]string)
+	// Send issues a GET request to url with the parameters
+	// keys[i]=vals[i] appended to its query string (the exfiltration
+	// channel). keys are sorted and distinct. Both slices are borrowed
+	// for the call: the interpreter reuses them afterwards, so the host
+	// must copy anything it keeps.
+	Send(url string, keys, vals []string)
 	// Inject dynamically inserts a script element with the given src
 	// (indirect inclusion, §5.6).
 	Inject(src string)
@@ -42,7 +45,10 @@ type Host interface {
 	DOMSetText(id, text string) bool
 	DOMSetAttr(id, attr, value string) bool
 	DOMSetStyle(id, prop, value string) bool
-	DOMInsert(parentID, tag string, attrs map[string]string) bool
+	// DOMInsert inserts a tag element with the attributes
+	// keys[i]=vals[i] under the element parentID. keys are sorted and
+	// distinct, and both slices are borrowed for the call, as for Send.
+	DOMInsert(parentID, tag string, keys, vals []string) bool
 	DOMRemove(id string) bool
 	DOMGetText(id string) (string, bool)
 
@@ -88,7 +94,7 @@ func (h *NopHost) CookieStoreSet(CookieRecord) {}
 func (h *NopHost) CookieStoreDelete(string) {}
 
 // Send implements Host.
-func (h *NopHost) Send(string, map[string]string) {}
+func (h *NopHost) Send(string, []string, []string) {}
 
 // Inject implements Host.
 func (h *NopHost) Inject(string) {}
@@ -103,7 +109,7 @@ func (h *NopHost) DOMSetAttr(string, string, string) bool { return false }
 func (h *NopHost) DOMSetStyle(string, string, string) bool { return false }
 
 // DOMInsert implements Host.
-func (h *NopHost) DOMInsert(string, string, map[string]string) bool { return false }
+func (h *NopHost) DOMInsert(string, string, []string, []string) bool { return false }
 
 // DOMRemove implements Host.
 func (h *NopHost) DOMRemove(string) bool { return false }

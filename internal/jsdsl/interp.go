@@ -87,10 +87,13 @@ type Interp struct {
 	cookieVals  map[string]string
 	cookieMemo  bool
 
-	// attrKeys and attrParts are buildAssignment's scratch: the sorted
-	// attribute keys, and the label and value each adds.
-	attrKeys  []string
-	attrParts []string
+	// pairKeys and pairVals hold a script map's sorted keys and rendered
+	// values for send and dom_insert (the Host borrows them for the
+	// call); assign holds the bytes of a set_cookie assignment while
+	// buildAssignment builds it.
+	pairKeys []string
+	pairVals []string
+	assign   []byte
 }
 
 // parsedDocCookie returns ParseCookieString(s), memoized on the exact
@@ -165,8 +168,8 @@ func (in *Interp) Release() {
 		in.maps = in.maps[:interpMapsMax]
 	}
 	in.mapNext = 0
-	clear(in.attrKeys[:cap(in.attrKeys)])
-	clear(in.attrParts[:cap(in.attrParts)])
+	clear(in.pairKeys[:cap(in.pairKeys)])
+	clear(in.pairVals[:cap(in.pairVals)])
 	interpPool.Put(in)
 }
 
@@ -275,11 +278,31 @@ func (in *Interp) str(v Value) (string, error) {
 	if v.kind != KindRef {
 		return ToString(v), nil
 	}
-	b, err := appendValue(nil, v, maxRunBytes-in.bytes, 0)
+	b, err := in.appendStr(nil, v)
 	if err != nil {
 		return "", err
 	}
-	return string(b), in.charge(len(b))
+	return string(b), nil
+}
+
+// appendStr appends str(v) to b without making the string: a number's
+// digits are formatted in place, and a list or map is rendered and
+// charged as str renders and charges it.
+func (in *Interp) appendStr(b []byte, v Value) ([]byte, error) {
+	switch v.kind {
+	case KindString:
+		return append(b, v.str...), nil
+	case KindNumber:
+		return appendNumber(b, v.num), nil
+	case KindRef:
+		n := len(b)
+		b, err := appendValue(b, v, n+maxRunBytes-in.bytes, 0)
+		if err != nil {
+			return b, err
+		}
+		return b, in.charge(len(b) - n)
+	}
+	return append(b, ToString(v)...), nil
 }
 
 func (in *Interp) execStmt(s Stmt, env *Env) error {

@@ -487,6 +487,13 @@ func TestBuildAssignment(t *testing.T) {
 		{name: "upper-case names", attrs: attrs("MAX-AGE", Num(0), "Path", Str("/a")), want: "id=v; Max-Age=0; Path=/a"},
 		{name: "secure false", attrs: attrs("secure", BoolVal(false), "path", Str("/")), want: "id=v; Path=/"},
 		{name: "list value", attrs: attrs("path", list), want: "id=v; Path=" + ToString(list), rendered: len(ToString(list))},
+		{name: "list value of a dropped attribute", attrs: attrs("bogus", list), want: "id=v", rendered: len(ToString(list))},
+		{
+			name:  "number values",
+			attrs: attrs("max_age", Num(31536000), "expires", Num(-1.5), "path", Num(1e21), "domain", Num(-7)),
+			want:  "id=v; Domain=-7; Expires=-1.5; Max-Age=31536000; Path=" + ToString(Num(1e21)),
+		},
+		{name: "secure string, null path", attrs: attrs("secure", Str("true"), "path", Value{}), want: "id=v; Path=null; Secure"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := NewInterp(&NopHost{})
@@ -502,9 +509,9 @@ func TestBuildAssignment(t *testing.T) {
 	}
 	in := NewInterp(&NopHost{})
 	defer in.Release()
-	strAttrs := attrs("path", Str("/"), "samesite", Str("Lax"), "domain", Str(".x.example"))
-	if allocs := testing.AllocsPerRun(100, func() { in.buildAssignment("id", "v", strAttrs) }); allocs > 1 {
-		t.Fatalf("buildAssignment with string attributes allocates %.0f times; want only the string (1)", allocs)
+	scalarAttrs := attrs("path", Str("/"), "samesite", Str("Lax"), "domain", Str(".x.example"), "max_age", Num(31536000))
+	if allocs := testing.AllocsPerRun(100, func() { in.buildAssignment("id", "v", scalarAttrs) }); allocs > 1 {
+		t.Fatalf("buildAssignment with string and number attributes allocates %.0f times; want only the string (1)", allocs)
 	}
 	in.bytes = maxRunBytes - 3
 	if _, err := in.buildAssignment("id", "v", attrs("path", Str("/"))); err == nil {

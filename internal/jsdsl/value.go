@@ -237,6 +237,14 @@ func formatNumber(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
+// appendNumber appends formatNumber(f) to b.
+func appendNumber(b []byte, f float64) []byte {
+	if f == float64(int64(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
 // valueEquals implements == (deep for lists/maps is not needed by any
 // script; reference equality applies there, like JS objects).
 func valueEquals(a, b Value) bool {

@@ -1,9 +1,11 @@
 package urlutil
 
 import (
+	"maps"
 	"net/netip"
 	"net/url"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,6 +157,8 @@ func FuzzWithParams(f *testing.F) {
 		f.Add(base, uint8(0), "", "", "", "")
 		f.Add(base, uint8(1), "a b", "x&y=z", "", "")
 		f.Add(base, uint8(2), "b", "2", "a", "é%/?#")
+		f.Add(base, uint8(2), "k", "", "", "v")
+		f.Add(base, uint8(2), "~-._", "a+b c", "\x00\xff", "\x7f\x80 ")
 	}
 	f.Fuzz(func(t *testing.T, base string, n uint8, k1, v1, k2, v2 string) {
 		params := map[string]string{}
@@ -164,8 +168,13 @@ func FuzzWithParams(f *testing.F) {
 		if n%3 == 2 {
 			params[k2] = v2
 		}
-		if got, want := WithParams(base, params), withParamsOracle(base, params); got != want {
-			t.Fatalf("WithParams(%q, %q) = %q, net/url gives %q", base, params, got, want)
+		keys := slices.Sorted(maps.Keys(params))
+		vals := make([]string, len(keys))
+		for i, k := range keys {
+			vals[i] = params[k]
+		}
+		if got, want := WithParams(base, keys, vals), withParamsOracle(base, params); got != want {
+			t.Fatalf("WithParams(%q, %q, %q) = %q, net/url gives %q", base, keys, vals, got, want)
 		}
 	})
 }

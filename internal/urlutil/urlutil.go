@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/netip"
 	"net/url"
-	"sort"
 	"strings"
 
 	"cookieguard/internal/publicsuffix"
@@ -182,26 +181,28 @@ func IsThirdParty(scriptURL, siteURL string) bool {
 	return sd != pd
 }
 
-// WithParams returns base with the given parameters appended to its query
-// string. Keys are added in sorted order for determinism, each key and
-// value escaped with url.QueryEscape.
+// WithParams returns base with the parameters keys[i]=vals[i] appended
+// to its query string, each key and value escaped as url.QueryEscape
+// escapes it. keys must be sorted and distinct, and vals as long as
+// keys; the slices are only read during the call.
 //
 // When base is canonical (see canonicalAbsolute) and has no '?', the
-// query is appended to base's bytes directly, encoded as url.Values.Encode
-// encodes it; the result is the one the net/url path below gives. Any
-// other base is parsed with net/url, and an existing query is re-encoded
-// together with params.
-func WithParams(base string, params map[string]string) string {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// query is written after base's bytes, in the order url.Values.Encode
+// gives, into one string of the exact escaped length: the result is the
+// one the net/url path below gives, with one allocation. Any other base
+// is parsed with net/url, and an existing query is re-encoded together
+// with the parameters.
+func WithParams(base string, keys, vals []string) string {
 	if ok, query := canonicalAbsolute(base); ok && !query {
 		if len(keys) == 0 {
 			return base
 		}
+		n := len(base)
+		for i, k := range keys {
+			n += 2 + queryEscapedLen(k) + queryEscapedLen(vals[i])
+		}
 		var b strings.Builder
+		b.Grow(n)
 		b.WriteString(base)
 		for i, k := range keys {
 			if i == 0 {
@@ -209,9 +210,9 @@ func WithParams(base string, params map[string]string) string {
 			} else {
 				b.WriteByte('&')
 			}
-			b.WriteString(url.QueryEscape(k))
+			writeQueryEscaped(&b, k)
 			b.WriteByte('=')
-			b.WriteString(url.QueryEscape(params[k]))
+			writeQueryEscaped(&b, vals[i])
 		}
 		return b.String()
 	}
@@ -220,11 +221,52 @@ func WithParams(base string, params map[string]string) string {
 		return base
 	}
 	q := u.Query()
-	for _, k := range keys {
-		q.Set(k, params[k])
+	for i, k := range keys {
+		q.Set(k, vals[i])
 	}
 	u.RawQuery = q.Encode()
 	return u.String()
+}
+
+// queryUnescaped reports whether url.QueryEscape leaves c as it is: the
+// unreserved characters of RFC 3986 §2.3.
+func queryUnescaped(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+		c == '-' || c == '_' || c == '.' || c == '~'
+}
+
+// queryEscapedLen returns len(url.QueryEscape(s)).
+func queryEscapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !queryUnescaped(c) && c != ' ' {
+			n += 2
+		}
+	}
+	return n
+}
+
+// writeQueryEscaped writes url.QueryEscape(s) to b: a space becomes '+',
+// any other byte outside the unreserved set becomes %XX.
+func writeQueryEscaped(b *strings.Builder, s string) {
+	const upperhex = "0123456789ABCDEF"
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if queryUnescaped(c) {
+			continue
+		}
+		b.WriteString(s[start:i])
+		if c == ' ' {
+			b.WriteByte('+')
+		} else {
+			b.WriteByte('%')
+			b.WriteByte(upperhex[c>>4])
+			b.WriteByte(upperhex[c&15])
+		}
+		start = i + 1
+	}
+	b.WriteString(s[start:])
 }
 
 // Resolve resolves ref against base, mirroring how a browser resolves a

@@ -119,10 +119,14 @@ func TestSameDomain(t *testing.T) {
 }
 
 func TestWithParams(t *testing.T) {
-	got := WithParams("https://t.example/collect?x=0", map[string]string{"b": "2", "a": "1"})
+	got := WithParams("https://t.example/collect?x=0", []string{"a", "b"}, []string{"1", "2"})
 	want := "https://t.example/collect?a=1&b=2&x=0"
 	if got != want {
 		t.Errorf("WithParams = %q, want %q", got, want)
+	}
+	keys, vals := []string{"u", "v"}, []string{"https://www.site00001.com/a b", "x~y"}
+	if got := testing.AllocsPerRun(10, func() { _ = WithParams("https://t.example/collect", keys, vals) }); got != 1 {
+		t.Errorf("WithParams on a canonical base: %v allocations, want 1 (the URL)", got)
 	}
 }
 

@@ -28,7 +28,8 @@ package cookieguard
 //     otherwise the request parks — no goroutine per waiter — until the
 //     next publish or the `?wait=30s` timeout (default 30s, capped at
 //     2m), a timeout returning the unchanged index so the client just
-//     re-polls with it.
+//     re-polls with it. A malformed `?index` or `?wait` answers 400,
+//     also a `?wait` given without `?index`.
 //   - `If-None-Match` with the current ETag short-circuits to 304.
 //
 // Each endpoint caches its encoding of the latest snapshot index, so any
@@ -191,27 +192,31 @@ func (s *Server) versioned(pattern string, build func(*analysis.Results, results
 
 // resolve implements the query half of the index protocol: no ?index →
 // current snapshot immediately; ?index=N → block until the store
-// advances past N, the wait expires, or the client goes away.
+// advances past N, the wait expires, or the client goes away. A given
+// ?wait must parse as a duration even without ?index, so a client that
+// misspells index is told so rather than answered without blocking.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (resultstore.Snapshot, bool) {
 	q := r.URL.Query()
 	idxStr := q.Get("index")
-	if idxStr == "" {
-		return s.store.Latest(), true
-	}
-	index, err := strconv.ParseUint(idxStr, 10, 64)
-	if err != nil {
-		http.Error(w, "bad index: "+err.Error(), http.StatusBadRequest)
-		return resultstore.Snapshot{}, false
+	var index uint64
+	if idxStr != "" {
+		var err error
+		if index, err = strconv.ParseUint(idxStr, 10, 64); err != nil {
+			http.Error(w, "bad index: "+err.Error(), http.StatusBadRequest)
+			return resultstore.Snapshot{}, false
+		}
 	}
 	wait := defaultWait
 	if ws := q.Get("wait"); ws != "" {
+		var err error
 		if wait, err = time.ParseDuration(ws); err != nil {
 			http.Error(w, "bad wait: "+err.Error(), http.StatusBadRequest)
 			return resultstore.Snapshot{}, false
 		}
-		if wait > maxWait {
-			wait = maxWait
-		}
+		wait = min(wait, maxWait)
+	}
+	if idxStr == "" {
+		return s.store.Latest(), true
 	}
 	return s.store.Wait(r.Context(), index, wait), true
 }

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +239,32 @@ func TestServerBlockingQuery(t *testing.T) {
 	resp, body := get(t, ts.URL+"/v1/summary", map[string]string{"If-None-Match": `"cg-` + idx + `"`})
 	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
 		t.Fatalf("conditional request: status %d, body %d bytes; want 304 empty", resp.StatusCode, len(body))
+	}
+}
+
+// TestServerQueryParams checks which blocking-query parameters answer
+// 400: a ?wait that is not a duration is refused with or without ?index,
+// and a valid ?wait without ?index answers at once. The store is closed,
+// so no query parks.
+func TestServerQueryParams(t *testing.T) {
+	p := New(WithSites(1))
+	p.ResultStore().Close()
+	srv := p.NewServer()
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"wait=bad", http.StatusBadRequest},
+		{"wait=5s", http.StatusOK},
+		{"index=1&wait=bad", http.StatusBadRequest},
+		{"index=bad&wait=5s", http.StatusBadRequest},
+		{"index=1&wait=5s", http.StatusOK},
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/summary?"+tc.query, nil))
+		if w.Code != tc.want {
+			t.Errorf("GET /v1/summary?%s: status %d, want %d (%s)", tc.query, w.Code, tc.want, strings.TrimSpace(w.Body.String()))
+		}
 	}
 }
 
