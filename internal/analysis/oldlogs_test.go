@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"cookieguard/internal/instrument"
@@ -33,9 +34,12 @@ const oldFormatLine = `{"site":"shop.example","url":"https://www.shop.example/",
 	`"timing":{"DOMInteractive":12,"DOMContentLoaded":20,"LoadEvent":41}}`
 
 // dropRemovedFields rewrites a record line without a read's value, any
-// cookie event's stack and any script's parent: the line a crawl writes
+// cookie event's stack and any script's parent, which gives the line
+// crawls wrote until reads were counted (perCall), and then with each
+// script's reads through one API collapsed into one entry without a
+// name, counted and placed at the first read: the line a crawl writes
 // today for the same visit.
-func dropRemovedFields(t *testing.T, line string) string {
+func dropRemovedFields(t *testing.T, line string) (perCall, today string) {
 	t.Helper()
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -51,17 +55,42 @@ func dropRemovedFields(t *testing.T, line string) string {
 	for _, s := range rec["scripts"].([]any) {
 		delete(s.(map[string]any), "parent")
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
+	encode := func() string {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	return string(b)
+	perCall = encode()
+
+	var counted []any
+	first := map[[4]any]map[string]any{}
+	for _, c := range rec["cookies"].([]any) {
+		ev := c.(map[string]any)
+		if ev["op"] != "read" {
+			counted = append(counted, ev)
+			continue
+		}
+		key := [4]any{ev["script_url"], ev["inline"], ev["main_frame"], ev["api"]}
+		if e, ok := first[key]; ok {
+			e["count"] = e["count"].(int) + 1
+			continue
+		}
+		delete(ev, "name")
+		ev["count"] = 1
+		first[key] = ev
+		counted = append(counted, ev)
+	}
+	rec["cookies"] = counted
+	return perCall, encode()
 }
 
 // TestOldFormatLogsFoldIdentically: a log written before reads lost their
-// value, events their stack and scripts their parent decodes (as
-// cmd/analyze decodes each line) and folds to the same StableJSON as the
-// same log without those fields, so logs from either format analyze the
+// value, events their stack and scripts their parent, the same log as
+// crawls wrote it until reads were counted, and the same log with
+// counted reads all decode (as cmd/analyze decodes each line) and fold to
+// the same StableJSON, so logs from any of these formats analyze the
 // same.
 func TestOldFormatLogsFoldIdentically(t *testing.T) {
 	fold := func(line string) ([]byte, *Results) {
@@ -75,14 +104,18 @@ func TestOldFormatLogsFoldIdentically(t *testing.T) {
 		res := an.Finalize()
 		return stableBytes(t, res), res
 	}
-	newLine := dropRemovedFields(t, oldFormatLine)
-	if len(newLine) >= len(oldFormatLine) {
-		t.Fatalf("dropping the removed fields did not shorten the line:\n%s", newLine)
+	perCallLine, newLine := dropRemovedFields(t, oldFormatLine)
+	if len(perCallLine) >= len(oldFormatLine) || len(newLine) >= len(perCallLine) {
+		t.Fatalf("dropping the removed fields and collapsing reads did not shorten the line:\n%s\n%s", perCallLine, newLine)
+	}
+	if !strings.Contains(newLine, `"count":2`) {
+		t.Fatalf("the two cookieStore reads were not counted as one entry:\n%s", newLine)
 	}
 	oldBytes, res := fold(oldFormatLine)
-	newBytes, _ := fold(newLine)
-	if string(oldBytes) != string(newBytes) {
-		t.Fatalf("old-format line folds differently:\nold: %s\nnew: %s", oldBytes, newBytes)
+	for name, line := range map[string]string{"per-call": perCallLine, "counted": newLine} {
+		if got, _ := fold(line); string(got) != string(oldBytes) {
+			t.Fatalf("%s line folds differently from the old-format line:\nold: %s\n%s: %s", name, oldBytes, name, got)
+		}
 	}
 	kinds := map[ActionKind]bool{}
 	for _, e := range res.Events {

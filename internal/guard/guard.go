@@ -34,7 +34,7 @@ import (
 	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/entity"
 	"cookieguard/internal/jsdsl"
-	"cookieguard/internal/urlutil"
+	"cookieguard/internal/publicsuffix"
 	"cookieguard/internal/vclock"
 )
 
@@ -144,7 +144,7 @@ func (g *Guard) observeHTTP(ch cookiejar.Change) {
 		return
 	}
 	if ch.Kind == cookiejar.ChangeCreated {
-		g.bg.record(ch.Cookie.Name, urlutil.RegistrableDomain("https://"+ch.Host+"/"))
+		g.bg.record(ch.Cookie.Name, publicsuffix.RegistrableDomain(ch.Host))
 	}
 }
 

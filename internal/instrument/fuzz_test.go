@@ -1,18 +1,28 @@
 package instrument
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 
 	"cookieguard/internal/browser"
 	"cookieguard/internal/cookiejar"
+	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/vclock"
 )
 
-// discardAPI stands below the recorder in FuzzRecordedAssignment: the
-// assignment goes nowhere after it is recorded.
-type discardAPI struct{ browser.CookieAPI }
+// discardAPI stands below the recorder in the fuzz targets: every call
+// goes nowhere after it is recorded, and every read finds no cookie.
+type discardAPI struct{}
 
-func (discardAPI) SetDocumentCookie(browser.AccessContext, string) {}
+func (discardAPI) GetDocumentCookie(browser.AccessContext) string         { return "" }
+func (discardAPI) SetDocumentCookie(browser.AccessContext, string)        {}
+func (discardAPI) StoreSet(browser.AccessContext, jsdsl.CookieRecord)     {}
+func (discardAPI) StoreDelete(browser.AccessContext, string)              {}
+func (discardAPI) StoreGetAll(browser.AccessContext) []jsdsl.CookieRecord { return nil }
+func (discardAPI) StoreGet(browser.AccessContext, string) (jsdsl.CookieRecord, bool) {
+	return jsdsl.CookieRecord{}, false
+}
 
 // FuzzRecordedAssignment checks the event the recorder logs for a
 // document.cookie assignment against the jar's own parse of it: the name,
@@ -60,6 +70,122 @@ func FuzzRecordedAssignment(f *testing.F) {
 		got.MaxAge = 0 // not a field of the parsed cookie
 		if got != want {
 			t.Fatalf("recorded %q as %+v, the jar parses %+v", assignment, got, want)
+		}
+	})
+}
+
+// readers are the accessors FuzzRecordedReads draws from, with the
+// script domain each one's events carry: inline code, page-level code
+// (no script URL, not inline), a script in a non-main frame, the same
+// script in the main frame, and inline code in a non-main frame.
+var readers = []struct {
+	ctx    browser.AccessContext
+	domain string
+}{
+	{browser.AccessContext{PageURL: "https://www.shop.example/", Inline: true, MainFrame: true}, ""},
+	{browser.AccessContext{PageURL: "https://www.shop.example/", MainFrame: true}, ""},
+	{browser.AccessContext{PageURL: "https://ads.example/frame", ScriptURL: "https://cdn.tracker.example/t.js"}, "tracker.example"},
+	{browser.AccessContext{PageURL: "https://www.shop.example/", ScriptURL: "https://cdn.tracker.example/t.js", MainFrame: true}, "tracker.example"},
+	{browser.AccessContext{PageURL: "https://ads.example/frame", Inline: true}, ""},
+}
+
+// FuzzRecordedReads drives the recorder with a sequence of calls, one
+// per fuzz byte: the byte picks a reader and one of three reads
+// (document.cookie, cookieStore.get, cookieStore.getAll) or two writes
+// (a document.cookie assignment, a cookieStore.delete). A reference
+// records every call as its own event and then collapses the reads: one
+// entry per (script URL, inline, main frame, API), where that key was
+// first read, counting its reads. The recorder must log exactly that,
+// its counts must sum to the number of reads, and the writes must keep
+// their call order.
+func FuzzRecordedReads(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"\x00",
+		"\x03\x08\x0d\x12\x03", // one script through both APIs, a write, a read
+		"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09", // every reader through both APIs
+		"\x0f\x03\x10\x08\x12\x03",                 // writes between the reads
+		"\x14\x00\x18\x05\x0a\x14",
+	} {
+		f.Add([]byte(s))
+	}
+	clock := vclock.New()
+	f.Fuzz(func(t *testing.T, calls []byte) {
+		rec := NewRecorder()
+		defer rec.Release()
+		api := &recordingAPI{rec: rec, next: discardAPI{}, clock: clock}
+
+		var perCall, writes []CookieEvent
+		reads := 0
+		for i, b := range calls {
+			r := readers[int(b)%len(readers)]
+			ev := CookieEvent{
+				ScriptURL: r.ctx.ScriptURL, ScriptDomain: r.domain,
+				Inline: r.ctx.Inline, MainFrame: r.ctx.MainFrame,
+			}
+			name := "c" + strconv.Itoa(i)
+			switch int(b) / len(readers) % 5 {
+			case 0:
+				api.GetDocumentCookie(r.ctx)
+				ev.Op, ev.API = OpRead, APIDocument
+			case 1:
+				api.StoreGet(r.ctx, name)
+				ev.Op, ev.API = OpRead, APICookieStore
+			case 2:
+				api.StoreGetAll(r.ctx)
+				ev.Op, ev.API = OpRead, APICookieStore
+			case 3:
+				api.SetDocumentCookie(r.ctx, name+"=1")
+				ev.Op, ev.API, ev.Name, ev.Value = OpWrite, APIDocument, name, "1"
+			case 4:
+				api.StoreDelete(r.ctx, name)
+				ev.Op, ev.API, ev.Name = OpDelete, APICookieStore, name
+			}
+			if ev.Op == OpRead {
+				reads++
+			} else {
+				writes = append(writes, ev)
+			}
+			perCall = append(perCall, ev)
+		}
+
+		var want []CookieEvent
+		first := map[CookieEvent]int{} // a read's key: its attributed event without the count
+		for _, ev := range perCall {
+			if ev.Op != OpRead {
+				want = append(want, ev)
+				continue
+			}
+			if i, ok := first[ev]; ok {
+				want[i].Count++
+				continue
+			}
+			first[ev] = len(want)
+			ev.Count = 1
+			want = append(want, ev)
+		}
+
+		got := rec.Events()
+		if len(got) == 0 {
+			got = nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("calls %x recorded\n%+v\nwant\n%+v", calls, got, want)
+		}
+		counted := 0
+		var gotWrites []CookieEvent
+		for _, ev := range got {
+			if ev.Op == OpRead {
+				counted += ev.Count
+			} else {
+				gotWrites = append(gotWrites, ev)
+			}
+		}
+		if counted != reads {
+			t.Fatalf("calls %x: read counts sum to %d, want %d reads", calls, counted, reads)
+		}
+		if !reflect.DeepEqual(gotWrites, writes) {
+			t.Fatalf("calls %x: writes recorded as %+v, want %+v in call order", calls, gotWrites, writes)
 		}
 	})
 }

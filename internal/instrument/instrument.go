@@ -1,8 +1,8 @@
 // Package instrument is the measurement extension of the paper (§4.1) in
-// Go form: it records every document.cookie and CookieStore operation
-// with script-level attribution, captures HTTP Set-Cookie headers, and
-// logs outbound requests — producing one VisitLog per crawled site for
-// the analysis pipeline.
+// Go form: it records every document.cookie and CookieStore write and
+// delete with script-level attribution, counts each script's reads per
+// API, captures HTTP Set-Cookie headers, and logs outbound requests —
+// producing one VisitLog per crawled site for the analysis pipeline.
 //
 // Recorder.Middleware installs it on a browser in one call, as a
 // browser.CookieMiddleware: it wraps the native cookie APIs, as the
@@ -25,7 +25,7 @@ type Op string
 
 // Cookie operation kinds.
 const (
-	OpRead    Op = "read"    // document.cookie getter / cookieStore get(All)
+	OpRead    Op = "read"    // document.cookie getter / cookieStore get(All), counted
 	OpWrite   Op = "write"   // assignment / cookieStore.set
 	OpDelete  Op = "delete"  // expired write (see CookieEvent) / cookieStore.delete
 	OpHTTPSet Op = "httpset" // Set-Cookie response header
@@ -51,15 +51,16 @@ const (
 // after now). An assignment with no name is recorded as an OpWrite with
 // no name or attributes; the jar rejects it. A cookieStore.set is
 // recorded as OpDelete exactly when browser.StoreSetDeletes holds.
+//
+// Reads are counted, not recorded per call: a visit holds one OpRead
+// entry per (ScriptURL, Inline, MainFrame, API), at that key's first
+// read, with no name or value, which is all the analysis counts (§4.4).
 type CookieEvent struct {
 	Op  Op  `json:"op"`
 	API API `json:"api"`
 
 	// Name/Value: for writes, deletes and HTTP sets, the affected
-	// cookie. A read records only that the jar was read and through
-	// which API, which is all the analysis counts (§4.4): Name is the
-	// requested name of a cookieStore.get, empty for document.cookie
-	// and getAll, and Value is always empty.
+	// cookie; empty for reads.
 	Name  string `json:"name,omitempty"`
 	Value string `json:"value,omitempty"`
 
@@ -75,6 +76,8 @@ type CookieEvent struct {
 	ScriptDomain string `json:"script_domain,omitempty"`
 	Inline       bool   `json:"inline,omitempty"`
 	MainFrame    bool   `json:"main_frame"`
+
+	Count int `json:"count,omitempty"` // reads an OpRead entry stands for
 }
 
 // RequestEvent is one recorded outbound request. Failure carries the
@@ -268,6 +271,25 @@ func (r *Recorder) append(ev CookieEvent) {
 	r.mu.Unlock()
 }
 
+// read counts one read through api: it adds one to the visit's read
+// entry with the same script, inline flag, frame and API, or appends
+// that entry with a count of one.
+func (r *Recorder) read(ctx browser.AccessContext, api API) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.events {
+		ev := &r.events[i]
+		if ev.Op == OpRead && ev.API == api && ev.ScriptURL == ctx.ScriptURL &&
+			ev.Inline == ctx.Inline && ev.MainFrame == ctx.MainFrame {
+			ev.Count++
+			return
+		}
+	}
+	ev := baseEvent(ctx, OpRead, api)
+	ev.Count = 1
+	r.events = append(r.events, ev)
+}
+
 // Events returns an exact-size copy of the recorded cookie events; it
 // never aliases the pooled buffer.
 func (r *Recorder) Events() []CookieEvent {
@@ -354,7 +376,8 @@ type recordingAPI struct {
 	clock cookiejar.Clock // the browser's, which its jar reads too
 }
 
-func (a *recordingAPI) base(ctx browser.AccessContext, op Op, api API) CookieEvent {
+// baseEvent is an event of op through api with ctx's attribution.
+func baseEvent(ctx browser.AccessContext, op Op, api API) CookieEvent {
 	return CookieEvent{
 		Op:           op,
 		API:          api,
@@ -367,12 +390,12 @@ func (a *recordingAPI) base(ctx browser.AccessContext, op Op, api API) CookieEve
 
 func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext) string {
 	out := a.next.GetDocumentCookie(ctx)
-	a.rec.append(a.base(ctx, OpRead, APIDocument))
+	a.rec.read(ctx, APIDocument)
 	return out
 }
 
 func (a *recordingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
-	ev := a.base(ctx, OpWrite, APIDocument)
+	ev := baseEvent(ctx, OpWrite, APIDocument)
 	if as, ok := cookiejar.ParseAssignment(assignment); ok {
 		ev.Name, ev.Value = as.Name, as.Value
 		ev.Domain, ev.Path, ev.MaxAge = as.Domain, as.Path, as.MaxAge
@@ -386,20 +409,18 @@ func (a *recordingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment s
 
 func (a *recordingAPI) StoreGet(ctx browser.AccessContext, name string) (jsdsl.CookieRecord, bool) {
 	rec, ok := a.next.StoreGet(ctx, name)
-	ev := a.base(ctx, OpRead, APICookieStore)
-	ev.Name = name
-	a.rec.append(ev)
+	a.rec.read(ctx, APICookieStore)
 	return rec, ok
 }
 
 func (a *recordingAPI) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecord {
 	recs := a.next.StoreGetAll(ctx)
-	a.rec.append(a.base(ctx, OpRead, APICookieStore))
+	a.rec.read(ctx, APICookieStore)
 	return recs
 }
 
 func (a *recordingAPI) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord) {
-	ev := a.base(ctx, OpWrite, APICookieStore)
+	ev := baseEvent(ctx, OpWrite, APICookieStore)
 	ev.Name = rec.Name
 	ev.Value = rec.Value
 	ev.Domain = rec.Domain
@@ -413,7 +434,7 @@ func (a *recordingAPI) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecor
 }
 
 func (a *recordingAPI) StoreDelete(ctx browser.AccessContext, name string) {
-	ev := a.base(ctx, OpDelete, APICookieStore)
+	ev := baseEvent(ctx, OpDelete, APICookieStore)
 	ev.Name = name
 	a.rec.append(ev)
 	a.next.StoreDelete(ctx, name)

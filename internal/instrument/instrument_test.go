@@ -60,9 +60,13 @@ send("https://collect.example/px", {"v": "abcdef1234567890"});`)
 	return rec, rec.BuildVisitLog("shop.example", []*browser.Page{p}, nil)
 }
 
+// TestRecorderCapturesAllAPIs: the tracker's one document.cookie read
+// and two cookieStore reads are one counted entry per API, beside one
+// event per write, delete and visible HTTP set.
 func TestRecorderCapturesAllAPIs(t *testing.T) {
 	_, v := instrumentedVisit(t)
-	var httpSets, writes, reads, deletes, csOps int
+	var httpSets, writes, deletes, csWrites int
+	reads := map[API]int{}
 	for _, ev := range v.Cookies {
 		switch ev.Op {
 		case OpHTTPSet:
@@ -72,17 +76,24 @@ func TestRecorderCapturesAllAPIs(t *testing.T) {
 			}
 		case OpWrite:
 			writes++
+			if ev.API == APICookieStore {
+				csWrites++
+			}
 		case OpRead:
-			reads++
+			if reads[ev.API] != 0 {
+				t.Errorf("second read entry for %s: %+v", ev.API, ev)
+			}
+			reads[ev.API] = ev.Count
 		case OpDelete:
 			deletes++
 		}
-		if ev.API == APICookieStore {
-			csOps++
+		if ev.Op != OpRead && ev.Count != 0 {
+			t.Errorf("%s event carries a count: %+v", ev.Op, ev)
 		}
 	}
-	if httpSets != 1 || writes < 2 || reads < 2 || deletes != 1 || csOps < 3 {
-		t.Fatalf("event mix: http=%d w=%d r=%d d=%d cs=%d", httpSets, writes, reads, deletes, csOps)
+	if httpSets != 1 || writes != 3 || deletes != 1 || csWrites != 1 ||
+		reads[APIDocument] != 1 || reads[APICookieStore] != 2 {
+		t.Fatalf("event mix: http=%d w=%d d=%d cs writes=%d reads=%v", httpSets, writes, deletes, csWrites, reads)
 	}
 }
 
@@ -299,11 +310,12 @@ func TestReleasedRecorderLeavesBuiltLogIntact(t *testing.T) {
 	}
 }
 
-// TestReadRecordsCarryOnlyWhatAnalysisReads: a read records that the jar
-// was read, through which API, for which requested name and by which
-// script, and never the cookies it returned. No event carries a stack and
-// no script record a parent; an injected script's injector is the last
-// element of its inclusion path.
+// TestReadRecordsCarryOnlyWhatAnalysisReads: a script's reads through
+// one API are one entry that records that the jar was read, through
+// which API, by which script and how often, and never a requested name
+// or the cookies returned. No event carries a stack and no script record
+// a parent; an injected script's injector is the last element of its
+// inclusion path.
 func TestReadRecordsCarryOnlyWhatAnalysisReads(t *testing.T) {
 	const (
 		tag    = "https://tagmgr.example/gtm.js"
@@ -351,9 +363,8 @@ let c = cookiestore_get_all();`)
 	}
 
 	want := []map[string]any{
-		{"op": "read", "api": "document.cookie"},
-		{"op": "read", "api": "cookieStore", "name": "cs_c"},
-		{"op": "read", "api": "cookieStore"},
+		{"op": "read", "api": "document.cookie", "count": 1.0},
+		{"op": "read", "api": "cookieStore", "count": 2.0},
 	}
 	var reads []map[string]any
 	for _, ev := range got.Cookies {

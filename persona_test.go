@@ -13,14 +13,17 @@ import (
 // pr7GoldenHashes pin the exact bytes PR 7 emitted for two persona-free
 // configurations (captured from the pre-refactor tree), less the fields
 // records no longer carry: a read's value, a cookie event's stack, a
-// script's parent and a mutation's target_id. They were re-recorded by
-// zeroing exactly those fields on the tree that still wrote them. The crawl-plan unit refactor must
+// script's parent and a mutation's target_id, and with each script's
+// per-call reads through one API collapsed into one counted entry
+// without a name. They were re-recorded by zeroing exactly those fields,
+// and then by collapsing exactly those reads, on the tree that still
+// wrote them. The crawl-plan unit refactor must
 // reproduce them bit for bit: a config that never mentions personas
 // crawls exactly one implicit-persona lane per vantage and its records
 // carry no persona field at all.
 const (
-	pr7GoldenClean   = "7649b7feb7cffac8b33f45cb5b74fe9846e129ed5e30513f3e1f6a84d2ac9a37"
-	pr7GoldenFaulted = "d1f8d76a9eb5da507c147b71743e7578a1fee158edd6b50d7675691a80ec1a1d"
+	pr7GoldenClean   = "f7d02e9cf8213fd8f563000c1692a0a12ec3632167e8aca6e4c54415664b55f9"
+	pr7GoldenFaulted = "8789178be42effcff9265cebecf1830a60462bcf6c7e7f843ac8268b96673d45"
 )
 
 // crawlDigest streams the pipeline and returns the sha256 over the
@@ -77,12 +80,12 @@ func faultedGoldenOpts() []Option {
 // emitted for personaOpts(4) and personaFaultedOpts(4), recorded before
 // that mode was deleted, and re-recorded like the pr7 goldens without a
 // read's value, a cookie event's stack, a script's parent and a
-// mutation's target_id. Every crawl
+// mutation's target_id, and with per-call reads collapsed. Every crawl
 // now runs all lanes through one pool, and must still reproduce them at
 // any worker count.
 const (
-	sequentialGoldenClean   = "d24ec5283220d553a9ffb07788a95eb6462b59ea661eb2fcd1e8fe7287a138b0"
-	sequentialGoldenFaulted = "717709bb7d6b79ae571774abad4a4fc4320607d0d8585f3ef4c9f28afec6e7ad"
+	sequentialGoldenClean   = "0a393366da7194f64ded6d3c11ed0e08cf25e4bb2f9665b8e0a5e96d316ec1f8"
+	sequentialGoldenFaulted = "6fe4597b0aed1213a2f3c2e306a932c90bd039d1ad253361d1dd53eaee1d9cd5"
 )
 
 // personaOpts is the clean three-persona two-vantage configuration of
@@ -200,8 +203,9 @@ func TestPersonaFreeConfigReproducesPR7Bytes(t *testing.T) {
 // fresh guard installed outside the recorder on every visit. It must
 // hold at any worker count. It was recorded before the guard and the
 // recorder installed in one call each, and re-recorded like the pr7
-// goldens without a mutation's target_id.
-const guardedGolden = "7708e3204ce7c8faf28b06b983736ddffa76b9a2dd0c9ffc13a94761992600f2"
+// goldens without a mutation's target_id and with per-call reads
+// collapsed.
+const guardedGolden = "04684874a5fc520283e2c821c749fe1edbc2708bc5c4a37077fb403a8e387ef1"
 
 func TestGuardedCrawlGolden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
