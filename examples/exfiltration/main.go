@@ -88,12 +88,14 @@ if (fbp != null) {
 	an.Observe(vlog)
 	res := an.Finalize()
 	fmt.Println("== detected cross-domain exfiltration events ==")
-	for _, e := range res.Events {
-		if e.Kind != analysis.ActExfiltration {
-			continue
+	for _, row := range res.SiteRows() {
+		for _, e := range row.Events {
+			if e.Kind != analysis.ActExfiltration {
+				continue
+			}
+			fmt.Printf("  cookie %-6s (owner %-22s) exfiltrated by %-14s -> %s\n",
+				e.Cookie.Name, e.Cookie.Owner, e.ActorDomain, e.Destination)
 		}
-		fmt.Printf("  cookie %-6s (owner %-22s) exfiltrated by %-14s -> %s\n",
-			e.Cookie.Name, e.Cookie.Owner, e.ActorDomain, e.Destination)
 	}
 	fmt.Println("\nBoth case studies are caught even though the _ga segments were")
 	fmt.Println("Base64-encoded: the pipeline matches raw, Base64, MD5, and SHA1 forms.")

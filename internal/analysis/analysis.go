@@ -55,6 +55,10 @@ type Event struct {
 	ChangedExpires bool `json:"changed_expires,omitempty"`
 	ChangedDomain  bool `json:"changed_domain,omitempty"`
 	ChangedPath    bool `json:"changed_path,omitempty"`
+
+	// vantage and persona place the event within its site's record; they
+	// are not encoded.
+	vantage, persona string
 }
 
 // Analyzer holds configuration for a run. It consumes visit logs either
@@ -102,15 +106,8 @@ type runState struct {
 	cookies    []cookieState
 	cookieIdx  map[string]int32
 
-	// groups records one entry per analyzed observation — the slice of
-	// res.Events it appended, keyed by (site, vantage, persona).
-	// Finalize sorts the groups and rebuilds Events in that order, so
-	// the finalized event sequence depends only on the observed log
-	// multiset, never on observation order — the property that lets
-	// sorted and completion-order-fed runs produce identical Results.
-	groups []evGroup
-	// obsSeq counts observations; it tie-breaks duplicate (site,
-	// vantage, persona) groups, which a real crawl never produces.
+	// obsSeq counts observations; it orders the pair claims of duplicate
+	// (site, vantage, persona) keys, which a real crawl never produces.
 	obsSeq int
 
 	// Per-observation scratch (valid between beginObservation and
@@ -118,18 +115,8 @@ type runState struct {
 	curSite, curVantage string
 	curPersona          string
 	curPers             *personaAgg
-	curStart            int // len(res.Events) at observation start
-	curEnsures          int // ensure-call sequence within the observation
-}
-
-// evGroup is one observation's event range, in canonical-sort terms.
-type evGroup struct {
-	site, vantage, persona string
-	seq                    int // observation sequence (tie-break only)
-	// src is the event slice [start, end) indexes: nil for the state's
-	// own res.Events, or a folded source state's Events.
-	src        []Event
-	start, end int
+	curEnsures          int     // ensure-call sequence within the observation
+	curEvents           []Event // the observation's events, in detection order
 }
 
 // pairClaim is one candidate attribution of a cookie pair's API: where
@@ -163,11 +150,11 @@ func (a pairClaim) before(b pairClaim) bool {
 func newRunState() *runState {
 	return &runState{
 		res: &Results{
-			Pairs:       map[CookieKey]*PairInfo{},
-			PairsByAPI:  map[instrument.API]int{},
-			SiteActions: map[string]map[actionAPIKey]bool{},
-			Vantages:    map[string]VantageStats{},
-			Personas:    map[string]PersonaStats{},
+			Pairs:      map[CookieKey]*PairInfo{},
+			PairsByAPI: map[instrument.API]int{},
+			sites:      map[string]siteRecord{},
+			Vantages:   map[string]VantageStats{},
+			Personas:   map[string]PersonaStats{},
 			Failures: FailureStats{
 				VisitFailures:   map[string]int{},
 				RequestFailures: map[string]int{},
@@ -185,7 +172,6 @@ func newRunState() *runState {
 func (st *runState) beginObservation(site, vantage, persona string) {
 	st.curSite, st.curVantage, st.curPersona = site, vantage, persona
 	st.curPers = st.persona(persona)
-	st.curStart = len(st.res.Events)
 	st.curEnsures = 0
 }
 
@@ -199,14 +185,28 @@ func (st *runState) persona(name string) *personaAgg {
 	return pa
 }
 
-// endObservation closes the observation: its event range becomes a
-// canonical-sort group.
+// emit records one of the observation's events.
+func (st *runState) emit(e Event) {
+	e.Site, e.vantage, e.persona = st.curSite, st.curVantage, st.curPersona
+	st.curEvents = append(st.curEvents, e)
+}
+
+// endObservation closes the observation: its events move into its site's
+// record after every event of an equal or smaller (vantage, persona), so
+// the record stays in canonical order whatever order the observations
+// came in, and equal keys keep observation order. The record gets a new,
+// exact-size slice: a slice a Snapshot shares is never written again.
 func (st *runState) endObservation() {
-	if end := len(st.res.Events); end > st.curStart {
-		st.groups = append(st.groups, evGroup{
-			site: st.curSite, vantage: st.curVantage, persona: st.curPersona,
-			seq: st.obsSeq, start: st.curStart, end: end,
-		})
+	if len(st.curEvents) > 0 {
+		rec := st.res.sites[st.curSite]
+		i := len(rec.events)
+		for i > 0 && (rec.events[i-1].vantage > st.curVantage ||
+			rec.events[i-1].vantage == st.curVantage && rec.events[i-1].persona > st.curPersona) {
+			i--
+		}
+		rec.events = slices.Concat(rec.events[:i], st.curEvents, rec.events[i:])
+		st.res.sites[st.curSite] = rec
+		st.curEvents = st.curEvents[:0]
 	}
 	st.obsSeq++
 }
@@ -256,12 +256,12 @@ func New() *Analyzer {
 // Results aggregates everything the report generators need.
 type Results struct {
 	Summary    Summary
-	Events     []Event
 	Pairs      map[CookieKey]*PairInfo
 	PairsByAPI map[instrument.API]int
 
-	// Per-site action presence (for Table 1 and Figure 5).
-	SiteActions map[string]map[actionAPIKey]bool
+	// sites holds every complete site's record (Table 1, Figure 5 and
+	// the site rows); read it through SiteRows and SiteRow.
+	sites map[string]siteRecord
 
 	// Failures is the crawl-failure rollup across every observed log —
 	// including incomplete ones, which is where most failures live.
@@ -365,6 +365,14 @@ func (f *FailureStats) observe(v *instrument.VisitLog) {
 type actionAPIKey struct {
 	Kind ActionKind
 	API  instrument.API
+}
+
+// siteRecord is one site's cross-domain record: the (action, API)
+// combinations it exhibited and its events in canonical (vantage,
+// persona, observation) order.
+type siteRecord struct {
+	actions map[actionAPIKey]bool
+	events  []Event
 }
 
 // PairInfo accumulates per-cookie-pair statistics. Its set fields are
@@ -480,8 +488,8 @@ func (a *Analyzer) Observe(v instrument.VisitLog) {
 // Finalize computes the aggregate statistics over everything Observed so
 // far and returns the Results, resetting the Analyzer for a fresh run.
 //
-// The finalized Results are canonical: events are ordered by (site,
-// vantage) group — not by observation order — and each pair's API
+// The finalized Results are canonical: each site's events are ordered by
+// (vantage, persona) — not by observation order — and each pair's API
 // attribution comes from the canonically-first ensure, so any feed order
 // of the same log multiset (streaming completion order, sorted batches)
 // finalizes to identical Results.
@@ -506,42 +514,10 @@ func (a *Analyzer) Snapshot() *Results {
 	return finalizeState(dst)
 }
 
-// finalizeState canonicalizes and aggregates an owned run state into its
-// final Results. The state must not be used afterwards.
+// finalizeState aggregates an owned run state into its final Results.
+// The state must not be used afterwards.
 func finalizeState(st *runState) *Results {
 	res := st.res
-	// Canonical event order: groups sorted by (site, vantage, persona) —
-	// the same total order cmd/crawl -sort emits — with the observation
-	// sequence as a tie-break for duplicate keys (which a real crawl,
-	// visiting each site once per crawl-plan unit, never produces).
-	if len(st.groups) > 0 {
-		sort.Slice(st.groups, func(i, j int) bool {
-			gi, gj := &st.groups[i], &st.groups[j]
-			if gi.site != gj.site {
-				return gi.site < gj.site
-			}
-			if gi.vantage != gj.vantage {
-				return gi.vantage < gj.vantage
-			}
-			if gi.persona != gj.persona {
-				return gi.persona < gj.persona
-			}
-			return gi.seq < gj.seq
-		})
-		n := 0
-		for _, g := range st.groups {
-			n += g.end - g.start
-		}
-		rebuilt := make([]Event, 0, n)
-		for _, g := range st.groups {
-			src := g.src
-			if src == nil {
-				src = res.Events
-			}
-			rebuilt = append(rebuilt, src[g.start:g.end]...)
-		}
-		res.Events = rebuilt
-	}
 	s := &res.Summary
 	if s.SitesComplete > 0 {
 		s.MeanTPScriptsPerSite = float64(st.tpScriptTotal) / float64(s.SitesComplete)
@@ -612,11 +588,12 @@ type cookieState struct {
 func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 	res := st.res
 	site := v.Site
-	siteActs := res.SiteActions[site]
-	if siteActs == nil {
-		siteActs = map[actionAPIKey]bool{}
-		res.SiteActions[site] = siteActs
+	rec, ok := res.sites[site]
+	if !ok {
+		rec.actions = map[actionAPIKey]bool{}
+		res.sites[site] = rec
 	}
+	siteActs := rec.actions
 
 	// --- Script inventory (§5.1, §5.6) ---
 	seenScript := st.seenScript
@@ -655,7 +632,7 @@ func (a *Analyzer) analyzeSite(v *instrument.VisitLog, st *runState) {
 	state := a.replayCookies(v, st, siteActs)
 
 	// --- Exfiltration (§4.4) ---
-	a.detectExfiltration(v, site, state, st, siteActs)
+	a.detectExfiltration(v, state, st, siteActs)
 
 	// --- Cross-domain DOM modification (§8 pilot) ---
 	for _, m := range v.Mutations {
@@ -738,15 +715,14 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 			if actor != cs.owner && actor != "" {
 				key := CookieKey{Name: ev.Name, Owner: cs.owner}
 				p := st.ensurePair(key, cs.api)
-				e := Event{
-					Site: site, Kind: ActOverwriting, Cookie: key,
+				st.emit(Event{
+					Kind: ActOverwriting, Cookie: key,
 					ActorScript: ev.ScriptURL, ActorDomain: actor, API: ev.API,
 					ChangedValue:   ev.Value != cs.value,
 					ChangedExpires: ev.MaxAge != cs.maxAge,
 					ChangedDomain:  ev.Domain != cs.domain && ev.Domain != "",
 					ChangedPath:    ev.Path != cs.path && ev.Path != "",
-				}
-				res.Events = append(res.Events, e)
+				})
 				setAdd(&p.OverwriterEnt, a.Entities.EntityOf(actor))
 				setAdd(&p.OverwriterDomains, actor)
 				siteActs[actionAPIKey{ActOverwriting, cs.api}] = true
@@ -765,8 +741,8 @@ func (a *Analyzer) replayCookies(v *instrument.VisitLog, st *runState, siteActs 
 			if actor != cs.owner && actor != "" {
 				key := CookieKey{Name: ev.Name, Owner: cs.owner}
 				p := st.ensurePair(key, cs.api)
-				res.Events = append(res.Events, Event{
-					Site: site, Kind: ActDeleting, Cookie: key,
+				st.emit(Event{
+					Kind: ActDeleting, Cookie: key,
 					ActorScript: ev.ScriptURL, ActorDomain: actor, API: ev.API,
 				})
 				setAdd(&p.DeleterEnt, a.Entities.EntityOf(actor))
@@ -805,9 +781,8 @@ func (a *Analyzer) actorDomain(ev instrument.CookieEvent, site string) string {
 // values on non-alphanumeric delimiters, keep candidates ≥ MinIdentifierLen,
 // derive raw/Base64/MD5/SHA1 forms, and match them against the query
 // strings of outbound requests initiated by main-frame scripts.
-func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
-	state []cookieState, st *runState, siteActs map[actionAPIKey]bool) {
-	res := st.res
+func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, state []cookieState,
+	st *runState, siteActs map[actionAPIKey]bool) {
 	m := &st.exfil
 	if !m.reset(v.URL, state, a.MinIdentifierLen) {
 		return
@@ -837,8 +812,8 @@ func (a *Analyzer) detectExfiltration(v *instrument.VisitLog, site string,
 				continue
 			}
 			p := st.ensurePair(c.key, c.api)
-			res.Events = append(res.Events, Event{
-				Site: site, Kind: ActExfiltration, Cookie: c.key,
+			st.emit(Event{
+				Kind: ActExfiltration, Cookie: c.key,
 				ActorScript: req.InitiatorScript, ActorDomain: actorDomain,
 				API: c.api, Destination: destDomain,
 			})

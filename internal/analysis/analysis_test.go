@@ -125,6 +125,16 @@ const (
 	readerJS = "https://cdn.other.example/read.js"
 )
 
+// allEvents is r's events in canonical order: its site rows' events,
+// concatenated in site order.
+func allEvents(r *Results) []Event {
+	var evs []Event
+	for _, row := range r.SiteRows() {
+		evs = append(evs, row.Events...)
+	}
+	return evs
+}
+
 func baseLog() instrument.VisitLog {
 	return instrument.VisitLog{
 		Site: "shop.example", URL: "https://www.shop.example/", OK: true,
@@ -145,10 +155,11 @@ func TestCrossDomainOverwriteDetected(t *testing.T) {
 		writeEv(instrument.APIDocument, "_tid", "zzzzzzzz99999999", readerJS, 7200),
 	}
 	res := New().Run([]instrument.VisitLog{v})
-	if len(res.Events) != 1 {
-		t.Fatalf("events = %+v", res.Events)
+	evs := allEvents(res)
+	if len(evs) != 1 {
+		t.Fatalf("events = %+v", evs)
 	}
-	e := res.Events[0]
+	e := evs[0]
 	if e.Kind != ActOverwriting || e.Cookie.Owner != "tracker.example" ||
 		e.ActorDomain != "other.example" {
 		t.Fatalf("event = %+v", e)
@@ -165,8 +176,9 @@ func TestSameDomainOverwriteIgnored(t *testing.T) {
 		writeEv(instrument.APIDocument, "_tid", "different1234567", "https://static.tracker.example/other.js", 3600),
 	}
 	res := New().Run([]instrument.VisitLog{v})
-	if len(res.Events) != 0 {
-		t.Fatalf("same-domain overwrite flagged: %+v", res.Events)
+	evs := allEvents(res)
+	if len(evs) != 0 {
+		t.Fatalf("same-domain overwrite flagged: %+v", evs)
 	}
 }
 
@@ -177,14 +189,16 @@ func TestCrossDomainDeleteDetected(t *testing.T) {
 		deleteEv(instrument.APIDocument, "_tid", readerJS),
 	}
 	res := New().Run([]instrument.VisitLog{v})
-	if len(res.Events) != 1 || res.Events[0].Kind != ActDeleting {
-		t.Fatalf("events = %+v", res.Events)
+	evs := allEvents(res)
+	if len(evs) != 1 || evs[0].Kind != ActDeleting {
+		t.Fatalf("events = %+v", evs)
 	}
 	// deleting a non-existent cookie afterwards is a no-op
 	v.Cookies = append(v.Cookies, deleteEv(instrument.APIDocument, "_tid", readerJS))
 	res = New().Run([]instrument.VisitLog{v})
-	if len(res.Events) != 1 {
-		t.Fatalf("double delete counted twice: %+v", res.Events)
+	evs = allEvents(res)
+	if len(evs) != 1 {
+		t.Fatalf("double delete counted twice: %+v", evs)
 	}
 }
 
@@ -201,10 +215,11 @@ func TestExfiltrationDetected(t *testing.T) {
 		MainFrame:       true,
 	})
 	res := New().Run([]instrument.VisitLog{v})
+	evs := allEvents(res)
 	var exfil *Event
-	for i := range res.Events {
-		if res.Events[i].Kind == ActExfiltration {
-			exfil = &res.Events[i]
+	for i := range evs {
+		if evs[i].Kind == ActExfiltration {
+			exfil = &evs[i]
 		}
 	}
 	if exfil == nil {
@@ -228,7 +243,8 @@ func TestOwnerExfiltrationNotCrossDomain(t *testing.T) {
 		MainFrame:       true,
 	})
 	res := New().Run([]instrument.VisitLog{v})
-	for _, e := range res.Events {
+	evs := allEvents(res)
+	for _, e := range evs {
 		if e.Kind == ActExfiltration {
 			t.Fatalf("owner's own send flagged as cross-domain: %+v", e)
 		}
@@ -248,7 +264,8 @@ func TestSendBackToOwnerNotExfiltration(t *testing.T) {
 		MainFrame:       true,
 	})
 	res := New().Run([]instrument.VisitLog{v})
-	for _, e := range res.Events {
+	evs := allEvents(res)
+	for _, e := range evs {
 		if e.Kind == ActExfiltration {
 			t.Fatalf("send back to owner flagged: %+v", e)
 		}
@@ -268,7 +285,8 @@ func TestShortValuesNotExfiltratable(t *testing.T) {
 		MainFrame:       true,
 	})
 	res := New().Run([]instrument.VisitLog{v})
-	for _, e := range res.Events {
+	evs := allEvents(res)
+	for _, e := range evs {
 		if e.Kind == ActExfiltration {
 			t.Fatalf("short value flagged: %+v", e)
 		}
@@ -283,9 +301,10 @@ func TestHTTPSetCookieOwnership(t *testing.T) {
 		writeEv(instrument.APIDocument, "srv_csrf", "overwritten111111", readerJS, 60),
 	}
 	res := New().Run([]instrument.VisitLog{v})
-	if len(res.Events) != 1 || res.Events[0].Kind != ActOverwriting ||
-		res.Events[0].Cookie.Owner != "shop.example" {
-		t.Fatalf("events = %+v", res.Events)
+	evs := allEvents(res)
+	if len(evs) != 1 || evs[0].Kind != ActOverwriting ||
+		evs[0].Cookie.Owner != "shop.example" {
+		t.Fatalf("events = %+v", evs)
 	}
 }
 
@@ -298,10 +317,11 @@ func TestInlineWritesUnattributable(t *testing.T) {
 	cross := writeEv(instrument.APIDocument, "inline_c", "other9999999", readerJS, 60)
 	v.Cookies = []instrument.CookieEvent{inline, cross}
 	res := New().Run([]instrument.VisitLog{v})
+	evs := allEvents(res)
 	// owner is "" (unattributable); cross write counts as overwrite of
 	// the unattributed owner
-	if len(res.Events) != 1 {
-		t.Fatalf("events = %+v", res.Events)
+	if len(evs) != 1 {
+		t.Fatalf("events = %+v", evs)
 	}
 }
 

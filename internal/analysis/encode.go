@@ -71,46 +71,39 @@ type SiteRow struct {
 	Events  []Event      `json:"events,omitempty"`
 }
 
-// SiteRows flattens SiteActions plus the canonical event sequence into
-// per-site rows sorted by site. Finalized Events are grouped by site
-// already, so each row's Events slice preserves canonical order.
+// SiteRows lists every complete site's record, sorted by site. A row's
+// Events are the site's record itself, in canonical (vantage, persona)
+// order: treat them as read-only.
 func (r *Results) SiteRows() []SiteRow {
-	bySite := make(map[string]*SiteRow, len(r.SiteActions))
-	rowFor := func(site string) *SiteRow {
-		row := bySite[site]
-		if row == nil {
-			row = &SiteRow{Site: site}
-			bySite[site] = row
-		}
-		return row
+	sites := r.sortedSites()
+	rows := make([]SiteRow, len(sites))
+	for i, site := range sites {
+		rows[i] = r.sites[site].row(site)
 	}
-	for site, acts := range r.SiteActions {
-		rowFor(site).Actions = sortedActions(acts)
-	}
-	for _, e := range r.Events {
-		row := rowFor(e.Site)
-		row.Events = append(row.Events, e)
-	}
-	rows := make([]SiteRow, 0, len(bySite))
-	for _, row := range bySite {
-		rows = append(rows, *row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Site < rows[j].Site })
 	return rows
 }
 
 // SiteRow returns one site's record, equal to its entry in SiteRows, and
-// whether the site has any record at all. It scans Events, so it holds
-// for any Results, in whatever order their Events are.
+// whether the site has a record at all.
 func (r *Results) SiteRow(site string) (SiteRow, bool) {
-	acts, found := r.SiteActions[site]
-	row := SiteRow{Site: site, Actions: sortedActions(acts)}
-	for _, e := range r.Events {
-		if e.Site == site {
-			row.Events = append(row.Events, e)
-		}
+	rec, found := r.sites[site]
+	return rec.row(site), found
+}
+
+// row is the record's SiteRow. Its Events are clipped, so appending to
+// them never writes the record's array.
+func (rec siteRecord) row(site string) SiteRow {
+	return SiteRow{Site: site, Actions: sortedActions(rec.actions), Events: slices.Clip(rec.events)}
+}
+
+// sortedSites lists the sites with a record, in ascending order.
+func (r *Results) sortedSites() []string {
+	sites := make([]string, 0, len(r.sites))
+	for site := range r.sites {
+		sites = append(sites, site)
 	}
-	return row, found || len(row.Events) > 0
+	slices.Sort(sites)
+	return sites
 }
 
 // sortedActions flattens one site's action set, ordered by (action, API).
@@ -143,8 +136,8 @@ type SiteListing struct {
 }
 
 // listedRow is one site's cached encoding and the inputs it encodes.
-// The inputs are private copies: keeping a snapshot's Events would keep
-// every old snapshot alive.
+// events is the site record's slice itself, which nothing writes once
+// it is published.
 type listedRow struct {
 	gen     uint64       // the Encode call that last listed the site
 	events  []Event      // the site's canonical events
@@ -163,33 +156,17 @@ var (
 // and actions equal the cached ones, whatever Results they came from,
 // so any Results may be encoded in any order. The chunks are never
 // written again: a caller may still be sending one listing while the
-// next is built. Results whose Events are not grouped by site in
-// ascending order, or name a site missing from SiteActions, are encoded
-// whole as one chunk.
+// next is built.
 func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
-	if !eventsGroupedBySite(r) {
-		b, err := json.Marshal(r.SiteRows())
-		return [][]byte{b}, err
-	}
-	sites := make([]string, 0, len(r.SiteActions))
-	for site := range r.SiteActions {
-		sites = append(sites, site)
-	}
-	slices.Sort(sites)
-
+	sites := r.sortedSites()
 	if l.rows == nil {
 		l.rows = make(map[string]*listedRow, len(sites))
 	}
 	l.gen++
 	chunks := make([][]byte, 0, 2*len(sites)+1)
 	chunks = append(chunks, listOpen)
-	evs, i := r.Events, 0
 	for k, site := range sites {
-		j := i
-		for j < len(evs) && evs[j].Site == site {
-			j++
-		}
-		enc, err := l.row(site, evs[i:j], r.SiteActions[site])
+		enc, err := l.row(site, r.sites[site])
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +174,6 @@ func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
 			chunks = append(chunks, listSep)
 		}
 		chunks = append(chunks, enc)
-		i = j
 	}
 	chunks = append(chunks, listClose)
 	if len(l.rows) > len(sites) {
@@ -212,23 +188,22 @@ func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
 
 // row returns the site's row encoding, reusing the cached one when the
 // inputs are unchanged.
-func (l *SiteListing) row(site string, evs []Event, acts map[actionAPIKey]bool) ([]byte, error) {
+func (l *SiteListing) row(site string, rec siteRecord) ([]byte, error) {
 	row := l.rows[site]
 	if row == nil {
 		row = &listedRow{}
 		l.rows[site] = row
 	}
 	row.gen = l.gen
-	if row.enc != nil && slices.Equal(row.events, evs) && sameActions(row.actions, acts) {
+	if row.enc != nil && slices.Equal(row.events, rec.events) && sameActions(row.actions, rec.actions) {
 		return row.enc, nil
 	}
-	actions := sortedActions(acts)
-	enc, err := json.Marshal(SiteRow{Site: site, Actions: actions, Events: evs})
+	sr := rec.row(site)
+	enc, err := json.Marshal(sr)
 	if err != nil {
 		return nil, err
 	}
-	row.events = append(row.events[:0], evs...)
-	row.actions, row.enc = actions, enc
+	row.events, row.actions, row.enc = sr.Events, sr.Actions, enc
 	return enc, nil
 }
 
@@ -240,26 +215,6 @@ func sameActions(list []SiteAction, set map[actionAPIKey]bool) bool {
 	}
 	for _, a := range list {
 		if !set[actionAPIKey{a.Action, a.API}] {
-			return false
-		}
-	}
-	return true
-}
-
-// eventsGroupedBySite reports whether r's Events are grouped by site in
-// ascending order and every site they name is in SiteActions — the
-// shape finalizing leaves, under which SiteRows is SiteActions' sorted
-// sites, each with its contiguous event range.
-func eventsGroupedBySite(r *Results) bool {
-	for i := range r.Events {
-		site := r.Events[i].Site
-		if i > 0 && site == r.Events[i-1].Site {
-			continue
-		}
-		if i > 0 && site < r.Events[i-1].Site {
-			return false
-		}
-		if _, ok := r.SiteActions[site]; !ok {
 			return false
 		}
 	}
@@ -301,18 +256,29 @@ type stableResults struct {
 // StableJSON encodes the finalized Results deterministically: equal
 // Results (same observed log multiset) produce equal bytes, independent
 // of observation order or worker count. It is the byte representation
-// behind /v1/results and the order-independence contract.
+// behind /v1/results and the order-independence contract. Its top-level
+// events are the site rows' events, concatenated in site order (null
+// when there are none).
 func (r *Results) StableJSON() ([]byte, error) {
 	byAPI := make(map[string]int, len(r.PairsByAPI))
 	for api, n := range r.PairsByAPI {
 		byAPI[string(api)] = n
 	}
+	sites := r.SiteRows()
+	n := 0
+	for _, row := range sites {
+		n += len(row.Events)
+	}
+	events := slices.Grow([]Event(nil), n) // stays nil when n is 0
+	for _, row := range sites {
+		events = append(events, row.Events...)
+	}
 	return json.Marshal(stableResults{
 		Summary:    r.Summary,
 		Pairs:      r.PairRows(),
 		PairsByAPI: byAPI, // string-keyed maps marshal with sorted keys
-		Sites:      r.SiteRows(),
-		Events:     r.Events,
+		Sites:      sites,
+		Events:     events,
 		Failures:   r.Failures,
 		Vantages:   r.VantageTable(),
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/url"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -22,9 +23,8 @@ import (
 // of the identifier runs of the raw query and of the "\n"-joined decoded
 // query values, and tests every form against that set (and long forms
 // against both strings).
-func (a *Analyzer) oracleDetectExfiltration(v *instrument.VisitLog, site string,
-	state []cookieState, st *runState, siteActs map[actionAPIKey]bool) {
-	res := st.res
+func (a *Analyzer) oracleDetectExfiltration(v *instrument.VisitLog, state []cookieState,
+	st *runState, siteActs map[actionAPIKey]bool) {
 	urlTokens := map[string]bool{}
 	for _, tok := range ExtractIdentifiers(v.URL, a.MinIdentifierLen) {
 		urlTokens[tok] = true
@@ -94,8 +94,8 @@ func (a *Analyzer) oracleDetectExfiltration(v *instrument.VisitLog, site string,
 				continue
 			}
 			st.ensurePair(c.key, c.api)
-			res.Events = append(res.Events, Event{
-				Site: site, Kind: ActExfiltration, Cookie: c.key,
+			st.emit(Event{
+				Kind: ActExfiltration, Cookie: c.key,
 				ActorScript: req.InitiatorScript, ActorDomain: actorDomain,
 				API: c.api, Destination: destDomain,
 			})
@@ -146,13 +146,13 @@ func matcherEvents(logs []instrument.VisitLog, oracle bool) [][]Event {
 		st.beginObservation(v.Site, v.Vantage, v.Persona)
 		siteActs := map[actionAPIKey]bool{}
 		state := a.replayCookies(v, st, siteActs)
-		start := len(st.res.Events)
+		start := len(st.curEvents)
 		if oracle {
-			a.oracleDetectExfiltration(v, v.Site, state, st, siteActs)
+			a.oracleDetectExfiltration(v, state, st, siteActs)
 		} else {
-			a.detectExfiltration(v, v.Site, state, st, siteActs)
+			a.detectExfiltration(v, state, st, siteActs)
 		}
-		out[i] = st.res.Events[start:]
+		out[i] = slices.Clone(st.curEvents[start:])
 		st.endObservation()
 	}
 	return out
@@ -377,7 +377,9 @@ func TestReplayKeepsOneCandidatePerName(t *testing.T) {
 // its requests allocates one string per observation with candidates
 // (its forms), and nothing per scanned request, though nearly every
 // beacon carries the escaped page URL: unescaped values are matched as
-// bytes in the matcher's reused buffer.
+// bytes in the matcher's reused buffer. The pass leaves each
+// observation's events in the reused scratch slice: endObservation's
+// one exact-size copy into the site's record is not part of the fold.
 func TestExfilMatcherAllocs(t *testing.T) {
 	logs := crawlWebgen(t, 30, crawler.Options{}, nil)
 	a := New()
@@ -385,7 +387,7 @@ func TestExfilMatcherAllocs(t *testing.T) {
 	siteActs := map[actionAPIKey]bool{}
 	bound, escaped := 0, 0
 	pass := func(count bool) {
-		st.res.Events, st.groups = st.res.Events[:0], st.groups[:0]
+		st.curEvents = st.curEvents[:0]
 		for i := range logs {
 			v := &logs[i]
 			if !v.Complete() {
@@ -393,8 +395,7 @@ func TestExfilMatcherAllocs(t *testing.T) {
 			}
 			st.beginObservation(v.Site, v.Vantage, v.Persona)
 			state := a.replayCookies(v, st, siteActs)
-			a.detectExfiltration(v, v.Site, state, st, siteActs)
-			st.endObservation()
+			a.detectExfiltration(v, state, st, siteActs)
 			if !count || !st.exfil.reset(v.URL, state, a.MinIdentifierLen) {
 				continue
 			}
@@ -408,7 +409,7 @@ func TestExfilMatcherAllocs(t *testing.T) {
 		}
 	}
 	pass(true) // warm every buffer, map and pair set, and count the bound
-	if len(st.res.Events) == 0 {
+	if len(st.curEvents) == 0 {
 		t.Fatal("the crawl produced no events; the measurement is vacuous")
 	}
 	got := testing.AllocsPerRun(5, func() { pass(false) })

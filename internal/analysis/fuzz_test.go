@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"bytes"
 	"net/url"
 	"slices"
 	"strings"
 	"testing"
+
+	"cookieguard/internal/instrument"
 )
 
 // FuzzQueryValues checks the matcher's query handling against net/url:
@@ -84,4 +87,80 @@ func oracleEscapedValues(query string) []string {
 		}
 	}
 	return out
+}
+
+// FuzzObserveOrder checks the order-independence contract on a
+// 2-vantage × 2-persona crawl. Byte i of the input picks which of the
+// logs not yet observed is observed i-th (its high seven bits) and
+// whether a Snapshot follows it (its low bit); missing bytes are zero,
+// so the empty input is the sorted feed. Whatever the order, Finalize's
+// StableJSON and site listing equal the sorted feed's, and no later
+// observation changes a snapshot's bytes. One SiteListing encodes every
+// snapshot and the final Results, so its row reuse is under test too.
+func FuzzObserveOrder(f *testing.F) {
+	var sorted []instrument.VisitLog
+	for _, v := range fixtureLogs(8) {
+		for _, key := range crawlKeys {
+			sorted = append(sorted, atKey(v, key))
+		}
+	}
+	wantRes := New().Run(sorted)
+	want, err := wantRes.StableJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var wl SiteListing
+	wantList, err := wl.Encode(wantRes)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	n := len(sorted)
+	reversed, everyFifth := make([]byte, n), make([]byte, n)
+	for i := range reversed {
+		reversed[i] = byte(n-1-i) << 1
+		everyFifth[i] = byte(i*37%(n-i))<<1 | byte(i%5/4)
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1}, n))
+	f.Add(reversed)
+	f.Add(everyFifth)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		feed := slices.Clone(sorted)
+		an := New()
+		var l SiteListing
+		type taken struct {
+			res           *Results
+			json, listing []byte
+		}
+		var snaps []taken
+		for i := range feed {
+			var b byte
+			if i < len(data) {
+				b = data[i]
+			}
+			j := i + int(b>>1)%(n-i)
+			feed[i], feed[j] = feed[j], feed[i]
+			an.Observe(feed[i])
+			if b&1 != 0 {
+				r := an.Snapshot()
+				snaps = append(snaps, taken{r, stableBytes(t, r), listingBytes(t, &l, r)})
+			}
+		}
+		fin := an.Finalize()
+		if got := stableBytes(t, fin); !bytes.Equal(got, want) {
+			t.Fatalf("feed %q: StableJSON diverges from the sorted feed's", data)
+		}
+		if got := listingBytes(t, &l, fin); !bytes.Equal(got, bytes.Join(wantList, nil)) {
+			t.Fatalf("feed %q: listing diverges from the sorted feed's", data)
+		}
+		for k, s := range snaps {
+			if got := stableBytes(t, s.res); !bytes.Equal(got, s.json) {
+				t.Fatalf("feed %q: snapshot %d's StableJSON changed after it was taken", data, k)
+			}
+			if !bytes.Equal(s.listing, siteRowsJSON(t, s.res)) {
+				t.Fatalf("feed %q: snapshot %d's listing diverges from its SiteRows", data, k)
+			}
+		}
+	})
 }

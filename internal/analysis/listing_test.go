@@ -6,8 +6,6 @@ import (
 	"maps"
 	"slices"
 	"testing"
-
-	"cookieguard/internal/instrument"
 )
 
 // listingBytes joins a listing's chunks.
@@ -62,39 +60,6 @@ func TestSiteListingMatchesSiteRows(t *testing.T) {
 	}
 }
 
-// TestSiteListingFallback: Results whose Events are not grouped by site
-// in ascending order, or name a site missing from SiteActions, are
-// encoded whole, and still equal SiteRows.
-func TestSiteListingFallback(t *testing.T) {
-	ow := map[actionAPIKey]bool{{ActOverwriting, instrument.APIDocument}: true}
-	ev := func(site string, kind ActionKind) Event {
-		return Event{Site: site, Kind: kind, Cookie: CookieKey{Name: "_ga", Owner: "o.example"}, API: instrument.APIDocument}
-	}
-	cases := map[string]*Results{
-		"unsorted": {
-			SiteActions: map[string]map[actionAPIKey]bool{"a.example": ow, "b.example": ow},
-			Events:      []Event{ev("b.example", ActOverwriting), ev("a.example", ActOverwriting), ev("b.example", ActDeleting)},
-		},
-		"missing-site": {
-			SiteActions: map[string]map[actionAPIKey]bool{"b.example": ow},
-			Events:      []Event{ev("a.example", ActOverwriting), ev("b.example", ActOverwriting)},
-		},
-	}
-	for name, r := range cases {
-		var l SiteListing
-		chunks, err := l.Encode(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chunks) != 1 {
-			t.Fatalf("%s: %d chunks; want the whole-body fallback", name, len(chunks))
-		}
-		if got, want := bytes.Join(chunks, nil), siteRowsJSON(t, r); !bytes.Equal(got, want) {
-			t.Fatalf("%s: fallback listing diverges\nwant: %s\ngot:  %s", name, want, got)
-		}
-	}
-}
-
 // TestSiteListingEmpty: an empty analysis lists as [].
 func TestSiteListingEmpty(t *testing.T) {
 	var l SiteListing
@@ -142,56 +107,51 @@ func TestSiteListingReusesRows(t *testing.T) {
 		}
 	}
 
-	// Reuse compares content, not sizes: an event or an action set that
-	// changed in place is re-encoded.
+	// Reuse compares content, not sizes: a cloned site record whose event
+	// or action set changed at equal size is re-encoded.
 	listingBytes(t, &l, first)
 	alt := *first
-	alt.Events = slices.Clone(first.Events)
-	alt.Events[0].ActorScript += "?v=2"
+	alt.sites = maps.Clone(first.sites)
+	site := allEvents(first)[0].Site
+	rec := alt.sites[site]
+	rec.events = slices.Clone(rec.events)
+	rec.events[0].ActorScript += "?v=2"
+	alt.sites[site] = rec
 	if got, want := listingBytes(t, &l, &alt), siteRowsJSON(t, &alt); !bytes.Equal(got, want) {
-		t.Fatal("event changed in place: listing diverges from SiteRows")
+		t.Fatal("event changed in a cloned record: listing diverges from SiteRows")
 	}
-	site := alt.Events[0].Site
-	alt.SiteActions = maps.Clone(first.SiteActions)
 	acts := map[actionAPIKey]bool{}
-	for k := range first.SiteActions[site] {
+	for k := range rec.actions {
 		k.API += "-v2"
 		acts[k] = true
 	}
-	alt.SiteActions[site] = acts
+	rec.actions = acts
+	alt.sites[site] = rec
 	if got, want := listingBytes(t, &l, &alt), siteRowsJSON(t, &alt); !bytes.Equal(got, want) {
 		t.Fatal("action set changed at equal size: listing diverges from SiteRows")
 	}
 }
 
 // TestSiteRowMatchesSiteRows: SiteRow returns each row SiteRows lists,
-// on finalized Results and on a copy with its Events reversed, and
-// reports unknown sites as absent.
+// and reports unknown sites as absent.
 func TestSiteRowMatchesSiteRows(t *testing.T) {
-	fin := New().Run(fixtureLogs(40))
-	rev := *fin
-	rev.Events = nil
-	for i := len(fin.Events) - 1; i >= 0; i-- {
-		rev.Events = append(rev.Events, fin.Events[i])
+	r := New().Run(fixtureLogs(40))
+	rows := r.SiteRows()
+	if len(rows) == 0 || len(allEvents(r)) == 0 {
+		t.Fatal("empty fixture")
 	}
-	for name, r := range map[string]*Results{"finalized": fin, "reversed": &rev} {
-		rows := r.SiteRows()
-		if len(rows) == 0 || len(r.Events) == 0 {
-			t.Fatalf("%s: empty fixture", name)
+	for _, want := range rows {
+		got, ok := r.SiteRow(want.Site)
+		if !ok {
+			t.Fatalf("SiteRow(%s) not found", want.Site)
 		}
-		for _, want := range rows {
-			got, ok := r.SiteRow(want.Site)
-			if !ok {
-				t.Fatalf("%s: SiteRow(%s) not found", name, want.Site)
-			}
-			gb, _ := json.Marshal(got)
-			wb, _ := json.Marshal(want)
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("%s: SiteRow(%s) diverges\nwant: %s\ngot:  %s", name, want.Site, wb, gb)
-			}
+		gb, _ := json.Marshal(got)
+		wb, _ := json.Marshal(want)
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("SiteRow(%s) diverges\nwant: %s\ngot:  %s", want.Site, wb, gb)
 		}
-		if _, ok := r.SiteRow("nosuch.example"); ok {
-			t.Fatalf("%s: unknown site reported found", name)
-		}
+	}
+	if _, ok := r.SiteRow("nosuch.example"); ok {
+		t.Fatal("unknown site reported found")
 	}
 }

@@ -112,18 +112,19 @@ func TestOldFormatLogsFoldIdentically(t *testing.T) {
 		t.Fatalf("the two cookieStore reads were not counted as one entry:\n%s", newLine)
 	}
 	oldBytes, res := fold(oldFormatLine)
+	evs := allEvents(res)
 	for name, line := range map[string]string{"per-call": perCallLine, "counted": newLine} {
 		if got, _ := fold(line); string(got) != string(oldBytes) {
 			t.Fatalf("%s line folds differently from the old-format line:\nold: %s\n%s: %s", name, oldBytes, name, got)
 		}
 	}
 	kinds := map[ActionKind]bool{}
-	for _, e := range res.Events {
+	for _, e := range evs {
 		kinds[e.Kind] = true
 	}
 	s := res.Summary
 	if s.SitesComplete != 1 || s.SitesUsingDocCookie != 1 || s.SitesUsingCookieStore != 1 ||
 		!kinds[ActExfiltration] || !kinds[ActOverwriting] {
-		t.Errorf("fixture exercises too little: summary %+v, events %+v", s, res.Events)
+		t.Errorf("fixture exercises too little: summary %+v, events %+v", s, evs)
 	}
 }

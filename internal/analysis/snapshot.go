@@ -7,17 +7,12 @@ import (
 
 // foldState copies src's accumulation into dst, which must be fresh from
 // newRunState, so that finalizing dst leaves src free to keep observing
-// (Analyzer.Snapshot). Counters and sets are copied. Events are not:
-// each group keeps the slice header of src's Events it indexes, and
-// finalizeState copies the events once, straight into canonical order.
-// That is safe while src keeps observing, because Events only ever grows
-// by append: elements below the captured length are never written again.
-// Nothing else of src is retained by reference beyond immutable strings.
+// (Analyzer.Snapshot). Counters and sets are copied. Each site's events
+// are not: dst shares the record's slice, which is safe while src keeps
+// observing, because endObservation gives a site a new slice instead of
+// writing its old one. Nothing else of src is retained by reference
+// beyond immutable strings.
 func foldState(dst, src *runState) {
-	dst.groups = slices.Clone(src.groups)
-	for i := range dst.groups {
-		dst.groups[i].src = src.res.Events
-	}
 	dst.obsSeq = src.obsSeq
 
 	dst.res.Summary = src.res.Summary
@@ -39,8 +34,10 @@ func foldState(dst, src *runState) {
 		p.DeleterDomains = maps.Clone(sp.DeleterDomains)
 		dst.res.Pairs[key] = &p
 	}
-	for site, acts := range src.res.SiteActions {
-		dst.res.SiteActions[site] = maps.Clone(acts)
+	dst.res.sites = make(map[string]siteRecord, len(src.res.sites))
+	for site, rec := range src.res.sites {
+		rec.actions = maps.Clone(rec.actions)
+		dst.res.sites[site] = rec
 	}
 
 	f := src.res.Failures

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cookieguard/internal/instrument"
@@ -142,39 +144,110 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 	}
 }
 
-// TestVantageInterleavingOrderIndependent feeds analysis a
-// multi-vantage crawl in two orders: consecutive per-vantage blocks,
-// and vantages interleaved as Stream's completion order can deliver
-// them. The canonical finalize must make both feeds byte-identical,
-// through Finalize and through a Snapshot taken after the last Observe.
-func TestVantageInterleavingOrderIndependent(t *testing.T) {
-	base := fixtureLogs(40)
-	var blocked []instrument.VisitLog
-	for _, vant := range []string{"eu-west", "us-east"} {
-		for _, v := range base {
-			v.Vantage = vant
-			// Regions observe different tails; perturb so rollups differ.
-			if vant == "us-east" {
-				v.Timing.LoadEvent *= 0.7
-			}
-			blocked = append(blocked, v)
+// crawlKeys are a 2-vantage × 2-persona crawl's (vantage, persona)
+// keys, in canonical order.
+var crawlKeys = [][2]string{{"eu-west", "accept"}, {"eu-west", "reject"}, {"us-east", "accept"}, {"us-east", "reject"}}
+
+// atKey is v as observed at the (vantage, persona) key. Each key's
+// scripts carry the key in their URL, so its events encode differently
+// and a misplaced one shows in the bytes; regions and personas observe
+// different tails, so the rollups differ too.
+func atKey(v instrument.VisitLog, key [2]string) instrument.VisitLog {
+	v.Vantage, v.Persona = key[0], key[1]
+	tag := "#" + key[0] + "/" + key[1]
+	v.Cookies = slices.Clone(v.Cookies)
+	for i := range v.Cookies {
+		v.Cookies[i].ScriptURL += tag
+	}
+	v.Requests = slices.Clone(v.Requests)
+	for i := range v.Requests {
+		if v.Requests[i].InitiatorScript != "" {
+			v.Requests[i].InitiatorScript += tag
 		}
 	}
-	// Interleave the two vantage blocks pairwise (worst-case mixing).
-	half := len(blocked) / 2
-	interleaved := make([]instrument.VisitLog, 0, len(blocked))
-	for i := 0; i < half; i++ {
-		interleaved = append(interleaved, blocked[i], blocked[half+i])
+	if key[0] == "us-east" {
+		v.Timing.LoadEvent *= 0.7
 	}
-	want := stableBytes(t, New().Run(blocked))
-	if got := stableBytes(t, New().Run(interleaved)); string(got) != string(want) {
-		t.Fatal("interleaved vantage feed diverges from blocked feed (single analyzer)")
+	if key[1] == "reject" {
+		v.Timing.LoadEvent += 5
 	}
+	return v
+}
+
+// TestVantageInterleavingOrderIndependent feeds analysis a
+// 2-vantage × 2-persona crawl in several orders: one block per key in
+// canonical order, whose observations each land at the end of their
+// site's events; the blocks reversed, landing at the front; and the
+// blocks interleaved log by log in the key order 2, 4, 1, 3, landing at
+// the end, the front and the middle. The canonical finalize must make
+// every feed byte-identical, through Finalize, through a Snapshot taken
+// after the last Observe, and through the site listing.
+func TestVantageInterleavingOrderIndependent(t *testing.T) {
+	base := fixtureLogs(40)
+	blocks := make([][]instrument.VisitLog, len(crawlKeys))
+	var blocked []instrument.VisitLog
+	for k, key := range crawlKeys {
+		for _, v := range base {
+			blocks[k] = append(blocks[k], atKey(v, key))
+		}
+		blocked = append(blocked, blocks[k]...)
+	}
+	reversed := slices.Clone(blocked)
+	slices.Reverse(reversed)
+	var interleaved []instrument.VisitLog
+	for i := range base {
+		for _, k := range []int{1, 3, 0, 2} {
+			interleaved = append(interleaved, blocks[k][i])
+		}
+	}
+	wantRes := New().Run(blocked)
+	want, wantList := stableBytes(t, wantRes), siteRowsJSON(t, wantRes)
+	for name, feed := range map[string][]instrument.VisitLog{"reversed": reversed, "interleaved": interleaved} {
+		an := New()
+		for _, v := range feed {
+			an.Observe(v)
+		}
+		snap := an.Snapshot()
+		fin := an.Finalize()
+		var l SiteListing
+		for via, r := range map[string]*Results{"Snapshot": snap, "Finalize": fin} {
+			if got := stableBytes(t, r); string(got) != string(want) {
+				t.Fatalf("%s feed diverges from blocked feed (%s)", name, via)
+			}
+			if got := listingBytes(t, &l, r); !bytes.Equal(got, wantList) {
+				t.Fatalf("%s feed: listing diverges from blocked feed (%s)", name, via)
+			}
+		}
+	}
+}
+
+// TestSnapshotUnchangedByEarlierObservation: a Snapshot shares each
+// site's events with the analyzer, so observing an already-seen site at
+// a canonically earlier (vantage, persona) afterwards, whose events go
+// in front of the shared ones, must not change the snapshot's bytes.
+// The sites are first seen at three keys, so an insertion that reused a
+// slice's spare capacity would have some to write into.
+func TestSnapshotUnchangedByEarlierObservation(t *testing.T) {
+	base := fixtureLogs(12)
 	an := New()
-	for _, v := range interleaved {
-		an.Observe(v)
+	for _, key := range crawlKeys[1:] {
+		for _, v := range base {
+			an.Observe(atKey(v, key))
+		}
 	}
-	if got := stableBytes(t, an.Snapshot()); string(got) != string(want) {
-		t.Fatal("interleaved vantage feed diverges from blocked feed (Snapshot)")
+	snap := an.Snapshot()
+	var l SiteListing
+	wantJSON, wantList := stableBytes(t, snap), listingBytes(t, &l, snap)
+	for _, v := range base {
+		an.Observe(atKey(v, crawlKeys[0]))
+	}
+	if got := stableBytes(t, snap); !bytes.Equal(got, wantJSON) {
+		t.Fatal("an earlier-keyed observation changed a taken snapshot's StableJSON")
+	}
+	if got := listingBytes(t, new(SiteListing), snap); !bytes.Equal(got, wantList) {
+		t.Fatal("an earlier-keyed observation changed a taken snapshot's listing")
+	}
+	if got := stableBytes(t, an.Snapshot()); bytes.Equal(got, wantJSON) {
+		t.Fatal("the earlier-keyed observations changed nothing; the check is vacuous")
 	}
 }

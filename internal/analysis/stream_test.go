@@ -56,7 +56,7 @@ func TestObserveFinalizeMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(batch, streaming) {
 		t.Fatalf("streaming Results diverge from batch:\nbatch:     %+v\nstreaming: %+v", batch, streaming)
 	}
-	if len(batch.Events) == 0 {
+	if len(allEvents(batch)) == 0 {
 		t.Fatal("fixture produced no events; equality check is vacuous")
 	}
 }
@@ -89,13 +89,45 @@ func TestAnalyzerReusableAfterFinalize(t *testing.T) {
 	}
 }
 
-// TestFinalizeWithoutObserve yields an empty, well-formed Results.
+// TestFinalizeWithoutObserve yields an empty, well-formed Results, and
+// pins the StableJSON bytes of an empty run and of a run whose sites
+// have rows but no events: the top-level events stay null.
 func TestFinalizeWithoutObserve(t *testing.T) {
 	res := New().Finalize()
-	if res.Summary.SitesTotal != 0 || len(res.Pairs) != 0 || len(res.Events) != 0 {
+	if res.Summary.SitesTotal != 0 || len(res.Pairs) != 0 || len(allEvents(res)) != 0 {
 		t.Fatalf("empty finalize not empty: %+v", res)
 	}
-	if res.Pairs == nil || res.PairsByAPI == nil || res.SiteActions == nil {
+	if res.Pairs == nil || res.PairsByAPI == nil || res.sites == nil {
 		t.Fatal("maps not initialized")
+	}
+	const empty = `{"summary":{"sites_total":0,"sites_complete":0,"sites_with_third_party":0,` +
+		`"mean_tp_scripts_per_site":0,"tracker_script_share":0,"mean_tp_cookies_per_site":0,` +
+		`"mean_fp_cookies_per_site":0,"sites_using_doc_cookie":0,"sites_using_cookie_store":0,` +
+		`"unique_pairs_document":0,"unique_pairs_cookie_store":0,"direct_scripts":0,` +
+		`"indirect_scripts":0,"indirect_tracker_share":0,"sites_with_cross_domain_dom":0},` +
+		`"pairs":[],"pairs_by_api":{},"sites":[],"events":null,` +
+		`"failures":{"visits_failed":0,"visits_degraded":0,"requests_failed":0,"retries":0},"vantages":[]}`
+	if got := stableBytes(t, res); string(got) != empty {
+		t.Errorf("empty run:\ngot  %s\nwant %s", got, empty)
+	}
+
+	quiet := baseLog()
+	quiet.Cookies = []instrument.CookieEvent{
+		writeEv(instrument.APIDocument, "_tid", "abcdefgh12345678", setterJS, 3600),
+	}
+	other := quiet
+	other.Site, other.URL = "news.example", "https://www.news.example/"
+	const noEvents = `{"summary":{"sites_total":2,"sites_complete":2,"sites_with_third_party":2,` +
+		`"mean_tp_scripts_per_site":2,"tracker_script_share":0,"mean_tp_cookies_per_site":1,` +
+		`"mean_fp_cookies_per_site":0,"sites_using_doc_cookie":2,"sites_using_cookie_store":0,` +
+		`"unique_pairs_document":1,"unique_pairs_cookie_store":0,"direct_scripts":4,` +
+		`"indirect_scripts":0,"indirect_tracker_share":0,"sites_with_cross_domain_dom":0},` +
+		`"pairs":[{"name":"_tid","owner":"tracker.example","api":"document.cookie"}],` +
+		`"pairs_by_api":{"document.cookie":1},"sites":[{"site":"news.example"},{"site":"shop.example"}],` +
+		`"events":null,"failures":{"visits_failed":0,"visits_degraded":0,"requests_failed":0,"retries":0},` +
+		`"vantages":[{"vantage":"","visits":2,"complete":2,"failed":0,"load_mean_ms":0,"load_p50_ms":0,` +
+		`"load_p90_ms":0,"load_p99_ms":0,"load_max_ms":0}]}`
+	if got := stableBytes(t, New().Run([]instrument.VisitLog{quiet, other})); string(got) != noEvents {
+		t.Errorf("run without events:\ngot  %s\nwant %s", got, noEvents)
 	}
 }

@@ -61,9 +61,9 @@ func (r *Results) Table1() []Table1Row {
 	// site acting on both an HTTP-set and a script-set cookie counts
 	// once for document.cookie.
 	siteCounts := map[aaKey]int{}
-	for _, acts := range r.SiteActions {
+	for _, rec := range r.sites {
 		norm := map[aaKey]bool{}
-		for k := range acts {
+		for k := range rec.actions {
 			api := k.API
 			if api == instrument.APIHTTP {
 				api = instrument.APIDocument
@@ -224,22 +224,24 @@ type OverwriteAttrStats struct {
 func (r *Results) OverwriteAttrs() OverwriteAttrStats {
 	var s OverwriteAttrStats
 	var val, exp, dom, path int
-	for _, e := range r.Events {
-		if e.Kind != ActOverwriting {
-			continue
-		}
-		s.Events++
-		if e.ChangedValue {
-			val++
-		}
-		if e.ChangedExpires {
-			exp++
-		}
-		if e.ChangedDomain {
-			dom++
-		}
-		if e.ChangedPath {
-			path++
+	for _, rec := range r.sites {
+		for _, e := range rec.events {
+			if e.Kind != ActOverwriting {
+				continue
+			}
+			s.Events++
+			if e.ChangedValue {
+				val++
+			}
+			if e.ChangedExpires {
+				exp++
+			}
+			if e.ChangedDomain {
+				dom++
+			}
+			if e.ChangedPath {
+				path++
+			}
 		}
 	}
 	s.PctValue = stats.Percent(val, s.Events)
@@ -331,9 +333,9 @@ func (r *Results) PersonaTable() []PersonaRow {
 // on document.cookie-visible cookies (Figure 5's bars).
 func (r *Results) SitePct(kind ActionKind) float64 {
 	n := 0
-	for _, acts := range r.SiteActions {
+	for _, rec := range r.sites {
 		hit := false
-		for k := range acts {
+		for k := range rec.actions {
 			if k.Kind == kind {
 				hit = true
 				break

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -516,12 +515,10 @@ func TestServedSitesListingMatchesSiteRows(t *testing.T) {
 	}
 }
 
-// TestServedSitesListingFallbackAndEmpty: the empty store lists as [],
-// and published Results whose Events are out of site order (the
-// fallback path) still serve json.Marshal(SiteRows()) on /v1/sites and
-// each row on /v1/sites/{site}.
-func TestServedSitesListingFallbackAndEmpty(t *testing.T) {
-	p := New(WithSites(30), WithWorkers(4))
+// TestServedSitesListingEmptyAndRows: the empty store lists as [], and
+// after a crawl each /v1/sites/{site} body is the site's SiteRows entry.
+func TestServedSitesListingEmptyAndRows(t *testing.T) {
+	p := New(WithSites(30), WithWorkers(4), WithSnapshotEvery(8))
 	srv := p.NewServer()
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites", nil))
@@ -533,24 +530,10 @@ func TestServedSitesListingFallbackAndEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) < 2 || res.Events[0].Site == res.Events[len(res.Events)-1].Site {
-		t.Fatal("fixture has events of too few sites to reorder")
+	if eventCount(res) == 0 {
+		t.Fatal("the crawl produced no events; the row check is vacuous")
 	}
-	reordered := *res
-	reordered.Events = slices.Clone(res.Events)
-	slices.Reverse(reordered.Events)
-	p.ResultStore().Publish(resultstore.Progress{Final: true}, &reordered)
-	w = httptest.NewRecorder()
-	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites", nil))
-	want, err := json.Marshal(reordered.SiteRows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Fatal("/v1/sites of out-of-order Events diverges from SiteRows")
-	}
-	// Each site's detail is its SiteRows entry on the same snapshot.
-	for _, row := range reordered.SiteRows() {
+	for _, row := range res.SiteRows() {
 		w = httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sites/"+row.Site, nil))
 		want, err := json.Marshal(row)
@@ -558,7 +541,7 @@ func TestServedSitesListingFallbackAndEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w.Code != http.StatusOK || !bytes.Equal(bytes.TrimSuffix(w.Body.Bytes(), []byte("\n")), want) {
-			t.Fatalf("/v1/sites/%s of out-of-order Events: status %d, diverges from its SiteRows entry", row.Site, w.Code)
+			t.Fatalf("/v1/sites/%s: status %d, diverges from its SiteRows entry", row.Site, w.Code)
 		}
 	}
 }
