@@ -145,15 +145,13 @@ func (h *hostBinding) NowMillis() int64 {
 	return h.page.browser.clock.UnixMillis()
 }
 
-func (h *hostBinding) RandID(n int) string {
+func (h *hostBinding) AppendRandID(b []byte, n int) []byte {
 	const hexDigits = "0123456789abcdef"
-	var buf [128]byte // jsdsl caps rand_id at 128 chars
-	out := buf[:n]
 	r := h.page.browser.rng
-	for i := range out {
-		out[i] = hexDigits[r.Intn(16)]
+	for range n {
+		b = append(b, hexDigits[r.Intn(16)])
 	}
-	return string(out)
+	return b
 }
 
 func (h *hostBinding) PageURL() string { return h.page.URL }

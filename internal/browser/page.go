@@ -73,7 +73,8 @@ type ScriptExec struct {
 	Inline bool
 	// InclusionPath is the chain of injecting script URLs from the
 	// HTML down to (excluding) this script; its last element is the
-	// script that injected this one.
+	// script that injected this one. It is the slice built for the
+	// injection, and nothing writes to it afterwards.
 	InclusionPath []string
 	// Err is the parse or runtime error, if the script failed.
 	Err error
@@ -170,6 +171,9 @@ func (p *Page) resolve(ref string) string {
 	return urlutil.ResolveRef(p.baseURL, ref)
 }
 
+// injection is a queued dynamically inserted script. Its path is built
+// fresh by hostBinding.Inject for this injection alone; runExternal
+// takes it over as the script's ScriptExec.InclusionPath.
 type injection struct {
 	src  string
 	path []string
@@ -379,7 +383,8 @@ func (p *Page) drainDeferred() {
 
 // runExternal fetches and executes an external script. A failed fetch
 // degrades gracefully: the script is recorded as failed with its class
-// and the page load continues.
+// and the page load continues. The script's record takes ownership of
+// path (an injection's own, or nil for a script in the HTML).
 func (p *Page) runExternal(src string, path []string) {
 	if p.scriptCnt >= maxScriptsPerPage {
 		return
@@ -391,7 +396,7 @@ func (p *Page) runExternal(src string, path []string) {
 		fr.failure = FailHTTP // a script needs its content; 4xx is fatal
 	}
 	p.noteResult(src, fr)
-	exec := ScriptExec{URL: src, InclusionPath: append([]string(nil), path...)}
+	exec := ScriptExec{URL: src, InclusionPath: path}
 	if fr.err != nil || fr.status >= 400 {
 		exec.Err = fmt.Errorf("fetch script %s: status=%d err=%w", src, fr.status, errOr(fr.err))
 		p.Scripts = append(p.Scripts, exec)

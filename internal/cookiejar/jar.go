@@ -393,12 +393,17 @@ func (j *Jar) ScriptCookies(rawURL string) []*Cookie {
 	return out
 }
 
-// Get returns the first script-visible cookie with the given name for the
-// page, or nil (the cookieStore.get() analogue).
+// Get returns a copy of the first script-visible cookie with the given
+// name for the page, in serialization order, or nil (the
+// cookieStore.get() analogue).
 func (j *Jar) Get(rawURL, name string) *Cookie {
-	for _, c := range j.ScriptCookies(rawURL) {
+	now := j.clock.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	matched, _ := j.visibleLocked(rawURL, now)
+	for _, c := range matched {
 		if c.Name == name {
-			return c
+			return c.Clone()
 		}
 	}
 	return nil

@@ -240,6 +240,10 @@ func TestGetAndDelete(t *testing.T) {
 	if c == nil || c.Value != "fb.0.1746746266109.868308499845957651" {
 		t.Fatalf("Get = %+v", c)
 	}
+	c.Value = "changed"
+	if c := j.Get(site, "_fbp"); c.Value != "fb.0.1746746266109.868308499845957651" {
+		t.Fatalf("writing Get's result changed the stored cookie to %+v", c)
+	}
 	if j.Get(site, "missing") != nil {
 		t.Fatal("Get(missing) should be nil")
 	}

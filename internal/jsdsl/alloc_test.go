@@ -72,3 +72,32 @@ func TestSendAllocs(t *testing.T) {
 		t.Fatalf("a warm send allocates %.0f times; want only the URL (1)", allocs)
 	}
 }
+
+// TestConcatChainAllocs pins the cost of an identifier cookie's value on
+// a warm interpreter: the _ga chain's operands, rand_id's digits and
+// str's number among them, append to the interpreter's concat buffer, so
+// the chain's string is its one allocation.
+func TestConcatChainAllocs(t *testing.T) {
+	prog, err := Parse(`let v = "GA1.2." + rand_id(9) + "." + str(now_ms());`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := prog.Stmts[0].(*LetStmt).Init
+	in := NewInterp(&seqHost{})
+	defer in.Release()
+	v, err := in.eval(chain, in.globals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "GA1.2.012345678.1746746266109"; ToString(v) != want {
+		t.Fatalf("the _ga chain made %q, want %q", ToString(v), want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := in.eval(chain, in.globals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a warm _ga chain allocates %.0f times; want only its string (1)", allocs)
+	}
+}

@@ -177,6 +177,43 @@ func cookieAttr(key string) string {
 	return ""
 }
 
+// appendFunc is the append form of a builtin that makes a string: it
+// appends the string to b. A + chain runs the append form of an operand
+// that calls the builtin, so the string is never made on its own.
+type appendFunc func(in *Interp, b []byte, args []Value) ([]byte, error)
+
+// appendBuiltins holds the append forms; init derives each builtin from
+// its append form with stringBuiltin.
+var appendBuiltins = map[string]appendFunc{
+	"str": func(in *Interp, b []byte, args []Value) ([]byte, error) {
+		if len(args) != 1 {
+			return b, errArity("str")
+		}
+		return in.appendStr(b, args[0])
+	},
+	"rand_id": func(in *Interp, b []byte, args []Value) ([]byte, error) {
+		n, ok := argNumber(args, 0)
+		if !ok || n < 1 || n > 128 {
+			return b, errArity("rand_id")
+		}
+		return in.Host.AppendRandID(b, int(n)), nil
+	},
+}
+
+// stringBuiltin is the builtin whose append form is f: it appends on top
+// of in.concat, makes the string and pops the bytes.
+func stringBuiltin(f appendFunc) builtinFunc {
+	return func(in *Interp, args []Value) (Value, error) {
+		base := len(in.concat)
+		b, err := f(in, in.concat, args)
+		in.concat = b[:base]
+		if err != nil {
+			return Value{}, err
+		}
+		return Str(string(b[base:])), nil
+	}
+}
+
 var builtins map[string]builtinFunc
 
 func init() {
@@ -447,13 +484,6 @@ func init() {
 		"now_ms": func(in *Interp, args []Value) (Value, error) {
 			return Num(float64(in.Host.NowMillis())), nil
 		},
-		"rand_id": func(in *Interp, args []Value) (Value, error) {
-			n, ok := argNumber(args, 0)
-			if !ok || n < 1 || n > 128 {
-				return Value{}, errArity("rand_id")
-			}
-			return Str(in.Host.RandID(int(n))), nil
-		},
 		"page_url": func(in *Interp, args []Value) (Value, error) {
 			return Str(in.Host.PageURL()), nil
 		},
@@ -486,16 +516,6 @@ func init() {
 				}
 			}
 			return Value{}, &RuntimeError{Msg: "len of unsupported type"}
-		},
-		"str": func(in *Interp, args []Value) (Value, error) {
-			if len(args) != 1 {
-				return Value{}, errArity("str")
-			}
-			s, err := in.str(args[0])
-			if err != nil {
-				return Value{}, err
-			}
-			return Str(s), nil
 		},
 		"num": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
@@ -733,6 +753,9 @@ func init() {
 			}
 			return Str(s), nil
 		},
+	}
+	for name, f := range appendBuiltins {
+		builtins[name] = stringBuiltin(f)
 	}
 }
 

@@ -1,6 +1,7 @@
 package jsdsl
 
 import (
+	"cmp"
 	"go/ast"
 	goparser "go/parser"
 	"go/token"
@@ -132,6 +133,228 @@ func FuzzParseCookieString(f *testing.F) {
 			if _, ok := values[n]; !ok {
 				t.Fatalf("ParseCookieString(%q) named %q without a value", b, n)
 			}
+		}
+	})
+}
+
+// concatOperands are the operands FuzzConcat builds + chains from: every
+// kind of value, str and rand_id with valid and invalid arguments, a
+// list that contains itself, a call that grows the list l while the
+// chain runs, nested chains, and an undefined name.
+var concatOperands = []string{
+	`1`, `2.5`, `-3`, `"a"`, `""`, `"GA1.2."`, `"."`, `null`, `true`, `false`,
+	`[1, "x"]`, `{"k": 1, "j": [2]}`, `l`, `m`, `deep`, `grow`, `now_ms`,
+	`str(7)`, `str(0.5)`, `str("s")`, `str(null)`, `str(l)`, `str(m)`, `str(deep)`,
+	`str()`, `str(1, 2)`, `str(now_ms())`, `str(grow())`, `str(undefined_name)`,
+	`rand_id(9)`, `rand_id(1)`, `rand_id(16)`, `rand_id(32)`, `rand_id(128)`, `rand_id(0)`, `rand_id(129)`,
+	`rand_id("4")`, `rand_id(2, 9)`, `rand_id()`, `rand_id(len(l))`, `rand_id(1 + 1)`,
+	`grow()`, `(1 + "n")`, `("p" + rand_id(2) + 3)`, `str("a" + rand_id(2))`, `(2 + 3)`,
+	`undefined_name`,
+}
+
+// concatPreamble defines the names concatOperands use. shadow's bit 0
+// shadows str and bit 1 shadows rand_id with script functions.
+func concatPreamble(shadow uint8) string {
+	src := `let r = 0;
+let l = [1, 2];
+let m = {"a": "b"};
+let deep = [];
+push(deep, deep);
+let grow = fn() { push(l, 3); return "g"; };
+`
+	if shadow&1 != 0 {
+		src += "let str = fn(x) { return \"S\"; };\n"
+	}
+	if shadow&2 != 0 {
+		src += "let rand_id = fn(n) { return n; };\n"
+	}
+	return src
+}
+
+// concatProgram turns prog into statements assigning + chains to r.
+// prog is read in (control, operand) byte pairs; control mod 4 appends
+// the operand to the current chain (0), or does so after a line break
+// (1), or starts an "r = " (2) or "r += " (3) statement with it.
+func concatProgram(prog []byte) string {
+	if len(prog) < 2 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString("r = ")
+	for i := 0; i+1 < len(prog) && i < 128; i += 2 {
+		op := concatOperands[int(prog[i+1])%len(concatOperands)]
+		switch {
+		case i == 0:
+		case prog[i]%4 == 0:
+			b.WriteString(" + ")
+		case prog[i]%4 == 1:
+			b.WriteString(" +\n")
+		case prog[i]%4 == 2:
+			b.WriteString(";\nr = ")
+		default:
+			b.WriteString(";\nr += ")
+		}
+		b.WriteString(op)
+	}
+	b.WriteString(";\n")
+	return b.String()
+}
+
+// seqHost hands out identifiers from one running hex sequence, so the
+// order in which a chain draws them shows in its value.
+type seqHost struct {
+	NopHost
+	n int
+}
+
+func (h *seqHost) NowMillis() int64 { return 1746746266109 }
+
+func (h *seqHost) AppendRandID(b []byte, n int) []byte {
+	for range n {
+		b = append(b, "0123456789abcdef"[h.n%16])
+		h.n++
+	}
+	return b
+}
+
+// refPlus is + as the interpreter once folded it, one + at a time: each
+// + that involves a string renders both sides, charges its result's
+// length and makes a new string.
+func refPlus(in *Interp, l, r Value, line int) (Value, error) {
+	if l.kind == KindNumber && r.kind == KindNumber {
+		return Num(l.num + r.num), nil
+	}
+	if l.kind == KindString || r.kind == KindString {
+		ls, lerr := in.str(l)
+		rs, rerr := in.str(r)
+		if err := cmp.Or(lerr, rerr, in.charge(len(ls)+len(rs))); err != nil {
+			err.(*RuntimeError).Line = line
+			return Value{}, err
+		}
+		return Str(ls + rs), nil
+	}
+	return Value{}, &RuntimeError{Line: line, Msg: "invalid operands for +"}
+}
+
+// refEval evaluates e, folding any + chain at its top pairwise with
+// refPlus. Other expressions, call arguments among them, go to the
+// interpreter.
+func refEval(in *Interp, e Expr) (Value, error) {
+	x, ok := e.(*BinaryExpr)
+	if !ok || x.Op != "+" {
+		return in.eval(e, in.globals)
+	}
+	l, err := refEval(in, x.L)
+	if err != nil {
+		return Value{}, err
+	}
+	r, err := refEval(in, x.R)
+	if err != nil {
+		return Value{}, err
+	}
+	return refPlus(in, l, r, x.Line)
+}
+
+// refRun runs concatProgram's statements as the interpreter once did.
+func refRun(in *Interp, prog *Program) error {
+	for _, s := range prog.Stmts {
+		st := s.(*AssignStmt)
+		if err := in.step(st.Line); err != nil {
+			return err
+		}
+		v, err := refEval(in, st.Value)
+		if err != nil {
+			return err
+		}
+		if st.Op == "+=" {
+			old, _ := in.globals.Lookup("r")
+			if v, err = refPlus(in, old, v, st.Line); err != nil {
+				return err
+			}
+		}
+		in.globals.Set("r", v)
+	}
+	return nil
+}
+
+// FuzzConcat checks that + chains and += built on the interpreter's
+// concat buffer give what folding them one + at a time gave: the same
+// value, error message and line, bytes charged against maxRunBytes,
+// steps, identifiers drawn, and side effects on the list l. slack is the
+// budget left when the chains start, so small values run them into
+// maxRunBytes at every point.
+func FuzzConcat(f *testing.F) {
+	seed := func(shadow uint8, slack uint16, ops ...string) {
+		var prog []byte
+		for _, op := range ops {
+			ctl := byte(0)
+			if strings.HasPrefix(op, "=") || strings.HasPrefix(op, "+=") || strings.HasPrefix(op, "\n") {
+				ctl = map[byte]byte{'\n': 1, '=': 2, '+': 3}[op[0]]
+				op = strings.TrimLeft(op, "+=\n")
+			}
+			i := slices.Index(concatOperands, op)
+			if i < 0 {
+				f.Fatalf("seed operand %q is not in concatOperands", op)
+			}
+			prog = append(prog, ctl, byte(i))
+		}
+		f.Add(shadow, prog, slack)
+	}
+	const roomy = 1 << 15
+	seed(0, roomy, `"GA1.2."`, `rand_id(9)`, `"."`, `str(now_ms())`)
+	seed(0, roomy, `rand_id(32)`, `"."`, `rand_id(16)`)
+	seed(0, roomy, `1`, `2.5`, `"a"`, `-3`, `null`, `true`, `str(7)`)
+	seed(0, roomy, `l`, `str(grow())`, `=l`, `grow()`, `m`, `str(m)`)
+	seed(0, roomy, `null`, `str(l)`, `=true`, `rand_id(9)`, `+="a"`, `+=1`, `+=l`, `+=str(deep)`)
+	seed(0, roomy, `"a"`, `deep`, `=deep`, `"a"`, `=str(deep)`)
+	seed(0, roomy, `"a"`, `str()`, `=rand_id(0)`, `=str(1, 2)`, `=rand_id(129)`, `=rand_id("4")`)
+	seed(0, roomy, `"a"`, `rand_id(2, 9)`, "\n"+`str(undefined_name)`, `=undefined_name`)
+	seed(0, roomy, `"a"`, "\n"+`null`, "\n"+`[1, "x"]`, "\n"+`now_ms`, `=[1, "x"]`, `{"k": 1, "j": [2]}`)
+	seed(0, roomy, `(1 + "n")`, `("p" + rand_id(2) + 3)`, `str("a" + rand_id(2))`, `rand_id(1 + 1)`, `(2 + 3)`)
+	seed(0, roomy, `rand_id(len(l))`, `str(grow())`, `rand_id(len(l))`, `grow`)
+	seed(1, roomy, `"a"`, `str(7)`, `rand_id(9)`, `=str(l)`, `"."`)
+	seed(2, roomy, `"a"`, `rand_id(9)`, `=rand_id(9)`, `1`, `str(7)`)
+	seed(3, roomy, `rand_id(1)`, `str(0.5)`, `+=rand_id(32)`)
+	for _, slack := range []uint16{0, 1, 5, 9, 12, 20, 40} {
+		seed(0, slack, `"GA1.2."`, `rand_id(9)`, `"."`, `str(now_ms())`, `+=str(l)`, `+="a"`)
+		seed(0, slack, `l`, `"a"`, `str(m)`, `m`, `+=l`)
+	}
+	f.Fuzz(func(t *testing.T, shadow uint8, ops []byte, slack uint16) {
+		src := concatProgram(ops)
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("concatProgram built an unparsable program: %v\n%s", err, src)
+		}
+		run := func(chains func(in *Interp) error) (in *Interp, h *seqHost, err error) {
+			h = &seqHost{}
+			in = NewInterp(h)
+			if err := in.RunSource(concatPreamble(shadow)); err != nil {
+				t.Fatalf("preamble: %v", err)
+			}
+			in.bytes = maxRunBytes - int(slack)
+			return in, h, chains(in)
+		}
+		got, gotHost, gotErr := run(func(in *Interp) error { return in.Run(prog) })
+		want, wantHost, wantErr := run(func(in *Interp) error { return refRun(in, prog) })
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("error %q, want %q\n%s", errText(gotErr), errText(wantErr), src)
+		}
+		gotR, _ := got.globals.Lookup("r")
+		wantR, _ := want.globals.Lookup("r")
+		if gotR.kind != wantR.kind || ToString(gotR) != ToString(wantR) {
+			t.Fatalf("r = %q (kind %d), want %q (kind %d)\n%s", ToString(gotR), gotR.kind, ToString(wantR), wantR.kind, src)
+		}
+		gotL, _ := got.globals.Lookup("l")
+		wantL, _ := want.globals.Lookup("l")
+		if ToString(gotL) != ToString(wantL) {
+			t.Fatalf("l = %s, want %s\n%s", ToString(gotL), ToString(wantL), src)
+		}
+		if got.bytes != want.bytes || got.steps != want.steps || gotHost.n != wantHost.n {
+			t.Fatalf("charged %d bytes, ran %d steps, drew %d hex digits; want %d, %d, %d\n%s",
+				got.bytes, got.steps, gotHost.n, want.bytes, want.steps, wantHost.n, src)
+		}
+		if len(got.concat) != 0 {
+			t.Fatalf("%d bytes left on the concat stack\n%s", len(got.concat), src)
 		}
 	})
 }

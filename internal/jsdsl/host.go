@@ -64,10 +64,14 @@ type Host interface {
 	DeferRun(cb func())
 
 	// Environment.
-	NowMillis() int64    // Date.now()
-	RandID(n int) string // pseudo-random identifier of n hex chars
-	PageURL() string     // location.href
-	Log(msg string)      // console.log
+	NowMillis() int64 // Date.now()
+	// AppendRandID appends a pseudo-random identifier of n hex chars to
+	// b and returns the extended slice; rand_id calls it with the
+	// interpreter's own buffer, so the identifier is never a string of
+	// its own when it is part of a + chain.
+	AppendRandID(b []byte, n int) []byte
+	PageURL() string // location.href
+	Log(msg string)  // console.log
 }
 
 // NopHost is a Host that does nothing; useful for pure-language tests.
@@ -129,13 +133,12 @@ func (h *NopHost) DeferRun(cb func()) { cb() }
 // NowMillis implements Host.
 func (h *NopHost) NowMillis() int64 { return 0 }
 
-// RandID implements Host.
-func (h *NopHost) RandID(n int) string {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = 'a'
+// AppendRandID implements Host: the identifier is all 'a's.
+func (h *NopHost) AppendRandID(b []byte, n int) []byte {
+	for range n {
+		b = append(b, 'a')
 	}
-	return string(out)
+	return b
 }
 
 // PageURL implements Host.

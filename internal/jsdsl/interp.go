@@ -19,6 +19,11 @@ const DefaultMaxSteps = 500_000
 // needs only a few dozen steps to exhaust any machine's memory. The
 // largest total one script run reaches in a webgen crawl is about
 // 10 KiB, so the budget never binds on generated pages.
+//
+// A + chain builds its string once, but is charged as if each + made
+// its own string: every + whose result is a string charges that
+// result's length, so a+b+c charges len(a+b) + len(a+b+c), plus the
+// rendering of any list or map operand.
 const maxRunBytes = 16 << 20
 
 // valueBytes is the size of one Value (unsafe.Sizeof on 64-bit
@@ -94,6 +99,12 @@ type Interp struct {
 	pairKeys []string
 	pairVals []string
 	assign   []byte
+
+	// concat is the byte stack + chains build their strings on: a chain
+	// appends above the length it found and truncates back to it once it
+	// has made its string, so a chain nested in an operand's arguments
+	// builds above the outer chain's bytes, as argStack nests calls.
+	concat []byte
 }
 
 // parsedDocCookie returns ParseCookieString(s), memoized on the exact
@@ -143,6 +154,11 @@ func AcquireInterp(host Host) *Interp {
 // pin them in the pool forever.
 const interpMapsMax = 256
 
+// interpConcatMax bounds the concat buffer an interpreter retains across
+// releases; a chain that ran into maxRunBytes should not pin its buffer
+// in the pool.
+const interpConcatMax = 64 << 10
+
 // Release resets the interpreter (fresh global scope, zero step count;
 // the cookie memo survives — it is keyed on the exact input string) and
 // returns it to the pool. Script Maps created during the run are
@@ -168,6 +184,9 @@ func (in *Interp) Release() {
 		in.maps = in.maps[:interpMapsMax]
 	}
 	in.mapNext = 0
+	if cap(in.concat) > interpConcatMax {
+		in.concat = nil
+	}
 	clear(in.pairKeys[:cap(in.pairKeys)])
 	clear(in.pairVals[:cap(in.pairVals)])
 	interpPool.Put(in)
@@ -469,7 +488,9 @@ func (in *Interp) execAssign(st *AssignStmt, env *Env) error {
 		case "=":
 			return newVal, nil
 		case "+=":
-			return in.binop("+", old, newVal, st.Line)
+			base := len(in.concat)
+			acc, inBuf, err := in.plus(base, old, false, newVal, st.Line)
+			return in.endPlus(base, acc, inBuf, err)
 		case "-=":
 			return in.binop("-", old, newVal, st.Line)
 		}
@@ -643,6 +664,9 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 		return Value{}, &RuntimeError{Line: x.Line, Msg: "unknown unary op " + x.Op}
 
 	case *BinaryExpr:
+		if x.Op == "+" {
+			return in.evalPlus(x, env)
+		}
 		// Short-circuit logical operators.
 		if x.Op == "&&" {
 			l, err := in.eval(x.L, env)
@@ -684,13 +708,8 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 		// popping after the call is sound (closures stored for later —
 		// on_click, defer_run — are invoked with fresh argument slices).
 		base := len(in.argStack)
-		for _, a := range x.Args {
-			v, err := in.eval(a, env)
-			if err != nil {
-				in.argStack = in.argStack[:base]
-				return Value{}, err
-			}
-			in.argStack = append(in.argStack, v)
+		if err := in.pushArgs(x.Args, env); err != nil {
+			return Value{}, err
 		}
 		args := in.argStack[base:]
 		var out Value
@@ -703,13 +722,8 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 			}
 			out, err = in.callClosure(f, args, x.Line)
 		case KindBuiltin:
-			fn := builtins[callee.str]
-			out, err = fn(in, args)
-			if err != nil {
-				if re, ok := err.(*RuntimeError); ok && re.Line == 0 {
-					re.Line = x.Line
-				}
-			}
+			out, err = builtins[callee.str](in, args)
+			atLine(err, x.Line)
 		default:
 			in.argStack = in.argStack[:base]
 			return Value{}, &RuntimeError{Line: x.Line, Msg: "not callable"}
@@ -722,6 +736,153 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 	default:
 		return Value{}, &RuntimeError{Msg: fmt.Sprintf("unknown expression %T", e)}
 	}
+}
+
+// pushArgs evaluates args in order onto the argument stack; on an error
+// it pops what it pushed.
+func (in *Interp) pushArgs(args []Expr, env *Env) error {
+	base := len(in.argStack)
+	for _, a := range args {
+		v, err := in.eval(a, env)
+		if err != nil {
+			in.argStack = in.argStack[:base]
+			return err
+		}
+		in.argStack = append(in.argStack, v)
+	}
+	return nil
+}
+
+// atLine gives a builtin's error, which carries no line, the line of
+// the call.
+func atLine(err error, line int) {
+	if re, ok := err.(*RuntimeError); ok && re.Line == 0 {
+		re.Line = line
+	}
+}
+
+// evalPlus evaluates the + chain whose last + is x in one pass. Its
+// operands are evaluated left to right and numbers add as numbers until
+// the first string; from then on every operand is appended to in.concat
+// and the string is made once, at the end. Values, errors and byte
+// charges are those of folding the chain one + at a time.
+func (in *Interp) evalPlus(x *BinaryExpr, env *Env) (Value, error) {
+	base := len(in.concat)
+	acc, inBuf, err := in.plusChain(x, env, base)
+	return in.endPlus(base, acc, inBuf, err)
+}
+
+// endPlus returns a chain's value, making its string when the value is
+// in.concat[base:], and pops the chain's bytes.
+func (in *Interp) endPlus(base int, acc Value, inBuf bool, err error) (Value, error) {
+	if err != nil {
+		acc = Value{}
+	} else if inBuf {
+		acc = Str(string(in.concat[base:]))
+	}
+	in.concat = in.concat[:base]
+	return acc, err
+}
+
+// plusChain folds the operands of the chain ending at x into an
+// accumulator: acc, or the string in.concat[base:] when inBuf. An
+// operand that calls an append-form builtin appends its result straight
+// to in.concat, unless acc is a list or map the call's arguments could
+// still change before acc is rendered.
+func (in *Interp) plusChain(x *BinaryExpr, env *Env, base int) (acc Value, inBuf bool, err error) {
+	if l, ok := x.L.(*BinaryExpr); ok && l.Op == "+" {
+		acc, inBuf, err = in.plusChain(l, env, base)
+	} else if call, f := appendForm(x.L, env); f != nil {
+		inBuf = true
+		err = in.appendCall(call, f, env)
+	} else {
+		acc, err = in.eval(x.L, env)
+	}
+	if err != nil {
+		return Value{}, false, err
+	}
+	if call, f := appendForm(x.R, env); f != nil && (inBuf || acc.kind != KindRef) {
+		if !inBuf {
+			in.concat, _ = in.appendStr(in.concat, acc) // not a list or map: cannot fail
+		}
+		if err := in.appendCall(call, f, env); err != nil {
+			return Value{}, true, err
+		}
+		if err := in.charge(len(in.concat) - base); err != nil {
+			err.(*RuntimeError).Line = x.Line
+			return Value{}, true, err
+		}
+		return Value{}, true, nil
+	}
+	v, err := in.eval(x.R, env)
+	if err != nil {
+		return Value{}, inBuf, err
+	}
+	return in.plus(base, acc, inBuf, v, x.Line)
+}
+
+// plus folds v into a chain's accumulator at the + on line: numbers add,
+// and if either side is a string, str(v) is appended to str(acc) and the
+// + is charged its result's length. As when the + made its own string,
+// str of both sides and the charge all happen before the first error
+// among them is reported.
+func (in *Interp) plus(base int, acc Value, inBuf bool, v Value, line int) (Value, bool, error) {
+	var lerr, rerr error
+	if !inBuf {
+		if acc.kind == KindNumber && v.kind == KindNumber {
+			return Num(acc.num + v.num), false, nil
+		}
+		if acc.kind != KindString && v.kind != KindString {
+			return Value{}, false, &RuntimeError{Line: line, Msg: "invalid operands for +"}
+		}
+		if in.concat, lerr = in.appendStr(in.concat, acc); lerr != nil {
+			in.concat = in.concat[:base]
+		}
+	}
+	mid := len(in.concat)
+	if in.concat, rerr = in.appendStr(in.concat, v); rerr != nil {
+		in.concat = in.concat[:mid]
+	}
+	if err := cmp.Or(lerr, rerr, in.charge(len(in.concat)-base)); err != nil {
+		err.(*RuntimeError).Line = line
+		return Value{}, true, err
+	}
+	return Value{}, true, nil
+}
+
+// appendForm returns e as a call of an append-form builtin, and the
+// builtin's append form, when e calls one by a name no variable shadows.
+func appendForm(e Expr, env *Env) (*CallExpr, appendFunc) {
+	call, ok := e.(*CallExpr)
+	if !ok {
+		return nil, nil
+	}
+	id, ok := call.Callee.(*Ident)
+	if !ok {
+		return nil, nil
+	}
+	f := appendBuiltins[id.Name]
+	if f == nil {
+		return nil, nil
+	}
+	if _, shadowed := env.Lookup(id.Name); shadowed {
+		return nil, nil
+	}
+	return call, f
+}
+
+// appendCall runs call, whose builtin's append form is f, appending its
+// result to in.concat.
+func (in *Interp) appendCall(call *CallExpr, f appendFunc, env *Env) error {
+	base := len(in.argStack)
+	if err := in.pushArgs(call.Args, env); err != nil {
+		return err
+	}
+	var err error
+	in.concat, err = f(in, in.concat, in.argStack[base:])
+	in.argStack = in.argStack[:base]
+	atLine(err, call.Line)
+	return err
 }
 
 func (in *Interp) callClosure(c *Closure, args []Value, line int) (Value, error) {
@@ -749,21 +910,6 @@ func (in *Interp) callClosure(c *Closure, args []Value, line int) (Value, error)
 
 func (in *Interp) binop(op string, l, r Value, line int) (Value, error) {
 	switch op {
-	case "+":
-		if l.kind == KindNumber && r.kind == KindNumber {
-			return Num(l.num + r.num), nil
-		}
-		// string concatenation when either side is a string
-		if l.kind == KindString || r.kind == KindString {
-			ls, lerr := in.str(l)
-			rs, rerr := in.str(r)
-			if err := cmp.Or(lerr, rerr, in.charge(len(ls)+len(rs))); err != nil {
-				err.(*RuntimeError).Line = line
-				return Value{}, err
-			}
-			return Str(ls + rs), nil
-		}
-		return Value{}, &RuntimeError{Line: line, Msg: "invalid operands for +"}
 	case "-", "*", "/", "%":
 		if l.kind != KindNumber || r.kind != KindNumber {
 			return Value{}, &RuntimeError{Line: line, Msg: "arithmetic on non-numbers"}

@@ -79,6 +79,39 @@ func TestReleaseAfterCapturedGlobals(t *testing.T) {
 	in2.Release()
 }
 
+// TestReleaseDropsLargeConcatBuffer: a chain that built a string past
+// interpConcatMax leaves a buffer that large; Release drops it rather
+// than pin it in the pool, and keeps a small one for the next run.
+func TestReleaseDropsLargeConcatBuffer(t *testing.T) {
+	in := NewInterp(&NopHost{})
+	if err := in.RunSource(`let s = "x" + "y"; log(s);`); err != nil {
+		t.Fatal(err)
+	}
+	in.Release()
+	if cap(in.concat) == 0 {
+		t.Fatal("Release dropped a small concat buffer")
+	}
+	src := `
+let s = "x";
+for (i in range(17)) { s = s + s; }
+log(str(len(s + "!")));`
+	h := &NopHost{}
+	in = NewInterp(h)
+	if err := in.RunSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if h.Logs[0] != "131073" {
+		t.Fatalf("chain length %s, want 131073", h.Logs[0])
+	}
+	if cap(in.concat) <= interpConcatMax {
+		t.Fatalf("concat buffer cap %d; the test needs one past %d", cap(in.concat), interpConcatMax)
+	}
+	in.Release()
+	if in.concat != nil {
+		t.Fatalf("Release kept a %d-byte concat buffer; the cap is %d", cap(in.concat), interpConcatMax)
+	}
+}
+
 // TestArgStackNestedCalls: nested calls share the argument stack; deep
 // and interleaved call shapes must not corrupt outer arguments.
 func TestArgStackNestedCalls(t *testing.T) {
