@@ -332,8 +332,8 @@ type recordingAPI struct {
 	onSet func(AccessContext)
 }
 
-func (r *recordingAPI) GetDocumentCookie(ctx AccessContext) string {
-	return r.next.GetDocumentCookie(ctx)
+func (r *recordingAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return r.next.GetDocumentCookie(ctx, dst)
 }
 func (r *recordingAPI) SetDocumentCookie(ctx AccessContext, a string) {
 	r.onSet(ctx)
@@ -564,7 +564,9 @@ if (v == null) { set_cookie("hidden", "yes"); }`,
 
 type blankReadAPI struct{ next CookieAPI }
 
-func (a *blankReadAPI) GetDocumentCookie(ctx AccessContext) string { return "" }
+func (a *blankReadAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return dst
+}
 func (a *blankReadAPI) SetDocumentCookie(ctx AccessContext, s string) {
 	a.next.SetDocumentCookie(ctx, s)
 }

@@ -49,7 +49,16 @@ func (c AccessContext) PageDomain() string {
 // CookieGuard) wraps it — the Go equivalent of redefining document.cookie
 // and the cookieStore methods with Object.defineProperty.
 type CookieAPI interface {
-	GetDocumentCookie(ctx AccessContext) string
+	// GetDocumentCookie is the document.cookie getter, the one read path
+	// of the document.cookie surface. It appends the cookies the access
+	// may see to dst as name/value pairs, in the order the "a=1; b=2"
+	// string lists them (jsdsl.CookiePair), and returns the extended
+	// slice. dst belongs to the caller, which reuses it after the call:
+	// an implementation may rewrite the pairs it appended (a filtering
+	// layer drops pairs from what the layer below appended), but must
+	// leave the pairs dst held on entry as they were and keep no
+	// reference to dst.
+	GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair
 	SetDocumentCookie(ctx AccessContext, assignment string)
 
 	StoreGet(ctx AccessContext, name string) (jsdsl.CookieRecord, bool)
@@ -72,8 +81,8 @@ type directCookieAPI struct {
 	jar *cookiejar.Jar
 }
 
-func (d *directCookieAPI) GetDocumentCookie(ctx AccessContext) string {
-	return d.jar.DocumentCookie(ctx.PageURL)
+func (d *directCookieAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return d.jar.DocumentCookiePairs(ctx.PageURL, dst)
 }
 
 func (d *directCookieAPI) SetDocumentCookie(ctx AccessContext, assignment string) {

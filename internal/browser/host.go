@@ -16,8 +16,8 @@ var _ jsdsl.Host = (*hostBinding)(nil)
 
 func (h *hostBinding) ctx() AccessContext { return h.page.accessContext() }
 
-func (h *hostBinding) DocCookie() string {
-	return h.page.browser.api.GetDocumentCookie(h.ctx())
+func (h *hostBinding) DocCookie(dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return h.page.browser.api.GetDocumentCookie(h.ctx(), dst)
 }
 
 func (h *hostBinding) SetDocCookie(assignment string) {
@@ -98,13 +98,9 @@ func (h *hostBinding) DOMSetStyle(id, prop, value string) bool {
 }
 
 func (h *hostBinding) DOMInsert(parentID, tag string, keys, vals []string) bool {
-	var parent = h.page.Doc.ByID(parentID)
-	if parent == nil {
-		if parentID == "body" || parentID == "head" {
-			if els := h.page.Doc.ByTag(parentID); len(els) > 0 {
-				parent = els[0]
-			}
-		}
+	parent := h.page.Doc.ByID(parentID)
+	if parent == nil && (parentID == "body" || parentID == "head") {
+		parent = h.page.Doc.FirstByTag(parentID)
 	}
 	if parent == nil {
 		return false

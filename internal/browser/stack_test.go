@@ -23,9 +23,9 @@ func (a *stackAPI) note(op string, ctx AccessContext) {
 	*a.calls = append(*a.calls, stackCall{op: op, script: ctx.ScriptURL})
 }
 
-func (a *stackAPI) GetDocumentCookie(ctx AccessContext) string {
+func (a *stackAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	a.note("get", ctx)
-	return a.next.GetDocumentCookie(ctx)
+	return a.next.GetDocumentCookie(ctx, dst)
 }
 
 func (a *stackAPI) SetDocumentCookie(ctx AccessContext, s string) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/publicsuffix"
 )
 
@@ -69,6 +70,8 @@ func (k ChangeKind) String() string {
 }
 
 // Change describes one jar mutation; observers receive it synchronously.
+// Cookie and Previous are the jar's own cookies, which it never writes
+// again (see Jar); observers must not write them either.
 type Change struct {
 	Kind     ChangeKind
 	Cookie   *Cookie // the new cookie (for deletions: the deletion record)
@@ -87,26 +90,31 @@ type storageKey struct {
 	name   string
 }
 
-// memoEntry is a memoized document.cookie rendering for one URL, valid
-// while the jar generation is unchanged and no contributing cookie has
-// expired.
+// memoEntry is the memoized list of cookies scripts on one URL can see,
+// sorted for serialization, valid while the jar generation is unchanged
+// and none of the listed cookies has expired.
 type memoEntry struct {
 	gen       uint64
-	value     string
-	minExpiry time.Time // earliest non-zero expiry among rendered cookies
+	cookies   []*Cookie
+	minExpiry time.Time // earliest non-zero expiry among the cookies
 }
 
 // Jar is a cookie jar for a single browsing context. It is safe for
 // concurrent use.
 //
 // Scripts are the jar's only readers: the browser sends no Cookie request
-// header, since nothing in the simulated web reads one. DocumentCookie is
-// memoized, because scripts poll document.cookie far more often than they
-// write it: the jar caches the rendered string per URL and invalidates it
-// on any mutation (a generation counter) or when a rendered cookie's
-// expiry passes on the virtual clock. The memo is exact — it stores the
-// identical string a render would produce — so observable behaviour is
-// unchanged.
+// header, since nothing in the simulated web reads one. Every read goes
+// through one memo, because scripts poll document.cookie far more often
+// than they write it: per URL, the jar keeps the sorted list of cookies
+// scripts there can see, and refills it in place after any mutation (a
+// generation counter) or once a listed cookie's expiry passes on the
+// virtual clock. The memo is exact — it holds the list a fresh match
+// would produce — so observable behaviour is unchanged.
+//
+// A *Cookie in the store is never written after it enters the store: a
+// write stores a new cookie in its place. So the memo's lists, and the
+// cookies observers receive in a Change, can hold the stored cookies
+// themselves. The methods that return cookies to callers return copies.
 type Jar struct {
 	clock Clock
 
@@ -114,11 +122,10 @@ type Jar struct {
 	store     map[storageKey]*Cookie
 	observers []Observer
 	gen       uint64
-	memo      map[string]memoEntry
-	scratch   []*Cookie // visibleLocked match buffer, reused under mu
+	memo      map[string]*memoEntry
 
 	// lastURL is the most recent URL parsed for a script write or a
-	// rendering miss: every document.cookie access on a page passes the
+	// memo miss: every document.cookie access on a page passes the
 	// same page URL. The parsed URL is shared and never modified.
 	lastURL atomic.Pointer[parsedURL]
 }
@@ -255,18 +262,11 @@ func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
 	obs := j.observers
 	j.mu.Unlock()
 
-	ch := Change{Kind: kind, Cookie: c, Previous: cloneOrNil(prev), Source: src, Host: host}
+	ch := Change{Kind: kind, Cookie: c, Previous: prev, Source: src, Host: host}
 	for _, o := range obs {
 		o(ch)
 	}
 	return kind
-}
-
-func cloneOrNil(c *Cookie) *Cookie {
-	if c == nil {
-		return nil
-	}
-	return c.Clone()
 }
 
 // requestTarget is the matching context derived from a request URL.
@@ -313,57 +313,69 @@ func match(c *Cookie, t requestTarget) bool {
 	return !c.HttpOnly
 }
 
-// visibleLocked is the jar's one matching loop, behind every read: it
-// purges expired cookies, collects the stored cookies scripts on rawURL
-// can see into j.scratch, sorted for serialization, and returns them with
-// the earliest non-zero expiry among them. The cookies are the stored
-// ones and must not be modified or kept past j.mu. j.mu must be held.
-func (j *Jar) visibleLocked(rawURL string, now time.Time) (matched []*Cookie, minExpiry time.Time) {
-	t, ok := j.parseTarget(rawURL)
-	if !ok {
-		return nil, time.Time{}
+// visibleLocked returns the stored cookies scripts on rawURL can see,
+// sorted for serialization, from the URL's memo entry. A miss runs the
+// jar's one matching loop, behind every read: it purges expired cookies
+// and refills the entry's list in place. The cookies are the stored ones
+// and the list is the memo's: neither may be modified or kept past j.mu.
+// j.mu must be held.
+func (j *Jar) visibleLocked(rawURL string, now time.Time) []*Cookie {
+	e := j.memo[rawURL]
+	if e != nil && e.gen == j.gen && (e.minExpiry.IsZero() || now.Before(e.minExpiry)) {
+		return e.cookies
 	}
-	matched = j.scratch[:0]
-	for k, c := range j.store {
-		if c.Expired(now) {
-			delete(j.store, k)
-			j.gen++
-			continue
+	if e == nil {
+		if j.memo == nil {
+			j.memo = make(map[string]*memoEntry)
 		}
-		if !match(c, t) {
-			continue
-		}
-		matched = append(matched, c)
-		if !c.Expires.IsZero() && (minExpiry.IsZero() || c.Expires.Before(minExpiry)) {
-			minExpiry = c.Expires
-		}
+		// Room for every stored cookie: the first fill does not grow it.
+		e = &memoEntry{cookies: make([]*Cookie, 0, len(j.store))}
+		j.memo[rawURL] = e
 	}
-	sortCookies(matched)
-	j.scratch = matched
-	return matched, minExpiry
+	matched, minExpiry := e.cookies[:0], time.Time{}
+	if t, ok := j.parseTarget(rawURL); ok {
+		for k, c := range j.store {
+			if c.Expired(now) {
+				delete(j.store, k)
+				j.gen++
+				continue
+			}
+			if !match(c, t) {
+				continue
+			}
+			matched = append(matched, c)
+			if !c.Expires.IsZero() && (minExpiry.IsZero() || c.Expires.Before(minExpiry)) {
+				minExpiry = c.Expires
+			}
+		}
+		sortCookies(matched)
+	}
+	e.gen, e.cookies, e.minExpiry = j.gen, matched, minExpiry
+	return matched
 }
 
-// DocumentCookie implements the document.cookie getter for a page at
-// rawURL: all matching non-HttpOnly cookies as "a=1; b=2". A memo hit
-// returns the previously rendered string; a miss renders the visible
-// cookies straight into one builder and stores the result tagged with
-// the jar generation and the earliest expiry it depends on.
+// DocumentCookiePairs implements the document.cookie getter for a page
+// at rawURL: it appends the matching non-HttpOnly cookies to dst as
+// name/value pairs, in serialization order, and returns the extended
+// slice. dst belongs to the caller; the jar keeps no reference to it.
+func (j *Jar) DocumentCookiePairs(rawURL string, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	now := j.clock.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, c := range j.visibleLocked(rawURL, now) {
+		dst = append(dst, jsdsl.CookiePair{Name: c.Name, Value: c.Value})
+	}
+	return dst
+}
+
+// DocumentCookie is the document.cookie string for a page at rawURL:
+// the pairs DocumentCookiePairs lists, as "a=1; b=2".
 func (j *Jar) DocumentCookie(rawURL string) string {
 	now := j.clock.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if e, ok := j.memo[rawURL]; ok && e.gen == j.gen &&
-		(e.minExpiry.IsZero() || now.Before(e.minExpiry)) {
-		return e.value
-	}
-	matched, minExpiry := j.visibleLocked(rawURL, now)
 	var b strings.Builder
-	n := 0
-	for _, c := range matched {
-		n += len(c.Name) + len(c.Value) + 3
-	}
-	b.Grow(n)
-	for i, c := range matched {
+	for i, c := range j.visibleLocked(rawURL, now) {
 		if i > 0 {
 			b.WriteString("; ")
 		}
@@ -371,12 +383,7 @@ func (j *Jar) DocumentCookie(rawURL string) string {
 		b.WriteByte('=')
 		b.WriteString(c.Value)
 	}
-	value := b.String()
-	if j.memo == nil {
-		j.memo = make(map[string]memoEntry)
-	}
-	j.memo[rawURL] = memoEntry{gen: j.gen, value: value, minExpiry: minExpiry}
-	return value
+	return b.String()
 }
 
 // ScriptCookies returns copies of the cookies scripts on a page can see,
@@ -384,9 +391,8 @@ func (j *Jar) DocumentCookie(rawURL string) string {
 func (j *Jar) ScriptCookies(rawURL string) []*Cookie {
 	now := j.clock.Now()
 	j.mu.Lock()
-	matched, _ := j.visibleLocked(rawURL, now)
 	var out []*Cookie
-	for _, c := range matched {
+	for _, c := range j.visibleLocked(rawURL, now) {
 		out = append(out, c.Clone())
 	}
 	j.mu.Unlock()
@@ -400,8 +406,7 @@ func (j *Jar) Get(rawURL, name string) *Cookie {
 	now := j.clock.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	matched, _ := j.visibleLocked(rawURL, now)
-	for _, c := range matched {
+	for _, c := range j.visibleLocked(rawURL, now) {
 		if c.Name == name {
 			return c.Clone()
 		}

@@ -3,11 +3,16 @@ package crawler
 import (
 	"context"
 	"encoding/json"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
 	"cookieguard/internal/artifact"
 	"cookieguard/internal/browser"
+	"cookieguard/internal/guard"
+	"cookieguard/internal/instrument"
+	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/netsim"
 	"cookieguard/internal/webgen"
 )
@@ -216,5 +221,71 @@ func TestDOMTemplateKeyStability(t *testing.T) {
 	rate := float64(s2.DOMHits) / float64(s2.DOMHits+s2.DOMMisses)
 	if rate < 0.60 {
 		t.Fatalf("two-crawl DOM hit rate %.2f below floor", rate)
+	}
+}
+
+// apiHost is a script Host whose document.cookie is read through a
+// cookie API stack, as a page's scripts read it.
+type apiHost struct {
+	jsdsl.NopHost
+	api browser.CookieAPI
+	ctx browser.AccessContext
+}
+
+func (h *apiHost) DocCookie(dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return h.api.GetDocumentCookie(h.ctx, dst)
+}
+
+// TestDocCookieReadAllocs pins the cost of a warm get_cookie through the
+// cookie layers a crawl installs — the recorder, and the guard above it
+// on a guarded crawl: the jar appends its memoized pairs to the
+// interpreter's buffer, the guard filters them in place and the recorder
+// counts the read, so the read allocates nothing. (A filtered read logs
+// a guard block; AllocsPerRun's mean amortizes the log's growth.)
+func TestDocCookieReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const page = "https://www.shop.example/"
+	site := browser.AccessContext{PageURL: page, MainFrame: true}
+	tracker := browser.AccessContext{PageURL: page, ScriptURL: "https://cdn.tracker.example/t.js", MainFrame: true}
+	other := browser.AccessContext{PageURL: page, ScriptURL: "https://other.example/o.js", MainFrame: true}
+	for _, guarded := range []bool{false, true} {
+		rec := instrument.NewRecorder()
+		mw := []browser.CookieMiddleware{rec.Middleware()}
+		if guarded {
+			mw = append(mw, guard.New(guard.DefaultPolicy()).Middleware())
+		}
+		var api browser.CookieAPI
+		mw = append(mw, func(_ *browser.Browser, next browser.CookieAPI) browser.CookieAPI {
+			api = next
+			return next
+		})
+		if _, err := browser.New(browser.Options{Internet: netsim.New(), CookieMiddleware: mw}); err != nil {
+			t.Fatal(err)
+		}
+		api.SetDocumentCookie(site, "pref=dark")
+		api.SetDocumentCookie(tracker, "_ga=GA1.2.3456.789; Max-Age=3600")
+		api.SetDocumentCookie(other, "sess=abcdef")
+
+		h := &apiHost{api: api, ctx: tracker}
+		in := jsdsl.AcquireInterp(h)
+		if err := in.RunSource(`log(get_cookie("_ga")); log(str(get_cookie("sess") == null));`); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"GA1.2.3456.789", strconv.FormatBool(guarded)}; !slices.Equal(h.Logs, want) {
+			t.Fatalf("guarded=%v: the tracker read %q, want %q", guarded, h.Logs, want)
+		}
+		read := jsdsl.MustParse(`get_cookie("_ga");`)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := in.Run(read); err != nil {
+				t.Fatal(err)
+			}
+		})
+		in.Release()
+		rec.Release()
+		if allocs != 0 {
+			t.Errorf("guarded=%v: a warm get_cookie allocates %v times, want 0", guarded, allocs)
+		}
 	}
 }

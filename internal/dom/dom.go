@@ -246,6 +246,24 @@ func (n *Node) collectTag(tag string, out []*Node) []*Node {
 	return out
 }
 
+// FirstByTag returns the first element with the given tag in document
+// order, or nil: ByTag(tag)[0] without collecting the rest.
+func (d *Document) FirstByTag(tag string) *Node {
+	return d.Root.findTag(strings.ToLower(tag))
+}
+
+func (n *Node) findTag(tag string) *Node {
+	if n.Kind == KindElement && n.Tag == tag {
+		return n
+	}
+	for _, c := range n.Children {
+		if f := c.findTag(tag); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // Scripts returns all <script> elements in document order.
 func (d *Document) Scripts() []*Node { return d.ByTag("script") }
 

@@ -43,6 +43,23 @@ func TestParseStructure(t *testing.T) {
 	}
 }
 
+// TestFirstByTag: FirstByTag is the first element ByTag lists, and nil
+// for a tag the document lacks.
+func TestFirstByTag(t *testing.T) {
+	d := parseDoc(t)
+	for _, tag := range []string{"body", "head", "a", "DIV", "script", "span"} {
+		if got, want := d.FirstByTag(tag), d.ByTag(tag)[0]; got != want {
+			t.Errorf("FirstByTag(%q) = %p, want ByTag's first %p", tag, got, want)
+		}
+	}
+	if n := d.FirstByTag("table"); n != nil {
+		t.Errorf("FirstByTag(\"table\") = %+v, want nil", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.FirstByTag("body") }); n != 0 {
+		t.Errorf("FirstByTag allocates %v times, want 0", n)
+	}
+}
+
 func TestScriptSrcAndInlineBody(t *testing.T) {
 	d := parseDoc(t)
 	scripts := d.Scripts()

@@ -26,8 +26,6 @@
 package guard
 
 import (
-	"slices"
-	"strings"
 	"sync"
 
 	"cookieguard/internal/browser"
@@ -219,93 +217,56 @@ func (g *Guard) mayAccess(accessor, creator, site string) bool {
 type pageWrapper struct {
 	g    *Guard
 	next browser.CookieAPI
-
-	// Scratch space of filterDocCookie, reused across reads (a browser
-	// runs a page's scripts on one goroutine).
-	buf   []byte
-	names []string
 }
 
-func (p *pageWrapper) GetDocumentCookie(ctx browser.AccessContext) string {
+// GetDocumentCookie filters the pairs the layer below appends to dst in
+// place: a name listed twice (one name under two paths or domains) keeps
+// its first position and takes its last value, as a parse of the
+// document.cookie string would read it, and the pairs accessor may not
+// read are dropped.
+func (p *pageWrapper) GetDocumentCookie(ctx browser.AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	g := p.g
 	g.chargeOverhead()
 	accessor, ok := g.accessor(ctx)
 	if !ok {
 		g.logBlock(BlockEvent{Kind: BlockInline, Accessor: "inline"})
-		return ""
+		return dst
 	}
-	raw := p.next.GetDocumentCookie(ctx)
+	base := len(dst)
+	dst = p.next.GetDocumentCookie(ctx, dst)
 	site := ctx.PageDomain()
 	if g.isSiteOwner(accessor, site) {
-		return raw
+		return dst
 	}
-	out, filtered := p.filterDocCookie(raw, accessor, site)
+	out, filtered := g.filterPairs(dst, base, accessor, site)
 	if filtered {
 		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
 	}
 	return out
 }
 
-// filterDocCookie returns the pairs of the document.cookie string raw
-// that accessor may read on site, joined as document.cookie joins them,
-// and whether any pair was dropped. It walks raw once, appending kept
-// pairs to the wrapper's reused buffer, and returns raw itself when
-// nothing changed. A name that raw repeats (one name under two paths or
-// domains) falls back to filterDocCookieParsed.
-func (p *pageWrapper) filterDocCookie(raw, accessor, site string) (string, bool) {
-	g := p.g
-	buf, names := p.buf[:0], p.names[:0]
-	filtered := false
-	for rest := raw; rest != ""; {
-		part := rest
-		if i := strings.IndexByte(rest, ';'); i >= 0 {
-			part, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		part = strings.TrimSpace(part)
-		eq := strings.IndexByte(part, '=')
-		if eq <= 0 {
-			continue // empty or nameless segment
-		}
-		name := strings.TrimSpace(part[:eq])
-		if slices.Contains(names, name) {
-			return g.filterDocCookieParsed(raw, accessor, site)
-		}
-		names = append(names, name)
-		if !g.mayAccess(accessor, g.bg.creatorOf(name), site) {
+// filterPairs filters pairs[base:] in place for accessor on site, as
+// GetDocumentCookie describes, and reports whether any pair was dropped.
+// Every pair of a name is kept or dropped alike, so one pass does both:
+// a refused pair is dropped, and a kept one either updates its name's
+// earlier kept pair or is kept.
+func (g *Guard) filterPairs(pairs []jsdsl.CookiePair, base int, accessor, site string) ([]jsdsl.CookiePair, bool) {
+	out, filtered := pairs[:base], false
+next:
+	for _, pr := range pairs[base:] {
+		if !g.mayAccess(accessor, g.bg.creatorOf(pr.Name), site) {
 			filtered = true
 			continue
 		}
-		if len(buf) > 0 {
-			buf = append(buf, "; "...)
+		for i := base; i < len(out); i++ {
+			if out[i].Name == pr.Name {
+				out[i].Value = pr.Value
+				continue next
+			}
 		}
-		buf = append(buf, name...)
-		buf = append(buf, '=')
-		buf = append(buf, strings.TrimSpace(part[eq+1:])...)
+		out = append(out, pr)
 	}
-	p.buf, p.names = buf, names
-	if string(buf) == raw {
-		return raw, filtered
-	}
-	return string(buf), filtered
-}
-
-// filterDocCookieParsed is filterDocCookie by parsing raw and joining
-// the kept pairs: the reference the single-pass filter is checked
-// against, and the path for repeated names (the last value wins).
-func (g *Guard) filterDocCookieParsed(raw, accessor, site string) (string, bool) {
-	names, values := jsdsl.ParseCookieString(raw)
-	var kept []string
-	filtered := false
-	for _, n := range names {
-		if g.mayAccess(accessor, g.bg.creatorOf(n), site) {
-			kept = append(kept, n+"="+values[n])
-		} else {
-			filtered = true
-		}
-	}
-	return strings.Join(kept, "; "), filtered
+	return out, filtered
 }
 
 // SetDocumentCookie enforces a document.cookie assignment by the name

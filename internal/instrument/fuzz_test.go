@@ -15,11 +15,13 @@ import (
 // goes nowhere after it is recorded, and every read finds no cookie.
 type discardAPI struct{}
 
-func (discardAPI) GetDocumentCookie(browser.AccessContext) string         { return "" }
 func (discardAPI) SetDocumentCookie(browser.AccessContext, string)        {}
 func (discardAPI) StoreSet(browser.AccessContext, jsdsl.CookieRecord)     {}
 func (discardAPI) StoreDelete(browser.AccessContext, string)              {}
 func (discardAPI) StoreGetAll(browser.AccessContext) []jsdsl.CookieRecord { return nil }
+func (discardAPI) GetDocumentCookie(_ browser.AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	return dst
+}
 func (discardAPI) StoreGet(browser.AccessContext, string) (jsdsl.CookieRecord, bool) {
 	return jsdsl.CookieRecord{}, false
 }
@@ -126,7 +128,7 @@ func FuzzRecordedReads(f *testing.F) {
 			name := "c" + strconv.Itoa(i)
 			switch int(b) / len(readers) % 5 {
 			case 0:
-				api.GetDocumentCookie(r.ctx)
+				api.GetDocumentCookie(r.ctx, nil)
 				ev.Op, ev.API = OpRead, APIDocument
 			case 1:
 				api.StoreGet(r.ctx, name)

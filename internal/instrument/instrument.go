@@ -388,8 +388,8 @@ func baseEvent(ctx browser.AccessContext, op Op, api API) CookieEvent {
 	}
 }
 
-func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext) string {
-	out := a.next.GetDocumentCookie(ctx)
+func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
+	out := a.next.GetDocumentCookie(ctx, dst)
 	a.rec.read(ctx, APIDocument)
 	return out
 }

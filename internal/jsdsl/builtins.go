@@ -48,23 +48,10 @@ func argList(args []Value, i int) (*List, bool) {
 }
 
 // ParseCookieString parses a document.cookie string ("a=1; b=2") into
-// ordered name/value pairs. Exported because the guard and analysis also
-// need it.
+// ordered name/value pairs: a repeated name keeps its first position and
+// takes its last value.
 func ParseCookieString(s string) (names []string, values map[string]string) {
-	return parseCookieStringInto(s, nil, nil)
-}
-
-// parseCookieStringInto is ParseCookieString reusing the caller's slice
-// and map (the interpreter's memo passes its previous buffers back in so
-// a changed cookie string re-parses without reallocating). Segments are
-// walked in place; strings.Split here was one of the crawl's dominant
-// allocation sites.
-func parseCookieStringInto(s string, names []string, values map[string]string) ([]string, map[string]string) {
-	if values == nil {
-		values = map[string]string{}
-	} else {
-		clear(values)
-	}
+	values = map[string]string{}
 	rest := s
 	for rest != "" {
 		part := rest
@@ -88,6 +75,13 @@ func parseCookieStringInto(s string, names []string, values map[string]string) (
 		values[name] = strings.TrimSpace(part[eq+1:])
 	}
 	return names, values
+}
+
+// docCookie reads document.cookie from the Host into the interpreter's
+// pair buffer.
+func (in *Interp) docCookie() []CookiePair {
+	in.docPairs = in.Host.DocCookie(in.docPairs[:0])
+	return in.docPairs
 }
 
 // sortedKeys returns m's keys in sorted order, in the interpreter's
@@ -220,7 +214,16 @@ func init() {
 	builtins = map[string]builtinFunc{
 		// ---- document.cookie surface ----
 		"doc_cookie": func(in *Interp, args []Value) (Value, error) {
-			return Str(in.Host.DocCookie()), nil
+			var b strings.Builder
+			for i, p := range in.docCookie() {
+				if i > 0 {
+					b.WriteString("; ")
+				}
+				b.WriteString(p.Name)
+				b.WriteByte('=')
+				b.WriteString(p.Value)
+			}
+			return Str(b.String()), nil
 		},
 		"doc_set_cookie": func(in *Interp, args []Value) (Value, error) {
 			s, ok := argString(args, 0)
@@ -239,17 +242,20 @@ func init() {
 			if !ok {
 				return Value{}, errArity("get_cookie")
 			}
-			_, vals := in.parsedDocCookie(in.Host.DocCookie())
-			if v, ok := vals[name]; ok {
-				return Str(v), nil
+			// The last pair of a repeated name wins, as it does when
+			// the string is parsed.
+			pairs := in.docCookie()
+			for i := len(pairs) - 1; i >= 0; i-- {
+				if pairs[i].Name == name {
+					return Str(pairs[i].Value), nil
+				}
 			}
 			return Value{}, nil
 		},
 		"get_all_cookies": func(in *Interp, args []Value) (Value, error) {
-			names, vals := in.parsedDocCookie(in.Host.DocCookie())
 			m := in.newMap()
-			for _, n := range names {
-				m.Entries[n] = Str(vals[n])
+			for _, p := range in.docCookie() {
+				m.Entries[p.Name] = Str(p.Value)
 			}
 			return MapVal(m), nil
 		},

@@ -93,9 +93,11 @@ func FuzzInterp(f *testing.F) {
 }
 
 // FuzzParseCookieString checks that parsing a document.cookie string
-// never panics, and that the interpreter's memo path, which parses into
-// the slice and map of the string before it, yields exactly what a fresh
-// ParseCookieString does.
+// never panics and names each pair once, that the pairs it reads join
+// back into a string that parses to the same pairs (the CookiePair
+// contract the Host's pairs keep), and that parsing a+";"+b is parsing a
+// and then b, a repeated name keeping its first position and taking its
+// last value.
 func FuzzParseCookieString(f *testing.F) {
 	w := webgen.Build(webgen.DefaultConfig(20))
 	client := w.BuildInternet().Client()
@@ -120,19 +122,32 @@ func FuzzParseCookieString(f *testing.F) {
 		f.Add(s, strings.Join(jar, "; "))
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
-		names, values := parseCookieStringInto(a, nil, nil)
-		names, values = parseCookieStringInto(b, names[:0], values)
-		wantNames, wantValues := ParseCookieString(b)
-		if !slices.Equal(names, wantNames) || !maps.Equal(values, wantValues) {
-			t.Fatalf("parsing %q into the buffers of %q gave %q %v; fresh %q %v", b, a, names, values, wantNames, wantValues)
-		}
+		names, values := ParseCookieString(b)
 		if len(names) != len(values) {
 			t.Fatalf("ParseCookieString(%q) gave %d names for %d values", b, len(names), len(values))
 		}
-		for _, n := range names {
-			if _, ok := values[n]; !ok {
+		joined := make([]string, len(names))
+		for i, n := range names {
+			v, ok := values[n]
+			if !ok {
 				t.Fatalf("ParseCookieString(%q) named %q without a value", b, n)
 			}
+			joined[i] = n + "=" + v
+		}
+		render := strings.Join(joined, "; ")
+		if n2, v2 := ParseCookieString(render); !slices.Equal(n2, names) || !maps.Equal(v2, values) {
+			t.Fatalf("%q parsed to %q %v; its rendering %q parsed to %q %v", b, names, values, render, n2, v2)
+		}
+
+		wantNames, wantValues := ParseCookieString(a)
+		for _, n := range names {
+			if _, ok := wantValues[n]; !ok {
+				wantNames = append(wantNames, n)
+			}
+			wantValues[n] = values[n]
+		}
+		if n2, v2 := ParseCookieString(a + ";" + b); !slices.Equal(n2, wantNames) || !maps.Equal(v2, wantValues) {
+			t.Fatalf("%q;%q parsed to %q %v; the two parses merged are %q %v", a, b, n2, v2, wantNames, wantValues)
 		}
 	})
 }

@@ -12,15 +12,30 @@ type CookieRecord struct {
 	SameSite string
 }
 
+// CookiePair is one name=value pair of document.cookie. The pairs a Host
+// hands back are those of the rendered string in serialization order, and
+// a name may repeat (one name under two paths or domains). Every name is
+// non-empty and free of '=' and ';', every value is free of ';', and
+// neither has surrounding white space, so ParseCookieString of the pairs
+// joined with "; " reads back the same pairs, the last value of a
+// repeated name winning at its first position.
+type CookiePair struct {
+	Name  string
+	Value string
+}
+
 // Host is the browser-side surface a SiteScript program can touch. It is
 // implemented by the page execution context (internal/browser) and is the
 // single choke point where both the measurement instrumentation and
 // CookieGuard interpose — the Go equivalent of wrapping document.cookie
 // and cookieStore with Object.defineProperty (paper §4.1, §6.2).
 type Host interface {
-	// DocCookie is the document.cookie getter: the raw "a=1; b=2"
-	// string of script-visible cookies.
-	DocCookie() string
+	// DocCookie is the document.cookie getter: it appends the
+	// script-visible cookies to dst as name/value pairs, in the order the
+	// "a=1; b=2" string lists them, and returns the extended slice. dst
+	// belongs to the caller, which reuses it after the call; the host
+	// appends only and must not keep it.
+	DocCookie(dst []CookiePair) []CookiePair
 	// SetDocCookie is the document.cookie setter: one Set-Cookie-style
 	// assignment string.
 	SetDocCookie(assignment string)
@@ -80,7 +95,7 @@ type NopHost struct {
 }
 
 // DocCookie implements Host.
-func (h *NopHost) DocCookie() string { return "" }
+func (h *NopHost) DocCookie(dst []CookiePair) []CookiePair { return dst }
 
 // SetDocCookie implements Host.
 func (h *NopHost) SetDocCookie(string) {}

@@ -77,20 +77,16 @@ type Interp struct {
 	// are live (handed to the current run), maps[mapNext:] are free. Maps
 	// have no scoped death — a script can stash one anywhere — but none
 	// can outlive the interpreter's run lifetime (the Host bridge traffics
-	// only in strings and CookieRecords, and closures that captured one
-	// may not run after Release), so Release clears and reclaims them all.
+	// only in strings, CookieRecords and CookiePairs, and closures that
+	// captured one may not run after Release), so Release clears and
+	// reclaims them all.
 	maps    []*Map
 	mapNext int
 
-	// Single-slot memo for parsing the document.cookie string: scripts
-	// poll get_cookie far more often than the string changes, and
-	// ParseCookieString is pure, so an identical input reuses the parsed
-	// pairs. The parsed values never escape to script code unmutated
-	// (builtins copy into fresh Maps or return strings).
-	cookieStr   string
-	cookieNames []string
-	cookieVals  map[string]string
-	cookieMemo  bool
+	// docPairs receives document.cookie from the Host on every read by
+	// get_cookie, get_all_cookies and doc_cookie; the pairs' strings go
+	// into script values unchanged, so the buffer itself never escapes.
+	docPairs []CookiePair
 
 	// pairKeys and pairVals hold a script map's sorted keys and rendered
 	// values for send and dom_insert (the Host borrows them for the
@@ -107,28 +103,14 @@ type Interp struct {
 	concat []byte
 }
 
-// parsedDocCookie returns ParseCookieString(s), memoized on the exact
-// input string. A miss re-parses into the memo's previous slice and map
-// instead of allocating fresh ones — sound because the parsed view never
-// escapes the builtin that asked for it (builtins copy into fresh script
-// Maps or return plain strings).
-func (in *Interp) parsedDocCookie(s string) ([]string, map[string]string) {
-	if in.cookieMemo && s == in.cookieStr {
-		return in.cookieNames, in.cookieVals
-	}
-	in.cookieNames, in.cookieVals = parseCookieStringInto(s, in.cookieNames[:0], in.cookieVals)
-	in.cookieStr, in.cookieMemo = s, true
-	return in.cookieNames, in.cookieVals
-}
-
 // NewInterp returns an interpreter bound to host.
 func NewInterp(host Host) *Interp {
 	return &Interp{Host: host, MaxSteps: DefaultMaxSteps, globals: NewEnv(nil)}
 }
 
 // interpPool recycles interpreters across script runs. An interpreter's
-// recycled state — scope maps, the argument stack, the cookie-parse memo
-// — is what makes repeated script execution allocation-frugal.
+// recycled state — scope maps, the argument stack, the document.cookie
+// pair buffer — is what makes repeated script execution allocation-frugal.
 var (
 	interpPool = sync.Pool{New: func() any {
 		interpAllocated.Add(1)
@@ -159,9 +141,8 @@ const interpMapsMax = 256
 // in the pool.
 const interpConcatMax = 64 << 10
 
-// Release resets the interpreter (fresh global scope, zero step count;
-// the cookie memo survives — it is keyed on the exact input string) and
-// returns it to the pool. Script Maps created during the run are
+// Release resets the interpreter (fresh global scope, zero step count)
+// and returns it to the pool. Script Maps created during the run are
 // cleared and reclaimed into the per-interp freelist: nothing can reach
 // them afterwards (see the maps field).
 func (in *Interp) Release() {
@@ -189,6 +170,7 @@ func (in *Interp) Release() {
 	}
 	clear(in.pairKeys[:cap(in.pairKeys)])
 	clear(in.pairVals[:cap(in.pairVals)])
+	clear(in.docPairs[:cap(in.docPairs)])
 	interpPool.Put(in)
 }
 

@@ -1,6 +1,7 @@
 package jsdsl
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -131,25 +132,39 @@ log(str(add3(twice(add3(1, 2, 3)), twice(twice(2)), add3(twice(1), 1, 1))));`
 	}
 }
 
-// TestCookieMemoReuseAcrossStrings: the in-place cookie-parse memo must
-// return correct views as the cookie string changes.
-func TestCookieMemoReuseAcrossStrings(t *testing.T) {
-	in := AcquireInterp(&NopHost{})
-	defer in.Release()
-	n1, v1 := in.parsedDocCookie("a=1; b=2")
-	if len(n1) != 2 || v1["a"] != "1" || v1["b"] != "2" {
-		t.Fatalf("first parse: %v %v", n1, v1)
+// pairHost serves a fixed document.cookie as pairs.
+type pairHost struct {
+	NopHost
+	pairs []CookiePair
+}
+
+func (h *pairHost) DocCookie(dst []CookiePair) []CookiePair { return append(dst, h.pairs...) }
+
+// TestDocCookiePairs: the cookie builtins read the Host's pairs as they
+// would read the string the pairs join to — the last value of a
+// repeated name wins, doc_cookie is the string itself — and Release
+// drops the pairs the interpreter's buffer held.
+func TestDocCookiePairs(t *testing.T) {
+	h := &pairHost{pairs: []CookiePair{{"a", "1"}, {"b", "x=y"}, {"a", "3"}}}
+	in := AcquireInterp(h)
+	if err := in.RunSource(`
+log(get_cookie("a"));
+log(str(get_cookie("zz") == null));
+let all = get_all_cookies();
+log(str(len(all)) + " " + all["a"] + " " + all["b"]);
+log(doc_cookie());
+log(get_cookie("b"));`); err != nil {
+		t.Fatal(err)
 	}
-	n2, v2 := in.parsedDocCookie("c=3")
-	if len(n2) != 1 || v2["c"] != "3" {
-		t.Fatalf("second parse: %v %v", n2, v2)
+	want := []string{"3", "true", "2 3 x=y", "a=1; b=x=y; a=3", "x=y"}
+	if !slices.Equal(h.Logs, want) {
+		t.Fatalf("logs = %q, want %q", h.Logs, want)
 	}
-	if _, stale := v2["a"]; stale {
-		t.Fatal("stale entry survived memo reuse")
-	}
-	// Memo hit: identical input returns the same view.
-	n3, _ := in.parsedDocCookie("c=3")
-	if len(n3) != 1 || n3[0] != "c" {
-		t.Fatalf("memo hit: %v", n3)
+	buf := in.docPairs[:cap(in.docPairs)]
+	in.Release()
+	for _, p := range buf {
+		if p != (CookiePair{}) {
+			t.Fatalf("Release kept pair %+v in the document.cookie buffer", p)
+		}
 	}
 }

@@ -64,10 +64,12 @@ type Service struct {
 	Partners []string // exfiltration destination hosts
 	// Source is the generated SiteScript body.
 	Source string
+
+	url string // "https://" + Host + Path, set when buildServices adds it
 }
 
 // URL returns the script's absolute URL.
-func (s *Service) URL() string { return "https://" + s.Host + s.Path }
+func (s *Service) URL() string { return s.url }
 
 // CookieSpec describes one cookie a service sets.
 type CookieSpec struct {
@@ -94,6 +96,7 @@ func buildServices(cfg Config, rng *stats.Rand) []*Service {
 		if s.Host == "" {
 			s.Host = s.Domain
 		}
+		s.url = "https://" + s.Host + s.Path
 		out = append(out, s)
 		return s
 	}
