@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cookieguard/internal/artifact"
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/netsim"
 )
@@ -335,19 +336,15 @@ type recordingAPI struct {
 func (r *recordingAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	return r.next.GetDocumentCookie(ctx, dst)
 }
-func (r *recordingAPI) SetDocumentCookie(ctx AccessContext, a string) {
+func (r *recordingAPI) SetCookie(ctx AccessContext, src cookiejar.Source, a string) {
 	r.onSet(ctx)
-	r.next.SetDocumentCookie(ctx, a)
+	r.next.SetCookie(ctx, src, a)
 }
 func (r *recordingAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bool) {
 	return r.next.StoreGet(ctx, n)
 }
 func (r *recordingAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
 	return r.next.StoreGetAll(ctx)
-}
-func (r *recordingAPI) StoreSet(ctx AccessContext, rec jsdsl.CookieRecord) {
-	r.onSet(ctx)
-	r.next.StoreSet(ctx, rec)
 }
 func (r *recordingAPI) StoreDelete(ctx AccessContext, n string) {
 	r.onSet(ctx)
@@ -567,17 +564,14 @@ type blankReadAPI struct{ next CookieAPI }
 func (a *blankReadAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	return dst
 }
-func (a *blankReadAPI) SetDocumentCookie(ctx AccessContext, s string) {
-	a.next.SetDocumentCookie(ctx, s)
+func (a *blankReadAPI) SetCookie(ctx AccessContext, src cookiejar.Source, s string) {
+	a.next.SetCookie(ctx, src, s)
 }
 func (a *blankReadAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bool) {
 	return jsdsl.CookieRecord{}, false
 }
 func (a *blankReadAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord { return nil }
-func (a *blankReadAPI) StoreSet(ctx AccessContext, rec jsdsl.CookieRecord) {
-	a.next.StoreSet(ctx, rec)
-}
-func (a *blankReadAPI) StoreDelete(ctx AccessContext, n string) { a.next.StoreDelete(ctx, n) }
+func (a *blankReadAPI) StoreDelete(ctx AccessContext, n string)            { a.next.StoreDelete(ctx, n) }
 
 func BenchmarkVisitSimplePage(b *testing.B) {
 	html := `<html><head><script src="https://tracker.example/analytics.js"></script></head>

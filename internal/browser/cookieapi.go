@@ -8,7 +8,6 @@ package browser
 
 import (
 	"strconv"
-	"time"
 
 	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/jsdsl"
@@ -48,6 +47,12 @@ func (c AccessContext) PageDomain() string {
 // a direct implementation over the jar; middleware (instrumentation,
 // CookieGuard) wraps it — the Go equivalent of redefining document.cookie
 // and the cookieStore methods with Object.defineProperty.
+//
+// Both APIs write through SetCookie, as an assignment line the jar parses
+// (cookiejar.ParseAssignment): a document.cookie assignment as the script
+// wrote it, and a cookieStore.set call as the line RecordAssignment
+// renders. A layer names the cookie and the operation by that parse, so
+// no layer can read a write differently from the jar.
 type CookieAPI interface {
 	// GetDocumentCookie is the document.cookie getter, the one read path
 	// of the document.cookie surface. It appends the cookies the access
@@ -59,11 +64,13 @@ type CookieAPI interface {
 	// leave the pairs dst held on entry as they were and keep no
 	// reference to dst.
 	GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair
-	SetDocumentCookie(ctx AccessContext, assignment string)
+	// SetCookie is the one script write: assignment is the line a
+	// script wrote through src, cookiejar.SourceDocument or
+	// cookiejar.SourceCookieStore.
+	SetCookie(ctx AccessContext, src cookiejar.Source, assignment string)
 
 	StoreGet(ctx AccessContext, name string) (jsdsl.CookieRecord, bool)
 	StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord
-	StoreSet(ctx AccessContext, rec jsdsl.CookieRecord)
 	StoreDelete(ctx AccessContext, name string)
 }
 
@@ -85,8 +92,8 @@ func (d *directCookieAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.Cooki
 	return d.jar.DocumentCookiePairs(ctx.PageURL, dst)
 }
 
-func (d *directCookieAPI) SetDocumentCookie(ctx AccessContext, assignment string) {
-	d.jar.SetFromDocument(ctx.PageURL, assignment)
+func (d *directCookieAPI) SetCookie(ctx AccessContext, src cookiejar.Source, assignment string) {
+	d.jar.SetFromScript(ctx.PageURL, assignment, src)
 }
 
 func (d *directCookieAPI) StoreGet(ctx AccessContext, name string) (jsdsl.CookieRecord, bool) {
@@ -94,38 +101,20 @@ func (d *directCookieAPI) StoreGet(ctx AccessContext, name string) (jsdsl.Cookie
 	if c == nil {
 		return jsdsl.CookieRecord{}, false
 	}
-	return toRecord(c), true
+	return c.Record(), true
 }
 
 func (d *directCookieAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
-	cs := d.jar.ScriptCookies(ctx.PageURL)
-	out := make([]jsdsl.CookieRecord, len(cs))
-	for i, c := range cs {
-		out[i] = toRecord(c)
-	}
-	return out
-}
-
-func (d *directCookieAPI) StoreSet(ctx AccessContext, rec jsdsl.CookieRecord) {
-	d.jar.SetFromCookieStoreAssignment(ctx.PageURL, RecordAssignment(rec))
+	return d.jar.ScriptRecords(ctx.PageURL)
 }
 
 func (d *directCookieAPI) StoreDelete(ctx AccessContext, name string) {
 	d.jar.Delete(ctx.PageURL, name)
 }
 
-func toRecord(c *cookiejar.Cookie) jsdsl.CookieRecord {
-	return jsdsl.CookieRecord{
-		Name:   c.Name,
-		Value:  c.Value,
-		Domain: c.Domain,
-		Path:   c.Path,
-		Secure: c.Secure,
-	}
-}
-
 // RecordAssignment renders a CookieRecord as a Set-Cookie-style assignment
-// line, preserving Max-Age semantics.
+// line, preserving Max-Age semantics: the line a cookieStore.set call
+// writes through CookieAPI.SetCookie.
 func RecordAssignment(rec jsdsl.CookieRecord) string {
 	line := rec.Name + "=" + rec.Value
 	if rec.Path != "" {
@@ -144,13 +133,4 @@ func RecordAssignment(rec jsdsl.CookieRecord) string {
 		line += "; SameSite=" + rec.SameSite
 	}
 	return line
-}
-
-// StoreSetDeletes reports whether a jar at time now treats
-// cookieStore.set(rec) as a deletion: the line RecordAssignment renders
-// for it is already expired (a negative max_age). The recorder and
-// CookieGuard name the operation by it, so neither disagrees with the jar.
-func StoreSetDeletes(rec jsdsl.CookieRecord, now time.Time) bool {
-	a, ok := cookiejar.ParseAssignment(RecordAssignment(rec))
-	return ok && a.Expired(now)
 }

@@ -135,7 +135,7 @@ func FuzzDocCookiePairs(f *testing.F) {
 			}
 			switch k % 5 {
 			case 0:
-				b.api.SetDocumentCookie(ctx, line)
+				b.api.SetCookie(ctx, cookiejar.SourceDocument, line)
 			case 1:
 				if k/80%2 == 1 {
 					line += "; HttpOnly"
@@ -143,8 +143,8 @@ func FuzzDocCookiePairs(f *testing.F) {
 				u, _ := url.Parse(p.URL)
 				b.jar.SetFromHeader(u, line)
 			case 2:
-				b.api.StoreSet(ctx, jsdsl.CookieRecord{Name: name, Value: val, Domain: domain,
-					Path: path, MaxAge: maxAge, Secure: secure})
+				b.api.SetCookie(ctx, cookiejar.SourceCookieStore, RecordAssignment(jsdsl.CookieRecord{
+					Name: name, Value: val, Domain: domain, Path: path, MaxAge: maxAge, Secure: secure}))
 			case 3:
 				b.api.StoreDelete(ctx, name)
 			case 4:

@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/urlutil"
 )
@@ -21,7 +22,7 @@ func (h *hostBinding) DocCookie(dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 }
 
 func (h *hostBinding) SetDocCookie(assignment string) {
-	h.page.browser.api.SetDocumentCookie(h.ctx(), assignment)
+	h.page.browser.api.SetCookie(h.ctx(), cookiejar.SourceDocument, assignment)
 }
 
 func (h *hostBinding) CookieStoreGet(name string) (jsdsl.CookieRecord, bool) {
@@ -33,7 +34,7 @@ func (h *hostBinding) CookieStoreGetAll() []jsdsl.CookieRecord {
 }
 
 func (h *hostBinding) CookieStoreSet(rec jsdsl.CookieRecord) {
-	h.page.browser.api.StoreSet(h.ctx(), rec)
+	h.page.browser.api.SetCookie(h.ctx(), cookiejar.SourceCookieStore, RecordAssignment(rec))
 }
 
 func (h *hostBinding) CookieStoreDelete(name string) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/jsdsl"
 )
 
@@ -28,9 +29,13 @@ func (a *stackAPI) GetDocumentCookie(ctx AccessContext, dst []jsdsl.CookiePair) 
 	return a.next.GetDocumentCookie(ctx, dst)
 }
 
-func (a *stackAPI) SetDocumentCookie(ctx AccessContext, s string) {
-	a.note("set", ctx)
-	a.next.SetDocumentCookie(ctx, s)
+func (a *stackAPI) SetCookie(ctx AccessContext, src cookiejar.Source, s string) {
+	if src == cookiejar.SourceCookieStore {
+		a.note("store-set", ctx)
+	} else {
+		a.note("set", ctx)
+	}
+	a.next.SetCookie(ctx, src, s)
 }
 
 func (a *stackAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bool) {
@@ -41,11 +46,6 @@ func (a *stackAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bo
 func (a *stackAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
 	a.note("store-get-all", ctx)
 	return a.next.StoreGetAll(ctx)
-}
-
-func (a *stackAPI) StoreSet(ctx AccessContext, rec jsdsl.CookieRecord) {
-	a.note("store-set", ctx)
-	a.next.StoreSet(ctx, rec)
 }
 
 func (a *stackAPI) StoreDelete(ctx AccessContext, n string) {

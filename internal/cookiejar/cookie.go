@@ -1,6 +1,6 @@
 // Package cookiejar implements the browser cookie jar the paper's whole
 // measurement targets: RFC 6265 Set-Cookie parsing, domain- and
-// path-matching, the document.cookie string interface, HttpOnly
+// path-matching, the document.cookie interface, HttpOnly
 // visibility, expiry-based deletion, and the structured CookieStore view.
 //
 // The jar itself enforces exactly what real browsers enforce — and no more:
@@ -16,6 +16,8 @@ import (
 	"strings"
 	"time"
 	"unicode/utf8"
+
+	"cookieguard/internal/jsdsl"
 )
 
 // SameSite is the SameSite cookie attribute.
@@ -75,6 +77,17 @@ func expired(expires, now time.Time) bool {
 func (c *Cookie) Clone() *Cookie {
 	cp := *c
 	return &cp
+}
+
+// Record is the cookie as the CookieStore API hands it to scripts.
+func (c *Cookie) Record() jsdsl.CookieRecord {
+	return jsdsl.CookieRecord{
+		Name:   c.Name,
+		Value:  c.Value,
+		Domain: c.Domain,
+		Path:   c.Path,
+		Secure: c.Secure,
+	}
 }
 
 // Assignment is one Set-Cookie header line or document.cookie assignment

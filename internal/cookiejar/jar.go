@@ -175,22 +175,13 @@ func (j *Jar) SetFromHeader(u *url.URL, header string) ChangeKind {
 	return j.setURL(u, header, SourceHTTP)
 }
 
-// SetFromDocument stores a cookie from a document.cookie assignment made
-// by a script running on pageURL. Scripts cannot create HttpOnly cookies;
-// such an attribute on the assignment is ignored, matching browsers.
-func (j *Jar) SetFromDocument(pageURL, assignment string) ChangeKind {
-	return j.set(pageURL, assignment, SourceDocument)
-}
-
-// SetFromCookieStoreAssignment stores a cookie via the CookieStore API
-// from a Set-Cookie-style assignment line (used by the browser's cookie
-// API surface, where options arrive as attributes such as Max-Age).
-func (j *Jar) SetFromCookieStoreAssignment(pageURL, line string) ChangeKind {
-	return j.set(pageURL, line, SourceCookieStore)
-}
-
-func (j *Jar) set(rawURL, line string, src Source) ChangeKind {
-	u, ok := j.parseURL(rawURL)
+// SetFromScript stores a cookie from an assignment line a script running
+// on pageURL wrote through src, SourceDocument or SourceCookieStore: a
+// document.cookie assignment, or the line a cookieStore.set call renders
+// to. Scripts cannot create HttpOnly cookies; such an attribute on the
+// line is ignored, matching browsers.
+func (j *Jar) SetFromScript(pageURL, line string, src Source) ChangeKind {
+	u, ok := j.parseURL(pageURL)
 	if !ok {
 		return ChangeRejected
 	}
@@ -368,34 +359,18 @@ func (j *Jar) DocumentCookiePairs(rawURL string, dst []jsdsl.CookiePair) []jsdsl
 	return dst
 }
 
-// DocumentCookie is the document.cookie string for a page at rawURL:
-// the pairs DocumentCookiePairs lists, as "a=1; b=2".
-func (j *Jar) DocumentCookie(rawURL string) string {
+// ScriptRecords is the cookieStore.getAll() analogue: the cookies
+// DocumentCookiePairs lists for a page at rawURL, as records, in one
+// exact-size slice.
+func (j *Jar) ScriptRecords(rawURL string) []jsdsl.CookieRecord {
 	now := j.clock.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var b strings.Builder
-	for i, c := range j.visibleLocked(rawURL, now) {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		b.WriteString(c.Name)
-		b.WriteByte('=')
-		b.WriteString(c.Value)
+	cs := j.visibleLocked(rawURL, now)
+	out := make([]jsdsl.CookieRecord, len(cs))
+	for i, c := range cs {
+		out[i] = c.Record()
 	}
-	return b.String()
-}
-
-// ScriptCookies returns copies of the cookies scripts on a page can see,
-// sorted for serialization: the backing call for cookieStore reads.
-func (j *Jar) ScriptCookies(rawURL string) []*Cookie {
-	now := j.clock.Now()
-	j.mu.Lock()
-	var out []*Cookie
-	for _, c := range j.visibleLocked(rawURL, now) {
-		out = append(out, c.Clone())
-	}
-	j.mu.Unlock()
 	return out
 }
 
@@ -427,7 +402,7 @@ func (j *Jar) Delete(pageURL, name string) bool {
 	if !target.HostOnly {
 		line += "; Domain=" + target.Domain
 	}
-	return j.set(pageURL, line, SourceCookieStore) == ChangeDeleted
+	return j.SetFromScript(pageURL, line, SourceCookieStore) == ChangeDeleted
 }
 
 // All returns a snapshot of every live cookie in the jar (for inspection

@@ -3,6 +3,7 @@ package cookiejar
 import (
 	"fmt"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,31 +30,44 @@ func mustURL(t *testing.T, raw string) *url.URL {
 	return u
 }
 
+// docCookie is the document.cookie string for a page at rawURL: the
+// pairs DocumentCookiePairs lists, joined as "a=1; b=2".
+func docCookie(j *Jar, rawURL string) string {
+	var b strings.Builder
+	for i, pr := range j.DocumentCookiePairs(rawURL, nil) {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(pr.Name + "=" + pr.Value)
+	}
+	return b.String()
+}
+
 func TestSetFromDocumentAndRead(t *testing.T) {
 	j, _ := newJar()
-	if k := j.SetFromDocument(site, "_ga=GA1.1.123.456"); k != ChangeCreated {
+	if k := j.SetFromScript(site, "_ga=GA1.1.123.456", SourceDocument); k != ChangeCreated {
 		t.Fatalf("kind = %v", k)
 	}
-	if got := j.DocumentCookie(site); got != "_ga=GA1.1.123.456" {
-		t.Fatalf("DocumentCookie = %q", got)
+	if got := docCookie(j, site); got != "_ga=GA1.1.123.456" {
+		t.Fatalf("document.cookie = %q", got)
 	}
 }
 
 func TestHttpOnlyInvisibleToScripts(t *testing.T) {
 	j, _ := newJar()
 	j.SetFromHeader(mustURL(t, site), "session=secret; HttpOnly")
-	j.SetFromDocument(site, "visible=yes")
+	j.SetFromScript(site, "visible=yes", SourceDocument)
 	// The HttpOnly cookie is stored...
 	all := j.All()
 	if len(all) != 2 || all[0].Name != "session" || !all[0].HttpOnly {
 		t.Fatalf("All = %+v, want the HttpOnly session cookie stored", all)
 	}
 	// ...but no script read sees it.
-	if got := j.DocumentCookie(site); got != "visible=yes" {
-		t.Fatalf("DocumentCookie = %q (HttpOnly leaked?)", got)
+	if got := docCookie(j, site); got != "visible=yes" {
+		t.Fatalf("document.cookie = %q (HttpOnly leaked?)", got)
 	}
-	if cs := j.ScriptCookies(site); len(cs) != 1 || cs[0].Name != "visible" {
-		t.Fatalf("ScriptCookies = %+v (HttpOnly leaked?)", cs)
+	if cs := j.ScriptRecords(site); len(cs) != 1 || cs[0].Name != "visible" {
+		t.Fatalf("ScriptRecords = %+v (HttpOnly leaked?)", cs)
 	}
 	if c := j.Get(site, "session"); c != nil {
 		t.Fatalf("Get(session) = %+v (HttpOnly leaked?)", c)
@@ -62,18 +76,18 @@ func TestHttpOnlyInvisibleToScripts(t *testing.T) {
 
 func TestScriptCannotMintHttpOnly(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument(site, "sneaky=1; HttpOnly")
-	if got := j.DocumentCookie(site); got != "sneaky=1" {
-		t.Fatalf("DocumentCookie = %q; scripts must not create HttpOnly cookies", got)
+	j.SetFromScript(site, "sneaky=1; HttpOnly", SourceDocument)
+	if got := docCookie(j, site); got != "sneaky=1" {
+		t.Fatalf("document.cookie = %q; scripts must not create HttpOnly cookies", got)
 	}
 }
 
 func TestOverwritePreservesCreationTime(t *testing.T) {
 	j, clk := newJar()
-	j.SetFromDocument(site, "k=v1")
+	j.SetFromScript(site, "k=v1", SourceDocument)
 	created := j.All()[0].Created
 	clk.Advance(time.Minute)
-	if k := j.SetFromDocument(site, "k=v2"); k != ChangeOverwritten {
+	if k := j.SetFromScript(site, "k=v2", SourceDocument); k != ChangeOverwritten {
 		t.Fatalf("kind = %v", k)
 	}
 	c := j.All()[0]
@@ -87,22 +101,22 @@ func TestOverwritePreservesCreationTime(t *testing.T) {
 
 func TestDeleteViaExpiredWrite(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument(site, "k=v")
-	if k := j.SetFromDocument(site, "k=; Max-Age=0"); k != ChangeDeleted {
+	j.SetFromScript(site, "k=v", SourceDocument)
+	if k := j.SetFromScript(site, "k=; Max-Age=0", SourceDocument); k != ChangeDeleted {
 		t.Fatalf("kind = %v", k)
 	}
 	if j.Len() != 0 {
 		t.Fatal("cookie not deleted")
 	}
 	// Deleting a non-existent cookie is a rejected change.
-	if k := j.SetFromDocument(site, "ghost=; Max-Age=0"); k != ChangeRejected {
+	if k := j.SetFromScript(site, "ghost=; Max-Age=0", SourceDocument); k != ChangeRejected {
 		t.Fatalf("kind = %v", k)
 	}
 }
 
 func TestExpiryOverTime(t *testing.T) {
 	j, clk := newJar()
-	j.SetFromDocument(site, "k=v; Max-Age=60")
+	j.SetFromScript(site, "k=v; Max-Age=60", SourceDocument)
 	if j.Len() != 1 {
 		t.Fatal("cookie should exist")
 	}
@@ -110,39 +124,39 @@ func TestExpiryOverTime(t *testing.T) {
 	if j.Len() != 0 {
 		t.Fatal("cookie should have expired")
 	}
-	if got := j.DocumentCookie(site); got != "" {
-		t.Fatalf("DocumentCookie after expiry = %q", got)
+	if got := docCookie(j, site); got != "" {
+		t.Fatalf("document.cookie after expiry = %q", got)
 	}
 }
 
 func TestDomainCookieVisibleOnSubdomains(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument("https://www.example.com/", "d=1; Domain=example.com")
-	if got := j.DocumentCookie("https://shop.example.com/"); got != "d=1" {
+	j.SetFromScript("https://www.example.com/", "d=1; Domain=example.com", SourceDocument)
+	if got := docCookie(j, "https://shop.example.com/"); got != "d=1" {
 		t.Fatalf("domain cookie not visible on sibling subdomain: %q", got)
 	}
-	if got := j.DocumentCookie("https://example.org/"); got != "" {
+	if got := docCookie(j, "https://example.org/"); got != "" {
 		t.Fatalf("domain cookie leaked cross-site: %q", got)
 	}
 }
 
 func TestHostOnlyCookieNotVisibleOnSubdomains(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument("https://example.com/", "h=1")
-	if got := j.DocumentCookie("https://www.example.com/"); got != "" {
+	j.SetFromScript("https://example.com/", "h=1", SourceDocument)
+	if got := docCookie(j, "https://www.example.com/"); got != "" {
 		t.Fatalf("host-only cookie visible on subdomain: %q", got)
 	}
-	if got := j.DocumentCookie("https://example.com/"); got != "h=1" {
+	if got := docCookie(j, "https://example.com/"); got != "h=1" {
 		t.Fatalf("host-only cookie missing on exact host: %q", got)
 	}
 }
 
 func TestCannotSetForUnrelatedDomain(t *testing.T) {
 	j, _ := newJar()
-	if k := j.SetFromDocument("https://evil.com/", "x=1; Domain=example.com"); k != ChangeRejected {
+	if k := j.SetFromScript("https://evil.com/", "x=1; Domain=example.com", SourceDocument); k != ChangeRejected {
 		t.Fatalf("cross-site domain set should be rejected, got %v", k)
 	}
-	if k := j.SetFromDocument("https://www.example.com/", "x=1; Domain=com"); k != ChangeRejected {
+	if k := j.SetFromScript("https://www.example.com/", "x=1; Domain=com", SourceDocument); k != ChangeRejected {
 		t.Fatalf("public-suffix domain set should be rejected, got %v", k)
 	}
 }
@@ -150,10 +164,10 @@ func TestCannotSetForUnrelatedDomain(t *testing.T) {
 func TestSecureCookieRequiresHTTPS(t *testing.T) {
 	j, _ := newJar()
 	j.SetFromHeader(mustURL(t, "https://example.com/"), "s=1; Secure")
-	if got := j.DocumentCookie("http://example.com/"); got != "" {
+	if got := docCookie(j, "http://example.com/"); got != "" {
 		t.Fatalf("secure cookie visible over http: %q", got)
 	}
-	if got := j.DocumentCookie("https://example.com/"); got != "s=1" {
+	if got := docCookie(j, "https://example.com/"); got != "s=1" {
 		t.Fatalf("secure cookie missing over https: %q", got)
 	}
 }
@@ -161,10 +175,10 @@ func TestSecureCookieRequiresHTTPS(t *testing.T) {
 func TestPathScoping(t *testing.T) {
 	j, _ := newJar()
 	j.SetFromHeader(mustURL(t, "https://example.com/app/index"), "p=1; Path=/app")
-	if got := j.DocumentCookie("https://example.com/app/page"); got != "p=1" {
+	if got := docCookie(j, "https://example.com/app/page"); got != "p=1" {
 		t.Fatalf("path cookie missing: %q", got)
 	}
-	if got := j.DocumentCookie("https://example.com/other"); got != "" {
+	if got := docCookie(j, "https://example.com/other"); got != "" {
 		t.Fatalf("path cookie leaked: %q", got)
 	}
 }
@@ -172,10 +186,10 @@ func TestPathScoping(t *testing.T) {
 func TestDefaultPathFromRequest(t *testing.T) {
 	j, _ := newJar()
 	j.SetFromHeader(mustURL(t, "https://example.com/a/b/page"), "p=1")
-	if got := j.DocumentCookie("https://example.com/a/b/other"); got != "p=1" {
+	if got := docCookie(j, "https://example.com/a/b/other"); got != "p=1" {
 		t.Fatalf("default-path cookie missing: %q", got)
 	}
-	if got := j.DocumentCookie("https://example.com/a"); got != "" {
+	if got := docCookie(j, "https://example.com/a"); got != "" {
 		t.Fatalf("default-path cookie leaked above its directory: %q", got)
 	}
 }
@@ -186,11 +200,11 @@ func TestCookieHeaderOrdering(t *testing.T) {
 	clk.Advance(time.Second)
 	j.SetFromHeader(mustURL(t, "https://example.com/"), "shallow=1; Path=/")
 	// Longer path first per RFC 6265 §5.4, although deep is older.
-	if got := j.DocumentCookie("https://example.com/app/x"); got != "deep=1; shallow=1" {
+	if got := docCookie(j, "https://example.com/app/x"); got != "deep=1; shallow=1" {
 		t.Fatalf("ordering = %q", got)
 	}
-	if cs := j.ScriptCookies("https://example.com/app/x"); len(cs) != 2 || cs[0].Name != "deep" {
-		t.Fatalf("ScriptCookies = %+v, want deep first", cs)
+	if cs := j.ScriptRecords("https://example.com/app/x"); len(cs) != 2 || cs[0].Name != "deep" {
+		t.Fatalf("ScriptRecords = %+v, want deep first", cs)
 	}
 }
 
@@ -204,9 +218,9 @@ func TestExpiredCookieDoesNotShadowWrite(t *testing.T) {
 		j, clk := newJar()
 		var got []Change
 		j.Observe(func(ch Change) { got = append(got, ch) })
-		j.SetFromDocument(site, "x=1; Max-Age=1")
+		j.SetFromScript(site, "x=1; Max-Age=1", SourceDocument)
 		clk.Advance(2 * time.Second)
-		if k := j.SetFromDocument(site, "x=2"); k != ChangeCreated {
+		if k := j.SetFromScript(site, "x=2", SourceDocument); k != ChangeCreated {
 			t.Fatalf("kind = %v, want %v", k, ChangeCreated)
 		}
 		last := got[len(got)-1]
@@ -216,15 +230,15 @@ func TestExpiredCookieDoesNotShadowWrite(t *testing.T) {
 		if !last.Cookie.Created.Equal(clk.Now()) {
 			t.Fatalf("Created = %v, want the write's time %v", last.Cookie.Created, clk.Now())
 		}
-		if got := j.DocumentCookie(site); got != "x=2" {
-			t.Fatalf("DocumentCookie = %q", got)
+		if got := docCookie(j, site); got != "x=2" {
+			t.Fatalf("document.cookie = %q", got)
 		}
 	})
 	t.Run("expired write", func(t *testing.T) {
 		j, clk := newJar()
-		j.SetFromDocument(site, "x=1; Max-Age=1")
+		j.SetFromScript(site, "x=1; Max-Age=1", SourceDocument)
 		clk.Advance(2 * time.Second)
-		if k := j.SetFromDocument(site, "x=; Max-Age=0"); k != ChangeRejected {
+		if k := j.SetFromScript(site, "x=; Max-Age=0", SourceDocument); k != ChangeRejected {
 			t.Fatalf("kind = %v, want %v", k, ChangeRejected)
 		}
 		if n := j.Len(); n != 0 {
@@ -235,7 +249,7 @@ func TestExpiredCookieDoesNotShadowWrite(t *testing.T) {
 
 func TestGetAndDelete(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument(site, "_fbp=fb.0.1746746266109.868308499845957651")
+	j.SetFromScript(site, "_fbp=fb.0.1746746266109.868308499845957651", SourceDocument)
 	c := j.Get(site, "_fbp")
 	if c == nil || c.Value != "fb.0.1746746266109.868308499845957651" {
 		t.Fatalf("Get = %+v", c)
@@ -260,7 +274,7 @@ func TestGetAndDelete(t *testing.T) {
 
 func TestDeleteDomainCookie(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument("https://www.example.com/", "d=1; Domain=example.com")
+	j.SetFromScript("https://www.example.com/", "d=1; Domain=example.com", SourceDocument)
 	if !j.Delete("https://www.example.com/", "d") {
 		t.Fatal("Delete of domain cookie failed")
 	}
@@ -273,9 +287,9 @@ func TestObserverReceivesChanges(t *testing.T) {
 	j, _ := newJar()
 	var got []Change
 	j.Observe(func(ch Change) { got = append(got, ch) })
-	j.SetFromDocument(site, "a=1")
-	j.SetFromDocument(site, "a=2")
-	j.SetFromDocument(site, "a=; Max-Age=0")
+	j.SetFromScript(site, "a=1", SourceDocument)
+	j.SetFromScript(site, "a=2", SourceDocument)
+	j.SetFromScript(site, "a=; Max-Age=0", SourceDocument)
 	if len(got) != 3 {
 		t.Fatalf("observer saw %d changes", len(got))
 	}
@@ -292,9 +306,9 @@ func TestObserverReceivesChanges(t *testing.T) {
 
 func TestAllDeterministicOrder(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument(site, "b=2")
-	j.SetFromDocument(site, "a=1")
-	j.SetFromDocument("https://www.example.com/", "c=3; Domain=example.com")
+	j.SetFromScript(site, "b=2", SourceDocument)
+	j.SetFromScript(site, "a=1", SourceDocument)
+	j.SetFromScript("https://www.example.com/", "c=3; Domain=example.com", SourceDocument)
 	all := j.All()
 	if len(all) != 3 {
 		t.Fatalf("All len = %d", len(all))
@@ -306,7 +320,7 @@ func TestAllDeterministicOrder(t *testing.T) {
 
 func TestClear(t *testing.T) {
 	j, _ := newJar()
-	j.SetFromDocument(site, "a=1")
+	j.SetFromScript(site, "a=1", SourceDocument)
 	j.Clear()
 	if j.Len() != 0 {
 		t.Fatal("Clear did not empty the jar")
@@ -315,10 +329,10 @@ func TestClear(t *testing.T) {
 
 func TestInvalidURLRejected(t *testing.T) {
 	j, _ := newJar()
-	if k := j.SetFromDocument(":// bad", "a=1"); k != ChangeRejected {
+	if k := j.SetFromScript(":// bad", "a=1", SourceDocument); k != ChangeRejected {
 		t.Fatalf("kind = %v", k)
 	}
-	if j.DocumentCookie(":// bad") != "" {
+	if docCookie(j, ":// bad") != "" {
 		t.Fatal("invalid URL should read empty")
 	}
 }
@@ -332,12 +346,12 @@ func TestJarSetGetProperty(t *testing.T) {
 		for _, n := range names {
 			name := fmt.Sprintf("c%d", n)
 			uniq[name] = true
-			j.SetFromDocument(site, name+"=v")
+			j.SetFromScript(site, name+"=v", SourceDocument)
 		}
 		if j.Len() != len(uniq) {
 			return false
 		}
-		doc := "; " + j.DocumentCookie(site) + ";"
+		doc := "; " + docCookie(j, site) + ";"
 		for name := range uniq {
 			if countOccurrences(doc, " "+name+"=v;") != 1 {
 				return false
@@ -363,12 +377,12 @@ func countOccurrences(s, sub string) int {
 func BenchmarkDocumentCookie(b *testing.B) {
 	j, _ := newJar()
 	for i := 0; i < 30; i++ {
-		j.SetFromDocument(site, fmt.Sprintf("c%d=value%d", i, i))
+		j.SetFromScript(site, fmt.Sprintf("c%d=value%d", i, i), SourceDocument)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = j.DocumentCookie(site)
+		_ = docCookie(j, site)
 	}
 }
 
@@ -376,7 +390,7 @@ func BenchmarkSetFromDocument(b *testing.B) {
 	j, _ := newJar()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.SetFromDocument(site, "k=v; Path=/; Max-Age=3600")
+		j.SetFromScript(site, "k=v; Path=/; Max-Age=3600", SourceDocument)
 	}
 }
 
@@ -390,16 +404,16 @@ func TestSetFromDocumentReusesPageURL(t *testing.T) {
 	i := 0
 	alternating := testing.AllocsPerRun(100, func() {
 		i++
-		j.SetFromDocument(pages[i%2], "k=v; Path=/")
+		j.SetFromScript(pages[i%2], "k=v; Path=/", SourceDocument)
 	})
 	same := testing.AllocsPerRun(100, func() {
-		j.SetFromDocument(pages[0], "k=v; Path=/")
+		j.SetFromScript(pages[0], "k=v; Path=/", SourceDocument)
 	})
 	if same >= alternating {
-		t.Errorf("SetFromDocument on a repeated page URL: %v allocs, on a new one: %v; want fewer", same, alternating)
+		t.Errorf("A write on a repeated page URL: %v allocs, on a new one: %v; want fewer", same, alternating)
 	}
-	if got := j.DocumentCookie(pages[0]); got != "k=v" {
-		t.Fatalf("DocumentCookie = %q", got)
+	if got := docCookie(j, pages[0]); got != "k=v" {
+		t.Fatalf("document.cookie = %q", got)
 	}
 }
 
@@ -417,9 +431,9 @@ func TestConcurrentPageURLs(t *testing.T) {
 			page := fmt.Sprintf("https://g%d.example.com/p", g)
 			want := fmt.Sprintf("k=%d", g)
 			for i := 0; i < 200; i++ {
-				j.SetFromDocument(page, want)
-				if got := j.DocumentCookie(page); got != want {
-					t.Errorf("DocumentCookie(%q) = %q, want %q", page, got, want)
+				j.SetFromScript(page, want, SourceDocument)
+				if got := docCookie(j, page); got != want {
+					t.Errorf("document.cookie of %q = %q, want %q", page, got, want)
 					return
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"cookieguard/internal/artifact"
 	"cookieguard/internal/browser"
+	"cookieguard/internal/cookiejar"
 	"cookieguard/internal/guard"
 	"cookieguard/internal/instrument"
 	"cookieguard/internal/jsdsl"
@@ -264,9 +265,9 @@ func TestDocCookieReadAllocs(t *testing.T) {
 		if _, err := browser.New(browser.Options{Internet: netsim.New(), CookieMiddleware: mw}); err != nil {
 			t.Fatal(err)
 		}
-		api.SetDocumentCookie(site, "pref=dark")
-		api.SetDocumentCookie(tracker, "_ga=GA1.2.3456.789; Max-Age=3600")
-		api.SetDocumentCookie(other, "sess=abcdef")
+		api.SetCookie(site, cookiejar.SourceDocument, "pref=dark")
+		api.SetCookie(tracker, cookiejar.SourceDocument, "_ga=GA1.2.3456.789; Max-Age=3600")
+		api.SetCookie(other, cookiejar.SourceDocument, "sess=abcdef")
 
 		h := &apiHost{api: api, ctx: tracker}
 		in := jsdsl.AcquireInterp(h)

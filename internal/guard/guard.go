@@ -15,7 +15,10 @@
 //     (cookieGuard.js), installed as a browser.CookieMiddleware. The
 //     one Guard.Middleware call that installs it also registers the
 //     background's Set-Cookie observer on the browser's jar and binds
-//     the browser's clock for the relay charge.
+//     the browser's clock for the relay charge. Writes through either
+//     API reach it as one assignment line (browser.CookieAPI.SetCookie),
+//     and it names the cookie by the jar's own parse of that line, so a
+//     write the jar stores as x is checked against x's creator.
 //
 // Policy (§6.1): a script reads only the cookies its own eTLD+1 created;
 // scripts from the visited site's domain retain full access (owner
@@ -85,10 +88,10 @@ func WhitelistPolicy(m *entity.Map) Policy {
 // BlockKind classifies a blocked or filtered operation.
 type BlockKind string
 
-// Block kinds. A blocked document.cookie assignment or cookieStore.set
-// is a BlockDelete exactly when the jar would have deleted by it (an
-// expired write), and a BlockWrite otherwise; a blocked
-// cookieStore.delete is a BlockDelete.
+// Block kinds. A blocked script write, a document.cookie assignment or a
+// cookieStore.set, is a BlockDelete exactly when the jar would have
+// deleted by it (an expired write), and a BlockWrite otherwise; a
+// blocked cookieStore.delete is a BlockDelete.
 const (
 	BlockRead   BlockKind = "read-filtered"
 	BlockWrite  BlockKind = "write-blocked"
@@ -269,13 +272,13 @@ next:
 	return out, filtered
 }
 
-// SetDocumentCookie enforces a document.cookie assignment by the name
-// the jar's own parser (cookiejar.ParseAssignment) reads from it; an
-// assignment with no name, which the jar would reject, is dropped. A
-// write to a cookie another domain created is blocked, as BlockDelete
-// when the jar would have treated it as a deletion (Assignment.Expired
-// on the browser's clock) and as BlockWrite otherwise.
-func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
+// SetCookie enforces a script write, through either API, by the name the
+// jar's own parser (cookiejar.ParseAssignment) reads from the line; a
+// line with no name, which the jar would reject, is dropped. A write to a
+// cookie another domain created is blocked, as BlockDelete when the jar
+// would have treated it as a deletion (Assignment.Expired on the
+// browser's clock) and as BlockWrite otherwise.
+func (p *pageWrapper) SetCookie(ctx browser.AccessContext, src cookiejar.Source, assignment string) {
 	g := p.g
 	g.chargeOverhead()
 	accessor, ok := g.accessor(ctx)
@@ -293,11 +296,11 @@ func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment st
 	if !exists {
 		// Creation: record the accessor as creator and pass through.
 		g.bg.record(name, accessor)
-		p.next.SetDocumentCookie(ctx, assignment)
+		p.next.SetCookie(ctx, src, assignment)
 		return
 	}
 	if g.mayAccess(accessor, creator, site) {
-		p.next.SetDocumentCookie(ctx, assignment)
+		p.next.SetCookie(ctx, src, assignment)
 		return
 	}
 	kind := BlockWrite
@@ -351,35 +354,6 @@ func (p *pageWrapper) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecor
 		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
 	}
 	return kept
-}
-
-// StoreSet enforces cookieStore.set like SetDocumentCookie: a blocked
-// write is BlockDelete when the jar would have treated it as a deletion
-// (browser.StoreSetDeletes) and BlockWrite otherwise.
-func (p *pageWrapper) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord) {
-	g := p.g
-	g.chargeOverhead()
-	accessor, ok := g.accessor(ctx)
-	if !ok {
-		g.logBlock(BlockEvent{Kind: BlockInline, Accessor: "inline"})
-		return
-	}
-	site := ctx.PageDomain()
-	creator, exists := g.bg.lookup(rec.Name)
-	if !exists {
-		g.bg.record(rec.Name, accessor)
-		p.next.StoreSet(ctx, rec)
-		return
-	}
-	if g.mayAccess(accessor, creator, site) {
-		p.next.StoreSet(ctx, rec)
-		return
-	}
-	kind := BlockWrite
-	if browser.StoreSetDeletes(rec, g.clock.Now()) {
-		kind = BlockDelete
-	}
-	g.logBlock(BlockEvent{Kind: kind, Name: rec.Name, Accessor: accessor, Creator: creator})
 }
 
 func (p *pageWrapper) StoreDelete(ctx browser.AccessContext, name string) {

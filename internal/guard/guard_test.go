@@ -2,6 +2,7 @@ package guard
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
 	"reflect"
@@ -402,13 +403,15 @@ func TestPerOpOverheadCharged(t *testing.T) {
 // after another domain's script created x: document.cookie assignments
 // and cookieStore.set calls. The guard blocks it, names the cookie the
 // jar's parser reads, and calls it a delete exactly when the jar,
-// unguarded, would have deleted x by it. An assignment with no name is
-// dropped without a block.
+// unguarded, would have deleted x by it. A write the jar rejects is
+// dropped without a block, and no write records a creator: the guard
+// knows only x and the page's HTTP cookie.
 func TestBlockKindMatchesJar(t *testing.T) {
 	const page = "https://www.shop.example/"
 	type write struct {
-		script string                                    // the attacker's call
-		apply  func(*cookiejar.Jar) cookiejar.ChangeKind // the same write, unguarded
+		script string // the attacker's call
+		src    cookiejar.Source
+		line   string // the line the jar parses for it
 	}
 	var writes []write
 	for _, assignment := range []string{
@@ -426,20 +429,19 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		"x=1",
 		"=bad",
 	} {
-		writes = append(writes, write{
-			script: fmt.Sprintf(`doc_set_cookie(%q);`, assignment),
-			apply:  func(j *cookiejar.Jar) cookiejar.ChangeKind { return j.SetFromDocument(page, assignment) },
-		})
+		writes = append(writes, write{fmt.Sprintf(`doc_set_cookie(%q);`, assignment), cookiejar.SourceDocument, assignment})
 	}
 	// cookieStore: a negative max_age deletes, 0 is a session cookie.
 	for _, maxAge := range []int64{-1, 0, 600} {
 		rec := jsdsl.CookieRecord{Name: "x", Value: "v", MaxAge: maxAge}
-		writes = append(writes, write{
-			script: fmt.Sprintf(`cookiestore_set("x", "v", {"max_age": %d});`, maxAge),
-			apply: func(j *cookiejar.Jar) cookiejar.ChangeKind {
-				return j.SetFromCookieStoreAssignment(page, browser.RecordAssignment(rec))
-			},
-		})
+		writes = append(writes, write{fmt.Sprintf(`cookiestore_set("x", "v", {"max_age": %d});`, maxAge),
+			cookiejar.SourceCookieStore, browser.RecordAssignment(rec)})
+	}
+	// cookieStore names the jar trims to x, and one it rejects.
+	for _, name := range []string{" x", "x ", "x;y"} {
+		rec := jsdsl.CookieRecord{Name: name, Value: "v"}
+		writes = append(writes, write{fmt.Sprintf(`cookiestore_set(%q, "v");`, name),
+			cookiejar.SourceCookieStore, browser.RecordAssignment(rec)})
 	}
 	for _, w := range writes {
 		g, _, _ := visitWithGuard(t, guardedWeb(map[string]string{
@@ -458,9 +460,9 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		}
 
 		jar := cookiejar.New(vclock.New())
-		jar.SetFromDocument(page, "x=seed")
+		jar.SetFromScript(page, "x=seed", cookiejar.SourceDocument)
 		want := []BlockEvent{{Kind: BlockWrite, Name: "x", Accessor: "attacker.example", Creator: "setter.example"}}
-		switch w.apply(jar) {
+		switch jar.SetFromScript(page, w.line, w.src) {
 		case cookiejar.ChangeDeleted:
 			want[0].Kind = BlockDelete
 		case cookiejar.ChangeRejected:
@@ -468,6 +470,12 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		}
 		if !reflect.DeepEqual(blocks, want) {
 			t.Errorf("%s: attacker blocks %+v, want %+v", w.script, blocks, want)
+		}
+		g.bg.mu.Lock()
+		creators := maps.Clone(g.bg.creators)
+		g.bg.mu.Unlock()
+		if want := map[string]string{"x": "setter.example", "srv_pref": "shop.example"}; !maps.Equal(creators, want) {
+			t.Errorf("%s: creators %v, want %v", w.script, creators, want)
 		}
 	}
 }

@@ -15,10 +15,9 @@ import (
 // goes nowhere after it is recorded, and every read finds no cookie.
 type discardAPI struct{}
 
-func (discardAPI) SetDocumentCookie(browser.AccessContext, string)        {}
-func (discardAPI) StoreSet(browser.AccessContext, jsdsl.CookieRecord)     {}
-func (discardAPI) StoreDelete(browser.AccessContext, string)              {}
-func (discardAPI) StoreGetAll(browser.AccessContext) []jsdsl.CookieRecord { return nil }
+func (discardAPI) SetCookie(browser.AccessContext, cookiejar.Source, string) {}
+func (discardAPI) StoreDelete(browser.AccessContext, string)                 {}
+func (discardAPI) StoreGetAll(browser.AccessContext) []jsdsl.CookieRecord    { return nil }
 func (discardAPI) GetDocumentCookie(_ browser.AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	return dst
 }
@@ -26,8 +25,10 @@ func (discardAPI) StoreGet(browser.AccessContext, string) (jsdsl.CookieRecord, b
 	return jsdsl.CookieRecord{}, false
 }
 
-// FuzzRecordedAssignment checks the event the recorder logs for a
-// document.cookie assignment against the jar's own parse of it: the name,
+// FuzzRecordedAssignment checks the event the recorder logs for a script
+// write against the jar's own parse of the line it writes: a
+// document.cookie assignment, and the line browser.RecordAssignment
+// renders for a cookieStore.set of a record. The event holds the name,
 // value, domain and path cookiejar.ParseSetCookie reads, and OpDelete
 // exactly when the cookie it parses is already expired. A line with no
 // name is a nameless write.
@@ -53,17 +54,36 @@ func FuzzRecordedAssignment(f *testing.F) {
 		"x=1; Path=/max-age=0",
 		"x=1; Max-Age=9223372037",
 	} {
-		f.Add(s)
+		f.Add(s, "", "", "", "", int64(0), false, "")
+	}
+	// cookieStore.set records: names the jar trims or rejects, attributes
+	// it normalizes, and fields that smuggle attributes into the line.
+	for _, r := range []jsdsl.CookieRecord{
+		{Name: " _tid", Value: "v"},
+		{Name: "_tid ", Value: "v"},
+		{Name: "a;b", Value: "v"},
+		{Name: "a=b", Value: "v"},
+		{Value: "v"},
+		{Name: "a", Value: " 1 "},
+		{Name: "a", Value: "1", Domain: ".Example.COM", Path: "/p", MaxAge: 5, Secure: true, SameSite: "Lax"},
+		{Name: "a", MaxAge: -1},
+		{Name: "a", Value: "1; Max-Age=0"},
+		{Name: "a", Value: "1", SameSite: "Lax; Domain=x.example; Max-Age=-1"},
+	} {
+		f.Add("", r.Name, r.Value, r.Domain, r.Path, r.MaxAge, r.Secure, r.SameSite)
 	}
 	clock := vclock.New()
-	f.Fuzz(func(t *testing.T, assignment string) {
+	check := func(t *testing.T, src cookiejar.Source, line string) {
 		rec := NewRecorder()
 		defer rec.Release()
 		api := &recordingAPI{rec: rec, next: discardAPI{}, clock: clock}
-		api.SetDocumentCookie(browser.AccessContext{PageURL: "https://www.shop.example/"}, assignment)
+		api.SetCookie(browser.AccessContext{PageURL: "https://www.shop.example/"}, src, line)
 		got := rec.Events()[0]
 		want := CookieEvent{Op: OpWrite, API: APIDocument}
-		if c := cookiejar.ParseSetCookie(assignment, clock.Now()); c != nil {
+		if src == cookiejar.SourceCookieStore {
+			want.API = APICookieStore
+		}
+		if c := cookiejar.ParseSetCookie(line, clock.Now()); c != nil {
 			want.Name, want.Value, want.Domain, want.Path = c.Name, c.Value, c.Domain, c.Path
 			if c.Expired(clock.Now()) {
 				want.Op = OpDelete
@@ -71,8 +91,13 @@ func FuzzRecordedAssignment(f *testing.F) {
 		}
 		got.MaxAge = 0 // not a field of the parsed cookie
 		if got != want {
-			t.Fatalf("recorded %q as %+v, the jar parses %+v", assignment, got, want)
+			t.Fatalf("recorded %s line %q as %+v, the jar parses %+v", src, line, got, want)
 		}
+	}
+	f.Fuzz(func(t *testing.T, assignment, name, value, domain, path string, maxAge int64, secure bool, sameSite string) {
+		check(t, cookiejar.SourceDocument, assignment)
+		check(t, cookiejar.SourceCookieStore, browser.RecordAssignment(jsdsl.CookieRecord{
+			Name: name, Value: value, Domain: domain, Path: path, MaxAge: maxAge, Secure: secure, SameSite: sameSite}))
 	})
 }
 
@@ -137,7 +162,7 @@ func FuzzRecordedReads(f *testing.F) {
 				api.StoreGetAll(r.ctx)
 				ev.Op, ev.API = OpRead, APICookieStore
 			case 3:
-				api.SetDocumentCookie(r.ctx, name+"=1")
+				api.SetCookie(r.ctx, cookiejar.SourceDocument, name+"=1")
 				ev.Op, ev.API, ev.Name, ev.Value = OpWrite, APIDocument, name, "1"
 			case 4:
 				api.StoreDelete(r.ctx, name)

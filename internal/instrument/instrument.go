@@ -43,14 +43,15 @@ const (
 
 // CookieEvent is one recorded cookie operation.
 //
-// A document.cookie assignment is parsed by cookiejar.ParseAssignment,
-// the parser the jar itself uses. It is recorded as
-// OpDelete exactly when the jar treats it as a deletion: when
-// Assignment.Expired holds on the browser's clock (a last valid Max-Age
-// of zero or less, or, without a valid Max-Age, an Expires date not
-// after now). An assignment with no name is recorded as an OpWrite with
-// no name or attributes; the jar rejects it. A cookieStore.set is
-// recorded as OpDelete exactly when browser.StoreSetDeletes holds.
+// A write through either API, a document.cookie assignment or the line
+// a cookieStore.set call renders to (browser.RecordAssignment), is
+// parsed by cookiejar.ParseAssignment, the parser the jar itself uses,
+// and recorded with the name, value and attributes that parse reads. It
+// is recorded as OpDelete exactly when the jar treats it as a deletion:
+// when Assignment.Expired holds on the browser's clock (a last valid
+// Max-Age of zero or less, or, without a valid Max-Age, an Expires date
+// not after now). A line with no name is recorded as an OpWrite with no
+// name or attributes; the jar rejects it.
 //
 // Reads are counted, not recorded per call: a visit holds one OpRead
 // entry per (ScriptURL, Inline, MainFrame, API), at that key's first
@@ -394,8 +395,12 @@ func (a *recordingAPI) GetDocumentCookie(ctx browser.AccessContext, dst []jsdsl.
 	return out
 }
 
-func (a *recordingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
-	ev := baseEvent(ctx, OpWrite, APIDocument)
+func (a *recordingAPI) SetCookie(ctx browser.AccessContext, src cookiejar.Source, assignment string) {
+	api := APIDocument
+	if src == cookiejar.SourceCookieStore {
+		api = APICookieStore
+	}
+	ev := baseEvent(ctx, OpWrite, api)
 	if as, ok := cookiejar.ParseAssignment(assignment); ok {
 		ev.Name, ev.Value = as.Name, as.Value
 		ev.Domain, ev.Path, ev.MaxAge = as.Domain, as.Path, as.MaxAge
@@ -404,7 +409,7 @@ func (a *recordingAPI) SetDocumentCookie(ctx browser.AccessContext, assignment s
 		}
 	}
 	a.rec.append(ev)
-	a.next.SetDocumentCookie(ctx, assignment)
+	a.next.SetCookie(ctx, src, assignment)
 }
 
 func (a *recordingAPI) StoreGet(ctx browser.AccessContext, name string) (jsdsl.CookieRecord, bool) {
@@ -417,20 +422,6 @@ func (a *recordingAPI) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieReco
 	recs := a.next.StoreGetAll(ctx)
 	a.rec.read(ctx, APICookieStore)
 	return recs
-}
-
-func (a *recordingAPI) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord) {
-	ev := baseEvent(ctx, OpWrite, APICookieStore)
-	ev.Name = rec.Name
-	ev.Value = rec.Value
-	ev.Domain = rec.Domain
-	ev.Path = rec.Path
-	ev.MaxAge = rec.MaxAge
-	if browser.StoreSetDeletes(rec, a.clock.Now()) {
-		ev.Op = OpDelete
-	}
-	a.rec.append(ev)
-	a.next.StoreSet(ctx, rec)
 }
 
 func (a *recordingAPI) StoreDelete(ctx browser.AccessContext, name string) {
