@@ -64,7 +64,9 @@
 // either way. The cache's hit, miss and eviction counts printed beside
 // the throughput do depend on worker scheduling, like the throughput
 // itself: two runs of the same flags can print slightly different
-// counts while every table and record is identical. -cpuprofile writes
+// counts while every table and record is identical. The same line gives
+// the wall time cookieguard.New took to build the synthetic web ("web
+// built in X s"), the run's setup cost. -cpuprofile writes
 // a CPU profile of the whole run (with -crawl-only, of web generation
 // and the measurement crawl), and -memprofile a heap profile taken
 // right after the measurement crawl.
@@ -249,7 +251,9 @@ func run(cfg runConfig) error {
 	if cfg.checkpointDir != "" {
 		studyOpts = append(studyOpts, cookieguard.WithCheckpoint(cfg.checkpointDir))
 	}
+	buildStart := time.Now()
 	study := newPipeline(studyOpts...)
+	buildSecs := time.Since(buildStart).Seconds()
 	// SIGINT/SIGTERM cancels the crawl; in-flight visits drain, a journal
 	// (if -checkpoint) flushes its final state, and main exits 130. A
 	// second signal kills the process the default way.
@@ -279,8 +283,8 @@ func run(cfg runConfig) error {
 	// analysis counts every log in SitesTotal.
 	units := float64(s.SitesTotal)
 	cs := study.CacheStats()
-	fmt.Fprintf(out, "throughput %.1f units/s; artifact cache per unit: %.2f / %.2f program, %.2f / %.2f dom, %.2f / %.2f body hits / misses; %.1f MB resident, %d evictions\n\n",
-		units/crawlSecs,
+	fmt.Fprintf(out, "throughput %.1f units/s; web built in %.2f s; artifact cache per unit: %.2f / %.2f program, %.2f / %.2f dom, %.2f / %.2f body hits / misses; %.1f MB resident, %d evictions\n\n",
+		units/crawlSecs, buildSecs,
 		float64(cs.ProgramHits)/units, float64(cs.ProgramMisses)/units,
 		float64(cs.DOMHits)/units, float64(cs.DOMMisses)/units,
 		float64(cs.BodyHits)/units, float64(cs.BodyMisses)/units,

@@ -82,10 +82,3 @@ func main() {
 			float64(gatedTrackers)/float64(max(1, cmpSites)))
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,7 +1,7 @@
 package webgen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"cookieguard/internal/stats"
@@ -16,6 +16,8 @@ type ConsentTracker struct {
 	Category  string // "analytics", "advertising", "functional"
 	ScriptURL string
 	Async     bool // injected via a deferred task instead of synchronously
+
+	quoted string // strconv.Quote(ScriptURL), as the loader embeds it
 }
 
 // ConsentCookie is the consent-state cookie the CMP loader gates on:
@@ -55,7 +57,7 @@ func consentGated(svc *Service) bool {
 // drawn from the site's own rng, so CMP generation never perturbs any
 // other site — and with Config.CMP false no draw happens at all, which
 // keeps the CMP-free web byte-identical.
-func planConsent(s *Site, rng *stats.Rand, w *Web) {
+func planConsent(s *Site, rng *stats.Rand, tm *Service) {
 	var direct []*Service
 	for _, svc := range s.DirectServices {
 		if !consentGated(svc) {
@@ -67,16 +69,18 @@ func planConsent(s *Site, rng *stats.Rand, w *Web) {
 			Category:  consentCategory(svc.Kind),
 			ScriptURL: svc.URL(),
 			Async:     rng.Bool(0.5),
+			quoted:    svc.quoted,
 		})
 	}
 	s.DirectServices = direct
-	if u := ContainerURL(w, s); u != "" {
+	if u := containerURL(tm, s); u != "" {
 		s.ContainerGated = true
 		s.Consent = append(s.Consent, ConsentTracker{
 			Name:      "googletagmanager-container",
 			Category:  "advertising",
 			ScriptURL: u,
 			Async:     rng.Bool(0.5),
+			quoted:    strconv.Quote(u),
 		})
 	}
 }
@@ -95,36 +99,36 @@ const cmpBannerHTML = `<div id="cmp-banner" style="display:none">We value your p
 // sets the denial cookie; dismiss hides the banner and leaves the
 // cookie unset, so a revisit would ask again.
 func cmpLoaderScript(s *Site) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// consent loader for %s: %d gated trackers\n", s.Domain, len(s.Consent))
+	var buf [96]string
+	p := append(buf[:0], "// consent loader for ", s.Domain, ": ", strconv.Itoa(len(s.Consent)), " gated trackers\n")
 	injectAll := func(indent string) {
 		for _, t := range s.Consent {
 			if t.Async {
-				fmt.Fprintf(&b, "%sdefer_run(fn() { inject(%q); });\n", indent, t.ScriptURL)
+				p = append(p, indent, "defer_run(fn() { inject(", t.quoted, "); });\n")
 			} else {
-				fmt.Fprintf(&b, "%sinject(%q);\n", indent, t.ScriptURL)
+				p = append(p, indent, "inject(", t.quoted, ");\n")
 			}
 		}
 	}
-	fmt.Fprintf(&b, "let consent = get_cookie(%q);\n", ConsentCookie)
-	b.WriteString(`if (consent == "granted") {` + "\n")
+	p = append(p, "let consent = get_cookie(\""+ConsentCookie+"\");\n"+
+		`if (consent == "granted") {`+"\n")
 	injectAll("  ")
-	b.WriteString("  dom_remove(\"cmp-banner\");\n}\n")
-	b.WriteString(`if (consent == "denied") {
+	p = append(p, "  dom_remove(\"cmp-banner\");\n}\n"+
+		`if (consent == "denied") {
   dom_remove("cmp-banner");
 }
-`)
-	b.WriteString("if (consent == null) {\n")
-	b.WriteString("  dom_set_style(\"cmp-banner\", \"display\", \"block\");\n")
-	b.WriteString("  on_click_id(\"cmp-accept\", fn() {\n")
-	fmt.Fprintf(&b, "    set_cookie(%q, \"granted\", {\"max_age\": 31536000});\n", ConsentCookie)
+`+
+		"if (consent == null) {\n"+
+		"  dom_set_style(\"cmp-banner\", \"display\", \"block\");\n"+
+		"  on_click_id(\"cmp-accept\", fn() {\n"+
+		"    set_cookie(\""+ConsentCookie+"\", \"granted\", {\"max_age\": 31536000});\n")
 	injectAll("    ")
-	b.WriteString("    dom_remove(\"cmp-banner\");\n  });\n")
-	b.WriteString("  on_click_id(\"cmp-reject\", fn() {\n")
-	fmt.Fprintf(&b, "    set_cookie(%q, \"denied\", {\"max_age\": 31536000});\n", ConsentCookie)
-	b.WriteString("    dom_remove(\"cmp-banner\");\n  });\n")
-	b.WriteString("  on_click_id(\"cmp-dismiss\", fn() {\n")
-	b.WriteString("    dom_set_style(\"cmp-banner\", \"display\", \"none\");\n  });\n")
-	b.WriteString("}\n")
-	return b.String()
+	p = append(p, "    dom_remove(\"cmp-banner\");\n  });\n"+
+		"  on_click_id(\"cmp-reject\", fn() {\n"+
+		"    set_cookie(\""+ConsentCookie+"\", \"denied\", {\"max_age\": 31536000});\n"+
+		"    dom_remove(\"cmp-banner\");\n  });\n"+
+		"  on_click_id(\"cmp-dismiss\", fn() {\n"+
+		"    dom_set_style(\"cmp-banner\", \"display\", \"none\");\n  });\n"+
+		"}\n")
+	return strings.Join(p, "")
 }

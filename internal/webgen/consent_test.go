@@ -17,11 +17,12 @@ func cmpConfig(n int) Config {
 
 func TestConsentOffGeneratesNoCMPArtifacts(t *testing.T) {
 	w := Build(DefaultConfig(120))
+	r := newRenderer(w)
 	for _, s := range w.Sites {
 		if len(s.Consent) > 0 || s.ContainerGated {
 			t.Fatalf("site %s carries CMP state with Config.CMP off", s.Domain)
 		}
-		html := landingHTML(w, s)
+		html := r.landingHTML(s)
 		if strings.Contains(html, "cmp-banner") || strings.Contains(html, "/assets/cmp.js") {
 			t.Fatalf("site %s landing page carries CMP artifacts with Config.CMP off", s.Domain)
 		}
@@ -46,6 +47,7 @@ func TestConsentOffSitePlansUnperturbed(t *testing.T) {
 
 func TestConsentManifestGatesTrackers(t *testing.T) {
 	w := Build(cmpConfig(200))
+	r := newRenderer(w)
 	var manifests int
 	for _, s := range w.Sites {
 		for _, svc := range s.DirectServices {
@@ -68,7 +70,7 @@ func TestConsentManifestGatesTrackers(t *testing.T) {
 			if _, err := jsdsl.Parse(cmpLoaderScript(s)); err != nil {
 				t.Fatalf("site %s consent loader does not parse: %v", s.Domain, err)
 			}
-			html := landingHTML(w, s)
+			html := r.landingHTML(s)
 			if !strings.Contains(html, "cmp-banner") || !strings.Contains(html, "/assets/cmp.js") {
 				t.Fatalf("site %s landing page missing banner or loader", s.Domain)
 			}

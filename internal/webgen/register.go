@@ -1,9 +1,9 @@
 package webgen
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"cookieguard/internal/netsim"
@@ -135,17 +135,41 @@ func (r *registry) install(in *netsim.Internet) {
 	}
 }
 
-// registerServices installs every third-party script and all beacon sinks.
-func registerServices(in *netsim.Internet, w *Web) {
+// renderer holds what many sites' bodies share, looked up or rendered
+// once per web: the tag-manager service, the two variants of its
+// container's vendor-tag block, and the host behind the cloaked alias.
+// It is read-only once built, so sites render on many goroutines.
+type renderer struct {
+	tm *Service // googletagmanager; nil when the universe lacks it
+	// exfilTail and exfilTailFP end an exfiltrating site's container;
+	// exfilTailFP also reads fp_client_id (every third rank).
+	exfilTail, exfilTailFP string
+	cloakHost              string // longtail-trk-0000's host; "" when absent
+}
+
+func newRenderer(w *Web) *renderer {
+	r := &renderer{tm: findService(w, "googletagmanager")}
+	if r.tm != nil {
+		r.exfilTail = containerExfilTail(r.tm, false)
+		r.exfilTailFP = containerExfilTail(r.tm, true)
+	}
+	if trk := findService(w, "longtail-trk-0000"); trk != nil {
+		r.cloakHost = trk.Host
+	}
+	return r
+}
+
+// registerServices installs every third-party script, the per-site
+// tag-manager containers (containers[i] is site i's, rendered by
+// Register), and all beacon sinks.
+func registerServices(in *netsim.Internet, w *Web, tm *Service, containers []string) {
 	reg := newRegistry()
 	for _, svc := range w.Services {
 		reg.add(svc.Host, svc.Path, svc.Source, "application/javascript")
 	}
-	// Per-site tag-manager containers.
-	tm := findService(w, "googletagmanager")
-	for _, s := range w.Sites {
+	for i, s := range w.Sites {
 		if s.HasTagManager && tm != nil {
-			reg.add(tm.Host, containerPath(s), containerScript(s, tm), "application/javascript")
+			reg.add(tm.Host, containerPath(s), containers[i], "application/javascript")
 		}
 	}
 	// Every partner endpoint becomes a 204 sink.
@@ -168,34 +192,40 @@ func findService(w *Web, name string) *Service {
 }
 
 func containerPath(s *Site) string {
-	return fmt.Sprintf("/container/site%05d.js", s.Rank)
+	var buf [48]byte
+	return string(append(appendSiteLabel(append(buf[:0], "/container/"...), s.Rank), ".js"...))
 }
 
 // ContainerURL returns the per-site GTM container script URL.
 func ContainerURL(w *Web, s *Site) string {
-	tm := findService(w, "googletagmanager")
+	return containerURL(findService(w, "googletagmanager"), s)
+}
+
+// containerURL is ContainerURL given the tag-manager service (nil when
+// the universe lacks it).
+func containerURL(tm *Service, s *Site) string {
 	if tm == nil || !s.HasTagManager {
 		return ""
 	}
 	return "https://" + tm.Host + containerPath(s)
 }
 
-// registerSite installs one site's pages, first-party script, static
-// assets, CDN sibling, and CNAME-cloaked tracker alias.
-func registerSite(in *netsim.Internet, w *Web, s *Site) {
+// renderSite renders one site's pages, first-party scripts, static
+// assets and CDN sibling into a registry of its own, for Register to
+// install.
+func (r *renderer) renderSite(s *Site) *registry {
 	reg := newRegistry()
 
 	if !s.Flags.Complete {
 		// Incomplete sites fail to load: the crawler's completeness
 		// criterion later drops them (paper: 14,917 of 20,000 retained).
 		reg.addError(s.Host, "/", http.StatusInternalServerError)
-		reg.install(in)
-		return
+		return reg
 	}
 
-	reg.add(s.Host, "/", landingHTML(w, s), "text/html",
-		fmt.Sprintf("srv_session=%s; HttpOnly; Path=/; Max-Age=7200", hexID(s.Domain+"-session", 32)),
-		fmt.Sprintf("srv_csrf=%s; Path=/; Max-Age=7200", hexID(s.Domain+"-csrf", 20)),
+	reg.add(s.Host, "/", r.landingHTML(s), "text/html",
+		"srv_session="+hexID(s.Domain+"-session", 32)+"; HttpOnly; Path=/; Max-Age=7200",
+		"srv_csrf="+hexID(s.Domain+"-csrf", 20)+"; Path=/; Max-Age=7200",
 		"srv_pref=1; Path=/; Max-Age=31536000",
 	)
 	if len(s.Consent) > 0 {
@@ -208,21 +238,12 @@ func registerSite(in *netsim.Internet, w *Web, s *Site) {
 	reg.add(s.Host, "/logo.png", "PNGDATA", "image/png")
 
 	if s.Flags.SSO != "" {
-		reg.add(s.Host, "/login", loginHTML(w, s), "text/html")
+		reg.add(s.Host, "/login", loginHTML(s), "text/html")
 	}
 	if s.Flags.CDNSplit {
 		reg.add(cdnDomain(s), "/chat.js", cdnChatScript(s), "application/javascript")
 	}
-	reg.install(in)
-
-	if s.Flags.Cloaked {
-		// CNAME-cloak the first long-tail tracker behind a first-party
-		// subdomain: scripts loaded from metrics.<site> are actually
-		// served by the tracker (§8, "CNAME cloaking").
-		if trk := findService(w, "longtail-trk-0000"); trk != nil {
-			in.AddCNAME("metrics."+s.Domain, trk.Host)
-		}
-	}
+	return reg
 }
 
 // CloakedScriptURL returns the first-party-looking URL of the cloaked
@@ -234,80 +255,85 @@ func CloakedScriptURL(s *Site) string {
 	return "https://metrics." + s.Domain + "/t.js"
 }
 
-func landingHTML(w *Web, s *Site) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html>\n<head>\n<title>%s</title>\n", s.Domain)
-	b.WriteString("<link rel=\"stylesheet\" href=\"/style.css\">\n")
-	b.WriteString("<script src=\"/assets/app.js\"></script>\n")
+// landingHTML renders a site's landing page. It collects the page's
+// pieces first and joins them once, so the page is one allocation.
+func (r *renderer) landingHTML(s *Site) string {
+	const scriptSrc, scriptEnd = "<script src=", "></script>\n"
+	var buf [64]string
+	p := append(buf[:0], "<!DOCTYPE html>\n<html>\n<head>\n<title>", s.Domain, "</title>\n"+
+		"<link rel=\"stylesheet\" href=\"/style.css\">\n"+
+		"<script src=\"/assets/app.js\"></script>\n")
 	if len(s.Consent) > 0 {
 		// The CMP loader replaces the gated trackers' direct tags: it
 		// injects them only once the consent cookie reads "granted".
-		b.WriteString("<script src=\"/assets/cmp.js\"></script>\n")
+		p = append(p, "<script src=\"/assets/cmp.js\"></script>\n")
 	}
 	for _, svc := range s.DirectServices {
-		fmt.Fprintf(&b, "<script src=%q></script>\n", svc.URL())
+		p = append(p, scriptSrc, svc.quoted, scriptEnd)
 	}
-	if u := ContainerURL(w, s); u != "" && !s.ContainerGated {
-		fmt.Fprintf(&b, "<script src=%q></script>\n", u)
+	if u := containerURL(r.tm, s); u != "" && !s.ContainerGated {
+		p = append(p, scriptSrc, strconv.Quote(u), scriptEnd)
 	}
 	if u := CloakedScriptURL(s); u != "" {
-		fmt.Fprintf(&b, "<script src=%q></script>\n", u)
+		p = append(p, scriptSrc, strconv.Quote(u), scriptEnd)
 	}
 	if s.Flags.CDNSplit {
-		fmt.Fprintf(&b, "<script src=\"https://%s/chat.js\"></script>\n", cdnDomain(s))
+		p = append(p, "<script src=\"https://", cdnDomain(s), "/chat.js\"></script>\n")
 	}
 	if s.Rank%3 == 0 { // inline snippet on a third of sites
-		fmt.Fprintf(&b, "<script>%s</script>\n", inlineSnippet)
+		p = append(p, "<script>"+inlineSnippet+"</script>\n")
 	}
-	b.WriteString("</head>\n<body>\n")
-	b.WriteString("<div id=\"main\"><div id=\"status\">loading</div><div id=\"banner\">Welcome</div></div>\n")
+	p = append(p, "</head>\n<body>\n"+
+		"<div id=\"main\"><div id=\"status\">loading</div><div id=\"banner\">Welcome</div></div>\n")
 	if len(s.Consent) > 0 {
-		b.WriteString(cmpBannerHTML + "\n")
+		p = append(p, cmpBannerHTML+"\n")
 	}
 	if s.Flags.AdSlot {
-		b.WriteString("<div id=\"ad-slot\"></div>\n")
+		p = append(p, "<div id=\"ad-slot\"></div>\n")
 	}
-	b.WriteString("<a href=\"/products\">Products</a>\n<a href=\"/about\">About</a>\n")
+	p = append(p, "<a href=\"/products\">Products</a>\n<a href=\"/about\">About</a>\n")
 	if s.Flags.SSO != "" {
-		b.WriteString("<a href=\"/login\">Sign in</a>\n")
+		p = append(p, "<a href=\"/login\">Sign in</a>\n")
 	}
-	b.WriteString("<img src=\"/logo.png\">\n")
-	fmt.Fprintf(&b, "<div id=\"content\"><p>Welcome to %s.</p></div>\n", s.Domain)
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+	p = append(p, "<img src=\"/logo.png\">\n"+
+		"<div id=\"content\"><p>Welcome to ", s.Domain, ".</p></div>\n"+
+		"</body>\n</html>\n")
+	return strings.Join(p, "")
 }
 
+// subpageHTML renders a subpage; contentID is an HTML id that needs no
+// quoting.
 func subpageHTML(s *Site, title, contentID string) string {
-	return fmt.Sprintf(`<!DOCTYPE html>
+	return `<!DOCTYPE html>
 <html>
-<head><title>%s — %s</title>
+<head><title>` + title + " — " + s.Domain + `</title>
 <script src="/assets/app.js"></script>
 </head>
 <body>
 <div id="status">loading</div>
-<div id=%q>%s content</div>
+<div id="` + contentID + `">` + title + ` content</div>
 <a href="/">Home</a>
 </body>
 </html>
-`, title, s.Domain, contentID, title)
+`
 }
 
-func loginHTML(w *Web, s *Site) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html>\n<head><title>Sign in — %s</title>\n", s.Domain)
-	b.WriteString("<script src=\"/assets/app.js\"></script>\n")
+func loginHTML(s *Site) string {
+	var buf [12]string
+	p := append(buf[:0], "<!DOCTYPE html>\n<html>\n<head><title>Sign in — ", s.Domain, "</title>\n"+
+		"<script src=\"/assets/app.js\"></script>\n")
 	switch s.Flags.SSO {
 	case "single":
-		fmt.Fprintf(&b, "<script src=\"https://%s/login-single.js\"></script>\n", s.IdPA)
+		p = append(p, "<script src=\"https://", s.IdPA, "/login-single.js\"></script>\n")
 	case "same-entity", "cross-entity":
-		fmt.Fprintf(&b, "<script src=\"https://%s/login.js\"></script>\n", s.IdPA)
-		fmt.Fprintf(&b, "<script src=\"https://%s/session.js\"></script>\n", s.IdPB)
+		p = append(p, "<script src=\"https://", s.IdPA, "/login.js\"></script>\n",
+			"<script src=\"https://", s.IdPB, "/session.js\"></script>\n")
 	case "refresher":
-		fmt.Fprintf(&b, "<script src=\"https://%s/login-single.js\"></script>\n", s.IdPA)
-		b.WriteString("<script src=\"https://session-keeper.example/keeper.js\"></script>\n")
+		p = append(p, "<script src=\"https://", s.IdPA, "/login-single.js\"></script>\n",
+			"<script src=\"https://session-keeper.example/keeper.js\"></script>\n")
 	}
-	b.WriteString("</head>\n<body>\n<div id=\"status\">loading</div>\n<div id=\"login-form\">Sign in with SSO</div>\n<a href=\"/\">Home</a>\n</body>\n</html>\n")
-	return b.String()
+	p = append(p, "</head>\n<body>\n<div id=\"status\">loading</div>\n<div id=\"login-form\">Sign in with SSO</div>\n<a href=\"/\">Home</a>\n</body>\n</html>\n")
+	return strings.Join(p, "")
 }
 
 // registerIdPs installs identity-provider script hosts.

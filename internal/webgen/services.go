@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cookieguard/internal/stats"
@@ -65,7 +66,8 @@ type Service struct {
 	// Source is the generated SiteScript body.
 	Source string
 
-	url string // "https://" + Host + Path, set when buildServices adds it
+	url    string // "https://" + Host + Path, set when buildServices adds it
+	quoted string // strconv.Quote(url), the form every generated page and script embeds
 }
 
 // URL returns the script's absolute URL.
@@ -97,6 +99,7 @@ func buildServices(cfg Config, rng *stats.Rand) []*Service {
 			s.Host = s.Domain
 		}
 		s.url = "https://" + s.Host + s.Path
+		s.quoted = strconv.Quote(s.url)
 		out = append(out, s)
 		return s
 	}

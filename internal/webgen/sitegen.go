@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cookieguard/internal/stats"
@@ -78,37 +79,37 @@ func newServicePicker(services []*Service, cfg Config) *servicePicker {
 	return p
 }
 
-// pickDistinct samples services by popularity without repeats.
-func pickDistinct(rng *stats.Rand, z *stats.Zipf, pool []*Service, n int, seen map[*Service]bool) []*Service {
-	var out []*Service
-	for tries := 0; len(out) < n && tries < n*20; tries++ {
-		s := pool[z.Sample(rng)]
-		if seen[s] {
-			continue
+// pickDistinct appends to chosen up to n services sampled by popularity,
+// skipping any already chosen. A site chooses a few dozen services at
+// most, so a scan of chosen is cheaper than a set.
+func pickDistinct(rng *stats.Rand, z *stats.Zipf, pool []*Service, n int, chosen []*Service) []*Service {
+	want := len(chosen) + n
+	for tries := 0; len(chosen) < want && tries < n*20; tries++ {
+		if s := pool[z.Sample(rng)]; !slices.Contains(chosen, s) {
+			chosen = append(chosen, s)
 		}
-		seen[s] = true
-		out = append(out, s)
 	}
-	return out
+	return chosen
 }
 
 // planServices decides which services a site includes and how (direct vs
 // injected via the tag-manager container).
 func planServices(cfg Config, s *Site, rng *stats.Rand, picker *servicePicker) {
 	f := s.Flags
-	seen := map[*Service]bool{}
-	var chosen []*Service
-	include := func(svc *Service) {
-		if svc != nil && !seen[svc] {
-			seen[svc] = true
-			chosen = append(chosen, svc)
-		}
-	}
 
 	// Total third-party script budget (mean ≈ 19 with a heavy tail).
 	n := 1 + rng.Poisson(cfg.MeanTPBase)
 	if rng.Bool(cfg.PHeavySite) {
 		n += rng.Poisson(cfg.MeanTPHeavy)
+	}
+
+	// The budget plus room for the mandatory picks below, which may
+	// exceed it on a small budget.
+	chosen := make([]*Service, 0, n+16)
+	include := func(svc *Service) {
+		if svc != nil && !slices.Contains(chosen, svc) {
+			chosen = append(chosen, svc)
+		}
 	}
 
 	// Mandatory picks realizing the site's planned behaviours.
@@ -117,9 +118,7 @@ func planServices(cfg Config, s *Site, rng *stats.Rand, picker *servicePicker) {
 			include(stats.Pick(rng, picker.bulkExfil))
 		}
 		k := 1 + rng.Intn(3)
-		for _, svc := range pickDistinct(rng, picker.zipfExfil, picker.exfil, k, seen) {
-			chosen = append(chosen, svc)
-		}
+		chosen = pickDistinct(rng, picker.zipfExfil, picker.exfil, k, chosen)
 		// Guarantee setters exist for the exfiltrators' main targets.
 		include(picker.ownerOf["_ga"])  // google-analytics or gtm
 		include(picker.ownerOf["_fbp"]) // facebook pixel
@@ -160,12 +159,8 @@ func planServices(cfg Config, s *Site, rng *stats.Rand, picker *servicePicker) {
 	if remaining > 0 {
 		trackers := int(float64(remaining)*0.70 + 0.5)
 		functional := remaining - trackers
-		for _, svc := range pickDistinct(rng, picker.zipfSetters, picker.setters, trackers, seen) {
-			chosen = append(chosen, svc)
-		}
-		for _, svc := range pickDistinct(rng, picker.zipfFunc, picker.functional, functional, seen) {
-			chosen = append(chosen, svc)
-		}
+		chosen = pickDistinct(rng, picker.zipfSetters, picker.setters, trackers, chosen)
+		chosen = pickDistinct(rng, picker.zipfFunc, picker.functional, functional, chosen)
 	}
 
 	// Partition into direct vs tag-manager-injected (§5.6). Sites with a
@@ -174,14 +169,27 @@ func planServices(cfg Config, s *Site, rng *stats.Rand, picker *servicePicker) {
 	if s.HasTagManager {
 		include(picker.tagManager)
 	}
+	// Both lists share one array: direct services fill it from the
+	// front, injected ones from the back, reversed into order after.
+	split := make([]*Service, len(chosen))
+	d, j := 0, len(split)
 	for _, svc := range chosen {
 		direct := !s.HasTagManager || svc == picker.tagManager ||
 			rng.Bool(cfg.PDirectInclusion)
 		if direct {
-			s.DirectServices = append(s.DirectServices, svc)
+			split[d] = svc
+			d++
 		} else {
-			s.InjectedServices = append(s.InjectedServices, svc)
+			j--
+			split[j] = svc
 		}
+	}
+	slices.Reverse(split[j:])
+	if d > 0 {
+		s.DirectServices = split[:d:d]
+	}
+	if j < len(split) {
+		s.InjectedServices = split[j:]
 	}
 }
 
@@ -192,10 +200,10 @@ func planServices(cfg Config, s *Site, rng *stats.Rand, picker *servicePicker) {
 // optionally perform the cross-domain actions that survive CookieGuard's
 // owner-full-access policy (the Figure 5 residual).
 func fpScript(s *Site) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// first-party app.js for %s\n", s.Domain)
+	var buf [9]string
+	p := append(buf[:0], "// first-party app.js for ", s.Domain, "\n")
 	if s.Flags.FPCookies {
-		b.WriteString(`let pref = get_cookie("site_theme");
+		p = append(p, `let pref = get_cookie("site_theme");
 if (pref == null) { set_cookie("site_theme", "light", {"max_age": 31536000}); }
 let cid = get_cookie("fp_client_id");
 if (cid == null) { set_cookie("fp_client_id", rand_id(16) + "." + str(now_ms()), {"max_age": 63072000}); }
@@ -207,31 +215,31 @@ set_cookie("ab_bucket", "b", {"max_age": 604800});
 	if s.Flags.FPExfil {
 		// Server-side-tagging pattern (§5.7): the site's own script
 		// forwards third-party identifiers to an analytics relay.
-		b.WriteString(`let xga = get_cookie("_ga");
+		p = append(p, `let xga = get_cookie("_ga");
 if (xga != null) { send("https://relay.fp-analytics.example/ingest", {"ga": xga, "u": page_url()}); }
 let xfbp = get_cookie("_fbp");
 if (xfbp != null) { send("https://relay.fp-analytics.example/ingest", {"fbp": xfbp, "u": page_url()}); }
 `)
 	}
 	if s.Flags.FPOverwrite {
-		b.WriteString(`let xgcl = get_cookie("_gcl_au");
+		p = append(p, `let xgcl = get_cookie("_gcl_au");
 if (xgcl != null) { set_cookie("_gcl_au", "1.1." + rand_id(10) + "." + str(now_ms()), {"max_age": 7776000}); }
 `)
 	}
 	if s.Flags.FPDelete {
-		b.WriteString(`let xuet = get_cookie("_uetvid");
+		p = append(p, `let xuet = get_cookie("_uetvid");
 if (xuet != null) { delete_cookie("_uetvid"); }
 `)
 	}
 	if s.Flags.CDNSplit {
 		// The widget's state cookie, consumed by the sibling-domain
 		// chat script (the facebook.com/fbcdn.net shape).
-		b.WriteString(`set_cookie("widget_state", "boot." + rand_id(12), {"max_age": 3600});
+		p = append(p, `set_cookie("widget_state", "boot." + rand_id(12), {"max_age": 3600});
 `)
 	}
-	b.WriteString(`dom_set_text("status", "ready");
+	p = append(p, `dom_set_text("status", "ready");
 `)
-	return b.String()
+	return strings.Join(p, "")
 }
 
 // cdnChatScript is the CDN-split widget: served from the site's sibling
@@ -239,48 +247,77 @@ if (xuet != null) { delete_cookie("_uetvid"); }
 // strict CookieGuard this is a cross-domain read and fails (major
 // functionality breakage); the entity whitelist repairs it.
 func cdnChatScript(s *Site) string {
-	return fmt.Sprintf(`// chat widget for %s served from %s
+	return "// chat widget for " + s.Domain + " served from " + cdnDomain(s) + `
 let st = get_cookie("widget_state");
 if (st != null) {
   dom_insert("body", "div", {"id": "chat-ready", "class": "chat"});
   set_cookie("chat_ready", "1", {"max_age": 3600});
 }
-`, s.Domain, cdnDomain(s))
+`
 }
 
 // containerScript renders the per-site tag-manager container: it injects
 // the site's indirect services and, mirroring how GTM containers embed
 // vendor tags, performs the container-level cookie reads and sends that
-// make googletagmanager.com the top exfiltrator of Figure 2.
-func containerScript(s *Site, tm *Service) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "// %s container for %s\n", tm.Name, s.Domain)
+// make googletagmanager.com the top exfiltrator of Figure 2. Every line
+// but the header is pre-rendered and the builder is sized up front, so
+// the script is one allocation.
+func (r *renderer) containerScript(s *Site) string {
+	const header, headerFor = "// ", " container for "
+	const inject, injectEnd = "inject(", ");\n"
+	var tail string
+	switch {
+	case !s.Flags.Exfil:
+	case s.Rank%3 == 0:
+		tail = r.exfilTailFP
+	default:
+		tail = r.exfilTail
+	}
+	n := len(header) + len(r.tm.Name) + len(headerFor) + len(s.Domain) + 1 + len(tail)
 	for _, svc := range s.InjectedServices {
-		fmt.Fprintf(&b, "inject(%q);\n", svc.URL())
+		n += len(inject) + len(svc.quoted) + len(injectEnd)
 	}
-	if s.Flags.Exfil {
-		b.WriteString(`let tags = [];
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(header)
+	b.WriteString(r.tm.Name)
+	b.WriteString(headerFor)
+	b.WriteString(s.Domain)
+	b.WriteByte('\n')
+	for _, svc := range s.InjectedServices {
+		b.WriteString(inject)
+		b.WriteString(svc.quoted)
+		b.WriteString(injectEnd)
+	}
+	b.WriteString(tail)
+	return b.String()
+}
+
+// containerExfilTail renders the container's vendor-tag block: shared
+// vendor-tag targets plus, with fpClientID, the site-specific identifier
+// developers push into the data layer (fp_client_id, on a third of
+// sites): the pattern that makes googletagmanager.com the top
+// exfiltrator by unique cookies in Figure 2. It is the same for every
+// site, so each web renders both variants once.
+func containerExfilTail(tm *Service, fpClientID bool) string {
+	var b strings.Builder
+	b.WriteString(`let tags = [];
 `)
-		// Shared vendor-tag targets plus — on a third of sites — the
-		// site-specific identifier developers push into the data layer
-		// (fp_client_id): the pattern that makes googletagmanager.com
-		// the top exfiltrator by unique cookies in Figure 2.
-		targets := append([]string{}, tm.Targets...)
-		if s.Rank%3 == 0 {
-			targets = append(targets, "fp_client_id")
-		}
-		for _, tgt := range targets {
-			id := safeIdent(tgt)
-			fmt.Fprintf(&b, "let c_%s = get_cookie(%q);\n", id, tgt)
-			fmt.Fprintf(&b, "if (c_%s != null && len(c_%s) >= 8) { push(tags, %q + \":\" + c_%s); }\n", id, id, tgt, id)
-		}
-		fmt.Fprintf(&b, "if (len(tags) > 0) {\n")
-		for _, p := range tm.Partners {
-			fmt.Fprintf(&b, "  send(%q, {\"t\": join(tags, \"|\"), \"u\": page_url()});\n",
-				"https://"+p+"/container")
-		}
-		fmt.Fprintf(&b, "}\n")
+	targets := append([]string{}, tm.Targets...)
+	if fpClientID {
+		targets = append(targets, "fp_client_id")
 	}
+	for _, tgt := range targets {
+		id := safeIdent(tgt)
+		fmt.Fprintf(&b, "let c_%s = get_cookie(%q);\n", id, tgt)
+		fmt.Fprintf(&b, "if (c_%s != null && len(c_%s) >= 8) { push(tags, %q + \":\" + c_%s); }\n", id, id, tgt, id)
+	}
+	fmt.Fprintf(&b, "if (len(tags) > 0) {\n")
+	for _, p := range tm.Partners {
+		fmt.Fprintf(&b, "  send(%q, {\"t\": join(tags, \"|\"), \"u\": page_url()});\n",
+			"https://"+p+"/container")
+	}
+	fmt.Fprintf(&b, "}\n")
 	return b.String()
 }
 

@@ -12,6 +12,10 @@ package webgen
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"cookieguard/internal/entity"
 	"cookieguard/internal/netsim"
@@ -209,7 +213,12 @@ type IdPPair struct {
 // SiteTLDs is the TLD mixture for generated sites.
 var SiteTLDs = []string{"com", "com", "com", "org", "net", "io", "co", "de", "co.uk", "fr"}
 
-// Build generates the universe.
+// Build generates the universe. Each site's plan is a pure function of
+// the config, its rank and read-only shared state (the services, the
+// service picker and the IdPs): its random stream is forked from the
+// site stream in rank order first, because a fork advances the parent,
+// and then every site is planned on GOMAXPROCS goroutines. The web is
+// the same whatever GOMAXPROCS is.
 func Build(cfg Config) *Web {
 	if cfg.NumSites <= 0 {
 		cfg.NumSites = 100
@@ -222,19 +231,42 @@ func Build(cfg Config) *Web {
 	w.Entities = buildEntities(cfg, w)
 
 	siteRng := rng.Fork(2)
+	rngs := make([]stats.Rand, cfg.NumSites)
+	for i := range rngs {
+		rngs[i] = *siteRng.Fork(uint64(i + 1))
+	}
 	w.Sites = make([]*Site, cfg.NumSites)
 	picker := newServicePicker(w.Services, cfg)
-	for i := 0; i < cfg.NumSites; i++ {
-		w.Sites[i] = buildSite(cfg, i+1, siteRng.Fork(uint64(i+1)), picker, w)
-	}
+	forEach(cfg.NumSites, func(i int) {
+		w.Sites[i] = buildSite(cfg, i+1, &rngs[i], picker, w)
+	})
 	finalizeEntities(w)
 	return w
+}
+
+// forEach calls f(i) for every i in [0, n) on GOMAXPROCS goroutines and
+// returns once every call has. Calls for different i run concurrently,
+// so f may write only what belongs to i.
+func forEach(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // buildSite plans one site: flags first, then a script mix realizing them.
 func buildSite(cfg Config, rank int, rng *stats.Rand, picker *servicePicker, w *Web) *Site {
 	tld := SiteTLDs[rng.Intn(len(SiteTLDs))]
-	domain := fmt.Sprintf("site%05d.%s", rank, tld)
+	var buf [32]byte
+	domain := string(append(append(appendSiteLabel(buf[:0], rank), '.'), tld...))
 	s := &Site{
 		Rank:   rank,
 		Domain: domain,
@@ -281,7 +313,7 @@ func buildSite(cfg Config, rank int, rng *stats.Rand, picker *servicePicker, w *
 	if f.HasTP {
 		planServices(cfg, s, rng, picker)
 		if cfg.CMP {
-			planConsent(s, rng, w)
+			planConsent(s, rng, picker.tagManager)
 		}
 	}
 	return s
@@ -309,11 +341,33 @@ func pickIdP(pairs []IdPPair, mode string, rng *stats.Rand) IdPPair {
 	return candidates[rng.Intn(len(candidates))]
 }
 
-// Register installs every site and service on the fabric.
+// Register installs every site and service on the fabric. Each site's
+// bodies (its pages, scripts and tag-manager container) are a pure
+// function of its plan and of read-only shared state (the services, the
+// IdPs and the renderer), so they render on GOMAXPROCS goroutines.
+// Installation is serial and in a fixed order: services, then the sites
+// by rank with their CNAMEs, then the IdPs, so a later registration of
+// a host wins whatever GOMAXPROCS is.
 func (w *Web) Register(in *netsim.Internet) {
-	registerServices(in, w)
-	for _, s := range w.Sites {
-		registerSite(in, w, s)
+	r := newRenderer(w)
+	containers := make([]string, len(w.Sites))
+	sites := make([]*registry, len(w.Sites))
+	forEach(len(w.Sites), func(i int) {
+		s := w.Sites[i]
+		if s.HasTagManager && r.tm != nil {
+			containers[i] = r.containerScript(s)
+		}
+		sites[i] = r.renderSite(s)
+	})
+	registerServices(in, w, r.tm, containers)
+	for i, s := range w.Sites {
+		sites[i].install(in)
+		if s.Flags.Complete && s.Flags.Cloaked && r.cloakHost != "" {
+			// CNAME-cloak the first long-tail tracker behind a
+			// first-party subdomain: scripts loaded from metrics.<site>
+			// are actually served by the tracker (§8, "CNAME cloaking").
+			in.AddCNAME("metrics."+s.Domain, r.cloakHost)
+		}
 	}
 	registerIdPs(in, w)
 }
@@ -420,5 +474,18 @@ func finalizeEntities(w *Web) {
 // cdnDomain is the sibling domain serving a CDN-split site's own widget
 // (the facebook.com / fbcdn.net shape).
 func cdnDomain(s *Site) string {
-	return fmt.Sprintf("site%05d-cdn.example", s.Rank)
+	var buf [32]byte
+	return string(append(appendSiteLabel(buf[:0], s.Rank), "-cdn.example"...))
+}
+
+// appendSiteLabel appends "site" and the rank zero-padded to five
+// digits, as fmt's "site%05d" prints it.
+func appendSiteLabel(dst []byte, rank int) []byte {
+	dst = append(dst, "site"...)
+	for p := 10000; p > 1; p /= 10 {
+		if rank < p {
+			dst = append(dst, '0')
+		}
+	}
+	return strconv.AppendInt(dst, int64(rank), 10)
 }

@@ -5,7 +5,6 @@ import (
 
 	"cookieguard/internal/browser"
 	"cookieguard/internal/jsdsl"
-	"cookieguard/internal/stats"
 )
 
 func TestBuildDeterministic(t *testing.T) {
@@ -38,13 +37,13 @@ func TestAllServiceSourcesParse(t *testing.T) {
 
 func TestGeneratedSiteScriptsParse(t *testing.T) {
 	w := Build(DefaultConfig(40))
-	tm := findService(w, "googletagmanager")
+	r := newRenderer(w)
 	for _, s := range w.Sites {
 		if _, err := jsdsl.Parse(fpScript(s)); err != nil {
 			t.Fatalf("site %s app.js: %v", s.Domain, err)
 		}
 		if s.HasTagManager {
-			if _, err := jsdsl.Parse(containerScript(s, tm)); err != nil {
+			if _, err := jsdsl.Parse(r.containerScript(s)); err != nil {
 				t.Fatalf("site %s container: %v", s.Domain, err)
 			}
 		}
@@ -334,12 +333,12 @@ func TestConfigZeroSitesDefaults(t *testing.T) {
 	}
 }
 
-var sinkWeb *Web
-
-func BenchmarkBuild1000(b *testing.B) {
+// BenchmarkBuildInternet3000 times what cookieguard.New spends on its
+// web: Build plus BuildInternet at 3,000 sites, paper-measure's setup.
+func BenchmarkBuildInternet3000(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkWeb = Build(DefaultConfig(1000))
+	for b.Loop() {
+		Build(DefaultConfig(3000)).BuildInternet()
 	}
 }
 
@@ -353,5 +352,4 @@ func TestStatsRandIsolated(t *testing.T) {
 			t.Fatalf("site %d flags depend on population size", i)
 		}
 	}
-	_ = stats.NewRand(0) // keep import
 }
