@@ -1,7 +1,17 @@
 // Command analyze runs the §4.4 analysis framework over JSONL visit logs
-// produced by cmd/crawl, printing Tables 1/2/5, Figures 2/8, and the
-// headline statistics. Logs are folded into the analyzer one line at a
-// time (Observe/Finalize), so the input never needs to fit in memory.
+// produced by cmd/crawl, printing a few headline counts and the §5
+// measurement report cmd/experiments prints (report.Measurement). Logs
+// are folded into the analyzer one line at a time (Observe/Finalize), so
+// the input never needs to fit in memory.
+//
+// Limitation: analyze groups domains into entities with the default
+// entity map, not the generated web's, which the logs do not carry and
+// which needs the web's seed and size to rebuild. A CDN-split site's two
+// domains and a same-entity IdP's two domains are therefore separate
+// entities here, where cookieguard.Pipeline's own analysis joins them
+// ("site01408.com" against "Site site01408.com"). On large webs some
+// pair rows, and the entity columns of Tables 2 and 5 built from them,
+// can differ from the pipeline's fold of the same logs.
 //
 // Usage:
 //
@@ -33,12 +43,8 @@ func main() {
 		in = f
 	}
 
-	clf := filterlist.DefaultClassifier()
 	an := analysis.New()
-	an.IsTracker = func(scriptURL, siteDomain string) bool {
-		ok, _ := clf.IsTracker(filterlist.Request{URL: scriptURL, SiteDomain: siteDomain, Type: filterlist.TypeScript})
-		return ok
-	}
+	an.IsTracker = filterlist.ScriptTracker()
 
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
@@ -60,25 +66,7 @@ func main() {
 		s.SitesWithThirdParty, s.MeanTPScriptsPerSite, 100*s.TrackerScriptShare)
 	fmt.Fprintf(out, "cookie pairs: %d document.cookie, %d cookieStore\n\n",
 		s.UniquePairsDocument, s.UniquePairsCookieStore)
-	report.Failures(out, res.Failures, res.FailureTable())
-	fmt.Fprintln(out)
-	if rows := res.VantageTable(); len(rows) > 1 {
-		// Multi-vantage logs: compare retention and latency tails per
-		// region (single-vantage logs skip the table — nothing to compare).
-		report.Vantages(out, rows)
-		fmt.Fprintln(out)
-	}
-	report.Table1(out, res.Table1())
-	fmt.Fprintln(out)
-	report.Table2(out, res.Table2(20))
-	fmt.Fprintln(out)
-	report.Table5(out, res.Table5(10))
-	fmt.Fprintln(out)
-	report.Bar(out, "Figure 2: top exfiltrators", res.Fig2TopExfiltrators(20))
-	fmt.Fprintln(out)
-	report.Bar(out, "Figure 8a: top overwriters", res.Fig8TopOverwriters(20))
-	fmt.Fprintln(out)
-	report.Bar(out, "Figure 8b: top deleters", res.Fig8TopDeleters(20))
+	report.Measurement(out, res)
 }
 
 func fatal(err error) {

@@ -42,27 +42,16 @@
 //
 // -v prints live counters (progress, fabric faults, cache hit rates,
 // resident bytes and evictions, and pool reuse) to stderr every 100
-// visits. -pooling=false disables per-visit object pooling; pooled and
-// unpooled crawls with the same -seed emit byte-identical records.
+// visits.
 //
-// Scheduling: -second-pass re-crawls visits that failed on transient
-// classes once the primary frontier drains (only the re-crawl's record
-// is emitted, marked with "attempt":2 on its requests); -breaker sheds
-// fetches and visits to hosts whose circuit opened ("circuit-open"
-// failure class) instead of burning the retry budget; -autopilot
-// replaces the breaker's fixed threshold/cooldown constants with
-// per-host values learned from observed inter-failure intervals on the
-// virtual clock; -vantages crawls every site once per named region —
-// region-derived latency and, with -faults, region-seeded fault
-// schedules — all regions through one worker pool, tagging each record
-// with its vantage; -personas crawls every (site, vantage) pair once
-// per named consent persona (accept/reject/dismiss clicks on the
-// generated consent banners, implying -cmp), tagging each record with
-// its persona; -cmp alone generates the consent-manager web without
-// acting on the banners. All of these keep per-(site, vantage,
-// persona) records byte-identical across runs and worker counts for a
-// fixed -seed; -sort orders the output file by that same (site,
-// vantage, persona) key.
+// The crawl flags cmd/experiments shares (-sites, -workers, -seed,
+// -faults, -retries, -second-pass, -breaker, -autopilot, -vantages,
+// -personas, -cmp, -pooling) come from package crawlflags; -h describes
+// each. A second-pass re-crawl's requests carry "attempt":2, and
+// -vantages and -personas tag each record with its vantage and persona.
+// All of them keep per-(site, vantage, persona) records byte-identical
+// across runs and worker counts for a fixed -seed; -sort orders the
+// output file by that same key.
 package main
 
 import (
@@ -75,40 +64,21 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"cookieguard"
+	"cookieguard/internal/crawlflags"
 	"cookieguard/internal/trancolist"
 )
 
 func main() {
-	sites := flag.Int("sites", 1000, "sites to generate and crawl")
-	workers := flag.Int("workers", 16, "concurrent visits")
-	seed := flag.Uint64("seed", 0, "override the default deterministic seed")
+	cf := crawlflags.Register(flag.CommandLine, 1000, "sites to generate and crawl")
 	guarded := flag.Bool("guard", false, "crawl with CookieGuard enabled")
 	sortOut := flag.Bool("sort", false,
 		"emit site-ordered JSONL instead of completion order: with a fixed -seed the whole file is byte-stable across runs and worker counts, so plain diff works (buffers all logs; memory scales with -sites)")
 	outPath := flag.String("o", "-", "output JSONL path (- = stdout)")
 	listPath := flag.String("list", "", "also write the ranked site list (Tranco analogue) to this path")
-	faults := flag.Float64("faults", 0,
-		"overall per-attempt fault rate injected by the fabric (0 disables; deterministic for a fixed -seed)")
-	retries := flag.Int("retries", 1, "attempt budget per fetch under faults (1 = no retries)")
-	secondPass := flag.Bool("second-pass", false,
-		"re-crawl visits that failed on transient classes once the primary frontier drains (the failure-set second pass)")
-	breaker := flag.Bool("breaker", false,
-		"per-host circuit breaking: shed fetches/visits to hosts that keep failing instead of burning the retry budget")
-	autopilot := flag.Bool("autopilot", false,
-		"self-tuning breaker thresholds: learn each host's failure threshold and cooldown from its observed inter-failure intervals (implies -breaker)")
-	vantages := flag.String("vantages", "",
-		"comma-separated vantage-point names; crawls every site once per region (region-derived latency, region-seeded -faults), tagging records with their vantage")
-	personas := flag.String("personas", "",
-		"comma-separated consent personas (e.g. accept,reject,dismiss); crawls every (site, vantage) pair once per persona, clicking the matching consent-banner action before interacting (implies -cmp), tagging records with their persona")
-	cmp := flag.Bool("cmp", false,
-		"generate the web with consent-management platforms (banner + gated trackers) without acting on the banners; implied by -personas")
-	pooling := flag.Bool("pooling", true,
-		"recycle per-visit state (pages, DOM arenas, interpreters) through object pools; -pooling=false reproduces the unpooled baseline byte for byte")
 	verbose := flag.Bool("v", false,
 		"print live crawl counters to stderr (progress, fabric faults, cache hit rates, resident bytes and evictions, pool reuse)")
 	serveAddr := flag.String("serve", "",
@@ -121,13 +91,7 @@ func main() {
 		"crash-injection harness: abort with exit code 3 right after the N-th journaled unit (requires -checkpoint; omit when resuming)")
 	flag.Parse()
 
-	opts := []cookieguard.Option{
-		cookieguard.WithSites(*sites),
-		cookieguard.WithWorkers(*workers),
-		cookieguard.WithSeed(*seed),
-		cookieguard.WithInteract(true),
-		cookieguard.WithPooling(*pooling),
-	}
+	opts := cf.Options()
 	if *verbose {
 		// Live counters every 100 visits (and on the last): fault totals,
 		// cache hit rates and residency, and pool reuse, so long crawls
@@ -151,46 +115,7 @@ func main() {
 	if *guarded {
 		opts = append(opts, cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))
 	}
-	if *faults > 0 {
-		opts = append(opts, cookieguard.WithFaults(cookieguard.UniformFaults(*faults, *seed)))
-	}
-	if *retries > 1 {
-		rp := cookieguard.DefaultRetryPolicy()
-		rp.MaxAttempts = *retries
-		opts = append(opts, cookieguard.WithRetryPolicy(rp))
-	}
-	if *secondPass {
-		opts = append(opts, cookieguard.WithSecondPass(true))
-	}
-	if *breaker {
-		opts = append(opts, cookieguard.WithBreaker(cookieguard.Breaker{Enabled: true}))
-	}
-	if *autopilot {
-		opts = append(opts, cookieguard.WithBreakerAutopilot())
-	}
-	if *vantages != "" {
-		var vs []cookieguard.Vantage
-		for _, name := range strings.Split(*vantages, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				vs = append(vs, cookieguard.RegionVantage(name, *faults, *seed))
-			}
-		}
-		opts = append(opts, cookieguard.WithVantages(vs...))
-	}
-	personaList := splitNames(*personas)
-	if len(personaList) > 0 {
-		opts = append(opts, cookieguard.WithPersonas(personaList...))
-	}
-	if *cmp {
-		opts = append(opts, cookieguard.WithCMP(true))
-	}
-	if *checkpoint != "" {
-		opts = append(opts, cookieguard.WithCheckpoint(*checkpoint))
-	}
-	if *crashAfter > 0 {
-		opts = append(opts, cookieguard.WithCrashAfterUnits(*crashAfter))
-	}
-	p := cookieguard.New(opts...)
+	p := cookieguard.New(append(opts, cookieguard.WithCheckpoint(*checkpoint), cookieguard.WithCrashAfterUnits(*crashAfter))...)
 
 	// SIGINT/SIGTERM cancels the crawl context: workers drain their
 	// in-flight visits, the journal flushes, and the exit path below
@@ -218,10 +143,7 @@ func main() {
 			snapCycle = 64
 		}
 	}
-	total := *sites * len(p.Vantages())
-	if len(personaList) > 0 {
-		total *= len(personaList)
-	}
+	total := cf.Sites * len(p.Vantages()) * max(1, len(p.Personas()))
 
 	if *listPath != "" {
 		f, err := os.Create(*listPath)
@@ -338,20 +260,6 @@ func shutdown(p *cookieguard.Pipeline) {
 	if err := p.Shutdown(sctx); err != nil {
 		fmt.Fprintln(os.Stderr, "crawl: shutdown:", err)
 	}
-}
-
-// splitNames parses a comma-separated name list, dropping empties.
-func splitNames(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 func rate(hits, misses uint64) float64 {

@@ -570,14 +570,8 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 // final aggregate with Finalize.
 func (p *Pipeline) NewAnalyzer() *Analyzer {
 	an := analysis.New()
-	clf := filterlist.DefaultClassifier()
 	an.Entities = p.Web.Entities
-	an.IsTracker = func(scriptURL, siteDomain string) bool {
-		ok, _ := clf.IsTracker(filterlist.Request{
-			URL: scriptURL, SiteDomain: siteDomain, Type: filterlist.TypeScript,
-		})
-		return ok
-	}
+	an.IsTracker = filterlist.ScriptTracker()
 	return an
 }
 

@@ -1,6 +1,6 @@
 // Measurement runs a 200-site mini-crawl of the synthetic web and prints
-// Table 1 plus the top exfiltrated cookies — the §4–5 pipeline end to
-// end, in one streaming pass with live progress.
+// the §5 measurement report (Tables 1, 2 and 5, Figures 2 and 8) — the
+// §4–5 pipeline end to end, in one streaming pass with live progress.
 package main
 
 import (
@@ -34,8 +34,5 @@ func main() {
 	fmt.Printf("sites with third-party scripts: %d (mean %.1f scripts/site, %.0f%% tracking)\n\n",
 		res.Summary.SitesWithThirdParty, res.Summary.MeanTPScriptsPerSite,
 		100*res.Summary.TrackerScriptShare)
-
-	report.Table1(os.Stdout, res.Table1())
-	fmt.Println()
-	report.Table2(os.Stdout, res.Table2(10))
+	report.Measurement(os.Stdout, res)
 }

@@ -168,12 +168,16 @@ func checkSSO(b *browser.Browser, s *webgen.Site) (Severity, error) {
 	return None, nil
 }
 
-// Table3Cell aggregates one (category, severity) percentage.
+// Table3 aggregates one condition's assessment of a sample of sites.
 type Table3 struct {
 	Condition Condition
 	Sites     int
 	// Pct[category][severity] in percent of assessed sites.
 	Pct map[Category]map[Severity]float64
+	// AnyPct is the percent of assessed sites with any category at
+	// minor or worse, counted per site: a site broken in two categories
+	// counts once, so it is not a sum of Pct cells.
+	AnyPct float64
 }
 
 // Evaluate assesses a sample of sites under a condition (Table 3 used a
@@ -187,16 +191,23 @@ func Evaluate(in *netsim.Internet, w *webgen.Web, sample []*webgen.Site, cond Co
 		t.Pct[cat] = map[Severity]float64{}
 	}
 	var reports []SiteReport
+	broken := 0
 	for _, s := range sample {
 		rep, err := checkSite(in, w, s, cond, cache)
 		if err != nil {
 			return t, reports, fmt.Errorf("breakage: %s: %w", s.Domain, err)
 		}
 		reports = append(reports, rep)
+		anyBroken := false
 		for cat, sev := range rep.Results {
 			counts[cat][sev]++
+			anyBroken = anyBroken || sev != None
+		}
+		if anyBroken {
+			broken++
 		}
 	}
+	t.AnyPct = stats.Percent(broken, len(sample))
 	for cat, m := range counts {
 		for sev, c := range m {
 			t.Pct[cat][sev] = stats.Percent(c, len(sample))

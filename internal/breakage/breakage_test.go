@@ -190,3 +190,32 @@ func TestTable3Shape(t *testing.T) {
 		t.Errorf("whitelist SSO major = %.1f%%, want ≈ 3%%", ssoWL)
 	}
 }
+
+// TestAnyPctCountsSites: Table3.AnyPct is the share of sites whose
+// report has any category at minor or worse, one count per site however
+// many categories broke.
+func TestAnyPctCountsSites(t *testing.T) {
+	w, sample := buildWeb(t, 400)
+	in := w.BuildInternet()
+	for _, cond := range []Condition{NoGuard, GuardStrict, GuardWhitelist} {
+		table, reports, err := Evaluate(in, w, sample, cond, artifact.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		broken := 0
+		for _, rep := range reports {
+			for _, sev := range rep.Results {
+				if sev != None {
+					broken++
+					break
+				}
+			}
+		}
+		if want := 100 * float64(broken) / float64(len(sample)); table.AnyPct != want {
+			t.Errorf("%s: AnyPct = %.1f%%, want %.1f%% (%d of %d sites)", cond, table.AnyPct, want, broken, len(sample))
+		}
+		if cond == GuardStrict && broken == 0 {
+			t.Errorf("strict guard broke no site in a %d-site sample", len(sample))
+		}
+	}
+}

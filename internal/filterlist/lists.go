@@ -161,3 +161,13 @@ func DefaultClassifier() *Classifier {
 		Compile("warning-removal", WarningRemovalLines),
 	)
 }
+
+// ScriptTracker compiles the default classifier and returns it as the
+// script-URL test analysis.Analyzer.IsTracker takes.
+func ScriptTracker() func(scriptURL, siteDomain string) bool {
+	clf := DefaultClassifier()
+	return func(scriptURL, siteDomain string) bool {
+		ok, _ := clf.IsTracker(Request{URL: scriptURL, SiteDomain: siteDomain, Type: TypeScript})
+		return ok
+	}
+}

@@ -1,12 +1,14 @@
 // Package report renders the reproduction's tables and figures as text:
 // aligned tables for Tables 1/2/3/4/5, ASCII bar charts for Figures 2/8,
-// boxplot summaries for Figures 6/9/10, and paper-vs-measured comparison
-// rows — the output cmd/experiments prints.
+// boxplot summaries for Figures 6/9/10, the §5 measurement report that
+// cmd/experiments and cmd/analyze share, and the one paper-vs-measured
+// table cmd/experiments ends with.
 package report
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"cookieguard/internal/analysis"
@@ -104,10 +106,6 @@ func Table1(w io.Writer, rows []analysis.Table1Row) {
 func Failures(w io.Writer, s analysis.FailureStats, rows []analysis.FailureRow) {
 	fmt.Fprintf(w, "Failure table: %d visits failed, %d degraded; %d failed requests, %d retries\n",
 		s.VisitsFailed, s.VisitsDegraded, s.RequestsFailed, s.Retries)
-	if len(rows) == 0 {
-		fmt.Fprintln(w, "  (no failures recorded)")
-		return
-	}
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{r.Scope, r.Class, fmt.Sprintf("%d", r.Count)})
@@ -228,7 +226,57 @@ func Table4(w io.Writer, rows []perf.Table4Row) {
 	Table(w, []string{"metric", "normal", "cookieguard"}, out)
 }
 
-// Compare writes one paper-vs-measured line.
-func Compare(w io.Writer, name string, paper, measured float64, unit string) {
-	fmt.Fprintf(w, "  %-46s paper=%-10.1f measured=%-10.1f %s\n", name, paper, measured, unit)
+// Measurement renders the §5 measurement report of a crawl's results.
+// The failure table prints when any visit failed or degraded, and the
+// per-vantage and per-persona tables when there is more than one row
+// to compare; Tables 1, 2 and 5 and Figures 2, 8a and 8b always print.
+func Measurement(w io.Writer, res *analysis.Results) {
+	if f := res.Failures; f.VisitsFailed+f.VisitsDegraded > 0 {
+		Failures(w, f, res.FailureTable())
+		fmt.Fprintln(w)
+	}
+	if rows := res.VantageTable(); len(rows) > 1 {
+		Vantages(w, rows)
+		fmt.Fprintln(w)
+	}
+	if rows := res.PersonaTable(); len(rows) > 1 {
+		Personas(w, rows)
+		fmt.Fprintln(w)
+	}
+	Table1(w, res.Table1())
+	fmt.Fprintln(w)
+	Table2(w, res.Table2(20))
+	fmt.Fprintln(w)
+	Bar(w, "Figure 2: top 20 exfiltrator script domains (unique cookies)", res.Fig2TopExfiltrators(20))
+	fmt.Fprintln(w)
+	Table5(w, res.Table5(10))
+	fmt.Fprintln(w)
+	Bar(w, "Figure 8a: top overwriting domains", res.Fig8TopOverwriters(20))
+	fmt.Fprintln(w)
+	Bar(w, "Figure 8b: top deleting domains", res.Fig8TopDeleters(20))
+	fmt.Fprintln(w)
+}
+
+// PaperRow is one value the paper reports beside the reproduction's
+// measurement of it.
+type PaperRow struct {
+	Source   string // the paper's table, figure or section
+	Name     string
+	Paper    float64
+	Measured float64
+	Unit     string
+}
+
+// PaperTable renders rows as one aligned paper-vs-measured table. Each
+// measured value is printed to its paper value's precision, with at
+// least one decimal.
+func PaperTable(w io.Writer, rows []PaperRow) {
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		paper := strconv.FormatFloat(r.Paper, 'f', -1, 64)
+		_, decimals, _ := strings.Cut(paper, ".")
+		out[i] = []string{r.Source, r.Name, paper, strconv.FormatFloat(r.Measured, 'f', max(1, len(decimals)), 64), r.Unit}
+	}
+	fmt.Fprintln(w, "Paper vs measured")
+	Table(w, []string{"source", "value", "paper", "measured", "unit"}, out)
 }

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,7 +84,6 @@ func TestTableRenderers(t *testing.T) {
 	Table4(&buf, []perf.Table4Row{
 		{Metric: perf.LoadEvent, NormalMean: 3197, NormalMedian: 2008, GuardedMean: 3635, GuardedMedian: 2136},
 	})
-	Compare(&buf, "example", 55.7, 57.5, "%")
 
 	out := buf.String()
 	for _, want := range []string{
@@ -91,10 +92,32 @@ func TestTableRenderers(t *testing.T) {
 		"Table 5", "_fbp", "132",
 		"Table 3", "11%",
 		"Table 4", "3197 ms",
-		"paper=55.7", "measured=57.5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+func TestPaperTable(t *testing.T) {
+	var buf bytes.Buffer
+	PaperTable(&buf, []PaperRow{
+		{Source: "Table 1", Name: "exfiltrating websites", Paper: 55.7, Measured: 58.43, Unit: "%"},
+		{Source: "Figure 7", Name: "median overhead ratio", Paper: 1.11, Measured: 1.0874, Unit: "x"},
+		{Source: "Sec. 5", Name: "first-party cookies per site", Paper: 4, Measured: 6.06, Unit: "cookies"},
+	})
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 3+3 || lines[0] != "Paper vs measured" {
+		t.Fatalf("output = %q", buf.String())
+	}
+	// Each measured value has its paper value's decimals, at least one.
+	for i, want := range [][]string{
+		{"Table 1", "exfiltrating websites", "55.7", "58.4", "%"},
+		{"Figure 7", "median overhead ratio", "1.11", "1.09", "x"},
+		{"Sec. 5", "first-party cookies per site", "4", "6.1", "cookies"},
+	} {
+		if got := regexp.MustCompile(`  +`).Split(lines[3+i], -1); !slices.Equal(got, want) {
+			t.Errorf("row %d = %q, want %q", i, got, want)
 		}
 	}
 }
