@@ -140,9 +140,8 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 		opts := append(cfg.crawl.Options(), cookieguard.WithArtifactCache(cfg.artifactCache))
 		return cookieguard.New(append(opts, extra...)...)
 	}
-	studyOpts := []cookieguard.Option{cookieguard.WithServer(cfg.serveAddr), cookieguard.WithCheckpoint(cfg.checkpointDir)}
 	buildStart := time.Now()
-	study := newPipeline(studyOpts...)
+	study := newPipeline(cookieguard.WithServer(cfg.serveAddr), cookieguard.WithCheckpoint(cfg.checkpointDir))
 	buildSecs := time.Since(buildStart).Seconds()
 
 	if cfg.serveAddr != "" {
@@ -208,7 +207,7 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 	}
 
 	fmt.Fprintln(out, "--- Figure 5: cross-domain actions with vs without CookieGuard ---")
-	guarded := newPipeline(append(studyOpts, cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))...)
+	guarded := newPipeline(cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))
 	gres, err := guarded.Run(ctx)
 	if err != nil {
 		return err

@@ -15,18 +15,10 @@ import (
 // one line per paper row, each with the row's paper value and a finite
 // measured value, and no paper value printed anywhere else.
 func TestPaperTable(t *testing.T) {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	cfg := registerFlags(fs)
-	if err := fs.Parse([]string{"-sites", "60", "-perf", "10", "-breakage", "5", "-workers", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	before, table, ok := strings.Cut(buf.String(), "Paper vs measured\n")
+	out := runSmall(t)
+	before, table, ok := strings.Cut(out, "Paper vs measured\n")
 	if !ok {
-		t.Fatalf("no paper-vs-measured table in:\n%s", buf.String())
+		t.Fatalf("no paper-vs-measured table in:\n%s", out)
 	}
 	if strings.Contains(strings.ToLower(before), "paper") {
 		t.Errorf("paper text printed outside the table:\n%s", before)
@@ -49,4 +41,52 @@ func TestPaperTable(t *testing.T) {
 			t.Errorf("%s: measured value %q is not finite", r.name, got[3])
 		}
 	}
+}
+
+// TestCheckpointRerun: a checkpointed evaluation runs to the end, and a
+// rerun over its journal replays every unit and prints the same report.
+// The guarded re-crawl must not share the study's journal, whose
+// fingerprint is the unguarded configuration's.
+func TestCheckpointRerun(t *testing.T) {
+	dir := t.TempDir()
+	first := runSmall(t, "-checkpoint", dir)
+	if !strings.Contains(first, "Paper vs measured\n") {
+		t.Fatalf("the checkpointed run stopped before the paper table:\n%s", first)
+	}
+	second := runSmall(t, "-checkpoint", dir)
+	if !strings.Contains(second, "(60 units replayed from a prior run)") {
+		t.Fatalf("the rerun did not replay all 60 units:\n%s", second)
+	}
+	if a, b := stableLines(first), stableLines(second); a != b {
+		t.Fatalf("the rerun's report differs\nfirst:\n%s\nrerun:\n%s", a, b)
+	}
+}
+
+// runSmall runs a 60-site evaluation with extra flags and returns its
+// output.
+func runSmall(t *testing.T, extra ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	cfg := registerFlags(fs)
+	args := append([]string{"-sites", "60", "-perf", "10", "-breakage", "5", "-workers", "2"}, extra...)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(context.Background(), &buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// stableLines drops the lines that vary between equal runs: the
+// throughput line's timings and the journal's counters.
+func stableLines(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "throughput ") && !strings.HasPrefix(line, "checkpoint journal: ") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
 }

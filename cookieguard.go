@@ -606,12 +606,6 @@ func (p *Pipeline) EvaluatePerformance(n int) (*perf.Results, error) {
 // policy (strict inline handling, owner full access).
 func NewGuard() *Guard { return guard.New(guard.DefaultPolicy()) }
 
-// NewGuardWithWhitelist constructs a CookieGuard using the pipeline's
-// entity map as the breakage-reducing whitelist (§7.2).
-func (p *Pipeline) NewGuardWithWhitelist() *Guard {
-	return guard.New(guard.WhitelistPolicy(p.Web.Entities))
-}
-
 // DefaultGuardPolicy exposes the paper's evaluated policy.
 func DefaultGuardPolicy() Policy { return guard.DefaultPolicy() }
 

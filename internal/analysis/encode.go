@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"slices"
 	"sort"
+	"sync"
 
 	"cookieguard/internal/instrument"
 )
@@ -124,13 +126,16 @@ func sortedActions(acts map[actionAPIKey]bool) []SiteAction {
 	return out
 }
 
-// SiteListing encodes the per-site listing of a sequence of Results,
-// re-encoding only the rows whose inputs changed since the previous
-// Encode. A live crawl's snapshots differ from one to the next in a few
-// dozen sites, so a listing costs what changed, not the whole crawl.
-// The zero value is ready to use. Encode calls must not overlap;
-// cookieguard.Server serializes them through its encoding cache.
+// SiteListing is the one encoder of site rows and their events: it
+// encodes the per-site listing (Encode, /v1/sites) and the whole
+// canonical Results (Results, StableJSON and /v1/results) of a sequence
+// of Results, re-encoding only the rows whose inputs changed since the
+// previous call. A live crawl's snapshots differ from one to the next in
+// a few dozen sites, so a listing costs what changed, not the whole
+// crawl. The zero value is ready to use, and its methods may be called
+// concurrently.
 type SiteListing struct {
+	mu   sync.Mutex
 	gen  uint64
 	rows map[string]*listedRow
 }
@@ -149,6 +154,9 @@ var (
 	listOpen  = []byte("[")
 	listSep   = []byte(",")
 	listClose = []byte("]")
+	sitesKey  = []byte(`,"sites":`)
+	eventsKey = []byte(`,"events":[`) // in a row and in Results
+	noEvents  = []byte(`,"events":null`)
 )
 
 // Encode returns r's listing as chunks whose concatenation equals
@@ -158,6 +166,8 @@ var (
 // written again: a caller may still be sending one listing while the
 // next is built.
 func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	sites := r.sortedSites()
 	if l.rows == nil {
 		l.rows = make(map[string]*listedRow, len(sites))
@@ -184,6 +194,52 @@ func (l *SiteListing) Encode(r *Results) ([][]byte, error) {
 		}
 	}
 	return chunks, nil
+}
+
+// Results returns r's StableJSON bytes as chunks, reusing Encode's rows:
+// the sites key holds Encode's chunks, and the events key each row's
+// events array sliced out of the row's bytes, so no event is encoded
+// twice. Like Encode's, the chunks are never written again.
+func (l *SiteListing) Results(r *Results) ([][]byte, error) {
+	head, err := json.Marshal(struct {
+		Summary    Summary                `json:"summary"`
+		Pairs      []PairRow              `json:"pairs"`
+		PairsByAPI map[instrument.API]int `json:"pairs_by_api"` // string keys marshal sorted
+	}{r.Summary, r.PairRows(), r.PairsByAPI})
+	if err != nil {
+		return nil, err
+	}
+	tail, err := json.Marshal(struct {
+		Failures FailureStats `json:"failures"`
+		Vantages []VantageRow `json:"vantages"`
+	}{r.Failures, r.VantageTable()})
+	if err != nil {
+		return nil, err
+	}
+	sites, err := l.Encode(r)
+	if err != nil {
+		return nil, err
+	}
+	chunks := append(make([][]byte, 0, 2*len(sites)+4), head[:len(head)-1], sitesKey) // head without its }
+	chunks = append(chunks, sites...)
+	events, sep := len(chunks), eventsKey
+	// Rows sit at the odd indexes of Encode's chunks. "events" is a
+	// SiteRow's last key, and JSON escapes every quote inside a string,
+	// so the first ,"events":[ in a row is that key, and the row's events
+	// are the bytes between it and the row's closing ]}.
+	for k := 1; k < len(sites)-1; k += 2 {
+		row := sites[k]
+		if i := bytes.Index(row, eventsKey); i >= 0 {
+			chunks = append(chunks, sep, row[i+len(eventsKey):len(row)-2])
+			sep = listSep
+		}
+	}
+	end := listClose
+	if len(chunks) == events {
+		end = noEvents
+	}
+	tail[0] = ',' // tail's { becomes the separator from events
+	return append(chunks, end, tail), nil
 }
 
 // row returns the site's row encoding, reusing the cached one when the
@@ -242,46 +298,20 @@ func (r *Results) Retention() RetentionTable {
 	}
 }
 
-// stableResults is the canonical whole-Results encoding.
-type stableResults struct {
-	Summary    Summary        `json:"summary"`
-	Pairs      []PairRow      `json:"pairs"`
-	PairsByAPI map[string]int `json:"pairs_by_api"`
-	Sites      []SiteRow      `json:"sites"`
-	Events     []Event        `json:"events"`
-	Failures   FailureStats   `json:"failures"`
-	Vantages   []VantageRow   `json:"vantages"`
-}
-
 // StableJSON encodes the finalized Results deterministically: equal
 // Results (same observed log multiset) produce equal bytes, independent
 // of observation order or worker count. It is the byte representation
-// behind /v1/results and the order-independence contract. Its top-level
-// events are the site rows' events, concatenated in site order (null
-// when there are none).
+// behind /v1/results and the order-independence contract: summary,
+// pairs, pairs_by_api, sites, events, failures and vantages, where
+// events are the site rows' events concatenated in site order (null
+// when there are none). It joins the chunks of a fresh SiteListing's
+// Results; a server keeps one listing to reuse rows across snapshots.
 func (r *Results) StableJSON() ([]byte, error) {
-	byAPI := make(map[string]int, len(r.PairsByAPI))
-	for api, n := range r.PairsByAPI {
-		byAPI[string(api)] = n
+	chunks, err := new(SiteListing).Results(r)
+	if err != nil {
+		return nil, err
 	}
-	sites := r.SiteRows()
-	n := 0
-	for _, row := range sites {
-		n += len(row.Events)
-	}
-	events := slices.Grow([]Event(nil), n) // stays nil when n is 0
-	for _, row := range sites {
-		events = append(events, row.Events...)
-	}
-	return json.Marshal(stableResults{
-		Summary:    r.Summary,
-		Pairs:      r.PairRows(),
-		PairsByAPI: byAPI, // string-keyed maps marshal with sorted keys
-		Sites:      sites,
-		Events:     events,
-		Failures:   r.Failures,
-		Vantages:   r.VantageTable(),
-	})
+	return bytes.Join(chunks, nil), nil
 }
 
 // sortedKeys flattens a set to its sorted element list (nil when empty,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"net/url"
 	"slices"
 	"strings"
@@ -94,9 +95,10 @@ func oracleEscapedValues(query string) []string {
 // logs not yet observed is observed i-th (its high seven bits) and
 // whether a Snapshot follows it (its low bit); missing bytes are zero,
 // so the empty input is the sorted feed. Whatever the order, Finalize's
-// StableJSON and site listing equal the sorted feed's, and no later
-// observation changes a snapshot's bytes. One SiteListing encodes every
-// snapshot and the final Results, so its row reuse is under test too.
+// StableJSON, site listing and listing Results equal the sorted feed's,
+// which equal the oracle's, and no later observation changes a
+// snapshot's bytes. One SiteListing encodes every snapshot and the final
+// Results, so its row reuse is under test too.
 func FuzzObserveOrder(f *testing.F) {
 	var sorted []instrument.VisitLog
 	for _, v := range fixtureLogs(8) {
@@ -114,6 +116,7 @@ func FuzzObserveOrder(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	checkOracle(f, &wl, wantRes, "sorted feed")
 
 	n := len(sorted)
 	reversed, everyFifth := make([]byte, n), make([]byte, n)
@@ -154,6 +157,9 @@ func FuzzObserveOrder(f *testing.F) {
 		if got := listingBytes(t, &l, fin); !bytes.Equal(got, bytes.Join(wantList, nil)) {
 			t.Fatalf("feed %q: listing diverges from the sorted feed's", data)
 		}
+		if got := resultsBytes(t, &l, fin); !bytes.Equal(got, want) {
+			t.Fatalf("feed %q: listing Results diverge from the sorted feed's", data)
+		}
 		for k, s := range snaps {
 			if got := stableBytes(t, s.res); !bytes.Equal(got, s.json) {
 				t.Fatalf("feed %q: snapshot %d's StableJSON changed after it was taken", data, k)
@@ -161,6 +167,7 @@ func FuzzObserveOrder(f *testing.F) {
 			if !bytes.Equal(s.listing, siteRowsJSON(t, s.res)) {
 				t.Fatalf("feed %q: snapshot %d's listing diverges from its SiteRows", data, k)
 			}
+			checkOracle(t, &l, s.res, fmt.Sprintf("feed %q: snapshot %d", data, k))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
@@ -18,6 +19,65 @@ func listingBytes(t *testing.T, l *SiteListing, r *Results) []byte {
 	return bytes.Join(chunks, nil)
 }
 
+// resultsBytes joins a listing's Results chunks.
+func resultsBytes(t testing.TB, l *SiteListing, r *Results) []byte {
+	t.Helper()
+	chunks, err := l.Results(r)
+	if err != nil {
+		t.Fatalf("Results: %v", err)
+	}
+	return bytes.Join(chunks, nil)
+}
+
+// stableResults is the reference shape of StableJSON: json.Marshal of
+// it is the oracle the listing's Results chunks are checked against.
+type stableResults struct {
+	Summary    Summary        `json:"summary"`
+	Pairs      []PairRow      `json:"pairs"`
+	PairsByAPI map[string]int `json:"pairs_by_api"`
+	Sites      []SiteRow      `json:"sites"`
+	Events     []Event        `json:"events"`
+	Failures   FailureStats   `json:"failures"`
+	Vantages   []VantageRow   `json:"vantages"`
+}
+
+// oracleJSON is json.Marshal of r's stableResults: every row and every
+// event marshalled from scratch, the events again in site order (null
+// when there are none).
+func oracleJSON(t testing.TB, r *Results) []byte {
+	t.Helper()
+	byAPI := make(map[string]int, len(r.PairsByAPI))
+	for api, n := range r.PairsByAPI {
+		byAPI[string(api)] = n
+	}
+	b, err := json.Marshal(stableResults{
+		Summary:    r.Summary,
+		Pairs:      r.PairRows(),
+		PairsByAPI: byAPI,
+		Sites:      r.SiteRows(),
+		Events:     allEvents(r),
+		Failures:   r.Failures,
+		Vantages:   r.VantageTable(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkOracle fails unless StableJSON and l's Results both equal the
+// oracle on r.
+func checkOracle(t testing.TB, l *SiteListing, r *Results, what string) {
+	t.Helper()
+	want := oracleJSON(t, r)
+	if got := stableBytes(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("%s: StableJSON diverges from the oracle\nwant: %s\ngot:  %s", what, want, got)
+	}
+	if got := resultsBytes(t, l, r); !bytes.Equal(got, want) {
+		t.Fatalf("%s: listing Results diverge from the oracle\nwant: %s\ngot:  %s", what, want, got)
+	}
+}
+
 func siteRowsJSON(t *testing.T, r *Results) []byte {
 	t.Helper()
 	b, err := json.Marshal(r.SiteRows())
@@ -29,7 +89,8 @@ func siteRowsJSON(t *testing.T, r *Results) []byte {
 
 // TestSiteListingMatchesSiteRows: across a growing run's snapshots, and
 // when older snapshots are encoded again after newer ones, the listing
-// equals json.Marshal(SiteRows()) byte for byte.
+// equals json.Marshal(SiteRows()) byte for byte, and StableJSON and the
+// listing's Results equal the oracle.
 func TestSiteListingMatchesSiteRows(t *testing.T) {
 	logs := fixtureLogs(60)
 	for i := range logs {
@@ -50,6 +111,7 @@ func TestSiteListingMatchesSiteRows(t *testing.T) {
 			if got, want := listingBytes(t, &l, r), siteRowsJSON(t, r); !bytes.Equal(got, want) {
 				t.Fatalf("after %d logs: listing diverges from SiteRows\nwant: %s\ngot:  %s", i+1, want, got)
 			}
+			checkOracle(t, &l, r, fmt.Sprintf("after %d logs", i+1))
 		}
 	}
 	snaps = append(snaps, an.Finalize())
@@ -57,14 +119,21 @@ func TestSiteListingMatchesSiteRows(t *testing.T) {
 		if got, want := listingBytes(t, &l, snaps[k]), siteRowsJSON(t, snaps[k]); !bytes.Equal(got, want) {
 			t.Fatalf("snapshot %d re-encoded out of order: listing diverges from SiteRows", k)
 		}
+		checkOracle(t, &l, snaps[k], fmt.Sprintf("snapshot %d re-encoded out of order", k))
 	}
 }
 
-// TestSiteListingEmpty: an empty analysis lists as [].
+// TestSiteListingEmpty: an empty analysis lists as [], and its Results
+// hold "sites":[] and "events":null, as the oracle does.
 func TestSiteListingEmpty(t *testing.T) {
 	var l SiteListing
-	if got := listingBytes(t, &l, New().Finalize()); string(got) != "[]" {
+	empty := New().Finalize()
+	if got := listingBytes(t, &l, empty); string(got) != "[]" {
 		t.Fatalf("empty listing %q, want []", got)
+	}
+	checkOracle(t, &l, empty, "empty analysis")
+	if got := resultsBytes(t, &l, empty); !bytes.Contains(got, []byte(`"sites":[],"events":null,`)) {
+		t.Fatalf("empty Results %s, want \"sites\":[] and \"events\":null", got)
 	}
 }
 
@@ -91,6 +160,34 @@ func TestSiteListingReusesRows(t *testing.T) {
 			t.Fatalf("chunk %d re-encoded for unchanged inputs", i)
 		}
 	}
+	// Results lists Encode's row chunks themselves, and encoding unchanged
+	// Results again reuses every row and every events slice.
+	r1, err := l.Results(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4, err := l.Encode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c4 {
+		if &r1[2+i][0] != &c4[i][0] {
+			t.Fatalf("Results chunk %d does not share Encode's chunk %d", 2+i, i)
+		}
+	}
+	r2, err := l.Results(New().Run(logs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r1) != len(r2) {
+		t.Fatalf("Results chunk counts %d != %d", len(r1), len(r2))
+	}
+	for i := 2; i < len(r1)-1; i++ { // every chunk but the head and the tail
+		if &r1[i][0] != &r2[i][0] {
+			t.Fatalf("Results chunk %d re-encoded for unchanged inputs", i)
+		}
+	}
+
 	// One more overwrite on the first site changes its row only.
 	extra := logs[0]
 	extra.Vantage = "us"

@@ -66,7 +66,7 @@ func fixtureLogs(n int) []instrument.VisitLog {
 	return logs
 }
 
-func stableBytes(t *testing.T, r *Results) []byte {
+func stableBytes(t testing.TB, r *Results) []byte {
 	t.Helper()
 	b, err := r.StableJSON()
 	if err != nil {

@@ -162,12 +162,6 @@ func (j *Jar) Observe(o Observer) {
 	j.observers = append(j.observers, o)
 }
 
-func (j *Jar) notify(ch Change) {
-	for _, o := range j.observers {
-		o(ch)
-	}
-}
-
 // SetFromHeader stores a cookie parsed from a Set-Cookie header received
 // in a response from the request URL u. It returns the resulting change
 // kind.

@@ -36,9 +36,6 @@ type Value struct {
 
 // Constructors.
 
-// Null returns the null value (also the zero Value).
-func Null() Value { return Value{} }
-
 // BoolVal returns a boolean value.
 func BoolVal(b bool) Value {
 	if b {
@@ -69,17 +66,11 @@ func builtinVal(name string) Value { return Value{kind: KindBuiltin, str: name} 
 // Kind returns the value's kind tag.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // AsString returns the string payload when the value is a string.
 func (v Value) AsString() (string, bool) { return v.str, v.kind == KindString }
 
 // AsNumber returns the numeric payload when the value is a number.
 func (v Value) AsNumber() (float64, bool) { return v.num, v.kind == KindNumber }
-
-// AsBool returns the boolean payload when the value is a boolean.
-func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
 
 // AsList returns the list when the value wraps one.
 func (v Value) AsList() (*List, bool) {

@@ -398,16 +398,6 @@ func (w *Web) CompleteSites() []*Site {
 	return out
 }
 
-// SiteByDomain finds a site by its eTLD+1 (nil if absent).
-func (w *Web) SiteByDomain(domain string) *Site {
-	for _, s := range w.Sites {
-		if s.Domain == domain {
-			return s
-		}
-	}
-	return nil
-}
-
 func buildIdPs(cfg Config) []IdPPair {
 	n := cfg.NIdPPairs
 	if n < 2 {

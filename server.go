@@ -35,13 +35,13 @@ package cookieguard
 // Each endpoint caches its encoding of the latest snapshot index, so any
 // number of pollers at the current index cost zero marshalling and
 // never touch the analyzer (enforced by an allocation-counting test).
-// /v1/sites reuses unchanged rows across indexes, re-encoding only the
-// sites that changed since the previous snapshot, and writes the rows
-// one by one without building a contiguous body.
+// /v1/results and /v1/sites share one analysis.SiteListing: both reuse
+// unchanged rows across indexes and across each other, re-encoding only
+// the sites that changed since the previous snapshot, and write the
+// rows one by one without building a contiguous body.
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -92,11 +92,11 @@ func (p *Pipeline) NewServer() *Server {
 		mux:   http.NewServeMux(),
 		empty: analysis.New().Finalize(),
 	}
+	listing := &analysis.SiteListing{}
 	s.versioned("GET /v1/results", func(res *analysis.Results, _ resultstore.Snapshot) ([][]byte, error) {
-		return oneChunk(res.StableJSON())
+		return listing.Results(res)
 	})
 	s.versioned("GET /v1/summary", marshal(func(res *analysis.Results) any { return res.Summary }))
-	listing := &analysis.SiteListing{}
 	s.versioned("GET /v1/sites", func(res *analysis.Results, _ resultstore.Snapshot) ([][]byte, error) {
 		return listing.Encode(res)
 	})
@@ -159,19 +159,13 @@ func (c *encCache) get(snap resultstore.Snapshot, build func() ([][]byte, error)
 	return body, nil
 }
 
-// versioned mounts one blocking-query endpoint: resolve the snapshot
-// (waiting if the client is up to date), handle ETag/304, serve the
+// versioned mounts one blocking-query endpoint that serves the
 // per-index cached encoding.
 func (s *Server) versioned(pattern string, build func(*analysis.Results, resultstore.Snapshot) ([][]byte, error)) {
 	cache := &encCache{}
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		snap, ok := s.resolve(w, r)
+		snap, ok := s.snapshot(w, r)
 		if !ok {
-			return
-		}
-		etag := setVersionHeaders(w, snap.Index)
-		if r.Header.Get("If-None-Match") == etag {
-			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 		body, err := cache.get(snap, func() ([][]byte, error) {
@@ -190,12 +184,14 @@ func (s *Server) versioned(pattern string, build func(*analysis.Results, results
 	})
 }
 
-// resolve implements the query half of the index protocol: no ?index →
-// current snapshot immediately; ?index=N → block until the store
-// advances past N, the wait expires, or the client goes away. A given
-// ?wait must parse as a duration even without ?index, so a client that
-// misspells index is told so rather than answered without blocking.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (resultstore.Snapshot, bool) {
+// snapshot is every versioned endpoint's preamble, the index protocol:
+// no ?index → the current snapshot at once; ?index=N → block until the
+// store advances past N, the wait expires, or the client goes away. A
+// given ?wait must parse as a duration even without ?index, so a client
+// that misspells index is told so rather than answered without
+// blocking. It sets the version headers, answers a matching
+// If-None-Match with 304, and reports whether to write the body.
+func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) (resultstore.Snapshot, bool) {
 	q := r.URL.Query()
 	idxStr := q.Get("index")
 	var index uint64
@@ -215,18 +211,21 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (resultstore.Sn
 		}
 		wait = min(wait, maxWait)
 	}
+	var snap resultstore.Snapshot
 	if idxStr == "" {
-		return s.store.Latest(), true
+		snap = s.store.Latest()
+	} else {
+		snap = s.store.Wait(r.Context(), index, wait)
 	}
-	return s.store.Wait(r.Context(), index, wait), true
-}
-
-func setVersionHeaders(w http.ResponseWriter, index uint64) (etag string) {
-	etag = fmt.Sprintf("%q", "cg-"+strconv.FormatUint(index, 10))
-	h := w.Header()
-	h.Set("X-Result-Index", strconv.FormatUint(index, 10))
-	h.Set("ETag", etag)
-	return etag
+	idx := strconv.FormatUint(snap.Index, 10)
+	etag := `"cg-` + idx + `"`
+	w.Header().Set("X-Result-Index", idx)
+	w.Header().Set("ETag", etag)
+	if r.Header.Get("If-None-Match") == etag {
+		w.WriteHeader(http.StatusNotModified)
+		return snap, false
+	}
+	return snap, true
 }
 
 func (s *Server) results(snap resultstore.Snapshot) *analysis.Results {
@@ -240,13 +239,8 @@ func (s *Server) results(snap resultstore.Snapshot) *analysis.Results {
 // endpoints but marshalled per request (the per-site fan-out is too wide
 // to cache every encoding; a dashboard polls tables, not single sites).
 func (s *Server) handleSite(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.resolve(w, r)
+	snap, ok := s.snapshot(w, r)
 	if !ok {
-		return
-	}
-	etag := setVersionHeaders(w, snap.Index)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	site := r.PathValue("site")

@@ -246,23 +246,42 @@ func TestServerBlockingQuery(t *testing.T) {
 // and a valid ?wait without ?index answers at once. The store is closed,
 // so no query parks.
 func TestServerQueryParams(t *testing.T) {
-	p := New(WithSites(1))
+	p := New(WithSites(5), WithSnapshotEvery(100))
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.SiteRows()
+	if len(rows) == 0 {
+		t.Fatal("no complete site to query")
+	}
 	p.ResultStore().Close()
 	srv := p.NewServer()
-	for _, tc := range []struct {
-		query string
-		want  int
-	}{
-		{"wait=bad", http.StatusBadRequest},
-		{"wait=5s", http.StatusOK},
-		{"index=1&wait=bad", http.StatusBadRequest},
-		{"index=bad&wait=5s", http.StatusBadRequest},
-		{"index=1&wait=5s", http.StatusOK},
-	} {
+	etag := `"cg-` + strconv.FormatUint(p.ResultStore().Index(), 10) + `"`
+	for _, path := range []string{"/v1/summary", "/v1/sites/" + rows[0].Site} {
+		for _, tc := range []struct {
+			query string
+			want  int
+		}{
+			{"wait=bad", http.StatusBadRequest},
+			{"wait=5s", http.StatusOK},
+			{"index=1&wait=bad", http.StatusBadRequest},
+			{"index=bad&wait=5s", http.StatusBadRequest},
+			{"index=1&wait=5s", http.StatusOK},
+		} {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path+"?"+tc.query, nil))
+			if w.Code != tc.want {
+				t.Errorf("GET %s?%s: status %d, want %d (%s)", path, tc.query, w.Code, tc.want, strings.TrimSpace(w.Body.String()))
+			}
+		}
+		// A conditional request on the current ETag: 304, empty body.
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/summary?"+tc.query, nil))
-		if w.Code != tc.want {
-			t.Errorf("GET /v1/summary?%s: status %d, want %d (%s)", tc.query, w.Code, tc.want, strings.TrimSpace(w.Body.String()))
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("If-None-Match", etag)
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusNotModified || w.Body.Len() != 0 {
+			t.Errorf("GET %s If-None-Match %s: status %d, body %d bytes; want 304 empty", path, etag, w.Code, w.Body.Len())
 		}
 	}
 }
@@ -544,6 +563,68 @@ func TestServedSitesListingEmptyAndRows(t *testing.T) {
 			t.Fatalf("/v1/sites/%s: status %d, diverges from its SiteRows entry", row.Site, w.Code)
 		}
 	}
+}
+
+// TestServedListingConcurrentReaders: /v1/sites and /v1/results share
+// one row encoder, and a reader of each, blocking on every index of a
+// served crawl at once, gets bodies equal to the snapshot's SiteRows and
+// StableJSON.
+func TestServedListingConcurrentReaders(t *testing.T) {
+	p := New(WithSites(80), WithWorkers(4), WithSnapshotEvery(8),
+		WithProgressStats(func(ProgressStats) { time.Sleep(200 * time.Microsecond) }))
+	srv, store := p.NewServer(), p.ResultStore()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	read := func(path string, want func(*Results) ([]byte, error), compared chan<- int) {
+		n := 0
+		defer func() { compared <- n }()
+		var idx uint64
+		for ctx.Err() == nil {
+			w := httptest.NewRecorder()
+			url := path + "?index=" + strconv.FormatUint(idx, 10) + "&wait=10s"
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+			got, err := strconv.ParseUint(w.Header().Get("X-Result-Index"), 10, 64)
+			if err != nil || w.Code != http.StatusOK {
+				t.Errorf("%s: status %d, index %q", path, w.Code, w.Header().Get("X-Result-Index"))
+				return
+			}
+			if got <= idx {
+				continue
+			}
+			idx = got
+			snap := store.Latest()
+			if snap.Index != got {
+				continue // a publish already replaced the index read
+			}
+			b, err := want(snap.Results)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(w.Body.Bytes(), b) {
+				t.Errorf("index %d: %s diverges (%d vs %d bytes)", got, path, w.Body.Len(), len(b))
+				return
+			}
+			n++
+			if snap.Progress.Final {
+				return
+			}
+		}
+	}
+	sites, results := make(chan int, 1), make(chan int, 1)
+	go read("/v1/sites", func(r *Results) ([]byte, error) { return json.Marshal(r.SiteRows()) }, sites)
+	go read("/v1/results", (*Results).StableJSON, results)
+	if _, err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ns, nr := <-sites, <-results
+	if t.Failed() {
+		return
+	}
+	if ns < 2 || nr < 2 {
+		t.Fatalf("compared /v1/sites at %d and /v1/results at %d indexes; want mid-crawl snapshots and the final one", ns, nr)
+	}
+	t.Logf("compared /v1/sites at %d and /v1/results at %d of %d indexes", ns, nr, store.Index())
 }
 
 // TestSitesListingRepublishAllocs bounds the cost of a publish that
