@@ -26,7 +26,10 @@
 // -pooling) are cmd/crawl's, registered by package crawlflags; only
 // -sites' default differs. -faults 0 (the default) reproduces the
 // fault-free run byte for byte, and -breaker or -second-pass adds the
-// scheduler's counters after the throughput line.
+// scheduler's counters after the throughput line. -faults applies to the
+// measurement and guarded crawls only: the breakage and performance
+// evaluations fetch the fault-free web, so Tables 3 and 4 and Figures
+// 6, 7, 9 and 10 read the same with or without it.
 //
 // -serve exposes the measurement crawl's analysis over HTTP while it
 // runs (cookieguard.Server). -checkpoint journals its terminal units in

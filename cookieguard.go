@@ -89,8 +89,8 @@ type (
 	// ProgressStats is the live-counter payload delivered to
 	// WithProgressStats callbacks after every completed visit.
 	ProgressStats = crawler.ProgressStats
-	// FaultConfig parameterizes the fabric's seeded fault injection
-	// (WithFaults).
+	// FaultConfig parameterizes a crawl's seeded fault injection
+	// (WithFaults, Vantage.Faults).
 	FaultConfig = netsim.FaultConfig
 	// RetryPolicy bounds transient-fault retries per fetch
 	// (WithRetryPolicy).
@@ -134,7 +134,9 @@ type Pipeline struct {
 
 	// Web is the generated synthetic web universe.
 	Web *Web
-	// Net is the in-memory network fabric serving Web.
+	// Net is the in-memory network fabric serving Web. It injects no
+	// faults: WithFaults and Vantage.Faults shape the crawl's fetches
+	// only, so the evaluations see the web as generated.
 	Net *Internet
 
 	// artifacts is the pipeline-lifetime content-addressed cache: the
@@ -192,7 +194,6 @@ func New(opts ...Option) *Pipeline {
 	if cfg.seed != 0 {
 		gen.Seed = cfg.seed
 	}
-	gen.Flakiness = cfg.faults
 	// Personas act on consent banners, so they imply the CMP web.
 	gen.CMP = cfg.cmp || len(cfg.personas) > 0
 	w := webgen.Build(gen)
@@ -358,7 +359,7 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		Breaker:         p.cfg.breaker,
 		SecondPass:      p.cfg.secondPass,
 		Guard:           p.cfg.guard,
-		Vantages:        p.cfg.vantages,
+		Vantages:        p.crawlVantages(),
 		Personas:        p.cfg.personas,
 		Stats:           p.sched,
 		Journal:         p.jnl,
@@ -371,6 +372,21 @@ func (p *Pipeline) crawlOptions() crawler.Options {
 		opts.Breaker.Autopilot = true
 	}
 	return opts
+}
+
+// crawlVantages is the vantage list the crawler runs: the configured
+// one, with the WithFaults schedule filled into every vantage that has
+// no fault schedule of its own (the implicit default vantage included).
+// Faults are a setting of the crawl alone; the fabric that the
+// evaluations share stays fault-free.
+func (p *Pipeline) crawlVantages() []Vantage {
+	vants := p.Vantages()
+	for i := range vants {
+		if p.cfg.faults != nil && !vants[i].Faults.Enabled() {
+			vants[i].Faults = *p.cfg.faults
+		}
+	}
+	return vants
 }
 
 // Vantages returns the pipeline's configured vantage points; with none
@@ -584,7 +600,9 @@ func (p *Pipeline) Analyze(logs []VisitLog) *Results {
 }
 
 // EvaluateBreakage runs the Table 3 assessment over a sample of n sites.
-// It shares the pipeline's artifact cache (honouring WithArtifactCache).
+// It fetches through the fault-free fabric (WithFaults shapes the crawl
+// only), so every breakage it reports comes from the guard. It shares
+// the pipeline's artifact cache (honouring WithArtifactCache).
 func (p *Pipeline) EvaluateBreakage(n int, cond breakage.Condition) (breakage.Table3, error) {
 	sample := breakage.Sample(p.Web, n)
 	t, _, err := breakage.Evaluate(p.Net, p.Web, sample, cond, p.artifacts)
@@ -592,8 +610,9 @@ func (p *Pipeline) EvaluateBreakage(n int, cond breakage.Condition) (breakage.Ta
 }
 
 // EvaluatePerformance runs the §7.3 paired timing measurement over up to
-// n complete sites, sharing the pipeline's artifact cache (honouring
-// WithArtifactCache).
+// n complete sites on the fault-free fabric (WithFaults shapes the crawl
+// only), so the overhead it reports is the guard's. It shares the
+// pipeline's artifact cache (honouring WithArtifactCache).
 func (p *Pipeline) EvaluatePerformance(n int) (*perf.Results, error) {
 	sites := p.Web.CompleteSites()
 	if n > 0 && n < len(sites) {

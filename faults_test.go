@@ -3,7 +3,10 @@ package cookieguard
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"cookieguard/internal/breakage"
 )
 
 // crawlRecords runs a pipeline's crawl and returns per-site JSON records.
@@ -123,5 +126,78 @@ func TestFaultedRunProducesFailureTable(t *testing.T) {
 	if res.Summary.SitesComplete >= res.Summary.SitesTotal {
 		t.Fatalf("faulted run lost no sites: complete=%d total=%d",
 			res.Summary.SitesComplete, res.Summary.SitesTotal)
+	}
+}
+
+// TestFaultsLeaveEvaluationsClean: WithFaults shapes the crawl only, so
+// the §7 guard evaluations — Table 3 breakage under every condition and
+// the paired timing measurement — equal the fault-free pipeline's.
+func TestFaultsLeaveEvaluationsClean(t *testing.T) {
+	base := []Option{WithSites(150), WithSeed(7), WithWorkers(2)}
+	clean := New(base...)
+	faulted := New(append(base[:len(base):len(base)], WithFaults(UniformFaults(0.1, 7)))...)
+	for _, cond := range []breakage.Condition{breakage.NoGuard, breakage.GuardStrict, breakage.GuardWhitelist} {
+		want, err := clean.EvaluateBreakage(20, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := faulted.EvaluateBreakage(20, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v breakage under faults differs:\n got %+v\nwant %+v", cond, got, want)
+		}
+	}
+	want, err := clean.EvaluatePerformance(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := faulted.EvaluatePerformance(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("performance under faults differs: %d pairs, want %d", len(got.Samples), len(want.Samples))
+	}
+}
+
+// TestFaultsFillVantagesWithoutSchedule: WithFaults is the schedule of
+// every vantage that has none of its own, and leaves a vantage's own
+// schedule alone, so it crawls exactly as the vantages carrying it.
+func TestFaultsFillVantagesWithoutSchedule(t *testing.T) {
+	rp := DefaultRetryPolicy()
+	rp.MaxAttempts = 2
+	cfg := UniformFaults(0.1, 7)
+	base := []Option{WithSites(30), WithWorkers(4), WithSeed(7), WithInteract(true), WithRetryPolicy(rp)}
+	with := func(extra ...Option) []Option { return append(base[:len(base):len(base)], extra...) }
+	own := RegionVantage("eu-west", 0.2, 7)
+
+	filled := crawlDigest(t, with(WithFaults(cfg), WithVantages(own, Vantage{Name: "us-east"}))...)
+	explicit := crawlDigest(t, with(WithVantages(own, Vantage{Name: "us-east", Faults: cfg}))...)
+	if filled != explicit {
+		t.Errorf("WithFaults on a vantage without faults crawls differently from the vantage carrying them:\n got %s\nwant %s", filled, explicit)
+	}
+	if unfaulted := crawlDigest(t, with(WithVantages(own, Vantage{Name: "us-east"}))...); unfaulted == filled {
+		t.Error("WithFaults left the vantage without faults unchanged; test is vacuous")
+	}
+}
+
+// defaultVantageGoldenFaulted pins the bytes of a faulted crawl with no
+// vantages configured, where WithFaults is the implicit default
+// vantage's schedule. It was recorded while the schedule was still
+// installed on the fabric.
+const defaultVantageGoldenFaulted = "e056dd434df69d0cffc86cf7ce4e4e2326667123bdfc449fd5e8bf12c74d6a2e"
+
+func TestDefaultVantageFaultedGolden(t *testing.T) {
+	rp := DefaultRetryPolicy()
+	rp.MaxAttempts = 2
+	for _, workers := range []int{1, 4} {
+		got := crawlDigest(t, WithSites(40), WithWorkers(workers), WithSeed(7), WithInteract(true),
+			WithFaults(UniformFaults(0.1, 7)), WithRetryPolicy(rp))
+		if got != defaultVantageGoldenFaulted {
+			t.Errorf("faulted default-vantage crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s",
+				workers, got, defaultVantageGoldenFaulted)
+		}
 	}
 }

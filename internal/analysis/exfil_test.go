@@ -174,18 +174,14 @@ func assertMatchersAgree(t *testing.T, logs []instrument.VisitLog) int {
 	return n
 }
 
-func crawlWebgen(t *testing.T, sites int, opts crawler.Options, faults *netsim.FaultConfig) []instrument.VisitLog {
+func crawlWebgen(t *testing.T, sites int, opts crawler.Options) []instrument.VisitLog {
 	t.Helper()
 	w := webgen.Build(webgen.DefaultConfig(sites))
-	in := w.BuildInternet()
-	if faults != nil {
-		in.SetFaultModel(netsim.SeededFaults(*faults))
-	}
 	var domains []string
 	for _, s := range w.Sites {
 		domains = append(domains, s.Domain)
 	}
-	opts.Internet = in
+	opts.Internet = w.BuildInternet()
 	opts.Workers = 4
 	opts.Interact = true
 	logs, errs := crawler.Stream(context.Background(), crawler.SiteURLs(domains), opts)
@@ -200,16 +196,16 @@ func crawlWebgen(t *testing.T, sites int, opts crawler.Options, faults *netsim.F
 }
 
 func TestExfilMatcherAgreesWithOracleOnWebgenCrawls(t *testing.T) {
-	clean := crawlWebgen(t, 60, crawler.Options{}, nil)
+	clean := crawlWebgen(t, 60, crawler.Options{})
 	if n := assertMatchersAgree(t, clean); n == 0 {
 		t.Fatal("clean crawl produced no exfiltration events; the comparison is vacuous")
 	}
 	faults := netsim.UniformFaults(0.1, 7)
 	lanes := crawlWebgen(t, 30, crawler.Options{
 		Retry:    browser.RetryPolicy{MaxAttempts: 3},
-		Vantages: []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}},
+		Vantages: []netsim.Vantage{{Name: "eu-west", Faults: faults}, {Name: "us-east", Faults: faults}},
 		Personas: []string{"accept", "reject"},
-	}, &faults)
+	})
 	if len(lanes) != 30*2*2 {
 		t.Fatalf("lane crawl returned %d logs, want %d", len(lanes), 30*2*2)
 	}
@@ -381,7 +377,7 @@ func TestReplayKeepsOneCandidatePerName(t *testing.T) {
 // observation's events in the reused scratch slice: endObservation's
 // one exact-size copy into the site's record is not part of the fold.
 func TestExfilMatcherAllocs(t *testing.T) {
-	logs := crawlWebgen(t, 30, crawler.Options{}, nil)
+	logs := crawlWebgen(t, 30, crawler.Options{})
 	a := New()
 	st := newRunState()
 	siteActs := map[actionAPIKey]bool{}

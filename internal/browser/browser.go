@@ -17,14 +17,11 @@ import (
 
 // Options configures a Browser.
 type Options struct {
-	// Internet is the network fabric to browse (required).
-	Internet *netsim.Internet
-	// Transport, when set, replaces the fabric as the browser's
-	// Fetcher — typically Internet.From(vantage), so the same frozen web
-	// is fetched with a vantage point's latency and fault models. Nil
-	// (the default) browses the fabric directly, which is byte-identical
-	// to the implicit default vantage.
-	Transport netsim.Fetcher
+	// Internet is what the browser fetches through (required): the
+	// network fabric itself (*netsim.Internet), or a vantage view of it
+	// (Internet.From(vantage)) that fetches the same frozen web with a
+	// vantage point's latency and fault models.
+	Internet netsim.Fetcher
 	// Clock is the virtual time source; a fresh one is created if nil.
 	Clock *vclock.Clock
 	// CookieMiddleware installs cookie layers over the direct cookie
@@ -82,7 +79,6 @@ type Browser struct {
 	opts     Options
 	jar      *cookiejar.Jar
 	clock    *vclock.Clock
-	rt       netsim.Fetcher
 	api      CookieAPI
 	rng      *stats.Rand
 	retryRng *stats.Rand // backoff jitter; separate stream so retries
@@ -114,15 +110,10 @@ func New(opts Options) (*Browser, error) {
 	if opts.Clock == nil {
 		opts.Clock = vclock.New()
 	}
-	rt := netsim.Fetcher(opts.Internet)
-	if opts.Transport != nil {
-		rt = opts.Transport
-	}
 	b := &Browser{
 		opts:     opts,
 		jar:      cookiejar.New(opts.Clock),
 		clock:    opts.Clock,
-		rt:       rt,
 		rng:      stats.NewRand(opts.Seed ^ 0xb5297a4d),
 		retryRng: stats.NewRand(opts.Seed ^ 0x27d4eb2f),
 	}
@@ -236,7 +227,7 @@ func (b *Browser) HostReport() []HostOutcome {
 }
 
 // fetchOnce performs a single attempt, stamped with the attempt number
-// and the virtual time so the fabric's fault model can draw per-attempt
+// and the virtual time so the fault model can draw per-attempt
 // decisions and follow flap schedules.
 //
 // Requests carry no Cookie header: nothing in the simulated web reads
@@ -245,7 +236,7 @@ func (b *Browser) HostReport() []HostOutcome {
 // the browser and reused across fetches: a browser performs one exchange
 // at a time, and under the pooling contract nothing retains the exchange
 // past its round trip. Without pooling every fetch parses its URL and
-// builds a fresh request. The transport is called directly either way —
+// builds a fresh request. Options.Internet is called directly either way —
 // the fabric never redirects, so http.Client's redirect machinery (and
 // its per-request bookkeeping allocations) adds nothing; transport errors
 // are wrapped in *url.Error exactly as http.Client would, keeping
@@ -280,7 +271,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 			Header:     make(http.Header),
 		}
 	}
-	resp, err := b.rt.Fetch(req, netsim.Stamp{Attempt: b.opts.AttemptBase + attempt, VClockMs: b.clock.UnixMillis()})
+	resp, err := b.opts.Internet.Fetch(req, netsim.Stamp{Attempt: b.opts.AttemptBase + attempt, VClockMs: b.clock.UnixMillis()})
 	if err != nil {
 		err = &url.Error{Op: "Get", URL: u.String(), Err: err}
 		var fe *netsim.FaultError

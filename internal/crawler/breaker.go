@@ -448,19 +448,12 @@ type SchedStats struct {
 // calls this once per labelled lane; callers may also read a lane's
 // counters directly mid-run.
 func (s *SchedStats) Unit(label string) *SchedStats {
-	return s.Vantage(label)
-}
-
-// Vantage returns the per-unit child counter set keyed by a vantage
-// name — the persona-free special case of Unit, kept for callers that
-// predate the persona axis.
-func (s *SchedStats) Vantage(name string) *SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.vantages == nil {
 		s.vantages = map[string]*SchedStats{}
 	}
-	c := s.vantages[name]
+	c := s.vantages[label]
 	if c == nil {
 		c = &SchedStats{}
 		c.VirtualMs.parent = &s.VirtualMs
@@ -473,7 +466,7 @@ func (s *SchedStats) Vantage(name string) *SchedStats {
 		c.Probes.parent = &s.Probes
 		c.Requeued.parent = &s.Requeued
 		c.SecondPassKept.parent = &s.SecondPassKept
-		s.vantages[name] = c
+		s.vantages[label] = c
 	}
 	return c
 }

@@ -25,10 +25,13 @@ import (
 	"cookieguard/internal/netsim"
 )
 
+// ckptFaults is the fault schedule of the faulted checkpoint crawls.
+var ckptFaults = netsim.UniformFaults(0.35, 99)
+
 // ckptOptions is the full-stack scheduler shape the crash matrix runs
-// under: retries, second pass, breaker with autopilot, two vantages,
-// two personas.
-func ckptOptions(in *netsim.Internet, workers int) Options {
+// under: retries, second pass, breaker with autopilot, two vantages
+// crawling under faults (the zero config crawls clean), two personas.
+func ckptOptions(in *netsim.Internet, workers int, faults netsim.FaultConfig) Options {
 	return Options{
 		Internet:   in,
 		Workers:    workers,
@@ -38,8 +41,8 @@ func ckptOptions(in *netsim.Internet, workers int) Options {
 		SecondPass: true,
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8, Autopilot: true},
 		Vantages: []netsim.Vantage{
-			{Name: "eu-west"},
-			{Name: "us-east"},
+			{Name: "eu-west", Faults: faults},
+			{Name: "us-east", Faults: faults},
 		},
 		Personas: []string{"accept", "reject"},
 		Stats:    &SchedStats{},
@@ -93,9 +96,8 @@ func mustMatch(t *testing.T, label string, want, got map[string]string, ws, gs S
 func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 	w, sites := buildSites(t, 30)
 	in := w.BuildInternet()
-	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 
-	base := ckptOptions(in, 4)
+	base := ckptOptions(in, 4, ckptFaults)
 	res, err := crawlAll(context.Background(), sites, base)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +110,7 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	jopts := ckptOptions(in, 4)
+	jopts := ckptOptions(in, 4, ckptFaults)
 	jopts.Journal = jnl
 	jres, err := crawlAll(context.Background(), sites, jopts)
 	if err != nil {
@@ -165,10 +167,11 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := w.BuildInternet()
+			var faults netsim.FaultConfig
 			if tc.faulted {
-				in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
+				faults = ckptFaults
 			}
-			base := ckptOptions(in, 4)
+			base := ckptOptions(in, 4, faults)
 			res, err := crawlAll(context.Background(), sites, base)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +203,7 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						copts := ckptOptions(in, workers)
+						copts := ckptOptions(in, workers, faults)
 						copts.Journal = jnl
 						copts.CrashAfterUnits = kp.at
 						if _, err := crawlAll(context.Background(), sites, copts); !errors.Is(err, ErrCrashInjected) {
@@ -218,7 +221,7 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 						if rj.Units() == 0 {
 							t.Fatal("crashed journal is empty; nothing was persisted")
 						}
-						ropts := ckptOptions(in, 5)
+						ropts := ckptOptions(in, 5, faults)
 						ropts.Journal = rj
 						rres, err := crawlAll(context.Background(), sites, ropts)
 						if err != nil {
@@ -236,8 +239,9 @@ func TestCheckpointCrashResumeMatrix(t *testing.T) {
 	}
 }
 
-// fullJournal crawls sites under the full stack with a journal in dir
-// and returns the records and scheduler snapshot the resumes must match.
+// fullJournal crawls sites under the full faulted stack with a journal
+// in dir and returns the records and scheduler snapshot the resumes must
+// match.
 func fullJournal(t *testing.T, in *netsim.Internet, sites []string, dir string) (map[string]string, SchedSnapshot) {
 	t.Helper()
 	jnl, err := journal.Open(dir, "fp")
@@ -245,7 +249,7 @@ func fullJournal(t *testing.T, in *netsim.Internet, sites []string, dir string) 
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	opts := ckptOptions(in, 4)
+	opts := ckptOptions(in, 4, ckptFaults)
 	opts.Journal = jnl
 	res, err := crawlAll(context.Background(), sites, opts)
 	if err != nil {
@@ -264,7 +268,7 @@ func resumeFull(t *testing.T, in *netsim.Internet, sites []string, dir string, w
 		t.Fatal(err)
 	}
 	defer rj.Close()
-	ropts := ckptOptions(in, 8)
+	ropts := ckptOptions(in, 8, ckptFaults)
 	ropts.Journal = rj
 	rres, err := crawlAll(context.Background(), sites, ropts)
 	if err != nil {
@@ -280,7 +284,6 @@ func resumeFull(t *testing.T, in *netsim.Internet, sites []string, dir string, w
 func TestCheckpointFullReplayAppendsNothing(t *testing.T) {
 	w, sites := buildSites(t, 30)
 	in := w.BuildInternet()
-	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 	dir := t.TempDir()
 	want, wantSnap := fullJournal(t, in, sites, dir)
 	st := resumeFull(t, in, sites, dir, want, wantSnap)
@@ -342,7 +345,6 @@ func addStoredLogs(t *testing.T, dir string) {
 func TestCheckpointResumesStoredLogJournal(t *testing.T) {
 	w, sites := buildSites(t, 30)
 	in := w.BuildInternet()
-	in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(0.35, 99)))
 	dir := t.TempDir()
 	want, wantSnap := fullJournal(t, in, sites, dir)
 	addStoredLogs(t, dir)

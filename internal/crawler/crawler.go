@@ -8,9 +8,9 @@
 // fabric (netsim.Internet) is the only shared component, as on the real
 // web.
 //
-// The crawl does not assume a perfect network: when the fabric injects
-// faults (netsim.SetFaultModel), Options.Retry bounds per-fetch retries
-// with seeded backoff, failed subresources degrade gracefully instead of
+// The crawl does not assume a perfect network: when a vantage carries a
+// fault schedule (netsim.Vantage.Faults), Options.Retry bounds per-fetch
+// retries with seeded backoff, failed subresources degrade gracefully instead of
 // aborting the visit, and every failure is classified into the taxonomy
 // that instrument.VisitLog records and analysis rolls up. All of it is
 // deterministic: a fixed seed and fault config reproduce the same
@@ -78,7 +78,9 @@ var ErrCrashInjected = journal.ErrCrashInjected
 
 // Options configures a crawl.
 type Options struct {
-	// Internet is the fabric to crawl (required).
+	// Internet is the fabric to crawl (required). A default vantage's
+	// lanes fetch through it directly, every other vantage's lanes
+	// through its view (Internet.From).
 	Internet *netsim.Internet
 	// Workers bounds concurrent visits (default 8).
 	Workers int
@@ -238,13 +240,13 @@ type ProgressStats struct {
 // the pass map — so its shed decisions and emitted records cannot be
 // perturbed by the other lanes sharing the worker pool. All lane
 // fields are owned by the dispatch goroutine; workers only read the
-// immutable identity fields (vantage, persona, transport, stats).
+// immutable identity fields (vantage, persona, fetcher, stats).
 type laneState struct {
-	id        int
-	vantage   netsim.Vantage // zero value = the default vantage
-	persona   string         // "" = the implicit persona-free crawl
-	transport netsim.Fetcher // nil = fabric directly
-	stats     *SchedStats    // per-unit child when labelled; nil without Options.Stats and a stateful policy
+	id      int
+	vantage netsim.Vantage // zero value = the default vantage
+	persona string         // "" = the implicit persona-free crawl
+	fetcher netsim.Fetcher // Options.Internet for the default vantage, else its view
+	stats   *SchedStats    // per-unit child when labelled; nil without Options.Stats and a stateful policy
 
 	// The lane's frontier: every site pops in input order (next counts
 	// them off), then the second pass's requeues pop in requeue order.
@@ -426,6 +428,10 @@ func unitLabel(vantage, persona string) string {
 // into scheduling lanes, vantage-major. An empty vantage list collapses
 // to the default vantage and an empty persona list to the implicit
 // persona-free cell, preserving the historical behaviour byte for byte.
+// A default vantage's lanes fetch through Options.Internet itself, so a
+// fault model a test installs on the fabric applies to them; every
+// other vantage's lanes fetch through its view (Internet.From), which
+// draws faults from the vantage's own schedule only.
 func buildLanes(sites []string, opts *Options) []*laneState {
 	vants := opts.Vantages
 	if len(vants) == 0 {
@@ -437,14 +443,14 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 	}
 	lanes := make([]*laneState, 0, len(vants)*len(personas))
 	for _, v := range vants {
-		var transport netsim.Fetcher
+		var fetcher netsim.Fetcher = opts.Internet
 		if !v.Default() {
-			transport = opts.Internet.From(v)
+			fetcher = opts.Internet.From(v)
 		}
 		for _, persona := range personas {
 			id := len(lanes)
 			ln := &laneState{id: id, vantage: v, persona: persona, sites: len(sites)}
-			ln.transport = transport
+			ln.fetcher = fetcher
 			ln.stats = opts.Stats
 			if opts.Stats != nil {
 				if label := unitLabel(v.Name, persona); label != "" {
@@ -1106,8 +1112,7 @@ func visit(url string, opts Options, j visitJob) (l instrument.VisitLog, out vis
 	}
 
 	b, err := browser.New(browser.Options{
-		Internet:         opts.Internet,
-		Transport:        j.lane.transport,
+		Internet:         j.lane.fetcher,
 		Clock:            clock,
 		CookieMiddleware: mw,
 		Seed:             seed,

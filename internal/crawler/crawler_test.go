@@ -32,9 +32,21 @@ func buildAndCrawl(t *testing.T, n int, interact bool) (*webgen.Web, []instrumen
 	return w, res
 }
 
+// filterComplete returns the logs that pass the retention criterion, in
+// input order.
+func filterComplete(logs []instrument.VisitLog) []instrument.VisitLog {
+	var out []instrument.VisitLog
+	for _, l := range logs {
+		if l.Complete() {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestCrawlRetainsCompleteSites(t *testing.T) {
 	w, res := buildAndCrawl(t, 120, false)
-	complete := instrument.FilterComplete(res)
+	complete := filterComplete(res)
 	expected := len(w.CompleteSites())
 	// Complete sites with third-party scripts always produce cookie and
 	// request logs; a handful of TP-free sites may fall below the
@@ -75,7 +87,7 @@ func TestPipelineShape(t *testing.T) {
 		t.Skip("pipeline shape test is slow")
 	}
 	w, res := buildAndCrawl(t, 400, true)
-	logs := instrument.FilterComplete(res)
+	logs := filterComplete(res)
 
 	clf := filterlist.DefaultClassifier()
 	an := analysis.New()

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cookieguard/internal/browser"
-	"cookieguard/internal/instrument"
 	"cookieguard/internal/netsim"
 	"cookieguard/internal/webgen"
 )
@@ -198,7 +197,7 @@ func TestAllFailingHostTerminatesWithinBudget(t *testing.T) {
 	if r := v.Requests[0]; !r.Failed || r.Failure != string(browser.FailTimeout) || r.Retries != 2 {
 		t.Fatalf("document record = %+v, want failed/timeout with 2 retries", r)
 	}
-	if len(instrument.FilterComplete(res)) != 0 {
+	if len(filterComplete(res)) != 0 {
 		t.Fatal("failed visit passed the completeness filter")
 	}
 }

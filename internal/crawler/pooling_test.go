@@ -71,14 +71,12 @@ func TestPoolingEquivalence(t *testing.T) {
 // aggressive fault schedule with retries: recycling state across visits
 // must not disturb a single byte of the degraded/failed records either.
 func TestPoolingEquivalenceUnderFaults(t *testing.T) {
-	cfg := webgen.DefaultConfig(40)
-	fc := netsim.UniformFaults(0.15, 11)
-	cfg.Flakiness = &fc
-	w := webgen.Build(cfg)
+	w := webgen.Build(webgen.DefaultConfig(40))
 	domains := domainsOf(w)
 	retry := browser.RetryPolicy{MaxAttempts: 3, BackoffBaseMs: 50, BackoffFactor: 2, BackoffMaxMs: 2000, JitterFrac: 0.1}
+	fc := netsim.UniformFaults(0.15, 11)
 
-	base := Options{Workers: 8, Interact: true, Seed: 5, Retry: retry}
+	base := Options{Workers: 8, Interact: true, Seed: 5, Retry: retry, Vantages: []netsim.Vantage{{Faults: fc}}}
 	unpooled := base
 	unpooled.DisablePooling = true
 

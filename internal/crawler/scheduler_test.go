@@ -431,13 +431,9 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 // one single-lane crawl per vantage over one fabric — the reference
 // the multi-lane crawl must reproduce byte for byte, since a lane's
 // state never depends on the lanes beside it.
-func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.Vantage, parallel bool, faultRate float64, opts Options) (map[string]string, SchedSnapshot) {
+func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.Vantage, parallel bool, opts Options) (map[string]string, SchedSnapshot) {
 	t.Helper()
-	in := w.BuildInternet()
-	if faultRate > 0 {
-		in.SetFaultModel(netsim.SeededFaults(netsim.UniformFaults(faultRate, 99)))
-	}
-	opts.Internet = in
+	opts.Internet = w.BuildInternet()
 	if opts.Stats == nil {
 		opts.Stats = &SchedStats{}
 	}
@@ -499,11 +495,11 @@ func TestVantageParallelByteIdenticalToSequential(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
 	opts := Options{Interact: true, Seed: 5, Workers: 5}
-	seq, _ := vantageRecords(t, w, sites, vants, false, 0, opts)
+	seq, _ := vantageRecords(t, w, sites, vants, false, opts)
 	for _, workers := range []int{2, 7} {
 		o := opts
 		o.Workers = workers
-		par, _ := vantageRecords(t, w, sites, vants, true, 0, o)
+		par, _ := vantageRecords(t, w, sites, vants, true, o)
 		diffRecords(t, seq, par, fmt.Sprintf("multi-lane@%dw vs single-lane", workers))
 	}
 }
@@ -516,7 +512,8 @@ func TestVantageParallelByteIdenticalToSequential(t *testing.T) {
 // matches decision for decision.
 func TestVantageParallelFaultedByteStable(t *testing.T) {
 	w, sites := buildSites(t, 40)
-	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
+	fc := netsim.UniformFaults(0.1, 99)
+	vants := []netsim.Vantage{{Name: "eu-west", Faults: fc}, {Name: "us-east", Faults: fc}}
 	opts := Options{
 		Interact:   true,
 		Seed:       5,
@@ -525,11 +522,11 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 		SecondPass: true,
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8},
 	}
-	seq, seqStats := vantageRecords(t, w, sites, vants, false, 0.1, opts)
+	seq, seqStats := vantageRecords(t, w, sites, vants, false, opts)
 	for _, workers := range []int{2, 7} {
 		o := opts
 		o.Workers = workers
-		par, parStats := vantageRecords(t, w, sites, vants, true, 0.1, o)
+		par, parStats := vantageRecords(t, w, sites, vants, true, o)
 		diffRecords(t, seq, par, fmt.Sprintf("faulted multi-lane@%dw vs single-lane", workers))
 		if !reflect.DeepEqual(seqStats, parStats) {
 			t.Fatalf("scheduler decisions differ between single- and multi-lane crawls at %d workers:\nsingle: %+v\nmulti:  %+v", workers, seqStats, parStats)

@@ -28,7 +28,7 @@ func Register(fs *flag.FlagSet, sites int, sitesUsage string) *Flags {
 	fs.IntVar(&f.Workers, "workers", 16, "concurrent visits (crawl workers)")
 	fs.Uint64Var(&f.Seed, "seed", 0, "override the default deterministic seed (reproducible full-scale runs)")
 	fs.Float64Var(&f.Faults, "faults", 0,
-		"overall per-attempt fault rate injected by the fabric (0 disables; 0.1 = 10% of attempts fault, spread across 5xx/reset/timeout/truncation/tail-latency plus flapping hosts; deterministic for a fixed -seed)")
+		"overall per-attempt fault rate injected into the crawl's fetches (0 disables; 0.1 = 10% of attempts fault, spread across 5xx/reset/timeout/truncation/tail-latency plus flapping hosts; deterministic for a fixed -seed)")
 	fs.IntVar(&f.Retries, "retries", 1,
 		"attempt budget per fetch under faults (1 = no retries); retried with jittered backoff on the virtual clock")
 	fs.BoolVar(&f.SecondPass, "second-pass", false,

@@ -177,18 +177,6 @@ func (v VisitLog) Degraded() bool {
 	return false
 }
 
-// FilterComplete returns the logs that pass the retention criterion, in
-// input order.
-func FilterComplete(logs []VisitLog) []VisitLog {
-	var out []VisitLog
-	for _, l := range logs {
-		if l.Complete() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Recorder accumulates events for one browser session (one site visit,
 // possibly spanning several page navigations).
 type Recorder struct {

@@ -26,8 +26,10 @@
 // happy path it injects the transient faults of a real measurement crawl
 // — 5xx responses, connection resets, timeouts, truncated bodies,
 // tail-latency spikes, and per-host flap schedules — through a seeded
-// deterministic FaultModel (SetFaultModel, SeededFaults), so resilience
-// experiments reproduce bit-for-bit.
+// deterministic FaultModel (SeededFaults), so resilience experiments
+// reproduce bit-for-bit. A crawl draws its faults per vantage
+// (Vantage.Faults, served by Internet.From); the fabric itself injects
+// none unless a test scripts a model on it with SetFaultModel.
 package netsim
 
 import (
@@ -393,9 +395,12 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// SetFaultModel installs (or, with nil, removes) a fault model. With a
-// model installed, every Fetch attempt first consults it and may be
-// answered with an injected failure instead of the handler; see
+// SetFaultModel installs (or, with nil, removes) a fault model on the
+// fabric's own Fetch. It is the seam tests use to script faults,
+// including hand-written models no FaultConfig can express; nothing
+// outside tests calls it, and vantage views (From) never read it. With
+// a model installed, every Internet.Fetch attempt first consults it and
+// may be answered with an injected failure instead of the handler; see
 // SeededFaults for the deterministic implementation. The model only
 // applies to resolvable hosts — an unregistered host stays NXDOMAIN —
 // and never interacts with the response cache: error and truncated
@@ -533,9 +538,9 @@ func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body 
 }
 
 // Fetch serves one request attempt from the implicit default vantage
-// (DefaultLatency and the installed fault model); s stamps the attempt
-// for the fault model. Internet.From builds vantage views that serve
-// through the same path with per-vantage models.
+// (DefaultLatency and the fault model SetFaultModel installed, if any);
+// s stamps the attempt for the fault model. Internet.From builds vantage
+// views that serve through the same path with per-vantage models.
 func (i *Internet) Fetch(req *http.Request, s Stamp) (*http.Response, error) {
 	v := i.view()
 	return i.fetch(req, s, &v, DefaultLatency, v.faults)

@@ -9,27 +9,26 @@ package netsim
 // without regenerating or re-registering anything.
 //
 // A Vantage never mutates the Internet: From returns a lightweight view
-// that overrides the latency/fault models per request, so any number of
-// vantage views can serve concurrently over one fabric, sharing its
-// handlers, CNAMEs, response cache, and counters.
+// that serves every request with the vantage's own latency and fault
+// models, so any number of vantage views can serve concurrently over one
+// fabric, sharing its handlers, CNAMEs, response cache, and counters.
 
 import "net/http"
 
 // Vantage is a named crawl origin: a region with its own latency model
 // and fault rates. The zero value is the implicit default vantage — it
-// observes the fabric exactly as a direct Internet.Fetch does
-// (DefaultLatency and the installed fault model), so code that threads a
-// Vantage through unconditionally stays byte-identical to code that
-// never heard of them.
+// observes the fabric with DefaultLatency and no faults, as a direct
+// Internet.Fetch of a fabric without a fault model does, so code that
+// threads a Vantage through unconditionally stays byte-identical to code
+// that never heard of them.
 type Vantage struct {
 	// Name identifies the vantage point (e.g. "eu-west"). Requests from
 	// a named vantage are charged RegionLatency(Name); the empty name
 	// keeps DefaultLatency.
 	Name string
-	// Faults, when enabled, replaces the fabric's fault model for
-	// requests from this vantage (region-dependent fault rates). The
-	// zero config keeps the fabric's installed model, so a vantage can
-	// reshape latency only.
+	// Faults is the seeded fault schedule of requests from this vantage
+	// (region-dependent fault rates). The zero config injects no faults,
+	// so a vantage can reshape latency only.
 	Faults FaultConfig
 }
 
@@ -78,35 +77,22 @@ func RegionSeed(seed uint64, region string) uint64 {
 // a shared Internet. Construct with Internet.From.
 type VantageView struct {
 	net     *Internet
-	vantage Vantage
 	latency LatencyModel
-	faults  FaultModel // nil: fabric's installed model
+	faults  FaultModel // nil: no faults
 }
 
 // From returns the fabric viewed from a vantage point. The view resolves
 // the vantage's models once — RegionLatency(Name), which is
-// DefaultLatency for the empty name; SeededFaults(Faults) when enabled,
-// else the fabric's installed fault model per request — so the default
-// vantage's view is request-for-request identical to the Internet
-// itself. Routing state (hosts, CNAMEs, response cache) and the
+// DefaultLatency for the empty name, and SeededFaults(Faults), which is
+// no faults for a zero config — and never reads a fault model installed
+// on the fabric. Routing state (hosts, CNAMEs, response cache) and the
 // request/fault counters are shared with every other view.
 func (i *Internet) From(v Vantage) *VantageView {
-	vv := &VantageView{net: i, vantage: v, latency: RegionLatency(v.Name)}
-	if v.Faults.Enabled() {
-		vv.faults = SeededFaults(v.Faults)
-	}
-	return vv
+	return &VantageView{net: i, latency: RegionLatency(v.Name), faults: SeededFaults(v.Faults)}
 }
-
-// Vantage returns the vantage point this view observes from.
-func (vv *VantageView) Vantage() Vantage { return vv.vantage }
 
 // Fetch serves one stamped request attempt from the vantage point.
 func (vv *VantageView) Fetch(req *http.Request, st Stamp) (*http.Response, error) {
 	s := vv.net.view()
-	flt := s.faults
-	if vv.faults != nil {
-		flt = vv.faults
-	}
-	return vv.net.fetch(req, st, &s, vv.latency, flt)
+	return vv.net.fetch(req, st, &s, vv.latency, vv.faults)
 }

@@ -29,10 +29,10 @@ func vget(t *testing.T, f Fetcher, url string) *http.Response {
 	return resp
 }
 
-// TestDefaultVantageViewIdentical: the zero Vantage's view observes the
-// fabric exactly as a direct Internet.Fetch — same status, body, and charged
-// latency — so threading a Vantage through unconditionally changes
-// nothing.
+// TestDefaultVantageViewIdentical: the zero Vantage's view observes a
+// fabric without a fault model exactly as a direct Internet.Fetch — same
+// status, body, and charged latency — so threading a Vantage through
+// unconditionally changes nothing.
 func TestDefaultVantageViewIdentical(t *testing.T) {
 	in := vantageTestNet(t)
 	v := Vantage{}
@@ -120,6 +120,24 @@ func TestVantageFaultsOverride(t *testing.T) {
 	}
 	if in.Faults() == 0 {
 		t.Fatal("vantage fault was not counted on the shared fabric counters")
+	}
+}
+
+// TestVantageViewIgnoresFabricFaults: a view draws faults from its own
+// vantage's schedule only, so a fault model installed on the fabric
+// reaches the fabric's direct path and no vantage view, not even the
+// default vantage's.
+func TestVantageViewIgnoresFabricFaults(t *testing.T) {
+	in := vantageTestNet(t)
+	in.SetFaultModel(func(*http.Request, Stamp) FaultDecision { return FaultDecision{Kind: FaultConnReset} })
+	req, _ := http.NewRequest(http.MethodGet, "https://www.example.com/q", nil)
+	if _, err := in.Fetch(req, Stamp{}); err == nil {
+		t.Fatal("fabric's direct path ignored its installed fault model")
+	}
+	for _, v := range []Vantage{{}, {Name: "eu-west"}} {
+		if _, err := in.From(v).Fetch(req, Stamp{}); err != nil {
+			t.Fatalf("view from %q inherited the fabric's fault model: %v", v.Name, err)
+		}
 	}
 }
 

@@ -85,15 +85,6 @@ type Config struct {
 	// generates no CMP artifacts at all, byte-identical to before the
 	// knob existed.
 	CMP bool
-
-	// Flakiness, when non-nil, is the scenario-generation knob for an
-	// imperfect network: BuildInternet installs the corresponding seeded
-	// fault model (netsim.SeededFaults) on the fabric it builds, so the
-	// generated web itself stays byte-identical while its serving fabric
-	// exhibits the configured 5xx/reset/timeout/truncation/tail-latency
-	// rates and per-host flap schedules. Nil (the default) reproduces
-	// the fault-free fabric exactly.
-	Flakiness *netsim.FaultConfig
 }
 
 // DefaultConfig returns the paper-calibrated configuration for n sites.
@@ -374,15 +365,13 @@ func (w *Web) Register(in *netsim.Internet) {
 
 // Build registers a fresh Internet for the web and returns it. The
 // fabric is frozen after registration: the generated web is static, so
-// the serving path runs lock-free from the first request. When the
-// config carries a Flakiness knob, the corresponding seeded fault model
-// is installed before the freeze.
+// the serving path runs lock-free from the first request. The fabric
+// injects no faults: a crawl draws its fault schedule per vantage
+// (netsim.Vantage.Faults), so everything else that fetches through the
+// fabric sees the web as generated.
 func (w *Web) BuildInternet() *netsim.Internet {
 	in := netsim.New()
 	w.Register(in)
-	if w.Config.Flakiness != nil {
-		in.SetFaultModel(netsim.SeededFaults(*w.Config.Flakiness))
-	}
 	in.Freeze()
 	return in
 }

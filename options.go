@@ -57,17 +57,19 @@ func WithGuard(pol Policy) Option {
 	return func(c *config) { c.guard = &pol }
 }
 
-// WithFaults subjects the pipeline's network fabric to a seeded
-// deterministic fault schedule: 5xx responses, connection resets,
-// timeouts, truncated bodies, tail-latency spikes, and per-host flap
-// windows on the virtual clock, at the rates the config sets (see
-// UniformFaults for a one-knob mix). Faults are injected by the fabric,
-// so every layer above — browser, crawler, guard, analysis — sees them
-// exactly as it would see a real flaky network. Same seed and config ⇒
-// byte-identical per-site records across runs and worker counts; a
-// zero-rate config is byte-identical to not calling WithFaults at all.
-// Pair with WithRetryPolicy for a resilient crawl, and read the outcome
-// from Results.Failures / Results.FailureTable().
+// WithFaults subjects the pipeline's crawl to a seeded deterministic
+// fault schedule: 5xx responses, connection resets, timeouts, truncated
+// bodies, tail-latency spikes, and per-host flap windows on the virtual
+// clock, at the rates the config sets (see UniformFaults for a one-knob
+// mix). The schedule is the fault config of every crawl vantage that
+// has none of its own (the implicit default vantage included), so the
+// browser, crawler, guard and analysis see the faults exactly as they
+// would see a real flaky network, while the fabric itself, and with it
+// EvaluateBreakage and EvaluatePerformance, stays fault-free. Same seed
+// and config ⇒ byte-identical per-site records across runs and worker
+// counts; a zero-rate config is byte-identical to not calling
+// WithFaults at all. Pair with WithRetryPolicy for a resilient crawl,
+// and read the outcome from Results.Failures / Results.FailureTable().
 func WithFaults(cfg FaultConfig) Option {
 	return func(c *config) { c.faults = &cfg }
 }
@@ -166,9 +168,11 @@ func WithVantageParallel(bool) Option {
 // vantage (in the given order), each record tagged with its
 // VisitLog.Vantage, and Results.Vantages / Results.VantageTable()
 // compare the per-vantage failure counts and load-event latency tails
-// (the Figure 6 comparison across regions). No vantages (the default)
-// crawls the fabric directly — byte-identical to before vantages
-// existed; a single default vantage is equivalent.
+// (the Figure 6 comparison across regions). A vantage whose Faults is
+// not enabled crawls under the WithFaults schedule, or fault-free
+// without one. No vantages (the default) crawls from the implicit
+// default vantage — byte-identical to before vantages existed; a single
+// default vantage is equivalent.
 func WithVantages(vs ...Vantage) Option {
 	return func(c *config) { c.vantages = append(c.vantages, vs...) }
 }
