@@ -59,6 +59,9 @@ func TestCheckpointPipelineCrashResume(t *testing.T) {
 	}
 	want := stableJSON(t, res)
 	wantSched := schedJSON(t, base)
+	if base.Net.Faults() == 0 {
+		t.Fatal("the fabric injected no fault; the resume check is vacuous")
+	}
 
 	dir := t.TempDir()
 	crashed := New(append(checkpointOpts(8),
@@ -197,9 +200,13 @@ func TestShutdownDrainsBlockedLongPoll(t *testing.T) {
 // TestCheckpointJournaledPipelineMatchesPlain: switching checkpointing
 // on (fresh directory, no resume) must not change a byte of Results.
 func TestCheckpointJournaledPipelineMatchesPlain(t *testing.T) {
-	plain, err := New(checkpointOpts(4)...).Run(context.Background())
+	pp := New(checkpointOpts(4)...)
+	plain, err := pp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pp.Net.Faults() == 0 {
+		t.Fatal("the fabric injected no fault; the comparison is vacuous")
 	}
 	ck := New(append(checkpointOpts(4), WithCheckpoint(t.TempDir()))...)
 	res, err := ck.Run(context.Background())

@@ -184,9 +184,10 @@ func main() {
 			b, err := json.Marshal(l)
 			fatal(err)
 			buffered = append(buffered, sortedLine{key: l.Site + "\x00" + l.Vantage + "\x00" + l.Persona, line: string(b)})
-			continue
+		} else {
+			fatal(enc.Encode(l))
 		}
-		fatal(enc.Encode(l))
+		l.Release() // encoded above, so nothing reads l any more
 	}
 	if err := <-errs; err != nil {
 		switch {

@@ -447,6 +447,11 @@ func (p *Pipeline) SchedStats() SchedSnapshot {
 // pool; each lane's records are byte-identical to a single-lane crawl
 // of the same cell. The WithProgressStats callback reports one
 // monotonic Done out of sites × vantages × personas.
+//
+// Each log belongs to the consumer. A consumer done with a log may call
+// its Release, which hands the log's buffers to the next visit's log
+// (see VisitLog.Release); one that keeps logs, or just drops them,
+// needs to do nothing.
 func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	if _, err := p.ensureJournal(); err != nil {
 		return errStream(err)
@@ -456,8 +461,9 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 
 // Run executes the full pipeline — crawl (§4) plus analysis (§4.4) — in
 // a single streaming pass over Stream: every visit log is folded into
-// the analyzer as soon as its visit finishes and is dropped afterwards,
-// so at most O(workers) logs are resident regardless of the site count.
+// the analyzer as soon as its visit finishes and then released, so at
+// most O(workers) logs are resident regardless of the site count and
+// their buffers serve later visits.
 // The analysis is order-independent, so Results.StableJSON() is
 // byte-identical at any worker count.
 //
@@ -490,6 +496,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Results, error) {
 	logs, errs := p.Stream(ctx)
 	for v := range logs {
 		an.Observe(v)
+		v.Release() // Observe keeps no reference to v
 		observed++
 		if store != nil && observed%every == 0 {
 			store.Publish(resultstore.Progress{Done: observed, Total: total}, an.Snapshot())

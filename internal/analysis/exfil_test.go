@@ -209,6 +209,17 @@ func TestExfilMatcherAgreesWithOracleOnWebgenCrawls(t *testing.T) {
 	if len(lanes) != 30*2*2 {
 		t.Fatalf("lane crawl returned %d logs, want %d", len(lanes), 30*2*2)
 	}
+	// A request an injected fault touched failed on a transient class or
+	// succeeded after a retry; a clean web shows neither.
+	faulted := false
+	for _, l := range lanes {
+		for _, r := range l.Requests {
+			faulted = faulted || browser.FailureClass(r.Failure).Transient() || r.Retries > 0 && !r.Failed
+		}
+	}
+	if !faulted {
+		t.Fatal("no log of the faulted lane crawl shows an injected fault")
+	}
 	if n := assertMatchersAgree(t, lanes); n == 0 {
 		t.Fatal("faulted lane crawl produced no exfiltration events")
 	}

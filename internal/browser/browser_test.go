@@ -3,6 +3,7 @@ package browser
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -210,6 +211,76 @@ func TestInjectionChainTracking(t *testing.T) {
 	}
 	if b.Jar().Get("https://www.shop.example/", "_deep") == nil {
 		t.Fatal("leaf cookie missing")
+	}
+}
+
+// TestInclusionPathsFromOnePage: injections share the page's path slab
+// but each keeps its own path. An inline injector's hop names the page,
+// and sibling injections and their children read their own chains.
+func TestInclusionPathsFromOnePage(t *testing.T) {
+	html := `<html><head><script>inject("https://a.example/a.js"); inject("https://b.example/b.js");</script></head><body></body></html>`
+	scripts := map[string]string{
+		"https://a.example/a.js": `inject("https://c.example/c.js");`,
+		"https://b.example/b.js": `inject("https://d.example/d.js");`,
+		"https://c.example/c.js": `let x = 1;`,
+		"https://d.example/d.js": `let y = 2;`,
+	}
+	for _, pooled := range []bool{false, true} {
+		b, err := New(Options{Internet: testWeb(html, scripts), Seed: 1, Pooling: pooled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Visit("https://www.shop.example/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const inline = "inline:https://www.shop.example/"
+		want := map[string][]string{
+			"https://a.example/a.js": {inline},
+			"https://b.example/b.js": {inline},
+			"https://c.example/c.js": {inline, "https://a.example/a.js"},
+			"https://d.example/d.js": {inline, "https://b.example/b.js"},
+		}
+		got := map[string][]string{}
+		for _, s := range p.Scripts {
+			if !s.Inline {
+				got[s.URL] = s.InclusionPath
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("pooled=%v: inclusion paths = %v, want %v", pooled, got, want)
+		}
+		b.Release()
+	}
+}
+
+// TestScriptInsertedDuringLoadDoesNotRun: the page's script list is a
+// snapshot taken before the first script runs, so a <script> element a
+// script inserts is not fetched or run by the load's script loop.
+func TestScriptInsertedDuringLoadDoesNotRun(t *testing.T) {
+	const late = "https://tracker.example/late.js"
+	html := `<html><head><script src="https://tracker.example/insert.js"></script></head><body></body></html>`
+	scripts := map[string]string{
+		"https://tracker.example/insert.js": `dom_insert("body", "script", {"id": "late", "src": "` + late + `"});`,
+		late:                                `set_cookie("_late", "1");`,
+	}
+	b := newTestBrowser(t, testWeb(html, scripts))
+	p, err := b.Visit("https://www.shop.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Doc.ByID("late") == nil {
+		t.Fatal("the script element was not inserted")
+	}
+	for _, s := range p.Scripts {
+		if s.URL == late {
+			t.Fatal("a script inserted during the load ran from the load's script loop")
+		}
+	}
+	for _, r := range p.Requests {
+		if r.URL == late {
+			t.Fatal("a script inserted during the load was fetched")
+		}
 	}
 }
 

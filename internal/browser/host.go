@@ -55,19 +55,23 @@ func (h *hostBinding) Send(url string, keys, vals []string) {
 
 // Inject queues a dynamically inserted external script (indirect
 // inclusion). The inclusion path extends the injecting script's path,
-// which travels on the execution frame.
+// which travels on the execution frame; it is appended to the page's
+// path slab rather than allocated per injection.
 func (h *hostBinding) Inject(src string) {
 	p := h.page
 	fr := p.currentFrame()
 	full := p.resolve(src)
-	path := make([]string, 0, len(fr.path)+1)
-	path = append(path, fr.path...)
-	if fr.scriptURL != "" {
-		path = append(path, fr.scriptURL)
-	} else {
+	hop := fr.scriptURL
+	if hop == "" {
 		// Inline or page-level injector: mark the hop as inline.
-		path = append(path, "inline:"+p.URL)
+		if p.inlineHop == "" {
+			p.inlineHop = "inline:" + p.URL
+		}
+		hop = p.inlineHop
 	}
+	start := len(p.paths)
+	p.paths = append(append(p.paths, fr.path...), hop)
+	path := p.paths[start:len(p.paths):len(p.paths)]
 	p.injectQ = append(p.injectQ, injection{src: full, path: path})
 }
 

@@ -73,8 +73,10 @@ type ScriptExec struct {
 	Inline bool
 	// InclusionPath is the chain of injecting script URLs from the
 	// HTML down to (excluding) this script; its last element is the
-	// script that injected this one. It is the slice built for the
-	// injection, and nothing writes to it afterwards.
+	// script that injected this one. Nothing writes to it while the page
+	// lives, but it is a window on the page's path slab, which a pooled
+	// page reuses once it is released (Browser.Release): copy it to keep
+	// it longer, as instrument.BuildVisitLog does.
 	InclusionPath []string
 	// Err is the parse or runtime error, if the script failed.
 	Err error
@@ -154,6 +156,16 @@ type Page struct {
 	binding hostBinding
 	interps []*jsdsl.Interp
 
+	// paths is the slab every injection's inclusion path is a window
+	// on, and inlineHop the hop an inline or page-level injector adds
+	// ("inline:" + URL), built once per page.
+	paths     []string
+	inlineHop string
+	// nodes is scratch for the element lists that load's script loop,
+	// loadSubresources and RandomLink walk. None of them runs while
+	// another walks it: scripts cannot reach any of the three.
+	nodes []*dom.Node
+
 	// baseURL is the lazily parsed page URL, so the many per-page
 	// reference resolutions parse the base once instead of per call.
 	baseURL *url.URL
@@ -171,9 +183,9 @@ func (p *Page) resolve(ref string) string {
 	return urlutil.ResolveRef(p.baseURL, ref)
 }
 
-// injection is a queued dynamically inserted script. Its path is built
-// fresh by hostBinding.Inject for this injection alone; runExternal
-// takes it over as the script's ScriptExec.InclusionPath.
+// injection is a queued dynamically inserted script. Its path is its own
+// window on the page's path slab (hostBinding.Inject); runExternal takes
+// it over as the script's ScriptExec.InclusionPath.
 type injection struct {
 	src  string
 	path []string
@@ -238,8 +250,9 @@ func (p *Page) load() error {
 	}
 
 	// 3. Execute scripts in document order (parser-blocking, as real
-	// classic scripts are).
-	for _, s := range p.Doc.Scripts() {
+	// classic scripts are). The list is a snapshot: a <script> a script
+	// inserts does not run from this loop.
+	for _, s := range p.collect("script", "") {
 		if src := s.Attr("src"); src != "" {
 			p.runExternal(p.resolve(src), nil)
 		} else {
@@ -275,47 +288,29 @@ func (p *Page) loadSubresources() {
 	b := p.browser
 	var maxLat float64
 
-	var resources []struct {
-		url  string
-		kind RequestKind
-	}
-	for _, img := range p.Doc.ByTag("img") {
-		if src := img.Attr("src"); src != "" {
-			resources = append(resources, struct {
-				url  string
-				kind RequestKind
-			}{p.resolve(src), ReqSubresource})
-		}
-	}
-	for _, l := range p.Doc.ByTag("link") {
-		if href := l.Attr("href"); href != "" {
-			resources = append(resources, struct {
-				url  string
-				kind RequestKind
-			}{p.resolve(href), ReqSubresource})
-		}
-	}
-
 	// Parallel model: total wall time is the max individual time.
 	// We fetch sequentially (the fabric is synchronous) but only charge
 	// the maximum latency: record clock, fetch all, then set the clock
 	// to start + max. A failed subresource never aborts the page — the
 	// failure is classified on its request record and the load goes on.
 	startMS := b.clock.UnixMillis()
-	for _, r := range resources {
-		preMS := b.clock.UnixMillis()
-		p.recordRequest(r.url, r.kind, frame{})
-		p.noteResult(r.url, b.fetch(r.url))
-		lat := float64(b.clock.UnixMillis() - preMS)
-		if lat > maxLat {
-			maxLat = lat
+	for _, r := range [...]struct{ tag, attr string }{{"img", "src"}, {"link", "href"}} {
+		for _, n := range p.collect(r.tag, r.attr) {
+			u := p.resolve(n.Attr(r.attr))
+			preMS := b.clock.UnixMillis()
+			p.recordRequest(u, ReqSubresource, frame{})
+			p.noteResult(u, b.fetch(u))
+			lat := float64(b.clock.UnixMillis() - preMS)
+			if lat > maxLat {
+				maxLat = lat
+			}
 		}
 	}
 	// Iframes load their own documents (sequential within the frame,
 	// parallel across frames at this level of fidelity). A frame whose
 	// document fails is dropped; the failure class lands on the parent's
 	// frame request.
-	for _, f := range p.Doc.IFrames() {
+	for _, f := range p.collect("iframe", "src") {
 		src := p.resolve(f.Attr("src"))
 		preMS := b.clock.UnixMillis()
 		p.recordRequest(src, ReqFrame, frame{})
@@ -560,12 +555,30 @@ func (p *Page) RandomLink() string {
 	if p.Doc == nil {
 		return ""
 	}
-	links := p.Doc.Links()
+	links := p.collect("a", "href")
 	if len(links) == 0 {
 		return ""
 	}
 	l := links[p.browser.rng.Intn(len(links))]
 	return p.resolve(l.Attr("href"))
+}
+
+// collect lists the page's tag elements, in document order, that carry a
+// non-empty attr (every one when attr is ""). The list lives in the
+// page's scratch and is valid until the next collect.
+func (p *Page) collect(tag, attr string) []*dom.Node {
+	all := p.Doc.AppendByTag(p.nodes[:0], tag)
+	p.nodes = all
+	if attr == "" {
+		return all
+	}
+	out := all[:0]
+	for _, n := range all {
+		if n.Attr(attr) != "" {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // MainFrame reports whether this page is a top-level document.

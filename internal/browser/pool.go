@@ -120,5 +120,10 @@ func (p *Page) release() {
 	p.scriptCnt = 0
 	p.parallelCredit = 0
 	p.baseURL = nil
+	clear(p.paths)
+	p.paths = p.paths[:0]
+	p.inlineHop = ""
+	clear(p.nodes)
+	p.nodes = p.nodes[:0]
 	pagePool.Put(p)
 }

@@ -104,6 +104,9 @@ func TestCheckpointJournaledRunMatchesUnjournaled(t *testing.T) {
 	}
 	want := recordMap(t, res)
 	wantSnap := base.Stats.Snapshot()
+	if faultedRecords(t, want) == 0 {
+		t.Fatal("no record shows an injected fault; the comparison is vacuous")
+	}
 
 	jnl, err := journal.Open(t.TempDir(), "fp")
 	if err != nil {
@@ -255,7 +258,11 @@ func fullJournal(t *testing.T, in *netsim.Internet, sites []string, dir string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recordMap(t, res), opts.Stats.Snapshot()
+	recs := recordMap(t, res)
+	if faultedRecords(t, recs) == 0 {
+		t.Fatal("no record shows an injected fault; the resume check is vacuous")
+	}
+	return recs, opts.Stats.Snapshot()
 }
 
 // resumeFull resumes the journal in dir at a different worker count,

@@ -482,7 +482,9 @@ func buildLanes(sites []string, opts *Options) []*laneState {
 // dispatch and unblocks workers mid-send, so a consumer may walk away
 // after cancelling. Both channels close after the pool drains; the
 // error channel yields at most one error (the context's cause, or a
-// configuration error).
+// configuration error). Each delivered log belongs to the consumer,
+// which may hand its buffers back with VisitLog.Release once done with
+// it; a log the crawl does not deliver it releases itself.
 func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrument.VisitLog, <-chan error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -555,7 +557,12 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 				// the feedback send below before the dispatcher takes it.
 				// A requeued record is neither delivered nor counted — the
 				// second pass supersedes it and the re-crawl accounts it.
-				if !o.requeue && !d.deliver(l) {
+				// A log that is not delivered has no other owner, so the
+				// worker releases it.
+				if o.requeue {
+					l.Release()
+				} else if !d.deliver(l) {
+					l.Release()
 					return
 				}
 				select {

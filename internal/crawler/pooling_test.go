@@ -87,6 +87,9 @@ func TestPoolingEquivalenceUnderFaults(t *testing.T) {
 			t.Fatalf("faulted pooled record for %s differs\npooled:   %s\nunpooled: %s", site, got[site], want)
 		}
 	}
+	if faultedRecords(t, ref) == 0 {
+		t.Fatal("no record shows an injected fault; the comparison is vacuous")
+	}
 }
 
 // TestPooledVisitIsolationRace drives two pooled crawls concurrently over

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -487,6 +488,32 @@ func diffRecords(t *testing.T, want, got map[string]string, label string) {
 	}
 }
 
+// faultedRecords counts the encoded records with a request an injected
+// fault touched: one that failed on a transient class (conn-reset,
+// timeout, truncated) or that succeeded after a retry. A clean web
+// shows neither (an incomplete site's 500 is retried and fails again
+// with "http"), so a faulted test that counts none ran on a crawl that
+// injected no fault.
+func faultedRecords(t *testing.T, recs map[string]string) int {
+	t.Helper()
+	n := 0
+	for _, rec := range recs {
+		var v instrument.VisitLog
+		if err := json.Unmarshal([]byte(rec), &v); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(v.Requests, faultTouched) {
+			n++
+		}
+	}
+	return n
+}
+
+// faultTouched reports whether an injected fault touched r.
+func faultTouched(r instrument.RequestEvent) bool {
+	return browser.FailureClass(r.Failure).Transient() || r.Retries > 0 && !r.Failed
+}
+
 // TestVantageParallelByteIdenticalToSequential: on a clean web, a
 // multi-lane (site, vantage) crawl emits records byte-identical to
 // single-lane crawls of each vantage run one after another, at every
@@ -523,6 +550,9 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8},
 	}
 	seq, seqStats := vantageRecords(t, w, sites, vants, false, opts)
+	if faultedRecords(t, seq) == 0 {
+		t.Fatal("no record shows an injected fault; the comparison is vacuous")
+	}
 	for _, workers := range []int{2, 7} {
 		o := opts
 		o.Workers = workers

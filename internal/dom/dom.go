@@ -232,8 +232,13 @@ func (n *Node) findByID(id string) *Node {
 }
 
 // ByTag returns all elements with the given tag, in document order.
-func (d *Document) ByTag(tag string) []*Node {
-	return d.Root.collectTag(strings.ToLower(tag), nil)
+func (d *Document) ByTag(tag string) []*Node { return d.AppendByTag(nil, tag) }
+
+// AppendByTag appends all elements with the given tag to dst, in
+// document order, and returns the extended slice. The list is a
+// snapshot: elements inserted later do not join it.
+func (d *Document) AppendByTag(dst []*Node, tag string) []*Node {
+	return d.Root.collectTag(strings.ToLower(tag), dst)
 }
 
 func (n *Node) collectTag(tag string, out []*Node) []*Node {
@@ -262,31 +267,6 @@ func (n *Node) findTag(tag string) *Node {
 		}
 	}
 	return nil
-}
-
-// Scripts returns all <script> elements in document order.
-func (d *Document) Scripts() []*Node { return d.ByTag("script") }
-
-// Links returns all <a> elements with an href.
-func (d *Document) Links() []*Node {
-	var out []*Node
-	for _, a := range d.ByTag("a") {
-		if a.Attr("href") != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// IFrames returns all <iframe> elements with a src.
-func (d *Document) IFrames() []*Node {
-	var out []*Node
-	for _, f := range d.ByTag("iframe") {
-		if f.Attr("src") != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // CountElements returns the number of element nodes.

@@ -32,15 +32,26 @@ func parseDoc(t *testing.T) *Document {
 
 func TestParseStructure(t *testing.T) {
 	d := parseDoc(t)
-	if got := len(d.Scripts()); got != 2 {
-		t.Fatalf("Scripts = %d, want 2", got)
+	if got := len(d.ByTag("script")); got != 2 {
+		t.Fatalf("scripts = %d, want 2", got)
 	}
-	if got := len(d.Links()); got != 2 {
-		t.Fatalf("Links = %d, want 2 (href-less <a> excluded)", got)
+	if got := withAttr(d.ByTag("a"), "href"); got != 2 {
+		t.Fatalf("links = %d, want 2 (href-less <a> excluded)", got)
 	}
-	if got := len(d.IFrames()); got != 1 {
-		t.Fatalf("IFrames = %d, want 1", got)
+	if got := withAttr(d.ByTag("iframe"), "src"); got != 1 {
+		t.Fatalf("iframes = %d, want 1", got)
 	}
+}
+
+// withAttr counts the nodes that carry a non-empty attr.
+func withAttr(nodes []*Node, attr string) int {
+	n := 0
+	for _, node := range nodes {
+		if node.Attr(attr) != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFirstByTag: FirstByTag is the first element ByTag lists, and nil
@@ -62,7 +73,7 @@ func TestFirstByTag(t *testing.T) {
 
 func TestScriptSrcAndInlineBody(t *testing.T) {
 	d := parseDoc(t)
-	scripts := d.Scripts()
+	scripts := d.ByTag("script")
 	if src := scripts[0].Attr("src"); src != "https://www.googletagmanager.com/gtm.js" {
 		t.Fatalf("script src = %q", src)
 	}
@@ -95,7 +106,7 @@ func TestInnerText(t *testing.T) {
 
 func TestCommentsIgnored(t *testing.T) {
 	d := parseDoc(t)
-	for _, a := range d.Links() {
+	for _, a := range d.ByTag("a") {
 		if a.Attr("href") == "/hidden" {
 			t.Fatal("link inside comment was parsed")
 		}
@@ -139,7 +150,7 @@ func TestRawTextSwallowsMarkup(t *testing.T) {
 	if d.ByID("after") == nil {
 		t.Fatal("element after script not parsed")
 	}
-	body := d.Scripts()[0].InnerText()
+	body := d.ByTag("script")[0].InnerText()
 	if !strings.Contains(body, "a < b") {
 		t.Fatalf("script body = %q", body)
 	}
@@ -187,8 +198,8 @@ func TestInsertedElementFindable(t *testing.T) {
 	d := parseDoc(t)
 	body := d.ByTag("body")[0]
 	d.Insert(body, "script", []string{"src"}, []string{"https://x.example/i.js"}, "https://x.example/parent.js")
-	if len(d.Scripts()) != 3 {
-		t.Fatalf("Scripts after insert = %d", len(d.Scripts()))
+	if n := len(d.ByTag("script")); n != 3 {
+		t.Fatalf("scripts after insert = %d", n)
 	}
 }
 

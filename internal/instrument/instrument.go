@@ -11,6 +11,7 @@
 package instrument
 
 import (
+	"slices"
 	"sync"
 
 	"cookieguard/internal/browser"
@@ -148,6 +149,49 @@ type VisitLog struct {
 	Mutations []MutationRecord `json:"mutations,omitempty"`
 
 	Timing browser.Timing `json:"timing"`
+
+	// bufs is the pooled store the four slices above (and every script's
+	// InclusionPath) were built in by BuildVisitLog; nil for a log
+	// decoded from JSON, built by hand, or already released.
+	bufs *logBuffers
+}
+
+// logBuffers is the backing store of one built VisitLog. Buffers keep
+// the capacity earlier visits grew them to, so building a log rarely
+// allocates.
+type logBuffers struct {
+	cookies   []CookieEvent
+	requests  []RequestEvent
+	scripts   []ScriptRecord
+	mutations []MutationRecord
+	paths     []string // every script's inclusion path, back to back
+}
+
+var logBufs = sync.Pool{New: func() any { return new(logBuffers) }}
+
+// Release hands the buffers BuildVisitLog built v in back to a pool
+// shared by all logs, clearing them to their full capacity first so the
+// pool pins none of the visit's strings, and sets v's slices to nil.
+//
+// Only the log's owner may release it, and only once nothing reads the
+// log, a copy of it, or any slice taken from it any more: the buffers
+// go to the next visit's log. Strings read out of the log stay valid.
+// A consumer that never calls Release keeps the log; the garbage
+// collector frees it with its buffers. A second Release, and Release on
+// a log that BuildVisitLog did not build (decoded from JSON, built by
+// hand), do nothing.
+func (v *VisitLog) Release() {
+	b := v.bufs
+	if b == nil {
+		return
+	}
+	clear(b.cookies[:cap(b.cookies)])
+	clear(b.requests[:cap(b.requests)])
+	clear(b.scripts[:cap(b.scripts)])
+	clear(b.mutations[:cap(b.mutations)])
+	clear(b.paths[:cap(b.paths)])
+	logBufs.Put(b)
+	v.Cookies, v.Requests, v.Scripts, v.Mutations, v.bufs = nil, nil, nil, nil, nil
 }
 
 // Complete implements the paper's retention criterion: both cookie access
@@ -187,8 +231,7 @@ type Recorder struct {
 
 // eventBufs recycles recorder event buffers across visits: a buffer
 // keeps the capacity earlier visits grew it to, so a visit's appends
-// rarely grow it at all. Only BuildVisitLog's exact-size copy outlives
-// the visit.
+// rarely grow it at all. Only BuildVisitLog's copy outlives the visit.
 var eventBufs = sync.Pool{New: func() any {
 	b := make([]CookieEvent, 0, 48)
 	return &b
@@ -279,53 +322,58 @@ func (r *Recorder) read(ctx browser.AccessContext, api API) {
 	r.events = append(r.events, ev)
 }
 
-// Events returns an exact-size copy of the recorded cookie events; it
-// never aliases the pooled buffer.
-func (r *Recorder) Events() []CookieEvent {
+// Events returns a copy of the recorded cookie events; it never aliases
+// the pooled buffer.
+func (r *Recorder) Events() []CookieEvent { return r.appendEvents(nil) }
+
+// appendEvents appends the recorded cookie events to dst.
+func (r *Recorder) appendEvents(dst []CookieEvent) []CookieEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]CookieEvent, len(r.events))
-	copy(out, r.events)
-	return out
+	return append(dst, r.events...)
 }
 
 // BuildVisitLog assembles the VisitLog for a finished visit. pages lists
 // every main-frame page loaded during the visit (landing plus clicked
 // links); err is the landing-load error, if any.
+//
+// The log copies everything it keeps, inclusion paths too, into buffers
+// of its own from a pool, so it shares no memory with the recorder or
+// the pages: both may be released once it is built. The log's owner
+// hands the buffers back with VisitLog.Release.
 func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) VisitLog {
 	v := VisitLog{Site: site, OK: err == nil}
 	if err != nil {
 		v.Error = err.Error()
 		v.Failure = string(browser.ClassifyError(err))
 	}
-	v.Cookies = r.Events()
-	// Pre-size the event slices exactly: the totals are known, and the
-	// append-grow path below them was a measurable slice-copy cost on
-	// large visits.
-	var nReq, nScr, nMut int
+	// Grow each buffer to its total up front: the totals are known, so
+	// the appends below never regrow one.
+	var nReq, nScr, nPath, nMut int
 	for _, p := range pages {
 		nReq += len(p.Requests)
 		nScr += len(p.Scripts)
+		for _, se := range p.Scripts {
+			nPath += len(se.InclusionPath)
+		}
 		if p.Doc != nil {
 			nMut += len(p.Doc.Mutations)
 		}
 	}
-	if nReq > 0 {
-		v.Requests = make([]RequestEvent, 0, nReq)
-	}
-	if nScr > 0 {
-		v.Scripts = make([]ScriptRecord, 0, nScr)
-	}
-	if nMut > 0 {
-		v.Mutations = make([]MutationRecord, 0, nMut)
-	}
+	b := logBufs.Get().(*logBuffers)
+	v.bufs = b
+	b.cookies = r.appendEvents(b.cookies[:0])
+	b.requests = slices.Grow(b.requests[:0], nReq)
+	b.scripts = slices.Grow(b.scripts[:0], nScr)
+	b.paths = slices.Grow(b.paths[:0], nPath)
+	b.mutations = slices.Grow(b.mutations[:0], nMut)
 	for i, p := range pages {
 		if i == 0 {
 			v.URL = p.URL
 			v.Timing = p.Timing
 		}
 		for _, req := range p.Requests {
-			v.Requests = append(v.Requests, RequestEvent{
+			b.requests = append(b.requests, RequestEvent{
 				URL:             req.URL,
 				Kind:            req.Kind.String(),
 				InitiatorScript: req.InitiatorScript,
@@ -337,17 +385,23 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 			})
 		}
 		for _, se := range p.Scripts {
-			v.Scripts = append(v.Scripts, ScriptRecord{
+			var path []string
+			if len(se.InclusionPath) > 0 {
+				start := len(b.paths)
+				b.paths = append(b.paths, se.InclusionPath...)
+				path = b.paths[start:len(b.paths):len(b.paths)]
+			}
+			b.scripts = append(b.scripts, ScriptRecord{
 				URL:           se.URL,
 				Domain:        urlutil.RegistrableDomain(se.URL),
 				Inline:        se.Inline,
-				InclusionPath: se.InclusionPath,
+				InclusionPath: path,
 				Failed:        se.Err != nil,
 			})
 		}
 		if p.Doc != nil {
 			for _, m := range p.Doc.Mutations {
-				v.Mutations = append(v.Mutations, MutationRecord{
+				b.mutations = append(b.mutations, MutationRecord{
 					Kind:        m.Kind.String(),
 					OwnerScript: m.Owner,
 					ByScript:    m.ByScript,
@@ -355,6 +409,7 @@ func (r *Recorder) BuildVisitLog(site string, pages []*browser.Page, err error) 
 			}
 		}
 	}
+	v.Cookies, v.Requests, v.Scripts, v.Mutations = b.cookies, b.requests, b.scripts, b.mutations
 	return v
 }
 

@@ -402,3 +402,103 @@ let c = cookiestore_get_all();`)
 		t.Errorf("injected script = %v, want %s with inclusion_path [%s]", got.Scripts[1], reader, tag)
 	}
 }
+
+// TestVisitLogRelease: a built log copies every inclusion path out of
+// its pages, so it reads the same after a pooled browser releases them.
+// Release clears the log's buffers to their capacity and nils its
+// slices; a second Release, and Release on a log decoded from JSON, do
+// nothing.
+func TestVisitLogRelease(t *testing.T) {
+	const (
+		tag    = "https://tagmgr.example/gtm.js"
+		reader = "https://reader.example/r.js"
+	)
+	in := netsim.New()
+	in.RegisterFunc("www.shop.example", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprintf(w, `<html><head><script>inject(%q);</script></head><body><div id="d">x</div></body></html>`, tag)
+	})
+	in.RegisterFunc("tagmgr.example", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `set_cookie("_uid", "uid4433236411aa"); dom_set_text("d", "y"); inject(%q);`, reader)
+	})
+	in.RegisterFunc("reader.example", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `let a = get_cookie("_uid");`)
+	})
+	rec := NewRecorder()
+	defer rec.Release()
+	b, err := browser.New(browser.Options{
+		Internet:         in,
+		CookieMiddleware: []browser.CookieMiddleware{rec.Middleware()},
+		Pooling:          true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Visit("https://www.shop.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rec.BuildVisitLog("shop.example", []*browser.Page{p}, nil)
+	indirect := 0
+	for i, se := range p.Scripts {
+		if len(se.InclusionPath) == 0 {
+			continue
+		}
+		indirect++
+		if &se.InclusionPath[0] == &v.Scripts[i].InclusionPath[0] {
+			t.Errorf("script %d's inclusion path aliases the page's", i)
+		}
+	}
+	if indirect != 2 || len(v.Mutations) == 0 || len(v.Cookies) == 0 {
+		t.Fatalf("visit has %d injected scripts, %d mutations, %d cookie events; want 2 and some of each",
+			indirect, len(v.Mutations), len(v.Cookies))
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if got, _ := json.Marshal(v); string(got) != string(want) {
+		t.Fatalf("log changed when the browser released its pages:\n got %s\nwant %s", got, want)
+	}
+
+	bufs := v.bufs
+	v.Release()
+	if v.Cookies != nil || v.Requests != nil || v.Scripts != nil || v.Mutations != nil || v.bufs != nil {
+		t.Fatalf("released log keeps slices: %+v", v)
+	}
+	v.Release() // a second Release is a no-op
+	for name, n := range map[string]int{
+		"cookies":   countNonZero(bufs.cookies),
+		"requests":  countNonZero(bufs.requests),
+		"scripts":   countNonZero(bufs.scripts),
+		"mutations": countNonZero(bufs.mutations),
+		"paths":     countNonZero(bufs.paths),
+	} {
+		if n != 0 {
+			t.Errorf("released %s buffer still holds %d entries", name, n)
+		}
+	}
+
+	var decoded VisitLog
+	if err := json.Unmarshal(want, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	decoded.Release()
+	if got, _ := json.Marshal(decoded); string(got) != string(want) {
+		t.Fatal("Release changed a log decoded from JSON")
+	}
+}
+
+// countNonZero counts the entries of s, up to its capacity, that are not
+// the zero value.
+func countNonZero[E any](s []E) int {
+	n := 0
+	var zero E
+	for _, e := range s[:cap(s)] {
+		if !reflect.DeepEqual(e, zero) {
+			n++
+		}
+	}
+	return n
+}

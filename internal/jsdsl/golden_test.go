@@ -109,7 +109,7 @@ func servedScripts(t *testing.T) []string {
 			if !strings.HasPrefix(ctype, "text/html") {
 				continue
 			}
-			for _, el := range dom.NewDocument("", dom.Parse(page)).Scripts() {
+			for _, el := range dom.NewDocument("", dom.Parse(page)).ByTag("script") {
 				if src := el.Attr("src"); src != "" {
 					if strings.HasPrefix(src, "/") {
 						src = "https://" + s.Host + src

@@ -127,14 +127,49 @@ var edgeBases = []string{
 	"https://www.site00001.com/",
 	"https://www.shop.example/dir/page?x=1#top",
 	"http://example.com",
+	"https://user:pw@www.example.com/",
+	"https://www.example.com:8443/a",
+	"https://[2001:db8::1]/x",
+	"https://ex%41mple.com/",
+	"HTTPS://WWW.Example.COM/",
+	"http:///nohost",
+	"ftp://example.com/",
+	"mailto:user@example.com",
+	"/relative/base",
+}
+
+// rootRelativeRefs are the root-relative refs the synthetic web's pages
+// resolve, plus the shapes around them the root-relative fast path must
+// send to net/url.
+var rootRelativeRefs = []string{
+	"/assets/app.js",
+	"/style.css",
+	"/logo.png",
+	"/",
+	"/about",
+	"/products",
+	"/login",
+	"/a?",
+	"/a?x=1&y=2",
+	"/a#f",
+	"/a/../b",
+	"/./a",
+	"/a//b",
+	"/%7Ea",
+	"/a b",
+	"/é",
+	"/:a",
+	"//host/x",
+	"///x",
 }
 
 func FuzzResolveRef(f *testing.F) {
 	for _, ref := range webgenURLs() {
 		f.Add(edgeBases[0], ref)
 	}
+	refs := slices.Concat(edgeRefs, rootRelativeRefs)
 	for _, base := range edgeBases {
-		for _, ref := range edgeRefs {
+		for _, ref := range refs {
 			f.Add(base, ref)
 		}
 	}
@@ -276,6 +311,13 @@ func TestFastPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sink = Hostname("") }); n != 0 {
 		t.Errorf("Hostname(\"\"): %v allocs, want 0", n)
+	}
+	rel, want := "/assets/app.js", "https://www.site00001.com/assets/app.js"
+	if n := testing.AllocsPerRun(100, func() { sink = ResolveRef(base, rel) }); n > 1 {
+		t.Errorf("ResolveRef on a root-relative ref: %v allocs, want at most 1", n)
+	}
+	if sink != want {
+		t.Errorf("ResolveRef(%q) = %q, want %q", rel, sink, want)
 	}
 	var u url.URL
 	if n := testing.AllocsPerRun(100, func() { ParseCanonical(&u, ref) }); n != 0 {

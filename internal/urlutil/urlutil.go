@@ -285,11 +285,23 @@ func Resolve(base, ref string) string {
 //
 // A canonical ref (see canonicalAbsolute) is returned as is, without
 // allocating: it is absolute, so base does not matter, and net/url would
-// give back the same bytes. Every other ref goes through url.Parse,
+// give back the same bytes. A root-relative ref (one leading '/', not
+// "//") against an http(s) base with no userinfo and no opaque part
+// becomes scheme://host+ref with one allocation, when that string is
+// canonical: net/url would keep the base's scheme and host and the
+// ref's path and query, and a canonical string has no dot segment to
+// remove and nothing to escape. Every other ref goes through url.Parse,
 // ResolveReference and String.
 func ResolveRef(base *url.URL, ref string) string {
 	if ok, _ := canonicalAbsolute(ref); ok {
 		return ref
+	}
+	if len(ref) > 0 && ref[0] == '/' && (len(ref) == 1 || ref[1] != '/') &&
+		(base.Scheme == "http" || base.Scheme == "https") && base.User == nil && base.Opaque == "" {
+		abs := base.Scheme + "://" + base.Host + ref
+		if ok, _ := canonicalAbsolute(abs); ok {
+			return abs
+		}
 	}
 	r, err := url.Parse(ref)
 	if err != nil {

@@ -55,6 +55,82 @@ func TestWithPoolingEquivalence(t *testing.T) {
 			t.Fatalf("faulted pooled pipeline record for %s differs", site)
 		}
 	}
+	if faultedRecords(t, fref) == 0 {
+		t.Fatal("no record shows an injected fault; the faulted comparison is vacuous")
+	}
+}
+
+// TestRunReleaseMatchesKeptLogs: Run releases each log once Observe
+// returns, and the crawl releases each requeued log it never delivers,
+// so later visits build their logs in those buffers. Run's Results
+// equal a Stream fold that keeps every log unreleased — pooled and
+// unpooled, at 1 and 4 workers, clean and under faults with personas and
+// the second pass — and the kept logs read the same after those runs.
+func TestRunReleaseMatchesKeptLogs(t *testing.T) {
+	cases := []struct {
+		name      string
+		opts      []Option
+		resilient bool
+	}{
+		{"clean", []Option{WithSites(300), WithSeed(0), WithInteract(true)}, false},
+		{"resilient", []Option{
+			WithSites(300), WithSeed(0), WithInteract(true), WithCMP(true),
+			WithFaults(UniformFaults(0.1, 7)), WithRetryPolicy(DefaultRetryPolicy()),
+			WithSecondPass(true), WithPersonas("accept", "reject"),
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := func(extra ...Option) []Option {
+				return append(tc.opts[:len(tc.opts):len(tc.opts)], extra...)
+			}
+			p := New(opts(WithWorkers(4))...)
+			kept, err := collectStream(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := p.NewAnalyzer()
+			for _, l := range kept {
+				an.Observe(l)
+			}
+			res := an.Finalize()
+			want := stableJSON(t, res)
+			keptJSON, err := json.Marshal(kept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.resilient {
+				if p.Net.Faults() == 0 {
+					t.Fatal("the fabric injected no fault")
+				}
+				if p.SchedStats().Requeued == 0 {
+					t.Fatal("the second pass requeued nothing, so no undelivered log was released")
+				}
+			}
+
+			for _, pooled := range []bool{true, false} {
+				for _, workers := range []int{1, 4} {
+					got, err := New(opts(WithWorkers(workers), WithPooling(pooled))...).Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stableJSON(t, got) != want {
+						t.Fatalf("pooled=%v workers=%d: Run's Results differ from the fold over kept logs", pooled, workers)
+					}
+				}
+			}
+			if again, _ := json.Marshal(kept); string(again) != string(keptJSON) {
+				t.Fatal("kept logs changed while other runs released theirs")
+			}
+
+			l := kept[0]
+			l.Release()
+			if l.Cookies != nil || l.Requests != nil || l.Scripts != nil || l.Mutations != nil {
+				t.Fatalf("released log keeps slices: %+v", l)
+			}
+			l.Release() // a second Release is a no-op
+		})
+	}
 }
 
 // TestProgressStatsCallback: the live-counter callback fires serialized

@@ -51,7 +51,8 @@ func TestServedRunMatchesUnserved(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plain, err := New(tc.opts...).Run(context.Background())
+			pp := New(tc.opts...)
+			plain, err := pp.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,6 +66,9 @@ func TestServedRunMatchesUnserved(t *testing.T) {
 			}
 			if got.Summary.SitesComplete == 0 {
 				t.Fatal("no complete sites; equality check is vacuous")
+			}
+			if faulted := !strings.HasPrefix(tc.name, "clean"); faulted && pp.Net.Faults() == 0 {
+				t.Fatal("the fabric injected no fault; the faulted comparison is vacuous")
 			}
 			// The finalize-time publish is the exact returned value.
 			snap := served.ResultStore().Latest()
