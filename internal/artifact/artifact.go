@@ -18,8 +18,8 @@
 //
 //   - DOM templates: dom.Parse output. Pages are mutated by scripts
 //     (cross-domain DOM modification is one of the measured behaviours),
-//     so the cached tree is a template — callers take a deep
-//     Node.Clone() per page and mutate the clone.
+//     so the cached tree is a template — Document clones it into a
+//     pooled dom.Arena per page, and scripts mutate the clone.
 //
 //   - Response bodies: opaque entries the network fabric (netsim) stores
 //     under its request keys (netsim.ResponseKey), so repeated fetches of an unchanged resource
@@ -247,8 +247,7 @@ func (c *Cache) Program(key, src string) (*jsdsl.Program, error) {
 // DOMTemplate returns the parsed node tree for html, parsing it at most
 // once per residency of its content. key must be KeyFor(...) of html (or
 // "" to compute it here). The returned tree is the shared template:
-// callers MUST NOT mutate it — take a Node.Clone() per page (Document
-// does both).
+// callers MUST NOT mutate it — Document returns a mutable clone.
 func (c *Cache) DOMTemplate(key, html string) *dom.Node {
 	return c.domTemplate(key, html).root
 }
@@ -267,10 +266,10 @@ func (c *Cache) domTemplate(key, html string) domEntry {
 }
 
 // Document returns a fresh, independently mutable document for a page:
-// the cached template for html, deep-cloned into a pooled arena (one
-// backing slice per page instead of one allocation per node). Mutations
-// to the returned document never reach the cache; attribute maps are
-// shared copy-on-write. Callers that release pages should call
+// the cached template for html, deep-cloned into a pooled arena that
+// also holds everything the page's scripts add. Mutations to the
+// returned document never reach the cache; attribute runs are shared
+// copy-on-write. Callers that release pages should call
 // Document.Release when done so the arena is recycled — not releasing is
 // safe, just unpooled.
 func (c *Cache) Document(url, key, html string) *dom.Document {

@@ -92,7 +92,9 @@ func (b *Browser) Release() {
 
 // release resets the page and returns it to the page pool. Slices keep
 // their backing arrays, so the next visit's page starts pre-sized to the
-// shape prior visits needed.
+// shape prior visits needed, but are zeroed to their capacity first, so
+// a pooled page keeps none of the last visit's strings and closures
+// alive.
 func (p *Page) release() {
 	if p.Doc != nil {
 		p.Doc.Release()
@@ -101,29 +103,36 @@ func (p *Page) release() {
 	for _, in := range p.interps {
 		in.Release()
 	}
-	p.interps = p.interps[:0]
+	p.interps = empty(p.interps)
 	p.URL = ""
 	p.Origin = urlutil.Origin{}
-	p.Scripts = p.Scripts[:0]
-	p.Requests = p.Requests[:0]
+	p.Scripts = empty(p.Scripts)
+	p.Requests = empty(p.Requests)
 	p.Timing = Timing{}
-	p.Frames = p.Frames[:0] // frame pages are tracked (and released) by the browser
+	p.Frames = empty(p.Frames) // frame pages are tracked (and released) by the browser
 	p.browser = nil
 	p.binding.page = nil
 	p.mainFrame = false
-	p.execStack = p.execStack[:0]
-	p.injectQ = p.injectQ[:0]
-	p.deferQ = p.deferQ[:0]
-	p.clicks = p.clicks[:0]
-	p.idClicks = p.idClicks[:0]
+	p.execStack = empty(p.execStack)
+	p.injectQ = empty(p.injectQ)
+	p.deferQ = empty(p.deferQ)
+	p.clicks = empty(p.clicks)
+	p.idClicks = empty(p.idClicks)
 	p.startMS = 0
 	p.scriptCnt = 0
 	p.parallelCredit = 0
 	p.baseURL = nil
-	clear(p.paths)
-	p.paths = p.paths[:0]
+	p.paths = empty(p.paths)
 	p.inlineHop = ""
-	clear(p.nodes)
-	p.nodes = p.nodes[:0]
+	p.nodes = empty(p.nodes)
 	pagePool.Put(p)
+}
+
+// empty zeroes s to its capacity and returns it with length zero. The
+// spare capacity matters too: a page pops its exec stack and drains its
+// queues by reslicing, which leaves the dropped entries behind.
+func empty[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }

@@ -36,9 +36,8 @@ func servedPages(t testing.TB, n int, paths ...string) []string {
 	return pages
 }
 
-// TestParseAllocs bounds what a parse allocates: the node and children
-// backings plus each element's attribute map (a map header and, once it
-// holds an attribute, its table), however many nodes the page has.
+// TestParseAllocs bounds what a parse allocates: the node, children and
+// attribute backings, however many nodes and attributes the page has.
 func TestParseAllocs(t *testing.T) {
 	var page string
 	for _, p := range servedPages(t, 20, "/") {
@@ -46,24 +45,58 @@ func TestParseAllocs(t *testing.T) {
 			page = p
 		}
 	}
-	elements := NewDocument("", Parse(page)).CountElements()
-	allocs := testing.AllocsPerRun(100, func() { Parse(page) })
-	if max := float64(2 + 2*elements); allocs > max {
-		t.Fatalf("Parse of a %d-byte page with %d elements allocates %.0f times; want ≤%.0f", len(page), elements, allocs, max)
+	const max = 3
+	if allocs := testing.AllocsPerRun(100, func() { Parse(page) }); allocs > max {
+		t.Fatalf("Parse of a %d-byte page allocates %.0f times; want ≤%d", len(page), allocs, max)
 	}
 }
 
 // TestCensusExactOnServedPages checks that census counts exactly the
-// nodes Parse builds from every page the generated web serves: a count
-// too low allocates the nodes past it one by one, and one too high
-// allocates node memory no node uses.
+// nodes and attributes Parse builds from every page the generated web
+// serves: a count too low allocates past the backing, and one too high
+// allocates memory no node uses.
 func TestCensusExactOnServedPages(t *testing.T) {
 	for _, page := range servedPages(t, 200, "/", "/products", "/about", "/login") {
-		elements, texts := census(page)
-		nodes, children := TreeStats(Parse(page))
-		if nodes != 1+elements+texts || children != elements+texts {
-			t.Fatalf("census counted %d elements and %d texts; Parse built %d nodes and %d child slots from\n%s",
-				elements, texts, nodes, children, page)
+		elements, texts, attrs := census(page)
+		root := Parse(page)
+		nodes, children := TreeStats(root)
+		parsed := 0
+		root.walk(func(n *Node) bool {
+			parsed += len(n.Attrs)
+			return true
+		})
+		if nodes != 1+elements+texts || children != elements+texts || parsed != attrs {
+			t.Fatalf("census counted %d elements, %d texts and %d attributes; Parse built %d nodes, %d child slots and %d attributes from\n%s",
+				elements, texts, attrs, nodes, children, parsed, page)
 		}
+	}
+}
+
+// TestWarmPooledDocumentAllocs: once the arena pool is warm, a page's
+// document — its clone, every kind of script mutation and its release —
+// allocates nothing.
+func TestWarmPooledDocumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects on purpose under the race detector")
+	}
+	tmpl := Parse(arenaTestHTML)
+	nodes, children := TreeStats(tmpl)
+	keys, vals := []string{"class", "id"}, []string{"ad", "slot"}
+	const by = "https://s.example/x.js"
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewPooledDocument("https://x.example/", tmpl, nodes, children)
+		status, main := d.ByID("status"), d.ByID("main")
+		d.SetText(status, "ready", by)
+		d.SetAttr(status, "class", "ready", by)
+		d.SetAttr(status, "id", "status", by)
+		d.SetStyle(status, "display", "block", by)
+		for range 4 {
+			d.Insert(main, "div", keys, vals, by)
+		}
+		d.Remove(d.ByID("banner"), by)
+		d.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm pooled document allocates %v times per page; want 0", allocs)
 	}
 }

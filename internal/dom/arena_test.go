@@ -34,9 +34,12 @@ func sameTree(t *testing.T, want, got, gotParent *Node) {
 	if len(got.Children) != len(want.Children) {
 		t.Fatalf("children mismatch under %q: want %d got %d", want.Tag, len(want.Children), len(got.Children))
 	}
-	for k, v := range want.Attrs {
-		if got.Attr(k) != v {
-			t.Fatalf("attr %q mismatch under %q", k, want.Tag)
+	if len(got.Attrs) != len(want.Attrs) {
+		t.Fatalf("attrs mismatch under %q: want %v got %v", want.Tag, want.Attrs, got.Attrs)
+	}
+	for _, a := range want.Attrs {
+		if got.Attr(a.Name) != a.Value {
+			t.Fatalf("attr %q mismatch under %q", a.Name, want.Tag)
 		}
 	}
 	for i := range want.Children {
@@ -79,7 +82,7 @@ func TestPooledDocumentAppendDoesNotClobberSiblings(t *testing.T) {
 	d := pooledDoc(t, tmpl)
 	main := d.ByID("main")
 	// #main's children are carved from the shared arena backing; an
-	// append must reallocate, not overwrite the next sibling's region.
+	// insert must move the run, not overwrite the next sibling's region.
 	before := d.Root.findByID("banner").Text
 	d.Insert(main, "div", []string{"id"}, []string{"injected"}, "https://s.example/x.js")
 	if d.ByID("injected") == nil {
@@ -127,11 +130,17 @@ func TestTreeStats(t *testing.T) {
 	if nodes != count || children != kids {
 		t.Fatalf("TreeStats = (%d,%d), walk says (%d,%d)", nodes, children, count, kids)
 	}
+	// #document, div, two p and their two texts; the root's one child,
+	// the div's two and each p's one.
+	if nodes, children := TreeStats(Parse("<div><p>a</p><p>b</p></div>")); nodes != 6 || children != 5 {
+		t.Fatalf("TreeStats = (%d,%d), want (6,5)", nodes, children)
+	}
 }
 
 func TestReleaseWithoutArenaIsNoop(t *testing.T) {
 	d := NewDocument("u", Parse(arenaTestHTML))
 	d.Release() // plain documents ignore Release
-	d2 := NewDocument("u", Parse(arenaTestHTML).Clone())
-	d2.Release()
+	if d.Root == nil {
+		t.Fatal("Release dropped a plain document's tree")
+	}
 }

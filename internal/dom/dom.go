@@ -27,7 +27,7 @@ const (
 type Node struct {
 	Kind     NodeKind
 	Tag      string
-	Attrs    map[string]string
+	Attrs    []Attribute
 	Text     string
 	Children []*Node
 	Parent   *Node
@@ -37,33 +37,44 @@ type Node struct {
 	Owner string
 
 	// sharedAttrs marks Attrs as borrowed from a shared template (arena
-	// clones). Mutating accessors copy the map first (ownAttrs), so the
-	// template's map is never written through.
+	// clones). Document writes copy the run first (setAttr), so the
+	// template's run is never written through.
 	sharedAttrs bool
 }
 
-// ownAttrs makes n.Attrs privately writable: shared (template-borrowed)
-// maps are copied on first write, nil maps are created.
-func (n *Node) ownAttrs() {
-	if n.sharedAttrs {
-		m := make(map[string]string, len(n.Attrs)+1)
-		for k, v := range n.Attrs {
-			m[k] = v
-		}
-		n.Attrs = m
-		n.sharedAttrs = false
-	}
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]string)
-	}
+// Attribute is one attribute of an element. An element holds one
+// Attribute per distinct lower-case name, in the order the names first
+// appear; a name given twice keeps its last value.
+type Attribute struct {
+	Name, Value string
 }
 
 // Attr returns the value of an attribute ("" if absent).
 func (n *Node) Attr(name string) string {
-	if n.Attrs == nil {
-		return ""
+	if i := attrIndex(n.Attrs, strings.ToLower(name)); i >= 0 {
+		return n.Attrs[i].Value
 	}
-	return n.Attrs[strings.ToLower(name)]
+	return ""
+}
+
+// attrIndex returns the index of the attribute named name in attrs, or -1.
+func attrIndex(attrs []Attribute, name string) int {
+	for i := range attrs {
+		if attrs[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// putAttr sets name to value in attrs, appending it when attrs lacks the
+// name, and returns the run.
+func putAttr(attrs []Attribute, name, value string) []Attribute {
+	if i := attrIndex(attrs, name); i >= 0 {
+		attrs[i].Value = value
+		return attrs
+	}
+	return append(attrs, Attribute{Name: name, Value: value})
 }
 
 // ID returns the element's id attribute.
@@ -97,37 +108,6 @@ func (n *Node) appendText(buf []byte) []byte {
 	return buf
 }
 
-// Clone deep-copies the subtree rooted at n: element attributes,
-// children, text, and ownership are all copied, and every copied child's
-// Parent points into the copy. The clone's own Parent is nil — it is a
-// fresh root, detached from wherever n lives.
-//
-// Clone is what makes DOM template caching sound: the parse-once
-// template stays pristine while each page mutates its private clone.
-func (n *Node) Clone() *Node {
-	cp := &Node{
-		Kind:  n.Kind,
-		Tag:   n.Tag,
-		Text:  n.Text,
-		Owner: n.Owner,
-	}
-	if n.Attrs != nil {
-		cp.Attrs = make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			cp.Attrs[k] = v
-		}
-	}
-	if len(n.Children) > 0 {
-		cp.Children = make([]*Node, len(n.Children))
-		for i, c := range n.Children {
-			cc := c.Clone()
-			cc.Parent = cp
-			cp.Children[i] = cc
-		}
-	}
-	return cp
-}
-
 // AppendChild attaches child to n.
 func (n *Node) AppendChild(child *Node) {
 	child.Parent = n
@@ -144,19 +124,6 @@ func (n *Node) RemoveChild(child *Node) bool {
 		}
 	}
 	return false
-}
-
-// walk visits the subtree rooted at n in document order.
-func (n *Node) walk(f func(*Node) bool) bool {
-	if !f(n) {
-		return false
-	}
-	for _, c := range n.Children {
-		if !c.walk(f) {
-			return false
-		}
-	}
-	return true
 }
 
 // MutationKind classifies DOM mutations.
@@ -204,8 +171,9 @@ type Document struct {
 	Root      *Node
 	Mutations []Mutation
 
-	// arena backs the cloned tree for pooled documents (NewPooledDocument);
-	// Release returns it. Nil for documents built from a plain Parse/Clone.
+	// arena holds everything a pooled document allocates
+	// (NewPooledDocument); Release returns it. Nil for documents built
+	// by NewDocument, which allocate each node they add.
 	arena *Arena
 }
 
@@ -269,18 +237,6 @@ func (n *Node) findTag(tag string) *Node {
 	return nil
 }
 
-// CountElements returns the number of element nodes.
-func (d *Document) CountElements() int {
-	n := 0
-	d.Root.walk(func(node *Node) bool {
-		if node.Kind == KindElement {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // --- Attributed mutations (the API scripts call) ---
 
 func (d *Document) record(m Mutation) {
@@ -290,24 +246,101 @@ func (d *Document) record(m Mutation) {
 	d.Mutations = append(d.Mutations, m)
 }
 
+// newNode returns a node for the document to fill in: carved from the
+// arena for a pooled document, allocated otherwise.
+func (d *Document) newNode() *Node {
+	if d.arena == nil {
+		return new(Node)
+	}
+	return &carve(&d.arena.made, 1)[0]
+}
+
+// newSlots returns n child slots, carved from the arena for a pooled
+// document, allocated otherwise.
+func (d *Document) newSlots(n int) []*Node {
+	if d.arena == nil {
+		return make([]*Node, n)
+	}
+	return carve(&d.arena.slots, n)
+}
+
+// newAttrs returns a run of n attributes, carved from the arena for a
+// pooled document, allocated otherwise.
+func (d *Document) newAttrs(n int) []Attribute {
+	if d.arena == nil {
+		return make([]Attribute, n)
+	}
+	return carve(&d.arena.attrs, n)
+}
+
+// setAttr sets the lower-case attribute name on n to value. A run
+// borrowed from a template, or one that lacks the name, is first copied
+// into a run of the document's own.
+func (d *Document) setAttr(n *Node, name, value string) {
+	i := attrIndex(n.Attrs, name)
+	if i < 0 || n.sharedAttrs {
+		size := len(n.Attrs)
+		if i < 0 {
+			i = size
+			size++
+		}
+		run := d.newAttrs(size)
+		copy(run, n.Attrs)
+		run[i].Name = name
+		n.Attrs, n.sharedAttrs = run, false
+	}
+	n.Attrs[i].Value = value
+}
+
+// appendChild attaches child to parent. A pooled document moves a full
+// child run into the arena, with room for as many inserts again.
+func (d *Document) appendChild(parent, child *Node) {
+	if kids := parent.Children; d.arena != nil && len(kids) == cap(kids) {
+		run := d.newSlots(2*len(kids) + 1)
+		parent.Children = run[:copy(run, kids)]
+	}
+	parent.AppendChild(child)
+}
+
 // SetText replaces the text content of target, attributed to byScript.
 func (d *Document) SetText(target *Node, text, byScript string) {
-	target.Children = []*Node{{Kind: KindText, Text: text, Parent: target}}
+	t := d.newNode()
+	*t = Node{Kind: KindText, Text: text, Parent: target}
+	kids := d.newSlots(1)
+	kids[0] = t
+	target.Children = kids
 	d.record(Mutation{Kind: MutText, Target: target, ByScript: byScript, NewValue: text})
 }
 
 // SetAttr sets an attribute on target, attributed to byScript.
 func (d *Document) SetAttr(target *Node, name, value, byScript string) {
-	target.ownAttrs()
-	target.Attrs[strings.ToLower(name)] = value
+	d.setAttr(target, strings.ToLower(name), value)
 	d.record(Mutation{Kind: MutAttr, Target: target, ByScript: byScript, Attribute: name, NewValue: value})
 }
 
 // SetStyle sets a style property (modelled as style:<prop> attributes).
 func (d *Document) SetStyle(target *Node, prop, value, byScript string) {
-	target.ownAttrs()
-	target.Attrs["style:"+strings.ToLower(prop)] = value
+	d.setAttr(target, d.styleName(strings.ToLower(prop)), value)
 	d.record(Mutation{Kind: MutStyle, Target: target, ByScript: byScript, Attribute: prop, NewValue: value})
+}
+
+// styleName returns "style:"+prop. A pooled document reuses the name its
+// arena built on an earlier visit, so a warm page builds no string.
+func (d *Document) styleName(prop string) string {
+	a := d.arena
+	if a == nil {
+		return "style:" + prop
+	}
+	for _, name := range a.styles {
+		if name[len("style:"):] == prop {
+			return name
+		}
+	}
+	name := "style:" + prop
+	if len(a.styles) < maxStyleNames {
+		a.styles = append(a.styles, name)
+	}
+	return name
 }
 
 // Insert creates a new element under parent, owned by and attributed to
@@ -316,12 +349,16 @@ func (d *Document) SetStyle(target *Node, prop, value, byScript string) {
 // to one name the later one's value is kept. The slices are only read
 // during the call.
 func (d *Document) Insert(parent *Node, tag string, keys, vals []string, byScript string) *Node {
-	attrs := make(map[string]string, len(keys))
-	for i, k := range keys {
-		attrs[strings.ToLower(k)] = vals[i]
+	var attrs []Attribute
+	if len(keys) > 0 {
+		attrs = d.newAttrs(len(keys))[:0]
+		for i, k := range keys {
+			attrs = putAttr(attrs, strings.ToLower(k), vals[i])
+		}
 	}
-	n := &Node{Kind: KindElement, Tag: strings.ToLower(tag), Attrs: attrs, Owner: byScript}
-	parent.AppendChild(n)
+	n := d.newNode()
+	*n = Node{Kind: KindElement, Tag: strings.ToLower(tag), Attrs: attrs, Owner: byScript}
+	d.appendChild(parent, n)
 	d.record(Mutation{Kind: MutInsert, Target: n, ByScript: byScript})
 	return n
 }

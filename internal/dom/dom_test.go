@@ -211,14 +211,6 @@ func TestRemoveDetachedReturnsFalse(t *testing.T) {
 	}
 }
 
-func TestCountElements(t *testing.T) {
-	d := NewDocument("", Parse("<div><p>a</p><p>b</p></div>"))
-	// #document + div + 2 p = 4
-	if got := d.CountElements(); got != 4 {
-		t.Fatalf("CountElements = %d", got)
-	}
-}
-
 func TestAttrCaseInsensitive(t *testing.T) {
 	d := NewDocument("", Parse(`<div ID="x" CLASS="y"></div>`))
 	n := d.ByID("x")
@@ -234,18 +226,18 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// TestCloneDeepIsolation: a pooled document is a deep copy of its
+// template, and no mutation of the copy reaches the template.
 func TestCloneDeepIsolation(t *testing.T) {
 	tmpl := Parse(`<html><body><div id="a" class="c">text</div><p id="b">para</p></body></html>`)
-	clone := tmpl.Clone()
+	cd := pooledDoc(t, tmpl)
+	defer cd.Release()
 
-	if clone.Parent != nil {
+	if cd.Root.Parent != nil {
 		t.Fatal("clone root must be detached")
 	}
-	// Structural equality of the copy.
-	td, cd := NewDocument("", tmpl), NewDocument("", clone)
-	if td.CountElements() != cd.CountElements() {
-		t.Fatalf("element counts diverge: %d vs %d", td.CountElements(), cd.CountElements())
-	}
+	sameTree(t, tmpl, cd.Root, nil)
+	td := NewDocument("", tmpl)
 	cn := cd.ByID("a")
 	if cn == nil || cn.Attr("class") != "c" || cn.InnerText() != "text" {
 		t.Fatalf("clone lost content: %+v", cn)
@@ -279,15 +271,56 @@ func TestCloneDeepIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneOwnerPreserved: a pooled clone of a tree keeps the owner of
+// a script-inserted element.
 func TestCloneOwnerPreserved(t *testing.T) {
 	d := NewDocument("", Parse(`<html><body><div id="p"></div></body></html>`))
 	d.Insert(d.ByID("p"), "img", []string{"id"}, []string{"inj"}, "https://tracker.example/t.js")
-	clone := d.Root.Clone()
-	cd := NewDocument("", clone)
+	cd := pooledDoc(t, d.Root)
+	defer cd.Release()
 	n := cd.ByID("inj")
 	if n == nil || n.Owner != "https://tracker.example/t.js" {
 		t.Fatalf("clone lost script ownership: %+v", n)
 	}
+}
+
+// TestAttrNamesLastValueWins: an attribute name given twice, in any
+// case, is one attribute holding the last value, whether the parser
+// reads it or Insert sets it, on plain and pooled documents alike.
+func TestAttrNamesLastValueWins(t *testing.T) {
+	tmpl := Parse(`<a href=x HREF=y id=l Id="m" data-k=1></a><p></p>`)
+	pooled := pooledDoc(t, tmpl)
+	defer pooled.Release()
+	for _, d := range []*Document{NewDocument("", tmpl), pooled} {
+		a := d.FirstByTag("a")
+		if len(a.Attrs) != 3 || a.Attr("href") != "y" || a.Attr("HREF") != "y" || a.ID() != "m" || a.Attr("data-k") != "1" {
+			t.Fatalf("<a> attributes %v; want href=y, id=m and data-k=1", a.Attrs)
+		}
+		n := d.Insert(d.FirstByTag("p"), "IMG", []string{"ID", "SRC", "Src", "id", "src"},
+			[]string{"A", "B", "C", "D", "E"}, "https://s.example/x.js")
+		if n.Tag != "img" || len(n.Attrs) != 2 || n.ID() != "D" || n.Attr("src") != "E" {
+			t.Fatalf("inserted <%s> attributes %v; want id=D and src=E", n.Tag, n.Attrs)
+		}
+		d.SetAttr(n, "SRC", "F", "https://s.example/x.js")
+		d.SetStyle(n, "Color", "red", "https://s.example/x.js")
+		d.SetStyle(n, "color", "blue", "https://s.example/x.js")
+		if len(n.Attrs) != 3 || n.Attr("src") != "F" || n.Attr("style:color") != "blue" {
+			t.Fatalf("after SetAttr and SetStyle: attributes %v", n.Attrs)
+		}
+	}
+}
+
+// walk visits the subtree rooted at n in document order.
+func (n *Node) walk(f func(*Node) bool) bool {
+	if !f(n) {
+		return false
+	}
+	for _, c := range n.Children {
+		if !c.walk(f) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestParsedTreeMutationLeavesSiblingsAlone guards the children backing

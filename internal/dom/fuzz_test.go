@@ -1,15 +1,18 @@
 package dom
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // FuzzDOMParse checks that Parse never panics, that a pooled clone of
 // the parsed template, in an arena sized by TreeStats, equals the
-// template node for node and fills the arena exactly, and that
-// indexCloseTag finds the raw-text close tags where a search of the
-// input with its ASCII letters lowered does.
+// template node for node and fills the arena exactly, that SetAttr and
+// SetStyle on every element of the clone leave the template's
+// attributes as they were, and that indexCloseTag finds the raw-text
+// close tags where a search of the input with its ASCII letters lowered
+// does.
 func FuzzDOMParse(f *testing.F) {
 	pages := servedPages(f, 12, "/", "/products", "/about", "/login")
 	if len(pages) == 0 {
@@ -31,6 +34,31 @@ func FuzzDOMParse(f *testing.F) {
 			t.Fatalf("clone used %d nodes and %d child slots; TreeStats said %d and %d",
 				len(d.arena.nodes), len(d.arena.children), nodes, children)
 		}
+		var before []string
+		tmpl.walk(func(n *Node) bool {
+			before = append(before, fmt.Sprint(n.Attrs))
+			return true
+		})
+		d.Root.walk(func(n *Node) bool {
+			if n.Kind == KindElement {
+				for _, name := range []string{"id", "href", "src", "new"} {
+					d.SetAttr(n, name, "set", "https://s.example/x.js")
+				}
+				d.SetStyle(n, "display", "none", "https://s.example/x.js")
+				if n.Attr("id") != "set" || n.Attr("new") != "set" || n.Attr("style:display") != "none" {
+					t.Fatalf("<%s> reads %v after SetAttr and SetStyle", n.Tag, n.Attrs)
+				}
+			}
+			return true
+		})
+		i := 0
+		tmpl.walk(func(n *Node) bool {
+			if got := fmt.Sprint(n.Attrs); got != before[i] {
+				t.Fatalf("<%s> of the template holds %s after writes to its clone; was %s", n.Tag, got, before[i])
+			}
+			i++
+			return true
+		})
 		d.Release()
 		lower := []byte(html)
 		for i, c := range lower {

@@ -21,30 +21,34 @@ var rawTextElements = map[string]bool{"script": true, "style": true}
 // unclosed elements are closed at EOF. It never fails — a browser doesn't
 // either.
 //
-// The tree is built in two allocations however many nodes it has: every
-// node lives in one slice sized by a census of the markup, and every
-// node's children in one shared slice, each node's run carved with its
-// capacity equal to its length, so that an AppendChild on a parsed tree
-// reallocates rather than overwriting a sibling's children.
+// The tree is built in three allocations however many nodes it has:
+// every node lives in one slice sized by a census of the markup, every
+// node's children in a second and every element's attributes in a
+// third. Each node's runs are carved with their capacity equal to their
+// length, so that an AppendChild on a parsed tree reallocates rather
+// than overwriting a sibling's children.
 func Parse(html string) *Node {
-	elements, texts := census(html)
+	elements, texts, attrs := census(html)
 	p := &parser{
 		src:      html,
 		nodes:    make([]Node, 0, 1+elements+texts),
 		children: make([]*Node, 0, elements+texts),
+		attrs:    make([]Attribute, 0, attrs),
 	}
-	root := p.newNode(Node{Kind: KindElement, Tag: "#document", Attrs: map[string]string{}})
+	root := p.newNode(Node{Kind: KindElement, Tag: "#document"})
 	p.parseChildren(root, "")
 	return root
 }
 
-// census returns the number of elements and text nodes Parse builds
-// from html, counting a '<' before a tag-name byte as an element and
-// each run of text between markup that holds more than white space as a
-// text node. It is exact for the pages the web generator serves; markup
-// inside comments and raw text, and a lone '<', can make it miss, which
-// costs an allocation per node, never correctness.
-func census(html string) (elements, texts int) {
+// census returns the number of elements, text nodes and attributes
+// Parse builds from html, counting a '<' before a tag-name byte as an
+// element whose attributes are read as Parse reads them, and each run of
+// text between markup that holds more than white space as a text node.
+// It is exact for the pages the web generator serves; markup inside
+// comments and raw text, a lone '<' and a repeated attribute name can
+// make it miss, which costs an allocation or some unused room, never
+// correctness.
+func census(html string) (elements, texts, attrs int) {
 	inText, hasText := true, false
 	for i := 0; i < len(html); i++ {
 		switch c := html[i]; {
@@ -55,6 +59,16 @@ func census(html string) (elements, texts int) {
 			inText, hasText = false, false
 			if i+1 < len(html) && isNameChar(html[i+1]) {
 				elements++
+				j := tagNameEnd(html, i+1)
+				for {
+					name, _, next, _ := nextAttr(html, j)
+					j = next
+					if name == "" {
+						break
+					}
+					attrs++
+				}
+				i, inText = j-1, true
 			}
 		case c == '>':
 			inText = true
@@ -65,16 +79,17 @@ func census(html string) (elements, texts int) {
 	if hasText {
 		texts++
 	}
-	return elements, texts
+	return elements, texts, attrs
 }
 
 type parser struct {
 	src string
 	pos int
 
-	// nodes and children are the tree's backing, sized by census.
+	// nodes, children and attrs are the tree's backing, sized by census.
 	nodes    []Node
 	children []*Node
+	attrs    []Attribute
 }
 
 // newNode stores n in the node backing and returns its address; a node
@@ -230,76 +245,101 @@ func (p *parser) appendText(kids []*Node, text string) []*Node {
 
 // parseTag parses "<name attr=... >" starting at p.pos (which points at
 // '<'). On success p.pos is just past '>'.
-func (p *parser) parseTag() (tag string, attrs map[string]string, selfClose, ok bool) {
+func (p *parser) parseTag() (tag string, attrs []Attribute, selfClose, ok bool) {
 	start := p.pos + 1
-	i := start
-	for i < len(p.src) && isNameChar(p.src[i]) {
-		i++
-	}
+	i := tagNameEnd(p.src, start)
 	if i == start {
 		return "", nil, false, false
 	}
 	tag = strings.ToLower(p.src[start:i])
-	attrs = map[string]string{}
-	for i < len(p.src) {
-		// skip whitespace
-		for i < len(p.src) && isSpace(p.src[i]) {
+	first := len(p.attrs)
+	for {
+		name, value, next, sc := nextAttr(p.src, i)
+		i = next
+		if name == "" {
+			selfClose = sc
+			break
+		}
+		name = strings.ToLower(name)
+		if j := attrIndex(p.attrs[first:], name); j >= 0 {
+			p.attrs[first+j].Value = value
+		} else {
+			p.attrs = append(p.attrs, Attribute{Name: name, Value: value})
+		}
+	}
+	p.pos = i
+	if n := len(p.attrs); n > first {
+		attrs = p.attrs[first:n:n]
+	}
+	return tag, attrs, selfClose, true
+}
+
+// tagNameEnd returns the index past the tag name that starts at i.
+func tagNameEnd(src string, i int) int {
+	for i < len(src) && isNameChar(src[i]) {
+		i++
+	}
+	return i
+}
+
+// nextAttr scans src from i, inside an opening tag past its name or an
+// attribute, to the tag's next attribute or its end. For an attribute it
+// returns its name as written, its value and the index past it. At the
+// tag's end it returns an empty name and the index past '>' or "/>" (or
+// len(src) at EOF), with selfClose reporting "/>".
+func nextAttr(src string, i int) (name, value string, next int, selfClose bool) {
+	for i < len(src) {
+		for i < len(src) && isSpace(src[i]) {
 			i++
 		}
-		if i >= len(p.src) {
-			p.pos = i
-			return tag, attrs, false, true
+		if i >= len(src) {
+			break
 		}
-		if p.src[i] == '>' {
-			p.pos = i + 1
-			return tag, attrs, false, true
+		if src[i] == '>' {
+			return "", "", i + 1, false
 		}
-		if p.src[i] == '/' && i+1 < len(p.src) && p.src[i+1] == '>' {
-			p.pos = i + 2
-			return tag, attrs, true, true
+		if src[i] == '/' && i+1 < len(src) && src[i+1] == '>' {
+			return "", "", i + 2, true
 		}
-		// attribute name
 		ns := i
-		for i < len(p.src) && isAttrNameChar(p.src[i]) {
+		for i < len(src) && isAttrNameChar(src[i]) {
 			i++
 		}
 		if i == ns {
 			i++ // skip junk byte
 			continue
 		}
-		name := strings.ToLower(p.src[ns:i])
-		for i < len(p.src) && isSpace(p.src[i]) {
+		name = src[ns:i]
+		for i < len(src) && isSpace(src[i]) {
 			i++
 		}
-		if i < len(p.src) && p.src[i] == '=' {
-			i++
-			for i < len(p.src) && isSpace(p.src[i]) {
-				i++
-			}
-			if i < len(p.src) && (p.src[i] == '"' || p.src[i] == '\'') {
-				q := p.src[i]
-				i++
-				vs := i
-				for i < len(p.src) && p.src[i] != q {
-					i++
-				}
-				attrs[name] = p.src[vs:i]
-				if i < len(p.src) {
-					i++ // closing quote
-				}
-			} else {
-				vs := i
-				for i < len(p.src) && !isSpace(p.src[i]) && p.src[i] != '>' {
-					i++
-				}
-				attrs[name] = p.src[vs:i]
-			}
-		} else {
-			attrs[name] = "" // boolean attribute
+		if i >= len(src) || src[i] != '=' {
+			return name, "", i, false // boolean attribute
 		}
+		i++
+		for i < len(src) && isSpace(src[i]) {
+			i++
+		}
+		if i < len(src) && (src[i] == '"' || src[i] == '\'') {
+			q := src[i]
+			i++
+			vs := i
+			for i < len(src) && src[i] != q {
+				i++
+			}
+			value = src[vs:i]
+			if i < len(src) {
+				i++ // closing quote
+			}
+			return name, value, i, false
+		}
+		vs := i
+		for i < len(src) && !isSpace(src[i]) && src[i] != '>' {
+			i++
+		}
+		return name, src[vs:i], i, false
 	}
-	p.pos = i
-	return tag, attrs, false, true
+	return "", "", i, false
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
