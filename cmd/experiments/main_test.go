@@ -62,6 +62,42 @@ func TestCheckpointRerun(t *testing.T) {
 	}
 }
 
+// TestVantageAndPersonaTables: a run over two vantages and two personas
+// prints the per-vantage and per-persona tables, each with its header and
+// one row per name, every row counting its 60 sites once per name of the
+// other list.
+func TestVantageAndPersonaTables(t *testing.T) {
+	out := runSmall(t, "-vantages", "eu-west,us-east", "-personas", "accept,reject")
+	for _, tc := range []struct {
+		title, header string
+		names         []string
+	}{
+		{"Per-vantage retention and load-event latency tail",
+			"vantage  visits  complete  failed  load mean  p50  p90  p99  max", []string{"eu-west", "us-east"}},
+		{"Per-persona consent deltas (retention and tracking)",
+			"persona  visits  complete  failed  tp cookies  exfil events  exfil pairs", []string{"accept", "reject"}},
+	} {
+		_, table, ok := strings.Cut(out, tc.title+"\n")
+		if !ok {
+			t.Errorf("no %q table in:\n%s", tc.title, out)
+			continue
+		}
+		lines := strings.Split(table, "\n")
+		if got := strings.Join(strings.Fields(lines[0]), " "); got != strings.Join(strings.Fields(tc.header), " ") {
+			t.Errorf("%s: header %q, want %q", tc.title, lines[0], tc.header)
+		}
+		for i, name := range tc.names {
+			row := strings.Fields(lines[2+i])
+			if len(row) < 2 || row[0] != name || row[1] != "120" {
+				t.Errorf("%s: row %d = %q, want %s with 120 visits", tc.title, i, lines[2+i], name)
+			}
+		}
+		if next := lines[2+len(tc.names)]; next != "" {
+			t.Errorf("%s: extra row %q", tc.title, next)
+		}
+	}
+}
+
 // runSmall runs a 60-site evaluation with extra flags and returns its
 // output.
 func runSmall(t *testing.T, extra ...string) string {

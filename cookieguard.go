@@ -628,10 +628,6 @@ func (p *Pipeline) EvaluatePerformance(n int) (*perf.Results, error) {
 	return perf.Run(p.Net, p.Web, sites, p.artifacts)
 }
 
-// NewGuard constructs a CookieGuard instance with the paper's default
-// policy (strict inline handling, owner full access).
-func NewGuard() *Guard { return guard.New(guard.DefaultPolicy()) }
-
 // DefaultGuardPolicy exposes the paper's evaluated policy.
 func DefaultGuardPolicy() Policy { return guard.DefaultPolicy() }
 
@@ -657,6 +653,3 @@ func RegionVantage(name string, rate float64, seed uint64) Vantage {
 	}
 	return v
 }
-
-// WhitelistGuardPolicy exposes the whitelist-augmented policy.
-func WhitelistGuardPolicy(m *EntityMap) Policy { return guard.WhitelistPolicy(m) }

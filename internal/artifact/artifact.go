@@ -84,11 +84,6 @@ type Stats struct {
 	BodyResidentBytes    int64  `json:"body_resident_bytes"`
 }
 
-// Lookups returns the total number of cache probes across all tiers.
-func (s Stats) Lookups() uint64 {
-	return s.ProgramHits + s.ProgramMisses + s.DOMHits + s.DOMMisses + s.BodyHits + s.BodyMisses
-}
-
 // Tier budgets, in source bytes charged to a tier's current generation
 // before it rotates. A tier holds at most about two budgets. They were
 // sized from a hit trace of a 3,000-site crawl, in which almost every
@@ -242,14 +237,6 @@ func (c *Cache) Program(key, src string) (*jsdsl.Program, error) {
 		e = c.progs.put(key, progEntry{prog: prog, err: err}, len(src))
 	}
 	return e.prog, e.err
-}
-
-// DOMTemplate returns the parsed node tree for html, parsing it at most
-// once per residency of its content. key must be KeyFor(...) of html (or
-// "" to compute it here). The returned tree is the shared template:
-// callers MUST NOT mutate it — Document returns a mutable clone.
-func (c *Cache) DOMTemplate(key, html string) *dom.Node {
-	return c.domTemplate(key, html).root
 }
 
 func (c *Cache) domTemplate(key, html string) domEntry {

@@ -65,8 +65,8 @@ func TestKeyForTrustsValidHash(t *testing.T) {
 func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 	c := New()
 	html := `<html><body><div id="x">hello</div></body></html>`
-	t1 := c.DOMTemplate("", html)
-	t2 := c.DOMTemplate("", html)
+	t1 := c.domTemplate("", html).root
+	t2 := c.domTemplate("", html).root
 	if t1 != t2 {
 		t.Fatal("same content produced distinct templates")
 	}
@@ -77,7 +77,7 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 		t.Fatal("clone lost the element")
 	}
 	doc.SetText(n, "mutated", "https://evil.example/t.js")
-	doc.SetAttr(n, "class", "dirty", "https://evil.example/t.js")
+	doc.SetStyle(n, "color", "red", "https://evil.example/t.js")
 
 	// The cached template must be untouched by mutations to the clone.
 	fresh := c.Document("https://b.example/", "", html)
@@ -85,8 +85,8 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 	if got := fn.InnerText(); got != "hello" {
 		t.Fatalf("template leaked mutation: InnerText = %q", got)
 	}
-	if got := fn.Attr("class"); got != "" {
-		t.Fatalf("template leaked attribute: class = %q", got)
+	if got := fn.Attr("style:color"); got != "" {
+		t.Fatalf("template leaked attribute: color = %q", got)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestConcurrentAccess(t *testing.T) {
 						return
 					}
 					progs[g][i] = p
-					c.DOMTemplate("", htmls[i])
+					c.domTemplate("", htmls[i])
 					c.PutResponse(rk(srcs[i]), i, len(srcs[i]))
 					c.GetResponse(rk(srcs[i]))
 				}
@@ -201,7 +201,7 @@ func TestResidencyBounded(t *testing.T) {
 		html := fmt.Sprintf("<html><body><div id=\"d%d\">%s</div></body></html>", i, pad)
 		total += len(html)
 		largest = max(largest, len(html))
-		c.DOMTemplate("", html)
+		c.domTemplate("", html)
 		check("dom", c.Stats().DOMResidentBytes, heldBytes(c.doms), domBudget, largest)
 	}
 	const bodySize = 4096
@@ -226,7 +226,7 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 	hotHTML := `<html><body><div id="hot">x</div></body></html>`
 	hotBody := new(int)
 	prog, _ := c.Program("", hotSrc)
-	tmpl := c.DOMTemplate("", hotHTML)
+	tmpl := c.domTemplate("", hotHTML).root
 	c.PutResponse(rk("hot"), hotBody, 8)
 
 	pad := strings.Repeat("y", 200)
@@ -234,14 +234,14 @@ func TestHotKeySurvivesRotations(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			n := round*10 + i
 			c.Program("", fmt.Sprintf("let v%d = %q;", n, pad))
-			c.DOMTemplate("", fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
+			c.domTemplate("", fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
 			c.PutResponse(rk(fmt.Sprint("k", n)), n, len(pad))
 		}
 		before := c.Stats()
 		if p, _ := c.Program("", hotSrc); p != prog {
 			t.Fatalf("round %d: hot program was re-parsed", round)
 		}
-		if got := c.DOMTemplate("", hotHTML); got != tmpl {
+		if got := c.domTemplate("", hotHTML).root; got != tmpl {
 			t.Fatalf("round %d: hot template was re-parsed", round)
 		}
 		if v, ok := c.GetResponse(rk("hot")); !ok || v != hotBody {

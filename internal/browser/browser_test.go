@@ -197,7 +197,7 @@ func TestInjectionChainTracking(t *testing.T) {
 		byURL[s.URL] = s
 	}
 	gtm := byURL["https://tagmgr.example/gtm.js"]
-	if !gtm.Direct() {
+	if len(gtm.InclusionPath) != 0 {
 		t.Fatal("gtm should be direct")
 	}
 	child := byURL["https://tracker.example/child.js"]

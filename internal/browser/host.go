@@ -84,15 +84,6 @@ func (h *hostBinding) DOMSetText(id, text string) bool {
 	return true
 }
 
-func (h *hostBinding) DOMSetAttr(id, attr, value string) bool {
-	n := h.page.Doc.ByID(id)
-	if n == nil {
-		return false
-	}
-	h.page.Doc.SetAttr(n, attr, value, h.page.currentFrame().scriptURL)
-	return true
-}
-
 func (h *hostBinding) DOMSetStyle(id, prop, value string) bool {
 	n := h.page.Doc.ByID(id)
 	if n == nil {
@@ -120,14 +111,6 @@ func (h *hostBinding) DOMRemove(id string) bool {
 		return false
 	}
 	return h.page.Doc.Remove(n, h.page.currentFrame().scriptURL)
-}
-
-func (h *hostBinding) DOMGetText(id string) (string, bool) {
-	n := h.page.Doc.ByID(id)
-	if n == nil {
-		return "", false
-	}
-	return n.InnerText(), true
 }
 
 func (h *hostBinding) OnClick(cb func()) {

@@ -84,10 +84,6 @@ type ScriptExec struct {
 	Steps int
 }
 
-// Direct reports whether the script was included directly by the page
-// HTML rather than injected by another script (§5.6).
-func (s ScriptExec) Direct() bool { return len(s.InclusionPath) == 0 }
-
 // Timing is the page-load milestone set from paper §7.3, in virtual ms.
 type Timing struct {
 	DOMInteractive   float64
@@ -176,7 +172,7 @@ func (p *Page) resolve(ref string) string {
 	if p.baseURL == nil {
 		u, err := url.Parse(p.URL)
 		if err != nil {
-			return ref // same fallback as urlutil.Resolve on a bad base
+			return ref // a bad base leaves ref unresolved
 		}
 		p.baseURL = u
 	}

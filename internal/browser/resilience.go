@@ -71,9 +71,6 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BackoffBaseMs: 50, BackoffFactor: 2, BackoffMaxMs: 2000, JitterFrac: 0.1}
 }
 
-// Enabled reports whether the policy allows more than one attempt.
-func (rp RetryPolicy) Enabled() bool { return rp.MaxAttempts > 1 }
-
 // backoffMs computes the jittered virtual-clock wait before retrying
 // after the attempt-th try (1-based).
 func (rp RetryPolicy) backoffMs(attempt int, rng *stats.Rand) float64 {

@@ -87,8 +87,8 @@ func TestWarmPooledDocumentAllocs(t *testing.T) {
 		d := NewPooledDocument("https://x.example/", tmpl, nodes, children)
 		status, main := d.ByID("status"), d.ByID("main")
 		d.SetText(status, "ready", by)
-		d.SetAttr(status, "class", "ready", by)
-		d.SetAttr(status, "id", "status", by)
+		d.SetStyle(status, "color", "red", by)
+		d.SetStyle(status, "color", "blue", by)
 		d.SetStyle(status, "display", "block", by)
 		for range 4 {
 			d.Insert(main, "div", keys, vals, by)

@@ -19,7 +19,7 @@ type Arena struct {
 
 	// made, slots and attrs hold what scripts add: Insert's elements and
 	// SetText's text nodes, the child runs those two build, and the
-	// attribute runs of Insert, SetAttr and SetStyle. They are slabs
+	// attribute runs of Insert and SetStyle. They are slabs
 	// runs are carved from (carve), which never move, so every node and
 	// run stays where it is until Release.
 	made  []Node
@@ -102,7 +102,7 @@ func TreeStats(n *Node) (nodes, children int) {
 // Document, itself held in the arena, whose Release hands the arena back.
 // nodes/children must be TreeStats(root). The clone shares the
 // template's attribute runs copy-on-write: reads see identical values,
-// and the first write (SetAttr/SetStyle) copies the run into the arena,
+// and the first write (SetStyle) copies the run into the arena,
 // so the shared template is never written through.
 func NewPooledDocument(url string, root *Node, nodes, children int) *Document {
 	arenaAcquired.Add(1)

@@ -55,24 +55,25 @@ func TestPooledDocumentClonesTemplate(t *testing.T) {
 }
 
 func TestPooledDocumentCOWAttrsProtectTemplate(t *testing.T) {
-	tmpl := Parse(arenaTestHTML)
+	tmpl := Parse(`<div id="status" style:color="blue">loading</div>`)
 	d := pooledDoc(t, tmpl)
 	n := d.ByID("status")
 	if n == nil {
 		t.Fatal("no #status in clone")
 	}
-	d.SetAttr(n, "class", "ready", "https://s.example/x.js")
+	// The first write overwrites a borrowed attribute, the second adds one.
 	d.SetStyle(n, "color", "red", "https://s.example/x.js")
-	if got := n.Attr("class"); got != "ready" {
-		t.Fatalf("clone attr = %q", got)
+	d.SetStyle(n, "display", "none", "https://s.example/x.js")
+	if got := n.Attr("style:color"); got != "red" {
+		t.Fatalf("clone style = %q", got)
 	}
 	// The shared template must be untouched.
 	tn := NewDocument("", tmpl).ByID("status")
-	if got := tn.Attr("class"); got != "" {
-		t.Fatalf("template mutated through clone: class=%q", got)
+	if got := tn.Attr("style:color"); got != "blue" {
+		t.Fatalf("template mutated through clone: color=%q", got)
 	}
-	if got := tn.Attr("style:color"); got != "" {
-		t.Fatalf("template mutated through clone: style=%q", got)
+	if got := tn.Attr("style:display"); got != "" {
+		t.Fatalf("template mutated through clone: display=%q", got)
 	}
 	d.Release()
 }
@@ -104,14 +105,14 @@ func TestArenaReuseProducesFreshClones(t *testing.T) {
 	d1 := pooledDoc(t, tmpl)
 	n := d1.ByID("status")
 	d1.SetText(n, "mutated", "s")
-	d1.SetAttr(n, "class", "dirty", "s")
+	d1.SetStyle(n, "color", "dirty", "s")
 	d1.Release()
 
 	// A post-release clone (likely reusing the same arena) must match the
 	// pristine template, not the released mutation.
 	d2 := pooledDoc(t, tmpl)
 	sameTree(t, tmpl, d2.Root, nil)
-	if got := d2.ByID("status").Attr("class"); got != "" {
+	if got := d2.ByID("status").Attr("style:color"); got != "" {
 		t.Fatalf("released mutation leaked into new clone: %q", got)
 	}
 	d2.Release()

@@ -132,7 +132,6 @@ type MutationKind int
 // Mutation kinds.
 const (
 	MutText MutationKind = iota
-	MutAttr
 	MutStyle
 	MutInsert
 	MutRemove
@@ -142,8 +141,6 @@ func (k MutationKind) String() string {
 	switch k {
 	case MutText:
 		return "text"
-	case MutAttr:
-		return "attr"
 	case MutStyle:
 		return "style"
 	case MutInsert:
@@ -161,7 +158,7 @@ type Mutation struct {
 	Target    *Node
 	Owner     string // script URL owning the target ("" = the page)
 	ByScript  string // script URL performing the mutation
-	Attribute string // for MutAttr/MutStyle
+	Attribute string // for MutStyle
 	NewValue  string
 }
 
@@ -310,12 +307,6 @@ func (d *Document) SetText(target *Node, text, byScript string) {
 	kids[0] = t
 	target.Children = kids
 	d.record(Mutation{Kind: MutText, Target: target, ByScript: byScript, NewValue: text})
-}
-
-// SetAttr sets an attribute on target, attributed to byScript.
-func (d *Document) SetAttr(target *Node, name, value, byScript string) {
-	d.setAttr(target, strings.ToLower(name), value)
-	d.record(Mutation{Kind: MutAttr, Target: target, ByScript: byScript, Attribute: name, NewValue: value})
 }
 
 // SetStyle sets a style property (modelled as style:<prop> attributes).

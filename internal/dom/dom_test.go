@@ -162,12 +162,11 @@ func TestMutationsAttributed(t *testing.T) {
 	tracker := "https://cdn.tracker.example/t.js"
 
 	d.SetText(banner, "BUY NOW", tracker)
-	d.SetAttr(banner, "class", "promo", tracker)
 	d.SetStyle(banner, "display", "none", tracker)
 	inserted := d.Insert(banner.Parent, "div", []string{"ID"}, []string{"ad-slot"}, tracker)
 	d.Remove(inserted, "https://other.example/o.js")
 
-	if len(d.Mutations) != 5 {
+	if len(d.Mutations) != 4 {
 		t.Fatalf("Mutations = %d", len(d.Mutations))
 	}
 	m := d.Mutations[0]
@@ -177,15 +176,12 @@ func TestMutationsAttributed(t *testing.T) {
 	if banner.InnerText() != "BUY NOW" {
 		t.Fatalf("text = %q", banner.InnerText())
 	}
-	if banner.Attr("class") != "promo" {
-		t.Fatalf("class = %q", banner.Attr("class"))
-	}
 	if banner.Attr("style:display") != "none" {
 		t.Fatalf("style = %q", banner.Attr("style:display"))
 	}
 	// The inserted element is owned by the inserting script, and the
 	// remover is attributed with that owner — the cross-domain DOM case.
-	rm := d.Mutations[4]
+	rm := d.Mutations[3]
 	if rm.Kind != MutRemove || rm.Owner != tracker || rm.ByScript != "https://other.example/o.js" {
 		t.Fatalf("remove mutation = %+v", rm)
 	}
@@ -229,7 +225,7 @@ func BenchmarkParse(b *testing.B) {
 // TestCloneDeepIsolation: a pooled document is a deep copy of its
 // template, and no mutation of the copy reaches the template.
 func TestCloneDeepIsolation(t *testing.T) {
-	tmpl := Parse(`<html><body><div id="a" class="c">text</div><p id="b">para</p></body></html>`)
+	tmpl := Parse(`<html><body><div id="a" class="c" style:color="c">text</div><p id="b">para</p></body></html>`)
 	cd := pooledDoc(t, tmpl)
 	defer cd.Release()
 
@@ -252,13 +248,13 @@ func TestCloneDeepIsolation(t *testing.T) {
 
 	// Mutations to the clone never reach the template.
 	cd.SetText(cn, "mutated", "script.js")
-	cd.SetAttr(cn, "class", "dirty", "script.js")
+	cd.SetStyle(cn, "color", "dirty", "script.js")
 	cd.Insert(cn, "span", []string{"id"}, []string{"new"}, "script.js")
 	cd.Remove(cd.ByID("b"), "script.js")
 
 	tn := td.ByID("a")
-	if tn.InnerText() != "text" || tn.Attr("class") != "c" {
-		t.Fatalf("template mutated through clone: text=%q class=%q", tn.InnerText(), tn.Attr("class"))
+	if tn.InnerText() != "text" || tn.Attr("style:color") != "c" {
+		t.Fatalf("template mutated through clone: text=%q color=%q", tn.InnerText(), tn.Attr("style:color"))
 	}
 	if td.ByID("new") != nil {
 		t.Fatal("insert into clone leaked into template")
@@ -301,11 +297,10 @@ func TestAttrNamesLastValueWins(t *testing.T) {
 		if n.Tag != "img" || len(n.Attrs) != 2 || n.ID() != "D" || n.Attr("src") != "E" {
 			t.Fatalf("inserted <%s> attributes %v; want id=D and src=E", n.Tag, n.Attrs)
 		}
-		d.SetAttr(n, "SRC", "F", "https://s.example/x.js")
 		d.SetStyle(n, "Color", "red", "https://s.example/x.js")
 		d.SetStyle(n, "color", "blue", "https://s.example/x.js")
-		if len(n.Attrs) != 3 || n.Attr("src") != "F" || n.Attr("style:color") != "blue" {
-			t.Fatalf("after SetAttr and SetStyle: attributes %v", n.Attrs)
+		if len(n.Attrs) != 3 || n.Attr("src") != "E" || n.Attr("style:color") != "blue" {
+			t.Fatalf("after SetStyle: attributes %v", n.Attrs)
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // FuzzDOMParse checks that Parse never panics, that a pooled clone of
 // the parsed template, in an arena sized by TreeStats, equals the
-// template node for node and fills the arena exactly, that SetAttr and
-// SetStyle on every element of the clone leave the template's
-// attributes as they were, and that indexCloseTag finds the raw-text
+// template node for node and fills the arena exactly, that SetStyle on
+// every element of the clone, overwriting each style the template gives
+// it and adding one, leaves the template's attributes as they were, and that indexCloseTag finds the raw-text
 // close tags where a search of the input with its ASCII letters lowered
 // does.
 func FuzzDOMParse(f *testing.F) {
@@ -25,6 +25,7 @@ func FuzzDOMParse(f *testing.F) {
 	f.Add(`<div id="a"><p>unclosed<br/><script>x<y</script>`)
 	f.Add("<SCRIPT>a</ScRiPt><style>\u212a</STYLE>")
 	f.Add("<script>\xff</script><script>İ</script>")
+	f.Add(`<p id="x" style:color="red" STYLE:Top=1>a</p><div style:new="2"></div>`)
 	f.Fuzz(func(t *testing.T, html string) {
 		tmpl := Parse(html)
 		nodes, children := TreeStats(tmpl)
@@ -41,12 +42,19 @@ func FuzzDOMParse(f *testing.F) {
 		})
 		d.Root.walk(func(n *Node) bool {
 			if n.Kind == KindElement {
-				for _, name := range []string{"id", "href", "src", "new"} {
-					d.SetAttr(n, name, "set", "https://s.example/x.js")
+				var props []string
+				for _, a := range n.Attrs {
+					if prop, ok := strings.CutPrefix(a.Name, "style:"); ok && prop == strings.ToLower(prop) {
+						props = append(props, prop)
+					}
 				}
-				d.SetStyle(n, "display", "none", "https://s.example/x.js")
-				if n.Attr("id") != "set" || n.Attr("new") != "set" || n.Attr("style:display") != "none" {
-					t.Fatalf("<%s> reads %v after SetAttr and SetStyle", n.Tag, n.Attrs)
+				for _, prop := range append(props, "new") {
+					d.SetStyle(n, prop, "set", "https://s.example/x.js")
+				}
+				for _, prop := range append(props, "new") {
+					if n.Attr("style:"+prop) != "set" {
+						t.Fatalf("<%s> reads %v after SetStyle", n.Tag, n.Attrs)
+					}
 				}
 			}
 			return true

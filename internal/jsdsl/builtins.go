@@ -289,21 +289,6 @@ func init() {
 			in.Host.SetDocCookie(assignment + "; Max-Age=0")
 			return Value{}, nil
 		},
-		"parse_cookies": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("parse_cookies")
-			}
-			if err := in.charge(len(s)); err != nil {
-				return Value{}, err
-			}
-			names, vals := ParseCookieString(s)
-			m := in.newMap()
-			for _, n := range names {
-				m.Entries[n] = Str(vals[n])
-			}
-			return MapVal(m), nil
-		},
 
 		// ---- CookieStore API ----
 		"cookiestore_get": func(in *Interp, args []Value) (Value, error) {
@@ -403,18 +388,6 @@ func init() {
 			}
 			return BoolVal(in.Host.DOMSetText(id, text)), nil
 		},
-		"dom_set_attr": func(in *Interp, args []Value) (Value, error) {
-			id, ok := argString(args, 0)
-			if !ok || len(args) < 3 {
-				return Value{}, errArity("dom_set_attr")
-			}
-			name, nerr := in.str(args[1])
-			val, verr := in.str(args[2])
-			if err := cmp.Or(nerr, verr); err != nil {
-				return Value{}, err
-			}
-			return BoolVal(in.Host.DOMSetAttr(id, name, val)), nil
-		},
 		"dom_set_style": func(in *Interp, args []Value) (Value, error) {
 			id, ok := argString(args, 0)
 			if !ok || len(args) < 3 {
@@ -446,17 +419,6 @@ func init() {
 				return Value{}, errArity("dom_remove")
 			}
 			return BoolVal(in.Host.DOMRemove(id)), nil
-		},
-		"dom_get_text": func(in *Interp, args []Value) (Value, error) {
-			id, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("dom_get_text")
-			}
-			text, found := in.Host.DOMGetText(id)
-			if !found {
-				return Value{}, nil
-			}
-			return Str(text), nil
 		},
 
 		// ---- events / scheduling ----
@@ -751,13 +713,6 @@ func init() {
 				return Value{}, errArity("floor")
 			}
 			return Num(math.Floor(a)), nil
-		},
-		"concat": func(in *Interp, args []Value) (Value, error) {
-			s, err := in.join(args, "")
-			if err != nil {
-				return Value{}, err
-			}
-			return Str(s), nil
 		},
 	}
 	for name, f := range appendBuiltins {

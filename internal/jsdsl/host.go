@@ -56,16 +56,15 @@ type Host interface {
 	// (indirect inclusion, §5.6).
 	Inject(src string)
 
-	// DOM access (used by the §8 pilot and the breakage checks).
+	// DOM writes, each attributed to the running script (the §8 pilot's
+	// cross-domain DOM modifications). Scripts never read the DOM back.
 	DOMSetText(id, text string) bool
-	DOMSetAttr(id, attr, value string) bool
 	DOMSetStyle(id, prop, value string) bool
 	// DOMInsert inserts a tag element with the attributes
 	// keys[i]=vals[i] under the element parentID. keys are sorted and
 	// distinct, and both slices are borrowed for the call, as for Send.
 	DOMInsert(parentID, tag string, keys, vals []string) bool
 	DOMRemove(id string) bool
-	DOMGetText(id string) (string, bool)
 
 	// OnClick registers a callback run when the user clicks anywhere
 	// (how widget scripts react to the crawler's interaction step).
@@ -121,9 +120,6 @@ func (h *NopHost) Inject(string) {}
 // DOMSetText implements Host.
 func (h *NopHost) DOMSetText(string, string) bool { return false }
 
-// DOMSetAttr implements Host.
-func (h *NopHost) DOMSetAttr(string, string, string) bool { return false }
-
 // DOMSetStyle implements Host.
 func (h *NopHost) DOMSetStyle(string, string, string) bool { return false }
 
@@ -132,9 +128,6 @@ func (h *NopHost) DOMInsert(string, string, []string, []string) bool { return fa
 
 // DOMRemove implements Host.
 func (h *NopHost) DOMRemove(string) bool { return false }
-
-// DOMGetText implements Host.
-func (h *NopHost) DOMGetText(string) (string, bool) { return "", false }
 
 // OnClick implements Host.
 func (h *NopHost) OnClick(func()) {}

@@ -14,7 +14,7 @@ const DefaultMaxSteps = 500_000
 
 // maxRunBytes bounds the bytes one script run may build from its own
 // values — string +, and the builtins that make a string or list out of
-// their arguments (concat, join, split, replace, str, range, ...). The
+// their arguments (join, split, replace, str, range, ...). The
 // step budget bounds time but not space: a loop that doubles a string
 // needs only a few dozen steps to exhaust any machine's memory. The
 // largest total one script run reaches in a webgen crawl is about
@@ -241,12 +241,6 @@ func (in *Interp) RunSource(src string) error {
 		return err
 	}
 	return in.Run(prog)
-}
-
-// CallClosure invokes a script closure from Go — the path by which the
-// browser fires on_click and defer_run callbacks back into script code.
-func (in *Interp) CallClosure(c *Closure, args ...Value) (Value, error) {
-	return in.callClosure(c, args, 0)
 }
 
 // Steps returns the number of interpreter steps executed so far; the

@@ -319,7 +319,7 @@ func TestCallClosureFromGo(t *testing.T) {
 	if !ok {
 		t.Fatal("add is not a closure")
 	}
-	res, err := in.CallClosure(c, Num(2), Num(3))
+	res, err := in.callClosure(c, []Value{Num(2), Num(3)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

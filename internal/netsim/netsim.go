@@ -456,16 +456,6 @@ func (i *Internet) Requests() int64 { return i.requests.Load() }
 // Faults returns the total number of injected faults (all kinds).
 func (i *Internet) Faults() int64 { return i.faulted.Load() }
 
-// Hosts returns the registered hostnames (sorted order not guaranteed).
-func (i *Internet) Hosts() []string {
-	hosts := i.view().hosts
-	out := make([]string, 0, len(hosts))
-	for h := range hosts {
-		out = append(out, h)
-	}
-	return out
-}
-
 // cachedResponse is one memoized exchange: everything needed to replay
 // it except the per-request latency header, which is recomputed so the
 // virtual clock sees identical charges on hits and misses.

@@ -201,16 +201,6 @@ func TestServeHTTPByHostHeader(t *testing.T) {
 	}
 }
 
-func TestHosts(t *testing.T) {
-	in := New()
-	in.Register("a.example", textHandler("x"))
-	in.Register("b.example", textHandler("x"))
-	hosts := in.Hosts()
-	if len(hosts) != 2 {
-		t.Fatalf("Hosts = %v", hosts)
-	}
-}
-
 func BenchmarkRoundTrip(b *testing.B) {
 	in := New()
 	in.Register("example.com", textHandler("<html>benchmark body</html>"))

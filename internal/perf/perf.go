@@ -121,11 +121,6 @@ func series(samples []Sample, m Metric, with bool) []float64 {
 	return out
 }
 
-// Series exposes a metric column for the figure renderers.
-func (r *Results) Series(m Metric, with bool) []float64 {
-	return series(r.Valid(), m, with)
-}
-
 // Table4Row is one row of Table 4.
 type Table4Row struct {
 	Metric        Metric

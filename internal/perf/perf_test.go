@@ -84,7 +84,7 @@ func TestFig7RatiosAboveParity(t *testing.T) {
 
 func TestHeavyTail(t *testing.T) {
 	res := runPerf(t, 120)
-	le := res.Series(LoadEvent, false)
+	le := series(res.Valid(), LoadEvent, false)
 	// Page loads are right-skewed: mean > median (paper §7.3).
 	var mean, sum float64
 	for _, v := range le {

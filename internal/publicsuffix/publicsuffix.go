@@ -275,11 +275,3 @@ func RegistrableDomain(host string) string {
 	}
 	return d
 }
-
-// SameSite reports whether two hosts share a registrable domain
-// ("same-site" in web-platform terminology).
-func SameSite(a, b string) bool {
-	da := RegistrableDomain(a)
-	db := RegistrableDomain(b)
-	return da != "" && da == db
-}

@@ -106,27 +106,6 @@ func TestRegistrableDomainForgiving(t *testing.T) {
 	}
 }
 
-func TestSameSite(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want bool
-	}{
-		{"www.example.com", "api.example.com", true},
-		{"example.com", "example.com", true},
-		{"example.com", "example.org", false},
-		{"a.example.co.uk", "b.example.co.uk", true},
-		{"example.co.uk", "other.co.uk", false},
-		{"user1.github.io", "user2.github.io", false}, // private registry isolates users
-		{"facebook.com", "fbcdn.net", false},          // the paper's Messenger case
-		{"", "", false},
-	}
-	for _, c := range cases {
-		if got := SameSite(c.a, c.b); got != c.want {
-			t.Errorf("SameSite(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // Property: eTLD+1 is idempotent — the registrable domain of a registrable
 // domain is itself.
 func TestRegistrableDomainIdempotent(t *testing.T) {

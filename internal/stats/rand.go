@@ -47,26 +47,6 @@ func (r *Rand) Fork(tag uint64) *Rand {
 	return NewRand(r.Uint64() ^ (tag * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u1 := r.Float64()
-		u2 := r.Float64()
-		if u1 <= 1e-300 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
-// LogNormal returns a log-normal variate with the given log-space mean mu
-// and standard deviation sigma. Page-load times are heavy-tailed and
-// multiplicative (paper §7.3 "Distributional view"), which log-normal
-// captures.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Zipf samples from {0,...,n-1} with probability proportional to
 // 1/(i+1)^s. It is used for third-party popularity: a handful of tag
 // managers and analytics scripts appear on a large share of sites (the _ga
@@ -131,31 +111,4 @@ func (r *Rand) Poisson(lambda float64) int {
 // Pick returns a uniformly chosen element of xs. Panics on empty input.
 func Pick[T any](r *Rand, xs []T) T {
 	return xs[r.Intn(len(xs))]
-}
-
-// Shuffle permutes xs in place (Fisher–Yates).
-func Shuffle[T any](r *Rand, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-// SampleK returns k distinct elements of xs (or all of them if k ≥ len).
-func SampleK[T any](r *Rand, xs []T, k int) []T {
-	if k >= len(xs) {
-		out := make([]T, len(xs))
-		copy(out, xs)
-		return out
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	Shuffle(r, idx)
-	out := make([]T, k)
-	for i := 0; i < k; i++ {
-		out[i] = xs[idx[i]]
-	}
-	return out
 }

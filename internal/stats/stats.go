@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics and seeded random
 // distributions used across the reproduction: means/medians for Table 4,
 // five-number boxplot summaries for Figures 6/9, ratio distributions for
-// Figures 7/10, and Zipf/log-normal/Bernoulli generators for the synthetic
+// Figures 7/10, and Zipf/Poisson/Bernoulli generators for the synthetic
 // web (internal/webgen) and the timing model (internal/perf).
 package stats
 
@@ -56,20 +56,6 @@ func quantileSorted(s []float64, q float64) float64 {
 		return s[n-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Boxplot is the five-number summary plus outliers that Figures 6, 9, and
@@ -139,45 +125,6 @@ func Ratios(with, without []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Histogram bins xs into nbins equal-width bins over [min,max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram computes a histogram. nbins must be ≥ 1.
-func NewHistogram(xs []float64, nbins int) Histogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	h := Histogram{Counts: make([]int, nbins)}
-	if len(xs) == 0 {
-		return h
-	}
-	h.Min, h.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < h.Min {
-			h.Min = x
-		}
-		if x > h.Max {
-			h.Max = x
-		}
-	}
-	span := h.Max - h.Min
-	if span == 0 {
-		h.Counts[0] = len(xs)
-		return h
-	}
-	for _, x := range xs {
-		i := int((x - h.Min) / span * float64(nbins))
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
 }
 
 // Percent renders part/whole as a percentage, guarding division by zero.

@@ -44,13 +44,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(xs); !almost(got, 2, 1e-9) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestBoxplot(t *testing.T) {
 	// 1..11 plus one extreme outlier.
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1000}
@@ -109,25 +102,6 @@ func TestRatios(t *testing.T) {
 	got := Ratios(with, without)
 	if len(got) != 2 || !almost(got[0], 1.1, 1e-9) || !almost(got[1], 1.1, 1e-9) {
 		t.Errorf("Ratios = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-		if c != 2 {
-			t.Errorf("expected uniform bins, got %v", h.Counts)
-			break
-		}
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d", total)
-	}
-	h2 := NewHistogram([]float64{5, 5, 5}, 4)
-	if h2.Counts[0] != 3 {
-		t.Errorf("degenerate histogram = %v", h2.Counts)
 	}
 }
 

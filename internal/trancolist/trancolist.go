@@ -68,11 +68,3 @@ func Domains(entries []Entry) []string {
 	}
 	return out
 }
-
-// Top returns the first n entries (all if n exceeds the list).
-func Top(entries []Entry, n int) []Entry {
-	if n >= len(entries) {
-		return entries
-	}
-	return entries[:n]
-}

@@ -40,15 +40,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestDomainsAndTop(t *testing.T) {
+func TestDomains(t *testing.T) {
 	es := []Entry{{1, "a.com"}, {2, "b.com"}, {3, "c.com"}}
 	if got := Domains(es); len(got) != 3 || got[1] != "b.com" {
 		t.Fatalf("Domains = %v", got)
-	}
-	if got := Top(es, 2); len(got) != 2 {
-		t.Fatalf("Top = %v", got)
-	}
-	if got := Top(es, 99); len(got) != 3 {
-		t.Fatalf("Top overflow = %v", got)
 	}
 }

@@ -67,14 +67,6 @@ func (o Origin) String() string {
 
 var hostEscaper = strings.NewReplacer("%", "%25", " ", "%20")
 
-// Equal reports SOP equality: same scheme, host, and port.
-func (o Origin) Equal(other Origin) bool { return o == other }
-
-// RegistrableDomain returns the eTLD+1 of the origin's host.
-func (o Origin) RegistrableDomain() string {
-	return publicsuffix.RegistrableDomain(o.Host)
-}
-
 // Hostname extracts the lower-cased host (without port) from a URL string,
 // returning "" if the URL does not parse or has no host.
 //
@@ -160,25 +152,6 @@ func RegistrableDomain(rawURL string) string {
 		return ""
 	}
 	return publicsuffix.RegistrableDomain(h)
-}
-
-// SameDomain reports whether two URLs share an eTLD+1. Either side being
-// unattributable ("" domain) is never same-domain.
-func SameDomain(urlA, urlB string) bool {
-	da, db := RegistrableDomain(urlA), RegistrableDomain(urlB)
-	return da != "" && da == db
-}
-
-// IsThirdParty reports whether scriptURL is third-party with respect to
-// siteURL, i.e. their registrable domains differ. An unattributable script
-// URL is conservatively treated as third party.
-func IsThirdParty(scriptURL, siteURL string) bool {
-	sd := RegistrableDomain(scriptURL)
-	pd := RegistrableDomain(siteURL)
-	if sd == "" {
-		return true
-	}
-	return sd != pd
 }
 
 // WithParams returns base with the parameters keys[i]=vals[i] appended
@@ -269,19 +242,9 @@ func writeQueryEscaped(b *strings.Builder, s string) {
 	b.WriteString(s[start:])
 }
 
-// Resolve resolves ref against base, mirroring how a browser resolves a
-// relative src attribute. Invalid inputs return ref unchanged.
-func Resolve(base, ref string) string {
-	b, err := url.Parse(base)
-	if err != nil {
-		return ref
-	}
-	return ResolveRef(b, ref)
-}
-
-// ResolveRef is Resolve against an already parsed base. Pages resolve
-// dozens of references against the same base URL; parsing the base once
-// per page removes the dominant allocation of the old string-only path.
+// ResolveRef resolves ref against base, mirroring how a browser resolves
+// a relative src attribute. Pages resolve dozens of references against
+// the same base URL, so the base comes parsed.
 //
 // A canonical ref (see canonicalAbsolute) is returned as is, without
 // allocating: it is absolute, so base does not matter, and net/url would

@@ -1,6 +1,9 @@
 package urlutil
 
-import "testing"
+import (
+	"net/url"
+	"testing"
+)
 
 func TestParseOrigin(t *testing.T) {
 	cases := []struct {
@@ -40,14 +43,14 @@ func TestParseOriginErrors(t *testing.T) {
 func TestOriginStringAndEqual(t *testing.T) {
 	a, _ := ParseOrigin("https://example.com:443/x")
 	b, _ := ParseOrigin("https://example.com/y")
-	if !a.Equal(b) {
+	if a != b {
 		t.Error("default-port origins should be equal")
 	}
 	if a.String() != "https://example.com" {
 		t.Errorf("String = %q", a.String())
 	}
 	c, _ := ParseOrigin("https://example.com:8443/")
-	if a.Equal(c) {
+	if a == c {
 		t.Error("different ports must differ")
 	}
 	if c.String() != "https://example.com:8443" {
@@ -65,10 +68,10 @@ func TestOriginStringAndEqual(t *testing.T) {
 	}
 	// Paper §2.1: subdomain => different origin, same domain.
 	d, _ := ParseOrigin("https://subdomain.example.com/")
-	if a.Equal(d) {
+	if a == d {
 		t.Error("subdomain must be a different origin")
 	}
-	if a.RegistrableDomain() != d.RegistrableDomain() {
+	if RegistrableDomain("https://example.com/") != RegistrableDomain("https://subdomain.example.com/") {
 		t.Error("subdomain must share the registrable domain")
 	}
 }
@@ -85,36 +88,6 @@ func TestRegistrableDomain(t *testing.T) {
 		if got := RegistrableDomain(c.raw); got != c.want {
 			t.Errorf("RegistrableDomain(%q) = %q, want %q", c.raw, got, c.want)
 		}
-	}
-}
-
-func TestIsThirdParty(t *testing.T) {
-	site := "https://www.optimonk.com/"
-	cases := []struct {
-		script string
-		want   bool
-	}{
-		{"https://cdn.optimonk.com/app.js", false},
-		{"https://snap.licdn.com/li.lms-analytics/insight.min.js", true},
-		{"https://www.googletagmanager.com/gtm.js", true},
-		{"", true}, // inline: unattributable => third party (conservative)
-	}
-	for _, c := range cases {
-		if got := IsThirdParty(c.script, site); got != c.want {
-			t.Errorf("IsThirdParty(%q) = %v, want %v", c.script, got, c.want)
-		}
-	}
-}
-
-func TestSameDomain(t *testing.T) {
-	if !SameDomain("https://a.facebook.net/x", "https://b.facebook.net/y") {
-		t.Error("same eTLD+1 should be same domain")
-	}
-	if SameDomain("https://facebook.com/", "https://fbcdn.net/") {
-		t.Error("facebook.com vs fbcdn.net must be cross-domain")
-	}
-	if SameDomain("", "") {
-		t.Error("empty URLs are never same-domain")
 	}
 }
 
@@ -137,8 +110,12 @@ func TestResolve(t *testing.T) {
 		{"https://example.com/", "https://cdn.example.net/x.js", "https://cdn.example.net/x.js"},
 	}
 	for _, c := range cases {
-		if got := Resolve(c.base, c.ref); got != c.want {
-			t.Errorf("Resolve(%q,%q) = %q, want %q", c.base, c.ref, got, c.want)
+		base, err := url.Parse(c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ResolveRef(base, c.ref); got != c.want {
+			t.Errorf("ResolveRef(%q,%q) = %q, want %q", c.base, c.ref, got, c.want)
 		}
 	}
 }

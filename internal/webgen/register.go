@@ -66,11 +66,13 @@ func writeError(w http.ResponseWriter, code int, text string) {
 
 type registry struct {
 	hosts map[string]*hostMux
-	sinks map[string]bool // beacon endpoints answering 204 on any path
+	// sinks are beacon endpoints answering 204 on any path. Only the
+	// services' registry has any, so the map is made on the first.
+	sinks map[string]bool
 }
 
 func newRegistry() *registry {
-	return &registry{hosts: map[string]*hostMux{}, sinks: map[string]bool{}}
+	return &registry{hosts: map[string]*hostMux{}}
 }
 
 func (r *registry) add(host, path, body, contentType string, setCookies ...string) {
@@ -93,6 +95,9 @@ func (r *registry) addError(host, path string, status int) {
 
 func (r *registry) sink(host string) {
 	if _, isScriptHost := r.hosts[host]; !isScriptHost {
+		if r.sinks == nil {
+			r.sinks = map[string]bool{}
+		}
 		r.sinks[host] = true
 	}
 }

@@ -199,7 +199,7 @@ func TestArtifactCacheEquivalence(t *testing.T) {
 	if stats.ProgramHits == 0 || stats.DOMHits == 0 || stats.BodyHits == 0 {
 		t.Fatalf("cached crawl shows no reuse: %+v", stats)
 	}
-	if s := plain.CacheStats(); s.Lookups() != 0 {
+	if s := plain.CacheStats(); s != (CacheStats{}) {
 		t.Fatalf("disabled cache recorded lookups: %+v", s)
 	}
 

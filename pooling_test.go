@@ -157,7 +157,7 @@ func TestProgressStatsCallback(t *testing.T) {
 	if last.Requests == 0 {
 		t.Fatal("fabric request counter missing from progress stats")
 	}
-	if last.Cache.Lookups() == 0 {
+	if last.Cache == (CacheStats{}) {
 		t.Fatal("cache stats missing from progress stats")
 	}
 	if last.Pool.PageAcquired == 0 {
