@@ -12,10 +12,14 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"cookieguard/internal/journal"
 )
 
 // checkpointOpts is the full resilience shape the pipeline crash tests
@@ -138,6 +142,48 @@ func TestCheckpointStatsWithoutCheckpoint(t *testing.T) {
 	p := New(WithSites(5))
 	if _, ok := p.CheckpointStats(); ok {
 		t.Fatal("CheckpointStats reports a journal without WithCheckpoint")
+	}
+}
+
+// TestShutdownClosesJournal: Shutdown closes the checkpoint journal's
+// file, a second Shutdown still returns nil, and CheckpointStats keeps
+// reporting the closed journal's counters.
+func TestShutdownClosesJournal(t *testing.T) {
+	dir := t.TempDir()
+	p := New(WithSites(10), WithWorkers(2), WithCheckpoint(dir))
+	if _, err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path, err := filepath.EvalSymlinks(filepath.Join(dir, journal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() (n int) {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to list open files:", err)
+		}
+		for _, fd := range fds {
+			if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); target == path {
+				n++
+			}
+		}
+		return n
+	}
+	if openFDs() == 0 {
+		t.Fatal("the journal is not open after a checkpointed Run")
+	}
+	for i := 0; i < 2; i++ {
+		if err := p.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown #%d: %v", i+1, err)
+		}
+	}
+	if n := openFDs(); n != 0 {
+		t.Fatalf("the journal is still open %d times after Shutdown", n)
+	}
+	st, ok := p.CheckpointStats()
+	if !ok || st.Records == 0 {
+		t.Fatalf("CheckpointStats after Shutdown = %+v, %v; want the crawl's records", st, ok)
 	}
 }
 

@@ -564,9 +564,9 @@ func (p *Pipeline) StartServer(addr string) (string, error) {
 // queries (each returns its current snapshot, as a timed-out poll
 // would), drains the StartServer HTTP server via http.Server.Shutdown
 // — in-flight requests complete, new connections are refused — and
-// flushes any buffered checkpoint-journal appends to disk. ctx bounds
-// the drain; an expired ctx abandons remaining connections and returns
-// its error. Safe to call whether or not a server was started, and
+// syncs and closes the checkpoint journal (CheckpointStats still
+// reports its counters afterwards). ctx bounds the drain; an expired
+// ctx abandons remaining connections and returns its error. Safe to call whether or not a server was started, and
 // more than once. Shutdown does not cancel a running crawl — cancel
 // the crawl's context for that (the crawl's own defers flush the final
 // journal snapshot); call Shutdown after the crawl has stopped.
@@ -580,8 +580,8 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 		err = srv.Shutdown(ctx)
 	}
 	if jnl, _ := p.ensureJournal(); jnl != nil {
-		if serr := jnl.Sync(); serr != nil && err == nil && serr != journal.ErrCrashInjected {
-			err = serr
+		if cerr := jnl.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err

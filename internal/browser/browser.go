@@ -63,11 +63,11 @@ type Options struct {
 	// accounting map costs a few allocations per visit.
 	TrackHosts bool
 	// Pooling recycles per-visit state — pages, DOM arenas, interpreters,
-	// the outbound request and its URL, network exchanges — through
-	// pools. It requires the explicit Release() lifecycle: the owner of
-	// the browser must call Release() once all data derived from the
-	// visit has been copied out, and must touch nothing of the visit
-	// afterwards. Off by default; pooled and unpooled visits produce
+	// the cookie jar, the outbound request and its URL, network
+	// exchanges — through pools. It requires the explicit Release()
+	// lifecycle: the owner of the browser must call Release() once all
+	// data derived from the visit has been copied out, and must touch
+	// nothing of the visit afterwards. Off by default; pooled and unpooled visits produce
 	// byte-identical results.
 	Pooling bool
 }
@@ -112,10 +112,14 @@ func New(opts Options) (*Browser, error) {
 	}
 	b := &Browser{
 		opts:     opts,
-		jar:      cookiejar.New(opts.Clock),
 		clock:    opts.Clock,
 		rng:      stats.NewRand(opts.Seed ^ 0xb5297a4d),
 		retryRng: stats.NewRand(opts.Seed ^ 0x27d4eb2f),
+	}
+	if opts.Pooling {
+		b.jar = cookiejar.Acquire(opts.Clock)
+	} else {
+		b.jar = cookiejar.New(opts.Clock)
 	}
 	if opts.TrackHosts {
 		b.hostOutcomes = make(map[string]*HostOutcome, 16)

@@ -13,12 +13,13 @@ import (
 //
 // A crawl performs the same shape of work for every site: one Page (plus
 // frame sub-pages), a few dozen request/script records, an interpreter
-// per executed script, and a DOM arena per document. All of it is dead
-// the moment the visit's log is built, so the structures cycle through
-// pools instead of being reallocated per visit. The lifecycle is
-// explicit and owned by the crawler worker: Browser.Release() hands
-// everything the browser created back to the pools — after it returns,
-// no page, node, or interpreter of that visit may be touched again.
+// per executed script, a DOM arena per document, and one cookie jar. All
+// of it is dead the moment the visit's log is built, so the structures
+// cycle through pools instead of being reallocated per visit. The
+// lifecycle is explicit and owned by the crawler worker:
+// Browser.Release() hands everything the browser created back to the
+// pools — after it returns, no page, node, interpreter, jar or cookie of
+// that visit may be touched again.
 //
 // Pooling is off unless Options.Pooling is set (the crawler sets it by
 // default; cookieguard.WithPooling(false) is the escape hatch). Pooled
@@ -72,11 +73,12 @@ func CollectPoolStats() PoolStats {
 }
 
 // Release returns every per-visit object this browser created — pages
-// (landing, navigations, and frames), their DOM arenas, and their
-// interpreters — to the pools. It is a no-op unless Options.Pooling is
-// set. The caller owns the lifecycle: call it only once all data derived
-// from the visit has been copied out (instrument.BuildVisitLog copies
-// everything it keeps), and touch nothing of the visit afterwards. The
+// (landing, navigations, and frames), their DOM arenas, their
+// interpreters, and then the cookie jar — to the pools. It is a no-op
+// unless Options.Pooling is set. The caller owns the lifecycle: call it
+// only once all data derived from the visit has been copied out
+// (instrument.BuildVisitLog copies everything it keeps), and touch
+// nothing of the visit afterwards, the jar (Jar) included. The
 // visit's instrument.Recorder pools its event buffer the same way; the
 // crawler releases it after this, once its cookie middleware and jar
 // observer can no longer fire.
@@ -88,6 +90,10 @@ func (b *Browser) Release() {
 		p.release()
 	}
 	b.pages = nil
+	if b.jar != nil {
+		b.jar.Release()
+		b.jar = nil
+	}
 }
 
 // release resets the page and returns it to the page pool. Slices keep

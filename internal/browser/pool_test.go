@@ -58,3 +58,28 @@ defer_run(fn() { set_cookie("e", "1"); });</script></head>
 		}
 	}
 }
+
+// TestPooledBrowserJarStartsEmpty: Release hands the visit's jar back to
+// the pool, and the next pooled browser starts with an empty jar.
+func TestPooledBrowserJarStartsEmpty(t *testing.T) {
+	in := testWeb(`<html><head><script>set_cookie("k", "1");</script></head><body></body></html>`, nil)
+	for i := 0; i < 3; i++ {
+		b, err := New(Options{Internet: in, Seed: 1, Pooling: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := b.Jar().Len(); n != 0 {
+			t.Fatalf("visit %d: a new pooled browser's jar holds %d cookies", i, n)
+		}
+		if _, err := b.Visit("https://www.shop.example/"); err != nil {
+			t.Fatal(err)
+		}
+		if b.Jar().Get("https://www.shop.example/", "k") == nil {
+			t.Fatalf("visit %d: the script's cookie is not in the jar", i)
+		}
+		b.Release()
+		if b.Jar() != nil {
+			t.Fatalf("visit %d: Release kept the jar", i)
+		}
+	}
+}

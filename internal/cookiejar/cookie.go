@@ -191,14 +191,14 @@ func (a *Assignment) expiry(now time.Time) time.Time {
 func (a *Assignment) Expired(now time.Time) bool { return expired(a.expiry(now), now) }
 
 // ParseSetCookie parses one Set-Cookie header line (or a document.cookie
-// assignment string) relative to now. It returns nil if the line has no
-// parsable name=value prefix.
-func ParseSetCookie(line string, now time.Time) *Cookie {
+// assignment string) relative to now. ok is false, and the cookie zero,
+// if the line has no parsable name=value prefix.
+func ParseSetCookie(line string, now time.Time) (c Cookie, ok bool) {
 	a, ok := ParseAssignment(line)
 	if !ok {
-		return nil
+		return Cookie{}, false
 	}
-	return &Cookie{
+	return Cookie{
 		Name:     a.Name,
 		Value:    a.Value,
 		Domain:   a.Domain,
@@ -208,7 +208,7 @@ func ParseSetCookie(line string, now time.Time) *Cookie {
 		HttpOnly: a.HttpOnly,
 		SameSite: a.SameSite,
 		Created:  now,
-	}
+	}, true
 }
 
 // lowersTo reports whether strings.ToLower(s) == lower, for an ASCII

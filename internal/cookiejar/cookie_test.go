@@ -10,9 +10,9 @@ import (
 var t0 = vclock.Epoch
 
 func TestParseSetCookieBasic(t *testing.T) {
-	c := ParseSetCookie("_ga=GA1.1.444332364.1746838827", t0)
-	if c == nil {
-		t.Fatal("nil cookie")
+	c, ok := ParseSetCookie("_ga=GA1.1.444332364.1746838827", t0)
+	if !ok {
+		t.Fatal("no cookie")
 	}
 	if c.Name != "_ga" || c.Value != "GA1.1.444332364.1746838827" {
 		t.Fatalf("parsed %q=%q", c.Name, c.Value)
@@ -24,7 +24,7 @@ func TestParseSetCookieBasic(t *testing.T) {
 
 func TestParseSetCookieAttributes(t *testing.T) {
 	line := "sid=abc123; Domain=.example.com; Path=/app; Secure; HttpOnly; SameSite=Strict; Max-Age=3600"
-	c := ParseSetCookie(line, t0)
+	c, _ := ParseSetCookie(line, t0)
 	if c.Domain != "example.com" {
 		t.Errorf("Domain = %q (leading dot must be stripped)", c.Domain)
 	}
@@ -42,7 +42,7 @@ func TestParseSetCookieExpiresFormats(t *testing.T) {
 		"Sat, 01 Mar 2025 12:00:00 GMT",
 		"Sat, 01-Mar-2025 12:00:00 GMT",
 	} {
-		c := ParseSetCookie("a=1; Expires="+f, t0)
+		c, _ := ParseSetCookie("a=1; Expires="+f, t0)
 		if c.Expires.IsZero() {
 			t.Errorf("Expires format %q not parsed", f)
 		}
@@ -50,19 +50,19 @@ func TestParseSetCookieExpiresFormats(t *testing.T) {
 }
 
 func TestMaxAgePrecedenceOverExpires(t *testing.T) {
-	c := ParseSetCookie("a=1; Expires=Sat, 01 Mar 2031 12:00:00 GMT; Max-Age=60", t0)
+	c, _ := ParseSetCookie("a=1; Expires=Sat, 01 Mar 2031 12:00:00 GMT; Max-Age=60", t0)
 	if !c.Expires.Equal(t0.Add(time.Minute)) {
 		t.Errorf("Max-Age should win: %v", c.Expires)
 	}
 	// Max-Age before Expires in attribute order must also win.
-	c2 := ParseSetCookie("a=1; Max-Age=60; Expires=Sat, 01 Mar 2031 12:00:00 GMT", t0)
+	c2, _ := ParseSetCookie("a=1; Max-Age=60; Expires=Sat, 01 Mar 2031 12:00:00 GMT", t0)
 	if !c2.Expires.Equal(t0.Add(time.Minute)) {
 		t.Errorf("Max-Age should win regardless of order: %v", c2.Expires)
 	}
 }
 
 func TestMaxAgeZeroMeansExpired(t *testing.T) {
-	c := ParseSetCookie("a=1; Max-Age=0", t0)
+	c, _ := ParseSetCookie("a=1; Max-Age=0", t0)
 	if !c.Expired(t0) {
 		t.Error("Max-Age=0 must produce an expired cookie")
 	}
@@ -70,31 +70,30 @@ func TestMaxAgeZeroMeansExpired(t *testing.T) {
 
 func TestParseSetCookieInvalid(t *testing.T) {
 	for _, line := range []string{"", "=value", "noequals", ";;;", "  =x"} {
-		if c := ParseSetCookie(line, t0); c != nil {
-			t.Errorf("ParseSetCookie(%q) = %+v, want nil", line, c)
+		if c, ok := ParseSetCookie(line, t0); ok || c != (Cookie{}) {
+			t.Errorf("ParseSetCookie(%q) = %+v, %v; want a zero cookie, false", line, c, ok)
 		}
 	}
 }
 
 func TestParseSetCookieValueWithEquals(t *testing.T) {
-	c := ParseSetCookie("k=a=b=c", t0)
+	c, _ := ParseSetCookie("k=a=b=c", t0)
 	if c.Value != "a=b=c" {
 		t.Errorf("Value = %q", c.Value)
 	}
 }
 
 // TestParseAssignmentAllocs pins the parser's allocations on a typical
-// tracker write: none for the value-returning parse, and only the
-// *Cookie for ParseSetCookie.
+// tracker write: none, for ParseAssignment and ParseSetCookie alike.
 func TestParseAssignmentAllocs(t *testing.T) {
-	var sink *Cookie
+	var sink Cookie
 	const ga = "_ga=GA1.2.123.456; Path=/; Max-Age=63072000; SameSite=Lax"
 	if n := testing.AllocsPerRun(100, func() { ParseAssignment(ga) }); n != 0 {
 		t.Errorf("ParseAssignment(%q): %v allocs, want 0", ga, n)
 	}
 	const tid = "_tid=abcdef; Max-Age=3600"
-	if n := testing.AllocsPerRun(100, func() { sink = ParseSetCookie(tid, t0) }); n != 1 {
-		t.Errorf("ParseSetCookie(%q): %v allocs, want 1", tid, n)
+	if n := testing.AllocsPerRun(100, func() { sink, _ = ParseSetCookie(tid, t0) }); n != 0 {
+		t.Errorf("ParseSetCookie(%q): %v allocs, want 0", tid, n)
 	}
 	_ = sink
 }

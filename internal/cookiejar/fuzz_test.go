@@ -34,7 +34,7 @@ func fuzzSetCookies(f *testing.F) []string {
 // ParseAssignment split out of it, with strings.ToLower attribute
 // matching: the reference the current parser must agree with on every
 // line.
-func parseSetCookieOracle(line string, now time.Time) *Cookie {
+func parseSetCookieOracle(line string, now time.Time) (Cookie, bool) {
 	nv := line
 	rest := ""
 	if i := strings.IndexByte(line, ';'); i >= 0 {
@@ -43,15 +43,15 @@ func parseSetCookieOracle(line string, now time.Time) *Cookie {
 	nv = strings.TrimSpace(nv)
 	eq := strings.IndexByte(nv, '=')
 	if eq <= 0 {
-		return nil
+		return Cookie{}, false
 	}
-	c := &Cookie{
+	c := Cookie{
 		Name:    strings.TrimSpace(nv[:eq]),
 		Value:   strings.TrimSpace(nv[eq+1:]),
 		Created: now,
 	}
 	if c.Name == "" {
-		return nil
+		return Cookie{}, false
 	}
 	var maxAgeSet bool
 	for rest != "" {
@@ -106,7 +106,7 @@ func parseSetCookieOracle(line string, now time.Time) *Cookie {
 			}
 		}
 	}
-	return c
+	return c, true
 }
 
 // FuzzParseSetCookie checks that ParseSetCookie never panics on any
@@ -132,14 +132,18 @@ func FuzzParseSetCookie(f *testing.F) {
 		f.Add(l)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		got, want := ParseSetCookie(line, t0), parseSetCookieOracle(line, t0)
-		if got != nil && got.Name == "" {
+		got, ok := ParseSetCookie(line, t0)
+		want, wantOK := parseSetCookieOracle(line, t0)
+		if ok && got.Name == "" {
 			t.Fatalf("ParseSetCookie(%q) returned a cookie with no name", line)
 		}
-		if (got == nil) != (want == nil) {
-			t.Fatalf("ParseSetCookie(%q) = %+v, oracle gives %+v", line, got, want)
+		if ok != wantOK {
+			t.Fatalf("ParseSetCookie(%q) = %+v, %v; oracle gives %+v, %v", line, got, ok, want, wantOK)
 		}
-		if got == nil {
+		if !ok {
+			if got != (Cookie{}) {
+				t.Fatalf("ParseSetCookie(%q) = %+v with no cookie, want zero", line, got)
+			}
 			return
 		}
 		// Expires is compared as an instant and a rendering: a parsed
@@ -147,10 +151,9 @@ func FuzzParseSetCookie(f *testing.F) {
 		if !got.Expires.Equal(want.Expires) || got.Expires.String() != want.Expires.String() {
 			t.Fatalf("ParseSetCookie(%q).Expires = %v, oracle gives %v", line, got.Expires, want.Expires)
 		}
-		g, w := *got, *want
-		g.Expires, w.Expires = time.Time{}, time.Time{}
-		if !reflect.DeepEqual(g, w) {
-			t.Fatalf("ParseSetCookie(%q) = %+v, oracle gives %+v", line, g, w)
+		got.Expires, want.Expires = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseSetCookie(%q) = %+v, oracle gives %+v", line, got, want)
 		}
 	})
 }

@@ -2,14 +2,15 @@ package cookiejar
 
 import (
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/publicsuffix"
+	"cookieguard/internal/urlutil"
 )
 
 // Clock abstracts the time source so jars run on virtual time.
@@ -70,8 +71,8 @@ func (k ChangeKind) String() string {
 }
 
 // Change describes one jar mutation; observers receive it synchronously.
-// Cookie and Previous are the jar's own cookies, which it never writes
-// again (see Jar); observers must not write them either.
+// Cookie and Previous are the jar's own cookies, valid only during the
+// observer call (see Jar); observers must not write them.
 type Change struct {
 	Kind     ChangeKind
 	Cookie   *Cookie // the new cookie (for deletions: the deletion record)
@@ -99,6 +100,15 @@ type memoEntry struct {
 	minExpiry time.Time // earliest non-zero expiry among the cookies
 }
 
+// slabChunk is the number of cookies in one chunk of a jar's slab.
+const slabChunk = 32
+
+// jarRetainMax bounds what a released jar keeps for its next visit: at
+// most this many cookie slots, and no store or memo map that held more
+// entries than this (a Go map never shrinks). A pathological visit
+// should not pin its jar's size in the pool.
+const jarRetainMax = 256
+
 // Jar is a cookie jar for a single browsing context. It is safe for
 // concurrent use.
 //
@@ -111,10 +121,13 @@ type memoEntry struct {
 // virtual clock. The memo is exact — it holds the list a fresh match
 // would produce — so observable behaviour is unchanged.
 //
-// A *Cookie in the store is never written after it enters the store: a
-// write stores a new cookie in its place. So the memo's lists, and the
-// cookies observers receive in a Change, can hold the stored cookies
-// themselves. The methods that return cookies to callers return copies.
+// Every cookie the jar stores lives in its slab, chunks of cookies that
+// never move, and is immutable from the write that stores it until
+// Release: a later write takes a new slot and stores it in its place. So
+// the memo's lists can hold the stored cookies themselves. The cookies an
+// observer receives in a Change are slab cookies too; they are valid only
+// during the observer call, since a pooled jar reuses its slots after
+// Release. The methods that return cookies to callers return copies.
 type Jar struct {
 	clock Clock
 
@@ -123,36 +136,122 @@ type Jar struct {
 	observers []Observer
 	gen       uint64
 	memo      map[string]*memoEntry
+	spare     []*memoEntry // entries of released memos, for reuse
 
-	// lastURL is the most recent URL parsed for a script write or a
-	// memo miss: every document.cookie access on a page passes the
-	// same page URL. The parsed URL is shared and never modified.
-	lastURL atomic.Pointer[parsedURL]
+	// slab holds every cookie a write stored, and every deletion
+	// record, since New or Release: slab[:chunks] are in use, and free
+	// is the unused tail of the last of them.
+	slab   [][]Cookie
+	chunks int
+	free   []Cookie
+
+	// url is the parse of urlRaw, the most recent URL parsed for a
+	// script write or a memo miss: every document.cookie access on a
+	// page passes the same page URL. urlOK is false until the first
+	// parse.
+	url    url.URL
+	urlRaw string
+	urlOK  bool
 }
 
-// parsedURL is a raw URL string and its parse.
-type parsedURL struct {
-	raw string
-	u   *url.URL
-}
-
-// parseURL parses rawURL, reusing the previous parse when rawURL is the
-// URL parsed last. The result must not be modified.
+// parseURL parses rawURL into the jar's own URL, reusing the previous
+// parse when rawURL is the URL parsed last. The result is valid until
+// the next call and must not be modified. j.mu must be held.
 func (j *Jar) parseURL(rawURL string) (*url.URL, bool) {
-	if p := j.lastURL.Load(); p != nil && p.raw == rawURL {
-		return p.u, true
+	if j.urlOK && j.urlRaw == rawURL {
+		return &j.url, true
 	}
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, false
+	if !urlutil.ParseCanonical(&j.url, rawURL) {
+		// ParseCanonical left j.url alone, so it still holds the parse
+		// of urlRaw if this parse fails too.
+		u, err := url.Parse(rawURL)
+		if err != nil {
+			return nil, false
+		}
+		j.url = *u
 	}
-	j.lastURL.Store(&parsedURL{raw: rawURL, u: u})
-	return u, true
+	j.urlRaw, j.urlOK = rawURL, true
+	return &j.url, true
 }
 
 // New returns an empty jar using the given clock.
 func New(clock Clock) *Jar {
 	return &Jar{clock: clock, store: make(map[storageKey]*Cookie)}
+}
+
+// jarPool recycles jars across visits: a released jar keeps its maps,
+// memo entries and slab chunks, within jarRetainMax.
+var jarPool = sync.Pool{New: func() any { return New(nil) }}
+
+// Acquire returns an empty pooled jar using the given clock. The caller
+// owns it until Release.
+func Acquire(clock Clock) *Jar {
+	j := jarPool.Get().(*Jar)
+	j.clock = clock
+	return j
+}
+
+// Release empties the jar and returns it to the pool. After it returns,
+// nothing may touch the jar or any cookie it handed out in a Change.
+func (j *Jar) Release() {
+	j.reset()
+	jarPool.Put(j)
+}
+
+// reset empties the jar, keeping its maps, memo entries and slab chunks
+// within jarRetainMax for the next visit.
+func (j *Jar) reset() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	used := j.chunks*slabChunk - len(j.free)
+	for _, c := range j.slab[:j.chunks] {
+		clear(c)
+	}
+	if len(j.slab) > jarRetainMax/slabChunk {
+		clear(j.slab[jarRetainMax/slabChunk:])
+		j.slab = j.slab[:jarRetainMax/slabChunk]
+	}
+	j.chunks, j.free = 0, nil
+	// Every stored cookie took a slot, so used bounds the store's size.
+	if used > jarRetainMax {
+		j.store = make(map[storageKey]*Cookie)
+	} else {
+		clear(j.store)
+	}
+	if used > jarRetainMax || len(j.memo) > jarRetainMax {
+		j.memo, j.spare = nil, empty(j.spare)
+	} else {
+		for _, e := range j.memo {
+			e.cookies = empty(e.cookies) // refilled before it is read
+			j.spare = append(j.spare, e)
+		}
+		clear(j.memo)
+	}
+	j.observers = empty(j.observers)
+	j.url, j.urlRaw, j.urlOK = url.URL{}, "", false
+	j.clock = nil
+}
+
+// empty zeroes s to its capacity and returns it with length zero.
+func empty[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// newCookieLocked stores c in a free slot of the slab and returns the
+// slot. j.mu must be held.
+func (j *Jar) newCookieLocked(c *Cookie) *Cookie {
+	if len(j.free) == 0 {
+		if j.chunks == len(j.slab) {
+			j.slab = append(j.slab, make([]Cookie, slabChunk))
+		}
+		j.free = j.slab[j.chunks]
+		j.chunks++
+	}
+	s := &j.free[0]
+	j.free = j.free[1:]
+	*s = *c
+	return s
 }
 
 // Observe registers an observer for all future mutations.
@@ -166,7 +265,8 @@ func (j *Jar) Observe(o Observer) {
 // in a response from the request URL u. It returns the resulting change
 // kind.
 func (j *Jar) SetFromHeader(u *url.URL, header string) ChangeKind {
-	return j.setURL(u, header, SourceHTTP)
+	j.mu.Lock()
+	return j.notify(j.setLocked(u, header, SourceHTTP))
 }
 
 // SetFromScript stores a cookie from an assignment line a script running
@@ -175,23 +275,40 @@ func (j *Jar) SetFromHeader(u *url.URL, header string) ChangeKind {
 // to. Scripts cannot create HttpOnly cookies; such an attribute on the
 // line is ignored, matching browsers.
 func (j *Jar) SetFromScript(pageURL, line string, src Source) ChangeKind {
-	u, ok := j.parseURL(pageURL)
-	if !ok {
-		return ChangeRejected
+	j.mu.Lock()
+	ch := Change{Kind: ChangeRejected}
+	if u, ok := j.parseURL(pageURL); ok {
+		ch = j.setLocked(u, line, src)
 	}
-	return j.setURL(u, line, src)
+	return j.notify(ch)
 }
 
-func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
+// notify releases j.mu, which the caller holds, and hands an effective
+// change to the observers registered when it was made.
+func (j *Jar) notify(ch Change) ChangeKind {
+	obs := j.observers
+	j.mu.Unlock()
+	if ch.Kind != ChangeRejected {
+		for _, o := range obs {
+			o(ch)
+		}
+	}
+	return ch.Kind
+}
+
+// setLocked applies the cookie line written through src for the request
+// or page URL u and returns the change it made. j.mu must be held.
+func (j *Jar) setLocked(u *url.URL, line string, src Source) Change {
+	rejected := Change{Kind: ChangeRejected}
 	if u.Hostname() == "" {
-		return ChangeRejected
+		return rejected
 	}
 	host := strings.ToLower(u.Hostname())
 	now := j.clock.Now()
 
-	c := ParseSetCookie(line, now)
-	if c == nil {
-		return ChangeRejected
+	c, ok := ParseSetCookie(line, now)
+	if !ok {
+		return rejected
 	}
 	if src != SourceHTTP {
 		// Scripts cannot mint HttpOnly cookies.
@@ -201,10 +318,10 @@ func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
 	// Domain attribute validation (RFC 6265 §5.3 steps 4–6).
 	if c.Domain != "" {
 		if suffix, _ := publicsuffix.PublicSuffix(c.Domain); suffix == c.Domain && c.Domain != host {
-			return ChangeRejected // cannot set for a public suffix
+			return rejected // cannot set for a public suffix
 		}
 		if !domainMatch(host, c.Domain) {
-			return ChangeRejected
+			return rejected
 		}
 		c.HostOnly = false
 	} else {
@@ -216,7 +333,6 @@ func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
 	}
 	key := storageKey{domain: c.Domain, path: c.Path, name: c.Name}
 
-	j.mu.Lock()
 	prev := j.store[key]
 	if prev != nil && prev.Expired(now) {
 		// An expired cookie is gone (RFC 6265 §5.3): evict it here, so
@@ -230,28 +346,22 @@ func (j *Jar) setURL(u *url.URL, line string, src Source) ChangeKind {
 	case c.Expired(now):
 		// Expired write = deletion request.
 		if prev == nil {
-			j.mu.Unlock()
-			return ChangeRejected
+			return rejected
 		}
 		delete(j.store, key)
 		kind = ChangeDeleted
 	case prev != nil:
 		c.Created = prev.Created // preserve creation time on overwrite
-		j.store[key] = c
 		kind = ChangeOverwritten
 	default:
-		j.store[key] = c
 		kind = ChangeCreated
 	}
-	j.gen++ // any effective write invalidates memoized renderings
-	obs := j.observers
-	j.mu.Unlock()
-
-	ch := Change{Kind: kind, Cookie: c, Previous: prev, Source: src, Host: host}
-	for _, o := range obs {
-		o(ch)
+	stored := j.newCookieLocked(&c)
+	if kind != ChangeDeleted {
+		j.store[key] = stored
 	}
-	return kind
+	j.gen++ // any effective write invalidates memoized renderings
+	return Change{Kind: kind, Cookie: stored, Previous: prev, Source: src, Host: host}
 }
 
 // requestTarget is the matching context derived from a request URL.
@@ -313,8 +423,13 @@ func (j *Jar) visibleLocked(rawURL string, now time.Time) []*Cookie {
 		if j.memo == nil {
 			j.memo = make(map[string]*memoEntry)
 		}
+		if n := len(j.spare); n > 0 {
+			e, j.spare = j.spare[n-1], j.spare[:n-1]
+		} else {
+			e = new(memoEntry)
+		}
 		// Room for every stored cookie: the first fill does not grow it.
-		e = &memoEntry{cookies: make([]*Cookie, 0, len(j.store))}
+		e.cookies = slices.Grow(e.cookies, len(j.store))
 		j.memo[rawURL] = e
 	}
 	matched, minExpiry := e.cookies[:0], time.Time{}
@@ -439,12 +554,4 @@ func (j *Jar) Len() int {
 		n++
 	}
 	return n
-}
-
-// Clear empties the jar.
-func (j *Jar) Clear() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.store = make(map[storageKey]*Cookie)
-	j.gen++
 }

@@ -83,7 +83,7 @@ func FuzzRecordedAssignment(f *testing.F) {
 		if src == cookiejar.SourceCookieStore {
 			want.API = APICookieStore
 		}
-		if c := cookiejar.ParseSetCookie(line, clock.Now()); c != nil {
+		if c, ok := cookiejar.ParseSetCookie(line, clock.Now()); ok {
 			want.Name, want.Value, want.Domain, want.Path = c.Name, c.Value, c.Domain, c.Path
 			if c.Expired(clock.Now()) {
 				want.Op = OpDelete

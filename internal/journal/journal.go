@@ -251,6 +251,7 @@ type Journal struct {
 	killAfter  int64
 	appended   int64
 	dead       bool
+	closed     bool
 }
 
 // Open opens (creating if absent) the journal in dir and loads its
@@ -461,10 +462,15 @@ func (j *Journal) Sync() error {
 }
 
 // Close syncs and closes the journal file. A dead (crash-injected)
-// journal closes without syncing, like the process it simulates.
+// journal closes without syncing, like the process it simulates. Closing
+// a closed journal does nothing; Stats still works after Close.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return nil
+	}
+	j.closed = true
 	if !j.dead && j.sinceSync > 0 {
 		if err := j.fsync(); err != nil {
 			j.f.Close()

@@ -141,23 +141,19 @@ const interpMapsMax = 256
 // in the pool.
 const interpConcatMax = 64 << 10
 
-// Release resets the interpreter (fresh global scope, zero step count)
+// Release resets the interpreter (empty global scope, zero step count)
 // and returns it to the pool. Script Maps created during the run are
 // cleared and reclaimed into the per-interp freelist: nothing can reach
-// them afterwards (see the maps field).
+// them afterwards (see the maps field). The global scope is cleared in
+// place even when a closure captured it, since no closure may run after
+// Release (AcquireInterp).
 func (in *Interp) Release() {
 	in.Host = nil
 	in.steps = 0
 	in.bytes = 0
 	in.MaxSteps = DefaultMaxSteps
-	g := in.globals
-	if g.captured {
-		// A closure kept the old global scope alive; give the next run a
-		// fresh one and let the captured chain retire with its closures.
-		in.globals = NewEnv(nil)
-	} else {
-		clear(g.vars)
-	}
+	clear(in.globals.vars)
+	in.globals.captured = false
 	for _, m := range in.maps[:in.mapNext] {
 		clear(m.Entries)
 	}

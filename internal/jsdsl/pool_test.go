@@ -80,6 +80,41 @@ func TestReleaseAfterCapturedGlobals(t *testing.T) {
 	in2.Release()
 }
 
+// TestReleaseClearsCapturedGlobalsInPlace: no closure may run after
+// Release, so Release empties a global scope a closure captured in place
+// rather than make a new one: it allocates nothing, and the next run sees
+// none of the old variables.
+func TestReleaseClearsCapturedGlobalsInPlace(t *testing.T) {
+	in := NewInterp(&NopHost{})
+	if err := in.RunSource(`let secret = "x"; let f = fn() { return secret; };`); err != nil {
+		t.Fatal(err)
+	}
+	g := in.globals
+	if !g.captured {
+		t.Fatal("the closure did not capture the global scope")
+	}
+	in.Release()
+	if in.globals != g || g.captured || len(g.vars) != 0 {
+		t.Fatalf("released global scope: same %v, captured %v, %d vars; want the same scope, uncaptured and empty",
+			in.globals == g, g.captured, len(g.vars))
+	}
+	h := &NopHost{}
+	in = AcquireInterp(h)
+	if err := in.RunSource(`log(secret);`); err == nil {
+		t.Fatalf("a run after Release read an old global: %q", h.Logs)
+	}
+	in.Release()
+
+	allocs := testing.AllocsPerRun(100, func() {
+		in := AcquireInterp(h)
+		in.globals.captured = true // as a closure over the globals leaves it
+		in.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("Release after a closure captured the globals: %v allocs, want 0", allocs)
+	}
+}
+
 // TestReleaseDropsLargeConcatBuffer: a chain that built a string past
 // interpConcatMax leaves a buffer that large; Release drops it rather
 // than pin it in the pool, and keeps a small one for the next run.
