@@ -60,7 +60,7 @@ func BenchmarkSummaryStats(b *testing.B) {
 	study, logs := crawlOnce(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := study.Analyze(logs)
+		res := study.NewAnalyzer().Run(logs)
 		if res.Summary.SitesComplete == 0 {
 			b.Fatal("no complete sites")
 		}
@@ -69,7 +69,7 @@ func BenchmarkSummaryStats(b *testing.B) {
 
 func BenchmarkTable1Prevalence(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows := res.Table1()
@@ -81,7 +81,7 @@ func BenchmarkTable1Prevalence(b *testing.B) {
 
 func BenchmarkTable2TopExfiltrated(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rows := res.Table2(20); len(rows) == 0 {
@@ -92,7 +92,7 @@ func BenchmarkTable2TopExfiltrated(b *testing.B) {
 
 func BenchmarkFig2TopExfiltrators(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if top := res.Fig2TopExfiltrators(20); len(top) == 0 {
@@ -103,7 +103,7 @@ func BenchmarkFig2TopExfiltrators(b *testing.B) {
 
 func BenchmarkTable5Manipulated(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rows := res.Table5(10); len(rows) == 0 {
@@ -114,7 +114,7 @@ func BenchmarkTable5Manipulated(b *testing.B) {
 
 func BenchmarkFig8TopManipulators(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = res.Fig8TopOverwriters(20)
@@ -124,7 +124,7 @@ func BenchmarkFig8TopManipulators(b *testing.B) {
 
 func BenchmarkOverwriteAttrs(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	res := study.Analyze(logs)
+	res := study.NewAnalyzer().Run(logs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s := res.OverwriteAttrs(); s.Events == 0 {
@@ -137,7 +137,7 @@ func BenchmarkInclusionPaths(b *testing.B) {
 	study, logs := crawlOnce(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := study.Analyze(logs)
+		res := study.NewAnalyzer().Run(logs)
 		if res.Summary.IndirectScripts <= res.Summary.DirectScripts {
 			b.Fatal("indirection ratio collapsed")
 		}
@@ -146,14 +146,14 @@ func BenchmarkInclusionPaths(b *testing.B) {
 
 func BenchmarkFig5GuardEfficacy(b *testing.B) {
 	study, logs := crawlOnce(b, false)
-	base := study.Analyze(logs)
+	base := study.NewAnalyzer().Run(logs)
 	before := base.SitePct(analysis.ActExfiltration)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		gStudy, gLogs := crawlOnce(b, true)
 		b.StartTimer()
-		gres := gStudy.Analyze(gLogs)
+		gres := gStudy.NewAnalyzer().Run(gLogs)
 		after := gres.SitePct(analysis.ActExfiltration)
 		if after >= before {
 			b.Fatalf("guard did not reduce exfiltration: %.1f -> %.1f", before, after)
@@ -227,7 +227,7 @@ func BenchmarkDOMPilot(b *testing.B) {
 	study, logs := crawlOnce(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := study.Analyze(logs)
+		res := study.NewAnalyzer().Run(logs)
 		if res.Summary.SitesWithCrossDomainDOM == 0 {
 			b.Fatal("no cross-domain DOM modification observed")
 		}
@@ -246,7 +246,7 @@ func BenchmarkAblationInlineRelaxed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = study.Analyze(logs)
+		_ = study.NewAnalyzer().Run(logs)
 	}
 }
 
@@ -260,7 +260,7 @@ func BenchmarkAblationNoOwnerAccess(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := study.Analyze(logs)
+		res := study.NewAnalyzer().Run(logs)
 		// Without owner access, even the residual site-owner actions
 		// disappear.
 		if res.SitePct(analysis.ActExfiltration) > 5 {
@@ -295,7 +295,7 @@ func BenchmarkEndToEndCrawl(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := study.Analyze(logs); res.Summary.SitesComplete == 0 {
+		if res := study.NewAnalyzer().Run(logs); res.Summary.SitesComplete == 0 {
 			b.Fatal("no complete sites")
 		}
 	}

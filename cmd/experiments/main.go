@@ -16,10 +16,10 @@
 // streams; its results feed the §5 measurement report that cmd/analyze
 // prints too (report.Measurement): the failure table, the per-vantage
 // and per-persona tables when there is more than one of either, Tables
-// 1, 2 and 5 and Figures 2 and 8. A guarded re-crawl then gives Figure
-// 5, and the breakage and performance evaluations give Tables 3 and 4
-// and Figures 6, 7, 9 and 10. -crawl-only stops after the measurement
-// crawl and its report.
+// 1, 2 and 5 and Figures 2 and 8. A guarded re-crawl of the study's web
+// (Pipeline.Derive) then gives Figure 5, and the breakage and
+// performance evaluations give Tables 3 and 4 and Figures 6, 7, 9 and
+// 10. -crawl-only stops after the measurement crawl and its report.
 //
 // The crawl flags (-sites, -workers, -seed, -faults, -retries,
 // -second-pass, -breaker, -autopilot, -vantages, -personas, -cmp and
@@ -44,7 +44,8 @@
 // scheduling, like the throughput itself, while every table and record
 // is identical. The same line gives the wall time cookieguard.New took
 // to build the synthetic web ("web built in X s"), the run's setup
-// cost. -cpuprofile profiles the whole run (with -crawl-only, web
+// cost and its only build: every crawl and evaluation uses that web.
+// -cpuprofile profiles the whole run (with -crawl-only, web
 // generation, the measurement crawl and its report), and -memprofile
 // takes a heap profile right after the measurement crawl. The
 // repository benchmark that performance changes are judged by is bench/
@@ -136,15 +137,9 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 	}
 	fmt.Fprintf(out, "=== CookieGuard reproduction: %d sites ===\n\n", cfg.crawl.Sites)
 
-	// newPipeline builds a pipeline over this run's crawl flags plus
-	// extra options: the study adds the server and journal, the guarded
-	// re-crawl the guard.
-	newPipeline := func(extra ...cookieguard.Option) *cookieguard.Pipeline {
-		opts := append(cfg.crawl.Options(), cookieguard.WithArtifactCache(cfg.artifactCache))
-		return cookieguard.New(append(opts, extra...)...)
-	}
 	buildStart := time.Now()
-	study := newPipeline(cookieguard.WithServer(cfg.serveAddr), cookieguard.WithCheckpoint(cfg.checkpointDir))
+	study := cookieguard.New(append(cfg.crawl.Options(), cookieguard.WithArtifactCache(cfg.artifactCache),
+		cookieguard.WithServer(cfg.serveAddr), cookieguard.WithCheckpoint(cfg.checkpointDir))...)
 	buildSecs := time.Since(buildStart).Seconds()
 
 	if cfg.serveAddr != "" {
@@ -210,7 +205,10 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 	}
 
 	fmt.Fprintln(out, "--- Figure 5: cross-domain actions with vs without CookieGuard ---")
-	guarded := newPipeline(cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))
+	guarded, err := study.Derive(append(cfg.crawl.Options(), cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))...)
+	if err != nil {
+		return err
+	}
 	gres, err := guarded.Run(ctx)
 	if err != nil {
 		return err

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"cookieguard"
-	"cookieguard/internal/webgen"
 )
 
 func main() {
@@ -49,12 +48,8 @@ func main() {
 	bound := ln.Addr().String()
 
 	study := cookieguard.New(cookieguard.WithSites(*sites), cookieguard.WithSeed(*seed))
-	effective := *seed
-	if effective == 0 {
-		effective = webgen.DefaultConfig(*sites).Seed
-	}
 	fmt.Printf("serving %d synthetic sites on %s, seed %d (route by Host header)\n",
-		*sites, bound, effective)
+		*sites, bound, study.Web.Config.Seed)
 	for i, e := range study.SiteList() {
 		if i >= 10 {
 			fmt.Println("  ...")

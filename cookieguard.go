@@ -33,6 +33,7 @@ package cookieguard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"sync"
@@ -128,7 +129,10 @@ type (
 )
 
 // Pipeline owns a generated web and the streaming measurement pipeline
-// over it. Construct one with New; zero values are not usable.
+// over it. Construct one with New, or with Derive for another crawl of a
+// pipeline's web; zero values are not usable. Crawls of one web share
+// the counters of its fabric and artifact cache (Net.Requests and
+// Net.Faults, CacheStats, and the ProgressStats totals read from them).
 type Pipeline struct {
 	cfg config
 
@@ -190,13 +194,7 @@ func New(opts ...Option) *Pipeline {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	gen := webgen.DefaultConfig(cfg.sites)
-	if cfg.seed != 0 {
-		gen.Seed = cfg.seed
-	}
-	// Personas act on consent banners, so they imply the CMP web.
-	gen.CMP = cfg.cmp || len(cfg.personas) > 0
-	w := webgen.Build(gen)
+	w := webgen.Build(cfg.web())
 	p := &Pipeline{cfg: cfg, Web: w, Net: w.BuildInternet(), sched: &crawler.SchedStats{}}
 	if !cfg.noArtifacts {
 		p.artifacts = artifact.New()
@@ -205,6 +203,35 @@ func New(opts ...Option) *Pipeline {
 		p.Net.SetResponseCache(p.artifacts)
 	}
 	return p
+}
+
+// web resolves the web an option set names; personas act on consent
+// banners, so they imply CMP. New builds it, and Derive compares it.
+func (c *config) web() webgen.Config {
+	gen := webgen.DefaultConfig(c.sites)
+	if c.seed != 0 {
+		gen.Seed = c.seed
+	}
+	gen.CMP = c.cmp || len(c.personas) > 0
+	return gen
+}
+
+// Derive returns another crawl of p's web: a pipeline configured by opts
+// alone, applied over p's site count, seed and CMP, that shares p's Web,
+// Net and artifact cache and may crawl while p does. Its scheduler
+// counters, result store, server and journal are its own. Options that
+// name another web (site count, seed, CMP, or personas without CMP) or
+// toggle the artifact cache, which memoizes the fabric, are refused.
+func (p *Pipeline) Derive(opts ...Option) (*Pipeline, error) {
+	web := p.cfg.web()
+	cfg := config{sites: p.cfg.sites, seed: p.cfg.seed, cmp: web.CMP, noArtifacts: p.cfg.noArtifacts}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.web() != web || cfg.noArtifacts != p.cfg.noArtifacts {
+		return nil, errors.New("cookieguard: Derive: the options name another web or toggle the artifact cache")
+	}
+	return &Pipeline{cfg: cfg, Web: p.Web, Net: p.Net, artifacts: p.artifacts, sched: &crawler.SchedStats{}}, nil
 }
 
 // CacheStats returns a snapshot of the artifact cache's per-tier
@@ -404,15 +431,6 @@ func (p *Pipeline) Personas() []string {
 	return append([]string(nil), p.cfg.personas...)
 }
 
-// unitsPerVantage is how many crawl-plan units each (site, vantage)
-// pair expands to: the persona count, minimum 1.
-func (p *Pipeline) unitsPerVantage() int {
-	if n := len(p.cfg.personas); n > 0 {
-		return n
-	}
-	return 1
-}
-
 // SchedStats returns a snapshot of the scheduler counters accumulated
 // over every crawl this pipeline has run: visit virtual time,
 // circuit-breaker shed/probe activity, and second-pass volume. All
@@ -489,7 +507,7 @@ func (p *Pipeline) Run(ctx context.Context) (*Results, error) {
 	if every <= 0 {
 		every = defaultSnapshotEvery
 	}
-	total := len(p.Web.Sites) * len(p.Vantages()) * p.unitsPerVantage()
+	total := len(p.Web.Sites) * len(p.Vantages()) * max(1, len(p.cfg.personas))
 
 	an := p.NewAnalyzer()
 	observed := 0
@@ -596,14 +614,6 @@ func (p *Pipeline) NewAnalyzer() *Analyzer {
 	an.Entities = p.Web.Entities
 	an.IsTracker = filterlist.ScriptTracker()
 	return an
-}
-
-// Analyze runs the §4.4 analysis framework over already-materialized
-// visit logs, retaining only complete visits. It is the batch form of
-// NewAnalyzer().Observe/Finalize and produces identical Results for the
-// same log sequence.
-func (p *Pipeline) Analyze(logs []VisitLog) *Results {
-	return p.NewAnalyzer().Run(logs)
 }
 
 // EvaluateBreakage runs the Table 3 assessment over a sample of n sites.

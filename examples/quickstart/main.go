@@ -1,6 +1,6 @@
-// Quickstart: build a tiny synthetic web and run the streaming pipeline
-// twice — once plain, once under CookieGuard — with the composable
-// cookieguard.New(...) API. Crawl and analysis run in a single pass:
+// Quickstart: build a tiny synthetic web and crawl it twice with the
+// streaming pipeline — once plain (cookieguard.New), once under
+// CookieGuard (Pipeline.Derive). Crawl and analysis run in a single pass:
 // each visit log is folded into the analyzer the moment its visit
 // finishes, so memory stays O(workers) no matter how many sites.
 package main
@@ -16,10 +16,8 @@ import (
 
 func main() {
 	// A tiny pipeline: 3 sites, deterministic, with user interaction.
-	p := cookieguard.New(
-		cookieguard.WithSites(3),
-		cookieguard.WithInteract(true),
-	)
+	opts := []cookieguard.Option{cookieguard.WithSites(3), cookieguard.WithInteract(true)}
+	p := cookieguard.New(opts...)
 
 	fmt.Println("== sites ==")
 	for _, e := range p.SiteList() {
@@ -37,12 +35,11 @@ func main() {
 	fmt.Printf("sites with cross-domain exfiltration: %.0f%%\n",
 		res.SitePct(analysis.ActExfiltration))
 
-	// The same pipeline under CookieGuard: one more option.
-	guarded := cookieguard.New(
-		cookieguard.WithSites(3),
-		cookieguard.WithInteract(true),
-		cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()),
-	)
+	// The same crawl of the same web under CookieGuard: one more option.
+	guarded, err := p.Derive(append(opts, cookieguard.WithGuard(cookieguard.DefaultGuardPolicy()))...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gres, err := guarded.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)

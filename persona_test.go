@@ -26,12 +26,16 @@ const (
 	pr7GoldenFaulted = "8789178be42effcff9265cebecf1830a60462bcf6c7e7f843ac8268b96673d45"
 )
 
-// crawlDigest streams the pipeline and returns the sha256 over the
-// (site, vantage, persona)-sorted JSONL — the same byte surface
-// cmd/crawl -sort emits.
+// crawlDigest builds the pipeline and returns its streamDigest.
 func crawlDigest(t *testing.T, opts ...Option) string {
 	t.Helper()
-	p := New(opts...)
+	return streamDigest(t, New(opts...))
+}
+
+// streamDigest streams p and returns the sha256 over the (site, vantage,
+// persona)-sorted JSONL — the same byte surface cmd/crawl -sort emits.
+func streamDigest(t *testing.T, p *Pipeline) string {
+	t.Helper()
 	logs, errs := p.Stream(context.Background())
 	type rec struct{ key, line string }
 	var recs []rec
@@ -212,6 +216,23 @@ func TestGuardedCrawlGolden(t *testing.T) {
 		opts := append(cleanGoldenOpts(), WithGuard(DefaultGuardPolicy()), WithWorkers(workers))
 		if got := crawlDigest(t, opts...); got != guardedGolden {
 			t.Errorf("guarded crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, guardedGolden)
+		}
+	}
+
+	// A guarded crawl derived from a plain one runs over the web, fabric
+	// and artifact cache the plain crawl has warmed, and must still emit
+	// the pinned bytes.
+	plain := New(cleanGoldenOpts()...)
+	if got := streamDigest(t, plain); got != pr7GoldenClean {
+		t.Fatalf("plain crawl diverged from the pinned bytes:\n got %s\nwant %s", got, pr7GoldenClean)
+	}
+	for _, workers := range []int{1, 4} {
+		guarded, err := plain.Derive(append(cleanGoldenOpts(), WithGuard(DefaultGuardPolicy()), WithWorkers(workers))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamDigest(t, guarded); got != guardedGolden {
+			t.Errorf("derived guarded crawl at %d workers diverged from the pinned bytes:\n got %s\nwant %s", workers, got, guardedGolden)
 		}
 	}
 }

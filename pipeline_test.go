@@ -36,7 +36,7 @@ func eventCount(r *Results) int {
 
 // TestStreamingAnalysisMatchesBatch is the equivalence contract at the
 // public-API level: feeding crawled logs through Observe/Finalize must
-// reproduce the batch Analyze byte for byte.
+// reproduce the batch Analyzer.Run byte for byte.
 func TestStreamingAnalysisMatchesBatch(t *testing.T) {
 	p := New(WithSites(60), WithWorkers(8), WithInteract(true))
 	logs, err := collectStream(p)
@@ -44,7 +44,7 @@ func TestStreamingAnalysisMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := p.Analyze(logs)
+	batch := p.NewAnalyzer().Run(logs)
 
 	an := p.NewAnalyzer()
 	for _, v := range logs {
@@ -53,7 +53,7 @@ func TestStreamingAnalysisMatchesBatch(t *testing.T) {
 	streaming := an.Finalize()
 
 	if !reflect.DeepEqual(batch, streaming) {
-		t.Fatal("streaming Observe/Finalize diverges from batch Analyze on identical logs")
+		t.Fatal("streaming Observe/Finalize diverges from batch Analyzer.Run on identical logs")
 	}
 	if eventCount(batch) == 0 || batch.Summary.SitesComplete == 0 {
 		t.Fatal("crawl produced no events; equivalence check is vacuous")
@@ -75,7 +75,7 @@ func TestRunSinglePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := p.Analyze(logs)
+	batch := p.NewAnalyzer().Run(logs)
 
 	if res.Summary.SitesTotal != batch.Summary.SitesTotal ||
 		res.Summary.SitesComplete != batch.Summary.SitesComplete {
