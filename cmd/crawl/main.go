@@ -2,11 +2,20 @@
 // generated synthetic web and writes one JSON visit log per line. Logs
 // are written as the crawl produces them — a single streaming pass with
 // O(workers) resident logs, so arbitrarily large site counts fit in
-// constant memory. Lines appear in completion order, which varies with
+// constant memory. Records appear in completion order, which varies with
 // scheduling; with a fixed -seed the per-site records are byte-identical
 // across runs, so compare outputs as sets — or pass -sort to emit
 // site-ordered, byte-stable JSONL directly (buffers the whole output, so
 // memory scales with -sites) and diff whole files.
+//
+// The first line is a header, not a record: {"header":{"sites":N,
+// "seed":S,"cmp":B}} (instrument.LogHeader), the web the crawl generated,
+// as resolved (-sites 0 crawls, and names, 100 sites; the default seed is
+// written out). cmd/analyze rebuilds that web from it and folds the
+// records as the crawl's own pipeline does. The header names nothing
+// else (no workers, faults, guard or vantages), so crawls meant to match
+// write the same one. It is first under -sort and in an interrupted
+// crawl's output too.
 //
 // Usage:
 //
@@ -69,6 +78,7 @@ import (
 
 	"cookieguard"
 	"cookieguard/internal/crawlflags"
+	"cookieguard/internal/instrument"
 	"cookieguard/internal/trancolist"
 )
 
@@ -143,7 +153,7 @@ func main() {
 			snapCycle = 64
 		}
 	}
-	total := cf.Sites * len(p.Vantages()) * max(1, len(p.Personas()))
+	total := len(p.Web.Sites) * len(p.Vantages()) * max(1, len(p.Personas()))
 
 	if *listPath != "" {
 		f, err := os.Create(*listPath)
@@ -161,6 +171,9 @@ func main() {
 	}
 	w := bufio.NewWriter(out)
 	defer w.Flush()
+	// The header stays in w's buffer until records follow it, so a
+	// crash-injected exit still leaves the file empty.
+	w.Write(instrument.LogHeader{Sites: len(p.Web.Sites), Seed: p.Web.Config.Seed, CMP: p.Web.Config.CMP}.Line())
 
 	logs, errs := p.Stream(ctx)
 	visited, complete := 0, 0

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"cookieguard/internal/instrument"
 )
 
 // buildCrawl compiles this command into a temporary directory, so the
@@ -51,7 +53,8 @@ func TestSortedCrawlEarlyExit(t *testing.T) {
 }
 
 // interruptedKeepsOutput: SIGINT mid-crawl under -sort exits 130 and
-// writes every visit it reports, in (site, vantage, persona) order.
+// writes the log header, then every visit it reports, in (site,
+// vantage, persona) order.
 func interruptedKeepsOutput(t *testing.T, bin string) {
 	out := filepath.Join(t.TempDir(), "logs.jsonl")
 	cmd := exec.Command(bin, "-sites", "2000", "-workers", "2", "-v",
@@ -91,18 +94,22 @@ func interruptedKeepsOutput(t *testing.T, bin string) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(raw) == 0 || len(lines) != visits {
-		t.Fatalf("output holds %d bytes in %d lines, want %d visits", len(raw), len(lines), visits)
+	if len(raw) == 0 || len(lines) != 1+visits {
+		t.Fatalf("output holds %d bytes in %d lines, want a header and %d visits", len(raw), len(lines), visits)
+	}
+	h, ok, err := instrument.ParseLogHeader([]byte(lines[0]))
+	if err != nil || !ok || h.Sites != 2000 {
+		t.Fatalf("first line %q reads as header %+v (ok %v, err %v), want one naming 2000 sites", lines[0], h, ok, err)
 	}
 	prev := ""
-	for i, ln := range lines {
+	for i, ln := range lines[1:] {
 		var v struct{ Site, Vantage, Persona string }
 		if err := json.Unmarshal([]byte(ln), &v); err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
+			t.Fatalf("record %d: %v", i+1, err)
 		}
 		key := v.Site + "\x00" + v.Vantage + "\x00" + v.Persona
 		if i > 0 && key <= prev {
-			t.Fatalf("line %d (%s/%s) is not after line %d in (site, vantage, persona) order", i+1, v.Site, v.Vantage, i)
+			t.Fatalf("record %d (%s/%s) is not after record %d in (site, vantage, persona) order", i+1, v.Site, v.Vantage, i)
 		}
 		prev = key
 	}

@@ -135,12 +135,11 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	fmt.Fprintf(out, "=== CookieGuard reproduction: %d sites ===\n\n", cfg.crawl.Sites)
-
 	buildStart := time.Now()
 	study := cookieguard.New(append(cfg.crawl.Options(), cookieguard.WithArtifactCache(cfg.artifactCache),
 		cookieguard.WithServer(cfg.serveAddr), cookieguard.WithCheckpoint(cfg.checkpointDir))...)
 	buildSecs := time.Since(buildStart).Seconds()
+	fmt.Fprintf(out, "=== CookieGuard reproduction: %d sites ===\n\n", len(study.Web.Sites))
 
 	if cfg.serveAddr != "" {
 		bound, err := study.StartServer(cfg.serveAddr)

@@ -49,7 +49,7 @@ func main() {
 
 	study := cookieguard.New(cookieguard.WithSites(*sites), cookieguard.WithSeed(*seed))
 	fmt.Printf("serving %d synthetic sites on %s, seed %d (route by Host header)\n",
-		*sites, bound, study.Web.Config.Seed)
+		len(study.Web.Sites), bound, study.Web.Config.Seed)
 	for i, e := range study.SiteList() {
 		if i >= 10 {
 			fmt.Println("  ...")

@@ -216,3 +216,39 @@ func FuzzRecordedReads(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseLogHeader checks the crawl-log header parse on any line: it
+// never panics, an error is never a header, and a header it reads
+// round-trips through its own line.
+func FuzzParseLogHeader(f *testing.F) {
+	for _, s := range []string{
+		`{"header":{"sites":2000,"seed":20250301,"cmp":false}}`,
+		`{"header":{"sites":1,"seed":0,"cmp":true}}`,
+		`{"HEADER":{"Sites":7}}`,
+		`{"header":{"sites":0}}`,
+		`{"header":null}`,
+		`{"header":{"sites":3,"extra":1}}`,
+		`{"site":"site00001.com","ok":true,"timing":{}}`,
+		`{"header":{"sites":1e3}}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		h, ok, err := ParseLogHeader(line)
+		if err != nil && ok {
+			t.Fatalf("%q: a header and an error %v", line, err)
+		}
+		if !ok {
+			return
+		}
+		if h.Sites <= 0 {
+			t.Fatalf("%q: header with %d sites", line, h.Sites)
+		}
+		again, ok, err := ParseLogHeader(h.Line())
+		if err != nil || !ok || again != h {
+			t.Fatalf("%q: header %+v reads back from %q as %+v, %v, %v", line, h, h.Line(), again, ok, err)
+		}
+	})
+}

@@ -502,3 +502,38 @@ func countNonZero[E any](s []E) int {
 	}
 	return n
 }
+
+// TestParseLogHeader: a header line names a web, a record line is no
+// header, and a header that cannot name a web is an error.
+func TestParseLogHeader(t *testing.T) {
+	want := LogHeader{Sites: 2000, Seed: 20250301, CMP: true}
+	line := want.Line()
+	if string(line) != `{"header":{"sites":2000,"seed":20250301,"cmp":true}}`+"\n" {
+		t.Fatalf("header line %q", line)
+	}
+	if h, ok, err := ParseLogHeader(line); err != nil || !ok || h != want {
+		t.Fatalf("ParseLogHeader(%q) = %+v, %v, %v", line, h, ok, err)
+	}
+	for _, rec := range []string{`{"site":"site00001.com","url":"https://www.site00001.com/","ok":true,"timing":{}}`, `{}`} {
+		if _, ok, err := ParseLogHeader([]byte(rec)); ok || err != nil {
+			t.Errorf("record %s read as a header (ok %v, err %v)", rec, ok, err)
+		}
+	}
+	for _, bad := range []string{
+		`{"header":{"sites":0,"seed":1}}`,
+		`{"header":{"sites":-3,"seed":1}}`,
+		`{"header":{"seed":1}}`,
+		`{"header":null}`,
+		`{"header":{}}`,
+		`{"header":{"sites":"2000"}}`,
+		`{"header":{"sites":2000,"workers":2}}`,
+		`{"header":[2000]}`,
+		`{"header":{"sites":2000}} x`,
+		`{"header":{"sites":20`,
+		`not json`,
+	} {
+		if h, ok, err := ParseLogHeader([]byte(bad)); ok || err == nil {
+			t.Errorf("ParseLogHeader(%s) = %+v, %v, %v; want an error", bad, h, ok, err)
+		}
+	}
+}

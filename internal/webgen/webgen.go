@@ -219,7 +219,6 @@ func Build(cfg Config) *Web {
 	w := &Web{Config: cfg}
 	w.Services = buildServices(cfg, rng.Fork(1))
 	w.IdPs = buildIdPs(cfg)
-	w.Entities = buildEntities(cfg, w)
 
 	siteRng := rng.Fork(2)
 	rngs := make([]stats.Rand, cfg.NumSites)
@@ -231,7 +230,7 @@ func Build(cfg Config) *Web {
 	forEach(cfg.NumSites, func(i int) {
 		w.Sites[i] = buildSite(cfg, i+1, &rngs[i], picker, w)
 	})
-	finalizeEntities(w)
+	w.Entities = buildEntities(w)
 	return w
 }
 
@@ -414,8 +413,9 @@ func buildIdPs(cfg Config) []IdPPair {
 
 // buildEntities extends the default entity dataset with the synthetic
 // universe: IdP pairs (same-entity ones share an entity) and site⇄CDN
-// sibling domains for CDN-split sites.
-func buildEntities(cfg Config, w *Web) *entity.Map {
+// sibling domains for CDN-split sites. Build calls it once the sites
+// are planned.
+func buildEntities(w *Web) *entity.Map {
 	ents := map[string][]string{}
 	for _, name := range entity.Default().Entities() {
 		ents[name] = entity.Default().Domains(name)
@@ -428,26 +428,12 @@ func buildEntities(cfg Config, w *Web) *entity.Map {
 			}
 		}
 	}
-	// CDN-split entities are added lazily after sites exist; Build calls
-	// this before sites, so register for every possible rank instead:
-	// site domains are deterministic, so we add pairs on demand in a
-	// second pass (see Build).
-	return entity.NewMap(ents)
-}
-
-// finalizeEntities adds site⇄CDN pairs; called by Build after sites are
-// planned.
-func finalizeEntities(w *Web) {
-	ents := map[string][]string{}
-	for _, name := range w.Entities.Entities() {
-		ents[name] = w.Entities.Domains(name)
-	}
 	for _, s := range w.Sites {
 		if s.Flags.CDNSplit {
 			ents["Site "+s.Domain] = []string{s.Domain, cdnDomain(s)}
 		}
 	}
-	w.Entities = entity.NewMap(ents)
+	return entity.NewMap(ents)
 }
 
 // cdnDomain is the sibling domain serving a CDN-split site's own widget
