@@ -314,7 +314,6 @@ func BenchmarkVisitAlloc(b *testing.B) {
 	w := webgen.Build(webgen.DefaultConfig(30))
 	in := w.BuildInternet()
 	cache := artifact.New()
-	in.SetResponseCache(cache)
 	site := w.CompleteSites()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -343,7 +342,6 @@ func BenchmarkDOMClone(b *testing.B) {
 	w := webgen.Build(webgen.DefaultConfig(30))
 	in := w.BuildInternet()
 	cache := artifact.New()
-	in.SetResponseCache(cache)
 	site := w.CompleteSites()[0]
 	resp, err := in.Client().Get(site.URL)
 	if err != nil {
@@ -356,7 +354,7 @@ func BenchmarkDOMClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := cache.Document(site.URL, "", html)
+		d := cache.Document(site.URL, html)
 		if d.Root == nil {
 			b.Fatal("no clone")
 		}

@@ -113,13 +113,12 @@ func main() {
 			cs := ps.Cache
 			progHit := rate(cs.ProgramHits, cs.ProgramMisses)
 			domHit := rate(cs.DOMHits, cs.DOMMisses)
-			bodyHit := rate(cs.BodyHits, cs.BodyMisses)
-			resident := cs.ProgramResidentBytes + cs.DOMResidentBytes + cs.BodyResidentBytes
-			evictions := cs.ProgramEvictions + cs.DOMEvictions + cs.BodyEvictions
+			resident := cs.ProgramResidentBytes + cs.DOMResidentBytes
+			evictions := cs.ProgramEvictions + cs.DOMEvictions
 			fmt.Fprintf(os.Stderr,
-				"crawl: %d/%d visits, %d requests, %d faults, cache prog %.1f%% dom %.1f%% body %.1f%% (%.1f MB resident, %d evictions), pool reuse %.1f%%\n",
+				"crawl: %d/%d visits, %d requests, %d faults, cache prog %.1f%% dom %.1f%% (%.1f MB resident, %d evictions), pool reuse %.1f%%\n",
 				ps.Done, ps.Total, ps.Requests, ps.Faults,
-				100*progHit, 100*domHit, 100*bodyHit, float64(resident)/1e6, evictions, 100*ps.Pool.ReuseRate())
+				100*progHit, 100*domHit, float64(resident)/1e6, evictions, 100*ps.Pool.ReuseRate())
 		}))
 	}
 	if *guarded {
@@ -170,7 +169,6 @@ func main() {
 		out = f
 	}
 	w := bufio.NewWriter(out)
-	defer w.Flush()
 	// The header stays in w's buffer until records follow it, so a
 	// crash-injected exit still leaves the file empty.
 	w.Write(instrument.LogHeader{Sites: len(p.Web.Sites), Seed: p.Web.Config.Seed, CMP: p.Web.Config.CMP}.Line())
@@ -218,8 +216,7 @@ func main() {
 			// site-ordered under -sort — flush the journal and drain the
 			// server, and exit 130 (128+SIGINT) so callers see the crawl
 			// was cut short.
-			writeSorted(w, buffered)
-			if err := w.Flush(); err != nil {
+			if err := writeSorted(w, buffered); err != nil {
 				fmt.Fprintln(os.Stderr, "crawl: writing output:", err)
 			}
 			shutdown(p)
@@ -232,7 +229,7 @@ func main() {
 	if an != nil {
 		store.Publish(cookieguard.ResultProgress{Done: visited, Total: total, Final: true}, an.Finalize())
 	}
-	writeSorted(w, buffered)
+	fatal(writeSorted(w, buffered))
 	if *checkpoint != "" {
 		if st, ok := p.CheckpointStats(); ok {
 			fmt.Fprintf(os.Stderr, "crawl: checkpoint: %d units journaled, %d resumed from journal, %d bytes, %d fsyncs\n",
@@ -241,7 +238,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "crawl: %d sites visited, %d complete\n", visited, complete)
 	if *serveAddr != "" {
-		w.Flush()
 		fmt.Fprintln(os.Stderr, "crawl: serving final results; interrupt to exit")
 		<-ctx.Done()
 		stop()
@@ -254,15 +250,19 @@ func main() {
 // persona).
 type sortedLine struct{ key, line string }
 
-// writeSorted writes the -sort lines in key order. The key is unique
-// per crawl, so the order is total and the file is byte-stable for a
-// fixed seed — a whole crawl's or, interrupted, the visits it finished.
-func writeSorted(w *bufio.Writer, lines []sortedLine) {
+// writeSorted writes the -sort lines in key order and flushes w,
+// returning the first write error (bufio.Writer keeps it, so the
+// lines written after it fail too and Flush reports it). The key is
+// unique per crawl, so the order is total and the file is byte-stable
+// for a fixed seed — a whole crawl's or, interrupted, the visits it
+// finished. Without -sort there are no lines, and it only flushes.
+func writeSorted(w *bufio.Writer, lines []sortedLine) error {
 	sort.Slice(lines, func(i, j int) bool { return lines[i].key < lines[j].key })
 	for _, r := range lines {
 		w.WriteString(r.line)
 		w.WriteByte('\n')
 	}
+	return w.Flush()
 }
 
 // shutdown drains the pipeline's serving side (blocked long-polls

@@ -50,6 +50,26 @@ func TestSortedCrawlEarlyExit(t *testing.T) {
 	bin := buildCrawl(t)
 	t.Run("interrupted", func(t *testing.T) { interruptedKeepsOutput(t, bin) })
 	t.Run("crash-injected", func(t *testing.T) { crashInjectedWritesNothing(t, bin) })
+	t.Run("write-error", func(t *testing.T) { writeErrorExits1(t, bin) })
+}
+
+// writeErrorExits1: a crawl whose output cannot be written exits 1 with
+// the write error and does not report the crawl done, under -sort as on
+// the streaming path.
+func writeErrorExits1(t *testing.T, bin string) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	for _, args := range [][]string{{"-sort"}, nil} {
+		cmd := exec.Command(bin, append([]string{"-sites", "3", "-o", "/dev/full"}, args...)...)
+		log, err := cmd.CombinedOutput()
+		if code := exitCode(t, err); code != 1 {
+			t.Errorf("crawl %v -o /dev/full exited %d, want 1\n%s", args, code, log)
+		}
+		if !strings.Contains(string(log), "no space left on device") || strings.Contains(string(log), "sites visited") {
+			t.Errorf("crawl %v -o /dev/full: stderr lacks the write error or reports the crawl done:\n%s", args, log)
+		}
+	}
 }
 
 // interruptedKeepsOutput: SIGINT mid-crawl under -sort exits 130 and

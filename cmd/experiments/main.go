@@ -162,13 +162,12 @@ func run(ctx context.Context, out io.Writer, cfg *runConfig) error {
 	// analysis counts every log in SitesTotal.
 	units := float64(s.SitesTotal)
 	cs := study.CacheStats()
-	fmt.Fprintf(out, "throughput %.1f units/s; web built in %.2f s; artifact cache per unit: %.2f / %.2f program, %.2f / %.2f dom, %.2f / %.2f body hits / misses; %.1f MB resident, %d evictions\n\n",
+	fmt.Fprintf(out, "throughput %.1f units/s; web built in %.2f s; artifact cache per unit: %.2f / %.2f program, %.2f / %.2f dom hits / misses; %.1f MB resident, %d evictions\n\n",
 		units/crawlSecs, buildSecs,
 		float64(cs.ProgramHits)/units, float64(cs.ProgramMisses)/units,
 		float64(cs.DOMHits)/units, float64(cs.DOMMisses)/units,
-		float64(cs.BodyHits)/units, float64(cs.BodyMisses)/units,
-		float64(cs.ProgramResidentBytes+cs.DOMResidentBytes+cs.BodyResidentBytes)/1e6,
-		cs.ProgramEvictions+cs.DOMEvictions+cs.BodyEvictions)
+		float64(cs.ProgramResidentBytes+cs.DOMResidentBytes)/1e6,
+		cs.ProgramEvictions+cs.DOMEvictions)
 
 	if cfg.crawl.Breaker || cfg.crawl.SecondPass {
 		sc := study.SchedStats()

@@ -143,10 +143,10 @@ type Pipeline struct {
 	// only, so the evaluations see the web as generated.
 	Net *Internet
 
-	// artifacts is the pipeline-lifetime content-addressed cache: the
-	// web is static, so compiled programs, DOM templates, and response
-	// bodies are shared across every crawl, worker, and evaluation this
-	// pipeline runs. Nil when disabled via WithArtifactCache(false).
+	// artifacts is the pipeline-lifetime source-keyed cache: the web is
+	// static, so compiled programs and DOM templates are shared across
+	// every crawl, worker, and evaluation this pipeline runs. Nil when
+	// disabled via WithArtifactCache(false).
 	artifacts *artifact.Cache
 
 	// sched accumulates scheduler counters across every crawl this
@@ -198,9 +198,6 @@ func New(opts ...Option) *Pipeline {
 	p := &Pipeline{cfg: cfg, Web: w, Net: w.BuildInternet(), sched: &crawler.SchedStats{}}
 	if !cfg.noArtifacts {
 		p.artifacts = artifact.New()
-		// The generated web serves static bytes per URL, so the fabric
-		// can memoize whole responses in the same cache.
-		p.Net.SetResponseCache(p.artifacts)
 	}
 	return p
 }
@@ -221,7 +218,8 @@ func (c *config) web() webgen.Config {
 // Net and artifact cache and may crawl while p does. Its scheduler
 // counters, result store, server and journal are its own. Options that
 // name another web (site count, seed, CMP, or personas without CMP) or
-// toggle the artifact cache, which memoizes the fabric, are refused.
+// toggle the artifact cache, whose counters the crawls of one web share,
+// are refused.
 func (p *Pipeline) Derive(opts ...Option) (*Pipeline, error) {
 	web := p.cfg.web()
 	cfg := config{sites: p.cfg.sites, seed: p.cfg.seed, cmp: web.CMP, noArtifacts: p.cfg.noArtifacts}

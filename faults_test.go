@@ -91,7 +91,7 @@ func faultedRecords(t *testing.T, recs map[string]string) int {
 
 // TestFaultedPipelineDeterministicAndCacheInvariant: under an active
 // fault schedule, records are byte-identical across repeated runs, and
-// the artifact/response cache stays semantically invisible.
+// the artifact cache stays semantically invisible.
 func TestFaultedPipelineDeterministicAndCacheInvariant(t *testing.T) {
 	opts := func(extra ...Option) []Option {
 		return append([]Option{

@@ -6,8 +6,7 @@
 // given URL never change — so every artifact derived purely from those
 // bytes can be computed once per residency and shared.
 //
-// The cache has three tiers. The first two are keyed by the
-// contenthash.Sum digest of the source bytes:
+// The cache has two tiers, each keyed by the source string itself:
 //
 //   - Compiled programs: jsdsl.Parse output. A *jsdsl.Program is
 //     immutable after parsing (all interpreter state lives in
@@ -21,10 +20,15 @@
 //     so the cached tree is a template — Document clones it into a
 //     pooled dom.Arena per page, and scripts mutate the clone.
 //
-//   - Response bodies: opaque entries the network fabric (netsim) stores
-//     under its request keys (netsim.ResponseKey), so repeated fetches of an unchanged resource
-//     skip the handler round trip while still charging simulated
-//     latency to the virtual clock.
+// A lookup is one runtime string hash. The sources are the strings the
+// network fabric serves in place (netsim.Routes), so a key shares its
+// bytes with the fabric's own copy, and a hit on that string compares
+// equal by pointer. An inline script's key is a substring of its page
+// (dom.Node.InnerText does not copy it), which the fabric holds as well,
+// so no key keeps bytes reachable that the fabric does not. A page a
+// hand-written handler serves (tests, examples) is a fresh string per
+// fetch instead, and a resident inline-script key keeps its page alive
+// until the entry ages out.
 //
 // Each tier is bounded by a budget of source bytes and holds two
 // generations: the current one, which takes every insert, and the
@@ -49,10 +53,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cookieguard/internal/contenthash"
 	"cookieguard/internal/dom"
 	"cookieguard/internal/jsdsl"
-	"cookieguard/internal/netsim"
 )
 
 // Stats is a point-in-time snapshot of cache effectiveness, per tier.
@@ -68,20 +70,24 @@ import (
 // miss, and which entries a rotation drops depends on the order workers
 // inserted them, so hits, misses, evictions and resident bytes all
 // depend on scheduling. Do not diff them between runs.
+//
+// The Body fields are retired and always read zero: the response-body
+// tier they counted is gone, since the fabric serves its bodies in
+// place. They stay until the benchmark, which reads them, drops them.
 type Stats struct {
 	ProgramHits   uint64 `json:"program_hits"`
 	ProgramMisses uint64 `json:"program_misses"`
 	DOMHits       uint64 `json:"dom_hits"`
 	DOMMisses     uint64 `json:"dom_misses"`
-	BodyHits      uint64 `json:"body_hits"`
-	BodyMisses    uint64 `json:"body_misses"`
+	BodyHits      uint64 `json:"body_hits"`   // retired: always 0
+	BodyMisses    uint64 `json:"body_misses"` // retired: always 0
 
 	ProgramEvictions     uint64 `json:"program_evictions"`
 	ProgramResidentBytes int64  `json:"program_resident_bytes"`
 	DOMEvictions         uint64 `json:"dom_evictions"`
 	DOMResidentBytes     int64  `json:"dom_resident_bytes"`
-	BodyEvictions        uint64 `json:"body_evictions"`
-	BodyResidentBytes    int64  `json:"body_resident_bytes"`
+	BodyEvictions        uint64 `json:"body_evictions"`      // retired: always 0
+	BodyResidentBytes    int64  `json:"body_resident_bytes"` // retired: always 0
 }
 
 // Tier budgets, in source bytes charged to a tier's current generation
@@ -92,7 +98,6 @@ type Stats struct {
 const (
 	programBudget = 1 << 20
 	domBudget     = 256 << 10
-	bodyBudget    = 1 << 20
 )
 
 // progEntry memoizes one jsdsl.Parse outcome (program or error).
@@ -191,63 +196,44 @@ func (t *tier[K, V]) stats() (hits, misses, evictions uint64, resident int64) {
 	return t.hits.Load(), t.misses.Load(), evictions, resident
 }
 
-// Cache is the concurrency-safe, content-hash-keyed artifact store.
+// Cache is the concurrency-safe, source-keyed artifact store.
 // The zero value is not usable; construct with New.
 type Cache struct {
-	progs  *tier[string, progEntry]
-	doms   *tier[string, domEntry]
-	bodies *tier[netsim.ResponseKey, any]
+	progs *tier[string, progEntry]
+	doms  *tier[string, domEntry]
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return newWithBudgets(programBudget, domBudget, bodyBudget)
+	return newWithBudgets(programBudget, domBudget)
 }
 
-func newWithBudgets(prog, dom, body int) *Cache {
+func newWithBudgets(prog, dom int) *Cache {
 	return &Cache{
-		progs:  newTier[string, progEntry](prog),
-		doms:   newTier[string, domEntry](dom),
-		bodies: newTier[netsim.ResponseKey, any](body),
+		progs: newTier[string, progEntry](prog),
+		doms:  newTier[string, domEntry](dom),
 	}
-}
-
-// KeyFor returns the cache key for source bytes: the transported key
-// when it is a valid content hash (e.g. netsim's body-hash header),
-// otherwise a freshly computed contenthash.Sum of src.
-func KeyFor(transported, src string) string {
-	if contenthash.Valid(transported) {
-		return transported
-	}
-	return contenthash.Sum(src)
 }
 
 // Program returns the compiled program for src, parsing it at most once
-// per residency of its content. key must be KeyFor(...) of src (or "" to
-// compute it here). The returned *jsdsl.Program is shared: it is
-// immutable and safe for concurrent interpretation, and must not be
-// modified.
-func (c *Cache) Program(key, src string) (*jsdsl.Program, error) {
-	if key == "" {
-		key = contenthash.Sum(src)
-	}
-	e, ok := c.progs.get(key)
+// per residency of its content. The returned *jsdsl.Program is shared:
+// it is immutable and safe for concurrent interpretation, and must not
+// be modified.
+func (c *Cache) Program(src string) (*jsdsl.Program, error) {
+	e, ok := c.progs.get(src)
 	if !ok {
 		prog, err := jsdsl.Parse(src)
-		e = c.progs.put(key, progEntry{prog: prog, err: err}, len(src))
+		e = c.progs.put(src, progEntry{prog: prog, err: err}, len(src))
 	}
 	return e.prog, e.err
 }
 
-func (c *Cache) domTemplate(key, html string) domEntry {
-	if key == "" {
-		key = contenthash.Sum(html)
-	}
-	e, ok := c.doms.get(key)
+func (c *Cache) domTemplate(html string) domEntry {
+	e, ok := c.doms.get(html)
 	if !ok {
 		parsed := dom.Parse(html)
 		nodes, children := dom.TreeStats(parsed)
-		e = c.doms.put(key, domEntry{root: parsed, nodes: nodes, children: children}, len(html))
+		e = c.doms.put(html, domEntry{root: parsed, nodes: nodes, children: children}, len(html))
 	}
 	return e
 }
@@ -259,22 +245,9 @@ func (c *Cache) domTemplate(key, html string) domEntry {
 // copy-on-write. Callers that release pages should call
 // Document.Release when done so the arena is recycled — not releasing is
 // safe, just unpooled.
-func (c *Cache) Document(url, key, html string) *dom.Document {
-	e := c.domTemplate(key, html)
+func (c *Cache) Document(url, html string) *dom.Document {
+	e := c.domTemplate(html)
 	return dom.NewPooledDocument(url, e.root, e.nodes, e.children)
-}
-
-// GetResponse looks up a cached response body entry (the netsim tier).
-// Entries are opaque to the cache; netsim owns their type.
-func (c *Cache) GetResponse(key netsim.ResponseKey) (any, bool) {
-	return c.bodies.get(key)
-}
-
-// PutResponse stores a response body entry charged size bytes (netsim
-// charges the body plus the key). The first entry stored for a key
-// wins; concurrent writers of the same content converge.
-func (c *Cache) PutResponse(key netsim.ResponseKey, v any, size int) {
-	c.bodies.put(key, v, size)
 }
 
 // Stats returns a snapshot of the per-tier counters.
@@ -282,6 +255,5 @@ func (c *Cache) Stats() Stats {
 	var s Stats
 	s.ProgramHits, s.ProgramMisses, s.ProgramEvictions, s.ProgramResidentBytes = c.progs.stats()
 	s.DOMHits, s.DOMMisses, s.DOMEvictions, s.DOMResidentBytes = c.doms.stats()
-	s.BodyHits, s.BodyMisses, s.BodyEvictions, s.BodyResidentBytes = c.bodies.stats()
 	return s
 }

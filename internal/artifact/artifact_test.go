@@ -5,22 +5,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"cookieguard/internal/contenthash"
-	"cookieguard/internal/netsim"
 )
-
-// rk is a response-tier key for tests that only need distinct keys.
-func rk(path string) netsim.ResponseKey { return netsim.ResponseKey{Path: path} }
 
 func TestProgramParseOnce(t *testing.T) {
 	c := New()
 	src := `let x = 1; log("" + x);`
-	p1, err := c.Program("", src)
+	p1, err := c.Program(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.Program("", src)
+	p2, err := c.Program(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +30,10 @@ func TestProgramParseOnce(t *testing.T) {
 func TestProgramErrorCached(t *testing.T) {
 	c := New()
 	src := `let = broken (`
-	if _, err := c.Program("", src); err == nil {
+	if _, err := c.Program(src); err == nil {
 		t.Fatal("expected parse error")
 	}
-	_, err2 := c.Program("", src)
+	_, err2 := c.Program(src)
 	if err2 == nil {
 		t.Fatal("cached lookup lost the parse error")
 	}
@@ -48,30 +42,16 @@ func TestProgramErrorCached(t *testing.T) {
 	}
 }
 
-func TestKeyForTrustsValidHash(t *testing.T) {
-	src := "let a = 1;"
-	h := contenthash.Sum(src)
-	if got := KeyFor(h, src); got != h {
-		t.Fatalf("KeyFor ignored transported hash: %q", got)
-	}
-	if got := KeyFor("not-a-hash", src); got != h {
-		t.Fatalf("KeyFor(%q) = %q, want computed %q", "not-a-hash", got, h)
-	}
-	if got := KeyFor("", src); got != h {
-		t.Fatalf("KeyFor(\"\") = %q, want %q", got, h)
-	}
-}
-
 func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 	c := New()
 	html := `<html><body><div id="x">hello</div></body></html>`
-	t1 := c.domTemplate("", html).root
-	t2 := c.domTemplate("", html).root
+	t1 := c.domTemplate(html).root
+	t2 := c.domTemplate(html).root
 	if t1 != t2 {
 		t.Fatal("same content produced distinct templates")
 	}
 
-	doc := c.Document("https://a.example/", "", html)
+	doc := c.Document("https://a.example/", html)
 	n := doc.ByID("x")
 	if n == nil {
 		t.Fatal("clone lost the element")
@@ -80,7 +60,7 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 	doc.SetStyle(n, "color", "red", "https://evil.example/t.js")
 
 	// The cached template must be untouched by mutations to the clone.
-	fresh := c.Document("https://b.example/", "", html)
+	fresh := c.Document("https://b.example/", html)
 	fn := fresh.ByID("x")
 	if got := fn.InnerText(); got != "hello" {
 		t.Fatalf("template leaked mutation: InnerText = %q", got)
@@ -90,17 +70,7 @@ func TestDOMTemplateSharedAndCloneIsolated(t *testing.T) {
 	}
 }
 
-func TestResponseTierFirstPutWins(t *testing.T) {
-	c := New()
-	c.PutResponse(rk("k"), "first", 6)
-	c.PutResponse(rk("k"), "second", 7)
-	v, ok := c.GetResponse(rk("k"))
-	if !ok || v.(string) != "first" {
-		t.Fatalf("GetResponse = %v, %v; want first, true", v, ok)
-	}
-}
-
-// TestConcurrentAccess hammers all three tiers from many goroutines; it
+// TestConcurrentAccess hammers both tiers from many goroutines; it
 // exists chiefly for the race detector, but also checks convergence to
 // one canonical artifact per content.
 func TestConcurrentAccess(t *testing.T) {
@@ -122,15 +92,13 @@ func TestConcurrentAccess(t *testing.T) {
 			progs[g] = map[int]any{}
 			for iter := 0; iter < 50; iter++ {
 				for i := range srcs {
-					p, err := c.Program("", srcs[i])
+					p, err := c.Program(srcs[i])
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					progs[g][i] = p
-					c.domTemplate("", htmls[i])
-					c.PutResponse(rk(srcs[i]), i, len(srcs[i]))
-					c.GetResponse(rk(srcs[i]))
+					c.domTemplate(htmls[i])
 				}
 			}
 		}(g)
@@ -151,8 +119,11 @@ func TestConcurrentAccess(t *testing.T) {
 		// but hits must dominate.
 		t.Logf("program misses = %d (benign racing parses)", s.ProgramMisses)
 	}
-	if s.ProgramHits == 0 || s.DOMHits == 0 || s.BodyHits == 0 {
+	if s.ProgramHits == 0 || s.DOMHits == 0 {
 		t.Fatalf("no hits recorded under concurrency: %+v", s)
+	}
+	if s.BodyHits != 0 || s.BodyMisses != 0 || s.BodyEvictions != 0 || s.BodyResidentBytes != 0 {
+		t.Fatalf("retired body counters read non-zero: %+v", s)
 	}
 }
 
@@ -171,7 +142,7 @@ func heldBytes[K comparable, V any](tr *tier[K, V]) int64 {
 }
 
 // TestResidencyBounded inserts about ten budgets of distinct content
-// into every tier at the production budgets: each tier must rotate,
+// into both tiers at the production budgets: each tier must rotate,
 // never hold more than two budgets plus its largest entry, and report
 // exactly what it holds as its resident bytes.
 func TestResidencyBounded(t *testing.T) {
@@ -191,7 +162,7 @@ func TestResidencyBounded(t *testing.T) {
 		src := fmt.Sprintf("let v%d = %q;", i, pad)
 		total += len(src)
 		largest = max(largest, len(src))
-		if _, err := c.Program("", src); err != nil {
+		if _, err := c.Program(src); err != nil {
 			t.Fatal(err)
 		}
 		check("program", c.Stats().ProgramResidentBytes, heldBytes(c.progs), programBudget, largest)
@@ -201,16 +172,11 @@ func TestResidencyBounded(t *testing.T) {
 		html := fmt.Sprintf("<html><body><div id=\"d%d\">%s</div></body></html>", i, pad)
 		total += len(html)
 		largest = max(largest, len(html))
-		c.domTemplate("", html)
+		c.domTemplate(html)
 		check("dom", c.Stats().DOMResidentBytes, heldBytes(c.doms), domBudget, largest)
 	}
-	const bodySize = 4096
-	for i := 0; i*bodySize < 10*bodyBudget; i++ {
-		c.PutResponse(rk(fmt.Sprint("k", i)), i, bodySize)
-		check("body", c.Stats().BodyResidentBytes, heldBytes(c.bodies), bodyBudget, bodySize)
-	}
 	s := c.Stats()
-	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 || s.BodyEvictions == 0 {
+	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 {
 		t.Fatalf("ten budgets of content evicted nothing: %+v", s)
 	}
 }
@@ -221,39 +187,33 @@ func TestResidencyBounded(t *testing.T) {
 // first given.
 func TestHotKeySurvivesRotations(t *testing.T) {
 	const budget = 4096
-	c := NewWithBudgets(budget, budget, budget)
+	c := NewWithBudgets(budget, budget)
 	hotSrc := `let hot = 1;`
 	hotHTML := `<html><body><div id="hot">x</div></body></html>`
-	hotBody := new(int)
-	prog, _ := c.Program("", hotSrc)
-	tmpl := c.domTemplate("", hotHTML).root
-	c.PutResponse(rk("hot"), hotBody, 8)
+	prog, _ := c.Program(hotSrc)
+	tmpl := c.domTemplate(hotHTML).root
 
 	pad := strings.Repeat("y", 200)
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 10; i++ {
 			n := round*10 + i
-			c.Program("", fmt.Sprintf("let v%d = %q;", n, pad))
-			c.domTemplate("", fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
-			c.PutResponse(rk(fmt.Sprint("k", n)), n, len(pad))
+			c.Program(fmt.Sprintf("let v%d = %q;", n, pad))
+			c.domTemplate(fmt.Sprintf("<p id=\"p%d\">%s</p>", n, pad))
 		}
 		before := c.Stats()
-		if p, _ := c.Program("", hotSrc); p != prog {
+		if p, _ := c.Program(hotSrc); p != prog {
 			t.Fatalf("round %d: hot program was re-parsed", round)
 		}
-		if got := c.domTemplate("", hotHTML).root; got != tmpl {
+		if got := c.domTemplate(hotHTML).root; got != tmpl {
 			t.Fatalf("round %d: hot template was re-parsed", round)
 		}
-		if v, ok := c.GetResponse(rk("hot")); !ok || v != hotBody {
-			t.Fatalf("round %d: hot body evicted (%v, %v)", round, v, ok)
-		}
 		after := c.Stats()
-		if after.ProgramMisses != before.ProgramMisses || after.DOMMisses != before.DOMMisses || after.BodyMisses != before.BodyMisses {
+		if after.ProgramMisses != before.ProgramMisses || after.DOMMisses != before.DOMMisses {
 			t.Fatalf("round %d: hot key missed: %+v -> %+v", round, before, after)
 		}
 	}
 	s := c.Stats()
-	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 || s.BodyEvictions == 0 {
+	if s.ProgramEvictions == 0 || s.DOMEvictions == 0 {
 		t.Fatalf("no tier rotated: %+v", s)
 	}
 }

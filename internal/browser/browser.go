@@ -35,9 +35,9 @@ type Options struct {
 	// Seed drives the browser-side PRNG (rand_id values, interaction
 	// choices).
 	Seed uint64
-	// Artifacts, when set, is the shared content-addressed cache for
-	// compiled scripts and DOM templates: identical bytes are parsed
-	// once per cache lifetime instead of once per page. The cache is
+	// Artifacts, when set, is the shared source-keyed cache for
+	// compiled scripts and DOM templates: identical sources are parsed
+	// once per cache residency instead of once per page. The cache is
 	// typically shared across every browser of a crawl. Caching is
 	// semantically invisible — simulated parse/latency costs are still
 	// charged to the virtual clock, and a cached visit produces records
@@ -164,10 +164,8 @@ func (b *Browser) Visit(url string) (*Page, error) {
 // backoff on the virtual clock. It attaches the jar's cookies to the
 // request (as the network stack does) and, for the accepted response
 // only, stores any Set-Cookie headers back. The result carries the body,
-// the fabric's content hash of it ("" when the fabric did not compute
-// one — in particular for truncated deliveries, whose bytes no longer
-// match any hash), the final status, the retry count, and the terminal
-// failure classification.
+// the final status, the retry count, and the terminal failure
+// classification.
 func (b *Browser) fetch(url string) fetchResult {
 	maxAttempts := b.opts.Retry.MaxAttempts
 	if maxAttempts < 1 {
@@ -293,11 +291,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 	for _, sc := range resp.Header.Values("Set-Cookie") {
 		b.jar.SetFromHeader(u, sc)
 	}
-	res := fetchResult{
-		body:     body,
-		bodyHash: resp.Header.Get(netsim.BodyHashHeader),
-		status:   resp.StatusCode,
-	}
+	res := fetchResult{body: body, status: resp.StatusCode}
 	// Only 5xx classifies as a fetch failure here: a 4xx is a completed
 	// exchange (a 404'd pixel still "loaded", as in Chrome's
 	// loadingFinished). Consumers that require the content — documents
@@ -306,7 +300,7 @@ func (b *Browser) fetchOnce(rawURL string, attempt int) fetchResult {
 		res.failure = FailHTTP
 	}
 	if b.opts.Pooling {
-		// The exchange is fully consumed (latency, body, cookies, hash);
+		// The exchange is fully consumed (latency, body, cookies);
 		// hand a pooled response back to the fabric.
 		netsim.ReleaseResponse(resp)
 	}

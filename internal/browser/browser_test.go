@@ -681,7 +681,6 @@ dom_remove("main");`,
 	}
 	in := testWeb(html, scripts)
 	cache := artifact.New()
-	in.SetResponseCache(cache)
 
 	visit := func(seed uint64) *Page {
 		b, err := New(Options{Internet: in, Seed: seed, Artifacts: cache})
@@ -751,7 +750,6 @@ send("https://collect.example/p", {"c": get_cookie("_ga")});`,
 		opts := Options{Internet: in, Seed: 9}
 		if cached {
 			c := artifact.New()
-			in.SetResponseCache(c)
 			opts.Artifacts = c
 		}
 		b, err := New(opts)

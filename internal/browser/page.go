@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/url"
 
-	"cookieguard/internal/artifact"
 	"cookieguard/internal/dom"
 	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/urlutil"
@@ -232,7 +231,7 @@ func (p *Page) load() error {
 	if fr.status >= 400 {
 		return &LoadError{URL: p.URL, Class: FailHTTP, Status: fr.status}
 	}
-	body, bodyHash := fr.body, fr.bodyHash
+	body := fr.body
 
 	// 2. Parse HTML. The simulated parse cost is charged either way —
 	// the artifact cache is an engine optimization, not a model of a
@@ -240,7 +239,7 @@ func (p *Page) load() error {
 	// content and deep-cloned per page (pages mutate their DOM).
 	b.clock.AdvanceMillis(float64(len(body)) / 1024 * parseCostPerKB)
 	if b.opts.Artifacts != nil {
-		p.Doc = b.opts.Artifacts.Document(p.URL, artifact.KeyFor(bodyHash, body), body)
+		p.Doc = b.opts.Artifacts.Document(p.URL, body)
 	} else {
 		p.Doc = dom.NewDocument(p.URL, dom.Parse(body))
 	}
@@ -393,7 +392,7 @@ func (p *Page) runExternal(src string, path []string) {
 		p.Scripts = append(p.Scripts, exec)
 		return
 	}
-	p.execScript(fr.body, fr.bodyHash, frame{scriptURL: src, path: exec.InclusionPath}, &exec)
+	p.execScript(fr.body, frame{scriptURL: src, path: exec.InclusionPath}, &exec)
 	p.Scripts = append(p.Scripts, exec)
 }
 
@@ -411,20 +410,20 @@ func (p *Page) runInline(source string) {
 	}
 	p.scriptCnt++
 	exec := ScriptExec{Inline: true}
-	p.execScript(source, "", frame{inline: true}, &exec)
+	p.execScript(source, frame{inline: true}, &exec)
 	p.Scripts = append(p.Scripts, exec)
 }
 
-// execScript compiles and runs a script body. sourceHash, when non-empty,
-// is the fabric's content hash of source; with an artifact cache it keys
-// the compiled-program lookup so each distinct script compiles once per
-// crawl (the cache shares one immutable *jsdsl.Program across pages and
-// goroutines; all run state lives in the per-execution Interp).
-func (p *Page) execScript(source, sourceHash string, fr frame, exec *ScriptExec) {
+// execScript compiles and runs a script body. With an artifact cache,
+// source keys the compiled-program lookup, so each distinct script
+// compiles once per crawl (the cache shares one immutable *jsdsl.Program
+// across pages and goroutines; all run state lives in the per-execution
+// Interp).
+func (p *Page) execScript(source string, fr frame, exec *ScriptExec) {
 	var prog *jsdsl.Program
 	var err error
 	if cache := p.browser.opts.Artifacts; cache != nil {
-		prog, err = cache.Program(artifact.KeyFor(sourceHash, source), source)
+		prog, err = cache.Program(source)
 	} else {
 		prog, err = jsdsl.Parse(source)
 	}

@@ -194,10 +194,9 @@ func retryable(f FailureClass, status int) bool {
 
 // fetchResult is the full outcome of one (possibly retried) fetch.
 type fetchResult struct {
-	body     string
-	bodyHash string
-	status   int
-	retries  int          // attempts beyond the first
-	failure  FailureClass // terminal classification; FailNone on success
-	err      error        // terminal error; nil for FailHTTP and success
+	body    string
+	status  int
+	retries int          // attempts beyond the first
+	failure FailureClass // terminal classification; FailNone on success
+	err     error        // terminal error; nil for FailHTTP and success
 }

@@ -1,14 +1,12 @@
-// Package contenthash provides the stable content hash used as the key
-// of every content-addressed cache in the system: the netsim response
-// body hash, the jsdsl compiled-program cache, and the DOM template
-// cache all key on the same digest, so a hash computed at one layer
-// (e.g. by the network fabric) can be reused verbatim at another (e.g.
-// the browser's parse cache) without rehashing the bytes.
+// Package contenthash provides the stable content hash of the crawl
+// journal (internal/journal: each line's checksum, and the divergence
+// digest of its lane snapshots) and of the checkpoint fingerprint, the
+// pipeline configuration a resumed crawl must match.
 //
 // The digest is 128-bit FNV-1a rendered as 32 lowercase hex characters.
-// FNV is not cryptographic; it is used here purely as a deterministic
-// content address over a closed, trusted population (the synthetic web),
-// where 128 bits make accidental collisions vanishingly unlikely.
+// FNV is not cryptographic; it is used here purely to detect torn or
+// altered lines and mismatched configurations, where 128 bits make
+// accidental collisions vanishingly unlikely.
 package contenthash
 
 import (
@@ -44,9 +42,8 @@ func AppendSum(dst, b []byte) []byte {
 	return append(dst, out[:]...)
 }
 
-// Valid reports whether key has the shape of a Sum output. Cache layers
-// use it to decide whether a transported key (e.g. from a response
-// header) can be trusted as a content address.
+// Valid reports whether key has the shape of a Sum output. The journal
+// uses it to reject a line whose checksum field is malformed.
 func Valid(key string) bool {
 	if len(key) != Size {
 		return false

@@ -195,7 +195,6 @@ func TestDOMTemplateKeyStability(t *testing.T) {
 	in := w.BuildInternet()
 	domains := domainsOf(w)
 	cache := artifact.New()
-	in.SetResponseCache(cache)
 	opts := Options{Workers: 8, Interact: true, Artifacts: cache}
 
 	opts.Internet = in

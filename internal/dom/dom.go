@@ -88,8 +88,13 @@ var textBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// InnerText concatenates the text content of the subtree.
+// InnerText concatenates the text content of the subtree. An element
+// whose one child is a text node (a parsed <script>) returns that text
+// itself, without a copy: a substring of the parsed source.
 func (n *Node) InnerText() string {
+	if len(n.Children) == 1 && n.Children[0].Kind == KindText {
+		return n.Children[0].Text
+	}
 	bp := textBufPool.Get().(*[]byte)
 	buf := n.appendText((*bp)[:0])
 	s := string(buf)

@@ -3,6 +3,7 @@ package dom
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 const samplePage = `<!DOCTYPE html>
@@ -141,6 +142,25 @@ func TestMalformedInputsDoNotPanic(t *testing.T) {
 	d := NewDocument("", Parse("<div id=bare>x</div>"))
 	if d.ByID("bare") == nil {
 		t.Fatal("unquoted attribute value not parsed")
+	}
+}
+
+// TestInnerTextLoneTextNoCopy: a script's body, its element's one text
+// child, is returned as the substring of the parsed source it is, with
+// no allocation.
+func TestInnerTextLoneTextNoCopy(t *testing.T) {
+	const open = "<script>"
+	src := open + `set_cookie("a", "1");</script><p>x</p>`
+	script := NewDocument("", Parse(src)).FirstByTag("script")
+	got := script.InnerText()
+	if got != `set_cookie("a", "1");` {
+		t.Fatalf("InnerText = %q", got)
+	}
+	if unsafe.StringData(got) != unsafe.StringData(src[len(open):]) {
+		t.Fatal("InnerText copied the script body")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = script.InnerText() }); n != 0 {
+		t.Errorf("InnerText allocates %v times, want 0", n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 )
 
@@ -292,16 +293,19 @@ func (t *truncatedBody) Read(p []byte) (int, error) {
 func (t *truncatedBody) Close() error { return nil }
 
 // applyTruncation rewrites a response to deliver only the leading
-// KeepFrac of full and to fail the read at the cut. The body-hash header
-// is stripped: the delivered bytes no longer match the hash, and a
-// downstream artifact cache keyed on it would poison itself.
+// KeepFrac of full and to fail the read at the cut. Its header values are
+// copied out of the slices they share with the route or handler that
+// answered: the response is not pooled, so its consumer may keep it and
+// write to it.
 func applyTruncation(resp *http.Response, full string, fd FaultDecision) {
 	frac := fd.KeepFrac
 	if frac <= 0 || frac >= 1 {
 		frac = 0.5
 	}
 	keep := int(float64(len(full)) * frac)
-	resp.Header.Del(BodyHashHeader)
+	for k, vv := range resp.Header {
+		resp.Header[k] = slices.Clone(vv)
+	}
 	resp.Body = &truncatedBody{r: strings.NewReader(full[:keep])}
 	resp.ContentLength = int64(keep)
 }

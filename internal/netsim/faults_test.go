@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 )
 
@@ -87,7 +88,7 @@ func TestFaultInjectionKinds(t *testing.T) {
 		}
 	}
 
-	// Truncation: partial body, read error at the cut, hash stripped.
+	// Truncation: partial body, read error at the cut.
 	decide = FaultDecision{Kind: FaultTruncate, KeepFrac: 0.5}
 	resp, err = get(t, in, "https://srv.example/x", 1, 0)
 	if err != nil {
@@ -99,9 +100,6 @@ func TestFaultInjectionKinds(t *testing.T) {
 	}
 	if len(body) != 16 {
 		t.Fatalf("truncated body length = %d, want 16", len(body))
-	}
-	if resp.Header.Get(BodyHashHeader) != "" {
-		t.Fatal("truncated response kept its body-hash header")
 	}
 
 	// Tail latency: response intact, charged latency multiplied.
@@ -158,55 +156,74 @@ func TestFlapScheduleVirtualClock(t *testing.T) {
 	}
 }
 
-// TestTruncationCacheEquivalence: with a response cache installed, a
-// truncated delivery must not poison the cache — the next clean request
-// gets the full body, and a truncated cache-hit delivery matches the
-// truncated handler delivery byte for byte.
+// TestTruncationCacheEquivalence: a route table holds each body once, in
+// place, so a truncated delivery must neither differ from a handler's
+// truncation of the same bytes nor reach the table: writing into the
+// truncated response's header values changes no route, and the next
+// clean fetch gets the whole body and the route's own header slices.
 func TestTruncationCacheEquivalence(t *testing.T) {
-	read := func(in *Internet, attempt int) (string, error) {
-		resp, err := get(t, in, "https://srv.example/x", attempt, 0)
-		if err != nil {
-			return "", err
-		}
-		b, err := io.ReadAll(resp.Body)
-		return string(b), err
-	}
+	const body = "0123456789abcdef0123456789abcdef"
+	routes := &Routes{Paths: map[string]Route{"/x": {
+		Status:      http.StatusOK,
+		ContentType: []string{"text/html"},
+		SetCookie:   []string{"sid=1; Path=/", "pref=dark"},
+		Body:        body,
+	}}}
 	truncateFirst := func(_ *http.Request, s Stamp) FaultDecision {
 		if s.attempt() == 1 {
 			return FaultDecision{Kind: FaultTruncate, KeepFrac: 0.25}
 		}
 		return FaultDecision{}
 	}
+	table := New()
+	table.Register("srv.example", routes)
+	table.SetFaultModel(truncateFirst)
+	handler := New()
+	handler.RegisterFunc("srv.example", func(w http.ResponseWriter, r *http.Request) {
+		w.Header()["Set-Cookie"] = []string{"sid=1; Path=/", "pref=dark"}
+		w.Header().Set("Content-Type", "text/html")
+		fmt.Fprint(w, body)
+	})
+	handler.SetFaultModel(truncateFirst)
 
-	cached := faultTestNet(t)
-	cached.SetResponseCache(newMapCache())
-	cached.SetFaultModel(truncateFirst)
-	plain := faultTestNet(t)
-	plain.SetFaultModel(truncateFirst)
+	read := func(in *Internet, attempt int) (*http.Response, string, error) {
+		resp, err := get(t, in, "https://srv.example/x", attempt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		return resp, string(b), err
+	}
+	tResp, tBody, tErr := read(table, 1)
+	hResp, hBody, hErr := read(handler, 1)
+	if tBody != hBody || len(tBody) != 8 || !errors.Is(tErr, io.ErrUnexpectedEOF) || !errors.Is(hErr, io.ErrUnexpectedEOF) {
+		t.Fatalf("route truncation %q/%v != handler truncation %q/%v", tBody, tErr, hBody, hErr)
+	}
+	if !reflect.DeepEqual(tResp.Header, hResp.Header) {
+		t.Fatalf("route truncation header %v != handler truncation header %v", tResp.Header, hResp.Header)
+	}
 
-	// Warm the cache with a clean exchange so the faulted request below
-	// replays from cache on one fabric and the handler on the other.
-	if body, err := read(cached, 2); err != nil || len(body) != 32 {
-		t.Fatalf("warmup: body=%q err=%v", body, err)
+	// A consumer may write into a truncated delivery's header.
+	tResp.Header["Set-Cookie"][0] = "tampered"
+	tResp.Header["Content-Type"][0] = "tampered"
+	tResp.Header["Set-Cookie"] = append(tResp.Header["Set-Cookie"], "extra")
+
+	r := routes.Paths["/x"]
+	if r.SetCookie[0] != "sid=1; Path=/" || r.SetCookie[1] != "pref=dark" || r.ContentType[0] != "text/html" {
+		t.Fatalf("truncated delivery reached the route: %+v", r)
 	}
-	cBody, cErr := read(cached, 1)
-	pBody, pErr := read(plain, 1)
-	if cBody != pBody || !errors.Is(cErr, io.ErrUnexpectedEOF) || !errors.Is(pErr, io.ErrUnexpectedEOF) {
-		t.Fatalf("cached truncation %q/%v != uncached %q/%v", cBody, cErr, pBody, pErr)
+	resp, got, err := read(table, 2)
+	if err != nil || got != body {
+		t.Fatalf("clean fetch after truncation: body=%q err=%v", got, err)
 	}
-	// The cache still serves the intact body afterwards.
-	if body, err := read(cached, 2); err != nil || len(body) != 32 {
-		t.Fatalf("cache poisoned by truncation: body=%q err=%v", body, err)
+	if sc := resp.Header.Values("Set-Cookie"); !reflect.DeepEqual(sc, []string{"sid=1; Path=/", "pref=dark"}) || resp.Header.Get("Content-Type") != "text/html" {
+		t.Fatalf("clean fetch after truncation: header %v", resp.Header)
 	}
+	if &resp.Header["Set-Cookie"][0] != &r.SetCookie[0] || &resp.Header["Content-Type"][0] != &r.ContentType[0] {
+		t.Fatal("clean delivery does not share the route's header slices")
+	}
+	ReleaseResponse(resp)
 }
-
-// mapCache is a minimal ResponseCache for tests.
-type mapCache struct{ m map[ResponseKey]any }
-
-func newMapCache() *mapCache { return &mapCache{m: map[ResponseKey]any{}} }
-
-func (c *mapCache) GetResponse(key ResponseKey) (any, bool)   { v, ok := c.m[key]; return v, ok }
-func (c *mapCache) PutResponse(key ResponseKey, v any, _ int) { c.m[key] = v }
 
 // TestSeededFaultsPinned pins SeededFaults' decisions for a fixed config:
 // the table was recorded when the model still read its stamp from

@@ -34,17 +34,17 @@ func fetchDelivery(t *testing.T, f Fetcher, rawURL string) delivery {
 	return d
 }
 
-// poolNet serves a cacheable 200 with Set-Cookie on first.example, a
-// 200 with other headers on second.example and a 204 sink on
-// sink.example, behind a response cache.
+// poolNet serves a route with Set-Cookie on first.example, a handler's
+// 200 with other headers on second.example and a handler's 204 on
+// sink.example.
 func poolNet() *Internet {
 	in := New()
-	in.RegisterFunc("first.example", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Add("Set-Cookie", "sid=1; Path=/")
-		w.Header().Add("Set-Cookie", "pref=dark; Path=/")
-		w.Header().Set("Content-Type", "text/html")
-		io.WriteString(w, "<p>first</p>")
-	})
+	in.Register("first.example", &Routes{Paths: map[string]Route{"/": {
+		Status:      http.StatusOK,
+		ContentType: []string{"text/html"},
+		SetCookie:   []string{"sid=1; Path=/", "pref=dark; Path=/"},
+		Body:        "<p>first</p>",
+	}}})
 	in.RegisterFunc("second.example", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/javascript")
 		w.Header().Set("X-Other", "2")
@@ -55,21 +55,20 @@ func poolNet() *Internet {
 		w.Header().Set("X-Sink", "1")
 		w.WriteHeader(http.StatusNoContent)
 	})
-	in.SetResponseCache(newMapCache())
 	in.Freeze()
 	return in
 }
 
-// TestPooledMissThenHitKeepsFirstDelivery: the miss path recycles its
-// recorder and delivers from the response pool. A released 200 miss,
-// then misses on other handlers writing other headers, must leave the
-// cached entry exactly as first delivered: a hit returns the same
-// status, headers, body and body hash.
+// TestPooledMissThenHitKeepsFirstDelivery: a handler (a host without a
+// route table) runs against a recycled recorder and delivers from the
+// response pool, as a route does. A released route delivery, then
+// handler deliveries writing other headers into recycled responses, must
+// leave the route's next delivery exactly as first delivered.
 func TestPooledMissThenHitKeepsFirstDelivery(t *testing.T) {
 	in := poolNet()
 	first := fetchDelivery(t, in, "https://first.example/")
-	if first.header.Get(BodyHashHeader) == "" || len(first.header.Values("Set-Cookie")) != 2 {
-		t.Fatalf("first delivery = %+v, want two cookies and a body hash", first)
+	if first.header.Get("Content-Type") != "text/html" || len(first.header.Values("Set-Cookie")) != 2 {
+		t.Fatalf("first delivery = %+v, want two cookies and a content type", first)
 	}
 	for i := 0; i < 3; i++ {
 		second := fetchDelivery(t, in, "https://second.example/")
@@ -81,50 +80,46 @@ func TestPooledMissThenHitKeepsFirstDelivery(t *testing.T) {
 			t.Fatalf("round %d: sink delivery = %+v, want 204 with X-Sink and the latency header", i, sink)
 		}
 	}
-	hit := fetchDelivery(t, in, "https://first.example/")
-	if !reflect.DeepEqual(hit, first) {
-		t.Fatalf("hit after pooled misses = %+v, want the first delivery %+v", hit, first)
+	again := fetchDelivery(t, in, "https://first.example/")
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("route delivery after pooled handler deliveries = %+v, want the first delivery %+v", again, first)
 	}
 	if got := in.Requests(); got != 8 {
 		t.Fatalf("Requests = %d, want 8", got)
 	}
 }
 
-// TestFetchAllocs pins the allocation cost of the fabric's hot paths,
-// measured through Fetch and ReleaseResponse: a cache hit and a 204
-// beacon-sink miss allocate nothing, and a 404 miss allocates only its
-// body string.
+// TestFetchAllocs pins the allocation cost of the fabric's paths,
+// measured through Fetch, ReadBody and ReleaseResponse: every route of a
+// table (a page, a 500 route, the 404 fallback and a beacon sink's 204)
+// allocates nothing, and a handler allocates only its body string.
 func TestFetchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects on purpose under the race detector")
 	}
-	plain := []string{"text/plain; charset=utf-8"}
-	nosniff := []string{"nosniff"}
 	in := New()
-	in.RegisterFunc("www.site.example", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			h := w.Header()
-			h["Content-Type"] = plain
-			h["X-Content-Type-Options"] = nosniff
-			w.WriteHeader(http.StatusNotFound)
-			io.WriteString(w, "404 page not found\n")
-			return
-		}
-		io.WriteString(w, "<html>cached</html>")
+	in.Register("www.site.example", &Routes{
+		Paths: map[string]Route{
+			"/":       {Status: http.StatusOK, ContentType: []string{"text/html"}, SetCookie: []string{"sid=1"}, Body: "<html>page</html>"},
+			"/broken": {Status: http.StatusInternalServerError},
+		},
+		Fallback: Route{Status: http.StatusNotFound, Body: "404 page not found\n"},
 	})
-	in.RegisterFunc("sink.example", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNoContent)
+	in.Register("sink.example", &Routes{Fallback: Route{Status: http.StatusNoContent}})
+	in.RegisterFunc("handler.example", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "<html>handler</html>")
 	})
-	in.SetResponseCache(newMapCache())
 	in.Freeze()
 
 	for _, c := range []struct {
 		name, url string
 		max       float64
 	}{
-		{"cache hit", "https://www.site.example/", 0},
-		{"204 sink miss", "https://sink.example/c?id=42&u=https%3A%2F%2Fwww.site.example%2F", 0},
-		{"404 miss", "https://www.site.example/missing.js", 1},
+		{"200 route", "https://www.site.example/", 0},
+		{"500 route", "https://www.site.example/broken", 0},
+		{"404 fallback", "https://www.site.example/missing.js", 0},
+		{"204 sink", "https://sink.example/c?id=42&u=https%3A%2F%2Fwww.site.example%2F", 0},
+		{"handler", "https://handler.example/", 1},
 	} {
 		req, err := http.NewRequest(http.MethodGet, c.url, nil)
 		if err != nil {
@@ -140,7 +135,7 @@ func TestFetchAllocs(t *testing.T) {
 			}
 			ReleaseResponse(resp)
 		}
-		fetch() // fills the cache and the pools
+		fetch() // fills the memos and the pools
 		n := testing.AllocsPerRun(200, fetch)
 		t.Logf("%s: %v allocs per fetch", c.name, n)
 		if n > c.max {

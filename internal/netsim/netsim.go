@@ -2,10 +2,13 @@
 //
 // The paper crawled 20,000 live sites; offline we substitute a virtual
 // network fabric: an Internet is a virtual DNS (host → http.Handler) plus
-// a Fetch method that dispatches requests directly to the registered
-// handler without touching a socket. Everything above it — the browser,
-// the jar, the instrumentation extension, CookieGuard — speaks standard
-// net/http requests and responses, so the same code would run against the
+// a Fetch method that answers requests without touching a socket. A host
+// registered with a route table (Routes, the generated web's static
+// responses) is answered from the table in place: the delivered body is
+// the registered string itself. Any other handler runs against a pooled
+// recorder. Everything above the fabric — the browser, the jar, the
+// instrumentation extension, CookieGuard — speaks standard net/http
+// requests and responses, so the same code would run against the
 // real web; RoundTrip adapts the fabric to http.RoundTripper for
 // http.Client and other net/http callers.
 //
@@ -41,18 +44,15 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"cookieguard/internal/contenthash"
 )
 
 // --- allocation-frugal response plumbing ---------------------------------
 //
-// The crawl performs hundreds of request/response exchanges per visit, the
-// overwhelming majority replayed from the response cache and most of the
-// rest answered by beacon sinks. The helpers here keep both paths
-// allocation-free. Response structs and their header maps are pooled
-// (reclaimed via ReleaseResponse once the browser has consumed the
-// exchange), and so are the handler's recorder and its copy of the
+// The crawl performs hundreds of request/response exchanges per visit,
+// nearly all of them answered from route tables. The helpers here keep
+// that path allocation-free. Response structs and their header maps are
+// pooled (reclaimed via ReleaseResponse once the browser has consumed
+// the exchange), and so are a handler's recorder and its copy of the
 // request. Status lines and latency header values are memoized per
 // distinct value, and bodies travel as *stringBody so ReadBody hands back
 // the string without copying it.
@@ -82,17 +82,29 @@ var respPool = sync.Pool{New: func() any {
 	return r
 }}
 
-// pooledResponse returns a reset pooled response with status, headers
-// copied from src (value slices shared — they are never mutated), and body.
-func pooledResponse(status int, src http.Header, body string) *http.Response {
-	r := respPool.Get().(*http.Response)
-	sb := r.Body.(*stringBody)
-	sb.set(body)
-	h := r.Header
-	clear(h)
-	for k, vv := range src {
-		h[k] = vv
+// newResponse returns the response to one exchange, with status and body
+// and an empty header for the caller to fill. Without truncation it comes
+// from respPool and its consumer hands it back through ReleaseResponse;
+// truncation rewrites the body (applyTruncation), so a truncated delivery
+// gets a fresh response.
+func newResponse(status int, body string, fd FaultDecision) *http.Response {
+	if fd.Kind == FaultTruncate {
+		sb := &stringBody{}
+		sb.set(body)
+		return &http.Response{
+			StatusCode:    status,
+			Status:        statusLine(status),
+			Proto:         "HTTP/1.1",
+			ProtoMajor:    1,
+			ProtoMinor:    1,
+			Header:        make(http.Header, 4),
+			Body:          sb,
+			ContentLength: int64(len(body)),
+		}
 	}
+	r := respPool.Get().(*http.Response)
+	r.Body.(*stringBody).set(body)
+	clear(r.Header)
 	r.StatusCode = status
 	r.Status = statusLine(status)
 	r.Proto, r.ProtoMajor, r.ProtoMinor = "HTTP/1.1", 1, 1
@@ -122,15 +134,14 @@ func ReleaseResponse(resp *http.Response) {
 var statusLines sync.Map // int -> string
 
 // respRecorder is the fabric's minimal http.ResponseWriter for handler
-// dispatch. httptest's recorder snapshots (clones) the header map and
-// Sprintf's a fresh status line on every Result() — recurring garbage on
-// each uncacheable exchange (beacon sinks, consent endpoints), which a
-// multi-persona crawl pays once per unit per sink. The fabric only needs
-// the code, the header map the handler just filled, and the body, so the
-// response is assembled from those directly (status lines come from the
-// statusLine memo). Content-Type sniffing is deliberately absent:
-// generated handlers either set their type explicitly or write no body,
-// and nothing in the fabric or browser reads a sniffed type.
+// dispatch (hosts registered with a handler other than Routes: the
+// examples' and tests' hand-written webs). httptest's recorder snapshots
+// (clones) the header map and Sprintf's a fresh status line on every
+// Result(). The fabric only needs the code, the header map the handler
+// just filled, and the body, so the response is assembled from those
+// directly (status lines come from the statusLine memo). Content-Type
+// sniffing is deliberately absent: nothing in the fabric or browser
+// reads a sniffed type.
 //
 // Recorders are pooled: once the response is built from one (its header
 // entries copied, its body materialized as a string), it is reset and
@@ -225,39 +236,88 @@ func latencyValue(lat float64) []string {
 // by this amount per fetch.
 const LatencyHeader = "X-Netsim-Latency-Ms"
 
-// BodyHashHeader carries the stable content hash of the served body when
-// a response cache is installed (SetResponseCache). It is the fabric's
-// cache key for the exchange; browsers reuse it as the key of their own
-// derived-artifact caches (compiled scripts, DOM templates) so a body is
-// hashed once per serve, not once per consumer.
-const BodyHashHeader = "X-Netsim-Body-Hash"
-
 // LatencyModel computes the simulated latency in milliseconds for a
 // request. Implementations must be deterministic for reproducibility.
 type LatencyModel func(req *http.Request) float64
 
-// ResponseKey identifies a request for response memoization. It holds
-// the *requested* host (pre-CNAME, with any port): the serving handler
-// observes the original Host header, so a cloaked alias and its target
-// are distinct cache entries even though one handler serves both.
-type ResponseKey struct {
-	Host, Path, RawQuery string
+// Route is one response of a host's route table. The fabric serves it in
+// place: the delivered body is Body itself, not a copy, and the header
+// values are the route's own slices. A route must not be written to once
+// registered.
+type Route struct {
+	// Status is the response's status code. A route of 400 or more
+	// answers as http.Error does: Content-Type text/plain with
+	// X-Content-Type-Options nosniff, and Body, or the status text and a
+	// newline when Body is empty. ContentType is then not sent.
+	Status int
+	// ContentType is the Content-Type value, shared by every response
+	// that sends it; nil sends none.
+	ContentType []string
+	// SetCookie holds the Set-Cookie values, in order.
+	SetCookie []string
+	Body      string
 }
 
-// size is the key's charge in a bounded cache: its bytes plus one
-// separator between each pair of fields.
-func (k ResponseKey) size() int { return len(k.Host) + len(k.Path) + len(k.RawQuery) + 2 }
+// Header values of error routes, as http.Error sets them. Each has
+// capacity 1, so an append downstream copies instead of writing into the
+// shared array.
+var (
+	textPlain = []string{"text/plain; charset=utf-8"}
+	noSniff   = []string{"nosniff"}
+)
 
-// ResponseCache stores served responses keyed by request, so the fabric
-// can replay a prior exchange without re-running the handler. Entries
-// are opaque to implementations — netsim owns their concrete type — and
-// PutResponse gives each one's size (body plus key bytes) for caches
-// that bound what they hold. A cache may drop any entry at any time: a
-// miss just re-runs the handler. artifact.Cache satisfies this
-// interface.
-type ResponseCache interface {
-	GetResponse(key ResponseKey) (any, bool)
-	PutResponse(key ResponseKey, v any, size int)
+// body returns the route's body: Body, or the memoized status text of an
+// error route without one.
+func (r *Route) body() string {
+	if r.Body == "" && r.Status >= 400 {
+		return errorBody(r.Status)
+	}
+	return r.Body
+}
+
+// writeHeader sets the route's headers in h, sharing its value slices.
+// Set-Cookie is capped at its length for the same reason as textPlain.
+func (r *Route) writeHeader(h http.Header) {
+	if n := len(r.SetCookie); n > 0 {
+		h["Set-Cookie"] = r.SetCookie[:n:n]
+	}
+	if r.Status >= 400 {
+		h["Content-Type"] = textPlain
+		h["X-Content-Type-Options"] = noSniff
+	} else if r.ContentType != nil {
+		h["Content-Type"] = r.ContentType
+	}
+}
+
+// Routes is a host's route table: the route of each URL path, and
+// Fallback for every other path. Query, method and request headers are
+// not read. Register a table as the host's handler: Fetch answers from
+// it without a handler round trip, and ServeHTTP (a real server,
+// cmd/webserve) writes the same status, headers and body.
+type Routes struct {
+	Paths    map[string]Route
+	Fallback Route
+}
+
+func (rt *Routes) route(path string) Route {
+	if r, ok := rt.Paths[path]; ok {
+		return r
+	}
+	return rt.Fallback
+}
+
+// ServeHTTP writes the route of r's path to w.
+func (rt *Routes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	route := rt.route(r.URL.Path)
+	h := w.Header()
+	if route.Status >= 400 {
+		delete(h, "Content-Length") // as http.Error does
+	}
+	route.writeHeader(h)
+	if route.Status != http.StatusOK {
+		w.WriteHeader(route.Status)
+	}
+	io.WriteString(w, route.body())
 }
 
 // Fetcher serves stamped request attempts: the fabric seen from some
@@ -272,10 +332,9 @@ type Fetcher interface {
 // Freeze has built one, the serving path reads it through an atomic
 // pointer with no lock at all; mutators rebuild it copy-on-write.
 type snapshot struct {
-	hosts     map[string]http.Handler
-	cnames    map[string]string
-	faults    FaultModel
-	respCache ResponseCache
+	hosts  map[string]http.Handler
+	cnames map[string]string
+	faults FaultModel
 }
 
 // Internet is the virtual network fabric. It is safe for concurrent use
@@ -290,7 +349,6 @@ type Internet struct {
 	hosts    map[string]http.Handler
 	cnames   map[string]string
 	faults   FaultModel
-	cache    ResponseCache
 	frozen   atomic.Pointer[snapshot]
 	requests atomic.Int64
 	faulted  atomic.Int64
@@ -305,11 +363,11 @@ func New() *Internet {
 }
 
 // Freeze publishes the current routing state (hosts, CNAMEs, fault
-// model, response cache) as an immutable snapshot, making the
-// serving path lock-free. Call it once generation has finished; webgen
-// does so automatically. Mutations after Freeze republish the snapshot,
-// so a frozen Internet never serves stale routes — the point is purely
-// to take the RWMutex out of every request.
+// model) as an immutable snapshot, making the serving path lock-free.
+// Call it once generation has finished; webgen does so automatically.
+// Mutations after Freeze republish the snapshot, so a frozen Internet
+// never serves stale routes — the point is purely to take the RWMutex
+// out of every request.
 func (i *Internet) Freeze() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -326,12 +384,7 @@ func (i *Internet) refreeze() {
 	for a, t := range i.cnames {
 		cnames[a] = t
 	}
-	i.frozen.Store(&snapshot{
-		hosts:     hosts,
-		cnames:    cnames,
-		faults:    i.faults,
-		respCache: i.cache,
-	})
+	i.frozen.Store(&snapshot{hosts: hosts, cnames: cnames, faults: i.faults})
 }
 
 // mutate runs f under the write lock and, if a snapshot has been
@@ -362,19 +415,6 @@ func (i *Internet) view() snapshot {
 	return *i.frozen.Load()
 }
 
-// SetResponseCache installs (or, with nil, removes) a response cache.
-// With a cache installed, GET responses with status 200 are memoized by
-// (host, path, query) and replayed on subsequent requests without
-// invoking the handler; every served response additionally carries the
-// body's content hash in BodyHashHeader. Latency accounting and the
-// request counter behave identically on hits and misses, so caching
-// is invisible to everything above the fabric. Only install a cache when
-// every registered handler is a pure function of the request URL (true
-// for the generated web's static content).
-func (i *Internet) SetResponseCache(c ResponseCache) {
-	i.mutate(func() { i.cache = c })
-}
-
 // DefaultLatency is a deterministic per-host latency: a base RTT derived
 // from a hash of the host (8–60 ms) plus a small per-path component. Real
 // third-party stacks spread across many hosts, which is what stretches the
@@ -402,16 +442,14 @@ func fnv64(s string) uint64 {
 // a model installed, every Internet.Fetch attempt first consults it and
 // may be answered with an injected failure instead of the handler; see
 // SeededFaults for the deterministic implementation. The model only
-// applies to resolvable hosts — an unregistered host stays NXDOMAIN —
-// and never interacts with the response cache: error and truncated
-// deliveries bypass it, so cached and uncached crawls stay byte-identical
-// under any fault schedule.
+// applies to resolvable hosts — an unregistered host stays NXDOMAIN.
 func (i *Internet) SetFaultModel(m FaultModel) {
 	i.mutate(func() { i.faults = m })
 }
 
-// Register serves host with handler. The host must be a bare lowercase
-// hostname without scheme or port.
+// Register serves host with handler, which may be a route table
+// (*Routes). The host must be a bare lowercase hostname without scheme
+// or port.
 func (i *Internet) Register(host string, handler http.Handler) {
 	i.mutate(func() { i.hosts[strings.ToLower(host)] = handler })
 }
@@ -456,67 +494,12 @@ func (i *Internet) Requests() int64 { return i.requests.Load() }
 // Faults returns the total number of injected faults (all kinds).
 func (i *Internet) Faults() int64 { return i.faulted.Load() }
 
-// cachedResponse is one memoized exchange: everything needed to replay
-// it except the per-request latency header, which is recomputed so the
-// virtual clock sees identical charges on hits and misses.
-type cachedResponse struct {
-	status int
-	header http.Header // includes BodyHashHeader; never mutated after Put
-	body   string
-}
-
-// cachedHeader copies a handler's header for the cache, adding the body
-// hash. All values share one backing array, each entry capped so no
-// append can reach its neighbour; the hash's one-element slice is then
-// shared by every replay of the entry.
-func cachedHeader(h http.Header, hash string) http.Header {
-	n := 1
-	for _, vv := range h {
-		n += len(vv)
-	}
-	c := make(http.Header, len(h)+1)
-	vals := make([]string, 0, n)
-	for k, vv := range h {
-		if vv == nil {
-			c[k] = nil
-			continue
-		}
-		vals = append(vals, vv...)
-		c[k] = vals[len(vals)-len(vv) : len(vals) : len(vals)]
-	}
-	vals = append(vals, hash)
-	c[BodyHashHeader] = vals[len(vals)-1 : len(vals) : len(vals)]
-	return c
-}
-
-// deliver builds and accounts the response to one exchange. Status,
-// header and body come from wherever the exchange was answered — a
-// synthesized fault, a cache hit or the handler — and hdr is only read.
-// Without truncation the response comes from respPool, its header
-// entries copied (value slices shared) and its consumer hands it back
-// through ReleaseResponse. Truncation rewrites body and headers, so it
-// gets a fresh response with a cloned header.
-func (i *Internet) deliver(req *http.Request, status int, hdr http.Header, body string, lat float64, fd FaultDecision) *http.Response {
-	var resp *http.Response
-	if fd.Kind != FaultTruncate {
-		resp = pooledResponse(status, hdr, body)
-	} else {
-		h := hdr.Clone()
-		if h == nil {
-			h = make(http.Header, 1)
-		}
-		sb := &stringBody{}
-		sb.set(body)
-		resp = &http.Response{
-			StatusCode:    status,
-			Status:        statusLine(status),
-			Proto:         "HTTP/1.1",
-			ProtoMajor:    1,
-			ProtoMinor:    1,
-			Header:        h,
-			Body:          sb,
-			ContentLength: int64(len(body)),
-		}
+// deliver finishes and accounts the response to one exchange, whose
+// status, header and body were set by whatever answered it — a
+// synthesized fault, a route or a handler: it cuts a truncated delivery
+// at its fault and stamps the latency.
+func (i *Internet) deliver(req *http.Request, resp *http.Response, body string, lat float64, fd FaultDecision) *http.Response {
+	if fd.Kind == FaultTruncate {
 		applyTruncation(resp, body, fd)
 	}
 	resp.Request = req
@@ -542,10 +525,10 @@ func (i *Internet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return i.Fetch(req, Stamp{})
 }
 
-// fetch is the shared serving path: route, inject faults, replay or run
-// the handler. latency and faults are the effective models for this
-// request — the defaults for Internet.Fetch, a vantage's for a
-// VantageView.
+// fetch is the shared serving path: resolve, inject faults, answer from
+// the host's route table or run its handler. latency and faults are the
+// effective models for this request — the defaults for Internet.Fetch, a
+// vantage's for a VantageView.
 func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency LatencyModel, faults FaultModel) (*http.Response, error) {
 	host := strings.ToLower(req.URL.Hostname())
 	if host == "" {
@@ -558,12 +541,11 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 	}
 	lat := latency(req)
 
-	// Fault injection: consult the model before the handler or cache.
+	// Fault injection: consult the model before serving.
 	// Connection-level faults return an error carrying the virtual time
 	// the attempt burned; a synthesized 5xx never runs the handler; a
 	// tail-latency spike only inflates the charged latency; truncation is
-	// applied to the delivered copy after normal serving (below), so the
-	// response cache only ever stores intact exchanges.
+	// applied to the delivered response after normal serving (below).
 	var fd FaultDecision
 	if faults != nil {
 		fd = faults(req, s)
@@ -588,7 +570,8 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 		if status == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		return i.deliver(req, status, nil, errorBody(status), lat, fd), nil
+		body := errorBody(status)
+		return i.deliver(req, newResponse(status, body, fd), body, lat, fd), nil
 	case FaultTailLatency:
 		i.faulted.Add(1)
 		factor := fd.Factor
@@ -600,15 +583,12 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 		i.faulted.Add(1)
 	}
 
-	// Replay a memoized exchange without touching the handler.
-	var key ResponseKey
-	cacheable := v.respCache != nil && req.Method == http.MethodGet
-	if cacheable {
-		key = ResponseKey{Host: req.URL.Host, Path: req.URL.Path, RawQuery: req.URL.RawQuery}
-		if e, ok := v.respCache.GetResponse(key); ok {
-			cr := e.(*cachedResponse)
-			return i.deliver(req, cr.status, cr.header, cr.body, lat, fd), nil
-		}
+	if rt, ok := handler.(*Routes); ok {
+		route := rt.route(req.URL.Path)
+		body := route.body()
+		resp := newResponse(route.Status, body, fd)
+		route.writeHeader(resp.Header)
+		return i.deliver(req, resp, body, lat, fd), nil
 	}
 
 	// The handler sees the original Host (cloaked requests carry the
@@ -634,19 +614,12 @@ func (i *Internet) fetch(req *http.Request, s Stamp, v *snapshot, latency Latenc
 	}
 	// The one materialization of the body; ReadBody returns this string.
 	body := rec.body.String()
-	hdr := rec.header
-	if cacheable && status == http.StatusOK {
-		// Memoize 200s only: error pages are cheap and beacon sinks
-		// (204, unique query strings) would grow the cache unboundedly.
-		// The cache stores the intact exchange even when this delivery is
-		// truncated — the fault belongs to the attempt, not the content.
-		cr := &cachedResponse{status: status, header: cachedHeader(hdr, contenthash.Sum(body)), body: body}
-		v.respCache.PutResponse(key, cr, len(body)+key.size())
-		hdr = cr.header
+	resp := newResponse(status, body, fd)
+	for k, vv := range rec.header {
+		resp.Header[k] = vv // the handler's slices; clear(rec.header) leaves them be
 	}
-	resp := i.deliver(req, status, hdr, body, lat, fd)
 	rec.release()
-	return resp, nil
+	return i.deliver(req, resp, body, lat, fd), nil
 }
 
 // HostNotFoundError is the fabric's NXDOMAIN.
@@ -702,8 +675,8 @@ func ReadBody(resp *http.Response) (string, error) {
 
 // ServeHTTP lets an Internet be mounted behind a real net/http server
 // (cmd/webserve): requests are routed by Host header to the registered
-// handler, so a real browser pointed at the listener with appropriate
-// /etc/hosts entries sees the synthetic web.
+// handler or route table, so a real browser pointed at the listener with
+// appropriate /etc/hosts entries sees the synthetic web.
 func (i *Internet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	host := r.Host
 	if idx := strings.IndexByte(host, ':'); idx >= 0 {

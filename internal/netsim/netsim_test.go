@@ -216,37 +216,6 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 }
 
-// countingCache is a minimal ResponseCache for fabric tests.
-type countingCache struct {
-	mu      sync.Mutex
-	entries map[ResponseKey]any
-	gets    int
-	hits    int
-}
-
-func newCountingCache() *countingCache {
-	return &countingCache{entries: map[ResponseKey]any{}}
-}
-
-func (c *countingCache) GetResponse(key ResponseKey) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gets++
-	v, ok := c.entries[key]
-	if ok {
-		c.hits++
-	}
-	return v, ok
-}
-
-func (c *countingCache) PutResponse(key ResponseKey, v any, _ int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
-		c.entries[key] = v
-	}
-}
-
 func TestFreezeServesIdentically(t *testing.T) {
 	in := New()
 	in.Register("a.example", textHandler("A"))
@@ -318,97 +287,5 @@ func TestFrozenConcurrentServing(t *testing.T) {
 	wg.Wait()
 	if in.Requests() != 800 {
 		t.Fatalf("Requests = %d, want 800", in.Requests())
-	}
-}
-
-func TestResponseCacheReplaysExchanges(t *testing.T) {
-	in := New()
-	var served int
-	in.RegisterFunc("a.example", func(w http.ResponseWriter, r *http.Request) {
-		served++
-		w.Header().Set("Set-Cookie", "sid=1; Path=/")
-		w.Header().Set("Content-Type", "text/html")
-		fmt.Fprint(w, "BODY")
-	})
-	cache := newCountingCache()
-	in.SetResponseCache(cache)
-	in.Freeze()
-
-	var latencies []float64
-	before := in.Requests()
-
-	for i := 0; i < 3; i++ {
-		resp, err := in.Client().Get("https://a.example/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		latencies = append(latencies, Latency(resp))
-		if sc := resp.Header.Get("Set-Cookie"); sc != "sid=1; Path=/" {
-			t.Fatalf("request %d: Set-Cookie = %q", i, sc)
-		}
-		if h := resp.Header.Get(BodyHashHeader); len(h) != 32 {
-			t.Fatalf("request %d: body hash header = %q", i, h)
-		}
-		body, _ := ReadBody(resp)
-		if body != "BODY" {
-			t.Fatalf("request %d: body = %q", i, body)
-		}
-	}
-	if served != 1 {
-		t.Fatalf("handler ran %d times, want 1 (cache must replay)", served)
-	}
-	if cache.hits != 2 {
-		t.Fatalf("cache hits = %d, want 2", cache.hits)
-	}
-	if latencies[0] != latencies[1] || latencies[1] != latencies[2] {
-		t.Fatalf("latency differs across hits: %v", latencies)
-	}
-	if got := in.Requests() - before; got != 3 {
-		t.Fatalf("Requests rose by %d, want 3; accounting must not skip hits", got)
-	}
-}
-
-func TestResponseCacheSkipsNon200(t *testing.T) {
-	in := New()
-	in.RegisterFunc("sink.example", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNoContent)
-	})
-	in.RegisterFunc("err.example", func(w http.ResponseWriter, r *http.Request) {
-		http.NotFound(w, r)
-	})
-	cache := newCountingCache()
-	in.SetResponseCache(cache)
-
-	for i := 0; i < 2; i++ {
-		resp, _ := in.Client().Get(fmt.Sprintf("https://sink.example/p?beacon=%d", i))
-		resp.Body.Close()
-		resp, _ = in.Client().Get("https://err.example/missing")
-		resp.Body.Close()
-	}
-	if len(cache.entries) != 0 {
-		t.Fatalf("non-200 responses were cached: %d entries", len(cache.entries))
-	}
-}
-
-func TestResponseCacheKeyedByQueryAndHost(t *testing.T) {
-	in := New()
-	in.RegisterFunc("q.example", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "q=%s", r.URL.RawQuery)
-	})
-	cache := newCountingCache()
-	in.SetResponseCache(cache)
-
-	for _, q := range []string{"a=1", "a=2", "a=1"} {
-		resp, err := in.Client().Get("https://q.example/p?" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := ReadBody(resp)
-		if body != "q="+q {
-			t.Fatalf("query %q served %q", q, body)
-		}
-	}
-	if len(cache.entries) != 2 {
-		t.Fatalf("cache entries = %d, want 2 (distinct queries)", len(cache.entries))
 	}
 }

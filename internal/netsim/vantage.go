@@ -11,7 +11,7 @@ package netsim
 // A Vantage never mutates the Internet: From returns a lightweight view
 // that serves every request with the vantage's own latency and fault
 // models, so any number of vantage views can serve concurrently over one
-// fabric, sharing its handlers, CNAMEs, response cache, and counters.
+// fabric, sharing its handlers, route tables, CNAMEs, and counters.
 
 import "net/http"
 
@@ -85,7 +85,7 @@ type VantageView struct {
 // the vantage's models once — RegionLatency(Name), which is
 // DefaultLatency for the empty name, and SeededFaults(Faults), which is
 // no faults for a zero config — and never reads a fault model installed
-// on the fabric. Routing state (hosts, CNAMEs, response cache) and the
+// on the fabric. Routing state (hosts and CNAMEs) and the
 // request/fault counters are shared with every other view.
 func (i *Internet) From(v Vantage) *VantageView {
 	return &VantageView{net: i, latency: RegionLatency(v.Name), faults: SeededFaults(v.Faults)}

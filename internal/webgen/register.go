@@ -1,7 +1,6 @@
 package webgen
 
 import (
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -9,30 +8,14 @@ import (
 	"cookieguard/internal/netsim"
 )
 
-// hostMux accumulates path→content per host so multiple scripts (e.g. the
-// GTM base library plus per-site containers) can share one host.
-type hostMux struct {
-	paths map[string]pathContent
-}
-
-type pathContent struct {
-	body        string
-	contentType []string // shared header value; nil sets none
-	status      int
-	setCookies  []string
-}
-
-// Header values shared by every generated response. Handlers assign
-// these slices into response headers as they are; each has capacity 1,
-// so an append downstream copies instead of writing into the shared
-// array.
+// Header values shared by every generated response. Routes send these
+// slices as they are; each has capacity 1, so an append downstream
+// copies instead of writing into the shared array.
 var (
-	ctHTML        = []string{"text/html"}
-	ctJS          = []string{"application/javascript"}
-	ctCSS         = []string{"text/css"}
-	ctPNG         = []string{"image/png"}
-	ctTextPlain   = []string{"text/plain; charset=utf-8"}
-	nosniffHeader = []string{"nosniff"}
+	ctHTML = []string{"text/html"}
+	ctJS   = []string{"application/javascript"}
+	ctCSS  = []string{"text/css"}
+	ctPNG  = []string{"image/png"}
 )
 
 // contentTypeHeader returns the shared Content-Type value for ct.
@@ -52,45 +35,46 @@ func contentTypeHeader(ct string) []string {
 	return []string{ct}
 }
 
-// writeError answers as http.Error(w, text, code) does — same status,
-// headers and body — with the shared header values.
-func writeError(w http.ResponseWriter, code int, text string) {
-	h := w.Header()
-	delete(h, "Content-Length")
-	h["Content-Type"] = ctTextPlain
-	h["X-Content-Type-Options"] = nosniffHeader
-	w.WriteHeader(code)
-	io.WriteString(w, text)
-	io.WriteString(w, "\n")
-}
+var (
+	// notFound is the route of every path a site or service host does
+	// not serve: http.NotFound's response.
+	notFound = netsim.Route{Status: http.StatusNotFound, Body: "404 page not found\n"}
+	// sinkRoutes is every beacon sink's table: 204 on any path.
+	sinkRoutes = &netsim.Routes{Fallback: netsim.Route{Status: http.StatusNoContent}}
+)
 
+// registry accumulates each host's route table, so multiple scripts
+// (e.g. the GTM base library plus per-site containers) can share one
+// host.
 type registry struct {
-	hosts map[string]*hostMux
+	hosts map[string]*netsim.Routes
 	// sinks are beacon endpoints answering 204 on any path. Only the
 	// services' registry has any, so the map is made on the first.
 	sinks map[string]bool
 }
 
 func newRegistry() *registry {
-	return &registry{hosts: map[string]*hostMux{}}
+	return &registry{hosts: map[string]*netsim.Routes{}}
+}
+
+// paths returns host's route map, making its table on first use.
+func (r *registry) paths(host string) map[string]netsim.Route {
+	rt := r.hosts[host]
+	if rt == nil {
+		rt = &netsim.Routes{Paths: map[string]netsim.Route{}, Fallback: notFound}
+		r.hosts[host] = rt
+	}
+	return rt.Paths
 }
 
 func (r *registry) add(host, path, body, contentType string, setCookies ...string) {
-	m := r.hosts[host]
-	if m == nil {
-		m = &hostMux{paths: map[string]pathContent{}}
-		r.hosts[host] = m
-	}
-	m.paths[path] = pathContent{body: body, contentType: contentTypeHeader(contentType), status: http.StatusOK, setCookies: setCookies}
+	r.paths(host)[path] = netsim.Route{Status: http.StatusOK, ContentType: contentTypeHeader(contentType), SetCookie: setCookies, Body: body}
 }
 
+// addError serves status with http.Error's headers and the status text
+// (netsim memoizes the body).
 func (r *registry) addError(host, path string, status int) {
-	m := r.hosts[host]
-	if m == nil {
-		m = &hostMux{paths: map[string]pathContent{}}
-		r.hosts[host] = m
-	}
-	m.paths[path] = pathContent{status: status}
+	r.paths(host)[path] = netsim.Route{Status: status}
 }
 
 func (r *registry) sink(host string) {
@@ -102,41 +86,19 @@ func (r *registry) sink(host string) {
 	}
 }
 
-// install registers a handler per host. A handler writes nothing it
-// allocates: header values are the shared slices above or the path's own
-// Set-Cookie slice (capped at its length), and the body is written as a
-// string. The responses are those of http.NotFound, http.Error and
+// install registers each host's route table, and the sink table on each
+// sink that is not also a script host. The fabric serves the tables in
+// place; the responses are those of http.NotFound, http.Error and
 // fmt.Fprint, byte for byte.
 func (r *registry) install(in *netsim.Internet) {
-	for host, mux := range r.hosts {
-		m := mux
-		in.RegisterFunc(host, func(w http.ResponseWriter, req *http.Request) {
-			pc, ok := m.paths[req.URL.Path]
-			if !ok {
-				writeError(w, http.StatusNotFound, "404 page not found")
-				return
-			}
-			h := w.Header()
-			if n := len(pc.setCookies); n > 0 {
-				h["Set-Cookie"] = pc.setCookies[:n:n]
-			}
-			if pc.status != http.StatusOK {
-				writeError(w, pc.status, http.StatusText(pc.status))
-				return
-			}
-			if pc.contentType != nil {
-				h["Content-Type"] = pc.contentType
-			}
-			io.WriteString(w, pc.body)
-		})
+	for host, rt := range r.hosts {
+		in.Register(host, rt)
 	}
 	for host := range r.sinks {
 		if _, conflict := r.hosts[host]; conflict {
 			continue
 		}
-		in.RegisterFunc(host, func(w http.ResponseWriter, req *http.Request) {
-			w.WriteHeader(http.StatusNoContent)
-		})
+		in.Register(host, sinkRoutes)
 	}
 }
 

@@ -10,34 +10,34 @@ import (
 	"cookieguard/internal/netsim"
 )
 
-// netHTTPHandler answers from a host's paths with http.NotFound,
-// http.Error and fmt.Fprint: the responses the generated handlers must
+// netHTTPHandler answers from a host's route table with http.NotFound,
+// http.Error and fmt.Fprint: the responses the generated routes must
 // reproduce byte for byte.
-func netHTTPHandler(m *hostMux) http.HandlerFunc {
+func netHTTPHandler(rt *netsim.Routes) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		pc, ok := m.paths[req.URL.Path]
+		pc, ok := rt.Paths[req.URL.Path]
 		if !ok {
 			http.NotFound(w, req)
 			return
 		}
-		for _, sc := range pc.setCookies {
+		for _, sc := range pc.SetCookie {
 			w.Header().Add("Set-Cookie", sc)
 		}
-		if pc.status != http.StatusOK {
-			http.Error(w, http.StatusText(pc.status), pc.status)
+		if pc.Status != http.StatusOK {
+			http.Error(w, http.StatusText(pc.Status), pc.Status)
 			return
 		}
-		if pc.contentType != nil {
-			w.Header().Set("Content-Type", pc.contentType[0])
+		if pc.ContentType != nil {
+			w.Header().Set("Content-Type", pc.ContentType[0])
 		}
-		fmt.Fprint(w, pc.body)
+		fmt.Fprint(w, pc.Body)
 	}
 }
 
 // TestHandlersMatchNetHTTP: for content (with and without cookies and a
-// content type), error and missing paths, a generated handler's status,
+// content type), error and missing paths, a generated route's status,
 // headers and body equal those of http.NotFound, http.Error and
-// fmt.Fprint — both as a net/http handler and as served by the fabric.
+// fmt.Fprint — both through ServeHTTP and as served by the fabric.
 func TestHandlersMatchNetHTTP(t *testing.T) {
 	reg := newRegistry()
 	reg.add("www.gen.example", "/", "<p>hi</p>", "text/html", "a=1; Path=/", "b=2; HttpOnly")

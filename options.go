@@ -278,17 +278,17 @@ func WithCrashAfterUnits(n int) Option {
 }
 
 // WithArtifactCache enables (the default) or disables the pipeline's
-// content-addressed artifact cache. Enabled, the pipeline keeps one
-// cache for its lifetime — compiled SiteScript programs, DOM templates,
-// and network responses are computed once per residency of their
-// content and reused by every worker of every crawl over the pipeline's
-// static web. Each tier holds a bounded working set of recently used
-// content (see package artifact), so the cache's memory does not grow
-// with the size of the web. Caching is semantically invisible: the same
-// seed emits byte-identical per-site records with the cache on or off,
-// and simulated parse/network latency is still charged to the virtual
-// clock. Disable it to reproduce the uncached baseline (CacheStats then
-// stays zero).
+// source-keyed artifact cache. Enabled, the pipeline keeps one cache for
+// its lifetime — compiled SiteScript programs and DOM templates are
+// computed once per residency of their source and reused by every worker
+// of every crawl over the pipeline's static web. Each tier holds a
+// bounded working set of recently used content (see package artifact),
+// so the cache's memory does not grow with the size of the web. Caching
+// is semantically invisible: the same seed emits byte-identical per-site
+// records with the cache on or off, and simulated parse latency is still
+// charged to the virtual clock. Disable it to reproduce the uncached
+// baseline (CacheStats then stays zero). The fabric serves its bodies in
+// place either way.
 func WithArtifactCache(on bool) Option {
 	return func(c *config) { c.noArtifacts = !on }
 }

@@ -89,7 +89,7 @@ func TestWithVantagesPerVantageTables(t *testing.T) {
 	// the first's parsed artifacts, so hits exceed what a single crawl
 	// of 30 sites could produce alone.
 	cs := p.CacheStats()
-	if cs.BodyHits == 0 || cs.ProgramHits == 0 {
+	if cs.DOMHits == 0 || cs.ProgramHits == 0 {
 		t.Fatalf("artifact cache unused across vantages: %+v", cs)
 	}
 }

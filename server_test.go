@@ -155,7 +155,7 @@ func TestServerEndpoints(t *testing.T) {
 			if err := json.Unmarshal(body, &st); err != nil {
 				t.Fatal(err)
 			}
-			if c := st.Cache; c.ProgramHits == 0 || c.ProgramResidentBytes <= 0 || c.DOMResidentBytes <= 0 || c.BodyResidentBytes <= 0 {
+			if c := st.Cache; c.ProgramHits == 0 || c.ProgramResidentBytes <= 0 || c.DOMResidentBytes <= 0 {
 				t.Fatalf("/v1/stats cache lacks residency: %+v", c)
 			}
 			continue
