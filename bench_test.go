@@ -371,11 +371,9 @@ let tags = [];
 for (k in all) {
   if (len(all[k]) >= 4) { push(tags, k + ":" + all[k]); }
 }
-let i = 0;
 let acc = "";
-while (i < 20) {
-  acc = acc + str(i * 3);
-  i = i + 1;
+for (i in [0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 33, 36, 39, 42, 45, 48, 51, 54, 57]) {
+  acc = acc + str(i);
 }
 set_cookie("bench", md5(acc), {"max_age": 3600});
 let back = get_cookie("bench");

@@ -102,7 +102,7 @@ if (srv != null) { set_cookie("_saw_srv", "1"); }
 send("https://collect.example/doc", {"doc": doc_cookie()});`,
 		"__own__": `
 let all = get_all_cookies();
-if (has(all, "_sid") && has(all, "_rdr") && has(all, "srv_pref")) {
+if (all["_sid"] != null && all["_rdr"] != null && all["srv_pref"] != null) {
   set_cookie("owner_sees_all", "1");
 }`,
 	}
@@ -350,7 +350,7 @@ let sawForeign = false;
 for (rec in all) {
   if (rec["name"] == "keep_alive") { sawForeign = true; }
 }
-if (!sawForeign) { set_cookie("cs_all_filtered", "1"); }
+if (sawForeign == false) { set_cookie("cs_all_filtered", "1"); }
 cookiestore_delete("keep_alive");`,
 		"__own__": ``,
 	}
@@ -432,9 +432,13 @@ func TestBlockKindMatchesJar(t *testing.T) {
 		writes = append(writes, write{fmt.Sprintf(`doc_set_cookie(%q);`, assignment), cookiejar.SourceDocument, assignment})
 	}
 	// cookieStore: a negative max_age deletes, 0 is a session cookie.
-	for _, maxAge := range []int64{-1, 0, 600} {
-		rec := jsdsl.CookieRecord{Name: "x", Value: "v", MaxAge: maxAge}
-		writes = append(writes, write{fmt.Sprintf(`cookiestore_set("x", "v", {"max_age": %d});`, maxAge),
+	// SiteScript has no unary minus, so -1 is written 0 - 1.
+	for _, maxAge := range []struct {
+		expr string
+		v    int64
+	}{{"0 - 1", -1}, {"0", 0}, {"600", 600}} {
+		rec := jsdsl.CookieRecord{Name: "x", Value: "v", MaxAge: maxAge.v}
+		writes = append(writes, write{fmt.Sprintf(`cookiestore_set("x", "v", {"max_age": %s});`, maxAge.expr),
 			cookiejar.SourceCookieStore, browser.RecordAssignment(rec)})
 	}
 	// cookieStore names the jar trims to x, and one it rejects.

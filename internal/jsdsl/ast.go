@@ -32,10 +32,9 @@ type LetStmt struct {
 	Line int
 }
 
-// AssignStmt assigns to a variable or an index expression. Op is "=",
-// "+=", or "-=".
+// AssignStmt assigns to a variable. Op is "=" or "+=".
 type AssignStmt struct {
-	Target Expr // *Ident or *IndexExpr
+	Target Expr // always an *Ident
 	Op     string
 	Value  Expr
 	Line   int
@@ -47,18 +46,12 @@ type ExprStmt struct {
 	Line int
 }
 
-// IfStmt is if/else (Else may be nil or another *IfStmt for else-if).
+// IfStmt is if/else (Else may be nil, a *BlockStmt, or another *IfStmt
+// for else-if).
 type IfStmt struct {
 	Cond Expr
 	Then *BlockStmt
 	Else Stmt
-	Line int
-}
-
-// WhileStmt loops while Cond is truthy.
-type WhileStmt struct {
-	Cond Expr
-	Body *BlockStmt
 	Line int
 }
 
@@ -70,45 +63,26 @@ type ForInStmt struct {
 	Line int
 }
 
-// ReturnStmt exits the enclosing function (or the script).
-type ReturnStmt struct {
-	Value Expr // may be nil
-	Line  int
-}
-
-// BreakStmt exits the enclosing loop.
-type BreakStmt struct{ Line int }
-
-// ContinueStmt skips to the next loop iteration.
-type ContinueStmt struct{ Line int }
-
-// BlockStmt is a braced statement list with its own scope.
+// BlockStmt is a braced statement list with its own scope: the body of
+// an if, else, for-in or fn. A block is never a statement of its own.
 type BlockStmt struct {
 	Stmts []Stmt
 	Line  int
 }
 
-func (*LetStmt) node()      {}
-func (*AssignStmt) node()   {}
-func (*ExprStmt) node()     {}
-func (*IfStmt) node()       {}
-func (*WhileStmt) node()    {}
-func (*ForInStmt) node()    {}
-func (*ReturnStmt) node()   {}
-func (*BreakStmt) node()    {}
-func (*ContinueStmt) node() {}
-func (*BlockStmt) node()    {}
+func (*LetStmt) node()    {}
+func (*AssignStmt) node() {}
+func (*ExprStmt) node()   {}
+func (*IfStmt) node()     {}
+func (*ForInStmt) node()  {}
+func (*BlockStmt) node()  {}
 
-func (*LetStmt) stmt()      {}
-func (*AssignStmt) stmt()   {}
-func (*ExprStmt) stmt()     {}
-func (*IfStmt) stmt()       {}
-func (*WhileStmt) stmt()    {}
-func (*ForInStmt) stmt()    {}
-func (*ReturnStmt) stmt()   {}
-func (*BreakStmt) stmt()    {}
-func (*ContinueStmt) stmt() {}
-func (*BlockStmt) stmt()    {}
+func (*LetStmt) stmt()    {}
+func (*AssignStmt) stmt() {}
+func (*ExprStmt) stmt()   {}
+func (*IfStmt) stmt()     {}
+func (*ForInStmt) stmt()  {}
+func (*BlockStmt) stmt()  {}
 
 // --- Expressions ---
 
@@ -158,16 +132,17 @@ type MapLit struct {
 	Line   int
 }
 
-// FuncLit is fn(params) { body } — a closure.
+// FuncLit is fn(params) { body } — a closure, which only a host runs, as
+// a callback. Hosts pass no arguments, so every parameter is null.
 type FuncLit struct {
 	Params []string
 	Body   *BlockStmt
 	Line   int
 }
 
-// CallExpr is callee(args...).
+// CallExpr is builtin(args...).
 type CallExpr struct {
-	Callee Expr
+	Callee Expr // always an *Ident naming the builtin
 	Args   []Expr
 	Line   int
 }
@@ -186,13 +161,6 @@ type BinaryExpr struct {
 	Line int
 }
 
-// UnaryExpr is !x or -x.
-type UnaryExpr struct {
-	Op   string
-	X    Expr
-	Line int
-}
-
 func (*Ident) node()      {}
 func (*NumberLit) node()  {}
 func (*StringLit) node()  {}
@@ -204,7 +172,6 @@ func (*FuncLit) node()    {}
 func (*CallExpr) node()   {}
 func (*IndexExpr) node()  {}
 func (*BinaryExpr) node() {}
-func (*UnaryExpr) node()  {}
 
 func (*Ident) expr()      {}
 func (*NumberLit) expr()  {}
@@ -217,4 +184,3 @@ func (*FuncLit) expr()    {}
 func (*CallExpr) expr()   {}
 func (*IndexExpr) expr()  {}
 func (*BinaryExpr) expr() {}
-func (*UnaryExpr) expr()  {}

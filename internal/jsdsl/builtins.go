@@ -6,9 +6,7 @@ import (
 	"crypto/sha1"
 	"encoding/base64"
 	"encoding/hex"
-	"math"
 	"slices"
-	"strconv"
 	"strings"
 )
 
@@ -427,7 +425,7 @@ func init() {
 			if !ok {
 				return Value{}, errArity("on_click")
 			}
-			in.Host.OnClick(func() { _, _ = in.callClosure(c, nil, 0) })
+			in.Host.OnClick(in.callback(c))
 			return Value{}, nil
 		},
 		"on_click_id": func(in *Interp, args []Value) (Value, error) {
@@ -436,7 +434,7 @@ func init() {
 			if !okID || !okFn {
 				return Value{}, errArity("on_click_id")
 			}
-			in.Host.OnClickID(id, func() { _, _ = in.callClosure(c, nil, 0) })
+			in.Host.OnClickID(id, in.callback(c))
 			return Value{}, nil
 		},
 		"defer_run": func(in *Interp, args []Value) (Value, error) {
@@ -444,7 +442,7 @@ func init() {
 			if !ok {
 				return Value{}, errArity("defer_run")
 			}
-			in.Host.DeferRun(func() { _, _ = in.callClosure(c, nil, 0) })
+			in.Host.DeferRun(in.callback(c))
 			return Value{}, nil
 		},
 
@@ -485,20 +483,6 @@ func init() {
 			}
 			return Value{}, &RuntimeError{Msg: "len of unsupported type"}
 		},
-		"num": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			if !ok {
-				if f, ok := argNumber(args, 0); ok {
-					return Num(f), nil
-				}
-				return Value{}, errArity("num")
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return Value{}, nil
-			}
-			return Num(f), nil
-		},
 		"split": func(in *Interp, args []Value) (Value, error) {
 			s, ok1 := argString(args, 0)
 			sep, ok2 := argString(args, 1)
@@ -526,38 +510,6 @@ func init() {
 			}
 			return Str(s), nil
 		},
-		"substr": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			start, ok2 := argNumber(args, 1)
-			if !ok || !ok2 {
-				return Value{}, errArity("substr")
-			}
-			end := float64(len(s))
-			if e, ok := argNumber(args, 2); ok {
-				end = e
-			}
-			si, ei := clampIndex(int(start), len(s)), clampIndex(int(end), len(s))
-			if si > ei {
-				return Str(""), nil
-			}
-			return Str(s[si:ei]), nil
-		},
-		"contains": func(in *Interp, args []Value) (Value, error) {
-			s, ok1 := argString(args, 0)
-			sub, ok2 := argString(args, 1)
-			if !ok1 || !ok2 {
-				return Value{}, errArity("contains")
-			}
-			return BoolVal(strings.Contains(s, sub)), nil
-		},
-		"index_of": func(in *Interp, args []Value) (Value, error) {
-			s, ok1 := argString(args, 0)
-			sub, ok2 := argString(args, 1)
-			if !ok1 || !ok2 {
-				return Value{}, errArity("index_of")
-			}
-			return Num(float64(strings.Index(s, sub))), nil
-		},
 		"starts_with": func(in *Interp, args []Value) (Value, error) {
 			s, ok1 := argString(args, 0)
 			p, ok2 := argString(args, 1)
@@ -565,53 +517,6 @@ func init() {
 				return Value{}, errArity("starts_with")
 			}
 			return BoolVal(strings.HasPrefix(s, p)), nil
-		},
-		"ends_with": func(in *Interp, args []Value) (Value, error) {
-			s, ok1 := argString(args, 0)
-			p, ok2 := argString(args, 1)
-			if !ok1 || !ok2 {
-				return Value{}, errArity("ends_with")
-			}
-			return BoolVal(strings.HasSuffix(s, p)), nil
-		},
-		"lower": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("lower")
-			}
-			if err := in.charge(len(s)); err != nil {
-				return Value{}, err
-			}
-			return Str(strings.ToLower(s)), nil
-		},
-		"upper": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("upper")
-			}
-			if err := in.charge(len(s)); err != nil {
-				return Value{}, err
-			}
-			return Str(strings.ToUpper(s)), nil
-		},
-		"trim": func(in *Interp, args []Value) (Value, error) {
-			s, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("trim")
-			}
-			return Str(strings.TrimSpace(s)), nil
-		},
-		"replace": func(in *Interp, args []Value) (Value, error) {
-			s, ok1 := argString(args, 0)
-			old, ok2 := argString(args, 1)
-			nw, ok3 := argString(args, 2)
-			if !ok1 || !ok2 || !ok3 {
-				return Value{}, errArity("replace")
-			}
-			if err := in.charge(len(s) + strings.Count(s, old)*max(len(nw)-len(old), 0)); err != nil {
-				return Value{}, err
-			}
-			return Str(strings.ReplaceAll(s, old, nw)), nil
 		},
 
 		// ---- encodings (the exfiltration obfuscations of §4.4) ----
@@ -643,29 +548,6 @@ func init() {
 		},
 
 		// ---- collections ----
-		"keys": func(in *Interp, args []Value) (Value, error) {
-			m, ok := argMap(args, 0)
-			if !ok {
-				return Value{}, errArity("keys")
-			}
-			if err := in.charge(len(m.Entries) * valueBytes); err != nil {
-				return Value{}, err
-			}
-			l := &List{}
-			for _, k := range m.Keys() {
-				l.Elems = append(l.Elems, Str(k))
-			}
-			return ListVal(l), nil
-		},
-		"has": func(in *Interp, args []Value) (Value, error) {
-			m, ok := argMap(args, 0)
-			k, ok2 := argString(args, 1)
-			if !ok || !ok2 {
-				return Value{}, errArity("has")
-			}
-			_, found := m.Entries[k]
-			return BoolVal(found), nil
-		},
 		"push": func(in *Interp, args []Value) (Value, error) {
 			l, ok := argList(args, 0)
 			if len(args) < 2 || !ok {
@@ -676,43 +558,6 @@ func init() {
 			}
 			l.Elems = append(l.Elems, args[1])
 			return ListVal(l), nil
-		},
-		"range": func(in *Interp, args []Value) (Value, error) {
-			n, ok := argNumber(args, 0)
-			if !ok || n < 0 || n > 1e6 {
-				return Value{}, errArity("range")
-			}
-			if err := in.charge(int(n) * valueBytes); err != nil {
-				return Value{}, err
-			}
-			l := &List{}
-			for i := 0; i < int(n); i++ {
-				l.Elems = append(l.Elems, Num(float64(i)))
-			}
-			return ListVal(l), nil
-		},
-		"min": func(in *Interp, args []Value) (Value, error) {
-			a, ok1 := argNumber(args, 0)
-			b, ok2 := argNumber(args, 1)
-			if !ok1 || !ok2 {
-				return Value{}, errArity("min")
-			}
-			return Num(math.Min(a, b)), nil
-		},
-		"max": func(in *Interp, args []Value) (Value, error) {
-			a, ok1 := argNumber(args, 0)
-			b, ok2 := argNumber(args, 1)
-			if !ok1 || !ok2 {
-				return Value{}, errArity("max")
-			}
-			return Num(math.Max(a, b)), nil
-		},
-		"floor": func(in *Interp, args []Value) (Value, error) {
-			a, ok := argNumber(args, 0)
-			if !ok {
-				return Value{}, errArity("floor")
-			}
-			return Num(math.Floor(a)), nil
 		},
 	}
 	for name, f := range appendBuiltins {
@@ -747,16 +592,6 @@ func closureArg(args []Value, i int) (*Closure, bool) {
 	return args[i].AsClosure()
 }
 
-func clampIndex(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i > n {
-		return n
-	}
-	return i
-}
-
 func cookieRecordToMap(in *Interp, rec CookieRecord) *Map {
 	m := in.newMap()
 	m.Entries["name"] = Str(rec.Name)
@@ -764,23 +599,4 @@ func cookieRecordToMap(in *Interp, rec CookieRecord) *Map {
 	m.Entries["domain"] = Str(rec.Domain)
 	m.Entries["path"] = Str(rec.Path)
 	return m
-}
-
-// Builtins returns the sorted names of all builtin functions (for docs and
-// for the generator's validation of emitted templates).
-func Builtins() []string {
-	out := make([]string, 0, len(builtins))
-	for k := range builtins {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -15,9 +15,139 @@ import (
 	"cookieguard/internal/webgen"
 )
 
+// retiredPrograms are interpreter-test programs written for what
+// SiteScript no longer has: while, break, continue and return, calls of
+// closures, bare blocks, unary ! and -, ||, -=, index assignment, *, /,
+// %, <, <=, ordering of strings, and builtins no generated script calls.
+// They stay fuzz seeds, and each must fail to parse or to run.
+var retiredPrograms = []string{
+	`log(1 + 2 * 3 - 4 / 2);`,
+	`
+log(1 < 2 && "a" != "b");
+log(3 >= 4 || false);
+log(!null);
+log("abc" < "abd");`,
+	`
+let x = false && (1 / 0);
+log(x);
+let y = true || (1 / 0);
+log(y);`,
+	`
+let x = 1;
+{
+  let x = 2;
+  log(x);
+}
+log(x);
+x = 10;
+log(x);`,
+	`
+let i = 0;
+let sum = 0;
+while (true) {
+  i += 1;
+  if (i > 10) { break; }
+  if (i % 2 == 0) { continue; }
+  sum += i;
+}
+log(sum);`,
+	`
+let make_counter = fn() {
+  let n = 0;
+  return fn() { n += 1; return n; };
+};
+let c = make_counter();
+c();
+c();
+log(c());`,
+	`
+let fib = fn(n) {
+  if (n < 2) { return n; }
+  return fib(n - 1) + fib(n - 2);
+};
+log(fib(12));`,
+	`
+let l = [10, 20];
+push(l, 30);
+l[0] = 11;
+log(l[0] + l[2]);
+let m = {"a": 1};
+m["b"] = 2;
+m["a"] += 5;
+log(m["a"] + m["b"]);
+log(len(l) + len(m));
+log(has(m, "a") && !has(m, "z"));
+log(join(keys(m), ","));`,
+	`
+log(split("GA1.1.444332364.1746838827", ".")[2]);
+log(substr("hello world", 0, 5));
+log(substr("abc", 1));
+log(contains("abcdef", "cde"));
+log(index_of("abc", "c"));
+log(lower("AbC") + upper("dEf"));
+log(trim("  x  "));
+log(replace("a-b-c", "-", "_"));
+log(starts_with("_ga", "_") && ends_with("x.js", ".js"));`,
+	`
+log(num("42") + 1);
+log(num("nope") == null);
+log(floor(3.9));
+log(min(2, 5) + max(2, 5));`,
+	`log(1 / 0);`,
+	`log(1 % 0);`,
+	`log(-"x");`,
+	`log(1 < "a");`,
+	`while (true) { let x = 1; }`,
+	`let s = "ab"; let i = 0; while (i < 28) { s = s + s; i = i + 1; }`,
+	`
+log("before");
+return;
+log("after");`,
+	`let add = fn(a, b) { return a + b; };`,
+	`
+let f = fn(a, b) { return b == null; };
+log(f(1));`,
+	`
+let items = [1, 2, 3];
+let total = 0;
+for (x in items) { total = total + x; }
+let greet = fn(name) { return "hi " + name; };
+log(greet("" + total));
+let m = {"a": 1};
+m["b"] = 2;
+log("" + len(m));
+`,
+	`let i = 0; i -= 1;`,
+	`let f = fn() { f() + f(); }; f();`,
+}
+
+// TestRetiredSyntaxRefused checks that every retired program fails to
+// parse or to run.
+func TestRetiredSyntaxRefused(t *testing.T) {
+	for _, src := range retiredPrograms {
+		if err := NewInterp(&NopHost{}).RunSource(src); err == nil {
+			t.Errorf("RunSource(%q) succeeded", src)
+		}
+	}
+}
+
+// deepPrograms nest past maxDepth: a run of "(", and chains of "-", "&&"
+// and indexes, which the parser builds in loops rather than by
+// recursion.
+func deepPrograms() []string {
+	const n = 10_000
+	return []string{
+		strings.Repeat("(", n),
+		"let x = 1" + strings.Repeat(" - 1", n) + ";",
+		"let x = 1" + strings.Repeat(" && 1", n) + ";",
+		"let x = l" + strings.Repeat("[0]", n) + ";",
+	}
+}
+
 // fuzzSeeds returns every generated third-party script body of a small
-// web and every string literal in interp_test.go, which holds the
-// interpreter tests' programs.
+// web, every string literal in interp_test.go, which holds the
+// interpreter tests' programs, the retired programs and programs nested
+// past maxDepth.
 func fuzzSeeds(f *testing.F) []string {
 	var seeds []string
 	for _, svc := range webgen.Build(webgen.DefaultConfig(20)).Services {
@@ -35,7 +165,8 @@ func fuzzSeeds(f *testing.F) []string {
 		}
 		return true
 	})
-	return seeds
+	seeds = append(seeds, retiredPrograms...)
+	return append(seeds, deepPrograms()...)
 }
 
 // FuzzParse checks that Parse never panics, that its pooled token
@@ -155,33 +286,34 @@ func FuzzParseCookieString(f *testing.F) {
 // concatOperands are the operands FuzzConcat builds + chains from: every
 // kind of value, str and rand_id with valid and invalid arguments, a
 // list that contains itself, a call that grows the list l while the
-// chain runs, nested chains, and an undefined name.
+// chain runs, nested chains, and undefined names.
 var concatOperands = []string{
-	`1`, `2.5`, `-3`, `"a"`, `""`, `"GA1.2."`, `"."`, `null`, `true`, `false`,
+	`1`, `2.5`, `(0 - 3)`, `"a"`, `""`, `"GA1.2."`, `"."`, `null`, `true`, `false`,
 	`[1, "x"]`, `{"k": 1, "j": [2]}`, `l`, `m`, `deep`, `grow`, `now_ms`,
 	`str(7)`, `str(0.5)`, `str("s")`, `str(null)`, `str(l)`, `str(m)`, `str(deep)`,
-	`str()`, `str(1, 2)`, `str(now_ms())`, `str(grow())`, `str(undefined_name)`,
+	`str()`, `str(1, 2)`, `str(now_ms())`, `str(push(l, 3))`, `str(undefined_name)`,
 	`rand_id(9)`, `rand_id(1)`, `rand_id(16)`, `rand_id(32)`, `rand_id(128)`, `rand_id(0)`, `rand_id(129)`,
 	`rand_id("4")`, `rand_id(2, 9)`, `rand_id()`, `rand_id(len(l))`, `rand_id(1 + 1)`,
-	`grow()`, `(1 + "n")`, `("p" + rand_id(2) + 3)`, `str("a" + rand_id(2))`, `(2 + 3)`,
-	`undefined_name`,
+	`push(l, 3)`, `(1 + "n")`, `("p" + rand_id(2) + 3)`, `str("a" + rand_id(2))`, `(2 + 3)`,
+	`undefined_name`, `grow()`,
 }
 
 // concatPreamble defines the names concatOperands use. shadow's bit 0
-// shadows str and bit 1 shadows rand_id with script functions.
+// defines a variable named str and bit 1 one named rand_id; a call names
+// a builtin, never a variable, so neither changes a chain.
 func concatPreamble(shadow uint8) string {
 	src := `let r = 0;
 let l = [1, 2];
 let m = {"a": "b"};
 let deep = [];
 push(deep, deep);
-let grow = fn() { push(l, 3); return "g"; };
+let grow = fn() { push(l, 3); };
 `
 	if shadow&1 != 0 {
-		src += "let str = fn(x) { return \"S\"; };\n"
+		src += "let str = \"S\";\n"
 	}
 	if shadow&2 != 0 {
-		src += "let rand_id = fn(n) { return n; };\n"
+		src += "let rand_id = fn() {};\n"
 	}
 	return src
 }
@@ -318,15 +450,15 @@ func FuzzConcat(f *testing.F) {
 	const roomy = 1 << 15
 	seed(0, roomy, `"GA1.2."`, `rand_id(9)`, `"."`, `str(now_ms())`)
 	seed(0, roomy, `rand_id(32)`, `"."`, `rand_id(16)`)
-	seed(0, roomy, `1`, `2.5`, `"a"`, `-3`, `null`, `true`, `str(7)`)
-	seed(0, roomy, `l`, `str(grow())`, `=l`, `grow()`, `m`, `str(m)`)
+	seed(0, roomy, `1`, `2.5`, `"a"`, `(0 - 3)`, `null`, `true`, `str(7)`)
+	seed(0, roomy, `l`, `str(push(l, 3))`, `=l`, `push(l, 3)`, `m`, `str(m)`)
 	seed(0, roomy, `null`, `str(l)`, `=true`, `rand_id(9)`, `+="a"`, `+=1`, `+=l`, `+=str(deep)`)
 	seed(0, roomy, `"a"`, `deep`, `=deep`, `"a"`, `=str(deep)`)
 	seed(0, roomy, `"a"`, `str()`, `=rand_id(0)`, `=str(1, 2)`, `=rand_id(129)`, `=rand_id("4")`)
 	seed(0, roomy, `"a"`, `rand_id(2, 9)`, "\n"+`str(undefined_name)`, `=undefined_name`)
 	seed(0, roomy, `"a"`, "\n"+`null`, "\n"+`[1, "x"]`, "\n"+`now_ms`, `=[1, "x"]`, `{"k": 1, "j": [2]}`)
 	seed(0, roomy, `(1 + "n")`, `("p" + rand_id(2) + 3)`, `str("a" + rand_id(2))`, `rand_id(1 + 1)`, `(2 + 3)`)
-	seed(0, roomy, `rand_id(len(l))`, `str(grow())`, `rand_id(len(l))`, `grow`)
+	seed(0, roomy, `rand_id(len(l))`, `str(push(l, 3))`, `rand_id(len(l))`, `grow`, `grow()`)
 	seed(1, roomy, `"a"`, `str(7)`, `rand_id(9)`, `=str(l)`, `"."`)
 	seed(2, roomy, `"a"`, `rand_id(9)`, `=rand_id(9)`, `1`, `str(7)`)
 	seed(3, roomy, `rand_id(1)`, `str(0.5)`, `+=rand_id(32)`)

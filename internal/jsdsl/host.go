@@ -135,7 +135,9 @@ func (h *NopHost) OnClick(func()) {}
 // OnClickID implements Host.
 func (h *NopHost) OnClickID(string, func()) {}
 
-// DeferRun implements Host: callbacks run immediately.
+// DeferRun implements Host: callbacks run immediately, nested in the
+// script that deferred them, so Run reports their errors and a callback
+// that defers itself nests until maxCallDepth stops it.
 func (h *NopHost) DeferRun(cb func()) { cb() }
 
 // NowMillis implements Host.

@@ -14,7 +14,7 @@ const DefaultMaxSteps = 500_000
 
 // maxRunBytes bounds the bytes one script run may build from its own
 // values — string +, and the builtins that make a string or list out of
-// their arguments (join, split, replace, str, range, ...). The
+// their arguments (join, split, str, b64, push, ...). The
 // step budget bounds time but not space: a loop that doubles a string
 // needs only a few dozen steps to exhaust any machine's memory. The
 // largest total one script run reaches in a webgen crawl is about
@@ -40,14 +40,13 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("jsdsl: runtime error at line %d: %s", e.Line, e.Msg)
 }
 
-// control-flow signals travel as errors internally.
-type returnSignal struct{ value Value }
-type breakSignal struct{}
-type continueSignal struct{}
-
-func (returnSignal) Error() string   { return "return outside function" }
-func (breakSignal) Error() string    { return "break outside loop" }
-func (continueSignal) Error() string { return "continue outside loop" }
+// maxCallDepth bounds how deeply callbacks re-enter the interpreter. A
+// host that runs a callback while the script that registered it is
+// still running (NopHost's DeferRun) nests one callback run inside
+// another, and a callback that registers itself would otherwise recurse
+// until the Go stack overflows. The browser queues every callback, so
+// its callbacks never nest.
+const maxCallDepth = 32
 
 // Interp executes SiteScript programs against a Host. One Interp runs
 // one script at a time (it is not itself safe for concurrent use), but
@@ -61,7 +60,13 @@ type Interp struct {
 
 	steps   int
 	bytes   int // charged against maxRunBytes; reset with steps
+	calls   int // callback runs in progress, at most maxCallDepth
 	globals *Env
+
+	// cbErr is the first error of a callback run during Run, which Run
+	// reports once the program has finished; the host's callback has no
+	// way to return it.
+	cbErr error
 
 	// envFree recycles block/call scopes within and across runs of this
 	// interpreter. A scope returns here when its block exits, unless a
@@ -151,6 +156,7 @@ func (in *Interp) Release() {
 	in.Host = nil
 	in.steps = 0
 	in.bytes = 0
+	in.cbErr = nil
 	in.MaxSteps = DefaultMaxSteps
 	clear(in.globals.vars)
 	in.globals.captured = false
@@ -214,20 +220,17 @@ func (in *Interp) releaseEnv(e *Env) {
 	in.envFree = append(in.envFree, e)
 }
 
-// Run executes a program in the interpreter's global scope.
+// Run executes a program in the interpreter's global scope. It returns
+// the program's error, or else the first error of a callback the host ran
+// before Run returned.
 func (in *Interp) Run(prog *Program) error {
+	in.cbErr = nil
 	for _, s := range prog.Stmts {
 		if err := in.execStmt(s, in.globals); err != nil {
-			switch err.(type) {
-			case returnSignal:
-				return nil // top-level return ends the script
-			case breakSignal, continueSignal:
-				return &RuntimeError{Msg: err.Error()}
-			}
 			return err
 		}
 	}
-	return nil
+	return in.cbErr
 }
 
 // RunSource parses and executes src.
@@ -239,12 +242,17 @@ func (in *Interp) RunSource(src string) error {
 	return in.Run(prog)
 }
 
-// Steps returns the number of interpreter steps executed so far; the
-// browser charges virtual execution time proportionally.
+// Steps returns the number of interpreter steps executed so far, at most
+// MaxSteps+1; the browser charges virtual execution time proportionally.
 func (in *Interp) Steps() int { return in.steps }
 
+// step counts one step. Once the budget is spent every step fails and
+// the count stays at MaxSteps+1, so a callback that swallowed the first
+// failure cannot run on.
 func (in *Interp) step(line int) error {
-	in.steps++
+	if in.steps <= in.MaxSteps {
+		in.steps++
+	}
 	if in.steps > in.MaxSteps {
 		return &RuntimeError{Line: line, Msg: "step budget exhausted"}
 	}
@@ -341,30 +349,6 @@ func (in *Interp) execStmt(s Stmt, env *Env) error {
 		}
 		return nil
 
-	case *WhileStmt:
-		for {
-			if err := in.step(st.Line); err != nil {
-				return err
-			}
-			cond, err := in.eval(st.Cond, env)
-			if err != nil {
-				return err
-			}
-			if !Truthy(cond) {
-				return nil
-			}
-			scope := in.newEnv(env)
-			err = in.execBlock(st.Body, scope)
-			in.releaseEnv(scope)
-			switch err.(type) {
-			case nil, continueSignal:
-			case breakSignal:
-				return nil
-			default:
-				return err
-			}
-		}
-
 	case *ForInStmt:
 		if err := in.step(st.Line); err != nil {
 			return err
@@ -403,35 +387,13 @@ func (in *Interp) execStmt(s Stmt, env *Env) error {
 			scope.Define(st.Var, item)
 			err := in.execBlock(st.Body, scope)
 			in.releaseEnv(scope)
-			switch err.(type) {
-			case nil, continueSignal:
-			case breakSignal:
-				return nil
-			default:
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 
-	case *ReturnStmt:
-		if err := in.step(st.Line); err != nil {
-			return err
-		}
-		var v Value
-		if st.Value != nil {
-			var err error
-			v, err = in.eval(st.Value, env)
-			if err != nil {
-				return err
-			}
-		}
-		return returnSignal{value: v}
-
-	case *BreakStmt:
-		return breakSignal{}
-	case *ContinueStmt:
-		return continueSignal{}
-	case *BlockStmt:
+	case *BlockStmt: // an else block
 		scope := in.newEnv(env)
 		err := in.execBlock(st, scope)
 		in.releaseEnv(scope)
@@ -451,74 +413,24 @@ func (in *Interp) execBlock(b *BlockStmt, env *Env) error {
 }
 
 func (in *Interp) execAssign(st *AssignStmt, env *Env) error {
-	newVal, err := in.eval(st.Value, env)
+	v, err := in.eval(st.Value, env)
 	if err != nil {
 		return err
 	}
-	apply := func(old Value) (Value, error) {
-		switch st.Op {
-		case "=":
-			return newVal, nil
-		case "+=":
-			base := len(in.concat)
-			acc, inBuf, err := in.plus(base, old, false, newVal, st.Line)
-			return in.endPlus(base, acc, inBuf, err)
-		case "-=":
-			return in.binop("-", old, newVal, st.Line)
-		}
-		return Value{}, &RuntimeError{Line: st.Line, Msg: "bad assignment op " + st.Op}
+	name := st.Target.(*Ident).Name
+	old, ok := env.Lookup(name)
+	if !ok {
+		return &RuntimeError{Line: st.Line, Msg: "assignment to undeclared variable " + name}
 	}
-
-	switch target := st.Target.(type) {
-	case *Ident:
-		old, ok := env.Lookup(target.Name)
-		if !ok {
-			return &RuntimeError{Line: st.Line, Msg: "assignment to undeclared variable " + target.Name}
-		}
-		v, err := apply(old)
-		if err != nil {
+	if st.Op == "+=" {
+		base := len(in.concat)
+		acc, inBuf, err := in.plus(base, old, false, v, st.Line)
+		if v, err = in.endPlus(base, acc, inBuf, err); err != nil {
 			return err
 		}
-		env.Set(target.Name, v)
-		return nil
-
-	case *IndexExpr:
-		container, err := in.eval(target.X, env)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(target.Index, env)
-		if err != nil {
-			return err
-		}
-		if l, ok := container.AsList(); ok {
-			i, ok := idx.AsNumber()
-			if !ok || int(i) < 0 || int(i) >= len(l.Elems) {
-				return &RuntimeError{Line: st.Line, Msg: "list index out of range"}
-			}
-			v, err := apply(l.Elems[int(i)])
-			if err != nil {
-				return err
-			}
-			l.Elems[int(i)] = v
-			return nil
-		}
-		if m, ok := container.AsMap(); ok {
-			k, ok := idx.AsString()
-			if !ok {
-				return &RuntimeError{Line: st.Line, Msg: "map key must be a string"}
-			}
-			v, err := apply(m.Entries[k])
-			if err != nil {
-				return err
-			}
-			m.Entries[k] = v
-			return nil
-		}
-		return &RuntimeError{Line: st.Line, Msg: "cannot index-assign this value"}
-	default:
-		return &RuntimeError{Line: st.Line, Msg: "invalid assignment target"}
 	}
+	env.Set(name, v)
+	return nil
 }
 
 func (in *Interp) eval(e Expr, env *Env) (Value, error) {
@@ -535,9 +447,6 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 	case *Ident:
 		if v, ok := env.Lookup(x.Name); ok {
 			return v, nil
-		}
-		if _, ok := builtins[x.Name]; ok {
-			return builtinVal(x.Name), nil
 		}
 		return Value{}, &RuntimeError{Line: x.Line, Msg: "undefined variable " + x.Name}
 
@@ -618,23 +527,6 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 		}
 		return Value{}, &RuntimeError{Line: x.Line, Msg: "cannot index this value"}
 
-	case *UnaryExpr:
-		v, err := in.eval(x.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "!":
-			return BoolVal(!Truthy(v)), nil
-		case "-":
-			f, ok := v.AsNumber()
-			if !ok {
-				return Value{}, &RuntimeError{Line: x.Line, Msg: "unary minus on non-number"}
-			}
-			return Num(-f), nil
-		}
-		return Value{}, &RuntimeError{Line: x.Line, Msg: "unknown unary op " + x.Op}
-
 	case *BinaryExpr:
 		if x.Op == "+" {
 			return in.evalPlus(x, env)
@@ -650,16 +542,6 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 			}
 			return in.eval(x.R, env)
 		}
-		if x.Op == "||" {
-			l, err := in.eval(x.L, env)
-			if err != nil {
-				return Value{}, err
-			}
-			if Truthy(l) {
-				return l, nil
-			}
-			return in.eval(x.R, env)
-		}
 		l, err := in.eval(x.L, env)
 		if err != nil {
 			return Value{}, err
@@ -671,40 +553,22 @@ func (in *Interp) eval(e Expr, env *Env) (Value, error) {
 		return in.binop(x.Op, l, r, x.Line)
 
 	case *CallExpr:
-		callee, err := in.eval(x.Callee, env)
-		if err != nil {
-			return Value{}, err
+		name := x.Callee.(*Ident).Name
+		f := builtins[name]
+		if f == nil {
+			return Value{}, &RuntimeError{Line: x.Line, Msg: "undefined function " + name}
 		}
 		// Arguments are pushed on the interpreter's shared stack; the
-		// slice passed down is consumed synchronously by the callee, so
-		// popping after the call is sound (closures stored for later —
-		// on_click, defer_run — are invoked with fresh argument slices).
+		// slice passed down is consumed synchronously by the builtin, so
+		// popping after the call is sound.
 		base := len(in.argStack)
 		if err := in.pushArgs(x.Args, env); err != nil {
 			return Value{}, err
 		}
-		args := in.argStack[base:]
-		var out Value
-		switch callee.kind {
-		case KindRef:
-			f, ok := callee.ref.(*Closure)
-			if !ok {
-				in.argStack = in.argStack[:base]
-				return Value{}, &RuntimeError{Line: x.Line, Msg: "not callable"}
-			}
-			out, err = in.callClosure(f, args, x.Line)
-		case KindBuiltin:
-			out, err = builtins[callee.str](in, args)
-			atLine(err, x.Line)
-		default:
-			in.argStack = in.argStack[:base]
-			return Value{}, &RuntimeError{Line: x.Line, Msg: "not callable"}
-		}
+		out, err := f(in, in.argStack[base:])
 		in.argStack = in.argStack[:base]
-		if err != nil {
-			return Value{}, err
-		}
-		return out, nil
+		atLine(err, x.Line)
+		return out, err
 	default:
 		return Value{}, &RuntimeError{Msg: fmt.Sprintf("unknown expression %T", e)}
 	}
@@ -764,7 +628,7 @@ func (in *Interp) endPlus(base int, acc Value, inBuf bool, err error) (Value, er
 func (in *Interp) plusChain(x *BinaryExpr, env *Env, base int) (acc Value, inBuf bool, err error) {
 	if l, ok := x.L.(*BinaryExpr); ok && l.Op == "+" {
 		acc, inBuf, err = in.plusChain(l, env, base)
-	} else if call, f := appendForm(x.L, env); f != nil {
+	} else if call, f := appendForm(x.L); f != nil {
 		inBuf = true
 		err = in.appendCall(call, f, env)
 	} else {
@@ -773,7 +637,7 @@ func (in *Interp) plusChain(x *BinaryExpr, env *Env, base int) (acc Value, inBuf
 	if err != nil {
 		return Value{}, false, err
 	}
-	if call, f := appendForm(x.R, env); f != nil && (inBuf || acc.kind != KindRef) {
+	if call, f := appendForm(x.R); f != nil && (inBuf || acc.kind != KindRef) {
 		if !inBuf {
 			in.concat, _ = in.appendStr(in.concat, acc) // not a list or map: cannot fail
 		}
@@ -823,21 +687,14 @@ func (in *Interp) plus(base int, acc Value, inBuf bool, v Value, line int) (Valu
 }
 
 // appendForm returns e as a call of an append-form builtin, and the
-// builtin's append form, when e calls one by a name no variable shadows.
-func appendForm(e Expr, env *Env) (*CallExpr, appendFunc) {
+// builtin's append form, when e calls one.
+func appendForm(e Expr) (*CallExpr, appendFunc) {
 	call, ok := e.(*CallExpr)
 	if !ok {
 		return nil, nil
 	}
-	id, ok := call.Callee.(*Ident)
-	if !ok {
-		return nil, nil
-	}
-	f := appendBuiltins[id.Name]
+	f := appendBuiltins[call.Callee.(*Ident).Name]
 	if f == nil {
-		return nil, nil
-	}
-	if _, shadowed := env.Lookup(id.Name); shadowed {
 		return nil, nil
 	}
 	return call, f
@@ -857,82 +714,56 @@ func (in *Interp) appendCall(call *CallExpr, f appendFunc, env *Env) error {
 	return err
 }
 
-func (in *Interp) callClosure(c *Closure, args []Value, line int) (Value, error) {
-	if err := in.step(line); err != nil {
-		return Value{}, err
+// callClosure runs a callback: the closure's body, in a scope of its
+// own where every parameter is null. It refuses to nest more than
+// maxCallDepth callback runs.
+func (in *Interp) callClosure(c *Closure) error {
+	if err := in.step(c.Fn.Line); err != nil {
+		return err
 	}
+	if in.calls == maxCallDepth {
+		return &RuntimeError{Line: c.Fn.Line, Msg: "callbacks nested too deeply"}
+	}
+	in.calls++
 	scope := in.newEnv(c.Env)
-	for i, p := range c.Fn.Params {
-		if i < len(args) {
-			scope.Define(p, args[i])
-		} else {
-			scope.Define(p, Value{})
-		}
+	for _, p := range c.Fn.Params {
+		scope.Define(p, Value{})
 	}
 	err := in.execBlock(c.Fn.Body, scope)
 	in.releaseEnv(scope)
-	if rs, ok := err.(returnSignal); ok {
-		return rs.value, nil
+	in.calls--
+	return err
+}
+
+// callback is the host's form of callClosure: it keeps the first error
+// for Run to report.
+func (in *Interp) callback(c *Closure) func() {
+	return func() {
+		if err := in.callClosure(c); err != nil && in.cbErr == nil {
+			in.cbErr = err
+		}
 	}
-	if err != nil {
-		return Value{}, err
-	}
-	return Value{}, nil
 }
 
 func (in *Interp) binop(op string, l, r Value, line int) (Value, error) {
 	switch op {
-	case "-", "*", "/", "%":
+	case "-":
 		if l.kind != KindNumber || r.kind != KindNumber {
 			return Value{}, &RuntimeError{Line: line, Msg: "arithmetic on non-numbers"}
 		}
-		lf, rf := l.num, r.num
-		switch op {
-		case "-":
-			return Num(lf - rf), nil
-		case "*":
-			return Num(lf * rf), nil
-		case "/":
-			if rf == 0 {
-				return Value{}, &RuntimeError{Line: line, Msg: "division by zero"}
-			}
-			return Num(lf / rf), nil
-		case "%":
-			if rf == 0 {
-				return Value{}, &RuntimeError{Line: line, Msg: "modulo by zero"}
-			}
-			return Num(float64(int64(lf) % int64(rf))), nil
-		}
+		return Num(l.num - r.num), nil
 	case "==":
 		return BoolVal(valueEquals(l, r)), nil
 	case "!=":
 		return BoolVal(!valueEquals(l, r)), nil
-	case "<", ">", "<=", ">=":
-		if l.kind == KindNumber && r.kind == KindNumber {
-			switch op {
-			case "<":
-				return BoolVal(l.num < r.num), nil
-			case ">":
-				return BoolVal(l.num > r.num), nil
-			case "<=":
-				return BoolVal(l.num <= r.num), nil
-			case ">=":
-				return BoolVal(l.num >= r.num), nil
-			}
+	case ">", ">=":
+		if l.kind != KindNumber || r.kind != KindNumber {
+			return Value{}, &RuntimeError{Line: line, Msg: "invalid comparison operands"}
 		}
-		if l.kind == KindString && r.kind == KindString {
-			switch op {
-			case "<":
-				return BoolVal(l.str < r.str), nil
-			case ">":
-				return BoolVal(l.str > r.str), nil
-			case "<=":
-				return BoolVal(l.str <= r.str), nil
-			case ">=":
-				return BoolVal(l.str >= r.str), nil
-			}
+		if op == ">" {
+			return BoolVal(l.num > r.num), nil
 		}
-		return Value{}, &RuntimeError{Line: line, Msg: "invalid comparison operands"}
+		return BoolVal(l.num >= r.num), nil
 	}
 	return Value{}, &RuntimeError{Line: line, Msg: "unknown operator " + op}
 }

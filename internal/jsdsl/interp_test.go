@@ -29,9 +29,13 @@ func lastLog(t *testing.T, h *NopHost) string {
 }
 
 func TestArithmeticAndPrecedence(t *testing.T) {
-	h := evalHost(t, `log(1 + 2 * 3 - 4 / 2);`)
-	if got := lastLog(t, h); got != "5" {
-		t.Fatalf("log = %q", got)
+	// + and - share a level and associate to the left; both bind
+	// tighter than comparisons, which bind tighter than &&.
+	h := evalHost(t, `
+log(10 - 2 + 3);
+log(1 + 2 == 3 && 5 - 1 > 3);`)
+	if h.Logs[0] != "11" || h.Logs[1] != "true" {
+		t.Fatalf("logs = %v", h.Logs)
 	}
 }
 
@@ -44,10 +48,10 @@ func TestStringConcat(t *testing.T) {
 
 func TestComparisonsAndLogic(t *testing.T) {
 	h := evalHost(t, `
-log(1 < 2 && "a" != "b");
-log(3 >= 4 || false);
-log(!null);
-log("abc" < "abd");`)
+log(2 > 1 && "a" != "b");
+log(3 >= 4 && true);
+log(null == null);
+log(4 >= 4 && 1 != "1");`)
 	want := []string{"true", "false", "true", "true"}
 	for i, w := range want {
 		if h.Logs[i] != w {
@@ -57,13 +61,13 @@ log("abc" < "abd");`)
 }
 
 func TestShortCircuit(t *testing.T) {
-	// Right side would error (division by zero) if evaluated.
+	// The right side would error (an undefined name) if evaluated.
 	h := evalHost(t, `
-let x = false && (1 / 0);
+let x = false && undefined_name;
 log(x);
-let y = true || (1 / 0);
+let y = 0 && undefined_name;
 log(y);`)
-	if h.Logs[0] != "false" || h.Logs[1] != "true" {
+	if h.Logs[0] != "false" || h.Logs[1] != "0" {
 		t.Fatalf("logs = %v", h.Logs)
 	}
 }
@@ -71,7 +75,7 @@ log(y);`)
 func TestVariablesAndScopes(t *testing.T) {
 	h := evalHost(t, `
 let x = 1;
-{
+if (true) {
   let x = 2;
   log(x);
 }
@@ -80,22 +84,6 @@ x = 10;
 log(x);`)
 	if h.Logs[0] != "2" || h.Logs[1] != "1" || h.Logs[2] != "10" {
 		t.Fatalf("logs = %v", h.Logs)
-	}
-}
-
-func TestWhileLoopAndBreakContinue(t *testing.T) {
-	h := evalHost(t, `
-let i = 0;
-let sum = 0;
-while (true) {
-  i += 1;
-  if (i > 10) { break; }
-  if (i % 2 == 0) { continue; }
-  sum += i;
-}
-log(sum);`)
-	if got := lastLog(t, h); got != "25" { // 1+3+5+7+9
-		t.Fatalf("sum = %q", got)
 	}
 }
 
@@ -121,30 +109,59 @@ log(cnt);`)
 	}
 }
 
+// clickHost keeps the click handlers a script registers, for the test to
+// run once the script has finished, as the browser does.
+type clickHost struct {
+	NopHost
+	clicks []func()
+}
+
+func (h *clickHost) OnClick(cb func()) { h.clicks = append(h.clicks, cb) }
+
 func TestClosuresCaptureEnvironment(t *testing.T) {
-	h := evalHost(t, `
-let make_counter = fn() {
-  let n = 0;
-  return fn() { n += 1; return n; };
-};
-let c = make_counter();
-c();
-c();
-log(c());`)
-	if got := lastLog(t, h); got != "3" {
-		t.Fatalf("counter = %q", got)
+	h := &clickHost{}
+	in := NewInterp(h)
+	if err := in.RunSource(`
+let n = 0;
+for (i in [1, 2]) {
+  let x = i + 10;
+  on_click(fn() { n += x; log(str(n)); });
+}
+let bump = fn() { n += 1; };
+defer_run(bump);
+defer_run(bump);`); err != nil {
+		t.Fatal(err)
+	}
+	// The deferred callbacks ran in place; the click handlers run after
+	// the loop's scopes have gone, and still see their own x.
+	for _, cb := range h.clicks {
+		cb()
+	}
+	if !reflect.DeepEqual(h.Logs, []string{"13", "25"}) {
+		t.Fatalf("logs = %v, want [13 25]", h.Logs)
 	}
 }
 
+// TestRecursion: only the host runs a closure, and a callback that
+// registers itself with a host that runs it in place (NopHost's
+// DeferRun) stops at maxCallDepth with a RuntimeError, under the default
+// step budget; a script cannot call a closure itself.
 func TestRecursion(t *testing.T) {
-	h := evalHost(t, `
-let fib = fn(n) {
-  if (n < 2) { return n; }
-  return fib(n - 1) + fib(n - 2);
-};
-log(fib(12));`)
-	if got := lastLog(t, h); got != "144" {
-		t.Fatalf("fib = %q", got)
+	for _, c := range []struct{ src, wantSub string }{
+		{`let f = fn() { defer_run(f); }; defer_run(f);`, "callbacks nested too deeply"},
+		{`let f = fn() { on_click(f); defer_run(f); }; defer_run(f);`, "callbacks nested too deeply"},
+		{`let f = fn() { f() + f(); }; f();`, "undefined function f"},
+		{`let f = fn() { f(); }; defer_run(f);`, "undefined function f"},
+	} {
+		in := NewInterp(&NopHost{})
+		err := in.RunSource(c.src)
+		var re *RuntimeError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, c.wantSub) {
+			t.Errorf("RunSource(%q) = %v, want a RuntimeError %q", c.src, err, c.wantSub)
+		}
+		if in.calls != 0 {
+			t.Errorf("RunSource(%q) left %d callback runs open", c.src, in.calls)
+		}
 	}
 }
 
@@ -152,16 +169,13 @@ func TestListAndMapOperations(t *testing.T) {
 	h := evalHost(t, `
 let l = [10, 20];
 push(l, 30);
-l[0] = 11;
 log(l[0] + l[2]);
-let m = {"a": 1};
-m["b"] = 2;
-m["a"] += 5;
+let m = {"a": 6, "b": 2};
 log(m["a"] + m["b"]);
 log(len(l) + len(m));
-log(has(m, "a") && !has(m, "z"));
-log(join(keys(m), ","));`)
-	want := []string{"41", "8", "5", "true", "a,b"}
+log(m["a"] != null && m["z"] == null);
+log(join(l, ","));`)
+	want := []string{"40", "8", "5", "true", "10,20,30"}
 	for i, w := range want {
 		if h.Logs[i] != w {
 			t.Fatalf("log %d = %q, want %q", i, h.Logs[i], w)
@@ -182,15 +196,11 @@ log("ab"[9] == null);`)
 func TestStringBuiltins(t *testing.T) {
 	h := evalHost(t, `
 log(split("GA1.1.444332364.1746838827", ".")[2]);
-log(substr("hello world", 0, 5));
-log(substr("abc", 1));
-log(contains("abcdef", "cde"));
-log(index_of("abc", "c"));
-log(lower("AbC") + upper("dEf"));
-log(trim("  x  "));
-log(replace("a-b-c", "-", "_"));
-log(starts_with("_ga", "_") && ends_with("x.js", ".js"));`)
-	want := []string{"444332364", "hello", "bc", "true", "2", "abcDEF", "x", "a_b_c", "true"}
+log(join(split("a-b-c", "-"), "_"));
+log(str(len("hello")) + str(1.5));
+log(starts_with("_ga", "_"));
+log(starts_with("x.js", "_"));`)
+	want := []string{"444332364", "a_b_c", "51.5", "true", "false"}
 	for i, w := range want {
 		if h.Logs[i] != w {
 			t.Fatalf("log %d = %q, want %q", i, h.Logs[i], w)
@@ -214,34 +224,20 @@ log(sha1("hello"));`)
 	}
 }
 
-func TestNumBuiltin(t *testing.T) {
-	h := evalHost(t, `
-log(num("42") + 1);
-log(num("nope") == null);
-log(floor(3.9));
-log(min(2, 5) + max(2, 5));`)
-	want := []string{"43", "true", "3", "7"}
-	for i, w := range want {
-		if h.Logs[i] != w {
-			t.Fatalf("log %d = %q, want %q", i, h.Logs[i], w)
-		}
-	}
-}
-
 func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		src     string
 		wantSub string
 	}{
-		{`log(1 / 0);`, "division by zero"},
-		{`log(1 % 0);`, "modulo"},
 		{`log(undefined_var);`, "undefined variable"},
 		{`undeclared = 5;`, "undeclared"},
 		{`log("a" - 1);`, "arithmetic"},
-		{`log(-"x");`, "unary minus"},
 		{`let n = null; log(n[0]);`, "cannot index null"},
-		{`let x = 5; x();`, "not callable"},
-		{`log(1 < "a");`, "comparison"},
+		{`let x = 5; x();`, "undefined function x"},
+		{`let f = fn() {}; f();`, "undefined function f"},
+		{`log(len);`, "undefined variable len"},
+		{`log(1 > "a");`, "comparison"},
+		{`log("b" >= "a");`, "comparison"},
 		{`let m = {}; log(m[0]);`, "map key"},
 		{`split("a");`, "split"},
 		{`join();`, "join"},
@@ -262,12 +258,32 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
+// TestStepBudget: a script stops with a RuntimeError once it has run
+// MaxSteps steps, and the count never passes MaxSteps+1, even when the
+// steps are a host's callbacks, whose failures the host cannot see: a
+// callback that defers itself twice would otherwise run on past the
+// budget (the second call of each pair after the first had failed).
+// That script's first error is the call depth's, met on its way down.
 func TestStepBudget(t *testing.T) {
-	in := NewInterp(&NopHost{})
-	in.MaxSteps = 1000
-	err := in.RunSource(`while (true) { let x = 1; }`)
-	if err == nil || !strings.Contains(err.Error(), "step budget") {
-		t.Fatalf("err = %v", err)
+	for _, c := range []struct {
+		src, wantSub string
+		maxSteps     int
+	}{
+		{`let l = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+for (a in l) { for (b in l) { for (c in l) { let x = 1; } } }`, "step budget", 1000},
+		{`let f = fn() { defer_run(f); defer_run(f); }; defer_run(f);`, "nested too deeply", 10_000},
+		{`let f = fn() { defer_run(f); defer_run(f); }; defer_run(f);`, "nested too deeply", DefaultMaxSteps},
+	} {
+		in := NewInterp(&NopHost{})
+		in.MaxSteps = c.maxSteps
+		err := in.RunSource(c.src)
+		var re *RuntimeError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, c.wantSub) {
+			t.Errorf("RunSource(%q) with %d steps = %v, want a RuntimeError %q", c.src, c.maxSteps, err, c.wantSub)
+		}
+		if in.Steps() != c.maxSteps+1 {
+			t.Errorf("RunSource(%q) ran %d steps against a budget of %d", c.src, in.Steps(), c.maxSteps)
+		}
 	}
 }
 
@@ -278,7 +294,10 @@ func TestStepBudget(t *testing.T) {
 func TestByteBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := NewInterp(&NopHost{}).RunSource(`let s = "ab"; let i = 0; while (i < 28) { s = s + s; i = i + 1; }`)
+	err := NewInterp(&NopHost{}).RunSource(`let s = "ab";
+for (i in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28]) {
+  s = s + s;
+}`)
 	runtime.ReadMemStats(&after)
 	var re *RuntimeError
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, "memory budget") {
@@ -289,16 +308,8 @@ func TestByteBudget(t *testing.T) {
 	}
 }
 
-func TestTopLevelReturnEndsScript(t *testing.T) {
-	h := evalHost(t, `
-log("before");
-return;
-log("after");`)
-	if len(h.Logs) != 1 || h.Logs[0] != "before" {
-		t.Fatalf("logs = %v", h.Logs)
-	}
-}
-
+// TestBreakOutsideLoopIsError: break is not SiteScript, so a stray one is
+// an undefined name.
 func TestBreakOutsideLoopIsError(t *testing.T) {
 	in := NewInterp(&NopHost{})
 	if err := in.RunSource(`break;`); err == nil {
@@ -307,8 +318,9 @@ func TestBreakOutsideLoopIsError(t *testing.T) {
 }
 
 func TestCallClosureFromGo(t *testing.T) {
-	in := NewInterp(&NopHost{})
-	if err := in.RunSource(`let add = fn(a, b) { return a + b; };`); err != nil {
+	h := &NopHost{}
+	in := NewInterp(h)
+	if err := in.RunSource(`let n = 2; let add = fn() { log(str(n + 3)); };`); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := in.globals.Lookup("add")
@@ -319,33 +331,22 @@ func TestCallClosureFromGo(t *testing.T) {
 	if !ok {
 		t.Fatal("add is not a closure")
 	}
-	res, err := in.callClosure(c, []Value{Num(2), Num(3)}, 0)
-	if err != nil {
+	if err := in.callClosure(c); err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := res.AsNumber(); !ok || f != 5 {
-		t.Fatalf("res = %v", res)
-	}
-}
-
-func TestMissingArgsAreNull(t *testing.T) {
-	h := evalHost(t, `
-let f = fn(a, b) { return b == null; };
-log(f(1));`)
-	if got := lastLog(t, h); got != "true" {
+	if got := lastLog(t, h); got != "5" {
 		t.Fatalf("log = %q", got)
 	}
 }
 
-func TestBuiltinsListNonEmptySorted(t *testing.T) {
-	bs := Builtins()
-	if len(bs) < 30 {
-		t.Fatalf("only %d builtins", len(bs))
-	}
-	for i := 1; i < len(bs); i++ {
-		if bs[i] < bs[i-1] {
-			t.Fatalf("not sorted at %d: %q < %q", i, bs[i], bs[i-1])
-		}
+// TestMissingArgsAreNull: hosts run callbacks with no arguments, so
+// every parameter is null.
+func TestMissingArgsAreNull(t *testing.T) {
+	h := evalHost(t, `
+let f = fn(a, b) { log(a == null && b == null); };
+defer_run(f);`)
+	if got := lastLog(t, h); got != "true" {
+		t.Fatalf("log = %q", got)
 	}
 }
 
@@ -409,10 +410,9 @@ func TestSharedProgramReentrant(t *testing.T) {
 let items = [1, 2, 3];
 let total = 0;
 for (x in items) { total = total + x; }
-let greet = fn(name) { return "hi " + name; };
-log(greet("" + total));
-let m = {"a": 1};
-m["b"] = 2;
+let greet = fn() { log("hi " + total); };
+defer_run(greet);
+let m = {"a": 1, "b": 2};
 log("" + len(m));
 `
 	shared := MustParse(src)

@@ -183,8 +183,7 @@ func (l *lexer) lexEscapedString(quote byte, start int) (Token, error) {
 }
 
 var twoBytePuncts = map[string]bool{
-	"==": true, "!=": true, "<=": true, ">=": true, "&&": true, "||": true,
-	"+=": true, "-=": true,
+	"==": true, "!=": true, ">=": true, "&&": true, "+=": true,
 }
 
 func (l *lexer) lexPunct() (Token, error) {
@@ -197,7 +196,7 @@ func (l *lexer) lexPunct() (Token, error) {
 	}
 	c := l.src[l.pos]
 	switch c {
-	case '(', ')', '{', '}', '[', ']', ',', ';', ':', '=', '+', '-', '*', '/', '%', '<', '>', '!', '.':
+	case '(', ')', '{', '}', '[', ']', ',', ';', ':', '=', '+', '-', '>':
 		l.pos++
 		return Token{Kind: TokPunct, Text: l.src[l.pos-1 : l.pos], Line: l.line}, nil
 	}

@@ -6,10 +6,25 @@ import (
 	"sync"
 )
 
+// maxDepth bounds how deeply a program nests. Parse refuses, with a
+// *SyntaxError, a tree with a path of more than maxDepth nodes from a
+// top-level statement down, and source whose statements and operands
+// (counting each pair of parentheses) nest more than maxDepth deep. The
+// parser and the interpreter both walk a tree recursively, so without
+// the bound a few megabytes of "(" or a long "1 - 1 - …" chain would
+// overflow the Go stack, which no recover catches. The deepest script a
+// 20,000-site web with consent managers serves is 13 nodes deep.
+const maxDepth = 128
+
 // tokenBufs recycles Parse's token buffers. The AST copies what it needs
 // out of the tokens (texts are strings, never the slice), so a buffer is
 // dead once its parse returns.
 var tokenBufs = sync.Pool{New: func() any { return new([]Token) }}
+
+// tokenBufMax bounds the token buffers the pool keeps, so that a huge
+// source does not leave every later parse clearing its buffer. The
+// longest script a 200-site web serves lexes to 538 tokens.
+const tokenBufMax = 1 << 14
 
 // Parse lexes and parses a SiteScript source into a Program. The
 // program's nodes come from one slab per node kind (see nodeSlabs),
@@ -19,6 +34,9 @@ func Parse(src string) (*Program, error) {
 	buf := tokenBufs.Get().(*[]Token)
 	toks, err := lexInto(*buf, src)
 	defer func() {
+		if cap(toks) > tokenBufMax {
+			return
+		}
 		// Clear to full capacity so the pool pins no token texts.
 		clear(toks[:cap(toks)])
 		*buf = toks[:0]
@@ -44,9 +62,15 @@ func MustParse(src string) *Program {
 // parser builds the program's nodes into its slabs, and collects each
 // statement or expression list in a local array before carving it into
 // the shared backing, so lists nested inside it can be carved first.
+//
+// depth counts the statements and primary expressions the parser is
+// inside, which bounds its recursion; height is the height in nodes of
+// the node it built last, which bounds the tree's. Both stay within
+// maxDepth.
 type parser struct {
-	toks []Token
-	pos  int
+	toks          []Token
+	pos           int
+	depth, height int
 	nodeSlabs
 }
 
@@ -80,6 +104,30 @@ func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Line: p.cur().Line, Msg: fmt.Sprintf(format, args...)}
 }
 
+func (p *parser) errDepth() error { return p.errf("nested more than %d deep", maxDepth) }
+
+// enter steps into a statement or primary expression, refusing to go
+// deeper than maxDepth; leave steps back out.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errDepth()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// built records that the node just built is h nodes high, refusing a
+// tree higher than maxDepth.
+func (p *parser) built(h int) error {
+	if h > maxDepth {
+		return p.errDepth()
+	}
+	p.height = h
+	return nil
+}
+
 // --- Statements ---
 
 func (p *parser) parseProgram() (*Program, error) {
@@ -96,32 +144,17 @@ func (p *parser) parseProgram() (*Program, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
-	switch {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	switch t := p.cur(); {
 	case t.is("let"):
 		return p.parseLet()
 	case t.is("if"):
 		return p.parseIf()
-	case t.is("while"):
-		return p.parseWhile()
 	case t.is("for"):
 		return p.parseForIn()
-	case t.is("return"):
-		return p.parseReturn()
-	case t.is("break"):
-		p.advance()
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return p.breaks.put(BreakStmt{Line: t.Line}), nil
-	case t.is("continue"):
-		p.advance()
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return p.continues.put(ContinueStmt{Line: t.Line}), nil
-	case t.is("{"):
-		return p.parseBlock()
 	default:
 		return p.parseSimpleStmt()
 	}
@@ -144,7 +177,7 @@ func (p *parser) parseLet() (Stmt, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return p.lets.put(LetStmt{Name: name, Init: init, Line: line}), nil
+	return p.lets.put(LetStmt{Name: name, Init: init, Line: line}), p.built(1 + p.height)
 }
 
 func (p *parser) parseIf() (Stmt, error) {
@@ -157,6 +190,7 @@ func (p *parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
@@ -164,10 +198,11 @@ func (p *parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	h = max(h, p.height)
 	st := p.ifs.put(IfStmt{Cond: cond, Then: then, Line: line})
 	if p.accept("else") {
 		if p.cur().is("if") {
-			elseIf, err := p.parseIf()
+			elseIf, err := p.parseStmt()
 			if err != nil {
 				return nil, err
 			}
@@ -179,28 +214,9 @@ func (p *parser) parseIf() (Stmt, error) {
 			}
 			st.Else = blk
 		}
+		h = max(h, p.height)
 	}
-	return st, nil
-}
-
-func (p *parser) parseWhile() (Stmt, error) {
-	line := p.cur().Line
-	p.advance()
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	return p.whiles.put(WhileStmt{Cond: cond, Body: body, Line: line}), nil
+	return st, p.built(1 + h)
 }
 
 func (p *parser) parseForIn() (Stmt, error) {
@@ -220,6 +236,7 @@ func (p *parser) parseForIn() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	h := p.height
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
@@ -227,23 +244,7 @@ func (p *parser) parseForIn() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.forIns.put(ForInStmt{Var: v, Seq: seq, Body: body, Line: line}), nil
-}
-
-func (p *parser) parseReturn() (Stmt, error) {
-	line := p.cur().Line
-	p.advance()
-	if p.accept(";") {
-		return p.returns.put(ReturnStmt{Line: line}), nil
-	}
-	v, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return p.returns.put(ReturnStmt{Value: v, Line: line}), nil
+	return p.forIns.put(ForInStmt{Var: v, Seq: seq, Body: body, Line: line}), p.built(1 + max(h, p.height))
 }
 
 func (p *parser) parseBlock() (*BlockStmt, error) {
@@ -253,6 +254,7 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 	}
 	var buf [16]Stmt
 	stmts := buf[:0]
+	h := 0
 	for !p.cur().is("}") {
 		if p.at(TokEOF) {
 			return nil, p.errf("unterminated block")
@@ -262,9 +264,10 @@ func (p *parser) parseBlock() (*BlockStmt, error) {
 			return nil, err
 		}
 		stmts = append(stmts, s)
+		h = max(h, p.height)
 	}
 	p.advance() // }
-	return p.blocks.put(BlockStmt{Stmts: carve(&p.stmtList, stmts), Line: line}), nil
+	return p.blocks.put(BlockStmt{Stmts: carve(&p.stmtList, stmts), Line: line}), p.built(1 + h)
 }
 
 // parseSimpleStmt handles assignments and bare expression statements.
@@ -274,11 +277,10 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().is("=") || p.cur().is("+=") || p.cur().is("-=") {
+	h := p.height
+	if p.cur().is("=") || p.cur().is("+=") {
 		op := p.advance().Text
-		switch x.(type) {
-		case *Ident, *IndexExpr:
-		default:
+		if _, ok := x.(*Ident); !ok {
 			return nil, p.errf("invalid assignment target")
 		}
 		val, err := p.parseExpr()
@@ -288,110 +290,81 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return p.assigns.put(AssignStmt{Target: x, Op: op, Value: val, Line: line}), nil
+		return p.assigns.put(AssignStmt{Target: x, Op: op, Value: val, Line: line}), p.built(1 + max(h, p.height))
 	}
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return p.exprStmts.put(ExprStmt{X: x, Line: line}), nil
+	return p.exprStmts.put(ExprStmt{X: x, Line: line}), p.built(1 + h)
 }
 
 // --- Expressions (precedence climbing) ---
 
 var binaryPrec = map[string]int{
-	"||": 1,
-	"&&": 2,
-	"==": 3, "!=": 3,
-	"<": 4, ">": 4, "<=": 4, ">=": 4,
-	"+": 5, "-": 5,
-	"*": 6, "/": 6, "%": 6,
+	"&&": 1,
+	"==": 2, "!=": 2,
+	">": 3, ">=": 3,
+	"+": 4, "-": 4,
 }
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
 
+// parseBinary parses a chain of operators of at least minPrec. The chain
+// is built by a loop, not by recursion, so it counts its own height.
 func (p *parser) parseBinary(minPrec int) (Expr, error) {
-	left, err := p.parseUnary()
+	left, err := p.parsePostfix()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
-		if t.Kind != TokPunct {
-			return left, nil
-		}
 		prec, ok := binaryPrec[t.Text]
-		if !ok || prec < minPrec {
+		if t.Kind != TokPunct || !ok || prec < minPrec {
 			return left, nil
 		}
 		p.advance()
+		lh := p.height
 		right, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
 		left = p.binaries.put(BinaryExpr{Op: t.Text, L: left, R: right, Line: t.Line})
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	t := p.cur()
-	if t.is("!") || t.is("-") {
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
+		if err := p.built(1 + max(lh, p.height)); err != nil {
 			return nil, err
 		}
-		return p.unaries.put(UnaryExpr{Op: t.Text, X: x, Line: t.Line}), nil
 	}
-	return p.parsePostfix()
 }
 
-// parsePostfix parses a primary followed by call/index suffixes.
+// parsePostfix parses a primary followed by index suffixes, which, like a
+// binary chain, count their own height.
 func (p *parser) parsePostfix() (Expr, error) {
 	x, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.cur()
-		switch {
-		case t.is("("):
-			p.advance()
-			var buf [8]Expr
-			args := buf[:0]
-			for !p.cur().is(")") {
-				if p.at(TokEOF) {
-					return nil, p.errf("unterminated call")
-				}
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.accept(",") {
-					break
-				}
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-			x = p.calls.put(CallExpr{Callee: x, Args: carve(&p.exprList, args), Line: t.Line})
-		case t.is("["):
-			p.advance()
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			x = p.indexes.put(IndexExpr{X: x, Index: idx, Line: t.Line})
-		default:
-			return x, nil
+	for p.cur().is("[") {
+		t := p.advance()
+		xh := p.height
+		idx, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expect("]"); err != nil {
+			return nil, err
+		}
+		x = p.indexes.put(IndexExpr{X: x, Index: idx, Line: t.Line})
+		if err := p.built(1 + max(xh, p.height)); err != nil {
+			return nil, err
 		}
 	}
+	return x, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case t.Kind == TokNumber:
@@ -400,19 +373,23 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errf("bad number %q", t.Text)
 		}
-		return p.nums.put(NumberLit{Value: f, Line: t.Line}), nil
+		return p.nums.put(NumberLit{Value: f, Line: t.Line}), p.built(1)
 	case t.Kind == TokString:
 		p.advance()
-		return p.strs.put(StringLit{Value: t.Text, Line: t.Line}), nil
+		return p.strs.put(StringLit{Value: t.Text, Line: t.Line}), p.built(1)
 	case t.is("true"), t.is("false"):
 		p.advance()
-		return p.bools.put(BoolLit{Value: t.Text == "true", Line: t.Line}), nil
+		return p.bools.put(BoolLit{Value: t.Text == "true", Line: t.Line}), p.built(1)
 	case t.is("null"):
 		p.advance()
-		return p.nulls.put(NullLit{Line: t.Line}), nil
+		return p.nulls.put(NullLit{Line: t.Line}), p.built(1)
 	case t.Kind == TokIdent:
 		p.advance()
-		return p.idents.put(Ident{Name: t.Text, Line: t.Line}), nil
+		id := p.idents.put(Ident{Name: t.Text, Line: t.Line})
+		if p.cur().is("(") {
+			return p.parseCall(id)
+		}
+		return id, p.built(1)
 	case t.is("("):
 		p.advance()
 		x, err := p.parseExpr()
@@ -427,6 +404,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.advance()
 		var buf [8]Expr
 		elems := buf[:0]
+		h := 0
 		for !p.cur().is("]") {
 			if p.at(TokEOF) {
 				return nil, p.errf("unterminated list literal")
@@ -436,6 +414,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return nil, err
 			}
 			elems = append(elems, e)
+			h = max(h, p.height)
 			if !p.accept(",") {
 				break
 			}
@@ -443,11 +422,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expect("]"); err != nil {
 			return nil, err
 		}
-		return p.lists.put(ListLit{Elems: carve(&p.exprList, elems), Line: t.Line}), nil
+		return p.lists.put(ListLit{Elems: carve(&p.exprList, elems), Line: t.Line}), p.built(1 + h)
 	case t.is("{"):
 		p.advance()
 		var keyBuf, valBuf [8]Expr
 		keys, vals := keyBuf[:0], valBuf[:0]
+		h := 0
 		for !p.cur().is("}") {
 			if p.at(TokEOF) {
 				return nil, p.errf("unterminated map literal")
@@ -456,6 +436,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			if err := p.expect(":"); err != nil {
 				return nil, err
 			}
@@ -463,6 +444,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			keys = append(keys, k)
 			vals = append(vals, v)
 			if !p.accept(",") {
@@ -476,7 +458,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			Keys:   carve(&p.exprList, keys),
 			Values: carve(&p.exprList, vals),
 			Line:   t.Line,
-		}), nil
+		}), p.built(1 + h)
 	case t.is("fn"):
 		p.advance()
 		if err := p.expect("("); err != nil {
@@ -500,8 +482,35 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, err
 		}
 		fl.Body = body
-		return fl, nil
+		return fl, p.built(1 + p.height)
 	default:
 		return nil, p.errf("unexpected token %s", t)
 	}
+}
+
+// parseCall parses the arguments of a call of the builtin callee names;
+// the current token is the call's "(".
+func (p *parser) parseCall(callee *Ident) (Expr, error) {
+	line := p.advance().Line
+	var buf [8]Expr
+	args := buf[:0]
+	h := 1 // the callee
+	for !p.cur().is(")") {
+		if p.at(TokEOF) {
+			return nil, p.errf("unterminated call")
+		}
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
+		h = max(h, p.height)
+		if !p.accept(",") {
+			break
+		}
+	}
+	if err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	return p.calls.put(CallExpr{Callee: callee, Args: carve(&p.exprList, args), Line: line}), p.built(1 + h)
 }

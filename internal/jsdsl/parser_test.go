@@ -1,12 +1,13 @@
 package jsdsl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 func TestParseLetAndExpr(t *testing.T) {
-	prog, err := Parse(`let x = 1 + 2 * 3; x = x - 1;`)
+	prog, err := Parse(`let x = 1 + 2 > 3; x = x - 1;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,13 +18,13 @@ func TestParseLetAndExpr(t *testing.T) {
 	if !ok || let.Name != "x" {
 		t.Fatalf("stmt 0 = %T", prog.Stmts[0])
 	}
-	// precedence: 1 + (2*3)
+	// precedence: (1 + 2) > 3
 	bin, ok := let.Init.(*BinaryExpr)
-	if !ok || bin.Op != "+" {
+	if !ok || bin.Op != ">" {
 		t.Fatalf("init = %#v", let.Init)
 	}
-	if inner, ok := bin.R.(*BinaryExpr); !ok || inner.Op != "*" {
-		t.Fatalf("precedence wrong: %#v", bin.R)
+	if inner, ok := bin.L.(*BinaryExpr); !ok || inner.Op != "+" {
+		t.Fatalf("precedence wrong: %#v", bin.L)
 	}
 }
 
@@ -46,20 +47,21 @@ else { log("other"); }`
 	}
 }
 
+// TestParseWhileForIn: for-in is SiteScript's only loop; a while loop
+// does not parse.
 func TestParseWhileForIn(t *testing.T) {
 	prog, err := Parse(`
 let i = 0;
-while (i < 10) { i += 1; }
 for (k in m) { log(k); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := prog.Stmts[1].(*WhileStmt); !ok {
+	fi, ok := prog.Stmts[1].(*ForInStmt)
+	if !ok || fi.Var != "k" {
 		t.Fatalf("stmt 1 = %T", prog.Stmts[1])
 	}
-	fi, ok := prog.Stmts[2].(*ForInStmt)
-	if !ok || fi.Var != "k" {
-		t.Fatalf("stmt 2 = %T", prog.Stmts[2])
+	if _, err := Parse(`while (i > 10) { i += 1; }`); err == nil {
+		t.Fatal("a while loop parsed")
 	}
 }
 
@@ -80,8 +82,8 @@ func TestParseLiterals(t *testing.T) {
 
 func TestParseFunctionsAndCalls(t *testing.T) {
 	prog, err := Parse(`
-let f = fn(a, b) { return a + b; };
-let r = f(1, 2);
+let f = fn(a, b) { log(a + b); };
+let r = split(1, 2);
 on_click(fn() { send("https://t.example/px", {"e": "click"}); });`)
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +95,13 @@ on_click(fn() { send("https://t.example/px", {"e": "click"}); });`)
 	call := prog.Stmts[1].(*LetStmt).Init.(*CallExpr)
 	if len(call.Args) != 2 {
 		t.Fatalf("args = %d", len(call.Args))
+	}
+	// Only a name is called: a call's value, an index or a function
+	// literal is not.
+	for _, src := range []string{`f(1)(2);`, `l[0]();`, `(fn() {})();`} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", src)
+		}
 	}
 }
 
@@ -110,21 +119,30 @@ func TestParseIndexChain(t *testing.T) {
 	}
 }
 
+// TestParseIndexAssignment: only a variable is assigned to, with = or
+// +=; an index is not.
 func TestParseIndexAssignment(t *testing.T) {
-	prog, err := Parse(`m["k"] = 1; l[0] += 2;`)
+	prog, err := Parse(`m = 1; l += 2;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a0 := prog.Stmts[0].(*AssignStmt)
-	if _, ok := a0.Target.(*IndexExpr); !ok || a0.Op != "=" {
+	if _, ok := a0.Target.(*Ident); !ok || a0.Op != "=" {
 		t.Fatalf("stmt 0 = %#v", a0)
 	}
 	a1 := prog.Stmts[1].(*AssignStmt)
 	if a1.Op != "+=" {
 		t.Fatalf("stmt 1 op = %q", a1.Op)
 	}
+	for _, src := range []string{`m["k"] = 1;`, `l[0] += 2;`} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "assignment target") {
+			t.Errorf("Parse(%q) = %v, want an invalid-target error", src, err)
+		}
+	}
 }
 
+// TestParseBreakContinueReturn: while, break, continue and return are
+// not SiteScript; a loop that uses them does not parse.
 func TestParseBreakContinueReturn(t *testing.T) {
 	_, err := Parse(`
 while (true) {
@@ -133,8 +151,8 @@ while (true) {
   return x;
 }
 return;`)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("a while loop with break, continue and return parsed")
 	}
 }
 
@@ -148,7 +166,14 @@ func TestParseErrors(t *testing.T) {
 		{`let x = 1`, `expected ";"`},
 		{`if x { }`, `expected "("`},
 		{`1 = 2;`, "assignment target"},
-		{`{ let a = 1;`, "unterminated block"},
+		{`if (a) { let a = 1;`, "unterminated block"},
+		{`{ let a = 1; }`, "unexpected token let"},
+		{`let x = !a;`, "unexpected"},
+		{`let x = -1;`, "unexpected"},
+		{`let x = a || b;`, "unexpected"},
+		{`x -= 1;`, "unexpected"},
+		{`let x = 2 * 3;`, "unexpected"},
+		{`let x = 1 < 2;`, "unexpected"},
 		{`let l = [1, 2;`, `expected "]"`},
 		{`let m = {"a" 1};`, `expected ":"`},
 		{`f(1, 2;`, `expected ")"`},
@@ -197,4 +222,54 @@ if (g != null) {
 	if _, err := Parse(src); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestParseDepthBound: Parse refuses, with a *SyntaxError, a program that
+// nests deeper than maxDepth, however the depth is built, and the
+// interpreter runs each shape just inside the bound. Past it, the parser
+// or the interpreter would recurse until the Go stack overflowed: a
+// million "(" did so in the parser, a few million "- 1" in the
+// interpreter.
+func TestParseDepthBound(t *testing.T) {
+	nest := func(k int, open, mid, close string) string {
+		return strings.Repeat(open, k) + mid + strings.Repeat(close, k)
+	}
+	for _, c := range []struct {
+		name string
+		src  func(k int) string
+		fits int // the largest k inside the bound
+	}{
+		// An expression statement over a chain of k operators or
+		// indexes is k+2 nodes deep.
+		{"minus chain", func(k int) string { return "1" + strings.Repeat(" - 1", k) + ";" }, maxDepth - 2},
+		{"and chain", func(k int) string { return "1" + strings.Repeat(" && 1", k) + ";" }, maxDepth - 2},
+		{"index chain", func(k int) string { return "let l = []; push(l, l); l" + strings.Repeat("[0]", k) + ";" }, maxDepth - 2},
+		// Each pair of parentheses is a level, though it adds no node.
+		{"parentheses", func(k int) string { return nest(k, "(", "1", ")") + ";" }, maxDepth - 2},
+		{"lists", func(k int) string { return nest(k, "[", "", "]") + ";" }, maxDepth - 1},
+		{"ifs", func(k int) string { return nest(k, "if (1) { ", "", "} ") }, maxDepth / 2},
+		{"else ifs", func(k int) string { return "if (0) {} " + strings.Repeat("else if (0) {} ", k-1) + "else {}" }, maxDepth - 1},
+		{"callbacks", func(k int) string { return nest(k, "defer_run(fn() { ", "", "}); ") }, maxDepth / 4},
+	} {
+		if err := NewInterp(&NopHost{}).RunSource(c.src(c.fits)); err != nil {
+			t.Errorf("%s %d deep: %v", c.name, c.fits, err)
+		}
+		_, err := Parse(c.src(c.fits + 1))
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nested more than") {
+			t.Errorf("%s %d deep: Parse = %v, want the nesting SyntaxError", c.name, c.fits+1, err)
+		}
+	}
+	for _, src := range []string{strings.Repeat("(", 1<<20), "let x = 1" + strings.Repeat(" - 1", 100_000) + ";"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse of a %d-byte program nested past maxDepth succeeded", len(src))
+		}
+	}
+	// The huge token buffers went back to no pool: every later parse
+	// would clear them.
+	buf := tokenBufs.Get().(*[]Token)
+	if cap(*buf) > tokenBufMax {
+		t.Errorf("the token pool kept a buffer for %d tokens", cap(*buf))
+	}
+	tokenBufs.Put(buf)
 }

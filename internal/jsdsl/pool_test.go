@@ -2,6 +2,7 @@ package jsdsl
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -10,10 +11,8 @@ import (
 func TestAcquireReleaseReuse(t *testing.T) {
 	src := `
 let acc = [];
-let i = 0;
-while (i < 5) {
-  push(acc, str(i * i));
-  i = i + 1;
+for (i in [0, 1, 2, 3, 4]) {
+  push(acc, str(i + i));
 }
 for (k in {"b": 2, "a": 1}) { push(acc, k); }
 log(join(acc, ","));`
@@ -43,21 +42,22 @@ log(join(acc, ","));`
 // that created it has exited (and its sibling scopes were recycled).
 func TestScopePoolClosureCapture(t *testing.T) {
 	src := `
-let fns = [];
-for (i in range(3)) {
-  let x = i * 10;
-  push(fns, fn() { return x + i; });
+for (i in [0, 1, 2]) {
+  let x = i + 10;
+  on_click(fn() { log(str(x + i)); });
 }
-for (j in range(50)) { let waste = j; }
-log(str(fns[0]()) + "," + str(fns[1]()) + "," + str(fns[2]()));`
-	h := &NopHost{}
+for (j in "` + strings.Repeat("j", 50) + `") { let waste = j; }`
+	h := &clickHost{}
 	in := AcquireInterp(h)
 	if err := in.RunSource(src); err != nil {
 		t.Fatal(err)
 	}
+	for _, cb := range h.clicks {
+		cb()
+	}
 	in.Release()
-	if h.Logs[0] != "0,11,22" {
-		t.Fatalf("closure capture broken under scope pooling: %q", h.Logs[0])
+	if got := strings.Join(h.Logs, ","); got != "10,12,14" {
+		t.Fatalf("closure capture broken under scope pooling: %q", got)
 	}
 }
 
@@ -66,7 +66,7 @@ log(str(fns[0]()) + "," + str(fns[1]()) + "," + str(fns[2]()));`
 func TestReleaseAfterCapturedGlobals(t *testing.T) {
 	h1 := &NopHost{}
 	in := AcquireInterp(h1)
-	if err := in.RunSource(`let f = fn() { return 1; }; log(str(f()));`); err != nil {
+	if err := in.RunSource(`let f = fn() { log("1"); }; defer_run(f);`); err != nil {
 		t.Fatal(err)
 	}
 	in.Release()
@@ -74,7 +74,7 @@ func TestReleaseAfterCapturedGlobals(t *testing.T) {
 	h2 := &NopHost{}
 	in2 := AcquireInterp(h2)
 	// A fresh run must not see f.
-	if err := in2.RunSource(`log(str(f()));`); err == nil {
+	if err := in2.RunSource(`defer_run(f);`); err == nil {
 		t.Fatal("globals leaked across Release")
 	}
 	in2.Release()
@@ -86,7 +86,7 @@ func TestReleaseAfterCapturedGlobals(t *testing.T) {
 // none of the old variables.
 func TestReleaseClearsCapturedGlobalsInPlace(t *testing.T) {
 	in := NewInterp(&NopHost{})
-	if err := in.RunSource(`let secret = "x"; let f = fn() { return secret; };`); err != nil {
+	if err := in.RunSource(`let secret = "x"; let f = fn() { log(secret); };`); err != nil {
 		t.Fatal(err)
 	}
 	g := in.globals
@@ -129,7 +129,7 @@ func TestReleaseDropsLargeConcatBuffer(t *testing.T) {
 	}
 	src := `
 let s = "x";
-for (i in range(17)) { s = s + s; }
+for (i in "iiiiiiiiiiiiiiiii") { s = s + s; }
 log(str(len(s + "!")));`
 	h := &NopHost{}
 	in = NewInterp(h)
@@ -152,17 +152,14 @@ log(str(len(s + "!")));`
 // and interleaved call shapes must not corrupt outer arguments.
 func TestArgStackNestedCalls(t *testing.T) {
 	src := `
-let add3 = fn(a, b, c) { return a + b + c; };
-let twice = fn(x) { return x * 2; };
-log(str(add3(twice(add3(1, 2, 3)), twice(twice(2)), add3(twice(1), 1, 1))));`
+log(join([str(len(split("a,b,c", ","))), join(split(str(12345), "3"), "-"), str(len(join([1, 2], str(len("abc")))))], "|"));`
 	h := &NopHost{}
 	in := AcquireInterp(h)
 	if err := in.RunSource(src); err != nil {
 		t.Fatal(err)
 	}
 	in.Release()
-	// add3(12, 8, 4) = 24
-	if h.Logs[0] != "24" {
+	if h.Logs[0] != "3|12-45|3" {
 		t.Fatalf("nested arg stack: %q", h.Logs[0])
 	}
 }

@@ -52,16 +52,11 @@ type nodeSlabs struct {
 	calls     slab[CallExpr]
 	indexes   slab[IndexExpr]
 	binaries  slab[BinaryExpr]
-	unaries   slab[UnaryExpr]
 	lets      slab[LetStmt]
 	assigns   slab[AssignStmt]
 	exprStmts slab[ExprStmt]
 	ifs       slab[IfStmt]
-	whiles    slab[WhileStmt]
 	forIns    slab[ForInStmt]
-	returns   slab[ReturnStmt]
-	breaks    slab[BreakStmt]
-	continues slab[ContinueStmt]
 	blocks    slab[BlockStmt]
 
 	exprList []Expr
@@ -70,9 +65,9 @@ type nodeSlabs struct {
 
 // newNodeSlabs sizes every slab from one pass over toks, which must end
 // with TokEOF. Each token is classified by the one before it, as the
-// parser will read it: "(" after an operand opens a call, "[" after an
-// operand an index, "-" after an operand is binary, and "{" after ")" or
-// "else" or at a statement's start opens a block, anywhere else a map.
+// parser will read it: "(" after a name opens a call, "[" after an
+// operand an index, and "{" after ")" or "else" opens a block, anywhere
+// else a map.
 // List slots are counted as each non-empty call, list or map's first
 // element plus one per "," (less those between function parameters) and
 // one per ":", which adds a map's values to its keys. For well-formed
@@ -80,10 +75,10 @@ type nodeSlabs struct {
 // slot too many.
 func newNodeSlabs(toks []Token) nodeSlabs {
 	var (
-		idents, nums, strs, bools, nulls, lists, maps, funcs    int
-		calls, indexes, binaries, unaries, lets, assigns, semis int
-		ifs, elseIfs, whiles, forIns, returns, breaks, conts    int
-		blocks, stmtBlocks, commas, colons, nonEmpty            int
+		idents, nums, strs, bools, nulls, lists, maps, funcs int
+		calls, indexes, binaries, lets, assigns, semis       int
+		ifs, elseIfs, forIns, blocks, commas, colons         int
+		nonEmpty                                             int
 	)
 	prev := Token{Kind: TokEOF}
 	for i, t := range toks {
@@ -108,17 +103,9 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 				if prev.is("else") {
 					elseIfs++
 				}
-			case "while":
-				whiles++
 			case "for":
 				forIns++
 				idents-- // the loop variable
-			case "return":
-				returns++
-			case "break":
-				breaks++
-			case "continue":
-				conts++
 			case "fn":
 				funcs++
 				// Parameters are names, not Ident nodes, and the commas
@@ -135,17 +122,16 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 				}
 			}
 		case TokPunct:
-			operand := endsOperand(prev)
 			switch t.Text {
 			case "(":
-				if operand {
+				if prev.Kind == TokIdent {
 					calls++
 					if !toks[i+1].is(")") {
 						nonEmpty++
 					}
 				}
 			case "[":
-				if operand {
+				if endsOperand(prev) {
 					indexes++
 				} else {
 					lists++
@@ -157,9 +143,6 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 				switch {
 				case prev.is(")") || prev.is("else"):
 					blocks++
-				case prev.Kind == TokEOF || prev.is(";") || prev.is("{") || prev.is("}"):
-					blocks++
-					stmtBlocks++
 				default:
 					maps++
 					if !toks[i+1].is("}") {
@@ -172,16 +155,8 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 				colons++
 			case ";":
 				semis++
-			case "=", "+=", "-=":
+			case "=", "+=":
 				assigns++
-			case "!":
-				unaries++
-			case "-":
-				if operand {
-					binaries++
-				} else {
-					unaries++
-				}
 			default:
 				if _, ok := binaryPrec[t.Text]; ok {
 					binaries++
@@ -191,7 +166,7 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 		prev = t
 	}
 	assigns -= lets // a let's "=" is part of the LetStmt
-	exprStmts := semis - lets - assigns - returns - breaks - conts
+	exprStmts := semis - lets - assigns
 	return nodeSlabs{
 		idents:    makeSlab[Ident](idents),
 		nums:      makeSlab[NumberLit](nums),
@@ -204,19 +179,14 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 		calls:     makeSlab[CallExpr](calls),
 		indexes:   makeSlab[IndexExpr](indexes),
 		binaries:  makeSlab[BinaryExpr](binaries),
-		unaries:   makeSlab[UnaryExpr](unaries),
 		lets:      makeSlab[LetStmt](lets),
 		assigns:   makeSlab[AssignStmt](assigns),
 		exprStmts: makeSlab[ExprStmt](exprStmts),
 		ifs:       makeSlab[IfStmt](ifs),
-		whiles:    makeSlab[WhileStmt](whiles),
 		forIns:    makeSlab[ForInStmt](forIns),
-		returns:   makeSlab[ReturnStmt](returns),
-		breaks:    makeSlab[BreakStmt](breaks),
-		continues: makeSlab[ContinueStmt](conts),
 		blocks:    makeSlab[BlockStmt](blocks),
 		exprList:  makeList[Expr](commas + colons + nonEmpty),
-		stmtList:  makeList[Stmt](semis + ifs - elseIfs + whiles + forIns + stmtBlocks),
+		stmtList:  makeList[Stmt](semis + ifs - elseIfs + forIns),
 	}
 }
 

@@ -8,11 +8,14 @@
 // dynamic script injection), which is exactly the interception surface the
 // paper's measurement extension and CookieGuard wrap.
 //
-// The language is deliberately tiny but real: lexical scoping, closures,
-// conditionals, while loops, lists/maps, and the string/encoding builtins
-// trackers actually use when parsing and exfiltrating cookie values
-// (split, substr, base64, md5, sha1 — see the LinkedIn insight-tag case
-// study in paper §5.4).
+// The language goes only as far as the generated web's scripts go:
+// lexical scoping, conditionals, for-in loops over lists and maps,
+// closures passed to the host as callbacks (on_click, on_click_id,
+// defer_run), and the string and encoding builtins trackers use when
+// reading and exfiltrating cookie values (split, join, b64, md5, sha1 —
+// see the LinkedIn insight-tag case study in paper §5.4). Every call
+// names a builtin, and a program nests at most maxDepth deep, so both
+// the parser and the interpreter run in bounded stack.
 package jsdsl
 
 import "fmt"
@@ -27,13 +30,12 @@ const (
 	TokNumber
 	TokString
 	TokPunct   // operators and delimiters
-	TokKeyword // let, if, else, while, fn, return, true, false, null
+	TokKeyword // let, if, else, for, in, fn, true, false, null
 )
 
 var keywords = map[string]bool{
-	"let": true, "if": true, "else": true, "while": true,
-	"fn": true, "return": true, "true": true, "false": true, "null": true,
-	"for": true, "in": true, "break": true, "continue": true,
+	"let": true, "if": true, "else": true, "for": true, "in": true,
+	"fn": true, "true": true, "false": true, "null": true,
 }
 
 // Token is one lexical token with its source position (1-based line).

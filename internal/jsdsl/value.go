@@ -16,8 +16,7 @@ const (
 	KindBool
 	KindNumber
 	KindString
-	KindRef     // *List, *Map, or *Closure in ref
-	KindBuiltin // builtin function; name in str
+	KindRef // *List, *Map, or *Closure in ref
 )
 
 // Value is a SiteScript runtime value as a small tagged struct. Nulls,
@@ -30,7 +29,7 @@ const (
 type Value struct {
 	kind Kind
 	num  float64 // number; booleans use 0/1
-	str  string  // string value, or builtin name for KindBuiltin
+	str  string  // string value
 	ref  any     // *List, *Map, or *Closure for KindRef
 }
 
@@ -58,8 +57,6 @@ func MapVal(m *Map) Value { return Value{kind: KindRef, ref: m} }
 
 // ClosureVal wraps a closure.
 func ClosureVal(c *Closure) Value { return Value{kind: KindRef, ref: c} }
-
-func builtinVal(name string) Value { return Value{kind: KindBuiltin, str: name} }
 
 // Accessors.
 
@@ -113,7 +110,8 @@ func (m *Map) Keys() []string {
 	return ks
 }
 
-// Closure is a user function with its captured environment.
+// Closure is a callback a script hands the host, with its captured
+// environment.
 type Closure struct {
 	Fn  *FuncLit
 	Env *Env
@@ -152,8 +150,6 @@ func ToString(v Value) string {
 		return formatNumber(v.num)
 	case KindString:
 		return v.str
-	case KindBuiltin:
-		return "<fn>"
 	}
 	b, _ := appendValue(nil, v, math.MaxInt, 0)
 	return string(b)
@@ -248,8 +244,6 @@ func valueEquals(a, b Value) bool {
 	case KindBool, KindNumber:
 		return a.num == b.num
 	case KindString:
-		return a.str == b.str
-	case KindBuiltin:
 		return a.str == b.str
 	default:
 		return a.ref == b.ref
