@@ -249,6 +249,8 @@ func TestParseDepthBound(t *testing.T) {
 		{"lists", func(k int) string { return nest(k, "[", "", "]") + ";" }, maxDepth - 1},
 		{"ifs", func(k int) string { return nest(k, "if (1) { ", "", "} ") }, maxDepth / 2},
 		{"else ifs", func(k int) string { return "if (0) {} " + strings.Repeat("else if (0) {} ", k-1) + "else {}" }, maxDepth - 1},
+		// Four nodes a level; NopHost runs the 32 nested callbacks in
+		// place, as deep as maxCallDepth allows.
 		{"callbacks", func(k int) string { return nest(k, "defer_run(fn() { ", "", "}); ") }, maxDepth / 4},
 	} {
 		if err := NewInterp(&NopHost{}).RunSource(c.src(c.fits)); err != nil {
