@@ -45,7 +45,6 @@ import (
 	"cookieguard/internal/browser"
 	"cookieguard/internal/contenthash"
 	"cookieguard/internal/crawler"
-	"cookieguard/internal/entity"
 	"cookieguard/internal/filterlist"
 	"cookieguard/internal/guard"
 	"cookieguard/internal/instrument"
@@ -120,12 +119,8 @@ type (
 	// (Pipeline.CheckpointStats): units loaded/replayed on resume,
 	// records/snapshots/bytes appended, fsync batches flushed.
 	JournalStats = journal.Stats
-	// Guard is a CookieGuard enforcement instance.
-	Guard = guard.Guard
 	// Policy configures CookieGuard enforcement.
 	Policy = guard.Policy
-	// EntityMap groups domains by owning entity.
-	EntityMap = entity.Map
 )
 
 // Pipeline owns a generated web and the streaming measurement pipeline

@@ -342,8 +342,8 @@ let c = cookiestore_get("keep_alive");
 if (c != null && c["value"] == "1") {
   cookiestore_set("_awl", "1." + str(now_ms()) + ".s1");
 }
-let all = cookiestore_get_all();
-if (2 > len(all)) { cookiestore_delete("keep_alive"); }`,
+let awl = cookiestore_get("_awl");
+if (awl == null) { cookiestore_set("keep_alive", "", {"max_age": 0 - 1}); }`,
 	}
 	b := newTestBrowser(t, testWeb(html, scripts))
 	if _, err := b.Visit("https://www.shop.example/"); err != nil {
@@ -413,13 +413,6 @@ func (r *recordingAPI) SetCookie(ctx AccessContext, src cookiejar.Source, a stri
 }
 func (r *recordingAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bool) {
 	return r.next.StoreGet(ctx, n)
-}
-func (r *recordingAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
-	return r.next.StoreGetAll(ctx)
-}
-func (r *recordingAPI) StoreDelete(ctx AccessContext, n string) {
-	r.onSet(ctx)
-	r.next.StoreDelete(ctx, n)
 }
 
 func TestClickHandlers(t *testing.T) {
@@ -639,8 +632,6 @@ func (a *blankReadAPI) SetCookie(ctx AccessContext, src cookiejar.Source, s stri
 func (a *blankReadAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bool) {
 	return jsdsl.CookieRecord{}, false
 }
-func (a *blankReadAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord { return nil }
-func (a *blankReadAPI) StoreDelete(ctx AccessContext, n string)            { a.next.StoreDelete(ctx, n) }
 
 func BenchmarkVisitSimplePage(b *testing.B) {
 	html := `<html><head><script src="https://tracker.example/analytics.js"></script></head>

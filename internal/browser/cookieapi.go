@@ -2,8 +2,9 @@
 // over a netsim fabric, HTML parsing, sequential and dynamically injected
 // script execution with inclusion-chain tracking, SOP-isolated iframes,
 // stack-based script attribution, virtual-clock load timing, and the
-// pluggable cookie-API surface where the measurement extension and
-// CookieGuard interpose.
+// pluggable cookie-API surface (document.cookie, cookieStore.get and
+// cookieStore.set) where the measurement extension and CookieGuard
+// interpose.
 package browser
 
 import (
@@ -46,7 +47,9 @@ func (c AccessContext) PageDomain() string {
 // CookieAPI is the cookie surface exposed to scripts. The browser installs
 // a direct implementation over the jar; middleware (instrumentation,
 // CookieGuard) wraps it — the Go equivalent of redefining document.cookie
-// and the cookieStore methods with Object.defineProperty.
+// and cookieStore.get and .set with Object.defineProperty. Those are the
+// calls the generated web makes; a script deletes through cookieStore by
+// an expired set, which reaches the layers as a SetCookie.
 //
 // Both APIs write through SetCookie, as an assignment line the jar parses
 // (cookiejar.ParseAssignment): a document.cookie assignment as the script
@@ -68,10 +71,9 @@ type CookieAPI interface {
 	// script wrote through src, cookiejar.SourceDocument or
 	// cookiejar.SourceCookieStore.
 	SetCookie(ctx AccessContext, src cookiejar.Source, assignment string)
-
+	// StoreGet is cookieStore.get: the first cookie named name that the
+	// access may see, in document.cookie order.
 	StoreGet(ctx AccessContext, name string) (jsdsl.CookieRecord, bool)
-	StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord
-	StoreDelete(ctx AccessContext, name string)
 }
 
 // CookieMiddleware installs one cookie layer on a browser under
@@ -102,14 +104,6 @@ func (d *directCookieAPI) StoreGet(ctx AccessContext, name string) (jsdsl.Cookie
 		return jsdsl.CookieRecord{}, false
 	}
 	return c.Record(), true
-}
-
-func (d *directCookieAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
-	return d.jar.ScriptRecords(ctx.PageURL)
-}
-
-func (d *directCookieAPI) StoreDelete(ctx AccessContext, name string) {
-	d.jar.Delete(ctx.PageURL, name)
 }
 
 // RecordAssignment renders a CookieRecord as a Set-Cookie-style assignment

@@ -29,16 +29,8 @@ func (h *hostBinding) CookieStoreGet(name string) (jsdsl.CookieRecord, bool) {
 	return h.page.browser.api.StoreGet(h.ctx(), name)
 }
 
-func (h *hostBinding) CookieStoreGetAll() []jsdsl.CookieRecord {
-	return h.page.browser.api.StoreGetAll(h.ctx())
-}
-
 func (h *hostBinding) CookieStoreSet(rec jsdsl.CookieRecord) {
 	h.page.browser.api.SetCookie(h.ctx(), cookiejar.SourceCookieStore, RecordAssignment(rec))
-}
-
-func (h *hostBinding) CookieStoreDelete(name string) {
-	h.page.browser.api.StoreDelete(h.ctx(), name)
 }
 
 // Send issues a script-initiated GET (image pixel / fetch beacon). The

@@ -43,16 +43,6 @@ func (a *stackAPI) StoreGet(ctx AccessContext, n string) (jsdsl.CookieRecord, bo
 	return a.next.StoreGet(ctx, n)
 }
 
-func (a *stackAPI) StoreGetAll(ctx AccessContext) []jsdsl.CookieRecord {
-	a.note("store-get-all", ctx)
-	return a.next.StoreGetAll(ctx)
-}
-
-func (a *stackAPI) StoreDelete(ctx AccessContext, n string) {
-	a.note("store-delete", ctx)
-	a.next.StoreDelete(ctx, n)
-}
-
 // TestAttributionStacks pins the request initiator and cookie-call script
 // of visits that push and pop the execution stack in every way a page can:
 // scripts in document order, injected scripts, deferred callbacks with and
@@ -81,7 +71,7 @@ send("https://collect.example/leaf", {"c": c});`,
 defer_run(fn() {
   set_cookie("_async", "1");
   send("https://collect.example/async", {"a": get_cookie("_async")});
-  defer_run(fn() { cookiestore_delete("_sync"); });
+  defer_run(fn() { cookiestore_set("_sync", "", {"max_age": 0 - 1}); });
   inject("https://deep.example/leaf.js");
 });
 send("https://collect.example/sync", {});`,
@@ -195,7 +185,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				`get "https://tracker.example/async.js"`,
 				`get "https://deep.example/leaf.js"`,
 				`store-set "https://deep.example/leaf.js"`,
-				`store-delete "https://tracker.example/async.js"`,
+				`store-set "https://tracker.example/async.js"`,
 			},
 		},
 		{
@@ -216,7 +206,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				`get ""`,
 				`get "https://deep.example/leaf.js"`,
 				`store-set "https://deep.example/leaf.js"`,
-				`store-delete ""`,
+				`store-set ""`,
 			},
 		},
 		{
@@ -312,7 +302,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				`get "https://tracker.example/async.js"`,
 				`get "https://deep.example/leaf.js"`,
 				`store-set "https://deep.example/leaf.js"`,
-				`store-delete "https://tracker.example/async.js"`,
+				`store-set "https://tracker.example/async.js"`,
 				`set "https://tracker.example/click.js"`,
 				`get "https://tracker.example/click.js"`,
 				`req document https://www.shop.example/ ""`,
@@ -341,7 +331,7 @@ on_click_id("reject", fn() { set_cookie("consent", "no"); });`,
 				`get ""`,
 				`get "https://deep.example/leaf.js"`,
 				`store-set "https://deep.example/leaf.js"`,
-				`store-delete ""`,
+				`store-set ""`,
 			},
 		},
 	}

@@ -468,21 +468,6 @@ func (j *Jar) DocumentCookiePairs(rawURL string, dst []jsdsl.CookiePair) []jsdsl
 	return dst
 }
 
-// ScriptRecords is the cookieStore.getAll() analogue: the cookies
-// DocumentCookiePairs lists for a page at rawURL, as records, in one
-// exact-size slice.
-func (j *Jar) ScriptRecords(rawURL string) []jsdsl.CookieRecord {
-	now := j.clock.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	cs := j.visibleLocked(rawURL, now)
-	out := make([]jsdsl.CookieRecord, len(cs))
-	for i, c := range cs {
-		out[i] = c.Record()
-	}
-	return out
-}
-
 // Get returns a copy of the first script-visible cookie with the given
 // name for the page, in serialization order, or nil (the
 // cookieStore.get() analogue).
@@ -496,22 +481,6 @@ func (j *Jar) Get(rawURL, name string) *Cookie {
 		}
 	}
 	return nil
-}
-
-// Delete removes the named cookie as cookieStore.delete() would: it issues
-// an expired write for the page's host. Returns true if a cookie was
-// deleted.
-func (j *Jar) Delete(pageURL, name string) bool {
-	// Find the cookie first so we expire it with its own domain/path.
-	target := j.Get(pageURL, name)
-	if target == nil {
-		return false
-	}
-	line := name + "=; Path=" + target.Path + "; Max-Age=0"
-	if !target.HostOnly {
-		line += "; Domain=" + target.Domain
-	}
-	return j.SetFromScript(pageURL, line, SourceCookieStore) == ChangeDeleted
 }
 
 // All returns a snapshot of every live cookie in the jar (for inspection

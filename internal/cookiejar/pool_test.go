@@ -165,7 +165,8 @@ func cookieString(c *Cookie) string {
 
 // runSequence decodes ops, four bytes an operation, and runs them on j
 // with clock as j's clock: header writes, document.cookie and
-// cookieStore writes, reads, cookieStore deletes and clock advances. It
+// cookieStore writes, reads, cookieStore deletes (expired writes of the
+// bare name) and clock advances. It
 // appends to trace what each operation returned, every Change an
 // observer receives (Cookie and Previous rendered during the call), and
 // finally All().
@@ -191,7 +192,7 @@ func runSequence(j *Jar, clock *vclock.Clock, ops []byte, trace *[]string) {
 		case 3:
 			*trace = append(*trace, fmt.Sprint("read ", j.DocumentCookiePairs(raw, nil)))
 		case 4:
-			*trace = append(*trace, fmt.Sprint("delete ", j.Delete(raw, name)))
+			*trace = append(*trace, "delete "+j.SetFromScript(raw, name+"=; Max-Age=0", SourceCookieStore).String())
 		case 5:
 			clock.Advance(time.Duration(ops[2]) * 30 * time.Second)
 		}

@@ -11,11 +11,12 @@
 //     (contentScript.js), crossed once per cookie operation. It is
 //     modeled on the virtual clock (Policy.PerOpOverheadMS), not by a
 //     goroutine: the page wrapper reads the store synchronously;
-//   - PageWrapper — the wrapped document.cookie / cookieStore surface
-//     (cookieGuard.js), installed as a browser.CookieMiddleware. The
-//     one Guard.Middleware call that installs it also registers the
-//     background's Set-Cookie observer on the browser's jar and binds
-//     the browser's clock for the relay charge. Writes through either
+//   - PageWrapper — the wrapped document.cookie, cookieStore.get and
+//     cookieStore.set surface (cookieGuard.js), installed as a
+//     browser.CookieMiddleware. The one Guard.Middleware call that
+//     installs it also registers the background's Set-Cookie observer
+//     on the browser's jar and binds the browser's clock for the relay
+//     charge. Writes through either
 //     API reach it as one assignment line (browser.CookieAPI.SetCookie),
 //     and it names the cookie by the jar's own parse of that line, so a
 //     write the jar stores as x is checked against x's creator.
@@ -90,8 +91,7 @@ type BlockKind string
 
 // Block kinds. A blocked script write, a document.cookie assignment or a
 // cookieStore.set, is a BlockDelete exactly when the jar would have
-// deleted by it (an expired write), and a BlockWrite otherwise; a
-// blocked cookieStore.delete is a BlockDelete.
+// deleted by it (an expired write), and a BlockWrite otherwise.
 const (
 	BlockRead   BlockKind = "read-filtered"
 	BlockWrite  BlockKind = "write-blocked"
@@ -326,49 +326,4 @@ func (p *pageWrapper) StoreGet(ctx browser.AccessContext, name string) (jsdsl.Co
 		}
 	}
 	return p.next.StoreGet(ctx, name)
-}
-
-func (p *pageWrapper) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecord {
-	g := p.g
-	g.chargeOverhead()
-	accessor, ok := g.accessor(ctx)
-	if !ok {
-		g.logBlock(BlockEvent{Kind: BlockInline, Accessor: "inline"})
-		return nil
-	}
-	all := p.next.StoreGetAll(ctx)
-	site := ctx.PageDomain()
-	if g.isSiteOwner(accessor, site) {
-		return all
-	}
-	var kept []jsdsl.CookieRecord
-	filtered := false
-	for _, rec := range all {
-		if g.mayAccess(accessor, g.bg.creatorOf(rec.Name), site) {
-			kept = append(kept, rec)
-		} else {
-			filtered = true
-		}
-	}
-	if filtered {
-		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
-	}
-	return kept
-}
-
-func (p *pageWrapper) StoreDelete(ctx browser.AccessContext, name string) {
-	g := p.g
-	g.chargeOverhead()
-	accessor, ok := g.accessor(ctx)
-	if !ok {
-		g.logBlock(BlockEvent{Kind: BlockInline, Accessor: "inline"})
-		return
-	}
-	site := ctx.PageDomain()
-	creator, exists := g.bg.lookup(name)
-	if exists && !g.mayAccess(accessor, creator, site) {
-		g.logBlock(BlockEvent{Kind: BlockDelete, Name: name, Accessor: accessor, Creator: creator})
-		return
-	}
-	p.next.StoreDelete(ctx, name)
 }

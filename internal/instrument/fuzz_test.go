@@ -16,8 +16,6 @@ import (
 type discardAPI struct{}
 
 func (discardAPI) SetCookie(browser.AccessContext, cookiejar.Source, string) {}
-func (discardAPI) StoreDelete(browser.AccessContext, string)                 {}
-func (discardAPI) StoreGetAll(browser.AccessContext) []jsdsl.CookieRecord    { return nil }
 func (discardAPI) GetDocumentCookie(_ browser.AccessContext, dst []jsdsl.CookiePair) []jsdsl.CookiePair {
 	return dst
 }
@@ -117,9 +115,9 @@ var readers = []struct {
 }
 
 // FuzzRecordedReads drives the recorder with a sequence of calls, one
-// per fuzz byte: the byte picks a reader and one of three reads
-// (document.cookie, cookieStore.get, cookieStore.getAll) or two writes
-// (a document.cookie assignment, a cookieStore.delete). A reference
+// per fuzz byte: the byte picks a reader and one of two reads
+// (document.cookie, cookieStore.get) or two writes (a document.cookie
+// assignment, an expired cookieStore.set that deletes). A reference
 // records every call as its own event and then collapses the reads: one
 // entry per (script URL, inline, main frame, API), where that key was
 // first read, counting its reads. The recorder must log exactly that,
@@ -129,10 +127,10 @@ func FuzzRecordedReads(f *testing.F) {
 	for _, s := range []string{
 		"",
 		"\x00",
-		"\x03\x08\x0d\x12\x03", // one script through both APIs, a write, a read
+		"\x03\x08\x08\x0d\x03", // one script through both APIs, a write, a read
 		"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09", // every reader through both APIs
-		"\x0f\x03\x10\x08\x12\x03",                 // writes between the reads
-		"\x14\x00\x18\x05\x0a\x14",
+		"\x0a\x03\x0b\x08\x0d\x03",                 // writes between the reads
+		"\x0f\x00\x13\x05\x05\x0f",
 	} {
 		f.Add([]byte(s))
 	}
@@ -151,7 +149,7 @@ func FuzzRecordedReads(f *testing.F) {
 				Inline: r.ctx.Inline, MainFrame: r.ctx.MainFrame,
 			}
 			name := "c" + strconv.Itoa(i)
-			switch int(b) / len(readers) % 5 {
+			switch int(b) / len(readers) % 4 {
 			case 0:
 				api.GetDocumentCookie(r.ctx, nil)
 				ev.Op, ev.API = OpRead, APIDocument
@@ -159,13 +157,10 @@ func FuzzRecordedReads(f *testing.F) {
 				api.StoreGet(r.ctx, name)
 				ev.Op, ev.API = OpRead, APICookieStore
 			case 2:
-				api.StoreGetAll(r.ctx)
-				ev.Op, ev.API = OpRead, APICookieStore
-			case 3:
 				api.SetCookie(r.ctx, cookiejar.SourceDocument, name+"=1")
 				ev.Op, ev.API, ev.Name, ev.Value = OpWrite, APIDocument, name, "1"
-			case 4:
-				api.StoreDelete(r.ctx, name)
+			case 3:
+				api.SetCookie(r.ctx, cookiejar.SourceCookieStore, name+"=; Max-Age=0")
 				ev.Op, ev.API, ev.Name = OpDelete, APICookieStore, name
 			}
 			if ev.Op == OpRead {

@@ -26,9 +26,9 @@ type Op string
 
 // Cookie operation kinds.
 const (
-	OpRead    Op = "read"    // document.cookie getter / cookieStore get(All), counted
+	OpRead    Op = "read"    // document.cookie getter / cookieStore.get, counted
 	OpWrite   Op = "write"   // assignment / cookieStore.set
-	OpDelete  Op = "delete"  // expired write (see CookieEvent) / cookieStore.delete
+	OpDelete  Op = "delete"  // expired write (see CookieEvent)
 	OpHTTPSet Op = "httpset" // Set-Cookie response header
 )
 
@@ -459,19 +459,6 @@ func (a *recordingAPI) StoreGet(ctx browser.AccessContext, name string) (jsdsl.C
 	rec, ok := a.next.StoreGet(ctx, name)
 	a.rec.read(ctx, APICookieStore)
 	return rec, ok
-}
-
-func (a *recordingAPI) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecord {
-	recs := a.next.StoreGetAll(ctx)
-	a.rec.read(ctx, APICookieStore)
-	return recs
-}
-
-func (a *recordingAPI) StoreDelete(ctx browser.AccessContext, name string) {
-	ev := baseEvent(ctx, OpDelete, APICookieStore)
-	ev.Name = name
-	a.rec.append(ev)
-	a.next.StoreDelete(ctx, name)
 }
 
 // MutationCrossDomain reports whether a DOM mutation crossed domains: the

@@ -36,7 +36,7 @@ set_cookie("_tid", "abcdef1234567890", {"max_age": 3600});
 let v = get_cookie("_tid");
 cookiestore_set("cs_c", "csvalue123", {"max_age": 60});
 let c = cookiestore_get("cs_c");
-let all = cookiestore_get_all();
+let missing = cookiestore_get("_nope");
 delete_cookie("_tid");
 dom_set_text("banner", "SPONSORED");
 send("https://collect.example/px", {"v": "abcdef1234567890"});`)
@@ -334,7 +334,7 @@ inject(%q);`, reader)
 	in.RegisterFunc("reader.example", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `let a = get_cookie("_uid");
 let b = cookiestore_get("cs_c");
-let c = cookiestore_get_all();`)
+let c = cookiestore_get("_uid");`)
 	})
 	rec := NewRecorder()
 	defer rec.Release()

@@ -13,7 +13,7 @@ import (
 func containerSource(t *testing.T) string {
 	t.Helper()
 	var longest string
-	for _, src := range servedScripts(t) {
+	for _, src := range servedScripts(t, 200) {
 		if strings.HasPrefix(src, "// googletagmanager container for ") && len(src) > len(longest) {
 			longest = src
 		}

@@ -132,8 +132,8 @@ type MapLit struct {
 	Line   int
 }
 
-// FuncLit is fn(params) { body } — a closure, which only a host runs, as
-// a callback. Hosts pass no arguments, so every parameter is null.
+// FuncLit is fn() { body } — a closure, which only a host runs, as a
+// callback. It takes no parameters: Params is always nil.
 type FuncLit struct {
 	Params []string
 	Body   *BlockStmt

@@ -300,14 +300,6 @@ func init() {
 			}
 			return MapVal(cookieRecordToMap(in, rec)), nil
 		},
-		"cookiestore_get_all": func(in *Interp, args []Value) (Value, error) {
-			recs := in.Host.CookieStoreGetAll()
-			l := &List{}
-			for _, rec := range recs {
-				l.Elems = append(l.Elems, MapVal(cookieRecordToMap(in, rec)))
-			}
-			return ListVal(l), nil
-		},
 		"cookiestore_set": func(in *Interp, args []Value) (Value, error) {
 			name, ok1 := argString(args, 0)
 			if !ok1 || len(args) < 2 {
@@ -340,14 +332,6 @@ func init() {
 				}
 			}
 			in.Host.CookieStoreSet(rec)
-			return Value{}, nil
-		},
-		"cookiestore_delete": func(in *Interp, args []Value) (Value, error) {
-			name, ok := argString(args, 0)
-			if !ok {
-				return Value{}, errArity("cookiestore_delete")
-			}
-			in.Host.CookieStoreDelete(name)
 			return Value{}, nil
 		},
 

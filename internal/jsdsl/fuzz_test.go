@@ -119,6 +119,12 @@ log("" + len(m));
 `,
 	`let i = 0; i -= 1;`,
 	`let f = fn() { f() + f(); }; f();`,
+	`
+let f = fn(a, b) { log(a == null && b == null); };
+defer_run(f);`,
+	`cookiestore_get_all();`,
+	`cookiestore_delete("x");`,
+	`fn(a) { };`,
 }
 
 // TestRetiredSyntaxRefused checks that every retired program fails to

@@ -40,11 +40,10 @@ type Host interface {
 	// assignment string.
 	SetDocCookie(assignment string)
 
-	// CookieStore API (structured, §2.3).
+	// CookieStore API (structured, §2.3): get and set. A script deletes
+	// by setting an expired cookie.
 	CookieStoreGet(name string) (CookieRecord, bool)
-	CookieStoreGetAll() []CookieRecord
 	CookieStoreSet(rec CookieRecord)
-	CookieStoreDelete(name string)
 
 	// Send issues a GET request to url with the parameters
 	// keys[i]=vals[i] appended to its query string (the exfiltration
@@ -102,14 +101,8 @@ func (h *NopHost) SetDocCookie(string) {}
 // CookieStoreGet implements Host.
 func (h *NopHost) CookieStoreGet(string) (CookieRecord, bool) { return CookieRecord{}, false }
 
-// CookieStoreGetAll implements Host.
-func (h *NopHost) CookieStoreGetAll() []CookieRecord { return nil }
-
 // CookieStoreSet implements Host.
 func (h *NopHost) CookieStoreSet(CookieRecord) {}
-
-// CookieStoreDelete implements Host.
-func (h *NopHost) CookieStoreDelete(string) {}
 
 // Send implements Host.
 func (h *NopHost) Send(string, []string, []string) {}

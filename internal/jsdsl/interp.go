@@ -715,8 +715,7 @@ func (in *Interp) appendCall(call *CallExpr, f appendFunc, env *Env) error {
 }
 
 // callClosure runs a callback: the closure's body, in a scope of its
-// own where every parameter is null. It refuses to nest more than
-// maxCallDepth callback runs.
+// own. It refuses to nest more than maxCallDepth callback runs.
 func (in *Interp) callClosure(c *Closure) error {
 	if err := in.step(c.Fn.Line); err != nil {
 		return err
@@ -726,9 +725,6 @@ func (in *Interp) callClosure(c *Closure) error {
 	}
 	in.calls++
 	scope := in.newEnv(c.Env)
-	for _, p := range c.Fn.Params {
-		scope.Define(p, Value{})
-	}
 	err := in.execBlock(c.Fn.Body, scope)
 	in.releaseEnv(scope)
 	in.calls--

@@ -339,17 +339,6 @@ func TestCallClosureFromGo(t *testing.T) {
 	}
 }
 
-// TestMissingArgsAreNull: hosts run callbacks with no arguments, so
-// every parameter is null.
-func TestMissingArgsAreNull(t *testing.T) {
-	h := evalHost(t, `
-let f = fn(a, b) { log(a == null && b == null); };
-defer_run(f);`)
-	if got := lastLog(t, h); got != "true" {
-		t.Fatalf("log = %q", got)
-	}
-}
-
 func TestParseCookieString(t *testing.T) {
 	names, vals := ParseCookieString("_ga=GA1.1.1.2; _fbp=fb.0.3.4;  empty ; bad")
 	if len(names) != 2 || names[0] != "_ga" || names[1] != "_fbp" {

@@ -464,25 +464,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expect("("); err != nil {
 			return nil, err
 		}
-		fl := p.funcs.put(FuncLit{Line: t.Line})
-		for !p.cur().is(")") {
-			if !p.at(TokIdent) {
-				return nil, p.errf("expected parameter name")
-			}
-			fl.Params = append(fl.Params, p.advance().Text)
-			if !p.accept(",") {
-				break
-			}
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
+		if !p.accept(")") {
+			return nil, p.errf("a closure takes no parameters, found %s", p.cur())
 		}
 		body, err := p.parseBlock()
 		if err != nil {
 			return nil, err
 		}
-		fl.Body = body
-		return fl, p.built(1 + p.height)
+		return p.funcs.put(FuncLit{Body: body, Line: t.Line}), p.built(1 + p.height)
 	default:
 		return nil, p.errf("unexpected token %s", t)
 	}

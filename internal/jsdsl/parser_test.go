@@ -82,15 +82,21 @@ func TestParseLiterals(t *testing.T) {
 
 func TestParseFunctionsAndCalls(t *testing.T) {
 	prog, err := Parse(`
-let f = fn(a, b) { log(a + b); };
+let f = fn() { log(1 + 2); };
 let r = split(1, 2);
 on_click(fn() { send("https://t.example/px", {"e": "click"}); });`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := prog.Stmts[0].(*LetStmt).Init.(*FuncLit)
-	if len(fl.Params) != 2 {
+	if fl := prog.Stmts[0].(*LetStmt).Init.(*FuncLit); fl.Params != nil {
 		t.Fatalf("params = %v", fl.Params)
+	}
+	// A closure takes no parameters.
+	for _, src := range []string{`let f = fn(a) { };`, `let f = fn(a, b) { };`, `let f = fn(,) { };`} {
+		var se *SyntaxError
+		if _, err := Parse(src); !errors.As(err, &se) {
+			t.Errorf("Parse(%q) = %v, want a *SyntaxError", src, err)
+		}
 	}
 	call := prog.Stmts[1].(*LetStmt).Init.(*CallExpr)
 	if len(call.Args) != 2 {

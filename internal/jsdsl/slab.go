@@ -69,10 +69,9 @@ type nodeSlabs struct {
 // operand an index, and "{" after ")" or "else" opens a block, anywhere
 // else a map.
 // List slots are counted as each non-empty call, list or map's first
-// element plus one per "," (less those between function parameters) and
-// one per ":", which adds a map's values to its keys. For well-formed
-// sources the counts are exact, except that a trailing comma counts one
-// slot too many.
+// element plus one per "," and one per ":", which adds a map's values to
+// its keys. For well-formed sources the counts are exact, except that a
+// trailing comma counts one slot too many.
 func newNodeSlabs(toks []Token) nodeSlabs {
 	var (
 		idents, nums, strs, bools, nulls, lists, maps, funcs int
@@ -108,18 +107,6 @@ func newNodeSlabs(toks []Token) nodeSlabs {
 				idents-- // the loop variable
 			case "fn":
 				funcs++
-				// Parameters are names, not Ident nodes, and the commas
-				// between them separate no expressions.
-				if !toks[i+1].is("(") {
-					break
-				}
-				for j := i + 2; toks[j].Kind == TokIdent; j += 2 {
-					idents--
-					if !toks[j+1].is(",") {
-						break
-					}
-					commas--
-				}
 			}
 		case TokPunct:
 			switch t.Text {

@@ -10,7 +10,7 @@ import (
 // back to one allocation per node, and one left with room allocates
 // bytes no node uses.
 func TestNodeSlabsCensusExact(t *testing.T) {
-	for _, src := range servedScripts(t) {
+	for _, src := range servedScripts(t, 200) {
 		toks, err := Lex(src)
 		if err != nil {
 			t.Fatal(err)
